@@ -208,12 +208,15 @@ impl FeatureSpace {
         let node_keys = key_universe(nodes, |n| n.props.keys().cloned().collect());
         let edge_keys = key_universe(edges, |e| e.edge.props.keys().cloned().collect());
 
+        // One scan of the records interns every label set — node labels
+        // plus all three edge roles — and yields both the embedder's
+        // training corpus and the batch's distinct-set table.
+        let corpus = build_sentences(nodes, edges);
         let embedder: Box<dyn LabelEmbedder> = match embedding {
             EmbeddingKind::Word2Vec(cfg) => {
-                let sentences = build_sentences(nodes, edges);
                 let mut cfg = cfg.clone();
                 cfg.seed ^= seed;
-                Box::new(Word2Vec::train(&sentences, &cfg))
+                Box::new(Word2Vec::train(&corpus, &cfg))
             }
             EmbeddingKind::Hashed { dim } => Box::new(HashedEmbedder::new(*dim, seed)),
         };
@@ -229,42 +232,10 @@ impl FeatureSpace {
             .map(|(i, k)| (k.clone(), i as u32))
             .collect();
 
-        // Distinct label sets of the batch (node labels plus all three
-        // edge roles), embedded once each. Per-shard hash dedup keeps
-        // the scan from materializing one clone per occurrence; the
-        // union of shard sets is order-independent and the final sort
-        // makes the id assignment thread-count invariant.
-        let shard = nodes.len().div_ceil(KEY_SCAN_SHARDS).max(1);
-        let node_sets: Vec<HashSet<LabelSet>> = nodes
-            .par_chunks(shard)
-            .map(|chunk| chunk.iter().map(|n| n.labels.clone()).collect())
-            .collect();
-        let shard = edges.len().div_ceil(KEY_SCAN_SHARDS).max(1);
-        let edge_sets: Vec<HashSet<LabelSet>> = edges
-            .par_chunks(shard)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .flat_map(|e| {
-                        [
-                            e.edge.labels.clone(),
-                            e.src_labels.clone(),
-                            e.tgt_labels.clone(),
-                        ]
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut sets: Vec<LabelSet> = node_sets
-            .into_iter()
-            .chain(edge_sets)
-            .reduce(|mut a, b| {
-                a.extend(b);
-                a
-            })
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
+        // Each distinct label set is embedded once. Ids follow sorted
+        // order, not the corpus's first-occurrence order, so they do not
+        // depend on record order.
+        let mut sets: Vec<LabelSet> = corpus.label_sets().to_vec();
         sets.sort();
         let label_infos: Vec<LabelInfo> = sets
             .iter()

@@ -6,12 +6,18 @@
 //! in the dataset "to ensure consistent semantic embeddings across
 //! identical label sets". This crate implements:
 //!
-//! * [`word2vec::Word2Vec`] — skip-gram with negative sampling, trained
-//!   from scratch on the label corpus.
 //! * [`corpus`] — corpus construction: each edge contributes a 3-token
 //!   sentence `(src-labels, edge-label, tgt-labels)` where a multi-label
 //!   set becomes a single token (its sorted concatenation), and each node
-//!   contributes its token to the vocabulary.
+//!   contributes its token to the vocabulary. [`build_sentences`] interns
+//!   the tokens to dense integer ids as it scans the records, so the
+//!   resulting [`LabelCorpus`] holds one `String` per *distinct* token
+//!   and the sentences as `u32`s.
+//! * [`word2vec::Word2Vec`] — skip-gram with negative sampling, trained
+//!   from scratch on a [`LabelCorpus`] by one allocation-free kernel.
+//!   The trained vectors are pinned bit for bit against the original
+//!   string-keyed trainer, which survives as the test oracle
+//!   `tests/reference/`.
 //! * [`hashed::HashedEmbedder`] — a training-free deterministic fallback
 //!   that maps each token to a pseudo-random unit vector. It satisfies
 //!   the two properties PG-HIVE actually relies on (identical sets map to
@@ -25,7 +31,7 @@ pub mod corpus;
 pub mod hashed;
 pub mod word2vec;
 
-pub use corpus::build_sentences;
+pub use corpus::{build_sentences, LabelCorpus};
 pub use hashed::HashedEmbedder;
 pub use word2vec::{Word2Vec, Word2VecConfig};
 

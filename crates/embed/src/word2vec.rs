@@ -6,11 +6,20 @@
 //! the corpus is the label co-occurrence structure of the graph. Training
 //! is deterministic given the seed.
 //!
+//! Training cost is `epochs × min(pairs, max_pairs_per_epoch)` steps of
+//! `Sgns::steps`, the one kernel: it works on the [`LabelCorpus`]'s integer
+//! ids, allocates nothing and hashes nothing per step, and is
+//! instantiated once with the dimension as a compile-time constant (the
+//! default, 8) and once with a run-time dimension. The vectors it
+//! produces are pinned bit for bit to the original string-keyed trainer
+//! (`tests/reference/`, `tests/bit_identity.rs`; DESIGN.md §3k lists what
+//! exactly is pinned).
+//!
 //! Output vectors are L2-normalized so that the ELSH distance scale is
 //! controlled: identical tokens have distance 0; distinct tokens have
 //! distance in `(0, 2]`.
 
-use crate::LabelEmbedder;
+use crate::{LabelCorpus, LabelEmbedder};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -75,26 +84,19 @@ pub struct Word2Vec {
 }
 
 impl Word2Vec {
-    /// Train on a corpus of token sentences.
+    /// Train on a label corpus.
     ///
     /// An empty corpus produces an empty model where every token falls
     /// back to the deterministic OOV embedding.
-    pub fn train(sentences: &[Vec<String>], cfg: &Word2VecConfig) -> Word2Vec {
+    ///
+    /// The trained vectors are a pure function of `(corpus, cfg)` and are
+    /// pinned bit for bit (DESIGN.md §3k): vocabulary order fixes the
+    /// init draws and the negative table, pair order fixes which pair a
+    /// draw selects, and every step makes one pair draw plus exactly
+    /// `cfg.negatives` table draws.
+    pub fn train(corpus: &LabelCorpus, cfg: &Word2VecConfig) -> Word2Vec {
         assert!(cfg.dim > 0, "embedding dimension must be positive");
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut counts: Vec<usize> = Vec::new();
-        for s in sentences {
-            for tok in s {
-                match index.get(tok) {
-                    Some(&i) => counts[i] += 1,
-                    None => {
-                        index.insert(tok.clone(), counts.len());
-                        counts.push(1);
-                    }
-                }
-            }
-        }
-        let vocab = counts.len();
+        let vocab = corpus.vocab().len();
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
         // Xavier-ish init for input vectors, zeros for output vectors.
@@ -103,59 +105,33 @@ impl Word2Vec {
             .collect();
         let mut output: Vec<f64> = vec![0.0; vocab * cfg.dim];
 
-        // Unigram^0.75 negative-sampling table.
-        let neg_table = build_negative_table(&counts);
+        let neg_table = build_negative_table(corpus.counts());
+        let pairs = positive_pairs(corpus, cfg.window);
 
-        // Collect the positive pairs once (corpus is small after dedup of
-        // repeated sentences would bias counts, so keep multiplicity).
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for s in sentences {
-            let idxs: Vec<usize> = s.iter().map(|t| index[t]).collect();
-            for (i, &center) in idxs.iter().enumerate() {
-                let lo = i.saturating_sub(cfg.window);
-                let hi = (i + cfg.window + 1).min(idxs.len());
-                for (j, &ctx) in idxs.iter().enumerate().take(hi).skip(lo) {
-                    if i != j && center != ctx {
-                        pairs.push((center, ctx));
-                    }
-                }
-            }
-        }
-
-        if vocab > 0 && !pairs.is_empty() {
-            let per_epoch = pairs.len().min(cfg.max_pairs_per_epoch);
-            let total_steps = (cfg.epochs * per_epoch).max(1);
-            let mut step = 0usize;
-            for _epoch in 0..cfg.epochs {
-                for _ in 0..per_epoch {
-                    let &(center, ctx) = &pairs[rng.gen_range(0..pairs.len())];
-                    let lr = cfg.learning_rate * (1.0 - 0.9 * step as f64 / total_steps as f64);
-                    sgns_step(
-                        &mut input,
-                        &mut output,
-                        cfg.dim,
-                        center,
-                        ctx,
-                        &neg_table,
-                        cfg.negatives,
-                        lr,
-                        &mut rng,
-                    );
-                    step += 1;
-                }
+        if !pairs.is_empty() {
+            let mut run = Sgns {
+                input: &mut input,
+                output: &mut output,
+                pairs: &pairs,
+                neg_table: &neg_table,
+                cfg,
+                rng: &mut rng,
+            };
+            // The dimension is a compile-time constant for the shipped
+            // default (and the eval config), where the row loops unroll
+            // and vectorise; any other value runs the same source with a
+            // run-time length.
+            match cfg.dim {
+                8 => run.steps(Const::<8>),
+                n => run.steps(Dyn(n)),
             }
         }
 
         // Normalize rows, blend in the per-token identity direction, and
         // re-normalize. A numerically-zero row falls back to the pure
         // identity vector.
-        let mut token_of_row: Vec<&String> = vec![&EMPTY_STRING; vocab];
-        for (tok, &i) in &index {
-            token_of_row[i] = tok;
-        }
-        for row in 0..vocab {
-            let v = &mut input[row * cfg.dim..(row + 1) * cfg.dim];
-            let ident = unit_from_hash(hash_token(token_of_row[row]) ^ cfg.seed, cfg.dim);
+        for (token, v) in corpus.vocab().iter().zip(input.chunks_exact_mut(cfg.dim)) {
+            let ident = unit_from_hash(hash_token(token) ^ cfg.seed, cfg.dim);
             let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
             if norm > 1e-12 {
                 for (x, h) in v.iter_mut().zip(&ident) {
@@ -174,7 +150,12 @@ impl Word2Vec {
 
         Word2Vec {
             dim: cfg.dim,
-            index,
+            index: corpus
+                .vocab()
+                .iter()
+                .enumerate()
+                .map(|(i, token)| (token.clone(), i))
+                .collect(),
             vectors: input,
             oov_seed: cfg.seed,
         }
@@ -211,57 +192,140 @@ impl LabelEmbedder for Word2Vec {
     }
 }
 
-static EMPTY_STRING: String = String::new();
+/// The positive `(center, ctx)` pairs of a corpus for one window, in
+/// corpus order and with their multiplicity (a pair's frequency is its
+/// sampling weight).
+fn positive_pairs(corpus: &LabelCorpus, window: usize) -> Vec<(u32, u32)> {
+    let mut pairs = Vec::new();
+    for s in corpus.sentences() {
+        for (i, &center) in s.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = i.saturating_add(window).saturating_add(1).min(s.len());
+            for (j, &ctx) in s.iter().enumerate().take(hi).skip(lo) {
+                if i != j && center != ctx {
+                    pairs.push((center, ctx));
+                }
+            }
+        }
+    }
+    pairs
+}
+
+/// An embedding dimension known at compile time ([`Const`]) or at run
+/// time ([`Dyn`]). [`Sgns::steps`] is written once over this trait.
+trait Dim: Copy {
+    /// One row of scratch: on the stack for [`Const`], allocated once
+    /// per training run for [`Dyn`].
+    type Row: AsMut<[f64]>;
+    fn len(self) -> usize;
+    fn zeros(self) -> Self::Row;
+}
+
+#[derive(Clone, Copy)]
+struct Const<const N: usize>;
+
+impl<const N: usize> Dim for Const<N> {
+    type Row = [f64; N];
+    #[inline(always)]
+    fn len(self) -> usize {
+        N
+    }
+    fn zeros(self) -> [f64; N] {
+        [0.0; N]
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Dyn(usize);
+
+impl Dim for Dyn {
+    type Row = Vec<f64>;
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0
+    }
+    fn zeros(self) -> Vec<f64> {
+        vec![0.0; self.0]
+    }
+}
 
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// One SGNS gradient step for the pair `(center, ctx)`.
-#[allow(clippy::too_many_arguments)]
-fn sgns_step(
-    input: &mut [f64],
-    output: &mut [f64],
-    dim: usize,
-    center: usize,
-    ctx: usize,
-    neg_table: &[usize],
-    negatives: usize,
-    lr: f64,
-    rng: &mut ChaCha8Rng,
-) {
-    let mut grad_center = vec![0.0; dim];
-    {
-        // Positive sample.
-        let (vi, vo) = (center * dim, ctx * dim);
-        let dot: f64 = (0..dim).map(|k| input[vi + k] * output[vo + k]).sum();
-        let g = (sigmoid(dot) - 1.0) * lr;
-        for k in 0..dim {
-            grad_center[k] += g * output[vo + k];
-            output[vo + k] -= g * input[vi + k];
+/// Everything the SGNS steps of one training run read and write.
+struct Sgns<'a> {
+    /// Row-major `vocab × dim` input (center) vectors.
+    input: &'a mut [f64],
+    /// Row-major `vocab × dim` output (context) vectors.
+    output: &'a mut [f64],
+    pairs: &'a [(u32, u32)],
+    neg_table: &'a [u32],
+    cfg: &'a Word2VecConfig,
+    rng: &'a mut ChaCha8Rng,
+}
+
+impl Sgns<'_> {
+    /// Run every step: `epochs × min(pairs, max_pairs_per_epoch)` of
+    /// them, each drawing one positive pair and `negatives` table entries
+    /// (drawn before the `neg == ctx` skip, so the draw schedule depends
+    /// on the seed and the corpus, never on the weights), with the
+    /// learning rate decayed linearly to 10 %.
+    fn steps<D: Dim>(&mut self, d: D) {
+        let Sgns {
+            input,
+            output,
+            pairs,
+            neg_table,
+            cfg,
+            rng,
+        } = self;
+        let dim = d.len();
+        let (mut center_row, mut grad_row) = (d.zeros(), d.zeros());
+        // A copy of the center row: it stays in registers across the
+        // samples of a step when `dim` is a constant.
+        let (center_vec, grad) = (center_row.as_mut(), grad_row.as_mut());
+        let per_epoch = pairs.len().min(cfg.max_pairs_per_epoch);
+        let total_steps = (cfg.epochs * per_epoch).max(1);
+        for step in 0..cfg.epochs * per_epoch {
+            let (center, ctx) = pairs[rng.gen_range(0..pairs.len())];
+            let (center, ctx) = (center as usize, ctx as usize);
+            let lr = cfg.learning_rate * (1.0 - 0.9 * step as f64 / total_steps as f64);
+            let center_in = &mut input[center * dim..(center + 1) * dim];
+            center_vec.copy_from_slice(center_in);
+            grad.fill(0.0);
+            let ctx_out = &mut output[ctx * dim..(ctx + 1) * dim];
+            sgns_update(center_vec, ctx_out, grad, 1.0, lr);
+            for _ in 0..cfg.negatives {
+                let neg = neg_table[rng.gen_range(0..neg_table.len())] as usize;
+                if neg == ctx {
+                    continue;
+                }
+                let neg_out = &mut output[neg * dim..(neg + 1) * dim];
+                sgns_update(center_vec, neg_out, grad, 0.0, lr);
+            }
+            for (x, g) in center_in.iter_mut().zip(grad.iter()) {
+                *x -= g;
+            }
         }
     }
-    for _ in 0..negatives {
-        let neg = neg_table[rng.gen_range(0..neg_table.len())];
-        if neg == ctx {
-            continue;
-        }
-        let (vi, vo) = (center * dim, neg * dim);
-        let dot: f64 = (0..dim).map(|k| input[vi + k] * output[vo + k]).sum();
-        let g = sigmoid(dot) * lr;
-        for k in 0..dim {
-            grad_center[k] += g * output[vo + k];
-            output[vo + k] -= g * input[vi + k];
-        }
-    }
-    let vi = center * dim;
-    for k in 0..dim {
-        input[vi + k] -= grad_center[k];
+}
+
+/// One sample's gradient: `target` is 1 for the positive context and 0
+/// for a negative. Accumulates the center row's gradient into `grad`
+/// and updates the sample's output row in place.
+#[inline(always)]
+fn sgns_update(center: &[f64], out: &mut [f64], grad: &mut [f64], target: f64, lr: f64) {
+    let dot: f64 = center.iter().zip(out.iter()).map(|(x, y)| x * y).sum();
+    let g = (sigmoid(dot) - target) * lr;
+    for ((c, o), gr) in center.iter().zip(out.iter_mut()).zip(grad.iter_mut()) {
+        *gr += g * *o;
+        *o -= g * c;
     }
 }
 
 /// Unigram^0.75 sampling table (size-bounded).
-fn build_negative_table(counts: &[usize]) -> Vec<usize> {
+fn build_negative_table(counts: &[usize]) -> Vec<u32> {
     const TABLE: usize = 10_000;
     if counts.is_empty() {
         return vec![0];
@@ -271,7 +335,7 @@ fn build_negative_table(counts: &[usize]) -> Vec<usize> {
     let mut table = Vec::with_capacity(TABLE);
     for (i, w) in weights.iter().enumerate() {
         let n = ((w / total) * TABLE as f64).ceil() as usize;
-        table.extend(std::iter::repeat_n(i, n.max(1)));
+        table.extend(std::iter::repeat_n(i as u32, n.max(1)));
     }
     table
 }
@@ -302,15 +366,53 @@ pub(crate) fn unit_from_hash(seed: u64, dim: usize) -> Vec<f64> {
 mod tests {
     use super::*;
 
-    fn toy_corpus() -> Vec<Vec<String>> {
+    fn toy_corpus() -> LabelCorpus {
         // Two communities: Person-KNOWS-Person and Gene-BINDS-Protein.
-        let mut s = Vec::new();
+        let mut s: Vec<Vec<String>> = Vec::new();
         for _ in 0..50 {
             s.push(vec!["Person".into(), "KNOWS".into(), "Person".into()]);
             s.push(vec!["Person".into(), "WORKS_AT".into(), "Org".into()]);
             s.push(vec!["Gene".into(), "BINDS".into(), "Protein".into()]);
         }
-        s
+        LabelCorpus::from_sentences(&s)
+    }
+
+    #[test]
+    fn positive_pairs_follow_sentence_order_within_the_window() {
+        let s = |t: &[&str]| t.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let corpus = LabelCorpus::from_sentences(&[s(&["a", "b", "a", "c"]), s(&["c", "b"])]);
+        let list = |window| positive_pairs(&corpus, window);
+        assert!(list(0).is_empty());
+        // Equal tokens never pair, whatever their positions.
+        assert_eq!(
+            list(1),
+            [
+                (0, 1),
+                (1, 0),
+                (1, 0),
+                (0, 1),
+                (0, 2),
+                (2, 0),
+                (2, 1),
+                (1, 2)
+            ]
+        );
+        assert_eq!(
+            list(2),
+            [
+                (0, 1),
+                (1, 0),
+                (1, 0),
+                (1, 2),
+                (0, 1),
+                (0, 2),
+                (2, 1),
+                (2, 0),
+                (2, 1),
+                (1, 2)
+            ]
+        );
+        assert_eq!(list(3).len(), 12);
     }
 
     #[test]
@@ -369,7 +471,7 @@ mod tests {
 
     #[test]
     fn empty_corpus_still_embeds() {
-        let m = Word2Vec::train(&[], &Word2VecConfig::default());
+        let m = Word2Vec::train(&LabelCorpus::default(), &Word2VecConfig::default());
         assert_eq!(m.vocab_size(), 0);
         let v = m.embed_token("anything");
         assert_eq!(v.len(), 8);

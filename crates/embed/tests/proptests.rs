@@ -1,6 +1,6 @@
 //! Property-based tests for the embedding substrate.
 
-use pg_embed::{HashedEmbedder, LabelEmbedder, Word2Vec, Word2VecConfig};
+use pg_embed::{HashedEmbedder, LabelCorpus, LabelEmbedder, Word2Vec, Word2VecConfig};
 use proptest::prelude::*;
 
 fn quick_cfg(dim: usize, seed: u64) -> Word2VecConfig {
@@ -23,7 +23,7 @@ proptest! {
         dim in 2usize..16,
         seed in 0u64..1000,
     ) {
-        let m = Word2Vec::train(&sentences, &quick_cfg(dim, seed));
+        let m = Word2Vec::train(&LabelCorpus::from_sentences(&sentences), &quick_cfg(dim, seed));
         for s in &sentences {
             for tok in s {
                 let v = m.embed_token(tok);
@@ -40,7 +40,7 @@ proptest! {
         dim in 2usize..16,
         seed in 0u64..1000,
     ) {
-        let corpus = vec![vec![token.clone()]];
+        let corpus = LabelCorpus::from_sentences(&[vec![token.clone()]]);
         let m = Word2Vec::train(&corpus, &quick_cfg(dim, seed));
         prop_assert_eq!(m.embed_token(&token), m.embed_token(&token));
         let h = HashedEmbedder::new(dim, seed);
@@ -56,7 +56,7 @@ proptest! {
         prop_assume!(a != b);
         // Identity blending guarantees a distance floor even for tokens
         // the trainer cannot distinguish (e.g. identical contexts).
-        let corpus = vec![vec![a.clone(), b.clone()]; 5];
+        let corpus = LabelCorpus::from_sentences(&vec![vec![a.clone(), b.clone()]; 5]);
         let m = Word2Vec::train(&corpus, &quick_cfg(8, seed));
         let va = m.embed_token(&a);
         let vb = m.embed_token(&b);
@@ -68,7 +68,7 @@ proptest! {
     fn embed_opt_none_is_zero(dim in 1usize..16, seed in 0u64..1000) {
         let h = HashedEmbedder::new(dim, seed);
         prop_assert_eq!(h.embed_opt(None), vec![0.0; dim]);
-        let m = Word2Vec::train(&[], &quick_cfg(dim, seed));
+        let m = Word2Vec::train(&LabelCorpus::default(), &quick_cfg(dim, seed));
         prop_assert_eq!(m.embed_opt(None), vec![0.0; dim]);
     }
 }

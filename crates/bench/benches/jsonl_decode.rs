@@ -8,7 +8,9 @@
 //! tracks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pg_store::jsonl::{from_jsonl_with_policy, from_jsonl_with_policy_reference, to_jsonl, Element};
+use pg_store::jsonl::{
+    from_jsonl_with_policy, from_jsonl_with_policy_reference, to_jsonl, Element,
+};
 use pg_store::{ErrorPolicy, JsonlDecoder};
 use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
 use std::hint::black_box;
@@ -75,9 +77,7 @@ fn jsonl_decode(c: &mut Criterion) {
         &doc,
         |b, doc| {
             b.iter(|| {
-                black_box(
-                    from_jsonl_with_policy(doc, ErrorPolicy::Strict).expect("clean corpus"),
-                )
+                black_box(from_jsonl_with_policy(doc, ErrorPolicy::Strict).expect("clean corpus"))
             })
         },
     );

@@ -71,13 +71,18 @@ mod counting {
 
     /// (allocation count, bytes requested) since process start.
     pub fn snapshot() -> (u64, u64) {
-        (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
+        (
+            ALLOCS.load(Ordering::Relaxed),
+            BYTES.load(Ordering::Relaxed),
+        )
     }
 }
 
 #[cfg(feature = "alloc-count")]
 fn main() {
-    use pg_store::jsonl::{from_jsonl_with_policy, from_jsonl_with_policy_reference, to_jsonl, Element};
+    use pg_store::jsonl::{
+        from_jsonl_with_policy, from_jsonl_with_policy_reference, to_jsonl, Element,
+    };
     use pg_store::{ErrorPolicy, JsonlDecoder};
     use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
 
@@ -150,7 +155,8 @@ fn main() {
     let load_bytes = (b1 - b0) as f64 / records;
 
     let (a0, b0) = counting::snapshot();
-    let (g_ref, _) = from_jsonl_with_policy_reference(&doc, ErrorPolicy::Strict).expect("clean corpus");
+    let (g_ref, _) =
+        from_jsonl_with_policy_reference(&doc, ErrorPolicy::Strict).expect("clean corpus");
     let (a1, b1) = counting::snapshot();
     std::hint::black_box(&g_ref);
     let load_ref_allocs = (a1 - a0) as f64 / records;

@@ -240,13 +240,16 @@ fn main() {
         let mut parse_reference_ms = f64::INFINITY;
         for rep in 0..opts.repeat {
             let t = Instant::now();
-            let (g, q) = pg_store::jsonl::from_jsonl_with_policy(&doc, pg_store::ErrorPolicy::Strict)
-                .expect("synthesized dump is clean");
+            let (g, q) =
+                pg_store::jsonl::from_jsonl_with_policy(&doc, pg_store::ErrorPolicy::Strict)
+                    .expect("synthesized dump is clean");
             parse_ms = parse_ms.min(ms(t.elapsed()));
             let t = Instant::now();
-            let (g_ref, q_ref) =
-                pg_store::jsonl::from_jsonl_with_policy_reference(&doc, pg_store::ErrorPolicy::Strict)
-                    .expect("synthesized dump is clean");
+            let (g_ref, q_ref) = pg_store::jsonl::from_jsonl_with_policy_reference(
+                &doc,
+                pg_store::ErrorPolicy::Strict,
+            )
+            .expect("synthesized dump is clean");
             parse_reference_ms = parse_reference_ms.min(ms(t.elapsed()));
             if rep == 0 {
                 assert_eq!(q.len(), 0);

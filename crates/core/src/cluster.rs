@@ -499,7 +499,8 @@ fn node_chunk_kernel(
     num_clusters: usize,
 ) -> Vec<NodeCluster> {
     let (order, starts, counts) = group_by_cluster(assignment, num_clusters);
-    let mut clusters: Vec<NodeCluster> = (0..num_clusters).map(|_| NodeCluster::default()).collect();
+    let mut clusters: Vec<NodeCluster> =
+        (0..num_clusters).map(|_| NodeCluster::default()).collect();
     let mut ks = KeySlots::default();
     for (cid, c) in clusters.iter_mut().enumerate() {
         let n = counts[cid];
@@ -517,7 +518,11 @@ fn node_chunk_kernel(
             }
         }
         c.accum.count = n as u64;
-        ks.drain_into(&mut c.keys, &mut c.accum.key_present, &mut c.accum.dtype_hist);
+        ks.drain_into(
+            &mut c.keys,
+            &mut c.accum.key_present,
+            &mut c.accum.dtype_hist,
+        );
     }
     clusters
 }
@@ -548,7 +553,8 @@ fn edge_chunk_kernel(
     num_clusters: usize,
 ) -> Vec<EdgeCluster> {
     let (order, starts, counts) = group_by_cluster(assignment, num_clusters);
-    let mut clusters: Vec<EdgeCluster> = (0..num_clusters).map(|_| EdgeCluster::default()).collect();
+    let mut clusters: Vec<EdgeCluster> =
+        (0..num_clusters).map(|_| EdgeCluster::default()).collect();
     let mut ks = KeySlots::default();
     for (cid, c) in clusters.iter_mut().enumerate() {
         let n = counts[cid];
@@ -570,7 +576,11 @@ fn edge_chunk_kernel(
             }
         }
         c.accum.count = n as u64;
-        ks.drain_into(&mut c.keys, &mut c.accum.key_present, &mut c.accum.dtype_hist);
+        ks.drain_into(
+            &mut c.keys,
+            &mut c.accum.key_present,
+            &mut c.accum.dtype_hist,
+        );
     }
     clusters
 }

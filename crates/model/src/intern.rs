@@ -104,7 +104,10 @@ mod tests {
         let mut pool = SymbolInterner::new();
         let a = pool.intern("name");
         let b = pool.intern("name");
-        assert!(Arc::ptr_eq(&a, &b), "second intern must reuse the pooled Arc");
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "second intern must reuse the pooled Arc"
+        );
         assert_eq!(pool.len(), 1);
     }
 

@@ -964,14 +964,17 @@ mod tests {
     fn session_decoder_pools_symbols_across_ingest_calls() {
         let (reg, _) = Registry::open(RegistryConfig::default());
         let live = reg.create("s1", spec()).unwrap();
-        let body = b"{\"kind\":\"node\",\"id\":1,\"labels\":[\"A\"],\"props\":{\"k\":{\"Int\":1}}}\n";
-        live.ingest_jsonl(body).unwrap_or_else(|_| panic!("ingest 1"));
+        let body =
+            b"{\"kind\":\"node\",\"id\":1,\"labels\":[\"A\"],\"props\":{\"k\":{\"Int\":1}}}\n";
+        live.ingest_jsonl(body)
+            .unwrap_or_else(|_| panic!("ingest 1"));
         let after_first = live
             .decoder
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .interned_symbols();
-        let body2 = b"{\"kind\":\"node\",\"id\":2,\"labels\":[\"A\"],\"props\":{\"k\":{\"Int\":2}}}\n";
+        let body2 =
+            b"{\"kind\":\"node\",\"id\":2,\"labels\":[\"A\"],\"props\":{\"k\":{\"Int\":2}}}\n";
         live.ingest_slice(body2, 1)
             .unwrap_or_else(|_| panic!("ingest 2"));
         let after_second = live

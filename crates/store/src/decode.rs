@@ -839,10 +839,10 @@ impl<'de, 'a> Parser<'de, 'a> {
         let mut labels: Option<LabelSet> = None;
         let mut props: Option<BTreeMap<Symbol, PropertyValue>> = None;
         let apply = |p: &mut Self,
-                         f: F,
-                         id: &mut Option<NodeId>,
-                         labels: &mut Option<LabelSet>,
-                         props: &mut Option<BTreeMap<Symbol, PropertyValue>>|
+                     f: F,
+                     id: &mut Option<NodeId>,
+                     labels: &mut Option<LabelSet>,
+                     props: &mut Option<BTreeMap<Symbol, PropertyValue>>|
          -> Result<(), DecodeError> {
             match f {
                 F::Id if id.is_none() => *id = Some(NodeId(p.parse_u64_typed()?)),
@@ -1023,10 +1023,10 @@ impl<'de, 'a> Parser<'de, 'a> {
         let mut src_labels: Option<LabelSet> = None;
         let mut tgt_labels: Option<LabelSet> = None;
         let apply = |p: &mut Self,
-                         f: F,
-                         edge: &mut Option<Edge>,
-                         src_labels: &mut Option<LabelSet>,
-                         tgt_labels: &mut Option<LabelSet>|
+                     f: F,
+                     edge: &mut Option<Edge>,
+                     src_labels: &mut Option<LabelSet>,
+                     tgt_labels: &mut Option<LabelSet>|
          -> Result<(), DecodeError> {
             match f {
                 F::Edge if edge.is_none() => *edge = Some(p.parse_edge_fields(&[], true)?),
@@ -1066,13 +1066,7 @@ impl<'de, 'a> Parser<'de, 'a> {
             let f = classify(resolve_str!(self, part));
             self.skip_ws();
             self.expect(b':')?;
-            apply(
-                self,
-                f,
-                &mut edge,
-                &mut src_labels,
-                &mut tgt_labels,
-            )?;
+            apply(self, f, &mut edge, &mut src_labels, &mut tgt_labels)?;
         }
         match (edge, src_labels, tgt_labels) {
             (Some(edge), Some(src_labels), Some(tgt_labels)) => Ok(EdgeRecord {
@@ -1188,7 +1182,8 @@ mod tests {
 
     #[test]
     fn pair_array_props_form_is_accepted() {
-        let line = r#"{"kind":"node","id":1,"labels":[],"props":[["a",{"Int":1}],["b",{"Bool":true}]]}"#;
+        let line =
+            r#"{"kind":"node","id":1,"labels":[],"props":[["a",{"Int":1}],["b",{"Bool":true}]]}"#;
         match decode(line).unwrap() {
             Element::Node(n) => {
                 assert_eq!(n.props.len(), 2);
@@ -1243,7 +1238,10 @@ mod tests {
                 r#"{"Float":18446744073709551615}"#,
                 Some(PropertyValue::Float(u64::MAX as f64)),
             ),
-            (r#"{"Float":1e999}"#, Some(PropertyValue::Float(f64::INFINITY))),
+            (
+                r#"{"Float":1e999}"#,
+                Some(PropertyValue::Float(f64::INFINITY)),
+            ),
             (r#"{"Float":1e}"#, None),
             (r#"{"Bool":true}"#, Some(PropertyValue::Bool(true))),
             (r#"{"Bool":1}"#, None),
@@ -1278,12 +1276,14 @@ mod tests {
             r#""radix quirk \u+abc""#, // from_str_radix accepts '+'
             "\"non-ascii é😀\"",
         ] {
-            let line = format!(r#"{{"kind":"node","id":1,"labels":[],"props":{{"k":{{"Str":{s}}}}}}}"#);
+            let line =
+                format!(r#"{{"kind":"node","id":1,"labels":[],"props":{{"k":{{"Str":{s}}}}}}}"#);
             assert_parity(&line);
         }
         // Rejections: unpaired surrogate, truncated/invalid escapes.
         for s in [r#""\ud800""#, r#""\u12""#, r#""\q""#, r#""unterminated"#] {
-            let line = format!(r#"{{"kind":"node","id":1,"labels":[],"props":{{"k":{{"Str":{s}}}}}}}"#);
+            let line =
+                format!(r#"{{"kind":"node","id":1,"labels":[],"props":{{"k":{{"Str":{s}}}}}}}"#);
             assert_parity(&line);
         }
     }
@@ -1334,9 +1334,9 @@ mod tests {
             "\"x\"",
             "null",
             "{}",
-            r#"{"id":1,"labels":[],"props":{}}"#,              // no kind
-            r#"{"kind":"widget","id":1}"#,                     // unknown variant
-            r#"{"kind":5,"id":1,"labels":[],"props":{}}"#,     // non-string kind
+            r#"{"id":1,"labels":[],"props":{}}"#, // no kind
+            r#"{"kind":"widget","id":1}"#,        // unknown variant
+            r#"{"kind":5,"id":1,"labels":[],"props":{}}"#, // non-string kind
             r#"{"kind":"node","id":1,"labels":[],"props":{}}x"#, // trailing
             r#"{"kind":"node","id":1,"labels":[],"props":{}"#, // truncated
             r#"{"kind":"node","id":-1,"labels":[],"props":{}}"#, // negative id
@@ -1347,7 +1347,7 @@ mod tests {
             r#"{"kind":"node","id":1,"labels":[],"props":{"k":5}}"#, // untagged value
             r#"{"kind":"node","id":1,"labels":[],"props":{"k":{"Int":1,"Int":2}}}"#, // two pairs
             r#"{"kind":"node","id":1,"labels":[],"props":{"k":{"Nope":1}}}"#, // unknown tag
-            r#"{"kind":"node","id":1,"labels":[]}"#,           // missing props
+            r#"{"kind":"node","id":1,"labels":[]}"#, // missing props
             r#"{"kind":"edge","id":1,"src":1,"labels":[],"props":{}}"#, // missing tgt
             r#"{"kind":"node","id":1,"labels":[],"props":{},"x":-}"#, // bad ignored value
             r#"{"kind":"node","id":1,"labels":[],"props":{},}"#, // trailing comma
@@ -1375,14 +1375,18 @@ mod tests {
     fn interner_pools_repeated_symbols_across_lines() {
         let mut d = JsonlDecoder::new();
         let a = match d
-            .decode_element(r#"{"kind":"node","id":1,"labels":["Person"],"props":{"age":{"Int":1}}}"#)
+            .decode_element(
+                r#"{"kind":"node","id":1,"labels":["Person"],"props":{"age":{"Int":1}}}"#,
+            )
             .unwrap()
         {
             Element::Node(n) => n,
             _ => unreachable!(),
         };
         let b = match d
-            .decode_element(r#"{"kind":"node","id":2,"labels":["Person"],"props":{"age":{"Int":2}}}"#)
+            .decode_element(
+                r#"{"kind":"node","id":2,"labels":["Person"],"props":{"age":{"Int":2}}}"#,
+            )
             .unwrap()
         {
             Element::Node(n) => n,

@@ -482,7 +482,9 @@ mod tests {
         .unwrap();
         let mut text = to_jsonl(&g);
         text.push_str("not json\n");
-        text.push_str("{\"kind\":\"edge\",\"id\":9,\"src\":1,\"tgt\":404,\"labels\":[],\"props\":{}}\n");
+        text.push_str(
+            "{\"kind\":\"edge\",\"id\":9,\"src\":1,\"tgt\":404,\"labels\":[],\"props\":{}}\n",
+        );
         text.push_str("   \n"); // blank line, skipped by both
         let (gn, qn) = from_jsonl_with_policy(&text, ErrorPolicy::Skip).unwrap();
         let (gr, qr) = from_jsonl_with_policy_reference(&text, ErrorPolicy::Skip).unwrap();

@@ -25,7 +25,12 @@ fn assert_parity(line: &str) -> Result<(), TestCaseError> {
     let zero_copy = JsonlDecoder::new().decode_element(line);
     match (&reference, &zero_copy) {
         (Ok(r), Ok(z)) => {
-            prop_assert_eq!(format!("{r:?}"), format!("{z:?}"), "value diverged: {}", line)
+            prop_assert_eq!(
+                format!("{r:?}"),
+                format!("{z:?}"),
+                "value diverged: {}",
+                line
+            )
         }
         (Ok(_), Err(e)) => {
             return Err(TestCaseError::Fail(format!(
@@ -77,12 +82,12 @@ fn arb_int() -> impl Strategy<Value = i64> {
 fn arb_string() -> impl Strategy<Value = String> {
     prop::collection::vec(
         prop_oneof![
-            (0u32..0x80).boxed(),      // ASCII incl. control chars
-            (0u32..0x3000).boxed(),    // BMP
-            (0u32..0x110000).boxed(),  // full range (surrogates filtered)
-            Just(0x22),                // quote
-            Just(0x5c),                // backslash
-            Just(0x1F600),             // astral (surrogate-pair escape)
+            (0u32..0x80).boxed(),     // ASCII incl. control chars
+            (0u32..0x3000).boxed(),   // BMP
+            (0u32..0x110000).boxed(), // full range (surrogates filtered)
+            Just(0x22),               // quote
+            Just(0x5c),               // backslash
+            Just(0x1F600),            // astral (surrogate-pair escape)
             Just(0xFFFD),
         ],
         0..10,

@@ -8,13 +8,15 @@
 //! tracks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pg_store::jsonl::{
-    from_jsonl_with_policy, from_jsonl_with_policy_reference, to_jsonl, Element,
-};
+use pg_store::jsonl::{from_jsonl_with_policy, to_jsonl, Element};
 use pg_store::{ErrorPolicy, JsonlDecoder};
 use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
 use std::hint::black_box;
 use std::time::Duration;
+
+#[path = "../../store/tests/reference/mod.rs"]
+mod reference;
+use reference::from_jsonl_with_policy_reference;
 
 fn corpus(size: usize, seed: u64) -> String {
     let params = SchemaParams {

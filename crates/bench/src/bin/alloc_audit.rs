@@ -79,12 +79,15 @@ mod counting {
 }
 
 #[cfg(feature = "alloc-count")]
+#[path = "../../../store/tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(feature = "alloc-count")]
 fn main() {
-    use pg_store::jsonl::{
-        from_jsonl_with_policy, from_jsonl_with_policy_reference, to_jsonl, Element,
-    };
+    use pg_store::jsonl::{from_jsonl_with_policy, to_jsonl, Element};
     use pg_store::{ErrorPolicy, JsonlDecoder};
     use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
+    use reference::from_jsonl_with_policy_reference;
 
     /// Per-record steady-state allocation ceiling for the zero-copy
     /// decoder. A decoded element still owns its storage (label set,

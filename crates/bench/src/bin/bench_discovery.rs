@@ -2,7 +2,7 @@
 //! baseline.
 //!
 //! Runs the full PG-HIVE pipeline over seeded `pg-synth` graphs at the
-//! configured sizes, for threads {1, all} × dedup {on, off}, and writes
+//! configured sizes, for threads {1, all}, and writes
 //! `BENCH_discovery.json` at the repo root (or `--out`). Reported per
 //! run: the per-stage `BatchTiming` breakdown, the post-processing
 //! (`finish`) time, the structural-fingerprint dedup ratio, and the
@@ -11,9 +11,11 @@
 //! Two invariants are *asserted*, not just reported (CI's `perf-smoke`
 //! job relies on this):
 //!
-//! * the dedup fast path and the naive path produce the **same schema
-//!   content hash** at every size and thread count;
-//! * the dedup ratio is ≥ 1.
+//! * every thread count and repeat produces the **same schema content
+//!   hash** at every size;
+//! * the dedup ratio is ≥ 1;
+//! * the zero-copy JSONL decoder and the `serde_json` reference decoder
+//!   (`crates/store/tests/reference`) load the same graph.
 //!
 //! Timings are reported without thresholds — regressions are judged by
 //! humans diffing the JSON across commits, not by flaky CI gates.
@@ -31,6 +33,9 @@ use pg_hive::{content_hash_hex, EmbeddingKind, HiveConfig, HiveSession};
 use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
 use serde_json::JsonValue;
 use std::time::Instant;
+
+#[path = "../../../store/tests/reference/mod.rs"]
+mod reference;
 
 // The vendored `serde_json` has no `json!` macro, so the report is
 // assembled from the `Value` IR directly; these keep the call sites
@@ -111,13 +116,12 @@ fn parse_opts() -> Result<Opts, String> {
 /// featurize stage training-free (Word2Vec training time would swamp
 /// the hot path this benchmark tracks); post-processing is deferred to
 /// `finish()` and timed separately, with sampled datatype inference.
-fn config(seed: u64, threads: usize, dedup: bool) -> HiveConfig {
+fn config(seed: u64, threads: usize) -> HiveConfig {
     HiveConfig {
         embedding: EmbeddingKind::Hashed { dim: 32 },
         post_processing: false,
         datatype_sampling: Some(Default::default()),
         threads,
-        dedup,
         ..HiveConfig::default()
     }
     .with_seed(seed)
@@ -126,7 +130,6 @@ fn config(seed: u64, threads: usize, dedup: bool) -> HiveConfig {
 struct Run {
     threads_requested: usize,
     threads_resolved: usize,
-    dedup: bool,
     timing: pg_hive::BatchTiming,
     finish_ms: f64,
     total_ms: f64,
@@ -138,10 +141,9 @@ fn run_once(
     edges: &[pg_store::EdgeRecord],
     seed: u64,
     threads: usize,
-    dedup: bool,
 ) -> Run {
     let start = Instant::now();
-    let mut session = HiveSession::new(config(seed, threads, dedup));
+    let mut session = HiveSession::new(config(seed, threads));
     let timing = session.process_batch(nodes, edges);
     let t_finish = Instant::now();
     let result = session.finish();
@@ -150,7 +152,6 @@ fn run_once(
     Run {
         threads_requested: threads,
         threads_resolved: timing.threads,
-        dedup,
         timing,
         finish_ms,
         total_ms,
@@ -175,7 +176,6 @@ fn run_json(r: &Run) -> JsonValue {
     obj(vec![
         ("threads_requested", num(r.threads_requested)),
         ("threads_resolved", num(r.threads_resolved)),
-        ("dedup", JsonValue::Bool(r.dedup)),
         ("nodes", num(t.nodes)),
         ("edges", num(t.edges)),
         ("node_dedup", dedup_json(&t.node_dedup)),
@@ -207,8 +207,7 @@ fn main() {
     // A realistic-ish synthetic workload: 8 node types / 6 edge types
     // with mild structural noise, so fingerprints are numerous enough to
     // exercise the grouping (optional props toggle per record) while
-    // still collapsing by orders of magnitude — the regime the dedup
-    // fast path targets.
+    // still collapsing by orders of magnitude.
     let params = SchemaParams {
         node_types: 8,
         edge_types: 6,
@@ -245,11 +244,9 @@ fn main() {
                     .expect("synthesized dump is clean");
             parse_ms = parse_ms.min(ms(t.elapsed()));
             let t = Instant::now();
-            let (g_ref, q_ref) = pg_store::jsonl::from_jsonl_with_policy_reference(
-                &doc,
-                pg_store::ErrorPolicy::Strict,
-            )
-            .expect("synthesized dump is clean");
+            let (g_ref, q_ref) =
+                reference::from_jsonl_with_policy_reference(&doc, pg_store::ErrorPolicy::Strict)
+                    .expect("synthesized dump is clean");
             parse_reference_ms = parse_reference_ms.min(ms(t.elapsed()));
             if rep == 0 {
                 assert_eq!(q.len(), 0);
@@ -276,40 +273,37 @@ fn main() {
         // the stable statistic. Hashes are asserted across *all* runs.
         let mut runs = Vec::new();
         for threads in [1usize, 0] {
-            for dedup in [true, false] {
-                let mut best: Option<Run> = None;
-                for _ in 0..opts.repeat {
-                    let r = run_once(&nodes, &edges, opts.seed, threads, dedup);
-                    eprintln!(
-                        "   threads={} dedup={}  batch {:8.1} ms  (pre {:.1} / cluster {:.1} / extract {:.1})  finish {:.1} ms  node-ratio {:.0}  hash {}",
-                        r.threads_resolved,
-                        if dedup { "on " } else { "off" },
-                        ms(r.timing.total),
-                        ms(r.timing.preprocess),
-                        ms(r.timing.cluster),
-                        ms(r.timing.extract),
-                        r.finish_ms,
-                        r.timing.node_dedup.ratio(),
-                        &r.hash,
-                    );
-                    if let Some(b) = &best {
-                        assert_eq!(r.hash, b.hash, "schema hash diverged across repeats");
-                    }
-                    if best.as_ref().is_none_or(|b| r.total_ms < b.total_ms) {
-                        best = Some(r);
-                    }
+            let mut best: Option<Run> = None;
+            for _ in 0..opts.repeat {
+                let r = run_once(&nodes, &edges, opts.seed, threads);
+                eprintln!(
+                    "   threads={}  batch {:8.1} ms  (pre {:.1} / cluster {:.1} / extract {:.1})  finish {:.1} ms  node-ratio {:.0}  hash {}",
+                    r.threads_resolved,
+                    ms(r.timing.total),
+                    ms(r.timing.preprocess),
+                    ms(r.timing.cluster),
+                    ms(r.timing.extract),
+                    r.finish_ms,
+                    r.timing.node_dedup.ratio(),
+                    &r.hash,
+                );
+                if let Some(b) = &best {
+                    assert_eq!(r.hash, b.hash, "schema hash diverged across repeats");
                 }
-                runs.push(best.expect("repeat >= 1"));
+                if best.as_ref().is_none_or(|b| r.total_ms < b.total_ms) {
+                    best = Some(r);
+                }
             }
+            runs.push(best.expect("repeat >= 1"));
         }
 
-        // Invariant 1: every configuration agrees on the schema.
+        // Invariant 1: every thread count agrees on the schema.
         let hash = runs[0].hash.clone();
         for r in &runs {
             assert_eq!(
                 r.hash, hash,
-                "schema hash diverged (threads={}, dedup={})",
-                r.threads_requested, r.dedup
+                "schema hash diverged (threads={})",
+                r.threads_requested
             );
         }
         // Invariant 2: dedup never inflates the input.
@@ -317,20 +311,6 @@ fn main() {
             assert!(r.timing.node_dedup.ratio() >= 1.0);
             assert!(r.timing.edge_dedup.ratio() >= 1.0);
         }
-
-        // Speedup of the fast path vs the naive path, same thread count,
-        // over the end-to-end wall clock.
-        let total_of = |threads: usize, dedup: bool| -> f64 {
-            runs.iter()
-                .find(|r| r.threads_requested == threads && r.dedup == dedup)
-                .map(|r| r.total_ms)
-                .unwrap()
-        };
-        let speedup_seq = total_of(1, false) / total_of(1, true);
-        let speedup_par = total_of(0, false) / total_of(0, true);
-        eprintln!(
-            "   speedup (dedup off/on): {speedup_seq:.2}x sequential, {speedup_par:.2}x parallel"
-        );
 
         size_reports.push(obj(vec![
             ("size", num(size)),
@@ -350,13 +330,6 @@ fn main() {
             (
                 "runs",
                 JsonValue::Array(runs.iter().map(run_json).collect()),
-            ),
-            (
-                "speedup_end_to_end",
-                obj(vec![
-                    ("threads_1", float(speedup_seq)),
-                    ("threads_all", float(speedup_par)),
-                ]),
             ),
         ]));
     }

@@ -140,7 +140,6 @@ fn stream_config(seed: u64) -> HiveConfig {
         post_processing: false,
         datatype_sampling: Some(Default::default()),
         memoize: true,
-        dedup: true,
         stream: Some(StreamConfig::default()),
         ..HiveConfig::default()
     }

@@ -31,7 +31,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             seed,
             threads,
             no_post,
-            no_dedup,
             merge_similarity,
             refine,
             sample_datatypes,
@@ -57,7 +56,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                     LshMethod::Elsh
                 },
                 post_processing: !no_post,
-                dedup: !no_dedup,
                 datatype_sampling: sample_datatypes.then(DatatypeSampling::default),
                 merge_similarity: if merge_similarity == "weighted" {
                     pg_hive::MergeSimilarity::WeightedJaccard
@@ -391,7 +389,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             workers,
             queue,
             max_body_mb,
-            transport,
             max_connections,
             idle_timeout_ms,
             session_queue,
@@ -405,13 +402,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             let addr: std::net::SocketAddr = addr
                 .parse()
                 .map_err(|_| CliError::Usage(format!("--addr {addr:?} is not ip:port")))?;
-            let transport = match transport.as_deref() {
-                Some("epoll") => pg_serve::Transport::Epoll,
-                Some("threaded") => pg_serve::Transport::Threaded,
-                // opts.rs rejects anything else; None defers to the
-                // PG_SERVE_TRANSPORT env var / platform default.
-                _ => pg_serve::Transport::from_env(),
-            };
             let cluster = if cluster.is_empty() {
                 None
             } else {
@@ -438,7 +428,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 state_dir: state_dir.clone(),
                 checkpoint_every: *checkpoint_every,
                 checkpoint_keep: *checkpoint_keep,
-                transport,
                 max_connections: *max_connections,
                 idle_timeout: std::time::Duration::from_millis(*idle_timeout_ms),
                 session_queue: *session_queue,

@@ -60,8 +60,6 @@ Commands:
             [--method elsh|minhash] [--theta <f>] [--seed <n>]
             [--merge-similarity binary|weighted] [--refine]
             [--threads <n>] (0 = all cores, 1 = sequential; same schema)
-            [--no-dedup] (disable the structural-fingerprint dedup fast
-              path; the schema is bit-identical either way)
             [--no-post] [--sample-datatypes] [--out <file>]
             [--batches <k>] (split input into k incremental batches)
             [--on-error strict|skip|cap:<n>] (malformed input lines:
@@ -104,7 +102,10 @@ state (corrupt checkpoints, crash during batch processing).
   serve     [--addr <ip:port>] [--state-dir <dir>] [--workers <n>]
             [--queue <n>] [--max-body-mb <n>] [--checkpoint-every <n>]
             [--checkpoint-keep <k>]
-            (HTTP server hosting live discovery sessions; with
+            [--max-connections <n>] [--idle-timeout-ms <n>]
+            [--session-queue <n>]
+            (HTTP server hosting live discovery sessions; Linux only —
+             the connection loop is an epoll reactor; with
              --state-dir sessions checkpoint on cadence and at graceful
              shutdown (SIGINT/SIGTERM) and a restart resumes them
              bit-identically; --addr with port 0 picks a free port,
@@ -186,8 +187,6 @@ pub enum Command {
         threads: usize,
         /// Skip post-processing.
         no_post: bool,
-        /// Disable the structural-fingerprint dedup fast path.
-        no_dedup: bool,
         /// "binary" or "weighted" unlabeled-cluster merging.
         merge_similarity: String,
         /// Run the context-refinement pass on ABSTRACT types.
@@ -295,9 +294,9 @@ pub enum Command {
         addr: String,
         /// Durable session state directory (None = in-memory only).
         state_dir: Option<PathBuf>,
-        /// Worker threads.
+        /// Worker threads running request handlers.
         workers: usize,
-        /// Accept-queue depth before 503s start.
+        /// Handler-queue depth before 503s start.
         queue: usize,
         /// Largest accepted request body, in MiB.
         max_body_mb: usize,
@@ -305,10 +304,7 @@ pub enum Command {
         checkpoint_every: u64,
         /// Checkpoints retained per session.
         checkpoint_keep: usize,
-        /// Transport to serve on (None = `PG_SERVE_TRANSPORT` env or
-        /// the platform-native choice: epoll on Linux).
-        transport: Option<String>,
-        /// Concurrent-connection ceiling (epoll transport).
+        /// Concurrent-connection ceiling.
         max_connections: usize,
         /// Keep-alive idle timeout between requests, in milliseconds.
         idle_timeout_ms: u64,
@@ -338,12 +334,90 @@ pub enum Command {
     },
 }
 
+/// Every flag and switch a command accepts (including the hidden
+/// `--kill-after-batch`); `None` for an unknown command.
+fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "discover" => &[
+            "--nodes",
+            "--edges",
+            "--jsonl",
+            "--format",
+            "--method",
+            "--theta",
+            "--seed",
+            "--merge-similarity",
+            "--refine",
+            "--threads",
+            "--no-post",
+            "--sample-datatypes",
+            "--out",
+            "--batches",
+            "--on-error",
+            "--checkpoint-dir",
+            "--checkpoint-every",
+            "--checkpoint-keep",
+            "--resume",
+            "--kill-after-batch",
+            "--shard",
+            "--state-out",
+            "--stream",
+        ],
+        "validate" => &["--schema", "--nodes", "--edges", "--jsonl", "--mode"],
+        "diff" => &["--old", "--new"],
+        "stats" => &["--nodes", "--edges", "--jsonl"],
+        "generate" => &[
+            "--dataset",
+            "--out-dir",
+            "--scale",
+            "--seed",
+            "--noise",
+            "--label-availability",
+            "--jsonl",
+        ],
+        "synth" => &[
+            "--out-dir",
+            "--schema",
+            "--types",
+            "--size",
+            "--seed",
+            "--unlabeled",
+            "--missing-optional",
+            "--label-noise",
+            "--missing-mandatory",
+            "--jsonl",
+            "--stream-chunks",
+        ],
+        "serve" => &[
+            "--addr",
+            "--state-dir",
+            "--workers",
+            "--queue",
+            "--max-body-mb",
+            "--checkpoint-every",
+            "--checkpoint-keep",
+            "--max-connections",
+            "--idle-timeout-ms",
+            "--session-queue",
+            "--cluster",
+            "--cluster-wal-dir",
+            "--cluster-session",
+            "--heartbeat-ms",
+        ],
+        "hash" => &["--schema"],
+        "merge" => &["--out"],
+        _ => return None,
+    })
+}
+
 /// Parse argv (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
     let cmd = it
         .next()
         .ok_or_else(|| CliError::Usage("missing command".into()))?;
+    let allowed =
+        allowed_flags(cmd).ok_or_else(|| CliError::Usage(format!("unknown command {cmd:?}")))?;
     let rest: Vec<&String> = it.collect();
 
     let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
@@ -351,9 +425,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut i = 0;
     let boolean_flags = [
         "--no-post",
-        "--no-dedup",
         "--sample-datatypes",
-        "--jsonl-out",
         "--refine",
         "--resume",
         "--stream",
@@ -369,6 +441,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 continue;
             }
             return Err(CliError::Usage(format!("unexpected argument {flag:?}")));
+        }
+        if !allowed.contains(&flag) {
+            return Err(CliError::Usage(format!(
+                "unknown option {flag} for `{cmd}`"
+            )));
         }
         if boolean_flags.contains(&flag)
             || (flag == "--jsonl" && (cmd == "generate" || cmd == "synth"))
@@ -495,7 +572,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 seed: u64_flag("--seed", 42)?,
                 threads: u64_flag("--threads", 0)? as usize,
                 no_post: switches.contains("--no-post"),
-                no_dedup: switches.contains("--no-dedup"),
                 merge_similarity,
                 refine: switches.contains("--refine"),
                 sample_datatypes: switches.contains("--sample-datatypes"),
@@ -637,14 +713,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if heartbeat_ms == 0 {
                 return Err(CliError::Usage("--heartbeat-ms must be at least 1".into()));
             }
-            let transport = flags.get("--transport").cloned();
-            if let Some(t) = &transport {
-                if t != "epoll" && t != "threaded" {
-                    return Err(CliError::Usage(format!(
-                        "--transport must be \"epoll\" or \"threaded\", got {t:?}"
-                    )));
-                }
-            }
             let idle_timeout_ms = u64_flag("--idle-timeout-ms", 60_000)?;
             if idle_timeout_ms == 0 {
                 return Err(CliError::Usage(
@@ -669,7 +737,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 max_body_mb,
                 checkpoint_every,
                 checkpoint_keep: u64_flag("--checkpoint-keep", 4)?.max(1) as usize,
-                transport,
                 max_connections: u64_flag("--max-connections", 10_240)?.max(1) as usize,
                 idle_timeout_ms,
                 session_queue: u64_flag("--session-queue", 64)?.max(1) as usize,
@@ -694,7 +761,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 out: path("--out"),
             })
         }
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
+        other => unreachable!("allowed_flags admitted unknown command {other:?}"),
     }
 }
 
@@ -715,26 +782,52 @@ mod tests {
                 method,
                 theta,
                 no_post,
-                no_dedup,
                 ..
             } => {
                 assert_eq!(format, OutputFormat::PgSchemaStrict);
                 assert_eq!(method, "elsh");
                 assert_eq!(theta, 0.9);
                 assert!(!no_post);
-                assert!(!no_dedup, "dedup fast path is on by default");
             }
             other => panic!("wrong command {other:?}"),
         }
     }
 
+    /// A flag the command does not take is a usage error, never a
+    /// silently ignored one: typos, flags this CLI no longer has, flags
+    /// that belong to another command, and the hidden fault-injection
+    /// flag outside `discover`.
     #[test]
-    fn parse_no_dedup_switch() {
-        let c = parse(&args(&["discover", "--jsonl", "g.jsonl", "--no-dedup"])).unwrap();
-        match c {
-            Command::Discover { no_dedup, .. } => assert!(no_dedup),
-            other => panic!("wrong command {other:?}"),
+    fn unknown_flags_are_usage_errors() {
+        for bad in [
+            vec!["discover", "--jsonl", "g.jsonl", "--thraeds", "4"],
+            vec!["discover", "--jsonl", "g.jsonl", "--no-dedup"],
+            vec!["serve", "--transport", "epoll"],
+            vec!["discover", "--jsonl", "g.jsonl", "--workers", "2"],
+            vec!["stats", "--jsonl", "g.jsonl", "--stream"],
+            vec!["serve", "--kill-after-batch", "1"],
+            vec!["merge", "a.json", "--format", "json"],
+        ] {
+            match parse(&args(&bad)) {
+                Err(CliError::Usage(m)) => {
+                    assert!(m.contains("unknown option"), "{bad:?}: {m}")
+                }
+                other => panic!("{bad:?} should be a usage error, got {other:?}"),
+            }
         }
+        // The hidden flag stays accepted where it applies.
+        assert!(parse(&args(&[
+            "discover",
+            "--jsonl",
+            "g.jsonl",
+            "--kill-after-batch",
+            "2"
+        ]))
+        .is_ok());
+        assert!(matches!(
+            parse(&args(&["frobnicate", "--jsonl", "g.jsonl"])),
+            Err(CliError::Usage(m)) if m.contains("unknown command")
+        ));
     }
 
     #[test]
@@ -1068,7 +1161,6 @@ mod tests {
                 max_body_mb,
                 checkpoint_every,
                 checkpoint_keep,
-                transport,
                 max_connections,
                 idle_timeout_ms,
                 session_queue,
@@ -1084,7 +1176,6 @@ mod tests {
                 assert_eq!(max_body_mb, 64);
                 assert_eq!(checkpoint_every, 8);
                 assert_eq!(checkpoint_keep, 4);
-                assert_eq!(transport, None, "env/native transport by default");
                 assert_eq!(max_connections, 10_240);
                 assert_eq!(idle_timeout_ms, 60_000);
                 assert_eq!(session_queue, 64);
@@ -1126,7 +1217,6 @@ mod tests {
             vec!["serve", "--checkpoint-every", "0"],
             vec!["serve", "--max-body-mb", "0"],
             vec!["serve", "--workers", "x"],
-            vec!["serve", "--transport", "io_uring"],
             vec!["serve", "--idle-timeout-ms", "0"],
             vec!["hash"],
         ] {
@@ -1142,11 +1232,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_serve_transport_flags() {
+    fn parse_serve_connection_flags() {
         match parse(&args(&[
             "serve",
-            "--transport",
-            "threaded",
             "--max-connections",
             "2000",
             "--idle-timeout-ms",
@@ -1157,21 +1245,15 @@ mod tests {
         .unwrap()
         {
             Command::Serve {
-                transport,
                 max_connections,
                 idle_timeout_ms,
                 session_queue,
                 ..
             } => {
-                assert_eq!(transport.as_deref(), Some("threaded"));
                 assert_eq!(max_connections, 2000);
                 assert_eq!(idle_timeout_ms, 5000);
                 assert_eq!(session_queue, 8);
             }
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse(&args(&["serve", "--transport", "epoll"])).unwrap() {
-            Command::Serve { transport, .. } => assert_eq!(transport.as_deref(), Some("epoll")),
             other => panic!("wrong command {other:?}"),
         }
     }

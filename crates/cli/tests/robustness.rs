@@ -36,6 +36,16 @@ fn write_dirty_csvs(dir: &std::path::Path) -> (PathBuf, PathBuf) {
     (nodes, edges)
 }
 
+/// A misspelled flag stops the run with exit code 2 instead of
+/// discovering with the default silently substituted.
+#[test]
+fn unknown_flag_is_a_usage_error_with_exit_code_2() {
+    let err = parse(&argv(&["discover", "--jsonl", "g.jsonl", "--thraeds", "4"])).unwrap_err();
+    assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+    assert_eq!(err.exit_code(), 2);
+    assert!(err.to_string().contains("--thraeds"), "{err}");
+}
+
 #[test]
 fn strict_mode_fails_fast_on_dirty_input() {
     let dir = tmpdir("strict");

@@ -19,8 +19,7 @@ use std::collections::{BTreeSet, HashMap};
 
 /// How far the structural-fingerprint dedup collapsed one clustering
 /// pass: `records` elements entered, `distinct` fingerprints were
-/// actually featurized and hashed. With dedup disabled
-/// `distinct == records`.
+/// actually featurized and hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DedupStats {
     /// Elements in the batch.
@@ -31,8 +30,8 @@ pub struct DedupStats {
 
 impl DedupStats {
     /// `records / distinct` — how many records each distinct fingerprint
-    /// stands for on average (1.0 when dedup is off or every record is
-    /// structurally unique).
+    /// stands for on average (1.0 when every record is structurally
+    /// unique, or the pass was empty).
     pub fn ratio(&self) -> f64 {
         if self.distinct == 0 {
             1.0
@@ -46,9 +45,9 @@ impl DedupStats {
 /// full record set. `grouping.reps` is in record first-occurrence order
 /// and `rep_clustering` numbers clusters densely in *rep*
 /// first-occurrence order, so the composed ids are already dense in
-/// record first-occurrence order — exactly what clustering the
-/// materialized per-record inputs would have produced (equal
-/// fingerprints ⇒ bit-identical vectors ⇒ equal signatures).
+/// record first-occurrence order — exactly what clustering every
+/// record individually would produce (equal fingerprints ⇒
+/// bit-identical vectors ⇒ equal signatures).
 fn broadcast(rep_clustering: &Clustering, grouping: &Grouping) -> Clustering {
     let assignment: Vec<usize> = grouping
         .assignment
@@ -87,17 +86,20 @@ pub struct EdgeCluster {
     pub accum: EdgeTypeAccum,
 }
 
-/// Resolve LSH parameters for a set of vectors (ELSH path).
+/// Resolve ELSH parameters for the distinct-fingerprint `vectors`;
+/// `assignment` maps every record to its vector, so the adaptive μ
+/// sample runs over the full *virtual* record set.
 fn resolve_elsh_params(
     params: &LshParams,
     vectors: &[SparseVec],
+    assignment: &[usize],
     distinct_labels: usize,
     kind: ElementKind,
     seed: u64,
 ) -> (f64, usize, Option<AdaptiveParams>) {
     match params {
         LshParams::Adaptive => {
-            let p = adaptive::adapt(vectors, distinct_labels, kind, seed);
+            let p = adaptive::adapt_grouped(vectors, assignment, distinct_labels, kind, seed);
             (p.bucket_length, p.tables, Some(p))
         }
         LshParams::Manual {
@@ -130,14 +132,15 @@ fn resolve_minhash_tables(
 /// adaptive parameters actually used (if adaptive), and the dedup
 /// statistics of the pass.
 ///
-/// With `cfg.dedup` (the default), records are first collapsed to their
-/// structural fingerprints and only the distinct fingerprints are
-/// featurized and LSH-hashed; cluster ids are then broadcast back. The
-/// result is bit-identical to the naive per-record path — feature
-/// vectors are value-independent, the adaptive μ sample is computed over
-/// the full *virtual* record set with the same RNG stream, and the
-/// representative cluster assembly below always folds the full record
-/// set (counts, cardinalities, and datatype stats are unaffected).
+/// Records are first collapsed to their structural fingerprints and
+/// only the distinct fingerprints are featurized and LSH-hashed; cluster
+/// ids are then broadcast back. The result is bit-identical to
+/// clustering every record individually (the test module's naive
+/// oracle) — feature vectors are value-independent, the adaptive μ
+/// sample is computed over the full *virtual* record set with the same
+/// RNG stream, and the representative cluster assembly always folds the
+/// full record set (counts, cardinalities, and datatype stats are
+/// unaffected).
 pub fn cluster_nodes(
     nodes: &[NodeRecord],
     fs: &FeatureSpace,
@@ -146,102 +149,77 @@ pub fn cluster_nodes(
     if nodes.is_empty() {
         return (Vec::new(), None, DedupStats::default());
     }
+    let (clustering, params, stats) = node_clustering(nodes, fs, cfg);
+    (assemble_node_clusters(nodes, &clustering), params, stats)
+}
+
+/// The LSH half of [`cluster_nodes`]: one cluster id per record.
+fn node_clustering(
+    nodes: &[NodeRecord],
+    fs: &FeatureSpace,
+    cfg: &HiveConfig,
+) -> (Clustering, Option<AdaptiveParams>, DedupStats) {
     let distinct_labels: BTreeSet<&str> = nodes
         .iter()
         .flat_map(|n| n.labels.iter().map(|l| l.as_ref()))
         .collect();
+    let fps: Vec<NodeFingerprint> = nodes.par_iter().map(|n| fs.node_fingerprint(n)).collect();
+    cluster_fingerprints(
+        &fps,
+        distinct_labels.len(),
+        ElementKind::Node,
+        cfg,
+        fs.node_dim(),
+        |fp| fs.node_fingerprint_vector(fp),
+        |fp| fs.node_fingerprint_set(fp),
+    )
+}
 
-    let (clustering, params, stats) = if cfg.dedup {
-        let fps: Vec<NodeFingerprint> = nodes.par_iter().map(|n| fs.node_fingerprint(n)).collect();
-        let grouping = group_by_key(&fps);
-        let stats = DedupStats {
-            records: nodes.len(),
-            distinct: grouping.num_groups,
-        };
-        match cfg.method {
-            LshMethod::Elsh => {
-                let vectors: Vec<SparseVec> = grouping
-                    .reps
-                    .par_iter()
-                    .map(|&i| fs.node_fingerprint_vector(&fps[i]))
-                    .collect();
-                let (b, t, p) = match &cfg.node_params {
-                    LshParams::Adaptive => {
-                        let p = adaptive::adapt_grouped(
-                            &vectors,
-                            &grouping.assignment,
-                            distinct_labels.len(),
-                            ElementKind::Node,
-                            cfg.seed,
-                        );
-                        (p.bucket_length, p.tables, Some(p))
-                    }
-                    LshParams::Manual {
-                        bucket_length,
-                        tables,
-                    } => (*bucket_length, *tables, None),
-                };
-                let lsh = EuclideanLsh::new(fs.node_dim().max(1), t, b, cfg.seed);
-                (
-                    broadcast(&lsh.cluster_signature(&vectors), &grouping),
-                    p,
-                    stats,
-                )
-            }
-            LshMethod::MinHash => {
-                let sets: Vec<Vec<u64>> = grouping
-                    .reps
-                    .par_iter()
-                    .map(|&i| fs.node_fingerprint_set(&fps[i]))
-                    .collect();
-                // Table count scales with the *record* count, not the
-                // fingerprint count, to match the naive path.
-                let (t, p) = resolve_minhash_tables(
-                    &cfg.node_params,
-                    nodes.len(),
-                    distinct_labels.len(),
-                    ElementKind::Node,
-                );
-                let lsh = MinHashLsh::new(t, cfg.seed);
-                (
-                    broadcast(&lsh.cluster_signature(&sets), &grouping),
-                    p,
-                    stats,
-                )
-            }
+/// Group records by fingerprint, featurize and LSH-hash one
+/// representative per group (`vector` for ELSH, `set` for MinHash), and
+/// broadcast the representatives' cluster ids back to every record.
+fn cluster_fingerprints<F: Eq + std::hash::Hash + Sync>(
+    fps: &[F],
+    distinct_labels: usize,
+    kind: ElementKind,
+    cfg: &HiveConfig,
+    dim: usize,
+    vector: impl Fn(&F) -> SparseVec + Sync,
+    set: impl Fn(&F) -> Vec<u64> + Sync,
+) -> (Clustering, Option<AdaptiveParams>, DedupStats) {
+    let (lsh_params, seed) = match kind {
+        ElementKind::Node => (&cfg.node_params, cfg.seed),
+        ElementKind::Edge => (&cfg.edge_params, cfg.seed.wrapping_add(1)),
+    };
+    let grouping = group_by_key(fps);
+    let stats = DedupStats {
+        records: fps.len(),
+        distinct: grouping.num_groups,
+    };
+    let (rep_clustering, params) = match cfg.method {
+        LshMethod::Elsh => {
+            let vectors: Vec<SparseVec> =
+                grouping.reps.par_iter().map(|&i| vector(&fps[i])).collect();
+            let (b, t, p) = resolve_elsh_params(
+                lsh_params,
+                &vectors,
+                &grouping.assignment,
+                distinct_labels,
+                kind,
+                seed,
+            );
+            let lsh = EuclideanLsh::new(dim.max(1), t, b, seed);
+            (lsh.cluster_signature(&vectors), p)
         }
-    } else {
-        let stats = DedupStats {
-            records: nodes.len(),
-            distinct: nodes.len(),
-        };
-        match cfg.method {
-            LshMethod::Elsh => {
-                let vectors: Vec<SparseVec> = nodes.par_iter().map(|n| fs.node_vector(n)).collect();
-                let (b, t, p) = resolve_elsh_params(
-                    &cfg.node_params,
-                    &vectors,
-                    distinct_labels.len(),
-                    ElementKind::Node,
-                    cfg.seed,
-                );
-                let lsh = EuclideanLsh::new(fs.node_dim().max(1), t, b, cfg.seed);
-                (lsh.cluster_signature(&vectors), p, stats)
-            }
-            LshMethod::MinHash => {
-                let sets: Vec<Vec<u64>> = nodes.par_iter().map(|n| fs.node_set(n)).collect();
-                let (t, p) = resolve_minhash_tables(
-                    &cfg.node_params,
-                    nodes.len(),
-                    distinct_labels.len(),
-                    ElementKind::Node,
-                );
-                let lsh = MinHashLsh::new(t, cfg.seed);
-                (lsh.cluster_signature(&sets), p, stats)
-            }
+        LshMethod::MinHash => {
+            let sets: Vec<Vec<u64>> = grouping.reps.par_iter().map(|&i| set(&fps[i])).collect();
+            // Table count scales with the *record* count, not the
+            // fingerprint count.
+            let (t, p) = resolve_minhash_tables(lsh_params, fps.len(), distinct_labels, kind);
+            (MinHashLsh::new(t, seed).cluster_signature(&sets), p)
         }
     };
-    (assemble_node_clusters(nodes, &clustering), params, stats)
+    (broadcast(&rep_clustering, &grouping), params, stats)
 }
 
 /// Cluster the batch's edges (see [`cluster_nodes`] for the dedup
@@ -254,100 +232,30 @@ pub fn cluster_edges(
     if edges.is_empty() {
         return (Vec::new(), None, DedupStats::default());
     }
+    let (clustering, params, stats) = edge_clustering(edges, fs, cfg);
+    (assemble_edge_clusters(edges, &clustering), params, stats)
+}
+
+/// The LSH half of [`cluster_edges`]: one cluster id per record.
+fn edge_clustering(
+    edges: &[EdgeRecord],
+    fs: &FeatureSpace,
+    cfg: &HiveConfig,
+) -> (Clustering, Option<AdaptiveParams>, DedupStats) {
     let distinct_labels: BTreeSet<&str> = edges
         .iter()
         .flat_map(|e| e.edge.labels.iter().map(|l| l.as_ref()))
         .collect();
-
-    let (clustering, params, stats) = if cfg.dedup {
-        let fps: Vec<EdgeFingerprint> = edges.par_iter().map(|e| fs.edge_fingerprint(e)).collect();
-        let grouping = group_by_key(&fps);
-        let stats = DedupStats {
-            records: edges.len(),
-            distinct: grouping.num_groups,
-        };
-        match cfg.method {
-            LshMethod::Elsh => {
-                let vectors: Vec<SparseVec> = grouping
-                    .reps
-                    .par_iter()
-                    .map(|&i| fs.edge_fingerprint_vector(&fps[i]))
-                    .collect();
-                let (b, t, p) = match &cfg.edge_params {
-                    LshParams::Adaptive => {
-                        let p = adaptive::adapt_grouped(
-                            &vectors,
-                            &grouping.assignment,
-                            distinct_labels.len(),
-                            ElementKind::Edge,
-                            cfg.seed.wrapping_add(1),
-                        );
-                        (p.bucket_length, p.tables, Some(p))
-                    }
-                    LshParams::Manual {
-                        bucket_length,
-                        tables,
-                    } => (*bucket_length, *tables, None),
-                };
-                let lsh = EuclideanLsh::new(fs.edge_dim().max(1), t, b, cfg.seed.wrapping_add(1));
-                (
-                    broadcast(&lsh.cluster_signature(&vectors), &grouping),
-                    p,
-                    stats,
-                )
-            }
-            LshMethod::MinHash => {
-                let sets: Vec<Vec<u64>> = grouping
-                    .reps
-                    .par_iter()
-                    .map(|&i| fs.edge_fingerprint_set(&fps[i]))
-                    .collect();
-                let (t, p) = resolve_minhash_tables(
-                    &cfg.edge_params,
-                    edges.len(),
-                    distinct_labels.len(),
-                    ElementKind::Edge,
-                );
-                let lsh = MinHashLsh::new(t, cfg.seed.wrapping_add(1));
-                (
-                    broadcast(&lsh.cluster_signature(&sets), &grouping),
-                    p,
-                    stats,
-                )
-            }
-        }
-    } else {
-        let stats = DedupStats {
-            records: edges.len(),
-            distinct: edges.len(),
-        };
-        match cfg.method {
-            LshMethod::Elsh => {
-                let vectors: Vec<SparseVec> = edges.par_iter().map(|e| fs.edge_vector(e)).collect();
-                let (b, t, p) = resolve_elsh_params(
-                    &cfg.edge_params,
-                    &vectors,
-                    distinct_labels.len(),
-                    ElementKind::Edge,
-                    cfg.seed.wrapping_add(1),
-                );
-                let lsh = EuclideanLsh::new(fs.edge_dim().max(1), t, b, cfg.seed.wrapping_add(1));
-                (lsh.cluster_signature(&vectors), p, stats)
-            }
-            LshMethod::MinHash => {
-                let sets: Vec<Vec<u64>> = edges.par_iter().map(|e| fs.edge_set(e)).collect();
-                let (t, p) = resolve_minhash_tables(
-                    &cfg.edge_params,
-                    edges.len(),
-                    distinct_labels.len(),
-                    ElementKind::Edge,
-                );
-                let lsh = MinHashLsh::new(t, cfg.seed.wrapping_add(1));
-                (lsh.cluster_signature(&sets), p, stats)
-            }
-        }
-    };
-    (assemble_edge_clusters(edges, &clustering), params, stats)
+    let fps: Vec<EdgeFingerprint> = edges.par_iter().map(|e| fs.edge_fingerprint(e)).collect();
+    cluster_fingerprints(
+        &fps,
+        distinct_labels.len(),
+        ElementKind::Edge,
+        cfg,
+        fs.edge_dim(),
+        |fp| fs.edge_fingerprint_vector(fp),
+        |fp| fs.edge_fingerprint_set(fp),
+    )
 }
 
 /// Number of chunks cluster assembly folds in parallel. Chunk
@@ -591,6 +499,7 @@ mod tests {
     use crate::config::EmbeddingKind;
     use pg_embed::Word2VecConfig;
     use pg_model::{Edge, LabelSet, Node, NodeId};
+    use proptest::prelude::*;
 
     fn quick_cfg(method: LshMethod) -> HiveConfig {
         HiveConfig {
@@ -601,6 +510,101 @@ mod tests {
                 ..Default::default()
             }),
             ..Default::default()
+        }
+    }
+
+    /// ELSH parameters over one vector per record (no grouping).
+    fn naive_elsh_params(
+        params: &LshParams,
+        vectors: &[SparseVec],
+        distinct_labels: usize,
+        kind: ElementKind,
+        seed: u64,
+    ) -> (f64, usize, Option<AdaptiveParams>) {
+        match params {
+            LshParams::Adaptive => {
+                let p = adaptive::adapt(vectors, distinct_labels, kind, seed);
+                (p.bucket_length, p.tables, Some(p))
+            }
+            LshParams::Manual {
+                bucket_length,
+                tables,
+            } => (*bucket_length, *tables, None),
+        }
+    }
+
+    /// The specification [`node_clustering`] must equal bit for bit:
+    /// featurize and LSH-hash every record individually, with no
+    /// fingerprint collapse.
+    fn naive_node_clustering(
+        nodes: &[NodeRecord],
+        fs: &FeatureSpace,
+        cfg: &HiveConfig,
+    ) -> (Clustering, Option<AdaptiveParams>) {
+        let distinct_labels: BTreeSet<&str> = nodes
+            .iter()
+            .flat_map(|n| n.labels.iter().map(|l| l.as_ref()))
+            .collect();
+        match cfg.method {
+            LshMethod::Elsh => {
+                let vectors: Vec<SparseVec> = nodes.iter().map(|n| fs.node_vector(n)).collect();
+                let (b, t, p) = naive_elsh_params(
+                    &cfg.node_params,
+                    &vectors,
+                    distinct_labels.len(),
+                    ElementKind::Node,
+                    cfg.seed,
+                );
+                let lsh = EuclideanLsh::new(fs.node_dim().max(1), t, b, cfg.seed);
+                (lsh.cluster_signature(&vectors), p)
+            }
+            LshMethod::MinHash => {
+                let sets: Vec<Vec<u64>> = nodes.iter().map(|n| fs.node_set(n)).collect();
+                let (t, p) = resolve_minhash_tables(
+                    &cfg.node_params,
+                    nodes.len(),
+                    distinct_labels.len(),
+                    ElementKind::Node,
+                );
+                (MinHashLsh::new(t, cfg.seed).cluster_signature(&sets), p)
+            }
+        }
+    }
+
+    /// Edge counterpart of [`naive_node_clustering`].
+    fn naive_edge_clustering(
+        edges: &[EdgeRecord],
+        fs: &FeatureSpace,
+        cfg: &HiveConfig,
+    ) -> (Clustering, Option<AdaptiveParams>) {
+        let distinct_labels: BTreeSet<&str> = edges
+            .iter()
+            .flat_map(|e| e.edge.labels.iter().map(|l| l.as_ref()))
+            .collect();
+        let seed = cfg.seed.wrapping_add(1);
+        match cfg.method {
+            LshMethod::Elsh => {
+                let vectors: Vec<SparseVec> = edges.iter().map(|e| fs.edge_vector(e)).collect();
+                let (b, t, p) = naive_elsh_params(
+                    &cfg.edge_params,
+                    &vectors,
+                    distinct_labels.len(),
+                    ElementKind::Edge,
+                    seed,
+                );
+                let lsh = EuclideanLsh::new(fs.edge_dim().max(1), t, b, seed);
+                (lsh.cluster_signature(&vectors), p)
+            }
+            LshMethod::MinHash => {
+                let sets: Vec<Vec<u64>> = edges.iter().map(|e| fs.edge_set(e)).collect();
+                let (t, p) = resolve_minhash_tables(
+                    &cfg.edge_params,
+                    edges.len(),
+                    distinct_labels.len(),
+                    ElementKind::Edge,
+                );
+                (MinHashLsh::new(t, seed).cluster_signature(&sets), p)
+            }
         }
     }
 
@@ -842,8 +846,8 @@ mod tests {
     }
 
     /// Mixed-structure stream where fingerprints recur in a scrambled
-    /// order: the dedup fast path must assign cluster ids in record
-    /// first-occurrence order, i.e. exactly the ids of the naive path.
+    /// order: the dedup path must assign cluster ids in record
+    /// first-occurrence order, i.e. exactly the ids of the naive oracle.
     fn scrambled_nodes() -> Vec<NodeRecord> {
         let mut v = Vec::new();
         for i in 0..120u64 {
@@ -862,16 +866,16 @@ mod tests {
 
     #[test]
     fn dedup_preserves_first_occurrence_cluster_order() {
-        // The naive path is the specification; dedup must reproduce its
+        // The naive oracle is the specification; dedup must reproduce its
         // cluster representatives *in the same order* (assembly indexes
         // clusters by id, so any renumbering would reorder the output).
         let nodes = scrambled_nodes();
         for method in [LshMethod::Elsh, LshMethod::MinHash] {
             let on = quick_cfg(method);
-            let off = quick_cfg(method).with_dedup(false);
             let fs = FeatureSpace::build(&nodes, &[], &on.embedding, on.seed);
             let (c_on, p_on, s_on) = cluster_nodes(&nodes, &fs, &on);
-            let (c_off, p_off, s_off) = cluster_nodes(&nodes, &fs, &off);
+            let (naive, p_off) = naive_node_clustering(&nodes, &fs, &on);
+            let c_off = assemble_node_clusters(&nodes, &naive);
             assert_eq!(p_on, p_off, "adaptive params must agree ({method:?})");
             assert_eq!(c_on.len(), c_off.len(), "({method:?})");
             for (a, b) in c_on.iter().zip(&c_off) {
@@ -882,7 +886,6 @@ mod tests {
             }
             assert_eq!(s_on.records, 120);
             assert_eq!(s_on.distinct, 4, "four structural fingerprints");
-            assert_eq!(s_off.distinct, 120, "dedup off: no collapsing");
         }
     }
 
@@ -916,10 +919,10 @@ mod tests {
             });
         }
         let on = quick_cfg(LshMethod::Elsh);
-        let off = quick_cfg(LshMethod::Elsh).with_dedup(false);
         let fs = FeatureSpace::build(&nodes, &edges, &on.embedding, on.seed);
         let (c_on, p_on, s_on) = cluster_edges(&edges, &fs, &on);
-        let (c_off, p_off, _) = cluster_edges(&edges, &fs, &off);
+        let (naive, p_off) = naive_edge_clustering(&edges, &fs, &on);
+        let c_off = assemble_edge_clusters(&edges, &naive);
         assert_eq!(p_on, p_off);
         assert_eq!(c_on.len(), c_off.len());
         for (a, b) in c_on.iter().zip(&c_off) {
@@ -929,5 +932,66 @@ mod tests {
             assert_eq!(a.accum.members, b.accum.members);
         }
         assert_eq!(s_on.distinct, 2);
+    }
+
+    /// A small dataset twin, optionally noised (the `tests/common`
+    /// `case_graph`, which unit tests cannot import).
+    fn case_records(dataset: &str, seed: u64, noisy: bool) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
+        use pg_datasets::{generate, inject_noise, spec_by_name, NoiseConfig};
+        let spec = spec_by_name(dataset).expect("known dataset").scaled(0.03);
+        let (mut graph, _) = generate(&spec, seed);
+        if noisy {
+            inject_noise(
+                &mut graph,
+                NoiseConfig {
+                    property_removal: 0.3,
+                    label_availability: 0.7,
+                    seed: seed ^ 0x5eed,
+                },
+            );
+        }
+        pg_store::load(&graph)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The shipped fingerprint-dedup clustering is bit-identical to
+        /// the naive per-record oracle — same cluster id for every
+        /// record, same adaptive parameters — for {ELSH, MinHash} ×
+        /// {nodes, edges}, across datasets, seeds, noise, and thread
+        /// counts. Everything downstream (assembly, Algorithm 2, the
+        /// schema hash) is a deterministic function of these two
+        /// outputs.
+        #[test]
+        fn dedup_clustering_is_bit_identical_to_naive(
+            dataset in prop::sample::select(vec!["POLE", "MB6", "ICIJ"]),
+            seed in 0u64..1000,
+            threads in prop::sample::select(vec![1usize, 4]),
+            minhash in prop::bool::ANY,
+            noisy in prop::bool::ANY,
+        ) {
+            let (nodes, edges) = case_records(dataset, seed, noisy);
+            let method = if minhash { LshMethod::MinHash } else { LshMethod::Elsh };
+            let cfg = HiveConfig { seed, ..quick_cfg(method) };
+            let fs = FeatureSpace::build(&nodes, &edges, &cfg.embedding, cfg.seed);
+            let (shipped_nodes, shipped_edges) = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| (node_clustering(&nodes, &fs, &cfg), edge_clustering(&edges, &fs, &cfg)));
+
+            let (clustering, params, stats) = shipped_nodes;
+            let (naive, naive_params) = naive_node_clustering(&nodes, &fs, &cfg);
+            prop_assert_eq!(clustering, naive);
+            prop_assert_eq!(params, naive_params);
+            // Dedup actually engaged: structures repeat in these datasets.
+            prop_assert!(stats.distinct < stats.records);
+
+            let (clustering, params, _) = shipped_edges;
+            let (naive, naive_params) = naive_edge_clustering(&edges, &fs, &cfg);
+            prop_assert_eq!(clustering, naive);
+            prop_assert_eq!(params, naive_params);
+        }
     }
 }

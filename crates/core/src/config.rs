@@ -151,15 +151,6 @@ pub struct HiveConfig {
     /// already been found" (§2). Off by default to match the paper's
     /// PG-HIVE; the `fig7_incremental` bench measures the speedup.
     pub memoize: bool,
-    /// Structural-fingerprint dedup fast path: canonicalize each record
-    /// to a fingerprint (label tokens + sorted property-key ids),
-    /// featurize and LSH-hash only the distinct fingerprints, then
-    /// broadcast cluster ids back to the full record set. Feature
-    /// vectors are value-independent, so the schema is bit-for-bit
-    /// identical either way — this is purely a performance knob (on by
-    /// default), kept as an escape hatch and for the A/B check in
-    /// `bench_discovery`. See DESIGN.md §3e "Performance model".
-    pub dedup: bool,
     /// Worker threads for the parallel hot path (featurization, LSH
     /// signatures, cluster assembly). `0` means "use the available
     /// parallelism" (rayon's default, overridable via
@@ -191,7 +182,6 @@ impl Default for HiveConfig {
             post_processing: true,
             datatype_sampling: None,
             edge_endpoint_aware: true,
-            dedup: true,
             memoize: false,
             threads: 0,
             seed: 42,
@@ -220,15 +210,6 @@ impl HiveConfig {
     /// only wall-clock time changes.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style dedup override: `false` forces the naive path that
-    /// featurizes and hashes every record individually (the dedup fast
-    /// path produces a bit-identical schema, so this is only useful for
-    /// benchmarking and as an escape hatch).
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
         self
     }
 
@@ -276,7 +257,6 @@ mod tests {
         assert!(c.post_processing);
         assert!(c.datatype_sampling.is_none());
         assert_eq!(c.node_params, LshParams::Adaptive);
-        assert!(c.dedup, "dedup fast path is on by default");
         assert!(c.stream.is_none(), "exact accumulators by default");
     }
 
@@ -301,7 +281,6 @@ mod tests {
         assert_eq!(c.theta, 0.8);
         assert_eq!(c.threads, 4);
         assert_eq!(HiveConfig::default().threads, 0, "default = all cores");
-        assert!(!HiveConfig::default().with_dedup(false).dedup);
         let m = HiveConfig::default().with_manual_params(2.0, 20);
         assert_eq!(
             m.node_params,

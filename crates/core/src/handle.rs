@@ -120,105 +120,61 @@ pub struct SessionAux {
     pub seen_edges: Vec<u64>,
 }
 
-struct Inner {
-    session: HiveSession,
-    history: SchemaHistory,
-    node_labels: HashMap<u64, LabelSet>,
-    seen_edges: HashSet<u64>,
-    broken: Option<String>,
+/// What a stream has seen so far — the state one batch is staged
+/// against and, once it commits, grows: the cumulative
+/// `NodeId → LabelSet` index edge endpoints resolve against, and the
+/// edge ids already applied. A [`SharedSession`] keeps one per session;
+/// a cluster coordinator keeps one for the whole cluster.
+#[derive(Debug, Default)]
+pub struct StreamIndex {
+    /// Labels of every node applied so far.
+    pub node_labels: HashMap<u64, LabelSet>,
+    /// Ids of every edge applied so far.
+    pub seen_edges: HashSet<u64>,
 }
 
-/// A mutex-guarded live discovery session. See the module docs.
-pub struct SharedSession {
-    inner: Mutex<Inner>,
+/// One batch that passed [`StreamIndex::stage`]: the deduplicated nodes
+/// and endpoint-resolved edges to apply, in input order.
+#[derive(Debug, Default)]
+pub struct StagedBatch {
+    /// Nodes accepted into the batch.
+    pub nodes: Vec<NodeRecord>,
+    /// Edges accepted into the batch, endpoint labels resolved.
+    pub edges: Vec<EdgeRecord>,
+    labels: HashMap<u64, LabelSet>,
+    edge_ids: HashSet<u64>,
 }
 
-impl SharedSession {
-    /// Start an empty session retaining at most `retain` schema versions.
-    pub fn new(config: HiveConfig, retain: usize) -> SharedSession {
-        let mut history = SchemaHistory::new(retain);
-        let session = HiveSession::new(config);
-        // Version 1 is the empty schema: a session is pollable (and
-        // diffable-from) before its first batch arrives.
-        history.observe(session.schema());
-        SharedSession {
-            inner: Mutex::new(Inner {
-                session,
-                history,
-                node_labels: HashMap::new(),
-                seen_edges: HashSet::new(),
-                broken: None,
-            }),
-        }
-    }
-
-    /// Restore a session from its engine checkpoint plus stream-side
-    /// state, continuing batch numbering and the version counter.
-    /// Fails if the checkpoint's accumulator mode does not match the
-    /// mode the configuration implies (see [`HiveSession::restore`]).
-    pub fn restore(
-        config: HiveConfig,
-        checkpoint: SessionCheckpoint,
-        aux: SessionAux,
-    ) -> Result<Self, crate::incremental::ModeMismatch> {
-        Ok(SharedSession {
-            inner: Mutex::new(Inner {
-                session: HiveSession::restore(config, checkpoint)?,
-                history: aux.history,
-                node_labels: aux.node_labels.into_iter().collect(),
-                seen_edges: aux.seen_edges.into_iter().collect(),
-                broken: None,
-            }),
-        })
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // The engine panic boundary in `ingest` means no code path
-        // panics while holding the lock, so poisoning is unreachable;
-        // recover defensively anyway rather than propagating a panic
-        // into a serving thread.
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Ingest one batch of parsed JSONL elements (with their 1-based
-    /// line numbers) under `policy`.
+impl StreamIndex {
+    /// Stage one batch of parsed JSONL elements (with their 1-based
+    /// line numbers) against this index under `policy`.
     ///
     /// Semantic dirt — duplicate node/edge ids, edges whose endpoints
-    /// were never seen (neither in history nor earlier in this batch) —
-    /// is diverted to `quarantine` with the same reasons the offline
+    /// were never seen (neither in the index nor earlier in this batch)
+    /// — is diverted to `quarantine` with the same reasons the offline
     /// lenient loaders produce. Edges may precede their endpoints
     /// *within* a batch (they are buffered, like the offline JSONL
     /// loader), but not across batches: a stream cannot wait forever.
+    /// A pre-resolved edge carries its endpoint labels (resolved by a
+    /// cluster coordinator against the *global* node index), so it
+    /// skips the endpoint lookup entirely.
     ///
-    /// The batch is transactional: if the policy aborts, no element of
-    /// the batch reaches the engine and the session is unchanged.
-    pub fn ingest(
+    /// The index is untouched: if the policy aborts (`Err`), nothing
+    /// happened; otherwise the caller applies the batch and then
+    /// [`commit`](StreamIndex::commit)s it.
+    pub fn stage(
         &self,
         elements: Vec<(usize, Element)>,
         policy: ErrorPolicy,
         quarantine: &mut Quarantine,
         source: &str,
-    ) -> Result<IngestOutcome, IngestError> {
-        let mut inner = self.lock();
-        if let Some(m) = &inner.broken {
-            return Err(IngestError::Broken(m.clone()));
-        }
-        let before_quarantine = quarantine.len();
-
-        // Stage: semantic checks against cumulative + staged state. A
-        // pre-resolved edge carries its endpoint labels (resolved by a
-        // cluster coordinator against the *global* node index), so it
-        // skips the local endpoint lookup entirely.
-        let mut staged_nodes: Vec<NodeRecord> = Vec::new();
-        let mut staged_labels: HashMap<u64, LabelSet> = HashMap::new();
+    ) -> Result<StagedBatch, ModelError> {
+        let mut staged = StagedBatch::default();
         // (source line, edge, pre-resolved endpoint labels if any)
         type PendingEdge = (usize, pg_model::Edge, Option<(LabelSet, LabelSet)>);
         let mut pending_edges: Vec<PendingEdge> = Vec::new();
         let divert = |q: &mut Quarantine, line: usize, err: ModelError, raw: String| {
             q.divert(policy, source, line, err.to_string(), &raw)
-                .map_err(IngestError::Rejected)
         };
         // Elements are consumed by value: records move into the staging
         // buffers instead of deep-cloning every property map, which is
@@ -227,7 +183,7 @@ impl SharedSession {
             match el {
                 Element::Node(n) => {
                     let id = n.id.0;
-                    if inner.node_labels.contains_key(&id) || staged_labels.contains_key(&id) {
+                    if self.node_labels.contains_key(&id) || staged.labels.contains_key(&id) {
                         divert(
                             quarantine,
                             line,
@@ -235,8 +191,8 @@ impl SharedSession {
                             render(&Element::Node(n)),
                         )?;
                     } else {
-                        staged_labels.insert(id, n.labels.clone());
-                        staged_nodes.push(n);
+                        staged.labels.insert(id, n.labels.clone());
+                        staged.nodes.push(n);
                     }
                 }
                 Element::Edge(e) => pending_edges.push((line, e, None)),
@@ -245,8 +201,6 @@ impl SharedSession {
                 }
             }
         }
-        let mut staged_edges: Vec<EdgeRecord> = Vec::new();
-        let mut staged_edge_ids: HashSet<u64> = HashSet::new();
         for (line, e, resolved) in pending_edges {
             let id = e.id.0;
             let rerender =
@@ -258,7 +212,7 @@ impl SharedSession {
                     })),
                     None => render(&Element::Edge(e)),
                 };
-            if inner.seen_edges.contains(&id) || staged_edge_ids.contains(&id) {
+            if self.seen_edges.contains(&id) || staged.edge_ids.contains(&id) {
                 divert(
                     quarantine,
                     line,
@@ -271,9 +225,10 @@ impl SharedSession {
                 pair
             } else {
                 let lookup = |nid: pg_model::NodeId| -> Option<LabelSet> {
-                    staged_labels
+                    staged
+                        .labels
                         .get(&nid.0)
-                        .or_else(|| inner.node_labels.get(&nid.0))
+                        .or_else(|| self.node_labels.get(&nid.0))
                         .cloned()
                 };
                 match (lookup(e.src), lookup(e.tgt)) {
@@ -298,19 +253,115 @@ impl SharedSession {
                     }
                 }
             };
-            staged_edge_ids.insert(id);
-            staged_edges.push(EdgeRecord {
+            staged.edge_ids.insert(id);
+            staged.edges.push(EdgeRecord {
                 edge: e,
                 src_labels,
                 tgt_labels,
             });
         }
+        Ok(staged)
+    }
+
+    /// Record an applied batch: later batches deduplicate and resolve
+    /// against its elements.
+    pub fn commit(&mut self, staged: StagedBatch) {
+        self.node_labels.extend(staged.labels);
+        self.seen_edges.extend(staged.edge_ids);
+    }
+}
+
+struct Inner {
+    session: HiveSession,
+    history: SchemaHistory,
+    index: StreamIndex,
+    broken: Option<String>,
+}
+
+/// A mutex-guarded live discovery session. See the module docs.
+pub struct SharedSession {
+    inner: Mutex<Inner>,
+}
+
+impl SharedSession {
+    /// Start an empty session retaining at most `retain` schema versions.
+    pub fn new(config: HiveConfig, retain: usize) -> SharedSession {
+        let mut history = SchemaHistory::new(retain);
+        let session = HiveSession::new(config);
+        // Version 1 is the empty schema: a session is pollable (and
+        // diffable-from) before its first batch arrives.
+        history.observe(session.schema());
+        SharedSession {
+            inner: Mutex::new(Inner {
+                session,
+                history,
+                index: StreamIndex::default(),
+                broken: None,
+            }),
+        }
+    }
+
+    /// Restore a session from its engine checkpoint plus stream-side
+    /// state, continuing batch numbering and the version counter.
+    /// Fails if the checkpoint's accumulator mode does not match the
+    /// mode the configuration implies (see [`HiveSession::restore`]).
+    pub fn restore(
+        config: HiveConfig,
+        checkpoint: SessionCheckpoint,
+        aux: SessionAux,
+    ) -> Result<Self, crate::incremental::ModeMismatch> {
+        Ok(SharedSession {
+            inner: Mutex::new(Inner {
+                session: HiveSession::restore(config, checkpoint)?,
+                history: aux.history,
+                index: StreamIndex {
+                    node_labels: aux.node_labels.into_iter().collect(),
+                    seen_edges: aux.seen_edges.into_iter().collect(),
+                },
+                broken: None,
+            }),
+        })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        // The engine panic boundary in `ingest` means no code path
+        // panics while holding the lock, so poisoning is unreachable;
+        // recover defensively anyway rather than propagating a panic
+        // into a serving thread.
+        self.inner
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Ingest one batch of parsed JSONL elements (with their 1-based
+    /// line numbers) under `policy`: stage it against the session's
+    /// [`StreamIndex`] (see [`StreamIndex::stage`] for the quarantine
+    /// rules), run the engine, commit.
+    ///
+    /// The batch is transactional: if the policy aborts, no element of
+    /// the batch reaches the engine and the session is unchanged.
+    pub fn ingest(
+        &self,
+        elements: Vec<(usize, Element)>,
+        policy: ErrorPolicy,
+        quarantine: &mut Quarantine,
+        source: &str,
+    ) -> Result<IngestOutcome, IngestError> {
+        let mut inner = self.lock();
+        if let Some(m) = &inner.broken {
+            return Err(IngestError::Broken(m.clone()));
+        }
+        let before_quarantine = quarantine.len();
+        let staged = inner
+            .index
+            .stage(elements, policy, quarantine, source)
+            .map_err(IngestError::Rejected)?;
 
         // Commit: run the engine inside a panic boundary, then fold the
         // staged stream state in.
         let inner = &mut *inner;
         let timing = match catch_unwind(AssertUnwindSafe(|| {
-            inner.session.process_batch(&staged_nodes, &staged_edges)
+            inner.session.process_batch(&staged.nodes, &staged.edges)
         })) {
             Ok(t) => t,
             Err(panic) => {
@@ -319,8 +370,8 @@ impl SharedSession {
                 return Err(IngestError::Engine(msg));
             }
         };
-        inner.node_labels.extend(staged_labels);
-        inner.seen_edges.extend(staged_edge_ids);
+        let (nodes, edges) = (staged.nodes.len(), staged.edges.len());
+        inner.index.commit(staged);
         let (version, changed) = inner.history.observe(inner.session.schema());
         let hash = inner
             .history
@@ -329,8 +380,8 @@ impl SharedSession {
             .unwrap_or_default();
         Ok(IngestOutcome {
             batch_index: timing.batch_index,
-            nodes: staged_nodes.len(),
-            edges: staged_edges.len(),
+            nodes,
+            edges,
             quarantined: quarantine.len() - before_quarantine,
             version,
             hash,
@@ -420,12 +471,12 @@ impl SharedSession {
 
     /// Nodes seen so far (size of the endpoint-label index).
     pub fn nodes_seen(&self) -> usize {
-        self.lock().node_labels.len()
+        self.lock().index.node_labels.len()
     }
 
     /// Edges seen so far.
     pub fn edges_seen(&self) -> usize {
-        self.lock().seen_edges.len()
+        self.lock().index.seen_edges.len()
     }
 
     /// The broken-marker message, if the engine failed earlier.
@@ -448,12 +499,13 @@ impl SharedSession {
             return Err(IngestError::Broken(m.clone()));
         }
         let mut node_labels: Vec<(u64, LabelSet)> = inner
+            .index
             .node_labels
             .iter()
             .map(|(k, v)| (*k, v.clone()))
             .collect();
         node_labels.sort_by_key(|(k, _)| *k);
-        let mut seen_edges: Vec<u64> = inner.seen_edges.iter().copied().collect();
+        let mut seen_edges: Vec<u64> = inner.index.seen_edges.iter().copied().collect();
         seen_edges.sort_unstable();
         Ok((
             inner.session.checkpoint(),

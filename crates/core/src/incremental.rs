@@ -35,8 +35,7 @@ pub struct BatchTiming {
     pub edges: usize,
     /// Structural-fingerprint dedup of the node clustering pass
     /// (`records` = nodes that reached the hot path after memoization,
-    /// `distinct` = fingerprints actually featurized/hashed; equal when
-    /// `HiveConfig::dedup` is off).
+    /// `distinct` = fingerprints actually featurized/hashed).
     pub node_dedup: DedupStats,
     /// Dedup of the edge clustering pass.
     pub edge_dedup: DedupStats,

@@ -53,39 +53,6 @@ proptest! {
         prop_assert_eq!(sorted_edge_assignment(&seq), sorted_edge_assignment(&par));
     }
 
-    /// Contract 3: the structural-fingerprint dedup fast path is
-    /// bit-identical to the naive per-record path — same `SchemaGraph`,
-    /// same canonical content hash (what `pg-hive hash` prints), same
-    /// assignments — across datasets, seeds, methods, noise, and thread
-    /// counts. Dedup is purely a performance optimization.
-    #[test]
-    fn dedup_fast_path_is_bit_identical_to_naive(
-        dataset in prop::sample::select(vec!["POLE", "MB6", "ICIJ"]),
-        seed in 0u64..1000,
-        threads in prop::sample::select(vec![1usize, 4]),
-        minhash in prop::bool::ANY,
-        noisy in prop::bool::ANY,
-    ) {
-        let (noise, avail) = if noisy { (0.3, 0.7) } else { (0.0, 1.0) };
-        let graph = case_graph(dataset, seed, noise, avail);
-        let method = if minhash { LshMethod::MinHash } else { LshMethod::Elsh };
-
-        let cfg = quick_config(method, seed, threads);
-        let fast = PgHive::new(cfg.clone()).discover_graph(&graph);
-        let naive = PgHive::new(cfg.with_dedup(false)).discover_graph(&graph);
-
-        prop_assert_eq!(&fast.schema, &naive.schema);
-        prop_assert_eq!(
-            pg_hive::content_hash(&fast.schema),
-            pg_hive::content_hash(&naive.schema)
-        );
-        prop_assert_eq!(sorted_node_assignment(&fast), sorted_node_assignment(&naive));
-        prop_assert_eq!(sorted_edge_assignment(&fast), sorted_edge_assignment(&naive));
-        // Dedup actually engaged: structures repeat in these datasets.
-        let t = &fast.timings[0];
-        prop_assert!(t.node_dedup.distinct < t.node_dedup.records);
-    }
-
     /// Contract 2: one-shot discovery and a session fed the same
     /// records in k random batches produce equivalent schemas, and the
     /// per-batch schema chain is monotone (§4.6).

@@ -53,11 +53,11 @@ use crate::backoff::{BreakerState, CircuitBreaker};
 use crate::registry::SessionSpec;
 use crate::shard_client::{resolve_shard_addr, ShardClient, ShardClientConfig};
 use crate::wal::Wal;
+use pg_hive::handle::StreamIndex;
 use pg_hive::{content_hash_hex, merge_states, DiscoveryState, HiveConfig, ShardState};
-use pg_model::{LabelSet, ModelError, SchemaGraph};
+use pg_model::SchemaGraph;
 use pg_store::jsonl::Element;
-use pg_store::{read_jsonl_elements, EdgeRecord, ErrorPolicy, LoadError, Quarantine};
-use std::collections::{HashMap, HashSet};
+use pg_store::{read_jsonl_elements, ErrorPolicy, LoadError, Quarantine};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -233,12 +233,11 @@ struct Shard {
 }
 
 /// Global stream-side state the coordinator deduplicates and resolves
-/// against (mirror of the per-session state in
-/// [`pg_hive::SharedSession`], lifted to the whole cluster).
+/// against: the same index a [`pg_hive::SharedSession`] keeps per
+/// session, lifted to the whole cluster.
 #[derive(Default)]
 struct Routing {
-    node_labels: HashMap<u64, LabelSet>,
-    seen_edges: HashSet<u64>,
+    index: StreamIndex,
     quarantined_total: u64,
     batches: u64,
 }
@@ -342,119 +341,30 @@ impl Coordinator {
 
         let mut routing = self.routing.lock().unwrap_or_else(|p| p.into_inner());
 
-        // Stage with exactly the single-node semantics of
-        // `SharedSession::ingest`: duplicate ids quarantine, edges may
-        // precede their endpoints within the batch but not across
-        // batches, dangling endpoints quarantine. If the policy aborts,
+        // Stage with the single-node rule itself (`StreamIndex::stage`,
+        // the one `SharedSession::ingest` runs). If the policy aborts,
         // nothing has been appended or committed.
+        let mut staged = routing
+            .index
+            .stage(elements, self.policy, &mut quarantine, "cluster")
+            .map_err(|e| ClusterError::Rejected(e.to_string()))?;
         let mut batches: Vec<String> = vec![String::new(); self.shards.len()];
         let mut batch_lines: Vec<usize> = vec![0; self.shards.len()];
-        let mut staged_labels: HashMap<u64, LabelSet> = HashMap::new();
-        let mut staged_nodes = 0usize;
-        // (source line, edge, endpoint labels once both endpoints resolve)
-        type PendingEdge = (usize, pg_model::Edge, Option<(LabelSet, LabelSet)>);
-        let mut pending_edges: Vec<PendingEdge> = Vec::new();
-        let divert = |q: &mut Quarantine,
-                      line: usize,
-                      err: ModelError,
-                      raw: String|
-         -> Result<(), ClusterError> {
-            q.divert(self.policy, "cluster", line, err.to_string(), &raw)
-                .map_err(|e| ClusterError::Rejected(e.to_string()))
-        };
-        let render = |el: &Element| {
-            serde_json::to_string(el).unwrap_or_else(|_| "<unrenderable>".to_owned())
-        };
-        for (line, el) in &elements {
-            match el {
-                Element::Node(n) => {
-                    let id = n.id.0;
-                    if routing.node_labels.contains_key(&id) || staged_labels.contains_key(&id) {
-                        divert(
-                            &mut quarantine,
-                            *line,
-                            ModelError::DuplicateNode { node: id },
-                            render(el),
-                        )?;
-                    } else {
-                        staged_labels.insert(id, n.labels.clone());
-                        staged_nodes += 1;
-                        let shard = self.shard_of(id);
-                        batches[shard].push_str(&render(el));
-                        batches[shard].push('\n');
-                        batch_lines[shard] += 1;
-                    }
-                }
-                Element::Edge(e) => pending_edges.push((*line, e.clone(), None)),
-                Element::ResolvedEdge(r) => pending_edges.push((
-                    *line,
-                    r.edge.clone(),
-                    Some((r.src_labels.clone(), r.tgt_labels.clone())),
-                )),
-            }
-        }
-        let mut staged_edge_ids: HashSet<u64> = HashSet::new();
-        for (line, e, resolved) in pending_edges {
-            let id = e.id.0;
-            let raw = match &resolved {
-                Some((s, t)) => render(&Element::ResolvedEdge(EdgeRecord {
-                    edge: e.clone(),
-                    src_labels: s.clone(),
-                    tgt_labels: t.clone(),
-                })),
-                None => render(&Element::Edge(e.clone())),
-            };
-            if routing.seen_edges.contains(&id) || staged_edge_ids.contains(&id) {
-                divert(
-                    &mut quarantine,
-                    line,
-                    ModelError::DuplicateEdge { edge: id },
-                    raw,
-                )?;
-                continue;
-            }
-            let (src_labels, tgt_labels) = if let Some(pair) = resolved {
-                pair
-            } else {
-                let lookup = |nid: pg_model::NodeId| -> Option<LabelSet> {
-                    staged_labels
-                        .get(&nid.0)
-                        .or_else(|| routing.node_labels.get(&nid.0))
-                        .cloned()
-                };
-                match (lookup(e.src), lookup(e.tgt)) {
-                    (Some(s), Some(t)) => (s, t),
-                    (None, _) => {
-                        divert(
-                            &mut quarantine,
-                            line,
-                            ModelError::DanglingEndpoint { node: e.src.0 },
-                            raw,
-                        )?;
-                        continue;
-                    }
-                    (_, None) => {
-                        divert(
-                            &mut quarantine,
-                            line,
-                            ModelError::DanglingEndpoint { node: e.tgt.0 },
-                            raw,
-                        )?;
-                        continue;
-                    }
-                }
-            };
-            staged_edge_ids.insert(id);
+        let mut route = |id: u64, el: &Element| {
             let shard = self.shard_of(id);
-            batches[shard].push_str(&render(&Element::ResolvedEdge(EdgeRecord {
-                edge: e,
-                src_labels,
-                tgt_labels,
-            })));
+            batches[shard].push_str(
+                &serde_json::to_string(el).unwrap_or_else(|_| "<unrenderable>".to_owned()),
+            );
             batches[shard].push('\n');
             batch_lines[shard] += 1;
+        };
+        let (staged_nodes, staged_edges) = (staged.nodes.len(), staged.edges.len());
+        for n in std::mem::take(&mut staged.nodes) {
+            route(n.id.0, &Element::Node(n));
         }
-        let staged_edges = staged_edge_ids.len();
+        for e in std::mem::take(&mut staged.edges) {
+            route(e.edge.id.0, &Element::ResolvedEdge(e));
+        }
 
         // Durability point: every non-empty sub-batch goes to its
         // shard's WAL (fsynced) before the routing state commits. If an
@@ -477,8 +387,7 @@ impl Coordinator {
             fresh[i] = Some(seq);
         }
 
-        routing.node_labels.extend(staged_labels);
-        routing.seen_edges.extend(staged_edge_ids);
+        routing.index.commit(staged);
         routing.quarantined_total += quarantine.len() as u64;
         routing.batches += 1;
         let batch = routing.batches;

@@ -5,44 +5,23 @@
 //! limits, `Content-Length` bodies (chunked transfer encoding is
 //! rejected with 501), keep-alive, and structured JSON error bodies.
 //!
-//! The parsing core is the *incremental* [`HeadParser`]: it accepts
-//! bytes in arbitrary chunks (down to one byte at a time) and suspends
-//! cleanly between them, which is what the epoll reactor needs to
-//! resume a parse across `EAGAIN`. The blocking-path entry point
-//! [`read_request`] is a thin loop over the same parser, so the
-//! one-shot and streaming paths parse identically by construction
-//! (`tests/reactor_proto.rs` proves it over arbitrary chunk
-//! partitions). Everything stays generic over `Read + Write` so tests
-//! can drive the server through in-memory duplex streams and through
-//! the `pg_store::faults` wrappers.
-
-use std::io::{self, BufRead, Write};
+//! The parser is the *incremental* [`HeadParser`]: it accepts bytes in
+//! arbitrary chunks (down to one byte at a time) and suspends cleanly
+//! between them, which is what the epoll reactor needs to resume a
+//! parse across `EAGAIN` (`tests/reactor_proto.rs` proves chunk
+//! invariance over arbitrary partitions). Bodies, the 413 policy and
+//! draining belong to the reactor's connection state machines.
 
 /// Maximum accepted request-line length (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Maximum accepted total header bytes per request.
 pub const MAX_HEADER_BYTES: usize = 32 * 1024;
-/// How many declared-but-oversized body bytes a transport drains after
+/// How many declared-but-oversized body bytes the reactor drains after
 /// answering 413 before giving up and closing the connection instead.
 /// Draining keeps the connection aligned on the next request boundary
 /// so keep-alive survives a bounded oversize; past this cap closing is
 /// cheaper than reading.
 pub const DRAIN_CAP: usize = 256 * 1024;
-
-/// Per-server knobs the parser needs.
-#[derive(Debug, Clone, Copy)]
-pub struct Limits {
-    /// Maximum accepted `Content-Length` (larger requests get 413).
-    pub max_body: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Limits {
-        Limits {
-            max_body: 64 * 1024 * 1024,
-        }
-    }
-}
 
 /// A parsed request.
 #[derive(Debug, Clone)]
@@ -82,7 +61,7 @@ impl Request {
 
 /// Everything before the body, parsed. Produced incrementally by
 /// [`HeadParser`]; the body-size policy (413) is deliberately *not*
-/// applied here — the declared length must survive so transports can
+/// applied here — the declared length must survive so the reactor can
 /// decide whether draining the oversized body is worth keeping the
 /// connection.
 #[derive(Debug, Clone)]
@@ -130,8 +109,6 @@ pub enum HttpError {
     /// Clean connection close before any byte of a new request — the
     /// normal end of a keep-alive exchange, not an error.
     Eof,
-    /// The stream failed mid-request (drop, reset, read timeout).
-    Io(io::Error),
     /// Malformed request (bad request line, bad header, bad
     /// `Content-Length`, truncated body).
     BadRequest(String),
@@ -140,7 +117,7 @@ pub enum HttpError {
     /// Headers exceeded [`MAX_HEADER_BYTES`].
     HeaderTooLarge,
     /// Declared body exceeds the configured limit. Carries the declared
-    /// length so the transport can drain a bounded body and keep the
+    /// length so the reactor can drain a bounded body and keep the
     /// connection, or close when draining would cost more than a
     /// re-dial.
     PayloadTooLarge {
@@ -154,11 +131,11 @@ pub enum HttpError {
 }
 
 impl HttpError {
-    /// The error response to send, if one makes sense (I/O failures and
-    /// clean EOF get none — there is nobody left to talk to).
+    /// The error response to send, if one makes sense (clean EOF gets
+    /// none — there is nobody left to talk to).
     pub fn to_response(&self) -> Option<Response> {
         match self {
-            HttpError::Eof | HttpError::Io(_) => None,
+            HttpError::Eof => None,
             HttpError::BadRequest(m) => Some(Response::error(400, "bad_request", m)),
             HttpError::UriTooLong => Some(Response::error(
                 414,
@@ -225,7 +202,7 @@ impl HeadParser {
         !self.line.is_empty() || !matches!(self.stage, Stage::RequestLine)
     }
 
-    /// The error a transport should surface when the peer closes the
+    /// The error the reactor surfaces when the peer closes the
     /// stream at the current parse position: clean EOF before the first
     /// byte is the normal end of keep-alive; anything later is a
     /// truncated request.
@@ -259,8 +236,7 @@ impl HeadParser {
                 }
                 Stage::Done => unreachable!("loop exits on Done"),
             };
-            // `+ 2` slack for the line terminator, matching the historic
-            // blocking parser exactly.
+            // `+ 2` slack for the line terminator.
             if self.line.len() + take > limit + 2 {
                 return Err(over());
             }
@@ -441,67 +417,6 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Read and parse one request from a blocking `reader` — a loop over
-/// the incremental [`HeadParser`], then the `Content-Length` body.
-pub fn read_request<R: BufRead>(reader: &mut R, limits: Limits) -> Result<Request, HttpError> {
-    let mut parser = HeadParser::new();
-    let head = loop {
-        let available = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e)),
-        };
-        if available.is_empty() {
-            return Err(parser.eof_error());
-        }
-        let (consumed, head) = parser.feed(available)?;
-        reader.consume(consumed);
-        if let Some(head) = head {
-            break head;
-        }
-    };
-    if head.content_length > limits.max_body {
-        return Err(HttpError::PayloadTooLarge {
-            limit: limits.max_body,
-            declared: head.content_length,
-        });
-    }
-    let mut body = vec![0u8; head.content_length];
-    if head.content_length > 0 {
-        io::Read::read_exact(reader, &mut body).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                HttpError::BadRequest("request body shorter than Content-Length".into())
-            } else {
-                HttpError::Io(e)
-            }
-        })?;
-    }
-    Ok(head.into_request(body))
-}
-
-/// Discard exactly `n` body bytes from a blocking `reader`, leaving the
-/// connection aligned on the next request boundary (used after a 413 so
-/// keep-alive can continue).
-pub fn drain_body<R: BufRead>(reader: &mut R, mut n: usize) -> io::Result<()> {
-    while n > 0 {
-        let available = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-drain",
-            ));
-        }
-        let take = available.len().min(n);
-        reader.consume(take);
-        n -= take;
-    }
-    Ok(())
-}
-
 /// An outgoing response.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -617,38 +532,29 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serialize the full response into `w`. The whole response is
-    /// buffered and written with one call so a connection drop can tear
-    /// the *stream* but never interleave with another response.
-    pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
-        w.write_all(&self.to_bytes(keep_alive))?;
-        w.flush()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(&mut raw.as_bytes(), Limits::default())
-    }
+    const MAX_BODY: usize = 64 * 1024 * 1024;
 
-    /// Feed the head through the incremental parser one byte at a time
-    /// (the worst-case partition), then attach the remaining bytes as
-    /// the body exactly like the reactor does.
-    fn parse_byte_at_a_time(raw: &str) -> Result<Request, HttpError> {
+    /// Feed the head through the incremental parser `chunk` bytes at a
+    /// time, then apply the body limit and attach the remaining bytes
+    /// as the body exactly like the reactor does.
+    fn parse_in_chunks(raw: &str, chunk: usize, max_body: usize) -> Result<Request, HttpError> {
         let bytes = raw.as_bytes();
         let mut parser = HeadParser::new();
         let mut pos = 0;
         while pos < bytes.len() {
-            let (used, head) = parser.feed(&bytes[pos..pos + 1])?;
+            let end = (pos + chunk).min(bytes.len());
+            let (used, head) = parser.feed(&bytes[pos..end])?;
             pos += used;
             if let Some(head) = head {
-                if head.content_length > Limits::default().max_body {
+                if head.content_length > max_body {
                     return Err(HttpError::PayloadTooLarge {
-                        limit: Limits::default().max_body,
+                        limit: max_body,
                         declared: head.content_length,
                     });
                 }
@@ -663,6 +569,16 @@ mod tests {
             }
         }
         Err(parser.eof_error())
+    }
+
+    /// The whole request in one `feed` call.
+    fn parse(raw: &str) -> Result<Request, HttpError> {
+        parse_in_chunks(raw, raw.len().max(1), MAX_BODY)
+    }
+
+    /// The worst-case partition.
+    fn parse_byte_at_a_time(raw: &str) -> Result<Request, HttpError> {
+        parse_in_chunks(raw, 1, MAX_BODY)
     }
 
     #[test]
@@ -752,7 +668,7 @@ mod tests {
     #[test]
     fn payload_too_large_carries_the_declared_length() {
         let raw = "POST / HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n";
-        match read_request(&mut raw.as_bytes(), Limits { max_body: 1024 }) {
+        match parse_in_chunks(raw, raw.len(), 1024) {
             Err(HttpError::PayloadTooLarge { limit, declared }) => {
                 assert_eq!(limit, 1024);
                 assert_eq!(declared, 999_999_999_999);
@@ -782,15 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_body_consumes_exactly_n_bytes() {
-        let mut reader = &b"0123456789rest"[..];
-        drain_body(&mut reader, 10).unwrap();
-        assert_eq!(reader, b"rest");
-        let mut short = &b"abc"[..];
-        assert!(drain_body(&mut short, 10).is_err());
-    }
-
-    #[test]
     fn error_responses_are_structured_json() {
         let resp = HttpError::PayloadTooLarge {
             limit: 1024,
@@ -810,11 +717,9 @@ mod tests {
     }
 
     #[test]
-    fn responses_round_trip_through_write_to() {
+    fn responses_serialize_with_framing_headers() {
         let resp = Response::text(200, "hi").with_header("ETag", "\"abc\"");
-        let mut out = Vec::new();
-        resp.write_to(&mut out, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(resp.to_bytes(true)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("ETag: \"abc\"\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));

@@ -1,10 +1,13 @@
 //! # pg-serve
 //!
 //! A from-scratch HTTP/1.1 serving layer for PG-HIVE: named live
-//! discovery sessions over `std::net`, no async runtime. The server is
-//! a bounded worker pool draining a non-blocking accept loop; each
-//! connection gets keep-alive request handling with hard size limits
-//! and structured JSON errors.
+//! discovery sessions over `std::net`, no async runtime. One reactor
+//! thread multiplexes every connection over raw epoll (non-blocking
+//! state machines, resumable head parser, keep-alive, hard size limits,
+//! structured JSON errors); CPU-bound request work runs on a bounded
+//! worker pool that answers 503 + `Retry-After` when full. Serving is
+//! Linux-only: the crate compiles elsewhere, but [`Server::run`]
+//! returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## API
 //!
@@ -58,7 +61,7 @@ pub mod wal;
 pub use backoff::{Backoff, BreakerState, CircuitBreaker};
 pub use client::{Client, ClientResponse};
 pub use cluster::{ClusterConfig, Coordinator};
-pub use http::{HeadParser, Limits, Request, RequestHead, Response};
+pub use http::{HeadParser, Request, RequestHead, Response};
 pub use metrics::{Metrics, SessionStats};
 pub use registry::{LiveSession, Registry, RegistryConfig, SessionSpec};
 pub use router::Ctx;
@@ -66,94 +69,37 @@ pub use shard_client::{ShardClient, ShardClientConfig};
 pub use shutdown::{install_signal_handlers, shutdown_flag};
 pub use wal::Wal;
 
-use crate::http::HttpError;
-use crate::pool::{Busy, Pool};
-use std::io::{self, BufReader, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Which serving transport [`Server::run`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Readiness-based event loop on raw epoll: one reactor thread
-    /// multiplexes every connection, CPU work runs on the worker pool.
-    /// Linux only; elsewhere it falls back to [`Transport::Threaded`]
-    /// with a warning.
-    Epoll,
-    /// The classic blocking worker pool: one worker thread drives one
-    /// connection end-to-end.
-    Threaded,
-}
-
-impl Transport {
-    /// The build-target default: epoll on Linux, threaded elsewhere.
-    pub fn native() -> Transport {
-        if cfg!(target_os = "linux") {
-            Transport::Epoll
-        } else {
-            Transport::Threaded
-        }
-    }
-
-    /// Resolve from the `PG_SERVE_TRANSPORT` environment variable
-    /// (`"epoll"` / `"threaded"`), falling back to [`Transport::native`].
-    /// The env override is how CI runs the whole suite under both
-    /// transports without touching any test.
-    pub fn from_env() -> Transport {
-        match std::env::var("PG_SERVE_TRANSPORT").ok().as_deref() {
-            Some("epoll") => Transport::Epoll,
-            Some("threaded") => Transport::Threaded,
-            Some(other) => {
-                eprintln!("warning: unknown PG_SERVE_TRANSPORT {other:?}; using default");
-                Transport::native()
-            }
-            None => Transport::native(),
-        }
-    }
-
-    /// Downgrade an impossible selection (epoll off-Linux) to the one
-    /// that works.
-    fn resolve(self) -> Transport {
-        if self == Transport::Epoll && !cfg!(target_os = "linux") {
-            eprintln!("warning: epoll transport is Linux-only; using threaded");
-            return Transport::Threaded;
-        }
-        self
-    }
-}
+use std::time::Duration;
 
 /// Everything `Server::bind` needs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address; port 0 picks an ephemeral port.
     pub addr: SocketAddr,
-    /// Serving transport (see [`Transport`]).
-    pub transport: Transport,
-    /// Worker threads handling connections (threaded transport) or
-    /// CPU-bound request work (epoll transport).
+    /// Worker threads running CPU-bound request work (routing, JSONL
+    /// decode, incremental discovery); the reactor thread owns the
+    /// sockets.
     pub workers: usize,
-    /// Connections (threaded) or jobs (epoll) queued beyond the busy
-    /// workers before 503s start.
+    /// Jobs queued beyond the busy workers before 503s start.
     pub queue: usize,
-    /// Concurrent connections admitted before 503s start (epoll
-    /// transport; the threaded transport is bounded by workers+queue).
+    /// Concurrent connections admitted before 503s start.
     pub max_connections: usize,
     /// Largest accepted request body in bytes.
     pub max_body: usize,
     /// Per-connection read timeout (bounds slow-loris style stalls).
     pub read_timeout: Duration,
     /// How long an idle keep-alive connection may sit between requests
-    /// before the reactor closes it (epoll transport only — a blocking
-    /// worker applies `read_timeout` to idle gaps too).
+    /// before the reactor closes it.
     pub idle_timeout: Duration,
     /// In-flight ingests admitted per session before 503s start.
     pub session_queue: usize,
     /// Ingest bodies at least this large stream to the session in
-    /// slices instead of buffering whole (epoll transport, Skip-policy
-    /// sessions only).
+    /// slices instead of buffering whole (Skip-policy sessions only).
     pub stream_threshold: usize,
     /// Target size of one streamed ingest slice (cut at line
     /// boundaries).
@@ -175,7 +121,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".parse().expect("literal address parses"),
-            transport: Transport::from_env(),
             workers: 4,
             queue: 64,
             max_connections: 10_240,
@@ -319,162 +264,46 @@ impl Server {
 
     /// Accept and serve until the shutdown flag is set, then drain
     /// in-flight work, persist every durable session, and return.
-    /// The transport is [`ServerConfig::transport`]; both run the
-    /// identical router against the identical registry.
+    /// The connection loop is the epoll reactor, so serving is
+    /// Linux-only: elsewhere this returns [`io::ErrorKind::Unsupported`].
     pub fn run(self) -> io::Result<RunSummary> {
-        // In coordinator mode, the health monitor heartbeats every
-        // shard, reopens circuit breakers, and replays pending WAL
-        // records to recovered shards — transport-independent.
-        let monitor = self.ctx.cluster.as_ref().map(|coordinator| {
-            let coordinator = Arc::clone(coordinator);
-            let stop = Arc::clone(&self.shutdown);
-            let interval = coordinator.config().heartbeat;
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    coordinator.heartbeat_tick();
-                    std::thread::sleep(interval);
-                }
+        #[cfg(not(target_os = "linux"))]
+        {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "pg-serve's connection loop is an epoll reactor; serving requires Linux",
+            ))
+        }
+        #[cfg(target_os = "linux")]
+        {
+            // In coordinator mode, the health monitor heartbeats every
+            // shard, reopens circuit breakers, and replays pending WAL
+            // records to recovered shards.
+            let monitor = self.ctx.cluster.as_ref().map(|coordinator| {
+                let coordinator = Arc::clone(coordinator);
+                let stop = Arc::clone(&self.shutdown);
+                let interval = coordinator.config().heartbeat;
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::SeqCst) {
+                        coordinator.heartbeat_tick();
+                        std::thread::sleep(interval);
+                    }
+                })
+            });
+            let connections = reactor::serve(&self)?;
+            if let Some(handle) = monitor {
+                let _ = handle.join();
+            }
+            let persist_failures = self.ctx.registry.persist_all();
+            let sessions_persisted = self.ctx.registry.list().len() - persist_failures.len();
+            for (name, err) in &persist_failures {
+                eprintln!("warning: final checkpoint of session {name:?} failed: {err}");
+            }
+            Ok(RunSummary {
+                connections,
+                sessions_persisted,
+                persist_failures,
             })
-        });
-        let connections = match self.config.transport.resolve() {
-            Transport::Threaded => self.serve_threaded()?,
-            Transport::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    reactor::serve(&self)?
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    unreachable!("Transport::resolve downgrades epoll off-Linux")
-                }
-            }
-        };
-        if let Some(handle) = monitor {
-            let _ = handle.join();
-        }
-        let persist_failures = self.ctx.registry.persist_all();
-        let sessions_persisted = self.ctx.registry.list().len() - persist_failures.len();
-        for (name, err) in &persist_failures {
-            eprintln!("warning: final checkpoint of session {name:?} failed: {err}");
-        }
-        Ok(RunSummary {
-            connections,
-            sessions_persisted,
-            persist_failures,
-        })
-    }
-
-    /// The blocking transport: a bounded worker pool draining the
-    /// non-blocking accept loop, one worker per live connection.
-    fn serve_threaded(&self) -> io::Result<u64> {
-        let pool = Pool::new(self.config.workers, self.config.queue);
-        let limits = Limits {
-            max_body: self.config.max_body,
-        };
-        let mut connections = 0u64;
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    connections += 1;
-                    self.ctx.metrics.connection_opened();
-                    if let Err(e) = stream.set_nonblocking(false) {
-                        eprintln!("warning: configuring connection: {e}");
-                        self.ctx.metrics.connection_closed();
-                        continue;
-                    }
-                    let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-                    let _ = stream.set_write_timeout(Some(self.config.read_timeout));
-                    let _ = stream.set_nodelay(true);
-                    // This is the only thread that enqueues, so between
-                    // this check and try_execute the queue can only
-                    // shrink — the stream is never lost to a Busy race.
-                    if pool.queued() >= self.config.queue {
-                        self.ctx.metrics.busy_rejection();
-                        let resp = Response::error(
-                            503,
-                            "server_busy",
-                            "worker pool saturated; retry with backoff",
-                        )
-                        .with_header("Retry-After", "1");
-                        let _ = resp.write_to(&mut stream, false);
-                        self.ctx.metrics.connection_closed();
-                        continue;
-                    }
-                    let ctx = Arc::clone(&self.ctx);
-                    if let Err(Busy) = pool.try_execute(Box::new(move || {
-                        handle_connection(stream, &ctx, limits);
-                        ctx.metrics.connection_closed();
-                    })) {
-                        // Only reachable once shutdown flips mid-accept.
-                        self.ctx.metrics.busy_rejection();
-                        self.ctx.metrics.connection_closed();
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        pool.shutdown();
-        Ok(connections)
-    }
-}
-
-/// Serve one connection: a keep-alive loop of read → dispatch → write.
-/// Generic over the stream type so tests can drive it with in-memory
-/// duplexes and `pg_store::faults` wrappers.
-pub fn handle_connection<S: Read + Write>(stream: S, ctx: &Ctx, limits: Limits) {
-    let mut reader = BufReader::new(stream);
-    loop {
-        let req = match http::read_request(&mut reader, limits) {
-            Ok(req) => req,
-            Err(HttpError::Eof) => return,
-            Err(HttpError::Io(_)) => return, // drop/reset/timeout: nobody to answer
-            Err(e) => {
-                if let Some(resp) = e.to_response() {
-                    ctx.metrics
-                        .record("<parse-error>", resp.status, Duration::ZERO);
-                    // An oversized body with a modest declared length
-                    // can keep the connection: answer 413 first (the
-                    // client may never send the body at all), then
-                    // swallow the declared bytes so the next request
-                    // starts at a clean boundary. Anything bigger than
-                    // the drain cap closes instead of reading megabytes
-                    // of refused payload.
-                    if let HttpError::PayloadTooLarge { declared, .. } = e {
-                        if declared <= http::DRAIN_CAP {
-                            if resp.write_to(reader.get_mut(), true).is_ok()
-                                && http::drain_body(&mut reader, declared).is_ok()
-                            {
-                                continue;
-                            }
-                            return;
-                        }
-                        // Too big to drain: answer, then close.
-                    }
-                    let _ = resp.write_to(reader.get_mut(), false);
-                }
-                return;
-            }
-        };
-        let started = Instant::now();
-        let (route, resp) = router::dispatch(&req, ctx);
-        ctx.metrics.record(route, resp.status, started.elapsed());
-        // Once shutdown starts, answer the in-flight request but close
-        // the connection. Without this a keep-alive client issuing
-        // requests faster than the read timeout (a coordinator
-        // heartbeating a shard, say) would pin this worker forever and
-        // the drain in `Pool::shutdown` would never finish.
-        let keep_alive = req.keep_alive && !ctx.shutdown.load(Ordering::SeqCst);
-        // The handler has fully committed by now; a failed write tears
-        // this connection only, never session state.
-        if resp.write_to(reader.get_mut(), keep_alive).is_err() {
-            return;
-        }
-        if !keep_alive {
-            return;
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Fixed worker count, bounded job queue, explicit backpressure: when
 //! the queue is full, [`Pool::try_execute`] refuses the job so the
-//! accept loop can answer 503 instead of queueing unbounded work.
+//! reactor can answer 503 instead of queueing unbounded work.
 //! Shutdown drains — queued and in-flight jobs finish, then workers
 //! exit and are joined.
 
@@ -115,7 +115,7 @@ fn worker_loop(shared: &Shared) {
         };
         match job {
             // A panicking job must not take its worker down with it;
-            // connection handlers have their own panic boundary, this
+            // request handlers have their own panic boundary, this
             // is the backstop.
             Some(job) => {
                 let _ = catch_unwind(AssertUnwindSafe(job));

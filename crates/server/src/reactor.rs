@@ -1,4 +1,4 @@
-//! The event-driven transport: one reactor thread multiplexing every
+//! The connection loop: one reactor thread multiplexing every
 //! connection over raw epoll, with CPU-bound work (routing, parsing,
 //! incremental discovery) on the bounded worker pool.
 //!
@@ -32,12 +32,12 @@
 //! [`ServerConfig::idle_timeout`]: crate::ServerConfig::idle_timeout
 
 use crate::conn::{Conn, ConnState, IngestStream};
-use crate::http::{self, HeadParser, HttpError, Limits, RequestHead, Response};
+use crate::http::{self, HeadParser, HttpError, RequestHead, Response};
 use crate::pool::Pool;
 use crate::registry::{IngestFailure, IngestPermit, IngestReport, LiveSession};
 use crate::router::{self, Ctx};
 use crate::shutdown;
-use crate::Server;
+use crate::{Server, ServerConfig};
 use pg_store::ErrorPolicy;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -299,16 +299,6 @@ impl TimerWheel {
     }
 }
 
-/// Reactor knobs copied out of [`crate::ServerConfig`].
-struct Tunables {
-    max_connections: usize,
-    queue: usize,
-    read_timeout: Duration,
-    idle_timeout: Duration,
-    stream_threshold: usize,
-    slice_bytes: usize,
-}
-
 /// Everything the per-connection state transitions need besides the
 /// connection itself. Split from the slab/wheel so a borrowed `Conn`
 /// and the services can coexist.
@@ -316,14 +306,14 @@ struct Services {
     epoll: Epoll,
     ctx: Arc<Ctx>,
     shutdown: Arc<AtomicBool>,
-    limits: Limits,
-    cfg: Tunables,
+    /// The server's configuration, counts clamped to at least 1.
+    cfg: ServerConfig,
     pool: Pool,
     tx: Sender<Completion>,
     waker: Arc<Waker>,
 }
 
-/// Serve the bound listener with the epoll transport until shutdown;
+/// Serve the bound listener until shutdown;
 /// returns total connections accepted. Called from [`Server::run`].
 pub(crate) fn serve(server: &Server) -> io::Result<u64> {
     let epoll = Epoll::new()?;
@@ -334,23 +324,17 @@ pub(crate) fn serve(server: &Server) -> io::Result<u64> {
     epoll.add(wake_rx.as_raw_fd(), sys::EPOLLIN, DATA_WAKER)?;
     shutdown::register_signal_wake_fd(wake_tx.as_raw_fd());
     let (tx, rx) = std::sync::mpsc::channel();
+    let mut cfg = server.config.clone();
+    cfg.max_connections = cfg.max_connections.max(1);
+    cfg.queue = cfg.queue.max(1);
+    cfg.slice_bytes = cfg.slice_bytes.max(1);
     let mut reactor = Reactor {
         svc: Services {
             epoll,
             ctx: Arc::clone(&server.ctx),
             shutdown: Arc::clone(&server.shutdown),
-            limits: Limits {
-                max_body: server.config.max_body,
-            },
-            cfg: Tunables {
-                max_connections: server.config.max_connections.max(1),
-                queue: server.config.queue.max(1),
-                read_timeout: server.config.read_timeout,
-                idle_timeout: server.config.idle_timeout,
-                stream_threshold: server.config.stream_threshold,
-                slice_bytes: server.config.slice_bytes.max(1),
-            },
-            pool: Pool::new(server.config.workers, server.config.queue),
+            pool: Pool::new(cfg.workers, cfg.queue),
+            cfg,
             tx,
             waker: Arc::new(Waker(wake_tx)),
         },
@@ -831,10 +815,9 @@ fn process_once(conn: &mut Conn, svc: &Services, t: u64, now: Instant) -> Flow {
                 return Flow::Continue;
             }
             if conn.read_closed && stream.remaining > 0 {
-                // Mid-body disconnect: already-applied slices stand
-                // (same as a torn TCP stream against the threaded
-                // transport); the session stays healthy and the permit
-                // is released on drop.
+                // Mid-body disconnect: already-applied slices stand;
+                // the session stays healthy and the permit is released
+                // on drop.
                 return Flow::Close;
             }
             if !stream.inflight {
@@ -886,9 +869,9 @@ const INGEST_ROUTE: &str = "/sessions/{id}/ingest";
 /// A head is parsed: enforce the body limit, then choose buffered
 /// dispatch or streaming ingest.
 fn admit(conn: &mut Conn, svc: &Services, head: RequestHead, now: Instant) -> Flow {
-    if head.content_length > svc.limits.max_body {
+    if head.content_length > svc.cfg.max_body {
         let e = HttpError::PayloadTooLarge {
-            limit: svc.limits.max_body,
+            limit: svc.cfg.max_body,
             declared: head.content_length,
         };
         let resp = e.to_response().expect("413 always has a response");
@@ -1102,7 +1085,7 @@ fn stream_hungry(conn: &Conn, slice_bytes: usize) -> bool {
 /// Mid-request stalls answer to the short read timeout (slowloris
 /// cutoff); idle keep-alive connections and server-side work answer to
 /// the long idle timeout.
-fn deadline_of(conn: &Conn, cfg: &Tunables) -> Instant {
+fn deadline_of(conn: &Conn, cfg: &ServerConfig) -> Instant {
     let mid_request = match &conn.state {
         ConnState::Head(p) => p.started(),
         ConnState::BufferedBody { .. } | ConnState::Draining { .. } | ConnState::Closing => true,

@@ -246,7 +246,7 @@ pub enum IngestFailure {
 
 /// An RAII slot in a session's bounded ingest queue. Holding one means
 /// the session admitted this ingest; dropping it (success or failure)
-/// releases the slot. Transports acquire a permit *before* doing any
+/// releases the slot. The reactor acquires a permit *before* doing any
 /// expensive work on a request so an overloaded session can shed load
 /// with 503 + `Retry-After` instead of queueing unboundedly.
 pub struct IngestPermit {
@@ -270,7 +270,7 @@ pub struct LiveSession {
     inflight: Arc<AtomicUsize>,
     queue_limit: usize,
     /// Session-lifetime JSONL decoder: its symbol pool survives across
-    /// batches (and across the streaming transport's slices), so a label
+    /// batches (and across a streamed ingest's slices), so a label
     /// or property key allocates once per session, not once per line.
     decoder: Mutex<JsonlDecoder>,
 }
@@ -364,8 +364,8 @@ impl LiveSession {
     /// Parse one slice of a larger JSONL stream and apply it as one
     /// batch. `line_offset` is how many lines earlier slices already
     /// consumed, so quarantine reports carry stream-global line
-    /// numbers. Only meaningful under the `skip` policy — the streaming
-    /// transport's admission check enforces that, because strict/cap
+    /// numbers. Only meaningful under the `skip` policy — the reactor's
+    /// stream admission check enforces that, because strict/cap
     /// abort semantics promise "nothing was applied", which a
     /// partially-applied slice sequence cannot honor.
     pub fn ingest_slice(

@@ -480,7 +480,7 @@ fn ingest(req: &Request, ctx: &Ctx, live: &Arc<LiveSession>) -> Response {
 }
 
 /// The 200 body of an applied ingest. `slices` rides along when the
-/// streaming transport applied the body in more than one bounded slice
+/// reactor streamed the body in more than one bounded slice
 /// (the other fields then aggregate over all of them).
 pub(crate) fn ingest_success_response(
     session: &str,

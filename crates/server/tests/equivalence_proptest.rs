@@ -173,12 +173,7 @@ fn thousand_keepalive_connections_interleave_without_divergence() {
     let node_bodies = deal_into(&node_lines);
     let edge_bodies = deal_into(&edge_lines);
 
-    // The reactor transport, explicitly: a worker-pool transport would
-    // wedge with 1024 parked connections and 4 workers.
-    let server = TestServer::start(ServerConfig {
-        transport: pg_serve::Transport::Epoll,
-        ..ServerConfig::default()
-    });
+    let server = TestServer::start(ServerConfig::default());
     let mut admin = server.client();
     let resp = admin.post("/sessions", br#"{"name":"swarm"}"#).unwrap();
     assert_eq!(resp.status, 201, "{}", resp.text());

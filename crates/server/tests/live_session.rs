@@ -2,10 +2,9 @@
 //! version diffs, validation, durable restart, and response-path fault
 //! injection.
 
-use pg_serve::{handle_connection, Ctx, Limits, Metrics, Registry, RegistryConfig, ServerConfig};
-use pg_store::{FaultKind, FaultyWriter};
-use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
+use pg_serve::ServerConfig;
+use std::io::Write;
+use std::net::TcpStream;
 
 mod util;
 use util::{edge_line, node_line, scratch_dir, TestServer};
@@ -292,44 +291,6 @@ fn graceful_stop_persists_and_restart_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An in-memory connection: reads serve a canned request, writes land
-/// in a shared buffer the test can inspect after the server thread is
-/// done with the stream.
-struct Duplex {
-    input: io::Cursor<Vec<u8>>,
-    output: Arc<Mutex<Vec<u8>>>,
-}
-
-impl Duplex {
-    fn new(request: Vec<u8>) -> (Duplex, Arc<Mutex<Vec<u8>>>) {
-        let output = Arc::new(Mutex::new(Vec::new()));
-        (
-            Duplex {
-                input: io::Cursor::new(request),
-                output: Arc::clone(&output),
-            },
-            output,
-        )
-    }
-}
-
-impl Read for Duplex {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.input.read(buf)
-    }
-}
-
-impl Write for Duplex {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.output.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 fn raw_post(path: &str, body: &str) -> Vec<u8> {
     format!(
         "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
@@ -338,47 +299,39 @@ fn raw_post(path: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
+/// The ingest is applied and answered, then the client closes with the
+/// response still unread in its receive buffer — the kernel turns that
+/// close into an RST, so the reactor's connection is torn by a reset
+/// and the client never learns the outcome.
 #[test]
 fn response_write_fault_does_not_poison_the_session() {
-    let (registry, warnings) = Registry::open(RegistryConfig::default());
-    assert!(warnings.is_empty());
-    let ctx = Ctx {
-        registry: Arc::new(registry),
-        metrics: Arc::new(Metrics::new()),
-        cluster: None,
-        shutdown: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-    };
-    let limits = Limits {
-        max_body: 1024 * 1024,
-    };
-    ctx.registry
-        .create("frail", pg_serve::SessionSpec::default())
-        .expect("create session");
+    let server = TestServer::start(ServerConfig::default());
+    let resp = server
+        .client()
+        .post("/sessions", br#"{"name":"frail"}"#)
+        .unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let live = server.registry.get("frail").expect("session registered");
 
-    // The ingest is applied, then the connection dies 20 bytes into the
-    // response — the client never learns the outcome.
     let batch = node_line(1, "A", r#""k":{"Int":1}"#);
-    let (duplex, out) = Duplex::new(raw_post("/sessions/frail/ingest", &batch));
-    handle_connection(
-        FaultyWriter::new(duplex, 20, FaultKind::Error),
-        &ctx,
-        limits,
-    );
-    let partial = out.lock().unwrap().clone();
-    assert!(partial.len() <= 20, "fault did not clip the response");
+    let mut torn = TcpStream::connect(server.addr).unwrap();
+    torn.write_all(&raw_post("/sessions/frail/ingest", &batch))
+        .unwrap();
+    // `peek` returns once response bytes have arrived and leaves them
+    // unread.
+    assert!(torn.peek(&mut [0u8; 1]).unwrap() > 0);
+    drop(torn);
+    assert_eq!(live.handle().batches_processed(), 1);
 
     // The session itself is intact: the batch landed exactly once and
     // the next request on a healthy connection behaves normally.
-    let live = ctx.registry.get("frail").expect("session still registered");
-    assert_eq!(live.handle().batches_processed(), 1);
-    assert!(live.handle().broken().is_none());
-
-    let (duplex, out) = Duplex::new(raw_post("/sessions/frail/ingest", &node_line(2, "B", "")));
-    handle_connection(duplex, &ctx, limits);
-    let raw = out.lock().unwrap().clone();
-    let resp = pg_serve::client::read_response(&mut &raw[..]).expect("parse response");
-    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&raw));
+    let resp = server
+        .client()
+        .post("/sessions/frail/ingest", node_line(2, "B", "").as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
     assert_eq!(live.handle().batches_processed(), 2);
+    assert!(live.handle().broken().is_none());
 }
 
 /// A `"mode":"stream"` session runs the whole live-session surface on

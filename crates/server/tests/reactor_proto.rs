@@ -7,11 +7,10 @@
 //!    [`HeadParser`] fed any partition of a byte stream — down to one
 //!    byte at a time — produces exactly the head (or exactly the
 //!    error) that one-shot parsing produces. This is the property that
-//!    lets the epoll reactor suspend a parse across `EAGAIN` without a
-//!    dedicated "resumable" code path ever diverging from the blocking
-//!    one.
-//! 2. **Wire-level protocol conduct** against a live server on both
-//!    transports: requests split across many TCP writes, pipelined
+//!    lets the epoll reactor suspend a parse across `EAGAIN` at any
+//!    byte.
+//! 2. **Wire-level protocol conduct** against a live server:
+//!    requests split across many TCP writes, pipelined
 //!    requests answered in order, slowloris connections killed by the
 //!    timeout wheel, mid-body disconnects that must not poison the
 //!    session.
@@ -24,7 +23,7 @@ use pg_hive::serialize::content_hash_hex;
 use pg_hive::{HiveConfig, PgHive};
 use pg_serve::client::read_response;
 use pg_serve::http::HttpError;
-use pg_serve::{HeadParser, RequestHead, ServerConfig, Transport};
+use pg_serve::{HeadParser, RequestHead, ServerConfig};
 use pg_store::jsonl::Element;
 use pg_synth::{random_schema, synthesize, SchemaParams, SynthSpec};
 use proptest::prelude::*;
@@ -34,13 +33,6 @@ use std::time::{Duration, Instant};
 
 mod util;
 use util::TestServer;
-
-fn config(transport: Transport) -> ServerConfig {
-    ServerConfig {
-        transport,
-        ..ServerConfig::default()
-    }
-}
 
 /// Feed `bytes` to a fresh parser as one slice. Returns the head plus
 /// how many bytes the parser consumed, or the error.
@@ -205,10 +197,10 @@ fn one_response(reader: &mut BufReader<TcpStream>) -> pg_serve::ClientResponse {
 
 /// A request head is split across many small TCP writes with pauses:
 /// the server must reassemble and answer normally. Exercises the
-/// parser-resume path on the reactor and plain blocking reads on the
-/// threaded transport.
-fn split_writes_roundtrip(transport: Transport) {
-    let server = TestServer::start(config(transport));
+/// reactor's parser-resume path.
+#[test]
+fn split_writes_reassemble() {
+    let server = TestServer::start(ServerConfig::default());
     let stream = TcpStream::connect(server.addr).expect("connect");
     stream.set_nodelay(true).unwrap();
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -234,20 +226,11 @@ fn split_writes_roundtrip(transport: Transport) {
     assert_eq!(resp.status, 200, "{}", resp.text());
 }
 
-#[test]
-fn split_writes_reassemble_on_epoll() {
-    split_writes_roundtrip(Transport::Epoll);
-}
-
-#[test]
-fn split_writes_reassemble_on_threaded() {
-    split_writes_roundtrip(Transport::Threaded);
-}
-
 /// Several requests written back-to-back in one TCP segment must be
 /// answered in order on the same connection.
-fn pipelined_requests(transport: Transport) {
-    let server = TestServer::start(config(transport));
+#[test]
+fn pipelined_requests_answered_in_order() {
+    let server = TestServer::start(ServerConfig::default());
     let mut admin = server.client();
     let resp = admin.post("/sessions", br#"{"name":"pipe"}"#).unwrap();
     assert_eq!(resp.status, 201);
@@ -282,16 +265,6 @@ fn pipelined_requests(transport: Transport) {
     assert_eq!(metrics.status, 200);
 }
 
-#[test]
-fn pipelined_requests_answered_in_order_on_epoll() {
-    pipelined_requests(Transport::Epoll);
-}
-
-#[test]
-fn pipelined_requests_answered_in_order_on_threaded() {
-    pipelined_requests(Transport::Threaded);
-}
-
 /// A connection that trickles a partial request head and then stalls
 /// must be killed by the reactor's timer wheel, and counted.
 #[test]
@@ -299,7 +272,7 @@ fn slowloris_connections_are_killed_by_the_timeout() {
     let server = TestServer::start(ServerConfig {
         read_timeout: Duration::from_millis(200),
         idle_timeout: Duration::from_millis(400),
-        ..config(Transport::Epoll)
+        ..ServerConfig::default()
     });
     let stream = TcpStream::connect(server.addr).expect("connect");
     stream
@@ -334,7 +307,7 @@ fn idle_keepalive_connections_are_reaped() {
     let server = TestServer::start(ServerConfig {
         read_timeout: Duration::from_millis(400),
         idle_timeout: Duration::from_millis(200),
-        ..config(Transport::Epoll)
+        ..ServerConfig::default()
     });
     let stream = TcpStream::connect(server.addr).expect("connect");
     stream
@@ -361,7 +334,7 @@ fn mid_body_disconnect_leaves_the_session_unpoisoned() {
         stream_threshold: 1024,
         slice_bytes: 1024,
         read_timeout: Duration::from_millis(300),
-        ..config(Transport::Epoll)
+        ..ServerConfig::default()
     });
     let mut admin = server.client();
     let resp = admin.post("/sessions", br#"{"name":"cut"}"#).unwrap();
@@ -431,7 +404,7 @@ fn streamed_ingest_is_bit_identical_to_offline_discovery() {
     let server = TestServer::start(ServerConfig {
         stream_threshold: 4096,
         slice_bytes: 4096,
-        ..config(Transport::Epoll)
+        ..ServerConfig::default()
     });
     assert!(
         body.len() > 4 * 4096,
@@ -480,11 +453,12 @@ fn streamed_ingest_is_bit_identical_to_offline_discovery() {
 /// A full per-session ingest queue answers 503 with a parseable
 /// `Retry-After`, recovers once permits free up, and loses none of the
 /// batches it acknowledged.
-fn backpressure_roundtrip(transport: Transport) {
+#[test]
+fn backpressure_503_recovers_without_losing_batches() {
     let (body, expected) = graph_body_and_offline_hash(11, 240);
     let server = TestServer::start(ServerConfig {
         session_queue: 2,
-        ..config(transport)
+        ..ServerConfig::default()
     });
     let mut client = server.client();
     let resp = client.post("/sessions", br#"{"name":"bp"}"#).unwrap();
@@ -547,16 +521,6 @@ fn backpressure_roundtrip(transport: Transport) {
     assert!(rejections >= 1, "backpressure not counted:\n{rendered}");
 }
 
-#[test]
-fn backpressure_503_recovers_without_losing_batches_on_epoll() {
-    backpressure_roundtrip(Transport::Epoll);
-}
-
-#[test]
-fn backpressure_503_recovers_without_losing_batches_on_threaded() {
-    backpressure_roundtrip(Transport::Threaded);
-}
-
 /// Streaming admission takes a permit too: with the queue held, a
 /// would-stream body is refused up front with 503 and the connection
 /// closed (nothing was consumed, so the client can simply re-dial).
@@ -566,7 +530,7 @@ fn streaming_admission_respects_backpressure() {
         session_queue: 1,
         stream_threshold: 1024,
         slice_bytes: 1024,
-        ..config(Transport::Epoll)
+        ..ServerConfig::default()
     });
     let mut client = server.client();
     let resp = client.post("/sessions", br#"{"name":"sbp"}"#).unwrap();
@@ -596,7 +560,7 @@ fn streaming_admission_respects_backpressure() {
 fn connection_limit_rejects_excess_connections() {
     let server = TestServer::start(ServerConfig {
         max_connections: 4,
-        ..config(Transport::Epoll)
+        ..ServerConfig::default()
     });
     // Saturate the admission slots with idle keep-alive connections.
     let mut held = Vec::new();

@@ -158,42 +158,6 @@ pub fn from_jsonl_with_policy(
     Ok((graph, quarantine))
 }
 
-/// Reference-decoder counterpart of [`from_jsonl_with_policy`], kept on
-/// the old `serde_json::from_str` path. Differential tests and the CI
-/// perf-smoke self-check pin the zero-copy decoder against this.
-pub fn from_jsonl_with_policy_reference(
-    text: &str,
-    policy: ErrorPolicy,
-) -> Result<(PropertyGraph, Quarantine), ModelError> {
-    let mut graph = PropertyGraph::new();
-    let mut quarantine = Quarantine::new();
-    let mut pending_edges: Vec<(usize, String, Edge)> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<Element>(line) {
-            Ok(Element::Node(n)) => {
-                if let Err(e) = graph.add_node(n) {
-                    quarantine.divert(policy, "jsonl", lineno, e.to_string(), line)?;
-                }
-            }
-            Ok(Element::Edge(e)) => pending_edges.push((lineno, line.to_owned(), e)),
-            Ok(Element::ResolvedEdge(r)) => pending_edges.push((lineno, line.to_owned(), r.edge)),
-            Err(e) => {
-                quarantine.divert(policy, "jsonl", lineno, e.to_string(), line)?;
-            }
-        }
-    }
-    for (lineno, raw, e) in pending_edges {
-        if let Err(err) = graph.add_edge(e) {
-            quarantine.divert(policy, "jsonl", lineno, err.to_string(), &raw)?;
-        }
-    }
-    Ok((graph, quarantine))
-}
-
 /// Parse JSONL elements straight from a reader, line by line, under an
 /// [`ErrorPolicy`] — the streaming ingest path used by the server, where
 /// the "file" is a request body. Returns each well-formed element with
@@ -465,38 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_path_matches_reference_path() {
-        let mut g = PropertyGraph::new();
-        g.add_node(
-            Node::new(1, LabelSet::from_iter(["Person", "Student"]))
-                .with_prop("name", "Zoë \"q\" \\ tab\t")
-                .with_prop("score", -0.25f64)
-                .with_prop("n", i64::MIN),
-        )
-        .unwrap();
-        g.add_node(Node::new(2, LabelSet::empty())).unwrap();
-        g.add_edge(
-            Edge::new(7, NodeId(1), NodeId(2), LabelSet::single("KNOWS"))
-                .with_prop("since", 2015i64),
-        )
-        .unwrap();
-        let mut text = to_jsonl(&g);
-        text.push_str("not json\n");
-        text.push_str(
-            "{\"kind\":\"edge\",\"id\":9,\"src\":1,\"tgt\":404,\"labels\":[],\"props\":{}}\n",
-        );
-        text.push_str("   \n"); // blank line, skipped by both
-        let (gn, qn) = from_jsonl_with_policy(&text, ErrorPolicy::Skip).unwrap();
-        let (gr, qr) = from_jsonl_with_policy_reference(&text, ErrorPolicy::Skip).unwrap();
-        assert_eq!(to_jsonl(&gn), to_jsonl(&gr), "graphs must be identical");
-        assert_eq!(qn.len(), qr.len());
-        for (a, b) in qn.entries().iter().zip(qr.entries()) {
-            assert_eq!(a.line, b.line);
-            assert_eq!(a.raw, b.raw);
-        }
-    }
-
-    #[test]
     fn crlf_lines_and_missing_trailing_newline_split_like_str_lines() {
         let node = |id: u64| {
             serde_json::to_string(&Element::Node(Node::new(id, LabelSet::single("P")))).unwrap()
@@ -506,8 +438,6 @@ mod tests {
         let (g, q) = from_jsonl_with_policy(&text, ErrorPolicy::Skip).unwrap();
         assert_eq!(g.node_count(), 3);
         assert!(q.is_empty(), "{q:?}");
-        let (gr, _) = from_jsonl_with_policy_reference(&text, ErrorPolicy::Skip).unwrap();
-        assert_eq!(to_jsonl(&g), to_jsonl(&gr));
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! `RAYON_NUM_THREADS` 1 and 4 in CI, so everything here is exercised at
 //! both thread counts.
 
-use pg_model::{Date, DateTime, Edge, LabelSet, Node, NodeId, PropertyValue};
-use pg_store::jsonl::{
-    from_jsonl_with_policy, from_jsonl_with_policy_reference, to_jsonl, Element,
-};
+use pg_model::{Date, DateTime, Edge, LabelSet, Node, NodeId, PropertyGraph, PropertyValue};
+use pg_store::jsonl::{from_jsonl_with_policy, to_jsonl, Element};
 use pg_store::load::EdgeRecord;
 use pg_store::{ErrorPolicy, JsonlDecoder};
 use proptest::prelude::*;
+
+mod reference;
+use reference::from_jsonl_with_policy_reference;
 
 /// Both decoders must agree on `line`: both reject, or both accept with
 /// the same value (`Debug` equality — `Element` has no `PartialEq`, and
@@ -303,4 +304,52 @@ proptest! {
             ))),
         }
     }
+}
+
+/// Hand-written document with escapes, extreme numbers, a dirt line, a
+/// dangling edge and a blank line: same graph, same quarantine lines
+/// and excerpts through both paths.
+#[test]
+fn zero_copy_path_matches_reference_path() {
+    let mut g = PropertyGraph::new();
+    g.add_node(
+        Node::new(1, LabelSet::from_iter(["Person", "Student"]))
+            .with_prop("name", "Zoë \"q\" \\ tab\t")
+            .with_prop("score", -0.25f64)
+            .with_prop("n", i64::MIN),
+    )
+    .unwrap();
+    g.add_node(Node::new(2, LabelSet::empty())).unwrap();
+    g.add_edge(
+        Edge::new(7, NodeId(1), NodeId(2), LabelSet::single("KNOWS")).with_prop("since", 2015i64),
+    )
+    .unwrap();
+    let mut text = to_jsonl(&g);
+    text.push_str("not json\n");
+    text.push_str(
+        "{\"kind\":\"edge\",\"id\":9,\"src\":1,\"tgt\":404,\"labels\":[],\"props\":{}}\n",
+    );
+    text.push_str("   \n"); // blank line, skipped by both
+    let (gn, qn) = from_jsonl_with_policy(&text, ErrorPolicy::Skip).unwrap();
+    let (gr, qr) = from_jsonl_with_policy_reference(&text, ErrorPolicy::Skip).unwrap();
+    assert_eq!(to_jsonl(&gn), to_jsonl(&gr), "graphs must be identical");
+    assert_eq!(qn.len(), qr.len());
+    for (a, b) in qn.entries().iter().zip(qr.entries()) {
+        assert_eq!(a.line, b.line);
+        assert_eq!(a.raw, b.raw);
+    }
+}
+
+/// CRLF separators plus a final line with no newline at all split the
+/// same way through both paths (`str::lines()` semantics).
+#[test]
+fn crlf_lines_split_like_the_reference() {
+    let node = |id: u64| {
+        serde_json::to_string(&Element::Node(Node::new(id, LabelSet::single("P")))).unwrap()
+    };
+    let text = format!("{}\r\n{}\r\n{}", node(1), node(2), node(3));
+    let (g, _) = from_jsonl_with_policy(&text, ErrorPolicy::Skip).unwrap();
+    let (gr, _) = from_jsonl_with_policy_reference(&text, ErrorPolicy::Skip).unwrap();
+    assert_eq!(g.node_count(), 3);
+    assert_eq!(to_jsonl(&g), to_jsonl(&gr));
 }

@@ -5,8 +5,8 @@ use crate::opts::{CliError, Command, GraphInput, OutputFormat};
 use pg_datasets::{generate, inject_noise, spec_by_name, NoiseConfig};
 use pg_hive::{
     diff, merge_states, schema_to_state, serialize, validate, CheckpointStore, DatatypeSampling,
-    DiscoveryResult, HiveConfig, HiveSession, LshMethod, PgHive, SchemaMode, SessionCheckpoint,
-    ShardState, SHARD_SPLIT_SALT,
+    DiscoveryResult, HiveConfig, HiveSession, PgHive, SchemaMode, SessionCheckpoint, ShardState,
+    SHARD_SPLIT_SALT,
 };
 use pg_model::{GraphStats, PropertyGraph, SchemaGraph};
 use pg_store::{split_batches, ErrorPolicy, Quarantine};
@@ -50,18 +50,10 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             let config = HiveConfig {
                 stream: stream.then(pg_hive::StreamConfig::default),
                 threads: *threads,
-                method: if method == "minhash" {
-                    LshMethod::MinHash
-                } else {
-                    LshMethod::Elsh
-                },
+                method: *method,
                 post_processing: !no_post,
                 datatype_sampling: sample_datatypes.then(DatatypeSampling::default),
-                merge_similarity: if merge_similarity == "weighted" {
-                    pg_hive::MergeSimilarity::WeightedJaccard
-                } else {
-                    pg_hive::MergeSimilarity::BinaryJaccard
-                },
+                merge_similarity: *merge_similarity,
                 ..HiveConfig::default()
             }
             .with_theta(*theta)
@@ -159,12 +151,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         } => {
             let graph = read_graph(input)?;
             let schema = read_schema(schema)?;
-            let mode = match mode.as_str() {
-                "strict" => SchemaMode::Strict,
-                "loose" => SchemaMode::Loose,
-                other => return Err(CliError::Usage(format!("unknown mode {other:?}"))),
-            };
-            let report = validate(&graph, &schema, mode);
+            let report = validate(&graph, &schema, *mode);
             let mut text = String::new();
             let _ = writeln!(
                 text,

@@ -1,6 +1,7 @@
 //! Argument parsing for the CLI (hand-rolled: the workspace avoids
 //! heavyweight dependencies; see DESIGN.md).
 
+use pg_hive::{LshMethod, MergeSimilarity, SchemaMode};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -176,9 +177,9 @@ pub enum Command {
         input: GraphInput,
         /// Output format.
         format: OutputFormat,
-        /// LSH family name ("elsh"/"minhash").
-        method: String,
-        /// Jaccard threshold θ.
+        /// LSH family.
+        method: LshMethod,
+        /// Jaccard threshold θ, in `[0, 1]`.
         theta: f64,
         /// Seed.
         seed: u64,
@@ -187,8 +188,8 @@ pub enum Command {
         threads: usize,
         /// Skip post-processing.
         no_post: bool,
-        /// "binary" or "weighted" unlabeled-cluster merging.
-        merge_similarity: String,
+        /// Binary or frequency-weighted unlabeled-cluster merging.
+        merge_similarity: MergeSimilarity,
         /// Run the context-refinement pass on ABSTRACT types.
         refine: bool,
         /// Use sampled data-type inference.
@@ -228,8 +229,8 @@ pub enum Command {
         schema: PathBuf,
         /// Graph source.
         input: GraphInput,
-        /// "strict" or "loose".
-        mode: String,
+        /// STRICT or LOOSE conformance.
+        mode: SchemaMode,
     },
     /// Diff two schemas.
     Diff {
@@ -499,20 +500,24 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 Some("json") => OutputFormat::Json,
                 Some(other) => return Err(CliError::Usage(format!("unknown format {other:?}"))),
             };
-            let method = flags
-                .get("--method")
-                .cloned()
-                .unwrap_or_else(|| "elsh".into());
-            if method != "elsh" && method != "minhash" {
-                return Err(CliError::Usage(format!("unknown method {method:?}")));
-            }
-            let merge_similarity = flags
-                .get("--merge-similarity")
-                .cloned()
-                .unwrap_or_else(|| "binary".into());
-            if merge_similarity != "binary" && merge_similarity != "weighted" {
+            let method = match flags.get("--method").map(String::as_str) {
+                None | Some("elsh") => LshMethod::Elsh,
+                Some("minhash") => LshMethod::MinHash,
+                Some(other) => return Err(CliError::Usage(format!("unknown method {other:?}"))),
+            };
+            let merge_similarity = match flags.get("--merge-similarity").map(String::as_str) {
+                None | Some("binary") => MergeSimilarity::BinaryJaccard,
+                Some("weighted") => MergeSimilarity::WeightedJaccard,
+                Some(other) => {
+                    return Err(CliError::Usage(format!(
+                        "unknown merge similarity {other:?}"
+                    )))
+                }
+            };
+            let theta = f64_flag("--theta", 0.9)?;
+            if !(0.0..=1.0).contains(&theta) {
                 return Err(CliError::Usage(format!(
-                    "unknown merge similarity {merge_similarity:?}"
+                    "--theta must be in [0, 1], got {theta}"
                 )));
             }
             let on_error = match flags.get("--on-error").map(String::as_str) {
@@ -568,7 +573,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 input: input()?,
                 format,
                 method,
-                theta: f64_flag("--theta", 0.9)?,
+                theta,
                 seed: u64_flag("--seed", 42)?,
                 threads: u64_flag("--threads", 0)? as usize,
                 no_post: switches.contains("--no-post"),
@@ -599,10 +604,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             schema: path("--schema")
                 .ok_or_else(|| CliError::Usage("--schema is required".into()))?,
             input: input()?,
-            mode: flags
-                .get("--mode")
-                .cloned()
-                .unwrap_or_else(|| "strict".into()),
+            mode: match flags.get("--mode").map(String::as_str) {
+                None | Some("strict") => SchemaMode::Strict,
+                Some("loose") => SchemaMode::Loose,
+                Some(other) => return Err(CliError::Usage(format!("unknown mode {other:?}"))),
+            },
         }),
         "diff" => Ok(Command::Diff {
             old: path("--old").ok_or_else(|| CliError::Usage("--old is required".into()))?,
@@ -785,7 +791,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(format, OutputFormat::PgSchemaStrict);
-                assert_eq!(method, "elsh");
+                assert_eq!(method, LshMethod::Elsh);
                 assert_eq!(theta, 0.9);
                 assert!(!no_post);
             }
@@ -869,7 +875,7 @@ mod tests {
             } => {
                 assert_eq!(input.nodes, Some(PathBuf::from("n.csv")));
                 assert_eq!(format, OutputFormat::Xsd);
-                assert_eq!(method, "minhash");
+                assert_eq!(method, LshMethod::MinHash);
                 assert_eq!(theta, 0.8);
                 assert_eq!(seed, 7);
                 assert_eq!(threads, 4);
@@ -910,7 +916,7 @@ mod tests {
                 refine,
                 ..
             } => {
-                assert_eq!(merge_similarity, "weighted");
+                assert_eq!(merge_similarity, MergeSimilarity::WeightedJaccard);
                 assert!(refine);
             }
             other => panic!("wrong command {other:?}"),

@@ -46,6 +46,36 @@ fn unknown_flag_is_a_usage_error_with_exit_code_2() {
     assert!(err.to_string().contains("--thraeds"), "{err}");
 }
 
+/// An out-of-range θ is refused at parse time; it used to reach the
+/// library's `assert!` and die with a panic (exit 101).
+#[test]
+fn out_of_range_theta_is_a_usage_error() {
+    for theta in ["1.5", "-1", "nan"] {
+        let err = parse(&argv(&["discover", "--jsonl", "g.jsonl", "--theta", theta])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{theta}: {err:?}");
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("--theta"), "{err}");
+    }
+}
+
+/// A bad `--mode` is a usage error (exit 2) before any file is opened,
+/// not an input error (exit 3) about the files that were never read.
+#[test]
+fn unknown_validate_mode_is_a_usage_error_before_any_io() {
+    let err = parse(&argv(&[
+        "validate",
+        "--mode",
+        "bogus",
+        "--schema",
+        "/nonexistent",
+        "--jsonl",
+        "/nonexistent",
+    ]))
+    .unwrap_err();
+    assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+    assert_eq!(err.exit_code(), 2);
+}
+
 #[test]
 fn strict_mode_fails_fast_on_dirty_input() {
     let dir = tmpdir("strict");

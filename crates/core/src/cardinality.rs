@@ -7,7 +7,7 @@
 //! bounds (§4.7); the exact lower bound would require scanning nodes
 //! without edges, which the paper defers.
 
-use crate::state::DiscoveryState;
+use crate::state::{DiscoveryState, Membership};
 use pg_model::{Cardinality, NodeId, TypeId};
 use std::collections::{HashMap, HashSet};
 
@@ -15,7 +15,7 @@ use std::collections::{HashMap, HashSet};
 /// observed from the accumulated endpoint pairs, max-merged with the
 /// accumulator's folded floor (a foreign schema's declared cardinality
 /// whose endpoints are not available locally — see
-/// `EdgeTypeAccum::card_floor`). Types with neither endpoints nor a
+/// `TypeAccum::card_floor`). Types with neither endpoints nor a
 /// floor are left untouched.
 pub fn compute_cardinalities(state: &mut DiscoveryState) {
     compute_cardinalities_cached(state, &mut CardCache::default());
@@ -32,7 +32,7 @@ pub fn compute_cardinalities(state: &mut DiscoveryState) {
 /// monotonically growing counters is the final maximum.
 #[derive(Debug, Default, Clone)]
 struct TypeDegrees {
-    /// How many of the accumulator's `endpoints` entries are folded in.
+    /// How many of the accumulator's endpoint pairs are folded in.
     watermark: usize,
     seen: HashSet<(NodeId, NodeId)>,
     out_count: HashMap<NodeId, u64>,
@@ -97,23 +97,23 @@ pub fn compute_cardinalities_cached(state: &mut DiscoveryState, cache: &mut Card
         let Some(acc) = state.edge_accums.get(&t.id) else {
             continue;
         };
-        let observed = if let Some(sk) = &acc.sketch {
-            sk.cardinality_estimate()
-        } else if acc.endpoints.is_empty() {
-            None
-        } else {
-            let deg = cache.per_type.entry(t.id).or_default();
-            if deg.watermark > acc.endpoints.len() {
-                // The endpoint list shrank: the accumulator was rebuilt
-                // behind our back. Resync defensively with a full scan.
-                *deg = TypeDegrees::default();
+        let observed = match &acc.membership {
+            Membership::Sketched(sk) => sk.ends.cardinality_estimate(),
+            Membership::Exact { endpoints, .. } if endpoints.is_empty() => None,
+            Membership::Exact { endpoints, .. } => {
+                let deg = cache.per_type.entry(t.id).or_default();
+                if deg.watermark > endpoints.len() {
+                    // The endpoint list shrank: the accumulator was rebuilt
+                    // behind our back. Resync defensively with a full scan.
+                    *deg = TypeDegrees::default();
+                }
+                deg.fold(&endpoints[deg.watermark..]);
+                deg.watermark = endpoints.len();
+                Some(Cardinality {
+                    max_out: deg.max_out,
+                    max_in: deg.max_in,
+                })
             }
-            deg.fold(&acc.endpoints[deg.watermark..]);
-            deg.watermark = acc.endpoints.len();
-            Some(Cardinality {
-                max_out: deg.max_out,
-                max_in: deg.max_in,
-            })
         };
         match (observed, acc.card_floor) {
             (Some(o), Some(f)) => t.cardinality = Some(o.merge(&f)),
@@ -128,7 +128,7 @@ pub fn compute_cardinalities_cached(state: &mut DiscoveryState, cache: &mut Card
 mod tests {
     use super::*;
     use crate::cluster::EdgeCluster;
-    use crate::extract::integrate_edge_clusters;
+    use crate::extract::integrate;
     use crate::state::EdgeTypeAccum;
     use pg_model::{CardinalityClass, Edge, LabelSet, NodeId};
 
@@ -151,15 +151,21 @@ mod tests {
         }
     }
 
+    fn endpoints_mut(state: &mut DiscoveryState, id: TypeId) -> &mut Vec<(NodeId, NodeId)> {
+        match &mut state.edge_accums.get_mut(&id).unwrap().membership {
+            Membership::Exact { endpoints, .. } => endpoints,
+            Membership::Sketched(_) => panic!("test accumulators are exact"),
+        }
+    }
+
     #[test]
     fn works_at_example_is_n_to_1() {
         // Example 8: many people → one org each; orgs have many employees.
         let mut state = DiscoveryState::new();
-        integrate_edge_clusters(
+        integrate(
             &mut state,
             vec![edge_cluster("WORKS_AT", &[(1, 100), (2, 100), (3, 100)])],
-            0.9,
-            true,
+            Default::default(),
         );
         compute_cardinalities(&mut state);
         let t = &state.schema.edge_types[0];
@@ -172,11 +178,10 @@ mod tests {
     #[test]
     fn knows_example_is_m_to_n() {
         let mut state = DiscoveryState::new();
-        integrate_edge_clusters(
+        integrate(
             &mut state,
             vec![edge_cluster("KNOWS", &[(1, 2), (1, 3), (2, 1), (3, 1)])],
-            0.9,
-            true,
+            Default::default(),
         );
         compute_cardinalities(&mut state);
         let c = state.schema.edge_types[0].cardinality.unwrap();
@@ -188,7 +193,11 @@ mod tests {
         // §4.7: the recorded maxima are achieved by some instance.
         let pairs = [(1, 2), (1, 3), (1, 4), (5, 2)];
         let mut state = DiscoveryState::new();
-        integrate_edge_clusters(&mut state, vec![edge_cluster("E", &pairs)], 0.9, true);
+        integrate(
+            &mut state,
+            vec![edge_cluster("E", &pairs)],
+            Default::default(),
+        );
         compute_cardinalities(&mut state);
         let c = state.schema.edge_types[0].cardinality.unwrap();
         assert_eq!(c.max_out, 3, "node 1 has 3 distinct targets");
@@ -199,7 +208,11 @@ mod tests {
     fn folded_floor_survives_and_max_merges_with_observations() {
         use pg_model::Cardinality;
         let mut state = DiscoveryState::new();
-        integrate_edge_clusters(&mut state, vec![edge_cluster("E", &[(1, 2)])], 0.9, true);
+        integrate(
+            &mut state,
+            vec![edge_cluster("E", &[(1, 2)])],
+            Default::default(),
+        );
         let id = state.schema.edge_types[0].id;
         // A foreign shard claimed (3, 1) without shipping endpoints.
         state.edge_accums.get_mut(&id).unwrap().card_floor = Some(Cardinality {
@@ -212,7 +225,11 @@ mod tests {
 
         // Only a floor, no endpoints at all.
         let mut floor_only = DiscoveryState::new();
-        integrate_edge_clusters(&mut floor_only, vec![edge_cluster("F", &[])], 0.9, true);
+        integrate(
+            &mut floor_only,
+            vec![edge_cluster("F", &[])],
+            Default::default(),
+        );
         let fid = floor_only.schema.edge_types[0].id;
         floor_only.edge_accums.get_mut(&fid).unwrap().card_floor = Some(Cardinality {
             max_out: 2,
@@ -245,21 +262,16 @@ mod tests {
             pairs.push((NodeId(x % 23), NodeId((x >> 32) % 17)));
         }
         let mut state = DiscoveryState::new();
-        integrate_edge_clusters(&mut state, vec![edge_cluster("E", &[])], 0.9, true);
+        integrate(&mut state, vec![edge_cluster("E", &[])], Default::default());
         let id = state.schema.edge_types[0].id;
         let mut cache = CardCache::default();
         // Feed the stream in uneven increments; after every batch the
         // cached bounds must equal a from-scratch full scan.
         for (i, chunk) in pairs.chunks(37).enumerate() {
-            state
-                .edge_accums
-                .get_mut(&id)
-                .unwrap()
-                .endpoints
-                .extend(chunk.iter().copied());
+            endpoints_mut(&mut state, id).extend(chunk.iter().copied());
             compute_cardinalities_cached(&mut state, &mut cache);
             let cached = state.schema.edge_types[0].cardinality.unwrap();
-            let full = max_degrees(state.edge_accums[&id].endpoints.iter().copied());
+            let full = max_degrees(state.edge_accums[&id].endpoints().iter().copied());
             assert_eq!(cached, full, "divergence after chunk {i}");
         }
         // Invalidation rebuilds to the same answer.
@@ -267,7 +279,7 @@ mod tests {
         compute_cardinalities_cached(&mut state, &mut cache);
         assert_eq!(
             state.schema.edge_types[0].cardinality.unwrap(),
-            max_degrees(state.edge_accums[&id].endpoints.iter().copied()),
+            max_degrees(state.edge_accums[&id].endpoints().iter().copied()),
         );
     }
 
@@ -276,11 +288,10 @@ mod tests {
     #[test]
     fn shrunken_endpoint_list_resyncs_the_cache() {
         let mut state = DiscoveryState::new();
-        integrate_edge_clusters(
+        integrate(
             &mut state,
             vec![edge_cluster("E", &[(1, 2), (1, 3), (1, 4)])],
-            0.9,
-            true,
+            Default::default(),
         );
         let id = state.schema.edge_types[0].id;
         let mut cache = CardCache::default();
@@ -288,7 +299,7 @@ mod tests {
         assert_eq!(state.schema.edge_types[0].cardinality.unwrap().max_out, 3);
         // Simulate an accumulator rebuilt by a merge the cache never
         // heard about.
-        state.edge_accums.get_mut(&id).unwrap().endpoints = vec![(NodeId(9), NodeId(8))];
+        *endpoints_mut(&mut state, id) = vec![(NodeId(9), NodeId(8))];
         compute_cardinalities_cached(&mut state, &mut cache);
         let c = state.schema.edge_types[0].cardinality.unwrap();
         assert_eq!((c.max_out, c.max_in), (1, 1));
@@ -297,18 +308,21 @@ mod tests {
     #[test]
     fn incremental_merge_grows_bounds() {
         let mut state = DiscoveryState::new();
-        integrate_edge_clusters(&mut state, vec![edge_cluster("E", &[(1, 2)])], 0.9, true);
+        integrate(
+            &mut state,
+            vec![edge_cluster("E", &[(1, 2)])],
+            Default::default(),
+        );
         compute_cardinalities(&mut state);
         assert_eq!(
             state.schema.edge_types[0].cardinality.unwrap().class(),
             CardinalityClass::OneToOne
         );
         // Second batch adds fan-out for the same type.
-        integrate_edge_clusters(
+        integrate(
             &mut state,
             vec![edge_cluster("E", &[(1, 3), (1, 4)])],
-            0.9,
-            true,
+            Default::default(),
         );
         compute_cardinalities(&mut state);
         let c = state.schema.edge_types[0].cardinality.unwrap();

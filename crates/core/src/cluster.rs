@@ -9,7 +9,7 @@
 
 use crate::config::{HiveConfig, LshMethod, LshParams};
 use crate::features::{EdgeFingerprint, FeatureSpace, NodeFingerprint};
-use crate::state::{DtypeHist, EdgeTypeAccum, NodeTypeAccum};
+use crate::state::{DtypeHist, EdgeTypeAccum, Membership, NodeTypeAccum};
 use pg_lsh::adaptive::{self, AdaptiveParams, ElementKind};
 use pg_lsh::{group_by_key, Clustering, EuclideanLsh, Grouping, MinHashLsh, SparseVec};
 use pg_model::{DataType, FnvBuildHasher, LabelSet, Symbol};
@@ -290,7 +290,7 @@ impl EdgeCluster {
 /// records of cluster `c` end up at `order[starts[c]..starts[c]+counts[c]]`,
 /// in chunk order. The flat kernels below therefore visit each cluster's
 /// members in exactly the order the old per-record fold did, which is
-/// what keeps `accum.members` / `accum.endpoints` bit-identical.
+/// what keeps the accumulators' member and endpoint lists bit-identical.
 fn group_by_cluster(
     assignment: &[usize],
     num_clusters: usize,
@@ -416,16 +416,20 @@ fn node_chunk_kernel(
             continue;
         }
         ks.clear();
-        c.accum.members.reserve(n);
+        let mut members = Vec::with_capacity(n);
         for &i in &order[starts[cid]..starts[cid] + n] {
             let node = &chunk[i];
             union_into(&mut c.labels, &node.labels);
-            c.accum.members.push(node.id);
+            members.push(node.id);
             for (k, v) in &node.props {
                 ks.observe(k, v);
             }
         }
         c.accum.count = n as u64;
+        c.accum.membership = Membership::Exact {
+            members,
+            endpoints: Vec::new(),
+        };
         ks.drain_into(
             &mut c.keys,
             &mut c.accum.key_present,
@@ -470,20 +474,21 @@ fn edge_chunk_kernel(
             continue;
         }
         ks.clear();
-        c.accum.members.reserve(n);
-        c.accum.endpoints.reserve(n);
+        let mut members = Vec::with_capacity(n);
+        let mut endpoints = Vec::with_capacity(n);
         for &i in &order[starts[cid]..starts[cid] + n] {
             let rec = &chunk[i];
             union_into(&mut c.labels, &rec.edge.labels);
             union_into(&mut c.src_labels, &rec.src_labels);
             union_into(&mut c.tgt_labels, &rec.tgt_labels);
-            c.accum.members.push(rec.edge.id);
-            c.accum.endpoints.push((rec.edge.src, rec.edge.tgt));
+            members.push(rec.edge.id);
+            endpoints.push((rec.edge.src, rec.edge.tgt));
             for (k, v) in &rec.edge.props {
                 ks.observe(k, v);
             }
         }
         c.accum.count = n as u64;
+        c.accum.membership = Membership::Exact { members, endpoints };
         ks.drain_into(
             &mut c.keys,
             &mut c.accum.key_present,
@@ -712,7 +717,7 @@ mod tests {
             .unwrap();
         assert_eq!(works.src_labels, LabelSet::single("Person"));
         assert_eq!(works.tgt_labels, LabelSet::single("Org"));
-        assert_eq!(works.accum.endpoints.len(), 19);
+        assert_eq!(works.accum.endpoints().len(), 19);
     }
 
     #[test]
@@ -737,7 +742,7 @@ mod tests {
                 assert_eq!(a.accum.count, b.accum.count, "threads = {t}");
                 // Member order is part of the contract: chunk-ordered
                 // merge must reproduce the sequential visit order.
-                assert_eq!(a.accum.members, b.accum.members, "threads = {t}");
+                assert_eq!(a.accum.members(), b.accum.members(), "threads = {t}");
             }
         }
     }
@@ -782,7 +787,7 @@ mod tests {
             assert_eq!(a.accum.count, b.accum.count);
             assert_eq!(a.accum.key_present, b.accum.key_present);
             assert_eq!(a.accum.dtype_hist, b.accum.dtype_hist);
-            assert_eq!(a.accum.members, b.accum.members);
+            assert_eq!(a.accum.members(), b.accum.members());
         }
 
         let edges: Vec<EdgeRecord> = (0..40u64)
@@ -828,8 +833,8 @@ mod tests {
             assert_eq!(a.accum.count, b.accum.count);
             assert_eq!(a.accum.key_present, b.accum.key_present);
             assert_eq!(a.accum.dtype_hist, b.accum.dtype_hist);
-            assert_eq!(a.accum.members, b.accum.members);
-            assert_eq!(a.accum.endpoints, b.accum.endpoints);
+            assert_eq!(a.accum.members(), b.accum.members());
+            assert_eq!(a.accum.endpoints(), b.accum.endpoints());
         }
     }
 
@@ -882,7 +887,7 @@ mod tests {
                 assert_eq!(a.labels, b.labels, "({method:?})");
                 assert_eq!(a.keys, b.keys, "({method:?})");
                 assert_eq!(a.accum.count, b.accum.count, "({method:?})");
-                assert_eq!(a.accum.members, b.accum.members, "({method:?})");
+                assert_eq!(a.accum.members(), b.accum.members(), "({method:?})");
             }
             assert_eq!(s_on.records, 120);
             assert_eq!(s_on.distinct, 4, "four structural fingerprints");
@@ -929,7 +934,7 @@ mod tests {
             assert_eq!(a.labels, b.labels);
             assert_eq!(a.src_labels, b.src_labels);
             assert_eq!(a.tgt_labels, b.tgt_labels);
-            assert_eq!(a.accum.members, b.accum.members);
+            assert_eq!(a.accum.members(), b.accum.members());
         }
         assert_eq!(s_on.distinct, 2);
     }

@@ -6,30 +6,23 @@
 //! (§4.7): every property marked mandatory is indeed present in every
 //! observed instance, by construction of the presence counts.
 
-use crate::state::DiscoveryState;
-use pg_model::Presence;
+use crate::state::{DiscoveryState, Kind};
+use pg_model::{Edge, Node, Presence, SchemaType};
 
 /// Infer presence constraints for every type in the state and write them
 /// into the schema's property specs.
 pub fn infer_property_constraints(state: &mut DiscoveryState) {
-    for t in &mut state.schema.node_types {
-        let Some(acc) = state.node_accums.get(&t.id) else {
+    constrain::<Node>(state);
+    constrain::<Edge>(state);
+}
+
+fn constrain<K: Kind>(state: &mut DiscoveryState) {
+    let (types, accums) = K::split(state);
+    for t in types {
+        let Some(acc) = accums.get(&t.id()) else {
             continue;
         };
-        for (key, spec) in t.properties.iter_mut() {
-            let present = acc.key_present.get(key).copied().unwrap_or(0);
-            spec.presence = Some(if present == acc.count && acc.count > 0 {
-                Presence::Mandatory
-            } else {
-                Presence::Optional
-            });
-        }
-    }
-    for t in &mut state.schema.edge_types {
-        let Some(acc) = state.edge_accums.get(&t.id) else {
-            continue;
-        };
-        for (key, spec) in t.properties.iter_mut() {
+        for (key, spec) in t.properties_mut() {
             let present = acc.key_present.get(key).copied().unwrap_or(0);
             spec.presence = Some(if present == acc.count && acc.count > 0 {
                 Presence::Mandatory
@@ -44,7 +37,7 @@ pub fn infer_property_constraints(state: &mut DiscoveryState) {
 mod tests {
     use super::*;
     use crate::cluster::NodeCluster;
-    use crate::extract::integrate_node_clusters;
+    use crate::extract::integrate;
     use crate::state::NodeTypeAccum;
     use pg_model::{LabelSet, Node};
     use std::collections::BTreeSet;
@@ -69,7 +62,7 @@ mod tests {
             accum,
         };
         let mut state = DiscoveryState::new();
-        integrate_node_clusters(&mut state, vec![cluster], 0.9);
+        integrate(&mut state, vec![cluster], Default::default());
         infer_property_constraints(&mut state);
         let t = &state.schema.node_types[0];
         assert_eq!(
@@ -104,7 +97,7 @@ mod tests {
             accum,
         };
         let mut state = DiscoveryState::new();
-        integrate_node_clusters(&mut state, vec![cluster], 0.9);
+        integrate(&mut state, vec![cluster], Default::default());
         infer_property_constraints(&mut state);
         let t = &state.schema.node_types[0];
         for (key, spec) in &t.properties {

@@ -8,7 +8,8 @@
 //! scan.
 
 use crate::config::DatatypeSampling;
-use crate::state::{DiscoveryState, DtypeHist};
+use crate::state::{DiscoveryState, DtypeHist, Kind};
+use pg_model::{Edge, Node, SchemaType};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -23,35 +24,29 @@ use rand_chacha::ChaCha8Rng;
 /// property regardless of mode, so streaming keeps full fidelity there.
 pub fn infer_datatypes(state: &mut DiscoveryState, sampling: Option<DatatypeSampling>, seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    for t in &mut state.schema.node_types {
-        let Some(acc) = state.node_accums.get(&t.id) else {
+    infer_kind::<Node>(state, sampling, &mut rng);
+    infer_kind::<Edge>(state, sampling, &mut rng);
+}
+
+fn infer_kind<K: Kind>(
+    state: &mut DiscoveryState,
+    sampling: Option<DatatypeSampling>,
+    rng: &mut ChaCha8Rng,
+) {
+    let (types, accums) = K::split(state);
+    for t in types {
+        let Some(acc) = accums.get(&t.id()) else {
             continue;
         };
-        for (key, spec) in t.properties.iter_mut() {
+        for (key, spec) in t.properties_mut() {
             let reservoir = sampling
-                .and(acc.sketch.as_ref())
+                .and(acc.sketch())
                 .and_then(|sk| sk.samples.get(key))
                 .filter(|s| !s.is_empty());
             if let Some(sample) = reservoir {
                 spec.datatype = sample.join();
             } else if let Some(hist) = acc.dtype_hist.get(key) {
-                spec.datatype = infer_one(hist, sampling, &mut rng);
-            }
-        }
-    }
-    for t in &mut state.schema.edge_types {
-        let Some(acc) = state.edge_accums.get(&t.id) else {
-            continue;
-        };
-        for (key, spec) in t.properties.iter_mut() {
-            let reservoir = sampling
-                .and(acc.sketch.as_ref())
-                .and_then(|sk| sk.samples.get(key))
-                .filter(|s| !s.is_empty());
-            if let Some(sample) = reservoir {
-                spec.datatype = sample.join();
-            } else if let Some(hist) = acc.dtype_hist.get(key) {
-                spec.datatype = infer_one(hist, sampling, &mut rng);
+                spec.datatype = infer_one(hist, sampling, rng);
             }
         }
     }
@@ -126,7 +121,7 @@ mod tests {
     #[test]
     fn pipeline_writes_datatypes() {
         use crate::cluster::NodeCluster;
-        use crate::extract::integrate_node_clusters;
+        use crate::extract::integrate;
         use crate::state::NodeTypeAccum;
         use pg_model::{LabelSet, Node};
 
@@ -146,7 +141,7 @@ mod tests {
             accum,
         };
         let mut state = DiscoveryState::new();
-        integrate_node_clusters(&mut state, vec![cluster], 0.9);
+        integrate(&mut state, vec![cluster], Default::default());
         infer_datatypes(&mut state, None, 0);
         let t = &state.schema.node_types[0];
         assert_eq!(

@@ -1,12 +1,14 @@
 //! Type extraction and merging — Algorithm 2 (§4.3) and the incremental
 //! schema-merge rules (§4.6).
 //!
-//! Clusters from the current batch are integrated into the running
-//! [`DiscoveryState`]:
+//! The algorithm is written once, as [`integrate`], over the [`Cluster`]
+//! trait that node and edge clusters implement. One kind's clusters from
+//! the current batch are integrated into the running [`DiscoveryState`]:
 //!
 //! 1. **Labeled clusters** merge with the existing type carrying exactly
-//!    the same label set, else become new types (Lemmas 1/2 guarantee the
-//!    merge is a lossless union).
+//!    the same merge key — the label set, for edges plus compatible
+//!    endpoint label sets — else become new types (Lemmas 1/2 guarantee
+//!    the merge is a lossless union).
 //! 2. **Unlabeled clusters** merge into the labeled type with the highest
 //!    property-set Jaccard similarity, provided it reaches θ (0.9 by
 //!    default — high, to avoid over-merging).
@@ -19,10 +21,10 @@
 
 use crate::cluster::{EdgeCluster, NodeCluster};
 use crate::config::MergeSimilarity;
-use crate::state::{DiscoveryState, SketchParams};
+use crate::state::{Accums, DiscoveryState, Kind, SketchParams, TypeAccum};
 use pg_model::pattern::jaccard;
-use pg_model::{EdgeType, NodeType, Symbol, TypeId};
-use std::collections::HashMap;
+use pg_model::{Edge, EdgeType, LabelSet, Node, NodeType, SchemaType, Symbol, TypeId};
+use std::collections::{BTreeSet, HashMap};
 
 /// Options for the merge step (Algorithm 2).
 #[derive(Debug, Clone, Copy)]
@@ -101,359 +103,205 @@ pub fn weighted_jaccard(
     }
 }
 
-/// Integrate node clusters into the state (Algorithm 2 for nodes).
-///
-/// Returns, for each input cluster (same order), the id of the type it
-/// merged into or became — the hook the memoization cache uses.
-pub fn integrate_node_clusters(
-    state: &mut DiscoveryState,
-    clusters: Vec<NodeCluster>,
-    theta: f64,
-) -> Vec<TypeId> {
-    integrate_node_clusters_opts(
-        state,
-        clusters,
-        MergeOptions {
-            theta,
-            ..MergeOptions::default()
-        },
-    )
+/// A batch's candidate type of either kind, as Algorithm 2 sees it.
+/// [`NodeCluster`] and [`EdgeCluster`] implement it; beyond plain field
+/// access they differ in exactly two things, the last two methods.
+pub trait Cluster {
+    /// Nodes or edges.
+    type Kind: Kind;
+    /// Label union, property-key union, and folded statistics.
+    fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Self::Kind>);
+    /// Whether `t` carries this *labeled* cluster's merge key: the label
+    /// set for nodes; for edges, with `endpoint_aware` (the default), the
+    /// full `(L, R)` of Definition 3.6 — two same-label clusters merge
+    /// only if their source and target label sets are also compatible,
+    /// so e.g. a `ConnectsTo` between Neurons stays distinct from a
+    /// `ConnectsTo` from Segments (the MB6/FIB25 situation: 5 edge types
+    /// over 3 labels). With it off, edges merge purely by label, unioning
+    /// endpoints per Lemma 2 — the `merge_ablation` benchmark contrasts
+    /// the two.
+    fn same_key(&self, t: &<Self::Kind as Kind>::Type, endpoint_aware: bool) -> bool;
+    /// The cluster as a schema type of its own: ABSTRACT iff unlabeled,
+    /// and for edges with the endpoint label sets as the connectivity ρ_s.
+    fn to_type(&self) -> <Self::Kind as Kind>::Type;
 }
 
-/// [`integrate_node_clusters`] with full merge options.
-pub fn integrate_node_clusters_opts(
-    state: &mut DiscoveryState,
-    clusters: Vec<NodeCluster>,
-    opts: MergeOptions,
-) -> Vec<TypeId> {
-    let theta = opts.theta;
-    let mut assigned: Vec<Option<TypeId>> = vec![None; clusters.len()];
-    let (labeled, unlabeled): (Vec<_>, Vec<_>) = clusters
-        .into_iter()
-        .enumerate()
-        .partition(|(_, c)| !c.labels.is_empty());
-
-    // Lines 2–7: labeled clusters merge by exact label set.
-    for (idx, cluster) in labeled {
-        let existing = state
-            .schema
-            .node_types
-            .iter()
-            .find(|t| !t.labels.is_empty() && t.labels == cluster.labels)
-            .map(|t| t.id);
-        let id = match existing {
-            Some(id) => {
-                merge_node_cluster_into(state, id, cluster, opts.stream);
-                id
-            }
-            None => push_node_cluster(state, cluster, false, opts.stream),
-        };
-        assigned[idx] = Some(id);
+impl Cluster for NodeCluster {
+    type Kind = Node;
+    fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Node>) {
+        (&self.labels, &self.keys, &self.accum)
     }
-
-    // Lines 8–11: unlabeled clusters vs labeled types by key Jaccard.
-    // Lines 12–14: leftovers vs abstract types (existing + earlier
-    // leftovers of this very loop), then new ABSTRACT types.
-    for (idx, cluster) in unlabeled {
-        let best = best_candidate(state, &cluster, false, theta, opts.similarity)
-            .or_else(|| best_candidate(state, &cluster, true, theta, opts.similarity));
-        let id = match best {
-            Some(id) => {
-                merge_node_cluster_into(state, id, cluster, opts.stream);
-                id
-            }
-            None => push_node_cluster(state, cluster, true, opts.stream),
-        };
-        assigned[idx] = Some(id);
+    fn same_key(&self, t: &NodeType, _endpoint_aware: bool) -> bool {
+        t.labels == self.labels
     }
-    assigned
-        .into_iter()
-        .map(|a| a.expect("every cluster assigned"))
-        .collect()
+    fn to_type(&self) -> NodeType {
+        let mut t = NodeType::new(TypeId(0), self.labels.clone(), self.keys.iter().cloned());
+        t.is_abstract = self.labels.is_empty();
+        t.instance_count = self.accum.count;
+        t
+    }
 }
 
-/// Find the type (labeled or abstract, per `want_abstract`) with the
-/// highest key-set Jaccard ≥ θ. Ties break toward the lower type id for
-/// determinism.
-fn best_candidate(
-    state: &DiscoveryState,
-    cluster: &NodeCluster,
-    want_abstract: bool,
-    theta: f64,
-    similarity: MergeSimilarity,
-) -> Option<TypeId> {
-    let mut best: Option<(f64, TypeId)> = None;
-    for t in &state.schema.node_types {
-        if t.is_abstract != want_abstract {
-            continue;
-        }
-        let sim = match similarity {
-            MergeSimilarity::BinaryJaccard => jaccard(&cluster.keys, &t.key_set()),
-            MergeSimilarity::WeightedJaccard => {
-                let type_accum = state.node_accums.get(&t.id);
-                match type_accum {
-                    Some(acc) => weighted_jaccard(
-                        &cluster.accum.key_present,
-                        cluster.accum.count,
-                        &acc.key_present,
-                        acc.count,
-                    ),
-                    None => jaccard(&cluster.keys, &t.key_set()),
-                }
-            }
-        };
-        if sim >= theta {
-            let better = match best {
-                None => true,
-                Some((bs, bid)) => sim > bs || (sim == bs && t.id < bid),
-            };
-            if better {
-                best = Some((sim, t.id));
-            }
-        }
+impl Cluster for EdgeCluster {
+    type Kind = Edge;
+    fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Edge>) {
+        (&self.labels, &self.keys, &self.accum)
     }
-    best.map(|(_, id)| id)
-}
-
-fn merge_node_cluster_into(
-    state: &mut DiscoveryState,
-    id: TypeId,
-    cluster: NodeCluster,
-    stream: Option<SketchParams>,
-) {
-    let incoming = node_type_from_cluster(&cluster, false);
-    let t = state
-        .schema
-        .node_types
-        .iter_mut()
-        .find(|t| t.id == id)
-        .expect("type id from this schema");
-    t.merge_from(&incoming);
-    let entry = state.node_accums.entry(id).or_default();
-    if let Some(params) = stream {
-        entry.ensure_sketched(params);
+    fn same_key(&self, t: &EdgeType, endpoint_aware: bool) -> bool {
+        t.labels == self.labels
+            && (!endpoint_aware
+                || (endpoints_compatible(&t.src_labels, &self.src_labels)
+                    && endpoints_compatible(&t.tgt_labels, &self.tgt_labels)))
     }
-    entry.merge(&cluster.accum);
-}
-
-fn push_node_cluster(
-    state: &mut DiscoveryState,
-    cluster: NodeCluster,
-    is_abstract: bool,
-    stream: Option<SketchParams>,
-) -> TypeId {
-    let mut t = node_type_from_cluster(&cluster, is_abstract);
-    t.instance_count = 0; // merge_from/push bookkeeping below
-    let id = state.schema.push_node_type(t);
-    let entry = state.node_accums.entry(id).or_default();
-    if let Some(params) = stream {
-        entry.ensure_sketched(params);
+    fn to_type(&self) -> EdgeType {
+        let mut t = EdgeType::new(
+            TypeId(0),
+            self.labels.clone(),
+            self.keys.iter().cloned(),
+            self.src_labels.clone(),
+            self.tgt_labels.clone(),
+        );
+        t.is_abstract = self.labels.is_empty();
+        t.instance_count = self.accum.count;
+        t
     }
-    entry.merge(&cluster.accum);
-    if let Some(t) = state.schema.node_types.iter_mut().find(|t| t.id == id) {
-        t.instance_count = entry.count;
-    }
-    id
-}
-
-fn node_type_from_cluster(cluster: &NodeCluster, is_abstract: bool) -> NodeType {
-    let mut t = NodeType::new(
-        TypeId(0),
-        cluster.labels.clone(),
-        cluster.keys.iter().cloned(),
-    );
-    t.is_abstract = is_abstract && cluster.labels.is_empty();
-    t.instance_count = cluster.accum.count;
-    t
-}
-
-/// Integrate edge clusters (Algorithm 2 for edges: merge by label,
-/// record endpoint label sets as the connectivity ρ_s; unlabeled edge
-/// clusters follow the same Jaccard fallback as nodes).
-///
-/// When `endpoint_aware` is set (the default), the merge key is the full
-/// `(L, R)` of Definition 3.6 — two same-label clusters merge only if
-/// their source and target label sets also match, so e.g. a `ConnectsTo`
-/// between Neurons stays distinct from a `ConnectsTo` from Segments (the
-/// MB6/FIB25 situation: 5 edge types over 3 labels). With it off, edges
-/// merge purely by label, unioning endpoints per Lemma 2 — the
-/// `merge_ablation` benchmark contrasts the two.
-pub fn integrate_edge_clusters(
-    state: &mut DiscoveryState,
-    clusters: Vec<EdgeCluster>,
-    theta: f64,
-    endpoint_aware: bool,
-) -> Vec<TypeId> {
-    integrate_edge_clusters_opts(
-        state,
-        clusters,
-        MergeOptions {
-            theta,
-            edge_endpoint_aware: endpoint_aware,
-            ..MergeOptions::default()
-        },
-    )
-}
-
-/// [`integrate_edge_clusters`] with full merge options.
-pub fn integrate_edge_clusters_opts(
-    state: &mut DiscoveryState,
-    clusters: Vec<EdgeCluster>,
-    opts: MergeOptions,
-) -> Vec<TypeId> {
-    let (theta, endpoint_aware) = (opts.theta, opts.edge_endpoint_aware);
-    let mut assigned: Vec<Option<TypeId>> = vec![None; clusters.len()];
-    let (labeled, unlabeled): (Vec<_>, Vec<_>) = clusters
-        .into_iter()
-        .enumerate()
-        .partition(|(_, c)| !c.labels.is_empty());
-
-    for (idx, cluster) in labeled {
-        let existing = state
-            .schema
-            .edge_types
-            .iter()
-            .find(|t| {
-                !t.labels.is_empty()
-                    && t.labels == cluster.labels
-                    && (!endpoint_aware
-                        || (endpoints_compatible(&t.src_labels, &cluster.src_labels)
-                            && endpoints_compatible(&t.tgt_labels, &cluster.tgt_labels)))
-            })
-            .map(|t| t.id);
-        let id = match existing {
-            Some(id) => {
-                merge_edge_cluster_into(state, id, cluster, opts.stream);
-                id
-            }
-            None => push_edge_cluster(state, cluster, false, opts.stream),
-        };
-        assigned[idx] = Some(id);
-    }
-
-    for (idx, cluster) in unlabeled {
-        let best = best_edge_candidate(state, &cluster, false, theta, opts.similarity)
-            .or_else(|| best_edge_candidate(state, &cluster, true, theta, opts.similarity));
-        let id = match best {
-            Some(id) => {
-                merge_edge_cluster_into(state, id, cluster, opts.stream);
-                id
-            }
-            None => push_edge_cluster(state, cluster, true, opts.stream),
-        };
-        assigned[idx] = Some(id);
-    }
-    assigned
-        .into_iter()
-        .map(|a| a.expect("every cluster assigned"))
-        .collect()
 }
 
 /// Endpoint label sets are compatible when equal, or when either side is
 /// empty — an unlabeled endpoint (missing node labels, cross-batch edge)
 /// acts as a wildcard so noise does not fragment edge types. The merge
 /// union then fills in the missing side (Lemma 2).
-fn endpoints_compatible(a: &pg_model::LabelSet, b: &pg_model::LabelSet) -> bool {
+fn endpoints_compatible(a: &LabelSet, b: &LabelSet) -> bool {
     a.is_empty() || b.is_empty() || a == b
 }
 
-fn best_edge_candidate(
-    state: &DiscoveryState,
-    cluster: &EdgeCluster,
-    want_abstract: bool,
-    theta: f64,
-    similarity: MergeSimilarity,
-) -> Option<TypeId> {
-    let mut best: Option<(f64, TypeId)> = None;
-    for t in &state.schema.edge_types {
-        if t.is_abstract != want_abstract {
-            continue;
-        }
-        let sim = match similarity {
-            MergeSimilarity::BinaryJaccard => jaccard(&cluster.keys, &t.key_set()),
-            MergeSimilarity::WeightedJaccard => match state.edge_accums.get(&t.id) {
-                Some(acc) => weighted_jaccard(
-                    &cluster.accum.key_present,
-                    cluster.accum.count,
-                    &acc.key_present,
-                    acc.count,
-                ),
-                None => jaccard(&cluster.keys, &t.key_set()),
-            },
+/// Integrate one kind's clusters into the state (Algorithm 2).
+///
+/// Returns, for each input cluster (same order), the id of the type it
+/// merged into or became — the hook the memoization cache uses.
+pub fn integrate<C: Cluster>(
+    state: &mut DiscoveryState,
+    clusters: Vec<C>,
+    opts: MergeOptions,
+) -> Vec<TypeId> {
+    let mut assigned = vec![TypeId(0); clusters.len()];
+    let (labeled, unlabeled): (Vec<_>, Vec<_>) = clusters
+        .into_iter()
+        .enumerate()
+        .partition(|(_, c)| !c.parts().0.is_empty());
+    for (idx, cluster) in labeled.into_iter().chain(unlabeled) {
+        let (types, accums) = C::Kind::view(state);
+        let target = if cluster.parts().0.is_empty() {
+            // Lines 8–11: unlabeled clusters vs labeled types by key
+            // Jaccard. Lines 12–14: leftovers vs abstract types
+            // (existing + earlier leftovers of this very loop), then
+            // new ABSTRACT types.
+            best_candidate(types, accums, &cluster, false, opts)
+                .or_else(|| best_candidate(types, accums, &cluster, true, opts))
+        } else {
+            // Lines 2–7: labeled clusters merge by their exact key.
+            types
+                .iter()
+                .find(|t| cluster.same_key(t, opts.edge_endpoint_aware))
+                .map(|t| t.id())
         };
-        if sim >= theta {
-            let better = match best {
-                None => true,
-                Some((bs, bid)) => sim > bs || (sim == bs && t.id < bid),
-            };
-            if better {
-                best = Some((sim, t.id));
+        assigned[idx] = place(state, target, &cluster, opts.stream);
+    }
+    assigned
+}
+
+/// Find the type (labeled or abstract, per `want_abstract`) with the
+/// highest key-set Jaccard ≥ θ. Ties break toward the lower type id for
+/// determinism.
+fn best_candidate<C: Cluster>(
+    types: &[<C::Kind as Kind>::Type],
+    accums: &Accums<C::Kind>,
+    cluster: &C,
+    want_abstract: bool,
+    opts: MergeOptions,
+) -> Option<TypeId> {
+    let (_, keys, accum) = cluster.parts();
+    let mut best: Option<(f64, TypeId)> = None;
+    for t in types.iter().filter(|t| t.is_abstract() == want_abstract) {
+        let weigh_against = match opts.similarity {
+            MergeSimilarity::WeightedJaccard => accums.get(&t.id()),
+            MergeSimilarity::BinaryJaccard => None,
+        };
+        let sim = match weigh_against {
+            Some(acc) => {
+                weighted_jaccard(&accum.key_present, accum.count, &acc.key_present, acc.count)
             }
+            None => jaccard(keys, &t.properties().keys().cloned().collect()),
+        };
+        let better = match best {
+            None => true,
+            Some((bs, bid)) => sim > bs || (sim == bs && t.id() < bid),
+        };
+        if sim >= opts.theta && better {
+            best = Some((sim, t.id()));
         }
     }
     best.map(|(_, id)| id)
 }
 
-fn merge_edge_cluster_into(
+/// Union `cluster` into type `target` (a lossless union by Lemmas 1/2),
+/// or append it as a new type when there is none.
+fn place<C: Cluster>(
     state: &mut DiscoveryState,
-    id: TypeId,
-    cluster: EdgeCluster,
-    stream: Option<SketchParams>,
-) {
-    let incoming = edge_type_from_cluster(&cluster, false);
-    let t = state
-        .schema
-        .edge_types
-        .iter_mut()
-        .find(|t| t.id == id)
-        .expect("type id from this schema");
-    t.merge_from(&incoming);
-    let entry = state.edge_accums.entry(id).or_default();
-    if let Some(params) = stream {
-        entry.ensure_sketched(params);
-    }
-    entry.merge(&cluster.accum);
-}
-
-fn push_edge_cluster(
-    state: &mut DiscoveryState,
-    cluster: EdgeCluster,
-    is_abstract: bool,
+    target: Option<TypeId>,
+    cluster: &C,
     stream: Option<SketchParams>,
 ) -> TypeId {
-    let mut t = edge_type_from_cluster(&cluster, is_abstract);
-    t.instance_count = 0;
-    let id = state.schema.push_edge_type(t);
-    let entry = state.edge_accums.entry(id).or_default();
+    let incoming = cluster.to_type();
+    let id = match target {
+        Some(id) => {
+            let t = C::Kind::split(state).0.iter_mut().find(|t| t.id() == id);
+            t.expect("type id from this schema").absorb(&incoming);
+            id
+        }
+        None => C::Kind::push(&mut state.schema, incoming),
+    };
+    let entry = C::Kind::split(state).1.entry(id).or_default();
     if let Some(params) = stream {
         entry.ensure_sketched(params);
     }
-    entry.merge(&cluster.accum);
-    if let Some(t) = state.schema.edge_types.iter_mut().find(|t| t.id == id) {
-        t.instance_count = entry.count;
-    }
+    entry.merge(cluster.parts().2);
     id
-}
-
-fn edge_type_from_cluster(cluster: &EdgeCluster, is_abstract: bool) -> EdgeType {
-    let mut t = EdgeType::new(
-        TypeId(0),
-        cluster.labels.clone(),
-        cluster.keys.iter().cloned(),
-        cluster.src_labels.clone(),
-        cluster.tgt_labels.clone(),
-    );
-    t.is_abstract = is_abstract && cluster.labels.is_empty();
-    t.instance_count = cluster.accum.count;
-    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{EdgeTypeAccum, NodeTypeAccum};
+    use crate::state::{EdgeTypeAccum, Membership, NodeTypeAccum};
     use pg_model::{sym, LabelSet, Node, Symbol};
     use std::collections::BTreeSet;
+
+    /// Algorithm 2 at default options but for θ.
+    fn integrate_node_clusters(
+        state: &mut DiscoveryState,
+        clusters: Vec<NodeCluster>,
+        theta: f64,
+    ) -> Vec<TypeId> {
+        let opts = MergeOptions {
+            theta,
+            ..MergeOptions::default()
+        };
+        integrate(state, clusters, opts)
+    }
+
+    fn integrate_edge_clusters(
+        state: &mut DiscoveryState,
+        clusters: Vec<EdgeCluster>,
+        theta: f64,
+        edge_endpoint_aware: bool,
+    ) -> Vec<TypeId> {
+        let opts = MergeOptions {
+            theta,
+            edge_endpoint_aware,
+            ..MergeOptions::default()
+        };
+        integrate(state, clusters, opts)
+    }
 
     fn keys(ks: &[&str]) -> BTreeSet<Symbol> {
         ks.iter().map(|k| sym(k)).collect()
@@ -677,11 +525,12 @@ mod tests {
         let sparse_accum = |present: &[(&str, u64)], n: u64, id0: u64| -> NodeTypeAccum {
             let mut acc = NodeTypeAccum {
                 count: n,
+                membership: Membership::Exact {
+                    members: (id0..id0 + n).map(pg_model::NodeId).collect(),
+                    endpoints: Vec::new(),
+                },
                 ..NodeTypeAccum::default()
             };
-            for i in 0..n {
-                acc.members.push(pg_model::NodeId(id0 + i));
-            }
             for (k, c) in present {
                 acc.key_present.insert(sym(k), *c);
             }
@@ -707,7 +556,7 @@ mod tests {
         // Weighted Jaccard: rates (0.5,0.5,0.5,0.5) vs (0.5,0.5,0,0)
         // -> 1.0/2.0 = 0.5; with theta_w = 0.45 the cluster merges.
         let mut state_w = DiscoveryState::new();
-        integrate_node_clusters_opts(
+        integrate(
             &mut state_w,
             vec![labeled, unlabeled()],
             MergeOptions {

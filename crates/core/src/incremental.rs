@@ -7,16 +7,20 @@
 //! generalizes the schema after batch `i`.
 
 use crate::cluster::{cluster_edges, cluster_nodes, DedupStats};
-use crate::config::HiveConfig;
+use crate::config::{HiveConfig, StreamConfig};
 use crate::constraints::infer_property_constraints;
 use crate::datatypes::infer_datatypes;
-use crate::extract::{integrate_edge_clusters_opts, integrate_node_clusters_opts};
+use crate::extract::{integrate, Cluster, MergeOptions};
 use crate::features::FeatureSpace;
+use crate::merge::sorted_accums;
 use crate::pipeline::DiscoveryResult;
-use crate::state::DiscoveryState;
+use crate::sketch::FingerprintStore;
+use crate::state::{DiscoveryState, Kind, Membership, TypeAccum};
 use pg_lsh::AdaptiveParams;
-use pg_model::SchemaGraph;
+use pg_model::{Edge, Node, SchemaGraph, SchemaType, TypeId};
 use pg_store::{EdgeRecord, GraphBatch, NodeRecord};
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::time::{Duration, Instant};
 
 /// Wall-clock breakdown of one processed batch (Figure 7's data points).
@@ -158,6 +162,200 @@ type EdgePatternKey = (
     pg_model::LabelSet,
 );
 
+/// What the session needs from a loaded record of either kind.
+trait Record: Clone {
+    /// Nodes or edges.
+    type Kind: Kind;
+    /// The memoization key.
+    type Pattern: Ord + Clone + Hash;
+    /// The graph element inside the record.
+    fn instance(&self) -> &Self::Kind;
+    /// The record's exact pattern.
+    fn pattern(&self) -> Self::Pattern;
+}
+
+impl Record for NodeRecord {
+    type Kind = Node;
+    type Pattern = NodePatternKey;
+    fn instance(&self) -> &Node {
+        self
+    }
+    fn pattern(&self) -> NodePatternKey {
+        (self.labels.clone(), self.key_set())
+    }
+}
+
+impl Record for EdgeRecord {
+    type Kind = Edge;
+    type Pattern = EdgePatternKey;
+    fn instance(&self) -> &Edge {
+        &self.edge
+    }
+    fn pattern(&self) -> EdgePatternKey {
+        (
+            self.edge.labels.clone(),
+            self.edge.key_set(),
+            self.src_labels.clone(),
+            self.tgt_labels.clone(),
+        )
+    }
+}
+
+/// The bounded pattern → type-id store of stream mode.
+type PatternStore<P> = FingerprintStore<P, TypeId>;
+
+/// One kind's memoization cache (DiscoPG-style): exact pattern → the
+/// type it was assigned.
+enum Memo<P: Ord> {
+    /// An unbounded map (batch and incremental default).
+    Exact(HashMap<P, TypeId>),
+    /// Stream mode: a bounded store with frequency-aware eviction, so a
+    /// drifting pattern universe cannot grow the cache without bound —
+    /// plus the types whose first (type-defining) pattern is pinned in
+    /// it, rebuilt from the store on restore.
+    Bounded(PatternStore<P>, HashSet<TypeId>),
+}
+
+impl<P: Ord + Clone + Hash> Memo<P> {
+    fn new(stream: Option<&StreamConfig>) -> Memo<P> {
+        match stream {
+            Some(s) => Memo::Bounded(
+                FingerprintStore::new(s.fingerprint_capacity, s.frequency_floor),
+                HashSet::new(),
+            ),
+            None => Memo::Exact(HashMap::new()),
+        }
+    }
+
+    /// The type recorded for `key`. A bounded lookup also bumps the
+    /// frequency that ranks eviction.
+    fn lookup(&mut self, key: &P) -> Option<TypeId> {
+        match self {
+            Memo::Exact(map) => map.get(key).copied(),
+            Memo::Bounded(store, _) => store.touch(key).copied(),
+        }
+    }
+
+    fn record(&mut self, key: P, tid: TypeId) {
+        match self {
+            Memo::Exact(map) => {
+                map.insert(key, tid);
+            }
+            // Pin the first pattern recorded for each type, so churn can
+            // never evict the pattern that anchors an established type.
+            Memo::Bounded(store, pinned) => {
+                let pin = pinned.insert(tid);
+                store.record(key, tid, pin);
+            }
+        }
+    }
+
+    /// `(entries, estimated bytes)`.
+    fn size(&self) -> (usize, usize) {
+        match self {
+            Memo::Exact(map) => (map.len(), map.len() * 128),
+            Memo::Bounded(store, _) => (store.len(), store.estimated_bytes()),
+        }
+    }
+
+    /// The two checkpoint fields a memo is stored as.
+    fn to_checkpoint(&self) -> (Vec<(P, TypeId)>, Option<PatternStore<P>>) {
+        match self {
+            Memo::Exact(map) => (map.iter().map(|(k, v)| (k.clone(), *v)).collect(), None),
+            Memo::Bounded(store, _) => (Vec::new(), Some(store.clone())),
+        }
+    }
+
+    fn restore(&mut self, cache: Vec<(P, TypeId)>, store: Option<PatternStore<P>>) {
+        match (self, store) {
+            (Memo::Exact(map), _) => map.extend(cache),
+            (Memo::Bounded(mine, pinned), Some(store)) => {
+                *pinned = store
+                    .iter()
+                    .filter(|(_, e)| e.pinned)
+                    .map(|(_, e)| e.value)
+                    .collect();
+                *mine = store;
+            }
+            (Memo::Bounded(..), None) => {}
+        }
+    }
+}
+
+/// Serve every record whose exact pattern has already been typed
+/// straight from the memo — fold it into that type's accumulator and
+/// bump the instance count — and return the rest.
+fn serve_memoized<R: Record>(
+    memo: &mut Memo<R::Pattern>,
+    state: &mut DiscoveryState,
+    records: &[R],
+    hits: &mut u64,
+) -> Vec<R> {
+    let (types, accums) = R::Kind::split(state);
+    let mut novel = Vec::new();
+    for rec in records {
+        let Some(tid) = memo.lookup(&rec.pattern()) else {
+            novel.push(rec.clone());
+            continue;
+        };
+        *hits += 1;
+        accums
+            .get_mut(&tid)
+            .expect("cached type exists")
+            .observe(rec.instance());
+        if let Some(t) = types.iter_mut().find(|t| t.id() == tid) {
+            *t.instance_count_mut() += 1;
+        }
+    }
+    novel
+}
+
+/// Algorithm 2 for one kind's clusters, then the per-record follow-up
+/// that needs the assignment: memo entries, and in stream mode the
+/// value samples.
+fn extract_kind<R: Record, C: Cluster<Kind = R::Kind>>(
+    state: &mut DiscoveryState,
+    mut memo: Option<&mut Memo<R::Pattern>>,
+    records: &[R],
+    clusters: Vec<C>,
+    opts: MergeOptions,
+) {
+    if opts.stream.is_none() && memo.is_none() {
+        integrate(state, clusters, opts);
+        return;
+    }
+    let members: Vec<Vec<_>> = clusters
+        .iter()
+        .map(|c| c.parts().2.members().to_vec())
+        .collect();
+    let assignment = integrate(state, clusters, opts);
+    let by_id: HashMap<_, &R> = records.iter().map(|r| (r.instance().id(), r)).collect();
+    let accums = R::Kind::split(state).1;
+    for (members, &tid) in members.iter().zip(&assignment) {
+        // Sketched accumulators sample property *values* for data-type
+        // inference, but cluster accumulators are exact and values are
+        // gone by integration time — so feed each record's values into
+        // its assigned type's sketch here. (Member ids were already
+        // absorbed by the merge.)
+        let mut sketch = match accums.get_mut(&tid) {
+            Some(TypeAccum {
+                membership: Membership::Sketched(sk),
+                ..
+            }) if opts.stream.is_some() => Some(sk),
+            _ => None,
+        };
+        for id in members {
+            let rec = by_id[id];
+            if let Some(sk) = &mut sketch {
+                sk.observe_values(rec.instance().props());
+            }
+            if let Some(memo) = &mut memo {
+                memo.record(rec.pattern(), tid);
+            }
+        }
+    }
+}
+
 /// Estimated memory retained by a session's long-lived state (see
 /// [`HiveSession::memory_stats`]). All figures are estimates for
 /// observability gauges, not allocator ground truth.
@@ -186,18 +384,8 @@ pub struct HiveSession {
     timings: Vec<BatchTiming>,
     node_params: Option<AdaptiveParams>,
     edge_params: Option<AdaptiveParams>,
-    node_cache: std::collections::HashMap<NodePatternKey, pg_model::TypeId>,
-    edge_cache: std::collections::HashMap<EdgePatternKey, pg_model::TypeId>,
-    /// Stream-mode replacements for the memoization maps above: bounded
-    /// fingerprint stores with frequency-aware eviction, so a drifting
-    /// pattern universe cannot grow the caches without bound. `Some`
-    /// exactly when the config enables streaming.
-    node_fps: Option<crate::sketch::FingerprintStore<NodePatternKey, pg_model::TypeId>>,
-    edge_fps: Option<crate::sketch::FingerprintStore<EdgePatternKey, pg_model::TypeId>>,
-    /// Types whose first (type-defining) pattern was pinned in the
-    /// fingerprint stores. Rebuilt from the stores on restore.
-    pinned_node_types: std::collections::HashSet<pg_model::TypeId>,
-    pinned_edge_types: std::collections::HashSet<pg_model::TypeId>,
+    node_memo: Memo<NodePatternKey>,
+    edge_memo: Memo<EdgePatternKey>,
     cache_hits: u64,
     /// Cross-batch incremental degree state for cardinality inference:
     /// per-batch post-processing folds in only the endpoint pairs
@@ -214,23 +402,15 @@ pub struct HiveSession {
 impl HiveSession {
     /// Start a session with an empty schema (`S_G ← ∅`).
     pub fn new(config: HiveConfig) -> HiveSession {
-        let fps_bounds = config
-            .stream
-            .as_ref()
-            .map(|s| (s.fingerprint_capacity, s.frequency_floor));
         HiveSession {
+            node_memo: Memo::new(config.stream.as_ref()),
+            edge_memo: Memo::new(config.stream.as_ref()),
             config,
             state: DiscoveryState::new(),
             batch_offset: 0,
             timings: Vec::new(),
             node_params: None,
             edge_params: None,
-            node_cache: std::collections::HashMap::new(),
-            edge_cache: std::collections::HashMap::new(),
-            node_fps: fps_bounds.map(|(c, f)| crate::sketch::FingerprintStore::new(c, f)),
-            edge_fps: fps_bounds.map(|(c, f)| crate::sketch::FingerprintStore::new(c, f)),
-            pinned_node_types: std::collections::HashSet::new(),
-            pinned_edge_types: std::collections::HashSet::new(),
             cache_hits: 0,
             card_cache: crate::cardinality::CardCache::default(),
             pool: None,
@@ -290,75 +470,13 @@ impl HiveSession {
         // filter needs owned records — with memoization off the batch
         // slices are used as-is (cloning a million-record batch costs
         // whole seconds of page faults).
-        let owned: Option<(Vec<NodeRecord>, Vec<EdgeRecord>)> = if self.config.memoize {
-            let mut novel_nodes = Vec::new();
-            for node in nodes {
-                let key = (node.labels.clone(), node.key_set());
-                // Stream mode serves lookups from the bounded
-                // fingerprint store (touch also bumps the frequency
-                // that ranks eviction); batch mode from the exact map.
-                let hit = match &mut self.node_fps {
-                    Some(fps) => fps.touch(&key).copied(),
-                    None => self.node_cache.get(&key).copied(),
-                };
-                match hit {
-                    Some(tid) => {
-                        self.cache_hits += 1;
-                        self.state
-                            .node_accums
-                            .get_mut(&tid)
-                            .expect("cached type exists")
-                            .observe(node);
-                        if let Some(t) = self
-                            .state
-                            .schema
-                            .node_types
-                            .iter_mut()
-                            .find(|t| t.id == tid)
-                        {
-                            t.instance_count += 1;
-                        }
-                    }
-                    None => novel_nodes.push(node.clone()),
-                }
-            }
-            let mut novel_edges = Vec::new();
-            for rec in edges {
-                let key = (
-                    rec.edge.labels.clone(),
-                    rec.edge.key_set(),
-                    rec.src_labels.clone(),
-                    rec.tgt_labels.clone(),
-                );
-                let hit = match &mut self.edge_fps {
-                    Some(fps) => fps.touch(&key).copied(),
-                    None => self.edge_cache.get(&key).copied(),
-                };
-                match hit {
-                    Some(tid) => {
-                        self.cache_hits += 1;
-                        self.state
-                            .edge_accums
-                            .get_mut(&tid)
-                            .expect("cached type exists")
-                            .observe(&rec.edge);
-                        if let Some(t) = self
-                            .state
-                            .schema
-                            .edge_types
-                            .iter_mut()
-                            .find(|t| t.id == tid)
-                        {
-                            t.instance_count += 1;
-                        }
-                    }
-                    None => novel_edges.push(rec.clone()),
-                }
-            }
-            Some((novel_nodes, novel_edges))
-        } else {
-            None
-        };
+        let owned = self.config.memoize.then(|| {
+            let (state, hits) = (&mut self.state, &mut self.cache_hits);
+            (
+                serve_memoized(&mut self.node_memo, state, nodes, hits),
+                serve_memoized(&mut self.edge_memo, state, edges, hits),
+            )
+        });
         let (nodes, edges) = match &owned {
             Some((n, e)) => (n.as_slice(), e.as_slice()),
             None => (nodes, edges),
@@ -435,105 +553,14 @@ impl HiveSession {
         }
         let cluster = t1.elapsed();
 
-        // Extract + merge into the running schema; remember per-cluster
-        // member ids first so cache entries can be written afterwards.
+        // Extract + merge into the running schema.
         let t2 = Instant::now();
-        let node_members: Vec<Vec<pg_model::NodeId>> = node_clusters
-            .iter()
-            .map(|c| c.accum.members.clone())
-            .collect();
-        let edge_members: Vec<Vec<pg_model::EdgeId>> = edge_clusters
-            .iter()
-            .map(|c| c.accum.members.clone())
-            .collect();
-        let merge_opts = crate::extract::MergeOptions::from_config(&self.config);
-        let node_assignment =
-            integrate_node_clusters_opts(&mut self.state, node_clusters, merge_opts);
-        let edge_assignment =
-            integrate_edge_clusters_opts(&mut self.state, edge_clusters, merge_opts);
-        if merge_opts.stream.is_some() {
-            // Sketched accumulators sample property *values* for
-            // data-type inference, but cluster accumulators are exact
-            // and values are gone by integration time — so feed each
-            // record's values into its assigned type's sketch here.
-            // (Member ids were already absorbed by the merge; bottom-k
-            // re-observation would be idempotent anyway.)
-            let by_id: std::collections::HashMap<pg_model::NodeId, &NodeRecord> =
-                nodes.iter().map(|n| (n.id, n)).collect();
-            for (members, tid) in node_members.iter().zip(&node_assignment) {
-                let Some(sk) = self
-                    .state
-                    .node_accums
-                    .get_mut(tid)
-                    .and_then(|a| a.sketch.as_mut())
-                else {
-                    continue;
-                };
-                for id in members {
-                    sk.observe_values(&by_id[id].props);
-                }
-            }
-            let by_id: std::collections::HashMap<pg_model::EdgeId, &EdgeRecord> =
-                edges.iter().map(|e| (e.edge.id, e)).collect();
-            for (members, tid) in edge_members.iter().zip(&edge_assignment) {
-                let Some(sk) = self
-                    .state
-                    .edge_accums
-                    .get_mut(tid)
-                    .and_then(|a| a.sketch.as_mut())
-                else {
-                    continue;
-                };
-                for id in members {
-                    sk.observe_values(&by_id[id].edge.props);
-                }
-            }
-        }
-        if self.config.memoize {
-            let by_id: std::collections::HashMap<pg_model::NodeId, &NodeRecord> =
-                nodes.iter().map(|n| (n.id, n)).collect();
-            for (members, &tid) in node_members.iter().zip(&node_assignment) {
-                for id in members {
-                    let node = by_id[id];
-                    let key = (node.labels.clone(), node.key_set());
-                    match &mut self.node_fps {
-                        Some(fps) => {
-                            // Pin the first pattern recorded for each
-                            // type — the type-defining fingerprint —
-                            // so churn can never evict the pattern
-                            // that anchors an established type.
-                            let pin = self.pinned_node_types.insert(tid);
-                            fps.record(key, tid, pin);
-                        }
-                        None => {
-                            self.node_cache.insert(key, tid);
-                        }
-                    }
-                }
-            }
-            let by_id: std::collections::HashMap<pg_model::EdgeId, &EdgeRecord> =
-                edges.iter().map(|e| (e.edge.id, e)).collect();
-            for (members, &tid) in edge_members.iter().zip(&edge_assignment) {
-                for id in members {
-                    let rec = by_id[id];
-                    let key = (
-                        rec.edge.labels.clone(),
-                        rec.edge.key_set(),
-                        rec.src_labels.clone(),
-                        rec.tgt_labels.clone(),
-                    );
-                    match &mut self.edge_fps {
-                        Some(fps) => {
-                            let pin = self.pinned_edge_types.insert(tid);
-                            fps.record(key, tid, pin);
-                        }
-                        None => {
-                            self.edge_cache.insert(key, tid);
-                        }
-                    }
-                }
-            }
-        }
+        let opts = MergeOptions::from_config(&self.config);
+        let memoize = self.config.memoize;
+        let node_memo = memoize.then_some(&mut self.node_memo);
+        extract_kind(&mut self.state, node_memo, nodes, node_clusters, opts);
+        let edge_memo = memoize.then_some(&mut self.edge_memo);
+        extract_kind(&mut self.state, edge_memo, edges, edge_clusters, opts);
         let extract = t2.elapsed();
         HotPathOutcome {
             preprocess,
@@ -558,7 +585,7 @@ impl HiveSession {
     /// the merged accumulators (when the config enables it), exactly as
     /// after an ingested batch.
     pub fn merge_state(&mut self, foreign: &DiscoveryState) {
-        crate::merge::fold_state(&mut self.state, foreign, &self.config);
+        crate::merge::fold_states(&mut self.state, std::slice::from_ref(foreign), &self.config);
         // A fold may rebuild or rekey edge accumulators, which breaks
         // the append-only premise of the incremental degree cache; the
         // next post-processing pass rescans from scratch.
@@ -584,35 +611,19 @@ impl HiveSession {
     /// restored later — streaming deployments survive restarts without
     /// reprocessing history.
     pub fn checkpoint(&self) -> SessionCheckpoint {
+        let (node_cache, node_fps) = self.node_memo.to_checkpoint();
+        let (edge_cache, edge_fps) = self.edge_memo.to_checkpoint();
         SessionCheckpoint {
             schema: self.state.schema.clone(),
-            node_accums: self
-                .state
-                .node_accums
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            edge_accums: self
-                .state
-                .edge_accums
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            node_cache: self
-                .node_cache
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            edge_cache: self
-                .edge_cache
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
+            node_accums: sorted_accums(&self.state.node_accums),
+            edge_accums: sorted_accums(&self.state.edge_accums),
+            node_cache,
+            edge_cache,
             cache_hits: self.cache_hits,
             batches_processed: self.batches_processed(),
             mode: Some(self.accum_mode()),
-            node_fps: self.node_fps.clone(),
-            edge_fps: self.edge_fps.clone(),
+            node_fps,
+            edge_fps,
         }
     }
 
@@ -641,24 +652,12 @@ impl HiveSession {
         session.state.schema = checkpoint.schema;
         session.state.node_accums = checkpoint.node_accums.into_iter().collect();
         session.state.edge_accums = checkpoint.edge_accums.into_iter().collect();
-        session.node_cache = checkpoint.node_cache.into_iter().collect();
-        session.edge_cache = checkpoint.edge_cache.into_iter().collect();
-        if let Some(fps) = checkpoint.node_fps {
-            session.pinned_node_types = fps
-                .iter()
-                .filter(|(_, e)| e.pinned)
-                .map(|(_, e)| e.value)
-                .collect();
-            session.node_fps = Some(fps);
-        }
-        if let Some(fps) = checkpoint.edge_fps {
-            session.pinned_edge_types = fps
-                .iter()
-                .filter(|(_, e)| e.pinned)
-                .map(|(_, e)| e.value)
-                .collect();
-            session.edge_fps = Some(fps);
-        }
+        session
+            .node_memo
+            .restore(checkpoint.node_cache, checkpoint.node_fps);
+        session
+            .edge_memo
+            .restore(checkpoint.edge_cache, checkpoint.edge_fps);
         session.cache_hits = checkpoint.cache_hits;
         Ok(session)
     }
@@ -666,17 +665,12 @@ impl HiveSession {
     /// Estimated memory retained by the session's long-lived state —
     /// the numbers behind the server's per-session `/metrics` gauges.
     pub fn memory_stats(&self) -> SessionMemoryStats {
-        let (fp_entries, fp_bytes) = match (&self.node_fps, &self.edge_fps) {
-            (Some(n), Some(e)) => (n.len() + e.len(), n.estimated_bytes() + e.estimated_bytes()),
-            _ => (
-                self.node_cache.len() + self.edge_cache.len(),
-                (self.node_cache.len() + self.edge_cache.len()) * 128,
-            ),
-        };
+        let ((node_entries, node_bytes), (edge_entries, edge_bytes)) =
+            (self.node_memo.size(), self.edge_memo.size());
         SessionMemoryStats {
             accum_bytes: self.state.estimated_accum_bytes(),
-            fingerprint_entries: fp_entries,
-            fingerprint_bytes: fp_bytes,
+            fingerprint_entries: node_entries + edge_entries,
+            fingerprint_bytes: node_bytes + edge_bytes,
         }
     }
 

@@ -89,6 +89,7 @@ pub use serialize::{
 };
 pub use sketch::{DistinctSketch, FingerprintStore, FpEntry, ValueSample, SKETCH_SALT};
 pub use state::{
-    DiscoveryState, DtypeHist, EdgeSketch, EdgeTypeAccum, NodeSketch, NodeTypeAccum, SketchParams,
+    DiscoveryState, DtypeHist, EdgeTypeAccum, EndpointSketch, Kind, Membership, NodeTypeAccum,
+    Sketch, SketchParams, TypeAccum,
 };
 pub use validate::{validate, ValidationReport, Violation};

@@ -14,10 +14,10 @@
 //! * **Union of property sets with mandatory-key intersection** —
 //!   per-key presence counts add across shards, so a key is MANDATORY in
 //!   the merged type iff it is present in every instance of every shard.
-//! * **Histogram and cardinality merging** — [`NodeTypeAccum::merge`] /
-//!   [`EdgeTypeAccum::merge`] fold the per-type statistics; data types,
-//!   constraints, and cardinalities are then re-derived from the merged
-//!   accumulators, never averaged from per-shard summaries.
+//! * **Histogram and cardinality merging** — [`TypeAccum::merge`] folds
+//!   the per-type statistics; data types, constraints, and cardinalities
+//!   are then re-derived from the merged accumulators, never averaged
+//!   from per-shard summaries.
 //! * **Deterministic renumbering** — input types are folded in a canonical
 //!   order and the merged state is renumbered canonically, so the result
 //!   is bit-identical regardless of shard order or shard count.
@@ -37,15 +37,18 @@ use crate::cluster::{EdgeCluster, NodeCluster};
 use crate::config::HiveConfig;
 use crate::constraints::infer_property_constraints;
 use crate::datatypes::infer_datatypes;
-use crate::extract::{integrate_edge_clusters_opts, integrate_node_clusters_opts, MergeOptions};
+use crate::extract::{integrate, Cluster, MergeOptions};
 use crate::pipeline::{DiscoveryResult, PgHive};
 use crate::serialize::{edge_line, node_line};
-use crate::state::{DiscoveryState, DtypeHist, EdgeTypeAccum, NodeTypeAccum};
+use crate::state::{
+    Accums, DiscoveryState, DtypeHist, EdgeTypeAccum, Kind, NodeTypeAccum, TypeAccum,
+};
 use pg_model::{
-    DataType, EdgeType, NodeType, Presence, PropertyGraph, SchemaGraph, Symbol, TypeId,
+    Cardinality, DataType, Edge, EdgeType, Node, NodeType, Presence, PropertyGraph, PropertySpec,
+    SchemaGraph, SchemaType, Symbol, TypeId,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -96,22 +99,10 @@ pub struct ShardState {
 impl ShardState {
     /// Snapshot a discovery state.
     pub fn from_state(state: &DiscoveryState) -> ShardState {
-        let mut node_accums: Vec<(TypeId, NodeTypeAccum)> = state
-            .node_accums
-            .iter()
-            .map(|(id, acc)| (*id, acc.clone()))
-            .collect();
-        node_accums.sort_by_key(|(id, _)| *id);
-        let mut edge_accums: Vec<(TypeId, EdgeTypeAccum)> = state
-            .edge_accums
-            .iter()
-            .map(|(id, acc)| (*id, acc.clone()))
-            .collect();
-        edge_accums.sort_by_key(|(id, _)| *id);
         ShardState {
             schema: state.schema.clone(),
-            node_accums,
-            edge_accums,
+            node_accums: sorted_accums(&state.node_accums),
+            edge_accums: sorted_accums(&state.edge_accums),
         }
     }
 
@@ -138,24 +129,8 @@ pub fn merge_states(
     if states.is_empty() {
         return Err(MergeError::EmptyInput);
     }
-    let mut node_clusters: Vec<NodeCluster> = Vec::new();
-    let mut edge_clusters: Vec<EdgeCluster> = Vec::new();
-    for state in states {
-        let (nodes, edges) = clusters_of(state);
-        node_clusters.extend(nodes);
-        edge_clusters.extend(edges);
-    }
-    // Canonical input order: integration decisions (and thus the merged
-    // state) depend only on the multiset of per-shard types, never on the
-    // order or grouping of the shard list.
-    node_clusters.sort_by_cached_key(node_cluster_key);
-    edge_clusters.sort_by_cached_key(edge_cluster_key);
-
-    let opts = MergeOptions::from_config(config);
     let mut state = DiscoveryState::new();
-    integrate_node_clusters_opts(&mut state, node_clusters, opts);
-    integrate_edge_clusters_opts(&mut state, edge_clusters, opts);
-
+    fold_states(&mut state, states, config);
     let mut state = canonicalize(state);
     if config.post_processing {
         infer_property_constraints(&mut state);
@@ -196,14 +171,15 @@ pub fn merge_schemas_with(
 pub fn schema_to_state(schema: &SchemaGraph) -> DiscoveryState {
     let mut state = DiscoveryState {
         schema: schema.clone(),
-        node_accums: HashMap::new(),
-        edge_accums: HashMap::new(),
+        ..DiscoveryState::default()
     };
     for t in &schema.node_types {
-        state.node_accums.insert(t.id, synthetic_node_accum(t));
+        let accum = synthetic_accum(t.instance_count, &t.properties, None);
+        state.node_accums.insert(t.id, accum);
     }
     for t in &schema.edge_types {
-        state.edge_accums.insert(t.id, synthetic_edge_accum(t));
+        let accum = synthetic_accum(t.instance_count, &t.properties, t.cardinality);
+        state.edge_accums.insert(t.id, accum);
     }
     state
 }
@@ -258,227 +234,176 @@ pub fn discover_sharded(
     })
 }
 
-/// Re-express every type of `state` as an Algorithm 2 input cluster,
-/// carrying the real accumulator when the state has one and a synthetic
-/// reconstruction (see [`merge_schemas`]) otherwise.
-fn clusters_of(state: &DiscoveryState) -> (Vec<NodeCluster>, Vec<EdgeCluster>) {
-    let mut node_clusters = Vec::with_capacity(state.schema.node_types.len());
-    for t in &state.schema.node_types {
-        let accum = state
-            .node_accums
-            .get(&t.id)
-            .cloned()
-            .unwrap_or_else(|| synthetic_node_accum(t));
-        node_clusters.push(NodeCluster {
-            labels: t.labels.clone(),
-            keys: t.key_set(),
-            accum,
-        });
-    }
-    let mut edge_clusters = Vec::with_capacity(state.schema.edge_types.len());
-    for t in &state.schema.edge_types {
-        let accum = state
-            .edge_accums
-            .get(&t.id)
-            .cloned()
-            .unwrap_or_else(|| synthetic_edge_accum(t));
-        edge_clusters.push(EdgeCluster {
-            labels: t.labels.clone(),
-            keys: t.key_set(),
-            src_labels: t.src_labels.clone(),
-            tgt_labels: t.tgt_labels.clone(),
-            accum,
-        });
-    }
-    (node_clusters, edge_clusters)
-}
-
-/// Fold `foreign` into a live `state` *without* renumbering: existing
-/// type ids survive (so a session's memoization caches stay valid) and
-/// foreign types re-enter Algorithm 2 as clusters exactly as
-/// [`merge_states`] would feed them. Post-processing is the caller's
-/// job — a live session re-derives constraints/datatypes/cardinalities
-/// on its own cadence.
-pub(crate) fn fold_state(
+/// Fold `foreign` states into a live `state` *without* renumbering:
+/// existing type ids survive (so a session's memoization caches stay
+/// valid) and every foreign type re-enters Algorithm 2 as a cluster, in
+/// a canonical input order — integration decisions depend only on the
+/// multiset of foreign types, never on the order or grouping of the
+/// list. Post-processing is the caller's job.
+pub(crate) fn fold_states(
     state: &mut DiscoveryState,
-    foreign: &DiscoveryState,
+    foreign: &[DiscoveryState],
     config: &HiveConfig,
 ) {
-    let (mut node_clusters, mut edge_clusters) = clusters_of(foreign);
-    node_clusters.sort_by_cached_key(node_cluster_key);
-    edge_clusters.sort_by_cached_key(edge_cluster_key);
     let opts = MergeOptions::from_config(config);
-    integrate_node_clusters_opts(state, node_clusters, opts);
-    integrate_edge_clusters_opts(state, edge_clusters, opts);
+    let nodes = sorted_clusters::<Node, _>(foreign, node_cluster, node_cluster_key);
+    integrate(state, nodes, opts);
+    let edges = sorted_clusters::<Edge, _>(foreign, edge_cluster, edge_cluster_key);
+    integrate(state, edges, opts);
+}
+
+/// Re-express every type of one kind as an Algorithm 2 input cluster
+/// (`cluster` is handed the real accumulator when the state has one),
+/// sorted by `key`.
+fn sorted_clusters<K: Kind, C>(
+    states: &[DiscoveryState],
+    cluster: fn(&K::Type, Option<TypeAccum<K>>) -> C,
+    key: fn(&C) -> String,
+) -> Vec<C> {
+    let mut clusters = Vec::new();
+    for state in states {
+        let (types, accums) = K::view(state);
+        clusters.extend(
+            types
+                .iter()
+                .map(|t| cluster(t, accums.get(&t.id()).cloned())),
+        );
+    }
+    clusters.sort_by_cached_key(key);
+    clusters
+}
+
+fn node_cluster(t: &NodeType, accum: Option<NodeTypeAccum>) -> NodeCluster {
+    NodeCluster {
+        labels: t.labels.clone(),
+        keys: t.key_set(),
+        accum: accum.unwrap_or_else(|| synthetic_accum(t.instance_count, &t.properties, None)),
+    }
+}
+
+fn edge_cluster(t: &EdgeType, accum: Option<EdgeTypeAccum>) -> EdgeCluster {
+    EdgeCluster {
+        labels: t.labels.clone(),
+        keys: t.key_set(),
+        src_labels: t.src_labels.clone(),
+        tgt_labels: t.tgt_labels.clone(),
+        accum: accum
+            .unwrap_or_else(|| synthetic_accum(t.instance_count, &t.properties, t.cardinality)),
+    }
+}
+
+/// A state's accumulators of one kind as `(type id, accumulator)` pairs,
+/// sorted by id — their form in shard states and checkpoints.
+pub(crate) fn sorted_accums<K: Kind>(accums: &Accums<K>) -> Vec<(TypeId, TypeAccum<K>)> {
+    let mut pairs: Vec<_> = accums.iter().collect();
+    pairs.sort_by_key(|(id, _)| **id);
+    pairs
+        .into_iter()
+        .map(|(id, acc)| (*id, acc.clone()))
+        .collect()
 }
 
 /// Renumber a state canonically: types sorted by their canonical-form
 /// line (the same rendering [`crate::serialize::canonical_form`] hashes),
-/// ids reassigned densely in that order, accumulator members and
-/// endpoints sorted. Two states describing the same types become
-/// bit-identical.
-fn canonicalize(state: DiscoveryState) -> DiscoveryState {
-    let DiscoveryState {
-        schema,
-        mut node_accums,
-        mut edge_accums,
-    } = state;
-    let mut node_types = schema.node_types;
-    node_types.sort_by_cached_key(node_line);
-    let mut edge_types = schema.edge_types;
-    edge_types.sort_by_cached_key(edge_line);
+/// ids reassigned densely in that order — node types first — and exact
+/// member and endpoint lists sorted. Two states describing the same
+/// types become bit-identical.
+fn canonicalize(mut state: DiscoveryState) -> DiscoveryState {
+    let mut out = DiscoveryState::new();
+    renumber::<Node>(&mut state, &mut out, node_line);
+    renumber::<Edge>(&mut state, &mut out, edge_line);
+    out
+}
 
-    let mut out = SchemaGraph::new();
-    let mut new_node_accums = HashMap::new();
-    for t in node_types {
-        let mut acc = node_accums.remove(&t.id).unwrap_or_default();
-        acc.members.sort_unstable();
-        let id = out.push_node_type(t);
-        new_node_accums.insert(id, acc);
-    }
-    let mut new_edge_accums = HashMap::new();
-    for t in edge_types {
-        let mut acc = edge_accums.remove(&t.id).unwrap_or_default();
-        acc.members.sort_unstable();
-        acc.endpoints.sort_unstable();
-        let id = out.push_edge_type(t);
-        new_edge_accums.insert(id, acc);
-    }
-    DiscoveryState {
-        schema: out,
-        node_accums: new_node_accums,
-        edge_accums: new_edge_accums,
+fn renumber<K: Kind>(
+    from: &mut DiscoveryState,
+    out: &mut DiscoveryState,
+    line: fn(&K::Type) -> String,
+) {
+    let (types, accums) = K::split(from);
+    types.sort_by_cached_key(line);
+    for t in types.drain(..) {
+        let mut acc = accums.remove(&t.id()).unwrap_or_default();
+        acc.sort_exact();
+        let id = K::push(&mut out.schema, t);
+        K::split(out).1.insert(id, acc);
     }
 }
 
-/// Accumulator a bare node type implies: MANDATORY keys present on every
+/// The accumulator a bare type implies: MANDATORY keys present on every
 /// instance, OPTIONAL (or unknown) keys on all but one — enough for
 /// constraint re-inference to reproduce the declared presence whenever
-/// `instance_count > 0`. Declared data types become single-slot
-/// histograms so the lattice join over shards matches
-/// [`pg_model::DataType::join`].
-fn synthetic_node_accum(t: &NodeType) -> NodeTypeAccum {
-    let mut acc = NodeTypeAccum {
-        count: t.instance_count,
-        ..NodeTypeAccum::default()
-    };
-    synthesize_props(
-        t.instance_count,
-        &t.properties,
-        &mut acc.key_present,
-        &mut acc.dtype_hist,
-    );
-    acc
-}
-
-/// Edge-type counterpart of [`synthetic_node_accum`]. No endpoint pairs
-/// exist to recompute cardinality from, so the declared cardinality is
-/// carried as the accumulator's floor (see [`EdgeTypeAccum::card_floor`]).
-fn synthetic_edge_accum(t: &EdgeType) -> EdgeTypeAccum {
-    let mut acc = EdgeTypeAccum {
-        count: t.instance_count,
-        card_floor: t.cardinality,
-        ..EdgeTypeAccum::default()
-    };
-    synthesize_props(
-        t.instance_count,
-        &t.properties,
-        &mut acc.key_present,
-        &mut acc.dtype_hist,
-    );
-    acc
-}
-
-fn synthesize_props(
+/// `count > 0`. Declared data types become single-slot histograms so the
+/// lattice join over shards matches [`pg_model::DataType::join`]. No
+/// endpoint pairs exist to recompute an edge type's cardinality from, so
+/// the declared one is carried as the accumulator's `card_floor`.
+fn synthetic_accum<K: Kind>(
     count: u64,
-    properties: &std::collections::BTreeMap<Symbol, pg_model::PropertySpec>,
-    key_present: &mut HashMap<Symbol, u64>,
-    dtype_hist: &mut HashMap<Symbol, DtypeHist>,
-) {
+    properties: &BTreeMap<Symbol, PropertySpec>,
+    card_floor: Option<Cardinality>,
+) -> TypeAccum<K> {
+    let mut acc = TypeAccum {
+        count,
+        card_floor,
+        ..TypeAccum::default()
+    };
     for (key, spec) in properties {
         let present = match spec.presence {
             Some(Presence::Mandatory) => count,
             Some(Presence::Optional) | None => count.saturating_sub(1),
         };
-        key_present.insert(key.clone(), present);
+        acc.key_present.insert(key.clone(), present);
         if let Some(dt) = spec.datatype {
             let mut hist = DtypeHist::default();
             // At least one observation even for never-present optional
             // keys, so the declared data type survives re-inference.
             hist.observe_n(dt, present.max(1));
-            dtype_hist.insert(key.clone(), hist);
+            acc.dtype_hist.insert(key.clone(), hist);
         }
     }
+    acc
 }
-
-const ALL_DTYPES: [DataType; 6] = [
-    DataType::Int,
-    DataType::Float,
-    DataType::Bool,
-    DataType::Date,
-    DataType::DateTime,
-    DataType::Str,
-];
 
 /// Total order over node clusters: structural identity first (labels,
 /// keys), then the full accumulator fingerprint so even statistically
 /// distinct twins order deterministically.
 fn node_cluster_key(c: &NodeCluster) -> String {
-    let mut s = format!("{}\u{1f}", c.labels);
-    for k in &c.keys {
-        let _ = write!(s, "{k},");
-    }
-    accum_fingerprint(
-        &mut s,
-        c.accum.count,
-        &c.accum.key_present,
-        &c.accum.dtype_hist,
-    );
-    s
+    cluster_key(c, String::new())
 }
 
 /// Total order over edge clusters (labels, endpoints, keys, statistics).
 fn edge_cluster_key(c: &EdgeCluster) -> String {
-    let mut s = format!(
-        "{}\u{1f}{}\u{1f}{}\u{1f}",
-        c.labels, c.src_labels, c.tgt_labels
-    );
-    for k in &c.keys {
-        let _ = write!(s, "{k},");
-    }
-    accum_fingerprint(
-        &mut s,
-        c.accum.count,
-        &c.accum.key_present,
-        &c.accum.dtype_hist,
-    );
-    let _ = write!(s, "\u{1f}{}", c.accum.endpoints.len());
+    let mut s = cluster_key(c, format!("{}\u{1f}{}\u{1f}", c.src_labels, c.tgt_labels));
+    let _ = write!(s, "\u{1f}{}", c.accum.endpoints().len());
     if let Some(card) = c.accum.card_floor {
         let _ = write!(s, "\u{1f}{}:{}", card.max_out, card.max_in);
     }
     s
 }
 
-fn accum_fingerprint(
-    out: &mut String,
-    count: u64,
-    key_present: &HashMap<Symbol, u64>,
-    dtype_hist: &HashMap<Symbol, DtypeHist>,
-) {
-    let _ = write!(out, "\u{1f}{count}");
-    let mut present: Vec<(&Symbol, &u64)> = key_present.iter().collect();
+/// `labels`, `ends`, the keys, then count, presence counts and data-type
+/// histograms in key order.
+fn cluster_key<C: Cluster>(c: &C, ends: String) -> String {
+    let (labels, keys, accum) = c.parts();
+    let mut s = format!("{labels}\u{1f}{ends}");
+    for k in keys {
+        let _ = write!(s, "{k},");
+    }
+    let _ = write!(s, "\u{1f}{}", accum.count);
+    let mut present: Vec<(&Symbol, &u64)> = accum.key_present.iter().collect();
     present.sort();
     for (k, n) in present {
-        let _ = write!(out, "|{k}:{n}");
+        let _ = write!(s, "|{k}:{n}");
     }
-    let mut hists: Vec<&Symbol> = dtype_hist.keys().collect();
-    hists.sort();
-    for k in hists {
-        let _ = write!(out, "|{k}~");
-        for t in ALL_DTYPES {
-            let _ = write!(out, "{},", dtype_hist[k].count(t));
+    let mut hists: Vec<(&Symbol, &DtypeHist)> = accum.dtype_hist.iter().collect();
+    hists.sort_by_key(|(k, _)| *k);
+    for (k, hist) in hists {
+        let _ = write!(s, "|{k}~");
+        for t in DataType::ALL {
+            let _ = write!(s, "{},", hist.count(t));
         }
     }
+    s
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ impl DiscoveryResult {
     pub fn node_assignment(&self) -> HashMap<NodeId, TypeId> {
         let mut out = HashMap::new();
         for (tid, acc) in &self.state.node_accums {
-            for &n in &acc.members {
+            for &n in acc.members() {
                 out.insert(n, *tid);
             }
         }
@@ -43,7 +43,7 @@ impl DiscoveryResult {
     pub fn edge_assignment(&self) -> HashMap<EdgeId, TypeId> {
         let mut out = HashMap::new();
         for (tid, acc) in &self.state.edge_accums {
-            for &e in &acc.members {
+            for &e in acc.members() {
                 out.insert(e, *tid);
             }
         }
@@ -55,7 +55,7 @@ impl DiscoveryResult {
         self.state
             .node_accums
             .iter()
-            .map(|(t, a)| (*t, a.members.clone()))
+            .map(|(t, a)| (*t, a.members().to_vec()))
             .collect()
     }
 
@@ -64,7 +64,7 @@ impl DiscoveryResult {
         self.state
             .edge_accums
             .iter()
-            .map(|(t, a)| (*t, a.members.clone()))
+            .map(|(t, a)| (*t, a.members().to_vec()))
             .collect()
     }
 

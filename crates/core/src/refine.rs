@@ -17,7 +17,7 @@
 //! constraints).
 
 use crate::state::{DiscoveryState, NodeTypeAccum};
-use pg_model::{NodeType, PropertyGraph, TypeId};
+use pg_model::{LabelSet, Node, NodeType, PropertyGraph, TypeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Settings for the refinement pass.
@@ -82,7 +82,7 @@ pub fn refine_abstract_types(
         let Some(accum) = state.node_accums.get(&tid) else {
             continue;
         };
-        if accum.members.len() < cfg.min_members {
+        if accum.members().len() < cfg.min_members {
             continue;
         }
         report.examined += 1;
@@ -91,7 +91,7 @@ pub fn refine_abstract_types(
         // this graph (e.g. earlier batches) keep the original type.
         let mut groups: BTreeMap<BTreeSet<(String, bool)>, Vec<pg_model::NodeId>> = BTreeMap::new();
         let mut absent: Vec<pg_model::NodeId> = Vec::new();
-        for &m in &accum.members {
+        for &m in accum.members() {
             if graph.node(m).is_some() {
                 groups
                     .entry(context_signature(graph, m))
@@ -172,10 +172,8 @@ fn rebuild_accum(
     for &m in members {
         match graph.node(m) {
             Some(node) => accum.observe(node),
-            None => {
-                accum.count += 1;
-                accum.members.push(m);
-            }
+            // A property-less stand-in folds in as bare membership.
+            None => accum.observe(&Node::new(m.0, LabelSet::empty())),
         }
     }
     accum
@@ -258,7 +256,7 @@ mod tests {
             .state
             .node_accums
             .values()
-            .map(|a| a.members.len())
+            .map(|a| a.members().len())
             .sum();
         assert_eq!(total, g.node_count());
     }

@@ -1,57 +1,47 @@
-//! Discovery state: the running schema plus per-type instance
-//! accumulators.
+//! Discovery state: the running schema plus one statistics accumulator
+//! per type.
 //!
-//! The accumulators record exactly what post-processing needs, in O(1)
-//! per instance: per-key presence counts (mandatory/optional, §4.4),
-//! per-key data-type histograms (data-type inference, §4.4), edge
-//! endpoint pairs (cardinalities, §4.4), and member ids (evaluation).
-//! They merge by addition/concatenation, so the incremental pipeline
-//! maintains them across batches without recomputation.
+//! [`TypeAccum`] serves node and edge types alike. Its always-exact part
+//! — instance count, per-key presence counts (mandatory/optional,
+//! §4.4), per-key data-type histograms (data-type inference, §4.4) —
+//! costs O(1) per instance and merges by integer addition. Its
+//! [`Membership`] is in one of two states: exact member-id and endpoint
+//! lists (evaluation, exact cardinalities), or fixed-size KMV /
+//! bottom-k sketches of the same (bounded-memory streaming). What an
+//! edge accumulator has beyond a node one — endpoint pairs, their
+//! sketches, a cardinality floor — enters through the [`Kind`] trait,
+//! which [`pg_model::Node`] and [`pg_model::Edge`] implement.
 
 use crate::config::StreamConfig;
 use crate::sketch::{hash_pair, DistinctSketch, ValueSample, SKETCH_SALT};
-use pg_model::{Cardinality, DataType, EdgeId, NodeId, SchemaGraph, Symbol, TypeId};
+use pg_model::{
+    Cardinality, DataType, Edge, EdgeId, EdgeType, Node, NodeId, NodeType, PropertyValue,
+    SchemaGraph, SchemaType, Symbol, TypeId,
+};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use serde::{Deserialize, Error, Serialize, Value};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Debug;
+use std::hash::Hash;
 
-/// Histogram of observed value data types for one property of one type.
+/// Histogram of observed value data types for one property of one type,
+/// slot-indexed by [`DataType::slot`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DtypeHist {
     counts: [u64; 6],
 }
 
-const ALL_TYPES: [DataType; 6] = [
-    DataType::Int,
-    DataType::Float,
-    DataType::Bool,
-    DataType::Date,
-    DataType::DateTime,
-    DataType::Str,
-];
-
-fn slot(t: DataType) -> usize {
-    match t {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Bool => 2,
-        DataType::Date => 3,
-        DataType::DateTime => 4,
-        DataType::Str => 5,
-    }
-}
-
 impl DtypeHist {
     /// Record one observed value's type.
     pub fn observe(&mut self, t: DataType) {
-        self.counts[slot(t)] += 1;
+        self.counts[t.slot()] += 1;
     }
 
     /// Record `n` observations of one type at once (used when lifting a
     /// bare schema's declared data types back into accumulator form).
     pub fn observe_n(&mut self, t: DataType, n: u64) {
-        self.counts[slot(t)] += n;
+        self.counts[t.slot()] += n;
     }
 
     /// Total number of observed values.
@@ -61,25 +51,19 @@ impl DtypeHist {
 
     /// Count for one data type.
     pub fn count(&self, t: DataType) -> u64 {
-        self.counts[slot(t)]
+        self.counts[t.slot()]
     }
 
     /// Full-scan inference: the lattice join over every observed value's
     /// type (`None` if nothing was observed).
     pub fn full_join(&self) -> Option<DataType> {
-        DataType::join_all(
-            ALL_TYPES
-                .iter()
-                .copied()
-                .filter(|&t| self.counts[slot(t)] > 0),
-        )
+        join_present(&self.counts)
     }
 
     /// Draw a without-replacement sample of value types of the requested
     /// size (capped at the total) and return the join over the sample.
     pub fn sample_join(&self, sample_size: usize, rng: &mut ChaCha8Rng) -> Option<DataType> {
-        let sample = self.draw(sample_size, rng);
-        DataType::join_all(ALL_TYPES.iter().copied().filter(|&t| sample[slot(t)] > 0))
+        join_present(&self.draw(sample_size, rng))
     }
 
     /// The paper's sampling-error metric (§5, "Evaluation metrics"):
@@ -93,11 +77,7 @@ impl DtypeHist {
         if drawn == 0 {
             return None;
         }
-        let disagree: u64 = ALL_TYPES
-            .iter()
-            .filter(|&&t| t != full)
-            .map(|&t| sample[slot(t)])
-            .sum();
+        let disagree = drawn - sample[full.slot()];
         Some(disagree as f64 / drawn as f64)
     }
 
@@ -136,6 +116,11 @@ impl DtypeHist {
     }
 }
 
+/// Lattice join over the data types with a non-zero slot.
+fn join_present(counts: &[u64; 6]) -> Option<DataType> {
+    DataType::join_all(DataType::ALL.into_iter().filter(|t| counts[t.slot()] > 0))
+}
+
 /// Resolved sketch parameters for one accumulator (streaming mode).
 /// Derived once from [`StreamConfig`] + the pipeline seed, then carried
 /// inside every sketched accumulator so checkpoints and shard states
@@ -161,169 +146,192 @@ impl SketchParams {
     }
 }
 
-/// Sketched statistics of a node-type accumulator (streaming mode):
-/// member ids collapse into a KMV distinct counter and property values
-/// into bottom-k samples, so the accumulator's size is independent of
-/// how many instances streamed through it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeSketch {
-    /// The parameters every sketch below was built with.
-    pub params: SketchParams,
-    /// Distinct member ids (replaces the `members` list).
-    pub members: DistinctSketch,
-    /// Per property key: sampled distinct values with their types.
-    pub samples: HashMap<Symbol, ValueSample>,
+/// An instance's property map.
+pub type Props = BTreeMap<Symbol, PropertyValue>;
+/// The per-type accumulators of one kind, keyed by type id.
+pub type Accums<K> = HashMap<TypeId, TypeAccum<K>>;
+
+/// The two element kinds of a property graph, as far as discovery
+/// state cares: implemented by [`Node`] and [`Edge`]. Everything the
+/// kinds share is written once against this trait; what is left here is
+/// what really differs — the id type, the schema type, where the state
+/// keeps them, and the endpoint statistics only edges have (the
+/// defaulted hooks, which [`Node`] leaves as no-ops).
+pub trait Kind: Sized + Clone + Debug + 'static {
+    /// Instance id.
+    type Id: Copy + Ord + Hash + Debug + Serialize + Deserialize;
+    /// What one instance contributes to the endpoint list.
+    type Pair: Copy + Ord + Debug;
+    /// Sketched counterpart of the endpoint list.
+    type EndSketch: Clone + Debug + Serialize + Deserialize;
+    /// The schema type instances of this kind are typed by.
+    type Type: SchemaType;
+    /// Seed salts of the member-id sketch and the value samples.
+    const MEMBER_SALT: u64;
+    /// See [`Kind::MEMBER_SALT`].
+    const SAMPLE_SALT: u64;
+
+    /// The instance's id.
+    fn id(&self) -> Self::Id;
+    /// An id as the `u64` the sketches hash.
+    fn id_bits(id: Self::Id) -> u64;
+    /// The instance's properties.
+    fn props(&self) -> &Props;
+    /// The instance's endpoint pair, if the kind has endpoints.
+    fn ends(&self) -> Option<Self::Pair>;
+
+    /// This kind's types and accumulators within a state.
+    fn view(state: &DiscoveryState) -> (&[Self::Type], &Accums<Self>);
+    /// Mutable [`Kind::view`].
+    fn split(state: &mut DiscoveryState) -> (&mut Vec<Self::Type>, &mut Accums<Self>);
+    /// Append a type under a fresh id.
+    fn push(schema: &mut SchemaGraph, t: Self::Type) -> TypeId;
+
+    /// Empty endpoint sketch.
+    fn end_sketch(params: SketchParams) -> Self::EndSketch;
+    /// Fold one endpoint pair into the sketch.
+    fn observe_ends(_sketch: &mut Self::EndSketch, _pair: Self::Pair) {}
+    /// Merge endpoint sketches (order-insensitive).
+    fn merge_ends(_sketch: &mut Self::EndSketch, _other: &Self::EndSketch) {}
+    /// Bytes the endpoint sketch retains.
+    fn end_sketch_bytes(_sketch: &Self::EndSketch) -> usize {
+        0
+    }
+    /// Append the wire fields that sit between an accumulator's
+    /// `members` and `sketch`.
+    fn ends_to_wire(_: &[Self::Pair], _: Option<Cardinality>, _obj: &mut Vec<(String, Value)>) {}
+    /// Read those fields back.
+    fn ends_from_wire(
+        _obj: &[(String, Value)],
+    ) -> Result<(Vec<Self::Pair>, Option<Cardinality>), Error> {
+        Ok((Vec::new(), None))
+    }
 }
 
-impl NodeSketch {
-    /// Empty sketch set.
-    pub fn new(params: SketchParams) -> NodeSketch {
-        NodeSketch {
-            params,
-            members: DistinctSketch::new(params.distinct_k, params.seed ^ 0x01),
-            samples: HashMap::new(),
+/// The endpoint pair of a kind without endpoints. Uninhabited, so a
+/// node accumulator's endpoint list is empty by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum NoEndpoint {}
+
+/// The endpoint sketch of a kind without endpoints (no wire fields).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct NoEndpoints;
+
+impl Kind for Node {
+    type Id = NodeId;
+    type Pair = NoEndpoint;
+    type EndSketch = NoEndpoints;
+    type Type = NodeType;
+    const MEMBER_SALT: u64 = 0x01;
+    const SAMPLE_SALT: u64 = 0x02;
+
+    fn id(&self) -> NodeId {
+        self.id
+    }
+    fn id_bits(id: NodeId) -> u64 {
+        id.0
+    }
+    fn props(&self) -> &Props {
+        &self.props
+    }
+    fn ends(&self) -> Option<NoEndpoint> {
+        None
+    }
+    fn view(state: &DiscoveryState) -> (&[NodeType], &Accums<Node>) {
+        (&state.schema.node_types, &state.node_accums)
+    }
+    fn split(state: &mut DiscoveryState) -> (&mut Vec<NodeType>, &mut Accums<Node>) {
+        (&mut state.schema.node_types, &mut state.node_accums)
+    }
+    fn push(schema: &mut SchemaGraph, t: NodeType) -> TypeId {
+        schema.push_node_type(t)
+    }
+    fn end_sketch(_: SketchParams) -> NoEndpoints {
+        NoEndpoints
+    }
+}
+
+impl Kind for Edge {
+    type Id = EdgeId;
+    type Pair = (NodeId, NodeId);
+    type EndSketch = EndpointSketch;
+    type Type = EdgeType;
+    const MEMBER_SALT: u64 = 0x11;
+    const SAMPLE_SALT: u64 = 0x15;
+
+    fn id(&self) -> EdgeId {
+        self.id
+    }
+    fn id_bits(id: EdgeId) -> u64 {
+        id.0
+    }
+    fn props(&self) -> &Props {
+        &self.props
+    }
+    fn ends(&self) -> Option<(NodeId, NodeId)> {
+        Some((self.src, self.tgt))
+    }
+    fn view(state: &DiscoveryState) -> (&[EdgeType], &Accums<Edge>) {
+        (&state.schema.edge_types, &state.edge_accums)
+    }
+    fn split(state: &mut DiscoveryState) -> (&mut Vec<EdgeType>, &mut Accums<Edge>) {
+        (&mut state.schema.edge_types, &mut state.edge_accums)
+    }
+    fn push(schema: &mut SchemaGraph, t: EdgeType) -> TypeId {
+        schema.push_edge_type(t)
+    }
+    fn end_sketch(params: SketchParams) -> EndpointSketch {
+        EndpointSketch {
+            pairs: DistinctSketch::new(params.distinct_k, params.seed ^ 0x12),
+            srcs: DistinctSketch::new(params.distinct_k, params.seed ^ 0x13),
+            tgts: DistinctSketch::new(params.distinct_k, params.seed ^ 0x14),
         }
     }
-
-    /// Fold one node instance in (id + property values).
-    pub fn observe(&mut self, node: &pg_model::Node) {
-        self.members.insert(node.id.0);
-        self.observe_values(&node.props);
+    fn observe_ends(sketch: &mut EndpointSketch, (src, tgt): (NodeId, NodeId)) {
+        sketch
+            .pairs
+            .insert_hash(hash_pair(sketch.pairs.seed(), src.0, tgt.0));
+        sketch.srcs.insert(src.0);
+        sketch.tgts.insert(tgt.0);
     }
-
-    /// Fold only the property values (used when ids were already
-    /// absorbed from an exact member list).
-    pub fn observe_values(
-        &mut self,
-        props: &std::collections::BTreeMap<Symbol, pg_model::PropertyValue>,
+    fn merge_ends(sketch: &mut EndpointSketch, other: &EndpointSketch) {
+        sketch.pairs.merge(&other.pairs);
+        sketch.srcs.merge(&other.srcs);
+        sketch.tgts.merge(&other.tgts);
+    }
+    fn end_sketch_bytes(sketch: &EndpointSketch) -> usize {
+        sketch.pairs.retained_bytes() + sketch.srcs.retained_bytes() + sketch.tgts.retained_bytes()
+    }
+    fn ends_to_wire(
+        endpoints: &[(NodeId, NodeId)],
+        card_floor: Option<Cardinality>,
+        obj: &mut Vec<(String, Value)>,
     ) {
-        for (k, v) in props {
-            self.samples
-                .entry(k.clone())
-                .or_insert_with(|| ValueSample::new(self.params.sample_k, self.params.seed ^ 0x02))
-                .observe(k, v);
-        }
+        obj.push(wire("endpoints", endpoints));
+        obj.push(wire("card_floor", &card_floor));
     }
-
-    /// Absorb an exact member-id list.
-    pub fn absorb_members(&mut self, members: &[NodeId]) {
-        for m in members {
-            self.members.insert(m.0);
-        }
-    }
-
-    /// Merge another node sketch (order-insensitive).
-    pub fn merge(&mut self, other: &NodeSketch) {
-        self.members.merge(&other.members);
-        for (k, s) in &other.samples {
-            match self.samples.get_mut(k) {
-                Some(mine) => mine.merge(s),
-                None => {
-                    self.samples.insert(k.clone(), s.clone());
-                }
-            }
-        }
-    }
-
-    /// Bytes retained (memory gauges).
-    pub fn retained_bytes(&self) -> usize {
-        self.members.retained_bytes()
-            + self
-                .samples
-                .values()
-                .map(|s| s.retained_bytes() + 64)
-                .sum::<usize>()
+    fn ends_from_wire(
+        obj: &[(String, Value)],
+    ) -> Result<(Vec<(NodeId, NodeId)>, Option<Cardinality>), Error> {
+        Ok((unwire(obj, "endpoints")?, unwire(obj, "card_floor")?))
     }
 }
 
-/// Sketched statistics of an edge-type accumulator (streaming mode):
-/// the endpoint list collapses into three KMV distinct counters —
-/// distinct `(src, tgt)` pairs, distinct sources, distinct targets —
-/// which are exactly the per-endpoint distinct counts that decide the
-/// `1:1 / 1:N / N:M` cardinality class.
+/// The sketched form of an edge accumulator's endpoint list: three KMV
+/// distinct counters — distinct `(src, tgt)` pairs, distinct sources,
+/// distinct targets — which are exactly the per-endpoint distinct
+/// counts that decide the `1:1 / 1:N / N:M` cardinality class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EdgeSketch {
-    /// The parameters every sketch below was built with.
-    pub params: SketchParams,
-    /// Distinct member ids.
-    pub members: DistinctSketch,
+pub struct EndpointSketch {
     /// Distinct `(src, tgt)` endpoint pairs.
     pub pairs: DistinctSketch,
     /// Distinct source node ids.
     pub srcs: DistinctSketch,
     /// Distinct target node ids.
     pub tgts: DistinctSketch,
-    /// Per property key: sampled distinct values with their types.
-    pub samples: HashMap<Symbol, ValueSample>,
 }
 
-impl EdgeSketch {
-    /// Empty sketch set.
-    pub fn new(params: SketchParams) -> EdgeSketch {
-        EdgeSketch {
-            params,
-            members: DistinctSketch::new(params.distinct_k, params.seed ^ 0x11),
-            pairs: DistinctSketch::new(params.distinct_k, params.seed ^ 0x12),
-            srcs: DistinctSketch::new(params.distinct_k, params.seed ^ 0x13),
-            tgts: DistinctSketch::new(params.distinct_k, params.seed ^ 0x14),
-            samples: HashMap::new(),
-        }
-    }
-
-    /// Fold one edge instance in.
-    pub fn observe(&mut self, edge: &pg_model::Edge) {
-        self.members.insert(edge.id.0);
-        self.observe_endpoint(edge.src, edge.tgt);
-        self.observe_values(&edge.props);
-    }
-
-    /// Fold only the property values.
-    pub fn observe_values(
-        &mut self,
-        props: &std::collections::BTreeMap<Symbol, pg_model::PropertyValue>,
-    ) {
-        for (k, v) in props {
-            self.samples
-                .entry(k.clone())
-                .or_insert_with(|| ValueSample::new(self.params.sample_k, self.params.seed ^ 0x15))
-                .observe(k, v);
-        }
-    }
-
-    /// Fold one endpoint pair into the three distinct counters.
-    pub fn observe_endpoint(&mut self, src: NodeId, tgt: NodeId) {
-        self.pairs
-            .insert_hash(hash_pair(self.pairs.seed(), src.0, tgt.0));
-        self.srcs.insert(src.0);
-        self.tgts.insert(tgt.0);
-    }
-
-    /// Absorb exact member-id and endpoint lists.
-    pub fn absorb(&mut self, members: &[EdgeId], endpoints: &[(NodeId, NodeId)]) {
-        for m in members {
-            self.members.insert(m.0);
-        }
-        for &(s, t) in endpoints {
-            self.observe_endpoint(s, t);
-        }
-    }
-
-    /// Merge another edge sketch (order-insensitive).
-    pub fn merge(&mut self, other: &EdgeSketch) {
-        self.members.merge(&other.members);
-        self.pairs.merge(&other.pairs);
-        self.srcs.merge(&other.srcs);
-        self.tgts.merge(&other.tgts);
-        for (k, s) in &other.samples {
-            match self.samples.get_mut(k) {
-                Some(mine) => mine.merge(s),
-                None => {
-                    self.samples.insert(k.clone(), s.clone());
-                }
-            }
-        }
-    }
-
+impl EndpointSketch {
     /// Cardinality bounds from the distinct counters, or `None` when no
     /// endpoint was ever observed.
     ///
@@ -348,19 +356,6 @@ impl EdgeSketch {
             max_in: ratio_bound(pairs, tgts, in_slack),
         })
     }
-
-    /// Bytes retained (memory gauges).
-    pub fn retained_bytes(&self) -> usize {
-        self.members.retained_bytes()
-            + self.pairs.retained_bytes()
-            + self.srcs.retained_bytes()
-            + self.tgts.retained_bytes()
-            + self
-                .samples
-                .values()
-                .map(|s| s.retained_bytes() + 64)
-                .sum::<usize>()
-    }
 }
 
 /// `pairs / ends` rounded, floored at 2 when the pair count exceeds the
@@ -373,133 +368,154 @@ fn ratio_bound(pairs: u64, ends: u64, slack: f64) -> u64 {
     }
 }
 
-/// Per-node-type accumulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct NodeTypeAccum {
-    /// Number of instances assigned to the type.
-    pub count: u64,
-    /// Per property key: how many instances carry it.
-    pub key_present: HashMap<Symbol, u64>,
-    /// Per property key: histogram of observed value types.
-    pub dtype_hist: HashMap<Symbol, DtypeHist>,
-    /// Member node ids (evaluation + instance queries). Empty in
-    /// streaming mode, where `sketch` summarizes membership instead.
-    pub members: Vec<NodeId>,
-    /// Streaming-mode sketched statistics. `None` (the default, and the
-    /// wire default for checkpoints written before streaming existed)
-    /// means the accumulator is exact.
-    pub sketch: Option<NodeSketch>,
+/// Sketched membership of one type: member ids collapse into a KMV
+/// distinct counter, endpoints into the kind's endpoint sketch, and
+/// property values into bottom-k samples, so the size is independent of
+/// how many instances streamed through.
+#[derive(Debug, Clone)]
+pub struct Sketch<K: Kind> {
+    /// The parameters every sketch below was built with.
+    pub params: SketchParams,
+    /// Distinct member ids.
+    pub members: DistinctSketch,
+    /// Endpoint statistics (edges only).
+    pub ends: K::EndSketch,
+    /// Per property key: sampled distinct values with their types.
+    pub samples: HashMap<Symbol, ValueSample>,
 }
 
-impl NodeTypeAccum {
-    /// Fold one node instance in. Exact accumulators append the member
-    /// id; sketched accumulators fold it (and the property values) into
-    /// fixed-size sketches instead.
-    pub fn observe(&mut self, node: &pg_model::Node) {
-        self.count += 1;
-        match &mut self.sketch {
-            Some(sk) => sk.observe(node),
-            None => self.members.push(node.id),
+impl<K: Kind> Sketch<K> {
+    /// Empty sketch set.
+    pub fn new(params: SketchParams) -> Sketch<K> {
+        Sketch {
+            params,
+            members: DistinctSketch::new(params.distinct_k, params.seed ^ K::MEMBER_SALT),
+            ends: K::end_sketch(params),
+            samples: HashMap::new(),
         }
-        for (k, v) in &node.props {
-            *self.key_present.entry(k.clone()).or_insert(0) += 1;
-            self.dtype_hist
+    }
+
+    /// Fold property values into the per-key samples.
+    pub fn observe_values(&mut self, props: &Props) {
+        for (k, v) in props {
+            self.samples
                 .entry(k.clone())
-                .or_default()
-                .observe(DataType::of(v));
+                .or_insert_with(|| {
+                    ValueSample::new(self.params.sample_k, self.params.seed ^ K::SAMPLE_SALT)
+                })
+                .observe(k, v);
         }
     }
 
-    /// Convert an exact accumulator to sketched form: fold the member
-    /// list into the sketches and drop it. No-op when already sketched.
-    pub fn ensure_sketched(&mut self, params: SketchParams) {
-        if self.sketch.is_none() {
-            let mut sk = NodeSketch::new(params);
-            sk.absorb_members(&self.members);
-            self.members = Vec::new();
-            self.sketch = Some(sk);
+    /// Absorb exact member-id and endpoint lists.
+    fn absorb(&mut self, members: &[K::Id], endpoints: &[K::Pair]) {
+        for &m in members {
+            self.members.insert(K::id_bits(m));
+        }
+        for &pair in endpoints {
+            K::observe_ends(&mut self.ends, pair);
         }
     }
 
-    /// Merge another accumulator (cluster merge / batch merge). Counts,
-    /// presence maps, and histograms always add exactly; membership
-    /// merges sketch-to-sketch, absorbs exact lists into sketches, or
-    /// concatenates lists — whichever the two modes imply. A mixed
-    /// merge promotes the result to sketched form (the bounded side
-    /// wins), so the outcome is the same regardless of operand order.
-    pub fn merge(&mut self, other: &NodeTypeAccum) {
-        self.count += other.count;
-        for (k, c) in &other.key_present {
-            *self.key_present.entry(k.clone()).or_insert(0) += c;
-        }
-        for (k, h) in &other.dtype_hist {
-            self.dtype_hist.entry(k.clone()).or_default().merge(h);
-        }
-        match (&mut self.sketch, &other.sketch) {
-            (Some(sk), Some(osk)) => {
-                sk.merge(osk);
-                sk.absorb_members(&other.members);
+    /// Merge another sketch set (order-insensitive).
+    fn merge(&mut self, other: &Sketch<K>) {
+        self.members.merge(&other.members);
+        K::merge_ends(&mut self.ends, &other.ends);
+        for (k, s) in &other.samples {
+            match self.samples.get_mut(k) {
+                Some(mine) => mine.merge(s),
+                None => {
+                    self.samples.insert(k.clone(), s.clone());
+                }
             }
-            (Some(sk), None) => sk.absorb_members(&other.members),
-            (None, Some(osk)) => {
-                let mut sk = NodeSketch::new(osk.params);
-                sk.absorb_members(&self.members);
-                sk.merge(osk);
-                sk.absorb_members(&other.members);
-                self.members = Vec::new();
-                self.sketch = Some(sk);
-            }
-            (None, None) => self.members.extend_from_slice(&other.members),
         }
     }
 
-    /// Estimated heap bytes this accumulator retains (memory gauges).
-    pub fn retained_bytes(&self) -> usize {
-        let maps = (self.key_present.len() + self.dtype_hist.len()) * 96;
-        self.members.capacity() * std::mem::size_of::<NodeId>()
-            + maps
-            + self.sketch.as_ref().map_or(0, |s| s.retained_bytes())
+    fn retained_bytes(&self) -> usize {
+        self.members.retained_bytes()
+            + K::end_sketch_bytes(&self.ends)
+            + self
+                .samples
+                .values()
+                .map(|s| s.retained_bytes() + 64)
+                .sum::<usize>()
     }
 }
 
-/// Per-edge-type accumulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct EdgeTypeAccum {
+/// Which instances a type has absorbed: exactly, or as sketches. The
+/// two states are exclusive — converting to sketches consumes the lists.
+#[derive(Debug, Clone)]
+pub enum Membership<K: Kind> {
+    /// Member ids and endpoint pairs, one entry per instance. Grows
+    /// O(instances): the dominant memory cost of a long-lived exact
+    /// session.
+    Exact {
+        /// Member ids (evaluation + instance queries).
+        members: Vec<K::Id>,
+        /// Endpoint pairs for cardinality inference.
+        endpoints: Vec<K::Pair>,
+    },
+    /// Fixed-size summaries (streaming mode).
+    Sketched(Sketch<K>),
+}
+
+/// Per-type statistics accumulator, for node types ([`NodeTypeAccum`])
+/// and edge types ([`EdgeTypeAccum`]).
+#[derive(Debug, Clone)]
+pub struct TypeAccum<K: Kind> {
     /// Number of instances assigned to the type.
     pub count: u64,
     /// Per property key: how many instances carry it.
     pub key_present: HashMap<Symbol, u64>,
     /// Per property key: histogram of observed value types.
     pub dtype_hist: HashMap<Symbol, DtypeHist>,
-    /// Member edge ids. Empty in streaming mode (see `sketch`).
-    pub members: Vec<EdgeId>,
-    /// Endpoint pairs for cardinality inference. In batch/incremental
-    /// mode this grows O(edges) and is the dominant memory cost of a
-    /// long-lived session; streaming mode replaces it with the three
-    /// KMV distinct counters of [`EdgeSketch`].
-    pub endpoints: Vec<(NodeId, NodeId)>,
-    /// Cardinality floor folded in from a merged foreign schema whose
-    /// endpoint pairs are unavailable (e.g. a shard schema posted to
-    /// `/sessions/{id}/merge`). Cardinality inference takes the
-    /// component-wise max of this floor and the bounds observed from
-    /// `endpoints`. `None` for locally observed edges.
+    /// Member ids and endpoints, exact or sketched.
+    pub membership: Membership<K>,
+    /// Edge types: cardinality floor folded in from a merged foreign
+    /// schema whose endpoint pairs are unavailable (e.g. a shard schema
+    /// posted to `/sessions/{id}/merge`). Cardinality inference takes
+    /// the component-wise max of this floor and the bounds observed from
+    /// the endpoints. `None` for locally observed edges, and for nodes.
     pub card_floor: Option<Cardinality>,
-    /// Streaming-mode sketched statistics (see [`NodeTypeAccum::sketch`]).
-    pub sketch: Option<EdgeSketch>,
 }
 
-impl EdgeTypeAccum {
-    /// Fold one edge instance in (see [`NodeTypeAccum::observe`]).
-    pub fn observe(&mut self, edge: &pg_model::Edge) {
+/// Accumulator of a node type.
+pub type NodeTypeAccum = TypeAccum<Node>;
+/// Accumulator of an edge type.
+pub type EdgeTypeAccum = TypeAccum<Edge>;
+
+impl<K: Kind> Default for TypeAccum<K> {
+    fn default() -> Self {
+        TypeAccum {
+            count: 0,
+            key_present: HashMap::new(),
+            dtype_hist: HashMap::new(),
+            membership: Membership::Exact {
+                members: Vec::new(),
+                endpoints: Vec::new(),
+            },
+            card_floor: None,
+        }
+    }
+}
+
+impl<K: Kind> TypeAccum<K> {
+    /// Fold one instance in. Exact membership appends its id and
+    /// endpoints; sketched membership folds them, and the property
+    /// values, into the fixed-size sketches instead.
+    pub fn observe(&mut self, instance: &K) {
         self.count += 1;
-        match &mut self.sketch {
-            Some(sk) => sk.observe(edge),
-            None => {
-                self.members.push(edge.id);
-                self.endpoints.push((edge.src, edge.tgt));
+        match &mut self.membership {
+            Membership::Exact { members, endpoints } => {
+                members.push(instance.id());
+                endpoints.extend(instance.ends());
+            }
+            Membership::Sketched(sk) => {
+                sk.absorb(&[instance.id()], instance.ends().as_slice());
+                sk.observe_values(instance.props());
             }
         }
-        for (k, v) in &edge.props {
+        for (k, v) in instance.props() {
             *self.key_present.entry(k.clone()).or_insert(0) += 1;
             self.dtype_hist
                 .entry(k.clone())
@@ -508,22 +524,52 @@ impl EdgeTypeAccum {
         }
     }
 
-    /// Convert an exact accumulator to sketched form: fold members and
-    /// endpoints into the sketches and drop the lists. No-op when
-    /// already sketched.
-    pub fn ensure_sketched(&mut self, params: SketchParams) {
-        if self.sketch.is_none() {
-            let mut sk = EdgeSketch::new(params);
-            sk.absorb(&self.members, &self.endpoints);
-            self.members = Vec::new();
-            self.endpoints = Vec::new();
-            self.sketch = Some(sk);
+    /// The exact member ids (empty once sketched).
+    pub fn members(&self) -> &[K::Id] {
+        match &self.membership {
+            Membership::Exact { members, .. } => members,
+            Membership::Sketched(_) => &[],
         }
     }
 
-    /// Merge another accumulator (see [`NodeTypeAccum::merge`] for the
-    /// mixed-mode rules).
-    pub fn merge(&mut self, other: &EdgeTypeAccum) {
+    /// The exact endpoint pairs (empty once sketched, and for nodes).
+    pub fn endpoints(&self) -> &[K::Pair] {
+        match &self.membership {
+            Membership::Exact { endpoints, .. } => endpoints,
+            Membership::Sketched(_) => &[],
+        }
+    }
+
+    /// The sketches, once sketched.
+    pub fn sketch(&self) -> Option<&Sketch<K>> {
+        match &self.membership {
+            Membership::Sketched(sk) => Some(sk),
+            Membership::Exact { .. } => None,
+        }
+    }
+
+    /// Convert exact membership to sketched form — fold the lists into
+    /// fresh sketches and drop them — and hand back the sketches. Keeps
+    /// the existing ones when already sketched.
+    pub fn ensure_sketched(&mut self, params: SketchParams) -> &mut Sketch<K> {
+        if let Membership::Exact { members, endpoints } = &self.membership {
+            let mut sk = Sketch::new(params);
+            sk.absorb(members, endpoints);
+            self.membership = Membership::Sketched(sk);
+        }
+        let Membership::Sketched(sk) = &mut self.membership else {
+            unreachable!("converted above")
+        };
+        sk
+    }
+
+    /// Merge another accumulator (cluster merge / batch merge / shard
+    /// merge). Counts, presence maps, histograms and the floor always
+    /// merge exactly. Membership follows one table: lists concatenate,
+    /// sketches merge, and a list meeting a sketch is absorbed into it —
+    /// so a mixed merge yields sketched form (the bounded side wins) and
+    /// the same sketches whichever operand held the list.
+    pub fn merge(&mut self, other: &TypeAccum<K>) {
         self.count += other.count;
         self.card_floor = match (self.card_floor, other.card_floor) {
             (Some(a), Some(b)) => Some(a.merge(&b)),
@@ -535,35 +581,115 @@ impl EdgeTypeAccum {
         for (k, h) in &other.dtype_hist {
             self.dtype_hist.entry(k.clone()).or_default().merge(h);
         }
-        match (&mut self.sketch, &other.sketch) {
-            (Some(sk), Some(osk)) => {
-                sk.merge(osk);
-                sk.absorb(&other.members, &other.endpoints);
+        match (&mut self.membership, &other.membership) {
+            (_, Membership::Sketched(theirs)) => self.ensure_sketched(theirs.params).merge(theirs),
+            (Membership::Sketched(mine), _) => mine.absorb(other.members(), other.endpoints()),
+            (Membership::Exact { members, endpoints }, _) => {
+                members.extend_from_slice(other.members());
+                endpoints.extend_from_slice(other.endpoints());
             }
-            (Some(sk), None) => sk.absorb(&other.members, &other.endpoints),
-            (None, Some(osk)) => {
-                let mut sk = EdgeSketch::new(osk.params);
-                sk.absorb(&self.members, &self.endpoints);
-                sk.merge(osk);
-                sk.absorb(&other.members, &other.endpoints);
-                self.members = Vec::new();
-                self.endpoints = Vec::new();
-                self.sketch = Some(sk);
-            }
-            (None, None) => {
-                self.members.extend_from_slice(&other.members);
-                self.endpoints.extend_from_slice(&other.endpoints);
-            }
+        }
+    }
+
+    /// Sort the exact lists (canonical form of a merged state).
+    pub fn sort_exact(&mut self) {
+        if let Membership::Exact { members, endpoints } = &mut self.membership {
+            members.sort_unstable();
+            endpoints.sort_unstable();
         }
     }
 
     /// Estimated heap bytes this accumulator retains (memory gauges).
     pub fn retained_bytes(&self) -> usize {
         let maps = (self.key_present.len() + self.dtype_hist.len()) * 96;
-        self.members.capacity() * std::mem::size_of::<EdgeId>()
-            + self.endpoints.capacity() * std::mem::size_of::<(NodeId, NodeId)>()
-            + maps
-            + self.sketch.as_ref().map_or(0, |s| s.retained_bytes())
+        maps + match &self.membership {
+            Membership::Exact { members, endpoints } => {
+                members.capacity() * std::mem::size_of::<K::Id>()
+                    + endpoints.capacity() * std::mem::size_of::<K::Pair>()
+            }
+            Membership::Sketched(sk) => sk.retained_bytes(),
+        }
+    }
+}
+
+fn wire(name: &str, value: &(impl Serialize + ?Sized)) -> (String, Value) {
+    (name.to_owned(), value.to_value())
+}
+
+fn unwire<T: Deserialize>(obj: &[(String, Value)], name: &str) -> Result<T, Error> {
+    T::from_value(serde::field(obj, name)).map_err(|e| Error::context(name, e))
+}
+
+fn wire_object(value: &Value) -> Result<&[(String, Value)], Error> {
+    value
+        .as_object()
+        .ok_or_else(|| Error::custom("expected object"))
+}
+
+// The v1 wire form predates the two-state membership: `members` (and an
+// edge's `endpoints`) are always written, empty beside a non-null
+// `sketch`, and an edge sketch carries its endpoint counters inline
+// between `members` and `samples`. Checkpoints and shard states are
+// recovery data, so both directions keep that shape field for field.
+
+impl<K: Kind> Serialize for Sketch<K> {
+    fn to_value(&self) -> Value {
+        let mut obj = vec![wire("params", &self.params), wire("members", &self.members)];
+        if let Value::Object(ends) = self.ends.to_value() {
+            obj.extend(ends);
+        }
+        obj.push(wire("samples", &self.samples));
+        Value::Object(obj)
+    }
+}
+
+impl<K: Kind> Deserialize for Sketch<K> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let obj = wire_object(value)?;
+        Ok(Sketch {
+            params: unwire(obj, "params")?,
+            members: unwire(obj, "members")?,
+            ends: K::EndSketch::from_value(value)?,
+            samples: unwire(obj, "samples")?,
+        })
+    }
+}
+
+impl<K: Kind> Serialize for TypeAccum<K> {
+    fn to_value(&self) -> Value {
+        let mut obj = vec![
+            wire("count", &self.count),
+            wire("key_present", &self.key_present),
+            wire("dtype_hist", &self.dtype_hist),
+            wire("members", self.members()),
+        ];
+        K::ends_to_wire(self.endpoints(), self.card_floor, &mut obj);
+        obj.push(wire("sketch", &self.sketch()));
+        Value::Object(obj)
+    }
+}
+
+impl<K: Kind> Deserialize for TypeAccum<K> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let obj = wire_object(value)?;
+        let members: Vec<K::Id> = unwire(obj, "members")?;
+        let (endpoints, card_floor) = K::ends_from_wire(obj)?;
+        let membership = match unwire::<Option<Sketch<K>>>(obj, "sketch")? {
+            // No v1 writer emits lists beside a sketch, but the format
+            // can say it; the merge table says what it means.
+            Some(mut sk) => {
+                sk.absorb(&members, &endpoints);
+                Membership::Sketched(sk)
+            }
+            None => Membership::Exact { members, endpoints },
+        };
+        Ok(TypeAccum {
+            count: unwire(obj, "count")?,
+            key_present: unwire(obj, "key_present")?,
+            dtype_hist: unwire(obj, "dtype_hist")?,
+            membership,
+            card_floor,
+        })
     }
 }
 
@@ -659,17 +785,7 @@ mod tests {
         let parts: Vec<DtypeHist> = (0..6u64)
             .map(|i| {
                 let mut h = DtypeHist::default();
-                for (j, t) in [
-                    DataType::Int,
-                    DataType::Float,
-                    DataType::Bool,
-                    DataType::Date,
-                    DataType::DateTime,
-                    DataType::Str,
-                ]
-                .into_iter()
-                .enumerate()
-                {
+                for (j, t) in DataType::ALL.into_iter().enumerate() {
                     for _ in 0..(i * 7 + j as u64 * 3 + 1) {
                         h.observe(t);
                     }
@@ -764,7 +880,7 @@ mod tests {
         assert_eq!(acc.count, 2);
         assert_eq!(acc.key_present[&pg_model::sym("a")], 2);
         assert_eq!(acc.key_present[&pg_model::sym("b")], 1);
-        assert_eq!(acc.members.len(), 2);
+        assert_eq!(acc.members().len(), 2);
 
         let mut other = NodeTypeAccum::default();
         other.observe(&Node::new(3, LabelSet::single("P")).with_prop("b", "y"));

@@ -14,6 +14,10 @@
 //! * **Eviction safety** — a [`FingerprintStore`] never evicts a pinned
 //!   entry at or above the frequency floor, no matter the churn, and
 //!   eviction is a deterministic function of the entry set.
+//! * **Accumulator merge law** — a [`TypeAccum`] (node or edge) merges
+//!   to the same value whatever the operand order, reduction-tree shape,
+//!   or mix of exact and sketched operands; any sketched operand makes
+//!   the result the single-pass sketched fold (the bounded side wins).
 //! * **Stream-mode equivalence** — sketched shard states fold through
 //!   `pg_hive::merge_states` to the same canonical schema as a
 //!   single-node sketched run, at any thread count; checkpoints stay
@@ -22,9 +26,10 @@
 
 use pg_hive::{
     content_hash_hex, merge_states, AccumMode, DistinctSketch, FingerprintStore, HiveConfig,
-    HiveSession, ModeMismatch, SessionCheckpoint, StreamConfig, ValueSample,
+    HiveSession, Kind, ModeMismatch, SessionCheckpoint, SketchParams, StreamConfig, TypeAccum,
+    ValueSample,
 };
-use pg_model::{DataType, LabelSet, Node, PropertyValue};
+use pg_model::{DataType, Edge, LabelSet, Node, NodeId, PropertyValue};
 use pg_store::split_batches;
 use pg_synth::{random_schema, synthesize, SchemaParams, SynthSpec};
 use proptest::prelude::*;
@@ -50,8 +55,137 @@ fn sample_from(k: usize, seed: u64, values: &[(u64, bool)]) -> ValueSample {
     s
 }
 
+/// Fold `instances` into one accumulator, exact or (with `params`)
+/// sketched from the first instance on.
+fn fold<K: Kind>(instances: &[K], params: Option<SketchParams>) -> TypeAccum<K> {
+    let mut acc = TypeAccum::default();
+    if let Some(params) = params {
+        acc.ensure_sketched(params);
+    }
+    for instance in instances {
+        acc.observe(instance);
+    }
+    acc
+}
+
+/// An accumulator's wire form with exact lists sorted — equality up to
+/// the concatenation order of member and endpoint lists.
+fn canonical<K: Kind>(mut acc: TypeAccum<K>) -> String {
+    acc.sort_exact();
+    serde_json::to_string(&acc).expect("accumulator serializes")
+}
+
+/// The merge law over one stream cut into three parts: every
+/// exact/sketched assignment of the parts, every operand order, both
+/// reduction-tree shapes.
+fn check_accum_merge_law<K: Kind>(
+    stream: &[K],
+    cuts: (usize, usize),
+    params: SketchParams,
+) -> Result<(), TestCaseError> {
+    let a = cuts.0.min(cuts.1).min(stream.len());
+    let b = cuts.0.max(cuts.1).min(stream.len());
+    let parts = [&stream[..a], &stream[a..b], &stream[b..]];
+    for modes in 0..8u8 {
+        let sketched = |i: usize| modes & (1 << i) != 0;
+        let folded: Vec<TypeAccum<K>> = (0..3)
+            .map(|i| fold(parts[i], sketched(i).then_some(params)))
+            .collect();
+        let expected = if modes == 0 {
+            fold(stream, None)
+        } else {
+            // The single-pass sketched fold of the whole stream — except
+            // that an exact operand no longer has property *values* to
+            // sample, so the value samples are those of a single pass
+            // over the sketched parts alone.
+            let sampled: Vec<K> = (0..3)
+                .filter(|&i| sketched(i))
+                .flat_map(|i| parts[i].iter().cloned())
+                .collect();
+            let mut whole = fold(stream, Some(params));
+            whole.ensure_sketched(params).samples = fold(&sampled, Some(params))
+                .ensure_sketched(params)
+                .samples
+                .clone();
+            whole
+        };
+        let expected = canonical(expected);
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let [x, y, z] = order.map(|i| &folded[i]);
+            let mut left_deep = x.clone();
+            left_deep.merge(y);
+            left_deep.merge(z);
+            let mut inner = y.clone();
+            inner.merge(z);
+            let mut right_deep = x.clone();
+            right_deep.merge(&inner);
+            for (shape, merged) in [("(x+y)+z", left_deep), ("x+(y+z)", right_deep)] {
+                prop_assert_eq!(
+                    &canonical(merged),
+                    &expected,
+                    "modes {:03b}, order {:?}, shape {}",
+                    modes,
+                    order,
+                    shape
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One raw instance: id, endpoints, which of three keys it carries, and
+/// whether their values are strings or ints.
+type RawInstance = (u64, u64, u64, u8, bool);
+
+fn with_props<T>(mut instance: T, raw: &RawInstance, set: fn(T, &str, PropertyValue) -> T) -> T {
+    for (bit, key) in ["a", "b", "c"].into_iter().enumerate() {
+        if raw.3 & (1 << bit) != 0 {
+            let value = if raw.4 {
+                PropertyValue::from(format!("v{}", raw.0 + bit as u64))
+            } else {
+                PropertyValue::from((raw.0 + bit as u64) as i64)
+            };
+            instance = set(instance, key, value);
+        }
+    }
+    instance
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The accumulator merge law, node and edge kinds (see
+    /// `check_accum_merge_law`). Sketch sizes are small enough that the
+    /// KMV counters and value samples saturate within a part.
+    #[test]
+    fn accumulator_merge_is_order_shape_and_mode_insensitive(
+        raw in prop::collection::vec((0u64..200, 0u64..12, 0u64..12, 0u8..8, any::<bool>()), 0..60),
+        cuts in (0usize..60, 0usize..60),
+        seed in any::<u64>(),
+    ) {
+        let params = SketchParams { distinct_k: 8, sample_k: 4, seed };
+        let nodes: Vec<Node> = raw
+            .iter()
+            .map(|r| with_props(Node::new(r.0, LabelSet::single("T")), r, |n, k, v| n.with_prop(k, v)))
+            .collect();
+        check_accum_merge_law(&nodes, cuts, params)?;
+        let edges: Vec<Edge> = raw
+            .iter()
+            .map(|r| {
+                let edge = Edge::new(r.0, NodeId(r.1), NodeId(r.2), LabelSet::single("E"));
+                with_props(edge, r, |e, k, v| e.with_prop(k, v))
+            })
+            .collect();
+        check_accum_merge_law(&edges, cuts, params)?;
+    }
 
     /// merge(A, B) == merge(B, A), bit for bit.
     #[test]

@@ -1,0 +1,199 @@
+//! Wire-compatibility fixtures for the durable formats: the v1
+//! checkpoint envelope (`PGHIVE-CKPT v1`) in exact and stream mode, and
+//! the `--state-out` [`ShardState`] JSON.
+//!
+//! The files under `tests/fixtures/wire_v1/` were written by the build
+//! that preceded the single-accumulator refactor (see `regenerate`).
+//! Each must decode and re-encode to the same bytes, and resuming or
+//! merging from it must land on the schema hash recorded beside it in
+//! `hashes.txt` — durable state and the coordinator↔shard exchange are
+//! recovery data, so an in-memory redesign must not move a byte of them.
+
+use pg_hive::checkpoint::{decode, encode};
+use pg_hive::{
+    content_hash_hex, merge_states, HiveConfig, HiveSession, PgHive, ShardState, StreamConfig,
+    SHARD_SPLIT_SALT,
+};
+use pg_model::{Edge, LabelSet, Node, NodeId, PropertyGraph};
+use pg_store::{split_batches, GraphBatch};
+use std::path::PathBuf;
+
+const BATCHES: usize = 4;
+const CHECKPOINT_AFTER: usize = 2;
+const SEED: u64 = 42;
+
+/// A small graph with every wire-relevant shape: two labeled node
+/// types, label-less nodes that merge by Jaccard and ones that stay
+/// abstract, optional keys, mixed value types, and two edge types with
+/// fan-out, fan-in and properties.
+fn graph() -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    for i in 0..24u64 {
+        let labels = if i % 6 == 5 {
+            LabelSet::empty()
+        } else {
+            LabelSet::single("Person")
+        };
+        let mut n = Node::new(i, labels)
+            .with_prop("name", format!("p{i}"))
+            .with_prop("age", 20 + i as i64);
+        if i % 4 == 0 {
+            n = n.with_prop("score", i as f64 / 2.0);
+        }
+        g.add_node(n).unwrap();
+    }
+    for i in 0..8u64 {
+        let url = if i == 3 {
+            pg_model::PropertyValue::from(7i64)
+        } else {
+            pg_model::PropertyValue::from(format!("o{i}.example"))
+        };
+        g.add_node(Node::new(100 + i, LabelSet::single("Org")).with_prop("url", url))
+            .unwrap();
+    }
+    for i in 0..4u64 {
+        g.add_node(Node::new(200 + i, LabelSet::empty()).with_prop("voltage", i as f64))
+            .unwrap();
+    }
+    for i in 0..24u64 {
+        g.add_edge(
+            Edge::new(
+                1000 + i,
+                NodeId(i),
+                NodeId(100 + i % 8),
+                LabelSet::single("WORKS_AT"),
+            )
+            .with_prop("from", 2000 + i as i64),
+        )
+        .unwrap();
+    }
+    for i in 0..16u64 {
+        g.add_edge(Edge::new(
+            2000 + i,
+            NodeId(i % 5),
+            NodeId((i * 7 + 1) % 24),
+            LabelSet::single("KNOWS"),
+        ))
+        .unwrap();
+    }
+    g
+}
+
+fn config(stream: bool) -> HiveConfig {
+    HiveConfig {
+        memoize: true,
+        stream: stream.then(StreamConfig::default),
+        ..HiveConfig::default()
+    }
+    .with_seed(SEED)
+}
+
+fn batches() -> Vec<GraphBatch> {
+    split_batches(&graph(), BATCHES, SEED)
+}
+
+fn shards() -> Vec<GraphBatch> {
+    split_batches(&graph(), 2, SEED ^ SHARD_SPLIT_SALT)
+}
+
+fn fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire_v1")
+}
+
+fn recorded_hash(name: &str) -> String {
+    let text = std::fs::read_to_string(fixture_dir().join("hashes.txt")).unwrap();
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ').map(str::to_owned))
+        .unwrap_or_else(|| panic!("no recorded hash for {name}"))
+}
+
+/// Decode → encode is the identity on the file's bytes, and a session
+/// restored from the file finishes the remaining batches on the
+/// recorded hash.
+fn checkpoint_round_trips_and_resumes(name: &str, stream: bool) {
+    let bytes = std::fs::read(fixture_dir().join(name)).unwrap();
+    let ckpt = decode(&bytes).unwrap();
+    assert_eq!(
+        encode(&ckpt).unwrap(),
+        bytes,
+        "{name} re-encodes differently"
+    );
+    assert_eq!(ckpt.batches_processed, CHECKPOINT_AFTER);
+
+    let mut session = HiveSession::restore(config(stream), ckpt).unwrap();
+    for b in &batches()[CHECKPOINT_AFTER..] {
+        session.process_graph_batch(b);
+    }
+    assert_eq!(
+        content_hash_hex(&session.finish().schema),
+        recorded_hash(name)
+    );
+}
+
+#[test]
+fn exact_checkpoint_is_wire_stable() {
+    checkpoint_round_trips_and_resumes("exact.ckpt", false);
+}
+
+#[test]
+fn stream_checkpoint_is_wire_stable() {
+    checkpoint_round_trips_and_resumes("stream.ckpt", true);
+}
+
+#[test]
+fn shard_state_is_wire_stable() {
+    let name = "shard_state.json";
+    let text = std::fs::read_to_string(fixture_dir().join(name)).unwrap();
+    let shard0: ShardState = serde_json::from_str(&text).unwrap();
+    assert!(!shard0.edge_accums.is_empty(), "fixture carries edges");
+    assert_eq!(serde_json::to_string(&shard0).unwrap(), text);
+
+    let shard1 = PgHive::new(config(false))
+        .discover(&shards()[1].nodes, &shards()[1].edges)
+        .state;
+    let merged = merge_states(&[shard0.into_state(), shard1], &config(false)).unwrap();
+    assert_eq!(content_hash_hex(&merged.schema), recorded_hash(name));
+}
+
+/// How the fixtures were produced. Checkpoint pair lists are written in
+/// hash-map iteration order, so a rerun yields equivalent but not
+/// byte-equal files: regenerate only to add a fixture for a new format
+/// version, from the last build that wrote the old one.
+#[test]
+#[ignore = "writes tests/fixtures/wire_v1; run by hand from the build whose wire format is being pinned"]
+fn regenerate() {
+    let dir = fixture_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut hashes = String::new();
+    for (name, stream) in [("exact.ckpt", false), ("stream.ckpt", true)] {
+        let mut session = HiveSession::new(config(stream));
+        for (i, b) in batches().iter().enumerate() {
+            session.process_graph_batch(b);
+            if i + 1 == CHECKPOINT_AFTER {
+                std::fs::write(dir.join(name), encode(&session.checkpoint()).unwrap()).unwrap();
+            }
+        }
+        let hash = content_hash_hex(&session.finish().schema);
+        hashes.push_str(&format!("{name} {hash}\n"));
+    }
+    let states: Vec<_> = shards()
+        .iter()
+        .map(|s| {
+            PgHive::new(config(false))
+                .discover(&s.nodes, &s.edges)
+                .state
+        })
+        .collect();
+    let shard0 = ShardState::from_state(&states[0]);
+    std::fs::write(
+        dir.join("shard_state.json"),
+        serde_json::to_string(&shard0).unwrap(),
+    )
+    .unwrap();
+    let merged = merge_states(&states, &config(false)).unwrap();
+    hashes.push_str(&format!(
+        "shard_state.json {}\n",
+        content_hash_hex(&merged.schema)
+    ));
+    std::fs::write(dir.join("hashes.txt"), hashes).unwrap();
+}

@@ -73,7 +73,7 @@ fn main() {
         .state
         .node_accums
         .values()
-        .map(|a| a.members.clone())
+        .map(|a| a.members().to_vec())
         .collect();
     let after = majority_f1(&clusters, &truth);
 

@@ -24,6 +24,22 @@ pub enum DataType {
 }
 
 impl DataType {
+    /// Every data type, in declaration order — the order of the slots
+    /// in a per-type histogram (see [`DataType::slot`]).
+    pub const ALL: [DataType; 6] = [
+        DataType::Int,
+        DataType::Float,
+        DataType::Bool,
+        DataType::Date,
+        DataType::DateTime,
+        DataType::Str,
+    ];
+
+    /// This type's index in [`DataType::ALL`].
+    pub fn slot(self) -> usize {
+        self as usize
+    }
+
     /// The data type of a single value.
     pub fn of(value: &PropertyValue) -> DataType {
         match value {
@@ -108,6 +124,13 @@ impl fmt::Display for DataType {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slots_index_all() {
+        for (i, t) in DataType::ALL.into_iter().enumerate() {
+            assert_eq!(t.slot(), i);
+        }
+    }
 
     #[test]
     fn join_is_commutative_and_idempotent() {

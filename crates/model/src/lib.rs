@@ -44,7 +44,8 @@ pub use label::{sym, LabelSet, Symbol};
 pub use merge::{merge_schemas, DEFAULT_MERGE_THETA};
 pub use pattern::{EdgePattern, NodePattern};
 pub use schema::{
-    Cardinality, CardinalityClass, EdgeType, NodeType, Presence, PropertySpec, SchemaGraph, TypeId,
+    Cardinality, CardinalityClass, EdgeType, NodeType, Presence, PropertySpec, SchemaGraph,
+    SchemaType, TypeId,
 };
 pub use stats::GraphStats;
 pub use value::{Date, DateTime, PropertyValue};

@@ -255,6 +255,55 @@ impl EdgeType {
     }
 }
 
+/// What [`NodeType`] and [`EdgeType`] share, for code that treats the two
+/// kinds of schema type alike (type merging, post-processing).
+pub trait SchemaType {
+    /// Schema-local identifier.
+    fn id(&self) -> TypeId;
+    /// PG-Schema ABSTRACT marker.
+    fn is_abstract(&self) -> bool;
+    /// Property key → specification.
+    fn properties(&self) -> &BTreeMap<Symbol, PropertySpec>;
+    /// Mutable [`SchemaType::properties`].
+    fn properties_mut(&mut self) -> &mut BTreeMap<Symbol, PropertySpec>;
+    /// Instances assigned during discovery.
+    fn instance_count_mut(&mut self) -> &mut u64;
+    /// Union-merge `other` into `self` (Lemmas 1/2).
+    fn absorb(&mut self, other: &Self);
+    /// The cardinality constraint, for kinds that have one.
+    fn cardinality(&self) -> Option<Cardinality>;
+}
+
+macro_rules! impl_schema_type {
+    ($t:ty, $cardinality:expr) => {
+        impl SchemaType for $t {
+            fn id(&self) -> TypeId {
+                self.id
+            }
+            fn is_abstract(&self) -> bool {
+                self.is_abstract
+            }
+            fn properties(&self) -> &BTreeMap<Symbol, PropertySpec> {
+                &self.properties
+            }
+            fn properties_mut(&mut self) -> &mut BTreeMap<Symbol, PropertySpec> {
+                &mut self.properties
+            }
+            fn instance_count_mut(&mut self) -> &mut u64 {
+                &mut self.instance_count
+            }
+            fn absorb(&mut self, other: &Self) {
+                self.merge_from(other)
+            }
+            fn cardinality(&self) -> Option<Cardinality> {
+                ($cardinality)(self)
+            }
+        }
+    };
+}
+impl_schema_type!(NodeType, |_: &NodeType| None);
+impl_schema_type!(EdgeType, |t: &EdgeType| t.cardinality);
+
 /// The discovered schema graph (Definition 3.4).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchemaGraph {

@@ -137,14 +137,7 @@ mod tests {
     fn drawn_values_have_the_requested_datatype() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let m = ValueModel::default();
-        for dt in [
-            DataType::Int,
-            DataType::Float,
-            DataType::Bool,
-            DataType::Date,
-            DataType::DateTime,
-            DataType::Str,
-        ] {
+        for dt in DataType::ALL {
             for _ in 0..50 {
                 let v = m.draw(Some(dt), &mut rng);
                 assert_eq!(DataType::of(&v), dt);

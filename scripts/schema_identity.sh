@@ -1,0 +1,95 @@
+#!/usr/bin/env bash
+# Byte-identity matrix between two builds of the CLI:
+#
+#   scripts/schema_identity.sh <parent-pg-hive> <change-pg-hive>
+#
+# Two synthetic corpora (uniform; noisy and pattern-rich) x seeds {42, 7}
+# x {elsh, minhash} x {one-shot, 16 batches, 16 streamed batches, crash
+# after batch 7 then --resume, 3 shards then merge}, each run under both
+# binaries; the `--format json` outputs are `cmp`ed. The two modes with
+# durable state run a second time crossed: the change binary resumes the
+# parent's checkpoint directory and merges the parent's shard states.
+# Prints one line per differing combination, then `N/N identical`; exits
+# 1 unless every combination matched.
+set -euo pipefail
+[ $# -eq 2 ] || { echo "usage: $0 <parent-pg-hive> <change-pg-hive>" >&2; exit 2; }
+parent=$(realpath "$1")
+change=$(realpath "$2")
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# discover <bin> <out.json> <flags...>
+discover() {
+    local bin=$1 out=$2
+    shift 2
+    "$bin" discover --format json --out "$out" "$@" >/dev/null 2>&1
+}
+
+# run <writer> <reader> <mode> <dir> <flags...>: leaves <dir>/schema.json.
+# The writer produces the durable state (checkpoints, shard states) that
+# the reader finishes from; the stateless modes use the reader only.
+run() {
+    local writer=$1 reader=$2 mode=$3 dir=$4
+    shift 4
+    mkdir -p "$dir"
+    case $mode in
+    one-shot) discover "$reader" "$dir/schema.json" "$@" ;;
+    batches) discover "$reader" "$dir/schema.json" --batches 16 "$@" ;;
+    stream) discover "$reader" "$dir/schema.json" --stream --batches 16 "$@" ;;
+    crash-resume)
+        # The injected fault is a panic (exit 101) after batch 7.
+        if discover "$writer" "$dir/schema.json" --batches 16 \
+            --checkpoint-dir "$dir/ckpt" --kill-after-batch 7 "$@"; then
+            echo "--kill-after-batch did not kill: $dir" >&2
+            return 1
+        fi
+        discover "$reader" "$dir/schema.json" --batches 16 \
+            --checkpoint-dir "$dir/ckpt" --resume "$@"
+        ;;
+    shards)
+        for i in 0 1 2; do
+            discover "$writer" "$dir/shard$i.json" --shard "$i/3" \
+                --state-out "$dir/state$i.json" "$@"
+        done
+        "$reader" merge "$dir"/state{0,1,2}.json --out "$dir/schema.json" >/dev/null
+        ;;
+    esac
+}
+
+total=0
+same=0
+# compare <tag> <change-side writer> <mode> <flags...>
+compare() {
+    local tag=$1 writer=$2 mode=$3
+    shift 3
+    run "$parent" "$parent" "$mode" "$work/$tag/parent" "$@"
+    run "$writer" "$change" "$mode" "$work/$tag/change" "$@"
+    total=$((total + 1))
+    if cmp -s "$work/$tag/parent/schema.json" "$work/$tag/change/schema.json"; then
+        same=$((same + 1))
+    else
+        echo "DIFFERS: $tag"
+    fi
+}
+
+for corpus in uniform diverse; do
+    case $corpus in
+    uniform) shape=(--types 8 --size 20000 --unlabeled 0.05 --missing-optional 0.3) ;;
+    diverse) shape=(--types 64 --size 8000 --unlabeled 0.3 --missing-optional 0.5 --label-noise 0.2) ;;
+    esac
+    for seed in 42 7; do
+        data=$work/$corpus-$seed
+        "$parent" synth --jsonl --out-dir "$data" --seed "$seed" "${shape[@]}" >/dev/null
+        for method in elsh minhash; do
+            flags=(--jsonl "$data/graph.jsonl" --seed "$seed" --method "$method")
+            for mode in one-shot batches stream crash-resume shards; do
+                compare "$corpus-$seed-$method-$mode" "$change" "$mode" "${flags[@]}"
+            done
+            for mode in crash-resume shards; do
+                compare "$corpus-$seed-$method-$mode-crossed" "$parent" "$mode" "${flags[@]}"
+            done
+        done
+    done
+done
+echo "$same/$total identical"
+[ "$same" -eq "$total" ]

@@ -82,13 +82,13 @@ fn instance_counts_accumulate_exactly_once() {
         .state
         .node_accums
         .values()
-        .map(|a| a.members.len())
+        .map(|a| a.members().len())
         .sum();
     let edge_total: usize = result
         .state
         .edge_accums
         .values()
-        .map(|a| a.members.len())
+        .map(|a| a.members().len())
         .sum();
     assert_eq!(node_total, graph.node_count());
     assert_eq!(edge_total, graph.edge_count());

@@ -75,7 +75,7 @@ proptest! {
         let result = PgHive::new(quick_config(seed)).discover_graph(&graph);
         prop_assert_eq!(result.node_assignment().len(), graph.node_count());
         prop_assert_eq!(result.edge_assignment().len(), graph.edge_count());
-        let member_total: usize = result.state.node_accums.values().map(|a| a.members.len()).sum();
+        let member_total: usize = result.state.node_accums.values().map(|a| a.members().len()).sum();
         prop_assert_eq!(member_total, graph.node_count());
     }
 
@@ -88,7 +88,7 @@ proptest! {
             let t = result.schema.node_types.iter().find(|t| t.id == *tid).unwrap();
             for (key, spec) in &t.properties {
                 if spec.presence == Some(Presence::Mandatory) {
-                    for node_id in &accum.members {
+                    for node_id in accum.members() {
                         let node = graph.node(*node_id).unwrap();
                         prop_assert!(
                             node.props.contains_key(key),
@@ -107,7 +107,7 @@ proptest! {
         let result = PgHive::new(quick_config(seed)).discover_graph(&graph);
         for (tid, accum) in &result.state.node_accums {
             let t = result.schema.node_types.iter().find(|t| t.id == *tid).unwrap();
-            for node_id in &accum.members {
+            for node_id in accum.members() {
                 let node = graph.node(*node_id).unwrap();
                 for (key, value) in &node.props {
                     if let Some(dt) = t.properties.get(key).and_then(|s| s.datatype) {
@@ -145,7 +145,7 @@ proptest! {
             let t = result.schema.edge_types.iter().find(|t| t.id == *tid).unwrap();
             let Some(card) = t.cardinality else { continue };
             let mut out: HashMap<NodeId, HashSet<NodeId>> = HashMap::new();
-            for &(s, tt) in &accum.endpoints {
+            for &(s, tt) in accum.endpoints() {
                 out.entry(s).or_default().insert(tt);
             }
             for targets in out.values() {

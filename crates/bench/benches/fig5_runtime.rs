@@ -82,14 +82,17 @@ fn fig5_thread_scaling(_c: &mut Criterion) {
         let par = run(0);
         let speedup = seq.total.as_secs_f64() / par.total.as_secs_f64().max(1e-9);
         println!(
-            "{ds:<8} threads {}->{}  preprocess {:>10?} -> {:>10?}  cluster {:>10?} -> {:>10?}  \
-             extract {:>10?} -> {:>10?}  total {:>10?} -> {:>10?}  speedup {speedup:.2}x",
+            "{ds:<8} threads {}->{}  preprocess {:>10?} -> {:>10?}  lsh {:>10?} -> {:>10?}  \
+             assemble {:>10?} -> {:>10?}  extract {:>10?} -> {:>10?}  total {:>10?} -> {:>10?}  \
+             speedup {speedup:.2}x",
             seq.threads,
             par.threads,
             seq.preprocess,
             par.preprocess,
-            seq.cluster,
-            par.cluster,
+            seq.cluster - seq.assemble,
+            par.cluster - par.assemble,
+            seq.assemble,
+            par.assemble,
             seq.extract,
             par.extract,
             seq.total,

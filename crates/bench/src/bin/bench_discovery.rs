@@ -185,6 +185,7 @@ fn run_json(r: &Run) -> JsonValue {
             obj(vec![
                 ("preprocess", float(ms(t.preprocess))),
                 ("cluster", float(ms(t.cluster))),
+                ("cluster_assemble", float(ms(t.assemble))),
                 ("extract", float(ms(t.extract))),
                 ("finish", float(r.finish_ms)),
             ]),
@@ -277,11 +278,12 @@ fn main() {
             for _ in 0..opts.repeat {
                 let r = run_once(&nodes, &edges, opts.seed, threads);
                 eprintln!(
-                    "   threads={}  batch {:8.1} ms  (pre {:.1} / cluster {:.1} / extract {:.1})  finish {:.1} ms  node-ratio {:.0}  hash {}",
+                    "   threads={}  batch {:8.1} ms  (pre {:.1} / cluster {:.1}, of it assemble {:.1} / extract {:.1})  finish {:.1} ms  node-ratio {:.0}  hash {}",
                     r.threads_resolved,
                     ms(r.timing.total),
                     ms(r.timing.preprocess),
                     ms(r.timing.cluster),
+                    ms(r.timing.assemble),
                     ms(r.timing.extract),
                     r.finish_ms,
                     r.timing.node_dedup.ratio(),

@@ -16,6 +16,7 @@ use pg_model::{DataType, FnvBuildHasher, LabelSet, Symbol};
 use pg_store::{EdgeRecord, NodeRecord};
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap};
+use std::time::{Duration, Instant};
 
 /// How far the structural-fingerprint dedup collapsed one clustering
 /// pass: `records` elements entered, `distinct` fingerprints were
@@ -129,8 +130,9 @@ fn resolve_minhash_tables(
 }
 
 /// Cluster the batch's nodes. Returns the candidate clusters, the
-/// adaptive parameters actually used (if adaptive), and the dedup
-/// statistics of the pass.
+/// adaptive parameters actually used (if adaptive), the dedup
+/// statistics of the pass, and how much of the call went to assembling
+/// the clusters once LSH had assigned every record to one.
 ///
 /// Records are first collapsed to their structural fingerprints and
 /// only the distinct fingerprints are featurized and LSH-hashed; cluster
@@ -145,12 +147,19 @@ pub fn cluster_nodes(
     nodes: &[NodeRecord],
     fs: &FeatureSpace,
     cfg: &HiveConfig,
-) -> (Vec<NodeCluster>, Option<AdaptiveParams>, DedupStats) {
+) -> (
+    Vec<NodeCluster>,
+    Option<AdaptiveParams>,
+    DedupStats,
+    Duration,
+) {
     if nodes.is_empty() {
-        return (Vec::new(), None, DedupStats::default());
+        return (Vec::new(), None, DedupStats::default(), Duration::ZERO);
     }
     let (clustering, params, stats) = node_clustering(nodes, fs, cfg);
-    (assemble_node_clusters(nodes, &clustering), params, stats)
+    let start = Instant::now();
+    let clusters = assemble_node_clusters(nodes, &clustering);
+    (clusters, params, stats, start.elapsed())
 }
 
 /// The LSH half of [`cluster_nodes`]: one cluster id per record.
@@ -228,12 +237,19 @@ pub fn cluster_edges(
     edges: &[EdgeRecord],
     fs: &FeatureSpace,
     cfg: &HiveConfig,
-) -> (Vec<EdgeCluster>, Option<AdaptiveParams>, DedupStats) {
+) -> (
+    Vec<EdgeCluster>,
+    Option<AdaptiveParams>,
+    DedupStats,
+    Duration,
+) {
     if edges.is_empty() {
-        return (Vec::new(), None, DedupStats::default());
+        return (Vec::new(), None, DedupStats::default(), Duration::ZERO);
     }
     let (clustering, params, stats) = edge_clustering(edges, fs, cfg);
-    (assemble_edge_clusters(edges, &clustering), params, stats)
+    let start = Instant::now();
+    let clusters = assemble_edge_clusters(edges, &clustering);
+    (clusters, params, stats, start.elapsed())
 }
 
 /// The LSH half of [`cluster_edges`]: one cluster id per record.
@@ -258,10 +274,18 @@ fn edge_clustering(
     )
 }
 
-/// Number of chunks cluster assembly folds in parallel. Chunk
-/// boundaries depend only on the record count, never the thread count,
-/// so the chunk-ordered merge below is deterministic.
+/// Most chunks cluster assembly folds in parallel. Chunk boundaries
+/// depend only on the record count, never the thread count, so the
+/// chunk-ordered merge below is deterministic.
 const ASSEMBLE_SHARDS: usize = 64;
+
+/// Fewest records worth a chunk of their own. A cluster costs one merge
+/// of maps per further chunk that touched it, so on pattern-rich input
+/// short chunks merge more than they fold: 20 000 records in 300
+/// clusters assemble in 22 ms at 128 records a chunk, 8.5 ms at 1 024
+/// and 2 ms at 8 192, about a millisecond of folding each
+/// (`results/integrate_scaling.txt`).
+const ASSEMBLE_MIN_CHUNK: usize = 8192;
 
 impl NodeCluster {
     /// Fold another partial cluster in. Label/key unions are
@@ -378,22 +402,48 @@ fn union_into(acc: &mut LabelSet, other: &LabelSet) {
     }
 }
 
-fn assemble_node_clusters(nodes: &[NodeRecord], clustering: &Clustering) -> Vec<NodeCluster> {
-    let shard = nodes.len().div_ceil(ASSEMBLE_SHARDS).max(1);
-    let partials: Vec<Vec<NodeCluster>> = nodes
-        .par_chunks(shard)
-        .zip(clustering.assignment.par_chunks(shard))
-        .map(|(chunk, assignment)| node_chunk_kernel(chunk, assignment, clustering.num_clusters))
+/// What summarises one chunk: its records, their cluster ids and the
+/// cluster count in; the clusters the chunk touched out, by ascending
+/// id.
+type ChunkKernel<R, C> = fn(&[R], &[usize], usize) -> Vec<(usize, C)>;
+
+/// Fold `records` into one cluster per id of `clustering`: `kernel`
+/// summarises each chunk's records into the clusters that chunk touched,
+/// and the partials of one cluster meet in chunk order — the first is
+/// moved into place, later ones are merged in with `merge` — so the
+/// result is that of folding the records one by one, for any chunking.
+fn assemble<R: Sync, C: Default + Send>(
+    records: &[R],
+    clustering: &Clustering,
+    kernel: ChunkKernel<R, C>,
+    merge: fn(&mut C, &C),
+) -> Vec<C> {
+    let chunk_len = records
+        .len()
+        .div_ceil(ASSEMBLE_SHARDS)
+        .max(ASSEMBLE_MIN_CHUNK);
+    let partials: Vec<Vec<(usize, C)>> = records
+        .par_chunks(chunk_len)
+        .zip(clustering.assignment.par_chunks(chunk_len))
+        .map(|(chunk, assignment)| kernel(chunk, assignment, clustering.num_clusters))
         .collect();
-    let mut clusters: Vec<NodeCluster> = (0..clustering.num_clusters)
-        .map(|_| NodeCluster::default())
-        .collect();
-    for partial in &partials {
-        for (dst, src) in clusters.iter_mut().zip(partial) {
-            dst.merge(src);
+    let mut clusters: Vec<Option<C>> = (0..clustering.num_clusters).map(|_| None).collect();
+    for (cid, partial) in partials.into_iter().flatten() {
+        match &mut clusters[cid] {
+            Some(cluster) => merge(cluster, &partial),
+            empty => *empty = Some(partial),
         }
     }
     clusters
+        .into_iter()
+        .map(Option::unwrap_or_default)
+        .collect()
+}
+
+/// Summarise `clustering`'s clusters of `nodes` (one assignment per
+/// node) by their representatives and statistics.
+pub fn assemble_node_clusters(nodes: &[NodeRecord], clustering: &Clustering) -> Vec<NodeCluster> {
+    assemble(nodes, clustering, node_chunk_kernel, NodeCluster::merge)
 }
 
 /// Flat accumulation kernel for one chunk: group records by cluster id
@@ -401,20 +451,21 @@ fn assemble_node_clusters(nodes: &[NodeRecord], clustering: &Clustering) -> Vec<
 /// Bit-identical to the old per-record fold — member order is chunk
 /// order and every map ends up with the same (key, count) content — but
 /// without per-record `Arc` churn or redundant label-union allocation.
+/// Returns the clusters the chunk has records of, by ascending id, and
+/// builds nothing for the others.
 fn node_chunk_kernel(
     chunk: &[NodeRecord],
     assignment: &[usize],
     num_clusters: usize,
-) -> Vec<NodeCluster> {
+) -> Vec<(usize, NodeCluster)> {
     let (order, starts, counts) = group_by_cluster(assignment, num_clusters);
-    let mut clusters: Vec<NodeCluster> =
-        (0..num_clusters).map(|_| NodeCluster::default()).collect();
+    let mut clusters = Vec::new();
     let mut ks = KeySlots::default();
-    for (cid, c) in clusters.iter_mut().enumerate() {
-        let n = counts[cid];
+    for (cid, &n) in counts.iter().enumerate() {
         if n == 0 {
             continue;
         }
+        let mut c = NodeCluster::default();
         ks.clear();
         let mut members = Vec::with_capacity(n);
         for &i in &order[starts[cid]..starts[cid] + n] {
@@ -435,26 +486,14 @@ fn node_chunk_kernel(
             &mut c.accum.key_present,
             &mut c.accum.dtype_hist,
         );
+        clusters.push((cid, c));
     }
     clusters
 }
 
-fn assemble_edge_clusters(edges: &[EdgeRecord], clustering: &Clustering) -> Vec<EdgeCluster> {
-    let shard = edges.len().div_ceil(ASSEMBLE_SHARDS).max(1);
-    let partials: Vec<Vec<EdgeCluster>> = edges
-        .par_chunks(shard)
-        .zip(clustering.assignment.par_chunks(shard))
-        .map(|(chunk, assignment)| edge_chunk_kernel(chunk, assignment, clustering.num_clusters))
-        .collect();
-    let mut clusters: Vec<EdgeCluster> = (0..clustering.num_clusters)
-        .map(|_| EdgeCluster::default())
-        .collect();
-    for partial in &partials {
-        for (dst, src) in clusters.iter_mut().zip(partial) {
-            dst.merge(src);
-        }
-    }
-    clusters
+/// Edge counterpart of [`assemble_node_clusters`].
+pub fn assemble_edge_clusters(edges: &[EdgeRecord], clustering: &Clustering) -> Vec<EdgeCluster> {
+    assemble(edges, clustering, edge_chunk_kernel, EdgeCluster::merge)
 }
 
 /// Edge counterpart of [`node_chunk_kernel`]; additionally folds the
@@ -463,16 +502,15 @@ fn edge_chunk_kernel(
     chunk: &[EdgeRecord],
     assignment: &[usize],
     num_clusters: usize,
-) -> Vec<EdgeCluster> {
+) -> Vec<(usize, EdgeCluster)> {
     let (order, starts, counts) = group_by_cluster(assignment, num_clusters);
-    let mut clusters: Vec<EdgeCluster> =
-        (0..num_clusters).map(|_| EdgeCluster::default()).collect();
+    let mut clusters = Vec::new();
     let mut ks = KeySlots::default();
-    for (cid, c) in clusters.iter_mut().enumerate() {
-        let n = counts[cid];
+    for (cid, &n) in counts.iter().enumerate() {
         if n == 0 {
             continue;
         }
+        let mut c = EdgeCluster::default();
         ks.clear();
         let mut members = Vec::with_capacity(n);
         let mut endpoints = Vec::with_capacity(n);
@@ -494,6 +532,7 @@ fn edge_chunk_kernel(
             &mut c.accum.key_present,
             &mut c.accum.dtype_hist,
         );
+        clusters.push((cid, c));
     }
     clusters
 }
@@ -635,7 +674,7 @@ mod tests {
         let nodes = two_type_nodes();
         let cfg = quick_cfg(LshMethod::Elsh);
         let fs = FeatureSpace::build(&nodes, &[], &cfg.embedding, cfg.seed);
-        let (clusters, params, stats) = cluster_nodes(&nodes, &fs, &cfg);
+        let (clusters, params, stats, _) = cluster_nodes(&nodes, &fs, &cfg);
         assert_eq!(clusters.len(), 2, "two structurally distinct types");
         assert!(params.is_some(), "adaptive params reported");
         let total: u64 = clusters.iter().map(|c| c.accum.count).sum();
@@ -654,7 +693,7 @@ mod tests {
         let nodes = two_type_nodes();
         let cfg = quick_cfg(LshMethod::MinHash);
         let fs = FeatureSpace::build(&nodes, &[], &cfg.embedding, cfg.seed);
-        let (clusters, _, _) = cluster_nodes(&nodes, &fs, &cfg);
+        let (clusters, ..) = cluster_nodes(&nodes, &fs, &cfg);
         assert_eq!(clusters.len(), 2);
     }
 
@@ -668,7 +707,7 @@ mod tests {
         ];
         let cfg = quick_cfg(LshMethod::Elsh);
         let fs = FeatureSpace::build(&nodes, &[], &cfg.embedding, cfg.seed);
-        let (clusters, _, _) = cluster_nodes(&nodes, &fs, &cfg);
+        let (clusters, ..) = cluster_nodes(&nodes, &fs, &cfg);
         let all_keys: BTreeSet<_> = clusters.iter().flat_map(|c| c.keys.clone()).collect();
         assert_eq!(all_keys.len(), 2);
         for c in &clusters {
@@ -709,7 +748,7 @@ mod tests {
         }
         let cfg = quick_cfg(LshMethod::Elsh);
         let fs = FeatureSpace::build(&nodes, &edges, &cfg.embedding, cfg.seed);
-        let (clusters, _, _) = cluster_edges(&edges, &fs, &cfg);
+        let (clusters, ..) = cluster_edges(&edges, &fs, &cfg);
         assert_eq!(clusters.len(), 2);
         let works = clusters
             .iter()
@@ -722,7 +761,14 @@ mod tests {
 
     #[test]
     fn assembly_is_thread_count_invariant() {
-        let nodes = two_type_nodes();
+        // Enough records for assembly to fold several chunks.
+        let nodes: Vec<NodeRecord> = (0..3 * ASSEMBLE_MIN_CHUNK as u64)
+            .zip(two_type_nodes().iter().cycle())
+            .map(|(id, node)| NodeRecord {
+                id: NodeId(id),
+                ..node.clone()
+            })
+            .collect();
         let cfg = quick_cfg(LshMethod::Elsh);
         let fs = FeatureSpace::build(&nodes, &[], &cfg.embedding, cfg.seed);
         let run = |threads: usize| {
@@ -747,6 +793,29 @@ mod tests {
         }
     }
 
+    /// Sparse chunked assembly against a literal per-record fold.
+    fn assert_nodes_match_naive_fold(nodes: &[NodeRecord], clustering: &Clustering) {
+        let flat = assemble_node_clusters(nodes, clustering);
+        let mut naive: Vec<NodeCluster> = (0..clustering.num_clusters)
+            .map(|_| NodeCluster::default())
+            .collect();
+        for (node, &cid) in nodes.iter().zip(&clustering.assignment) {
+            let c = &mut naive[cid];
+            c.labels = c.labels.union(&node.labels);
+            c.keys.extend(node.props.keys().cloned());
+            c.accum.observe(node);
+        }
+        assert_eq!(flat.len(), naive.len());
+        for (a, b) in flat.iter().zip(&naive) {
+            assert_eq!(a.labels, b.labels);
+            assert_eq!(a.keys, b.keys);
+            assert_eq!(a.accum.count, b.accum.count);
+            assert_eq!(a.accum.key_present, b.accum.key_present);
+            assert_eq!(a.accum.dtype_hist, b.accum.dtype_hist);
+            assert_eq!(a.accum.members(), b.accum.members());
+        }
+    }
+
     /// The flat chunk kernels are an optimization of the old per-record
     /// fold; this pins them against a literal reimplementation of that
     /// fold — same labels, same key sets, same presence counts and
@@ -764,31 +833,31 @@ mod tests {
             };
             nodes.push(n);
         }
-        let assignment: Vec<usize> = (0..nodes.len()).map(|i| i % 4).collect();
-        let clustering = Clustering {
-            assignment: assignment.clone(),
-            num_clusters: 5, // one cluster deliberately empty
-        };
-        let flat = assemble_node_clusters(&nodes, &clustering);
-        // Naive reference fold (the pre-kernel implementation).
-        let mut naive: Vec<NodeCluster> = (0..clustering.num_clusters)
-            .map(|_| NodeCluster::default())
+        assert_nodes_match_naive_fold(
+            &nodes,
+            &Clustering {
+                assignment: (0..nodes.len()).map(|i| i % 4).collect(),
+                num_clusters: 5, // one cluster deliberately empty
+            },
+        );
+        // Three chunks, and more clusters than a chunk has records:
+        // each chunk reports only the clusters it touched, most
+        // clusters meet partials from two chunks (one moved into place,
+        // one merged in), and the unused ids stay empty.
+        let nodes: Vec<NodeRecord> = (0..2 * ASSEMBLE_MIN_CHUNK as u64 + 100)
+            .zip(nodes.iter().cycle())
+            .map(|(id, node)| NodeRecord {
+                id: NodeId(id),
+                ..node.clone()
+            })
             .collect();
-        for (node, &cid) in nodes.iter().zip(&assignment) {
-            let c = &mut naive[cid];
-            c.labels = c.labels.union(&node.labels);
-            c.keys.extend(node.props.keys().cloned());
-            c.accum.observe(node);
-        }
-        assert_eq!(flat.len(), naive.len());
-        for (a, b) in flat.iter().zip(&naive) {
-            assert_eq!(a.labels, b.labels);
-            assert_eq!(a.keys, b.keys);
-            assert_eq!(a.accum.count, b.accum.count);
-            assert_eq!(a.accum.key_present, b.accum.key_present);
-            assert_eq!(a.accum.dtype_hist, b.accum.dtype_hist);
-            assert_eq!(a.accum.members(), b.accum.members());
-        }
+        assert_nodes_match_naive_fold(
+            &nodes,
+            &Clustering {
+                assignment: (0..nodes.len()).map(|i| (i * 7) % 9000).collect(),
+                num_clusters: 4 * ASSEMBLE_MIN_CHUNK,
+            },
+        );
 
         let edges: Vec<EdgeRecord> = (0..40u64)
             .map(|i| EdgeRecord {
@@ -842,10 +911,10 @@ mod tests {
     fn empty_inputs() {
         let cfg = quick_cfg(LshMethod::Elsh);
         let fs = FeatureSpace::build(&[], &[], &cfg.embedding, cfg.seed);
-        let (nc, np, ns) = cluster_nodes(&[], &fs, &cfg);
+        let (nc, np, ns, _) = cluster_nodes(&[], &fs, &cfg);
         assert!(nc.is_empty() && np.is_none());
         assert_eq!(ns, DedupStats::default());
-        let (ec, ep, es) = cluster_edges(&[], &fs, &cfg);
+        let (ec, ep, es, _) = cluster_edges(&[], &fs, &cfg);
         assert!(ec.is_empty() && ep.is_none());
         assert_eq!(es, DedupStats::default());
     }
@@ -878,7 +947,7 @@ mod tests {
         for method in [LshMethod::Elsh, LshMethod::MinHash] {
             let on = quick_cfg(method);
             let fs = FeatureSpace::build(&nodes, &[], &on.embedding, on.seed);
-            let (c_on, p_on, s_on) = cluster_nodes(&nodes, &fs, &on);
+            let (c_on, p_on, s_on, _) = cluster_nodes(&nodes, &fs, &on);
             let (naive, p_off) = naive_node_clustering(&nodes, &fs, &on);
             let c_off = assemble_node_clusters(&nodes, &naive);
             assert_eq!(p_on, p_off, "adaptive params must agree ({method:?})");
@@ -925,7 +994,7 @@ mod tests {
         }
         let on = quick_cfg(LshMethod::Elsh);
         let fs = FeatureSpace::build(&nodes, &edges, &on.embedding, on.seed);
-        let (c_on, p_on, s_on) = cluster_edges(&edges, &fs, &on);
+        let (c_on, p_on, s_on, _) = cluster_edges(&edges, &fs, &on);
         let (naive, p_off) = naive_edge_clustering(&edges, &fs, &on);
         let c_off = assemble_edge_clusters(&edges, &naive);
         assert_eq!(p_on, p_off);

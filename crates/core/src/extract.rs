@@ -22,7 +22,6 @@
 use crate::cluster::{EdgeCluster, NodeCluster};
 use crate::config::MergeSimilarity;
 use crate::state::{Accums, DiscoveryState, Kind, SketchParams, TypeAccum};
-use pg_model::pattern::jaccard;
 use pg_model::{Edge, EdgeType, LabelSet, Node, NodeType, SchemaType, Symbol, TypeId};
 use std::collections::{BTreeSet, HashMap};
 
@@ -175,6 +174,119 @@ fn endpoints_compatible(a: &LabelSet, b: &LabelSet) -> bool {
     a.is_empty() || b.is_empty() || a == b
 }
 
+/// A property-key set as a bitset over a [`TypeIndex`]'s dense key ids:
+/// the intersection of two is an AND + popcount per word, no allocation.
+#[derive(Debug, Default)]
+struct KeySet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl KeySet {
+    /// `pg_model::pattern::jaccard` of the two sets — the same `inter` /
+    /// `union` integers, so the same `f64` — or `None` when the sizes
+    /// alone keep it below `theta`. The size filter is exact:
+    /// `inter ≤ min` and `union ≥ max`, so `inter/union ≤ min/max` in the
+    /// reals, and rounding a quotient to `f64` is monotone, so the
+    /// rounded Jaccard is `≤` the rounded size ratio and fails `≥ theta`
+    /// whenever that ratio does.
+    fn jaccard_reaching(&self, other: &KeySet, theta: f64) -> Option<f64> {
+        let (min, max) = (self.len.min(other.len), self.len.max(other.len));
+        if max == 0 {
+            return Some(1.0);
+        }
+        if (min as f64 / max as f64) < theta {
+            return None;
+        }
+        let inter: usize = self
+            .words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum();
+        Some(inter as f64 / (self.len + other.len - inter) as f64)
+    }
+}
+
+/// What Algorithm 2 reads of a type while hunting a merge candidate.
+#[derive(Debug)]
+struct IndexEntry {
+    id: TypeId,
+    is_abstract: bool,
+    keys: KeySet,
+}
+
+/// Lookups over one kind's types for the length of one [`integrate`]
+/// call, so a cluster costs its plausible candidates and not a scan of
+/// every type with a key-set clone each. Built from the state at the top
+/// of the call and never stored; [`place`], the only writer of types in
+/// between, keeps it current. It rests on three facts: a type's position
+/// and id never change; neither does its label set (a cluster is
+/// absorbed only by a type with equal labels, or brings none); its key
+/// set and ABSTRACT flag may change when it absorbs, so [`place`]
+/// re-reads them.
+#[derive(Debug, Default)]
+struct TypeIndex {
+    /// Label set → positions of the types carrying it, ascending.
+    by_labels: HashMap<LabelSet, Vec<usize>>,
+    /// Type id → position (the first, should a foreign schema repeat an
+    /// id).
+    by_id: HashMap<TypeId, usize>,
+    /// Property key → dense id, in first-seen order within the call.
+    key_ids: HashMap<Symbol, u32>,
+    /// One entry per type, by position.
+    entries: Vec<IndexEntry>,
+}
+
+impl TypeIndex {
+    fn build<T: SchemaType>(types: &[T]) -> TypeIndex {
+        let mut index = TypeIndex::default();
+        for (pos, t) in types.iter().enumerate() {
+            index.record(pos, t);
+        }
+        index
+    }
+
+    /// Read the type at `pos` (again): the next position is a new type,
+    /// an earlier one a type that has just absorbed a cluster.
+    fn record<T: SchemaType>(&mut self, pos: usize, t: &T) {
+        let entry = IndexEntry {
+            id: t.id(),
+            is_abstract: t.is_abstract(),
+            keys: self.key_set(t.properties().keys()),
+        };
+        if pos < self.entries.len() {
+            self.entries[pos] = entry;
+            return;
+        }
+        let with_labels = self.by_labels.entry(t.labels().clone()).or_default();
+        with_labels.push(pos);
+        self.by_id.entry(entry.id).or_insert(pos);
+        self.entries.push(entry);
+    }
+
+    /// `keys` as a bitset, handing unseen keys the next dense ids.
+    fn key_set<'a>(&mut self, keys: impl Iterator<Item = &'a Symbol>) -> KeySet {
+        let mut set = KeySet::default();
+        for key in keys {
+            let id = match self.key_ids.get(key) {
+                Some(&id) => id,
+                None => {
+                    let id = self.key_ids.len() as u32;
+                    self.key_ids.insert(key.clone(), id);
+                    id
+                }
+            } as usize;
+            if set.words.len() <= id / 64 {
+                set.words.resize(id / 64 + 1, 0);
+            }
+            set.words[id / 64] |= 1 << (id % 64);
+            set.len += 1;
+        }
+        set
+    }
+}
+
 /// Integrate one kind's clusters into the state (Algorithm 2).
 ///
 /// Returns, for each input cluster (same order), the id of the type it
@@ -185,60 +297,77 @@ pub fn integrate<C: Cluster>(
     opts: MergeOptions,
 ) -> Vec<TypeId> {
     let mut assigned = vec![TypeId(0); clusters.len()];
+    let mut index = TypeIndex::build(C::Kind::view(state).0);
     let (labeled, unlabeled): (Vec<_>, Vec<_>) = clusters
         .into_iter()
         .enumerate()
         .partition(|(_, c)| !c.parts().0.is_empty());
     for (idx, cluster) in labeled.into_iter().chain(unlabeled) {
         let (types, accums) = C::Kind::view(state);
-        let target = if cluster.parts().0.is_empty() {
+        let (labels, keys, _) = cluster.parts();
+        let target = if labels.is_empty() {
             // Lines 8–11: unlabeled clusters vs labeled types by key
             // Jaccard. Lines 12–14: leftovers vs abstract types
             // (existing + earlier leftovers of this very loop), then
             // new ABSTRACT types.
-            best_candidate(types, accums, &cluster, false, opts)
-                .or_else(|| best_candidate(types, accums, &cluster, true, opts))
+            let key_set = index.key_set(keys.iter());
+            best_candidate(&index, accums, &cluster, &key_set, false, opts)
+                .or_else(|| best_candidate(&index, accums, &cluster, &key_set, true, opts))
         } else {
-            // Lines 2–7: labeled clusters merge by their exact key.
-            types
-                .iter()
+            // Lines 2–7: labeled clusters merge by their exact key —
+            // the first type with these labels that, for edges, is
+            // endpoint-compatible as it stands now.
+            index
+                .by_labels
+                .get(labels)
+                .into_iter()
+                .flatten()
+                .map(|&pos| &types[pos])
                 .find(|t| cluster.same_key(t, opts.edge_endpoint_aware))
                 .map(|t| t.id())
         };
-        assigned[idx] = place(state, target, &cluster, opts.stream);
+        assigned[idx] = place(state, &mut index, target, &cluster, opts.stream);
     }
     assigned
 }
 
 /// Find the type (labeled or abstract, per `want_abstract`) with the
-/// highest key-set Jaccard ≥ θ. Ties break toward the lower type id for
-/// determinism.
+/// highest key-set Jaccard ≥ θ against the cluster's `keys`. Ties break
+/// toward the lower type id for determinism.
 fn best_candidate<C: Cluster>(
-    types: &[<C::Kind as Kind>::Type],
+    index: &TypeIndex,
     accums: &Accums<C::Kind>,
     cluster: &C,
+    keys: &KeySet,
     want_abstract: bool,
     opts: MergeOptions,
 ) -> Option<TypeId> {
-    let (_, keys, accum) = cluster.parts();
+    let accum = cluster.parts().2;
     let mut best: Option<(f64, TypeId)> = None;
-    for t in types.iter().filter(|t| t.is_abstract() == want_abstract) {
+    for t in index
+        .entries
+        .iter()
+        .filter(|t| t.is_abstract == want_abstract)
+    {
         let weigh_against = match opts.similarity {
-            MergeSimilarity::WeightedJaccard => accums.get(&t.id()),
+            MergeSimilarity::WeightedJaccard => accums.get(&t.id),
             MergeSimilarity::BinaryJaccard => None,
         };
         let sim = match weigh_against {
             Some(acc) => {
                 weighted_jaccard(&accum.key_present, accum.count, &acc.key_present, acc.count)
             }
-            None => jaccard(keys, &t.properties().keys().cloned().collect()),
+            None => match keys.jaccard_reaching(&t.keys, opts.theta) {
+                Some(sim) => sim,
+                None => continue,
+            },
         };
         let better = match best {
             None => true,
-            Some((bs, bid)) => sim > bs || (sim == bs && t.id() < bid),
+            Some((bs, bid)) => sim > bs || (sim == bs && t.id < bid),
         };
         if sim >= opts.theta && better {
-            best = Some((sim, t.id()));
+            best = Some((sim, t.id));
         }
     }
     best.map(|(_, id)| id)
@@ -248,19 +377,24 @@ fn best_candidate<C: Cluster>(
 /// or append it as a new type when there is none.
 fn place<C: Cluster>(
     state: &mut DiscoveryState,
+    index: &mut TypeIndex,
     target: Option<TypeId>,
     cluster: &C,
     stream: Option<SketchParams>,
 ) -> TypeId {
     let incoming = cluster.to_type();
-    let id = match target {
+    let (id, pos) = match target {
         Some(id) => {
-            let t = C::Kind::split(state).0.iter_mut().find(|t| t.id() == id);
-            t.expect("type id from this schema").absorb(&incoming);
-            id
+            let pos = *index.by_id.get(&id).expect("a target is an indexed type");
+            C::Kind::split(state).0[pos].absorb(&incoming);
+            (id, pos)
         }
-        None => C::Kind::push(&mut state.schema, incoming),
+        None => (
+            C::Kind::push(&mut state.schema, incoming),
+            index.entries.len(),
+        ),
     };
+    index.record(pos, &C::Kind::view(state).0[pos]);
     let entry = C::Kind::split(state).1.entry(id).or_default();
     if let Some(params) = stream {
         entry.ensure_sketched(params);
@@ -395,6 +529,30 @@ mod tests {
         assert!(state.schema.node_types[0].is_abstract);
         let id = state.schema.node_types[0].id;
         assert_eq!(state.node_accums[&id].count, 3);
+    }
+
+    #[test]
+    fn unlabeled_clusters_see_what_the_same_call_pushed_and_widened() {
+        let mut state = DiscoveryState::new();
+        let assigned = integrate_node_clusters(
+            &mut state,
+            vec![
+                // Labeled clusters go first: T is pushed with {a, b} and
+                // widened to {a, b, c, d} before any unlabeled one looks.
+                node_cluster(&["T"], &["a", "b"], 1),
+                node_cluster(&[], &["a", "b", "c", "d"], 1),
+                node_cluster(&["T"], &["c", "d"], 1),
+                // The first {x, y} becomes an ABSTRACT type, the second
+                // must find it.
+                node_cluster(&[], &["x", "y"], 1),
+                node_cluster(&[], &["x", "y"], 1),
+            ],
+            0.9,
+        );
+        assert_eq!(state.schema.node_types.len(), 2);
+        assert_eq!(assigned[1], assigned[0], "J = 1 with the widened T");
+        assert_eq!(assigned[4], assigned[3]);
+        assert_ne!(assigned[3], assigned[0]);
     }
 
     #[test]

@@ -45,8 +45,11 @@ pub struct BatchTiming {
     pub edge_dedup: DedupStats,
     /// Featurization time (vector building + embedder training).
     pub preprocess: Duration,
-    /// LSH clustering time.
+    /// Clustering time: LSH over the distinct fingerprints, then
+    /// assembly of the clusters from every record.
     pub cluster: Duration,
+    /// The assembly part of `cluster`.
+    pub assemble: Duration,
     /// Type extraction/merging time (Algorithm 2).
     pub extract: Duration,
     /// Post-processing time, if it ran for this batch.
@@ -61,6 +64,7 @@ pub struct BatchTiming {
 struct HotPathOutcome {
     preprocess: Duration,
     cluster: Duration,
+    assemble: Duration,
     extract: Duration,
     node_dedup: DedupStats,
     edge_dedup: DedupStats,
@@ -292,6 +296,12 @@ fn serve_memoized<R: Record>(
     hits: &mut u64,
 ) -> Vec<R> {
     let (types, accums) = R::Kind::split(state);
+    // Type id → position (the first, should ids repeat), once per call:
+    // a hit must not cost a scan of every type.
+    let mut positions = HashMap::with_capacity(types.len());
+    for (pos, t) in types.iter().enumerate() {
+        positions.entry(t.id()).or_insert(pos);
+    }
     let mut novel = Vec::new();
     for rec in records {
         let Some(tid) = memo.lookup(&rec.pattern()) else {
@@ -303,8 +313,8 @@ fn serve_memoized<R: Record>(
             .get_mut(&tid)
             .expect("cached type exists")
             .observe(rec.instance());
-        if let Some(t) = types.iter_mut().find(|t| t.id() == tid) {
-            *t.instance_count_mut() += 1;
+        if let Some(&pos) = positions.get(&tid) {
+            *types[pos].instance_count_mut() += 1;
         }
     }
     novel
@@ -516,6 +526,7 @@ impl HiveSession {
             edge_dedup: hot.edge_dedup,
             preprocess: hot.preprocess,
             cluster: hot.cluster,
+            assemble: hot.assemble,
             extract: hot.extract,
             post,
             total: start.elapsed(),
@@ -543,8 +554,8 @@ impl HiveSession {
         let t1 = Instant::now();
         let mut cfg = self.config.clone();
         cfg.seed = batch_seed;
-        let (node_clusters, np, node_dedup) = cluster_nodes(nodes, &fs, &cfg);
-        let (edge_clusters, ep, edge_dedup) = cluster_edges(edges, &fs, &cfg);
+        let (node_clusters, np, node_dedup, node_assemble) = cluster_nodes(nodes, &fs, &cfg);
+        let (edge_clusters, ep, edge_dedup, edge_assemble) = cluster_edges(edges, &fs, &cfg);
         if np.is_some() {
             self.node_params = np;
         }
@@ -565,6 +576,7 @@ impl HiveSession {
         HotPathOutcome {
             preprocess,
             cluster,
+            assemble: node_assemble + edge_assemble,
             extract,
             node_dedup,
             edge_dedup,
@@ -872,6 +884,19 @@ mod tests {
             "second pass should be served entirely from the cache"
         );
         assert_eq!(session.schema().type_count(), before_types);
+        // A hit lands on its own type: instance counts follow the
+        // accumulators, and both doubled.
+        let state = session.state();
+        for t in &state.schema.node_types {
+            assert_eq!(t.instance_count, state.node_accums[&t.id].count);
+        }
+        for t in &state.schema.edge_types {
+            assert_eq!(t.instance_count, state.edge_accums[&t.id].count);
+        }
+        let counted: u64 = (state.schema.node_types.iter().map(|t| t.instance_count))
+            .chain(state.schema.edge_types.iter().map(|t| t.instance_count))
+            .sum();
+        assert_eq!(counted as usize, 2 * (nodes.len() + edges.len()));
     }
 
     #[test]

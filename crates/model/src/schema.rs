@@ -260,6 +260,8 @@ impl EdgeType {
 pub trait SchemaType {
     /// Schema-local identifier.
     fn id(&self) -> TypeId;
+    /// Label set (empty for types inferred from unlabeled clusters).
+    fn labels(&self) -> &LabelSet;
     /// PG-Schema ABSTRACT marker.
     fn is_abstract(&self) -> bool;
     /// Property key → specification.
@@ -279,6 +281,9 @@ macro_rules! impl_schema_type {
         impl SchemaType for $t {
             fn id(&self) -> TypeId {
                 self.id
+            }
+            fn labels(&self) -> &LabelSet {
+                &self.labels
             }
             fn is_abstract(&self) -> bool {
                 self.is_abstract

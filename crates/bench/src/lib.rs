@@ -59,7 +59,6 @@ pub fn bench_hive_config(method: LshMethod) -> HiveConfig {
         embedding: EmbeddingKind::Word2Vec(Word2VecConfig {
             dim: 8,
             epochs: 4,
-            max_pairs_per_epoch: 50_000,
             ..Default::default()
         }),
         post_processing: false,

@@ -14,7 +14,9 @@
 //!   resulting [`LabelCorpus`] holds one `String` per *distinct* token
 //!   and the sentences as `u32`s.
 //! * [`word2vec::Word2Vec`] — skip-gram with negative sampling, trained
-//!   from scratch on a [`LabelCorpus`] by one allocation-free kernel.
+//!   from scratch on a [`LabelCorpus`] by one allocation-free kernel,
+//!   for a number of steps that follows the corpus's distinct label
+//!   pairs rather than its record count.
 //!   The trained vectors are pinned bit for bit against the original
 //!   string-keyed trainer, which survives as the test oracle
 //!   `tests/reference/`.

@@ -6,12 +6,14 @@
 //! the corpus is the label co-occurrence structure of the graph. Training
 //! is deterministic given the seed.
 //!
-//! Training cost is `epochs × min(pairs, max_pairs_per_epoch)` steps of
-//! `Sgns::steps`, the one kernel: it works on the [`LabelCorpus`]'s integer
-//! ids, allocates nothing and hashes nothing per step, and is
-//! instantiated once with the dimension as a compile-time constant (the
-//! default, 8) and once with a run-time dimension. The vectors it
-//! produces are pinned bit for bit to the original string-keyed trainer
+//! Training cost follows the vocabulary, not the record count:
+//! `epochs × min(pairs, STEPS_PER_KIND × kinds)` steps, where `kinds` is
+//! the number of distinct ordered `(center, ctx)` pairs the corpus holds
+//! (DESIGN.md §3k). `Sgns::steps` is the one kernel: it works on the
+//! [`LabelCorpus`]'s integer ids, allocates nothing and hashes nothing per
+//! step, and is instantiated once with the dimension as a compile-time
+//! constant (the default, 8) and once with a run-time dimension. The
+//! vectors it produces are pinned bit for bit to the string-keyed trainer
 //! (`tests/reference/`, `tests/bit_identity.rs`; DESIGN.md §3k lists what
 //! exactly is pinned).
 //!
@@ -20,10 +22,11 @@
 //! distance in `(0, 2]`.
 
 use crate::{LabelCorpus, LabelEmbedder};
+use pg_model::FnvBuildHasher;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
@@ -31,7 +34,8 @@ pub struct Word2VecConfig {
     /// Embedding dimensionality `d` (the paper's running example uses 5;
     /// we default to 8).
     pub dim: usize,
-    /// Number of passes over the corpus.
+    /// Number of passes over the corpus, each of
+    /// `min(pairs, STEPS_PER_KIND × kinds)` steps (see [`Word2Vec::steps`]).
     pub epochs: usize,
     /// Initial learning rate, linearly decayed to 10 % over training.
     pub learning_rate: f64,
@@ -41,9 +45,6 @@ pub struct Word2VecConfig {
     pub window: usize,
     /// RNG seed; training is deterministic given this.
     pub seed: u64,
-    /// Cap on training pairs per epoch; large corpora are subsampled
-    /// (labels repeat heavily, so a subsample preserves the distribution).
-    pub max_pairs_per_epoch: usize,
     /// Identity blending weight λ: each trained vector is re-normalized
     /// from `w + λ·h(token)` where `h` is a deterministic per-token unit
     /// vector. Skip-gram places labels with identical contexts (e.g.
@@ -66,16 +67,21 @@ impl Default for Word2VecConfig {
             negatives: 5,
             window: 2,
             seed: 0x9e3779b97f4a7c15,
-            max_pairs_per_epoch: 200_000,
             identity_blend: 1.0,
         }
     }
 }
 
+/// Steps per epoch granted to each distinct `(center, ctx)` pair kind: the
+/// smallest of {16, 32, 64, 128} to pass the `fig4` gate (DESIGN.md §3k).
+const STEPS_PER_KIND: usize = 64;
+
 /// A trained Word2Vec model over label tokens.
 #[derive(Debug, Clone)]
 pub struct Word2Vec {
     dim: usize,
+    steps: usize,
+    kinds: usize,
     index: HashMap<String, usize>,
     /// Row-major `vocab × dim` input embeddings (L2-normalized).
     vectors: Vec<f64>,
@@ -103,17 +109,19 @@ impl Word2Vec {
         let mut input: Vec<f64> = (0..vocab * cfg.dim)
             .map(|_| (rng.gen::<f64>() - 0.5) / cfg.dim as f64)
             .collect();
-        let mut output: Vec<f64> = vec![0.0; vocab * cfg.dim];
 
-        let neg_table = build_negative_table(corpus.counts());
         let pairs = positive_pairs(corpus, cfg.window);
+        let kinds = pair_kinds(&pairs);
+        let steps = cfg.epochs * pairs.len().min(STEPS_PER_KIND * kinds);
 
-        if !pairs.is_empty() {
+        // A node-only batch has no pair: its vectors are the init draws.
+        if steps > 0 {
             let mut run = Sgns {
                 input: &mut input,
-                output: &mut output,
+                output: &mut vec![0.0; vocab * cfg.dim],
                 pairs: &pairs,
-                neg_table: &neg_table,
+                neg_table: &build_negative_table(corpus.counts()),
+                steps,
                 cfg,
                 rng: &mut rng,
             };
@@ -150,6 +158,8 @@ impl Word2Vec {
 
         Word2Vec {
             dim: cfg.dim,
+            steps,
+            kinds,
             index: corpus
                 .vocab()
                 .iter()
@@ -159,6 +169,18 @@ impl Word2Vec {
             vectors: input,
             oov_seed: cfg.seed,
         }
+    }
+
+    /// SGNS steps training ran: `epochs × min(pairs, 64 × kinds)`, so a
+    /// corpus that repeats few pair kinds many times trains no longer than
+    /// one that holds each kind 64 times.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Distinct ordered `(center, ctx)` pairs of the training corpus.
+    pub fn kinds(&self) -> usize {
+        self.kinds
     }
 
     /// Vocabulary size.
@@ -211,6 +233,13 @@ fn positive_pairs(corpus: &LabelCorpus, window: usize) -> Vec<(u32, u32)> {
     pairs
 }
 
+/// How many distinct ordered pairs `pairs` holds: one pass, with a set
+/// that stays as small as the answer (2–3 ms on 250 k pairs).
+fn pair_kinds(pairs: &[(u32, u32)]) -> usize {
+    let kinds: HashSet<(u32, u32), FnvBuildHasher> = pairs.iter().copied().collect();
+    kinds.len()
+}
+
 /// An embedding dimension known at compile time ([`Const`]) or at run
 /// time ([`Dyn`]). [`Sgns::steps`] is written once over this trait.
 trait Dim: Copy {
@@ -261,22 +290,23 @@ struct Sgns<'a> {
     output: &'a mut [f64],
     pairs: &'a [(u32, u32)],
     neg_table: &'a [u32],
+    steps: usize,
     cfg: &'a Word2VecConfig,
     rng: &'a mut ChaCha8Rng,
 }
 
 impl Sgns<'_> {
-    /// Run every step: `epochs × min(pairs, max_pairs_per_epoch)` of
-    /// them, each drawing one positive pair and `negatives` table entries
-    /// (drawn before the `neg == ctx` skip, so the draw schedule depends
-    /// on the seed and the corpus, never on the weights), with the
-    /// learning rate decayed linearly to 10 %.
+    /// Run every step, each drawing one positive pair and `negatives`
+    /// table entries (drawn before the `neg == ctx` skip, so the draw
+    /// schedule depends on the seed and the corpus, never on the weights),
+    /// with the learning rate decayed linearly to 10 %.
     fn steps<D: Dim>(&mut self, d: D) {
         let Sgns {
             input,
             output,
             pairs,
             neg_table,
+            steps,
             cfg,
             rng,
         } = self;
@@ -285,12 +315,10 @@ impl Sgns<'_> {
         // A copy of the center row: it stays in registers across the
         // samples of a step when `dim` is a constant.
         let (center_vec, grad) = (center_row.as_mut(), grad_row.as_mut());
-        let per_epoch = pairs.len().min(cfg.max_pairs_per_epoch);
-        let total_steps = (cfg.epochs * per_epoch).max(1);
-        for step in 0..cfg.epochs * per_epoch {
+        for step in 0..*steps {
             let (center, ctx) = pairs[rng.gen_range(0..pairs.len())];
             let (center, ctx) = (center as usize, ctx as usize);
-            let lr = cfg.learning_rate * (1.0 - 0.9 * step as f64 / total_steps as f64);
+            let lr = cfg.learning_rate * (1.0 - 0.9 * step as f64 / *steps as f64);
             let center_in = &mut input[center * dim..(center + 1) * dim];
             center_vec.copy_from_slice(center_in);
             grad.fill(0.0);
@@ -367,9 +395,14 @@ mod tests {
     use super::*;
 
     fn toy_corpus() -> LabelCorpus {
+        toy_corpus_of(50)
+    }
+
+    /// 16 pairs of 14 kinds per repetition: the budget binds from 57 on.
+    fn toy_corpus_of(reps: usize) -> LabelCorpus {
         // Two communities: Person-KNOWS-Person and Gene-BINDS-Protein.
         let mut s: Vec<Vec<String>> = Vec::new();
-        for _ in 0..50 {
+        for _ in 0..reps {
             s.push(vec!["Person".into(), "KNOWS".into(), "Person".into()]);
             s.push(vec!["Person".into(), "WORKS_AT".into(), "Org".into()]);
             s.push(vec!["Gene".into(), "BINDS".into(), "Protein".into()]);
@@ -442,20 +475,24 @@ mod tests {
         // Skip-gram places tokens with shared *contexts* nearby: KNOWS and
         // WORKS_AT both occur next to Person, while BINDS occurs next to
         // Gene/Protein only. Identity blending is disabled so the pure
-        // SGNS geometry is visible.
-        let m = Word2Vec::train(
-            &toy_corpus(),
-            &Word2VecConfig {
-                identity_blend: 0.0,
-                ..Default::default()
-            },
-        );
-        let close = m.cosine("KNOWS", "WORKS_AT");
-        let far = m.cosine("KNOWS", "BINDS");
-        assert!(
-            close > far,
-            "expected cosine(KNOWS,WORKS_AT)={close} > cosine(KNOWS,BINDS)={far}"
-        );
+        // SGNS geometry is visible — below the step budget (one step per
+        // pair and epoch) and where it binds.
+        for (reps, steps) in [(50, 12 * 800), (5_000, 12 * STEPS_PER_KIND * 14)] {
+            let m = Word2Vec::train(
+                &toy_corpus_of(reps),
+                &Word2VecConfig {
+                    identity_blend: 0.0,
+                    ..Default::default()
+                },
+            );
+            assert_eq!((m.steps(), m.kinds()), (steps, 14));
+            let close = m.cosine("KNOWS", "WORKS_AT");
+            let far = m.cosine("KNOWS", "BINDS");
+            assert!(
+                close > far,
+                "expected cosine(KNOWS,WORKS_AT)={close} > cosine(KNOWS,BINDS)={far}"
+            );
+        }
     }
 
     #[test]

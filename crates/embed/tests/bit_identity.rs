@@ -1,8 +1,8 @@
 //! Bit-identity battery: the shipped `build_sentences` +
 //! `Word2Vec::train` against the retained string-keyed reference
-//! (`reference/`), over random record sets and configs, plus one pinned
-//! digest so that drift across commits — not only between the two
-//! implementations — fails a test.
+//! (`reference/`), over random record sets and configs on both sides of
+//! the step budget, plus two pinned digests so that drift across commits —
+//! not only between the two implementations — fails a test.
 
 mod reference;
 
@@ -10,7 +10,9 @@ use pg_embed::{build_sentences, LabelCorpus, LabelEmbedder, Word2Vec, Word2VecCo
 use pg_model::{sym, Edge, LabelSet, Node, NodeId};
 use pg_store::{EdgeRecord, NodeRecord};
 use proptest::prelude::*;
-use reference::{reference_sentences, uniform_records, ReferenceWord2Vec};
+use reference::{
+    diverse_records, reference_sentences, uniform_records, ReferenceWord2Vec, STEPS_PER_KIND,
+};
 
 /// Never a label: the pool below has no such token.
 const OOV: &str = "<never-a-label>";
@@ -26,17 +28,19 @@ fn label_set() -> impl Strategy<Value = LabelSet> {
         .prop_map(|ls| LabelSet::from_wire(ls.into_iter().map(|i| sym(LABEL_POOL[i])).collect()))
 }
 
+/// The listed nodes and edges, the whole list `reps` times over.
 fn records(
     node_labels: Vec<LabelSet>,
     edge_labels: Vec<(LabelSet, LabelSet, LabelSet)>,
+    reps: usize,
 ) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
-    let nodes = node_labels
-        .into_iter()
+    let nodes = std::iter::repeat_n(node_labels, reps)
+        .flatten()
         .enumerate()
         .map(|(i, labels)| Node::new(i as u64, labels))
         .collect();
-    let edges = edge_labels
-        .into_iter()
+    let edges = std::iter::repeat_n(edge_labels, reps)
+        .flatten()
         .enumerate()
         .map(|(i, (src_labels, labels, tgt_labels))| EdgeRecord {
             edge: Edge::new(i as u64, NodeId(0), NodeId(1), labels),
@@ -53,22 +57,17 @@ fn config() -> impl Strategy<Value = Word2VecConfig> {
         0usize..8,
         0usize..4,
         0usize..4,
-        // 1 and 3 bind on all but the smallest corpora; 1000 never does.
-        prop::sample::select(vec![1usize, 3, 1_000]),
         (prop::sample::select(vec![0.0f64, 1.0]), any::<u64>()),
     )
         .prop_map(
-            |(dim, negatives, window, epochs, max_pairs_per_epoch, (identity_blend, seed))| {
-                Word2VecConfig {
-                    dim,
-                    negatives,
-                    window,
-                    epochs,
-                    max_pairs_per_epoch,
-                    identity_blend,
-                    seed,
-                    ..Default::default()
-                }
+            |(dim, negatives, window, epochs, (identity_blend, seed))| Word2VecConfig {
+                dim,
+                negatives,
+                window,
+                epochs,
+                identity_blend,
+                seed,
+                ..Default::default()
             },
         )
 }
@@ -83,13 +82,20 @@ fn assert_bit_equal(sentences: &[Vec<String>], new: &Word2Vec, old: &ReferenceWo
     }
 }
 
-fn assert_records_match(nodes: &[NodeRecord], edges: &[EdgeRecord], cfg: &Word2VecConfig) {
+/// Also the step and kind counts; returns the shipped model.
+fn assert_records_match(
+    nodes: &[NodeRecord],
+    edges: &[EdgeRecord],
+    cfg: &Word2VecConfig,
+) -> Word2Vec {
     let sentences = reference_sentences(nodes, edges);
     let new = Word2Vec::train(&build_sentences(nodes, edges), cfg);
     let old = ReferenceWord2Vec::train(&sentences, cfg);
     assert_bit_equal(&sentences, &new, &old);
+    assert_eq!((new.steps(), new.kinds()), (old.steps, old.kinds));
     let distinct: std::collections::HashSet<&String> = sentences.iter().flatten().collect();
     assert_eq!(new.vocab_size(), distinct.len());
+    new
 }
 
 proptest! {
@@ -99,10 +105,20 @@ proptest! {
     fn records_train_bit_identically(
         node_labels in prop::collection::vec(label_set(), 0..12),
         edge_labels in prop::collection::vec((label_set(), label_set(), label_set()), 0..24),
+        // A kind occurs at most twice per edge: under 24 edges leave every
+        // kind below `STEPS_PER_KIND` occurrences and the budget slack,
+        // 100 copies put every kind above it and the budget binds.
+        reps in prop::sample::select(vec![1usize, 100]),
         cfg in config(),
     ) {
-        let (nodes, edges) = records(node_labels, edge_labels);
-        assert_records_match(&nodes, &edges, &cfg);
+        let (nodes, edges) = records(node_labels, edge_labels, reps);
+        let model = assert_records_match(&nodes, &edges, &cfg);
+        let budget = cfg.epochs * STEPS_PER_KIND * model.kinds();
+        if reps == 1 {
+            prop_assert!(model.steps() < budget || budget == 0);
+        } else {
+            prop_assert_eq!(model.steps(), budget);
+        }
     }
 
     /// `from_sentences` takes sentences longer than an edge's three
@@ -110,11 +126,14 @@ proptest! {
     #[test]
     fn token_sentences_train_bit_identically(
         sentences in prop::collection::vec(prop::collection::vec("[a-f]", 0..7), 0..16),
+        reps in prop::sample::select(vec![1usize, 100]),
         cfg in config(),
     ) {
+        let sentences: Vec<_> = std::iter::repeat_n(sentences, reps).flatten().collect();
         let new = Word2Vec::train(&LabelCorpus::from_sentences(&sentences), &cfg);
         let old = ReferenceWord2Vec::train(&sentences, &cfg);
         assert_bit_equal(&sentences, &new, &old);
+        prop_assert_eq!((new.steps(), new.kinds()), (old.steps, old.kinds));
     }
 }
 
@@ -126,41 +145,99 @@ fn empty_and_unlabeled_only_corpora() {
     let (nodes, edges) = records(
         vec![empty(), empty()],
         vec![(empty(), empty(), empty()), (empty(), empty(), empty())],
+        1,
     );
     assert_records_match(&nodes, &edges, &cfg);
     assert_eq!(build_sentences(&nodes, &edges).vocab().len(), 0);
 }
 
-/// The default-config embeddings of a fixed `pg_synth` corpus, as one
-/// FNV-1a digest over every vector's bits. The constant was produced by
-/// the trainer at the commit before the integer corpus (and is what the
-/// reference still yields); a change to vocabulary order, init draws, pair
-/// order, draw order or summation order moves it.
+/// A node-only batch has a vocabulary and no pair: training runs no step
+/// and the vectors are the init draws, blended and normalized.
 #[test]
-fn default_config_embeddings_are_pinned() {
-    let (nodes, edges) = uniform_records(4_000, 42);
-    let cfg = Word2VecConfig::default();
-    let corpus = build_sentences(&nodes, &edges);
-    let digest = |model: &dyn LabelEmbedder| {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for token in corpus.vocab().iter().map(String::as_str).chain([OOV]) {
-            for byte in model
-                .embed_token(token)
-                .iter()
-                .flat_map(|x| x.to_bits().to_le_bytes())
-            {
-                h = (h ^ u64::from(byte)).wrapping_mul(0x100000001b3);
-            }
-        }
-        h
-    };
-    let sentences = reference_sentences(&nodes, &edges);
-    assert_eq!(corpus.vocab().len(), 14);
+fn node_only_corpus_trains_no_step() {
+    let labels = |i: usize| LabelSet::single(LABEL_POOL[i]);
+    let (nodes, edges) = records(vec![labels(0), labels(1), labels(0)], vec![], 1);
+    let model = assert_records_match(&nodes, &edges, &Word2VecConfig::default());
     assert_eq!(
-        digest(&ReferenceWord2Vec::train(&sentences, &cfg)),
-        PINNED_DIGEST
+        (model.vocab_size(), model.steps(), model.kinds()),
+        (2, 0, 0)
     );
-    assert_eq!(digest(&Word2Vec::train(&corpus, &cfg)), PINNED_DIGEST);
 }
 
-const PINNED_DIGEST: u64 = 0xbf69_bc28_a39f_71c7;
+/// Cost follows the vocabulary: below the budget a corpus runs one step
+/// per pair and epoch; once the budget binds, more copies of the same
+/// records run not one step more.
+#[test]
+fn steps_follow_kinds_not_records() {
+    let set = |i: usize| LabelSet::single(LABEL_POOL[i]);
+    // 6 pairs of 6 kinds, and 4 pairs of 2 kinds ((A,B) and (B,A) twice).
+    let edges = vec![(set(0), set(1), set(2)), (set(0), set(1), set(0))];
+    let cfg = Word2VecConfig::default();
+    let steps = |reps: usize| {
+        let (nodes, edges) = records(vec![set(3)], edges.clone(), reps);
+        let model = assert_records_match(&nodes, &edges, &cfg);
+        assert_eq!(model.kinds(), 6);
+        model.steps()
+    };
+    let budget = cfg.epochs * STEPS_PER_KIND * 6;
+    assert_eq!(steps(1), cfg.epochs * 10);
+    assert_eq!(steps(10), cfg.epochs * 100);
+    assert_eq!(steps(39), budget);
+    assert_eq!(steps(1_000), budget);
+}
+
+/// One FNV-1a digest over the bits of every in-vocabulary vector and one
+/// OOV vector.
+fn digest(corpus: &LabelCorpus, model: &dyn LabelEmbedder) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for token in corpus.vocab().iter().map(String::as_str).chain([OOV]) {
+        for byte in model
+            .embed_token(token)
+            .iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+        {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// Both trainers' default-config embeddings of one record set must
+/// digest to `pinned`; returns the shipped model.
+fn assert_pinned(nodes: &[NodeRecord], edges: &[EdgeRecord], pinned: u64) -> Word2Vec {
+    let cfg = Word2VecConfig::default();
+    let corpus = build_sentences(nodes, edges);
+    let new = Word2Vec::train(&corpus, &cfg);
+    let old = ReferenceWord2Vec::train(&reference_sentences(nodes, edges), &cfg);
+    assert_eq!(digest(&corpus, &old), pinned, "reference trainer");
+    assert_eq!(digest(&corpus, &new), pinned, "shipped trainer");
+    new
+}
+
+/// The default-config embeddings of a fixed `pg_synth` corpus of 14
+/// tokens, where the step budget binds. A change to vocabulary order,
+/// init draws, pair order, draw order, summation order or the budget
+/// moves the digest; it was last re-pinned when the budget replaced the
+/// 200 000-pair cap.
+#[test]
+fn uniform_corpus_embeddings_are_pinned() {
+    let (nodes, edges) = uniform_records(4_000, 42);
+    let model = assert_pinned(&nodes, &edges, UNIFORM_DIGEST);
+    assert_eq!(model.vocab_size(), 14);
+    assert_eq!(model.steps(), 12 * STEPS_PER_KIND * model.kinds());
+}
+
+/// The same over a pattern-rich corpus the size of an
+/// `incremental_diverse` batch, where the budget is slack. This constant
+/// was recorded from the last commit without a step budget (both
+/// trainers, 200 000-pair cap): the budget moves no bit of a corpus it
+/// does not bind on.
+#[test]
+fn diverse_corpus_embeddings_are_pinned() {
+    let (nodes, edges) = diverse_records(2_000, 42);
+    let model = assert_pinned(&nodes, &edges, DIVERSE_DIGEST);
+    assert!(model.steps() < 12 * STEPS_PER_KIND * model.kinds());
+}
+
+const UNIFORM_DIGEST: u64 = 0x5b95_31a6_0740_fafb;
+const DIVERSE_DIGEST: u64 = 0xc639_d94d_076b_953b;

@@ -7,7 +7,6 @@ fn quick_cfg(dim: usize, seed: u64) -> Word2VecConfig {
     Word2VecConfig {
         dim,
         epochs: 1,
-        max_pairs_per_epoch: 1_000,
         seed,
         ..Default::default()
     }

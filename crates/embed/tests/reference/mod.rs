@@ -1,5 +1,6 @@
 //! The test oracle for `pg-embed`: the original string-keyed corpus
-//! builder and SGNS trainer, kept verbatim. The shipped
+//! builder and SGNS trainer, kept verbatim but for the step budget, which
+//! it states naively (a set of token-string pairs). The shipped
 //! `build_sentences` + `Word2Vec::train` must produce bit-identical
 //! vectors to this code for every corpus and config (`bit_identity.rs`);
 //! `crates/bench/benches/embed_ablation.rs` includes this file to report
@@ -11,35 +12,65 @@
 use pg_embed::{LabelEmbedder, Word2VecConfig};
 use pg_model::LabelSet;
 use pg_store::{EdgeRecord, NodeRecord};
+use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// The shipped trainer's private constant, restated.
+pub const STEPS_PER_KIND: usize = 64;
 
 /// Records of the benchmark's `offline_uniform` shape
 /// (`benchmark/src/workload.rs`): `elements` nodes + edges asked of an
 /// 8-node-type / 6-edge-type schema drawn from seed 42, 5 % unlabeled.
 /// 100 000 elements at seed 42 is that workload's corpus.
 pub fn uniform_records(elements: usize, seed: u64) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
-    use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
-    let schema = random_schema(
-        &SchemaParams {
-            node_types: 8,
-            edge_types: 6,
-            max_extra_props: 3,
-            multi_label_overlap: 0.3,
-            optional_rate: 0.4,
-        },
-        42,
-    );
-    let spec = SynthSpec::new(schema)
+    let schema = SchemaParams {
+        node_types: 8,
+        edge_types: 6,
+        max_extra_props: 3,
+        multi_label_overlap: 0.3,
+        optional_rate: 0.4,
+    };
+    let noise = NoiseProfile {
+        unlabeled_fraction: 0.05,
+        missing_optional_rate: 0.3,
+        label_noise_rate: 0.0,
+        missing_mandatory_rate: 0.0,
+    };
+    synth_records(&schema, noise, elements, seed)
+}
+
+/// Records of the benchmark's `incremental_diverse` shape: a 64-node-type
+/// / 48-edge-type schema with 20 % label noise, so pair kinds number in
+/// the hundreds and a batch-sized corpus stays under the step budget.
+pub fn diverse_records(elements: usize, seed: u64) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
+    let schema = SchemaParams {
+        node_types: 64,
+        edge_types: 48,
+        max_extra_props: 12,
+        multi_label_overlap: 0.3,
+        optional_rate: 0.7,
+    };
+    let noise = NoiseProfile {
+        unlabeled_fraction: 0.3,
+        missing_optional_rate: 0.5,
+        label_noise_rate: 0.2,
+        missing_mandatory_rate: 0.0,
+    };
+    synth_records(&schema, noise, elements, seed)
+}
+
+fn synth_records(
+    schema: &SchemaParams,
+    noise: NoiseProfile,
+    elements: usize,
+    seed: u64,
+) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
+    let spec = SynthSpec::new(random_schema(schema, 42))
         .sized_for(elements)
-        .with_noise(NoiseProfile {
-            unlabeled_fraction: 0.05,
-            missing_optional_rate: 0.3,
-            label_noise_rate: 0.0,
-            missing_mandatory_rate: 0.0,
-        });
+        .with_noise(noise);
     pg_store::load(&synthesize(&spec, seed).graph)
 }
 
@@ -80,6 +111,10 @@ pub struct ReferenceWord2Vec {
     vectors: Vec<f64>,
     /// Deterministic seed reused for out-of-vocabulary fallbacks.
     oov_seed: u64,
+    /// SGNS steps training ran.
+    pub steps: usize,
+    /// Distinct ordered `(center, ctx)` token pairs of the corpus.
+    pub kinds: usize,
 }
 
 impl ReferenceWord2Vec {
@@ -115,8 +150,10 @@ impl ReferenceWord2Vec {
         let neg_table = build_negative_table(&counts);
 
         // Collect the positive pairs once, keeping their multiplicity: a
-        // pair's frequency is its sampling weight.
+        // pair's frequency is its sampling weight. The distinct pairs are
+        // the corpus's kinds: each earns `STEPS_PER_KIND` steps per epoch.
         let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut kinds: HashSet<(String, String)> = HashSet::new();
         for s in sentences {
             let idxs: Vec<usize> = s.iter().map(|t| index[t]).collect();
             for (i, &center) in idxs.iter().enumerate() {
@@ -125,13 +162,15 @@ impl ReferenceWord2Vec {
                 for (j, &ctx) in idxs.iter().enumerate().take(hi).skip(lo) {
                     if i != j && center != ctx {
                         pairs.push((center, ctx));
+                        kinds.insert((s[i].clone(), s[j].clone()));
                     }
                 }
             }
         }
+        let kinds = kinds.len();
+        let per_epoch = pairs.len().min(STEPS_PER_KIND * kinds);
 
         if vocab > 0 && !pairs.is_empty() {
-            let per_epoch = pairs.len().min(cfg.max_pairs_per_epoch);
             let total_steps = (cfg.epochs * per_epoch).max(1);
             let mut step = 0usize;
             for _epoch in 0..cfg.epochs {
@@ -185,6 +224,8 @@ impl ReferenceWord2Vec {
             index,
             vectors: input,
             oov_seed: cfg.seed,
+            steps: cfg.epochs * per_epoch,
+            kinds,
         }
     }
 }

@@ -95,7 +95,6 @@ pub fn eval_embedding() -> EmbeddingKind {
     EmbeddingKind::Word2Vec(Word2VecConfig {
         dim: 8,
         epochs: 4,
-        max_pairs_per_epoch: 50_000,
         ..Default::default()
     })
 }

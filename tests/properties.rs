@@ -51,7 +51,6 @@ fn quick_config(seed: u64) -> HiveConfig {
     if let pg_hive::EmbeddingKind::Word2Vec(ref mut w) = c.embedding {
         w.dim = 4;
         w.epochs = 1;
-        w.max_pairs_per_epoch = 2_000;
     }
     c
 }

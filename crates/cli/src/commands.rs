@@ -9,7 +9,11 @@ use pg_hive::{
     SHARD_SPLIT_SALT,
 };
 use pg_model::{GraphStats, PropertyGraph, SchemaGraph};
-use pg_store::{split_batches, ErrorPolicy, Quarantine};
+use pg_store::{
+    load, load_owned, split_batches, split_batches_owned, EdgeRecord, ErrorPolicy, GraphBatch,
+    NodeRecord, Quarantine,
+};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -59,6 +63,16 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             .with_theta(*theta)
             .with_seed(*seed);
 
+            // Discovery takes the decoded graph by value — its records
+            // move into the batches, so each exists once (DESIGN.md §3m) —
+            // unless `--refine` reads the graph again afterwards: then it
+            // is parked in `kept` and only lent.
+            let mut kept = None;
+            let graph = if *refine {
+                Cow::Borrowed(&*kept.insert(graph))
+            } else {
+                Cow::Owned(graph)
+            };
             let incremental =
                 *batches > 1 || checkpoint_dir.is_some() || kill_after_batch.is_some();
             let (mut result, mut notes) = if incremental {
@@ -70,14 +84,14 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                     resume: *resume,
                     kill_after_batch: *kill_after_batch,
                 };
-                discover_incremental(&graph, config, &opts)?
+                discover_incremental(graph, config, &opts)?
             } else if let Some((index, n)) = shard {
                 // One shard of the same deterministic partition
                 // `discover_sharded` uses: the full graph is loaded so
                 // edge endpoint labels resolve, then only shard i is
                 // discovered. `pg-hive merge` over all n shard states
                 // reproduces the single-node schema bit-identically.
-                let batch = split_batches(&graph, *n, seed ^ SHARD_SPLIT_SALT)
+                let batch = split(graph, *n, seed ^ SHARD_SPLIT_SALT)
                     .into_iter()
                     .nth(*index)
                     .expect("shard index < n, by parse validation");
@@ -89,12 +103,13 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 );
                 (result, notes)
             } else {
-                (PgHive::new(config).discover_graph(&graph), String::new())
+                let (nodes, edges) = load_records(graph);
+                (PgHive::new(config).discover(&nodes, &edges), String::new())
             };
-            if *refine {
+            if let Some(graph) = &kept {
                 pg_hive::refine::refine_abstract_types(
                     &mut result.state,
-                    &graph,
+                    graph,
                     pg_hive::refine::RefineConfig::default(),
                 );
                 if !no_post {
@@ -530,7 +545,7 @@ struct IncrementalOpts<'a> {
 /// state error. Returns the result plus human-readable status notes
 /// (resume provenance, corrupt checkpoints skipped).
 fn discover_incremental(
-    graph: &PropertyGraph,
+    graph: Cow<'_, PropertyGraph>,
     config: HiveConfig,
     opts: &IncrementalOpts<'_>,
 ) -> Result<(DiscoveryResult, String), CliError> {
@@ -539,7 +554,8 @@ fn discover_incremental(
         .map(|d| CheckpointStore::open(d).map(|s| s.with_retention(opts.checkpoint_keep)))
         .transpose()
         .map_err(|e| CliError::State(e.to_string()))?;
-    let batch_list = split_batches(graph, opts.batches, config.seed ^ BATCH_SPLIT_SALT);
+    let batch_list = split(graph, opts.batches, config.seed ^ BATCH_SPLIT_SALT);
+    let n_batches = batch_list.len();
     let mut notes = String::new();
 
     let (mut session, start_batch) = match (&store, opts.resume) {
@@ -555,19 +571,17 @@ fn discover_incremental(
             match (outcome.checkpoint, outcome.path) {
                 (Some(ckpt), Some(path)) => {
                     let start = ckpt.batches_processed;
-                    if start > batch_list.len() {
+                    if start > n_batches {
                         return Err(CliError::State(format!(
                             "checkpoint {} covers {start} batches but the input splits \
-                             into only {} — wrong input file or --batches value?",
+                             into only {n_batches} — wrong input file or --batches value?",
                             path.display(),
-                            batch_list.len()
                         )));
                     }
                     let _ = writeln!(
                         notes,
-                        "resumed from {} at batch {start}/{}",
+                        "resumed from {} at batch {start}/{n_batches}",
                         path.display(),
-                        batch_list.len()
                     );
                     let session = HiveSession::restore(config, ckpt)
                         .map_err(|e| CliError::State(e.to_string()))?;
@@ -589,12 +603,13 @@ fn discover_incremental(
     let mut completed = start_batch;
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<(), CliError> {
-            for (i, batch) in batch_list.iter().enumerate().skip(start_batch) {
-                session.process_graph_batch(batch);
+            // By value: each batch is freed as soon as it is processed.
+            for (i, batch) in batch_list.into_iter().enumerate().skip(start_batch) {
+                session.process_graph_batch(&batch);
                 completed = i + 1;
                 if let Some(store) = &store {
                     let ckpt = session.checkpoint();
-                    if (i + 1) % opts.checkpoint_every == 0 || i + 1 == batch_list.len() {
+                    if (i + 1) % opts.checkpoint_every == 0 || i + 1 == n_batches {
                         store
                             .save(&ckpt)
                             .map_err(|e| CliError::State(e.to_string()))?;
@@ -612,8 +627,7 @@ fn discover_incremental(
         Ok(Err(e)) => return Err(e),
         Err(_) => {
             let mut msg = format!(
-                "panic during batch processing ({completed} of {} batches completed)",
-                batch_list.len()
+                "panic during batch processing ({completed} of {n_batches} batches completed)"
             );
             if let (Some(store), Some(ckpt)) = (&store, &last_checkpoint) {
                 match store.save(ckpt) {
@@ -629,6 +643,23 @@ fn discover_incremental(
         }
     }
     Ok((session.finish(), notes))
+}
+
+/// [`load`] by the form the ownership allows: a lent graph is cloned
+/// record by record, an owned one is taken apart.
+fn load_records(graph: Cow<'_, PropertyGraph>) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
+    match graph {
+        Cow::Borrowed(graph) => load(graph),
+        Cow::Owned(graph) => load_owned(graph),
+    }
+}
+
+/// [`split_batches`] by the form the ownership allows, as [`load_records`].
+fn split(graph: Cow<'_, PropertyGraph>, k: usize, seed: u64) -> Vec<GraphBatch> {
+    match graph {
+        Cow::Borrowed(graph) => split_batches(graph, k, seed),
+        Cow::Owned(graph) => split_batches_owned(graph, k, seed),
+    }
 }
 
 fn read_graph(input: &GraphInput) -> Result<PropertyGraph, CliError> {
@@ -672,6 +703,7 @@ fn read_schema(path: &Path) -> Result<SchemaGraph, CliError> {
 mod tests {
     use super::*;
     use crate::opts::parse;
+    use pg_model::{Edge, LabelSet, Node, NodeId};
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1016,6 +1048,160 @@ mod tests {
             "sharded discover + merge must reproduce the single-node hash"
         );
 
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// FNV-1a of a file's bytes.
+    fn digest(path: &Path) -> u64 {
+        use std::hash::Hasher as _;
+        let mut h = pg_model::FnvHasher::default();
+        h.write(&fs::read(path).unwrap());
+        h.finish()
+    }
+
+    /// `discover --jsonl <input> --format json --out <dir>/<name>.json`
+    /// plus `extra`; returns the digest of the schema file.
+    fn discover_digest(dir: &Path, input: &Path, name: &str, extra: &[&str]) -> u64 {
+        let out = dir.join(format!("{name}.json"));
+        let mut args = argv(&[
+            "discover",
+            "--jsonl",
+            input.to_str().unwrap(),
+            "--format",
+            "json",
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        args.extend(argv(extra));
+        run(&parse(&args).unwrap()).unwrap();
+        digest(&out)
+    }
+
+    /// Every branch of `discover` that takes the decoded graph apart —
+    /// one-shot, `--batches`, `--stream`, `--shard` — and the one that
+    /// keeps it (`--refine`) must write the bytes the build that cloned
+    /// every record wrote. The digests were recorded with that build
+    /// (the PR 16 tree) on the same two files.
+    #[test]
+    fn every_discover_path_writes_the_bytes_the_cloning_build_wrote() {
+        let dir = tmpdir("paths");
+        run(&parse(&argv(&[
+            "synth",
+            "--jsonl",
+            "--out-dir",
+            dir.to_str().unwrap(),
+            "--types",
+            "6",
+            "--size",
+            "1500",
+            "--seed",
+            "9",
+            "--unlabeled",
+            "0.3",
+        ]))
+        .unwrap())
+        .unwrap();
+        let synth = dir.join("graph.jsonl");
+        let mut got = vec![
+            ("corpus", digest(&synth)),
+            ("one-shot", discover_digest(&dir, &synth, "oneshot", &[])),
+            (
+                "batches",
+                discover_digest(&dir, &synth, "batches", &["--batches", "5"]),
+            ),
+            (
+                "stream",
+                discover_digest(&dir, &synth, "stream", &["--stream", "--batches", "5"]),
+            ),
+        ];
+        let mut merge_args = vec!["merge".to_owned()];
+        for (i, name) in ["shard 0/3", "shard 1/3", "shard 2/3"]
+            .into_iter()
+            .enumerate()
+        {
+            let state = dir.join(format!("state{i}.json"));
+            let extra = [
+                "--shard",
+                &format!("{i}/3"),
+                "--state-out",
+                state.to_str().unwrap(),
+            ];
+            got.push((
+                name,
+                discover_digest(&dir, &synth, &format!("shard{i}"), &extra),
+            ));
+            got.push(("its state", digest(&state)));
+            merge_args.push(state.to_str().unwrap().to_owned());
+        }
+        let merged = dir.join("merged.json");
+        merge_args.extend(argv(&["--out", merged.to_str().unwrap()]));
+        run(&parse(&merge_args).unwrap()).unwrap();
+        got.push(("merged", digest(&merged)));
+
+        // `--refine` needs a corpus it has something to split on: two
+        // unlabeled device kinds of identical structure that differ only
+        // in the edges they touch (no pg-synth schema has such a pair).
+        let mut g = PropertyGraph::new();
+        for i in 0..40u64 {
+            for (base, labels, key) in [
+                (0, LabelSet::empty(), "serial"),
+                (1000, LabelSet::empty(), "serial"),
+                (2000, LabelSet::single("Hub"), "port"),
+            ] {
+                g.add_node(Node::new(base + i, labels).with_prop(key, i as i64))
+                    .unwrap();
+            }
+            for (id, src, tgt, label) in [
+                (3000 + i, i, 2000 + i, "MEASURES"),
+                (4000 + i, 2000 + i, 1000 + i, "CONTROLS"),
+            ] {
+                g.add_edge(Edge::new(
+                    id,
+                    NodeId(src),
+                    NodeId(tgt),
+                    LabelSet::single(label),
+                ))
+                .unwrap();
+            }
+        }
+        let field = dir.join("field.jsonl");
+        fs::write(&field, pg_store::jsonl::to_jsonl(&g)).unwrap();
+        let plain = discover_digest(&dir, &field, "field", &[]);
+        let refined = discover_digest(&dir, &field, "field-refined", &["--refine"]);
+        assert_ne!(refined, plain, "refinement must have split the devices");
+        got.extend([
+            ("field corpus", digest(&field)),
+            ("field one-shot", plain),
+            ("field --refine", refined),
+            (
+                "field --refine --batches",
+                discover_digest(
+                    &dir,
+                    &field,
+                    "field-refined-batches",
+                    &["--refine", "--batches", "4"],
+                ),
+            ),
+        ]);
+
+        let recorded: [(&str, u64); 15] = [
+            ("corpus", 0x959ead42065839a4),
+            ("one-shot", 0x706252449f0e8fb8),
+            ("batches", 0xe4f284858197aa58),
+            ("stream", 0xe4f284858197aa58),
+            ("shard 0/3", 0xa8894669d309d6bc),
+            ("its state", 0xf73e1687e5b81315),
+            ("shard 1/3", 0xd04d158d8f9b0d0a),
+            ("its state", 0x515ac34d8d4d6dcc),
+            ("shard 2/3", 0x45ef120362941746),
+            ("its state", 0x93ea7e7f4862878f),
+            ("merged", 0xf9deba4deaf5badc),
+            ("field corpus", 0xaaa36ed5eb3281cb),
+            ("field one-shot", 0x513487940cb032ad),
+            ("field --refine", 0x1ce32a65108aea30),
+            ("field --refine --batches", 0x99bdd35b8281fd1c),
+        ];
+        assert_eq!(got, recorded, "left: this build, right: the cloning build");
         let _ = fs::remove_dir_all(&dir);
     }
 

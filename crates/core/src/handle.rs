@@ -310,12 +310,27 @@ impl SharedSession {
         checkpoint: SessionCheckpoint,
         aux: SessionAux,
     ) -> Result<Self, crate::incremental::ModeMismatch> {
+        // The sidecar spells every node's labels out; pool them on the
+        // way in so equal sets share one allocation again, as they did
+        // in the session that wrote it (there via the decoder's pool).
+        let mut pool: HashSet<LabelSet> = HashSet::new();
+        let node_labels = aux
+            .node_labels
+            .into_iter()
+            .map(|(id, labels)| match pool.get(&labels) {
+                Some(shared) => (id, shared.clone()),
+                None => {
+                    pool.insert(labels.clone());
+                    (id, labels)
+                }
+            })
+            .collect();
         Ok(SharedSession {
             inner: Mutex::new(Inner {
                 session: HiveSession::restore(config, checkpoint)?,
                 history: aux.history,
                 index: StreamIndex {
-                    node_labels: aux.node_labels.into_iter().collect(),
+                    node_labels,
                     seen_edges: aux.seen_edges.into_iter().collect(),
                 },
                 broken: None,
@@ -752,5 +767,30 @@ mod tests {
         assert_eq!(out_a.version, out_b.version);
         assert_eq!(out_a.batch_index, out_b.batch_index);
         assert_eq!(a.schema(), b.schema());
+    }
+
+    #[test]
+    fn restore_shares_equal_label_sets_like_a_fresh_session() {
+        let cfg = quick_config();
+        let a = SharedSession::new(cfg.clone(), 8);
+        let mut q = Quarantine::new();
+        let nodes = (1..=40).map(|id| node(id, if id % 2 == 0 { "A" } else { "B" }));
+        a.ingest(nodes.collect(), ErrorPolicy::Skip, &mut q, "t")
+            .unwrap();
+        let (ckpt, aux) = a.export().unwrap();
+        let aux: SessionAux = serde_json::from_str(&serde_json::to_string(&aux).unwrap()).unwrap();
+        let b = SharedSession::restore(cfg, ckpt, aux).unwrap();
+
+        let inner = b.lock();
+        let labels = &inner.index.node_labels;
+        assert_eq!(labels.len(), 40);
+        for id in 3..=40u64 {
+            assert_eq!(labels[&id], labels[&(id - 2)]);
+            assert!(
+                labels[&id].ptr_eq(&labels[&(id - 2)]),
+                "node {id}: two allocations for the index, not one per node"
+            );
+        }
+        assert!(!labels[&1].ptr_eq(&labels[&2]));
     }
 }

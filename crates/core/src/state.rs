@@ -15,13 +15,13 @@
 use crate::config::StreamConfig;
 use crate::sketch::{hash_pair, DistinctSketch, ValueSample, SKETCH_SALT};
 use pg_model::{
-    Cardinality, DataType, Edge, EdgeId, EdgeType, Node, NodeId, NodeType, PropertyValue,
-    SchemaGraph, SchemaType, Symbol, TypeId,
+    Cardinality, DataType, Edge, EdgeId, EdgeType, Node, NodeId, NodeType, PropMap, SchemaGraph,
+    SchemaType, Symbol, TypeId,
 };
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Error, Serialize, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -147,7 +147,7 @@ impl SketchParams {
 }
 
 /// An instance's property map.
-pub type Props = BTreeMap<Symbol, PropertyValue>;
+pub type Props = PropMap;
 /// The per-type accumulators of one kind, keyed by type id.
 pub type Accums<K> = HashMap<TypeId, TypeAccum<K>>;
 

@@ -6,10 +6,14 @@
 //! or more properties.
 
 use crate::error::ModelError;
+use crate::intern::FnvBuildHasher;
 use crate::label::{LabelSet, Symbol};
+use crate::props::PropMap;
 use crate::value::PropertyValue;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// Identifier of a node. Ids are stable across batches, which the
 /// incremental pipeline relies on.
@@ -32,7 +36,7 @@ pub struct Node {
     /// Possibly empty label set (λ is partial).
     pub labels: LabelSet,
     /// Key–value properties (π is partial; absent keys are simply missing).
-    pub props: BTreeMap<Symbol, PropertyValue>,
+    pub props: PropMap,
 }
 
 impl Node {
@@ -41,7 +45,7 @@ impl Node {
         Node {
             id: NodeId(id),
             labels,
-            props: BTreeMap::new(),
+            props: PropMap::new(),
         }
     }
 
@@ -70,7 +74,7 @@ pub struct Edge {
     /// Possibly empty label set.
     pub labels: LabelSet,
     /// Key–value properties.
-    pub props: BTreeMap<Symbol, PropertyValue>,
+    pub props: PropMap,
 }
 
 impl Edge {
@@ -81,7 +85,7 @@ impl Edge {
             src,
             tgt,
             labels,
-            props: BTreeMap::new(),
+            props: PropMap::new(),
         }
     }
 
@@ -97,19 +101,55 @@ impl Edge {
     }
 }
 
+/// Id → dense position. Lookup-only (no order is ever observed), so the
+/// cheap FNV hash the other flat maps use is safe here.
+type PosMap = HashMap<u64, u32, FnvBuildHasher>;
+
+/// Per-node incident edge positions, both directions.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    out: HashMap<u64, Vec<u32>, FnvBuildHasher>,
+    inc: HashMap<u64, Vec<u32>, FnvBuildHasher>,
+}
+
+impl Adjacency {
+    fn of(edges: &[Edge]) -> Adjacency {
+        let mut adj = Adjacency::default();
+        for (pos, edge) in edges.iter().enumerate() {
+            adj.attach(edge, pos as u32);
+        }
+        adj
+    }
+
+    fn attach(&mut self, edge: &Edge, pos: u32) {
+        self.out.entry(edge.src.0).or_default().push(pos);
+        self.inc.entry(edge.tgt.0).or_default().push(pos);
+    }
+
+    /// Apply `f` to the two lists `edge` appears in.
+    fn lists_of(&mut self, edge: &Edge, mut f: impl FnMut(&mut Vec<u32>)) {
+        for (map, node) in [(&mut self.out, edge.src.0), (&mut self.inc, edge.tgt.0)] {
+            if let Some(list) = map.get_mut(&node) {
+                f(list);
+            }
+        }
+    }
+}
+
 /// An in-memory directed property multigraph.
 ///
 /// Nodes and edges are stored densely; id → position maps support O(1)
-/// lookup, and adjacency lists support degree queries (used for
-/// cardinality inference, §4.4).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// lookup. Adjacency lists (degree queries, context refinement) exist
+/// **on demand**: the first adjacency query builds them from the edge
+/// list and later mutations keep them current, so a graph that is only
+/// loaded and handed to discovery never pays for them.
+#[derive(Debug, Clone, Default)]
 pub struct PropertyGraph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
-    node_pos: HashMap<u64, u32>,
-    edge_pos: HashMap<u64, u32>,
-    out_adj: HashMap<u64, Vec<u32>>,
-    in_adj: HashMap<u64, Vec<u32>>,
+    node_pos: PosMap,
+    edge_pos: PosMap,
+    adjacency: OnceLock<Adjacency>,
 }
 
 impl PropertyGraph {
@@ -120,14 +160,9 @@ impl PropertyGraph {
 
     /// An empty graph with preallocated capacity.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        PropertyGraph {
-            nodes: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
-            node_pos: HashMap::with_capacity(nodes),
-            edge_pos: HashMap::with_capacity(edges),
-            out_adj: HashMap::with_capacity(nodes),
-            in_adj: HashMap::with_capacity(nodes),
-        }
+        let mut graph = PropertyGraph::new();
+        graph.reserve(nodes, edges);
+        graph
     }
 
     /// Reserve capacity for at least `nodes` more nodes and `edges` more
@@ -143,30 +178,46 @@ impl PropertyGraph {
     /// Insert a node. Fails on duplicate id.
     pub fn add_node(&mut self, node: Node) -> Result<NodeId, ModelError> {
         let id = node.id;
-        if self.node_pos.contains_key(&id.0) {
-            return Err(ModelError::DuplicateNode { node: id.0 });
-        }
-        self.node_pos.insert(id.0, self.nodes.len() as u32);
+        match self.node_pos.entry(id.0) {
+            Entry::Occupied(_) => return Err(ModelError::DuplicateNode { node: id.0 }),
+            Entry::Vacant(slot) => slot.insert(self.nodes.len() as u32),
+        };
         self.nodes.push(node);
         Ok(id)
     }
 
     /// Insert an edge. Fails on duplicate id or a missing endpoint.
     pub fn add_edge(&mut self, edge: Edge) -> Result<EdgeId, ModelError> {
-        if self.edge_pos.contains_key(&edge.id.0) {
-            return Err(ModelError::DuplicateEdge { edge: edge.id.0 });
-        }
-        for ep in [edge.src, edge.tgt] {
-            if !self.node_pos.contains_key(&ep.0) {
-                return Err(ModelError::DanglingEndpoint { node: ep.0 });
+        let id = edge.id;
+        let pos = self.edges.len() as u32;
+        match self.edge_pos.entry(id.0) {
+            Entry::Occupied(_) => return Err(ModelError::DuplicateEdge { edge: id.0 }),
+            Entry::Vacant(slot) => {
+                for ep in [edge.src, edge.tgt] {
+                    if !self.node_pos.contains_key(&ep.0) {
+                        return Err(ModelError::DanglingEndpoint { node: ep.0 });
+                    }
+                }
+                slot.insert(pos);
             }
         }
-        let pos = self.edges.len() as u32;
-        self.edge_pos.insert(edge.id.0, pos);
-        self.out_adj.entry(edge.src.0).or_default().push(pos);
-        self.in_adj.entry(edge.tgt.0).or_default().push(pos);
+        if let Some(adj) = self.adjacency.get_mut() {
+            adj.attach(&edge, pos);
+        }
         self.edges.push(edge);
-        Ok(self.edges.last().expect("just pushed").id)
+        Ok(id)
+    }
+
+    /// The adjacency lists, built from the edge list on first use.
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| Adjacency::of(&self.edges))
+    }
+
+    /// Take the graph apart into its nodes and edges, each in insertion
+    /// order — the consuming loaders move records out of a decoded graph
+    /// instead of cloning them.
+    pub fn into_parts(self) -> (Vec<Node>, Vec<Edge>) {
+        (self.nodes, self.edges)
     }
 
     /// Number of nodes.
@@ -228,7 +279,8 @@ impl PropertyGraph {
 
     /// Outgoing edges of a node.
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = &Edge> {
-        self.out_adj
+        self.adjacency()
+            .out
             .get(&id.0)
             .into_iter()
             .flatten()
@@ -237,7 +289,8 @@ impl PropertyGraph {
 
     /// Incoming edges of a node.
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = &Edge> {
-        self.in_adj
+        self.adjacency()
+            .inc
             .get(&id.0)
             .into_iter()
             .flatten()
@@ -246,12 +299,12 @@ impl PropertyGraph {
 
     /// Out-degree of a node.
     pub fn out_degree(&self, id: NodeId) -> usize {
-        self.out_adj.get(&id.0).map_or(0, Vec::len)
+        self.adjacency().out.get(&id.0).map_or(0, Vec::len)
     }
 
     /// In-degree of a node.
     pub fn in_degree(&self, id: NodeId) -> usize {
-        self.in_adj.get(&id.0).map_or(0, Vec::len)
+        self.adjacency().inc.get(&id.0).map_or(0, Vec::len)
     }
 
     /// All distinct property keys appearing on nodes, in sorted order.
@@ -294,24 +347,23 @@ impl PropertyGraph {
 
     /// Remove an edge. Returns the removed edge, or `None` if absent.
     pub fn remove_edge(&mut self, id: EdgeId) -> Option<Edge> {
-        let pos = self.edge_pos.remove(&id.0)? as usize;
-        let last = self.edges.len() - 1;
-        // Swap-remove, then repair the position map and adjacency lists
-        // for the edge that moved into `pos`.
-        let removed = self.edges.swap_remove(pos);
-        self.detach_edge(&removed, pos as u32);
-        if pos != last {
-            let moved_id = self.edges[pos].id.0;
-            self.edge_pos.insert(moved_id, pos as u32);
-            let (src, tgt) = (self.edges[pos].src.0, self.edges[pos].tgt.0);
-            for (map, node) in [(&mut self.out_adj, src), (&mut self.in_adj, tgt)] {
-                if let Some(v) = map.get_mut(&node) {
-                    for p in v.iter_mut() {
-                        if *p == last as u32 {
-                            *p = pos as u32;
-                        }
-                    }
-                }
+        let pos = self.edge_pos.remove(&id.0)?;
+        let last = (self.edges.len() - 1) as u32;
+        // Swap-remove, then repair the position map and (if built) the
+        // adjacency lists for the edge that moved into `pos`.
+        let removed = self.edges.swap_remove(pos as usize);
+        let moved = self.edges.get(pos as usize);
+        if let Some(moved) = moved {
+            self.edge_pos.insert(moved.id.0, pos);
+        }
+        if let Some(adj) = self.adjacency.get_mut() {
+            adj.lists_of(&removed, |list| list.retain(|&p| p != pos));
+            if let Some(moved) = moved {
+                adj.lists_of(moved, |list| {
+                    list.iter_mut()
+                        .filter(|p| **p == last)
+                        .for_each(|p| *p = pos)
+                });
             }
         }
         Some(removed)
@@ -336,20 +388,11 @@ impl PropertyGraph {
             let moved_id = self.nodes[pos].id.0;
             self.node_pos.insert(moved_id, pos as u32);
         }
-        self.out_adj.remove(&id.0);
-        self.in_adj.remove(&id.0);
+        if let Some(adj) = self.adjacency.get_mut() {
+            adj.out.remove(&id.0);
+            adj.inc.remove(&id.0);
+        }
         Some(removed)
-    }
-
-    /// Drop `edge`'s entries from the adjacency lists (it occupied
-    /// position `pos` before removal).
-    fn detach_edge(&mut self, edge: &Edge, pos: u32) {
-        if let Some(v) = self.out_adj.get_mut(&edge.src.0) {
-            v.retain(|&p| p != pos);
-        }
-        if let Some(v) = self.in_adj.get_mut(&edge.tgt.0) {
-            v.retain(|&p| p != pos);
-        }
     }
 
     /// Absorb another graph (disjoint ids assumed; duplicates error).

@@ -11,7 +11,7 @@
 //! Determinism: interning only affects *which allocation* backs a
 //! [`Symbol`], never its contents. `Symbol` (`Arc<str>`) compares,
 //! hashes, and orders by string content, so every downstream structure
-//! (sorted `LabelSet`s, `BTreeMap` property maps, accumulator
+//! (sorted `LabelSet`s, key-sorted `PropMap`s, accumulator
 //! `HashMap`s folded in chunk order) is bit-identical whether symbols
 //! came from the interner, from [`sym`], or from a mix. The pool's own
 //! iteration order is never observed. This is why checkpoints, merges,

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A cheaply clonable interned string used for labels and property keys.
 pub type Symbol = Arc<str>;
@@ -23,13 +23,20 @@ pub fn sym(s: &str) -> Symbol {
 ///
 /// The empty set models unlabeled nodes/edges (the partial labeling
 /// function λ of Definition 3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
-pub struct LabelSet(Vec<Symbol>);
+///
+/// The labels sit behind one shared allocation and the type has no
+/// mutators, so a clone — an edge record's two endpoint sets, a stream's
+/// node index — is a refcount bump. `Eq`/`Ord`/`Hash` and the serialized
+/// form are those of the label slice, i.e. of the `Vec<Symbol>` this
+/// used to be (DESIGN.md §3m).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LabelSet(Arc<[Symbol]>);
 
 impl LabelSet {
-    /// The empty (unlabeled) set.
+    /// The empty (unlabeled) set. Shared: no allocation per call.
     pub fn empty() -> Self {
-        LabelSet(Vec::new())
+        static EMPTY: OnceLock<LabelSet> = OnceLock::new();
+        EMPTY.get_or_init(|| LabelSet(Arc::new([]))).clone()
     }
 
     /// Build from any iterator of string-likes; sorts and deduplicates.
@@ -42,15 +49,12 @@ impl LabelSet {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut v: Vec<Symbol> = labels.into_iter().map(|s| sym(s.as_ref())).collect();
-        v.sort();
-        v.dedup();
-        LabelSet(v)
+        LabelSet::from_symbols(labels.into_iter().map(|s| sym(s.as_ref())).collect())
     }
 
     /// Single-label convenience constructor.
     pub fn single(label: &str) -> Self {
-        LabelSet(vec![sym(label)])
+        LabelSet(Arc::new([sym(label)]))
     }
 
     /// Build from already-interned symbols; sorts and deduplicates.
@@ -59,7 +63,7 @@ impl LabelSet {
     pub fn from_symbols(mut labels: Vec<Symbol>) -> Self {
         labels.sort();
         labels.dedup();
-        LabelSet(labels)
+        LabelSet(labels.into())
     }
 
     /// Build from symbols **preserving their wire order** — no sort, no
@@ -70,7 +74,13 @@ impl LabelSet {
     /// canonical — but arbitrary input keeps whatever order it had, just
     /// like the serde path.
     pub fn from_wire(labels: Vec<Symbol>) -> Self {
-        LabelSet(labels)
+        LabelSet(labels.into())
+    }
+
+    /// Whether the two sets are one allocation, not merely equal — what
+    /// the pools promise of repeated label arrays.
+    pub fn ptr_eq(&self, other: &LabelSet) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Whether the set is empty (an unlabeled element).
@@ -117,13 +127,13 @@ impl LabelSet {
         }
         v.extend_from_slice(&self.0[i..]);
         v.extend_from_slice(&other.0[j..]);
-        LabelSet(v)
+        LabelSet(v.into())
     }
 
     /// Whether `self ⊆ other`.
     pub fn is_subset_of(&self, other: &LabelSet) -> bool {
         let mut j = 0;
-        'outer: for l in &self.0 {
+        'outer: for l in self.0.iter() {
             while j < other.0.len() {
                 match other.0[j].cmp(l) {
                     std::cmp::Ordering::Less => j += 1,
@@ -167,6 +177,26 @@ impl LabelSet {
                     .join("|"),
             )
         }
+    }
+}
+
+impl Default for LabelSet {
+    fn default() -> Self {
+        LabelSet::empty()
+    }
+}
+
+impl Serialize for LabelSet {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for LabelSet {
+    /// Transparent, like the tuple struct it replaces: the raw label
+    /// array in wire order.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::from_value(value).map(LabelSet::from_wire)
     }
 }
 

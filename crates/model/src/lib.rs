@@ -12,6 +12,7 @@
 //! * [`PropertyGraph`], [`Node`], [`Edge`] — a directed multigraph where
 //!   both nodes and edges carry label sets and key–value properties
 //!   (Definition 3.1).
+//! * [`PropMap`] — a record's properties as one key-sorted vector.
 //! * [`LabelSet`] — a canonically sorted, deduplicated set of labels; the
 //!   sorted concatenation of a multi-label set acts as a single token for
 //!   embedding purposes, as the paper prescribes.
@@ -32,6 +33,7 @@ pub mod intern;
 pub mod label;
 pub mod merge;
 pub mod pattern;
+pub mod props;
 pub mod schema;
 pub mod stats;
 pub mod value;
@@ -43,6 +45,7 @@ pub use intern::{FnvBuildHasher, FnvHasher, SymbolInterner};
 pub use label::{sym, LabelSet, Symbol};
 pub use merge::{merge_schemas, DEFAULT_MERGE_THETA};
 pub use pattern::{EdgePattern, NodePattern};
+pub use props::PropMap;
 pub use schema::{
     Cardinality, CardinalityClass, EdgeType, NodeType, Presence, PropertySpec, SchemaGraph,
     SchemaType, TypeId,

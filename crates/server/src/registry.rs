@@ -990,6 +990,31 @@ mod tests {
     }
 
     #[test]
+    fn session_decoder_pools_label_sets_across_ingest_calls() {
+        let (reg, _) = Registry::open(RegistryConfig::default());
+        let live = reg.create("s1", spec()).unwrap();
+        let pooled = || {
+            live.decoder
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .pooled_label_sets()
+        };
+        let nodes = b"{\"kind\":\"node\",\"id\":1,\"labels\":[\"A\"],\"props\":{}}\n\
+                      {\"kind\":\"node\",\"id\":2,\"labels\":[\"A\"],\"props\":{}}\n";
+        live.ingest_jsonl(nodes)
+            .unwrap_or_else(|_| panic!("ingest 1"));
+        assert_eq!(pooled(), 1, "one array for both nodes");
+        // A later batch — another request — finds the array pooled: the
+        // session's node index grows by refcount bumps, not allocations.
+        let more = b"{\"kind\":\"node\",\"id\":3,\"labels\":[\"A\"],\"props\":{}}\n\
+                     {\"kind\":\"edge\",\"id\":9,\"src\":1,\"tgt\":3,\"labels\":[\"R\"],\"props\":{}}\n";
+        live.ingest_slice(more, 2)
+            .unwrap_or_else(|_| panic!("ingest 2"));
+        assert_eq!(pooled(), 2, "[A] reused, [R] new");
+        assert_eq!(live.handle.nodes_seen(), 3);
+    }
+
+    #[test]
     fn durable_sessions_resume_bit_identically() {
         let dir = std::env::temp_dir().join(format!(
             "pg-serve-registry-{}-{:?}",

@@ -5,7 +5,7 @@
 //! records; edge records resolve their endpoint labels against the *full*
 //! graph at split time, matching the load query's behaviour.
 
-use crate::load::{EdgeRecord, NodeRecord};
+use crate::load::{load, load_owned, EdgeRecord, NodeRecord};
 use pg_model::PropertyGraph;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -39,13 +39,28 @@ impl GraphBatch {
 /// # Panics
 /// Panics if `k == 0`.
 pub fn split_batches(graph: &PropertyGraph, k: usize, seed: u64) -> Vec<GraphBatch> {
+    deal(load(graph), k, seed)
+}
+
+/// [`split_batches`] for a graph nobody reads again: the records move
+/// into their batches instead of being cloned. Same shuffle, same
+/// round-robin, so batch for batch the result of `split_batches(&graph,
+/// k, seed)`.
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn split_batches_owned(graph: PropertyGraph, k: usize, seed: u64) -> Vec<GraphBatch> {
+    deal(load_owned(graph), k, seed)
+}
+
+/// Shuffle the loaded records and deal them round-robin into `k` batches.
+fn deal(
+    (mut nodes, mut edges): (Vec<NodeRecord>, Vec<EdgeRecord>),
+    k: usize,
+    seed: u64,
+) -> Vec<GraphBatch> {
     assert!(k > 0, "batch count must be positive");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut nodes: Vec<NodeRecord> = graph.nodes().cloned().collect();
-    let mut edges: Vec<EdgeRecord> = graph
-        .edges()
-        .map(|e| EdgeRecord::resolve(e.clone(), graph))
-        .collect();
     nodes.shuffle(&mut rng);
     edges.shuffle(&mut rng);
 

@@ -40,11 +40,13 @@
 use crate::jsonl::Element;
 use crate::load::EdgeRecord;
 use pg_model::{
-    Date, DateTime, Edge, EdgeId, LabelSet, Node, NodeId, PropertyValue, Symbol, SymbolInterner,
+    Date, DateTime, Edge, EdgeId, FnvBuildHasher, LabelSet, Node, NodeId, PropMap, PropertyValue,
+    Symbol, SymbolInterner,
 };
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Why a line failed to decode. Carries the byte offset of the failure
 /// like the reference parser's errors; the text is surfaced as a
@@ -65,11 +67,51 @@ impl std::error::Error for DecodeError {}
 /// A reusable JSONL → [`Element`] decoder with a persistent symbol
 /// pool. Reuse one decoder across lines (and across batches: the
 /// server keeps one per session) so every repeated label and property
-/// key resolves to the same pooled `Arc<str>`.
+/// key resolves to the same pooled `Arc<str>`, and every repeated label
+/// *array* to the same pooled [`LabelSet`].
 #[derive(Default)]
 pub struct JsonlDecoder {
     interner: SymbolInterner,
     scratch: String,
+    label_sets: LabelSetPool,
+    props: Vec<(Symbol, PropertyValue)>,
+}
+
+/// Label sets already built, keyed by the addresses of their (pooled)
+/// symbols in wire order, so a repeated label array costs a refcount
+/// bump instead of an allocation. Address keys are sound because every
+/// entry owns the symbols its key names: while the entry lives those
+/// allocations cannot be freed and reused, so an equal address sequence
+/// is the same strings in the same order. That the interner hands out
+/// one address per distinct string is what makes the pool *hit*.
+#[derive(Default)]
+struct LabelSetPool {
+    sets: HashMap<Box<[usize]>, LabelSet, FnvBuildHasher>,
+    labels: Vec<Symbol>,
+    key: Vec<usize>,
+}
+
+impl LabelSetPool {
+    fn begin(&mut self) {
+        self.labels.clear();
+        self.key.clear();
+    }
+
+    fn push(&mut self, label: Symbol) {
+        self.key.push(Arc::as_ptr(&label) as *const u8 as usize);
+        self.labels.push(label);
+    }
+
+    /// The set of the labels pushed since [`Self::begin`], wire order
+    /// preserved as [`LabelSet::from_wire`] requires.
+    fn finish(&mut self) -> LabelSet {
+        if let Some(set) = self.sets.get(self.key.as_slice()) {
+            return set.clone();
+        }
+        let set = LabelSet::from_wire(self.labels.clone());
+        self.sets.insert(self.key.as_slice().into(), set.clone());
+        set
+    }
 }
 
 impl JsonlDecoder {
@@ -83,6 +125,11 @@ impl JsonlDecoder {
         self.interner.len()
     }
 
+    /// Number of distinct label arrays pooled so far.
+    pub fn pooled_label_sets(&self) -> usize {
+        self.label_sets.sets.len()
+    }
+
     /// Decode one JSONL line into an element. The line must contain
     /// exactly one JSON object (leading/trailing whitespace tolerated),
     /// as the reference `serde_json::from_str::<Element>` requires.
@@ -93,6 +140,8 @@ impl JsonlDecoder {
             pos: 0,
             interner: &mut self.interner,
             scratch: &mut self.scratch,
+            label_sets: &mut self.label_sets,
+            props: &mut self.props,
         };
         let element = p.parse_element()?;
         p.skip_ws();
@@ -139,6 +188,8 @@ struct Parser<'de, 'a> {
     pos: usize,
     interner: &'a mut SymbolInterner,
     scratch: &'a mut String,
+    label_sets: &'a mut LabelSetPool,
+    props: &'a mut Vec<(Symbol, PropertyValue)>,
 }
 
 impl<'de, 'a> Parser<'de, 'a> {
@@ -441,19 +492,20 @@ impl<'de, 'a> Parser<'de, 'a> {
 
     // -- Typed composite fields. ----------------------------------------
 
-    /// `LabelSet` mirrors the derived transparent deserialize: a raw
-    /// `Vec<Symbol>` in wire order, no sort, no dedup.
+    /// `LabelSet` mirrors the transparent deserialize: the raw label
+    /// array in wire order, no sort, no dedup — through the pool, so
+    /// only the first occurrence of an array allocates.
     fn parse_labels(&mut self) -> Result<LabelSet, DecodeError> {
         self.skip_ws();
         if self.peek() != Some(b'[') {
             return Err(self.err("expected array"));
         }
         self.pos += 1;
-        let mut labels: Vec<Symbol> = Vec::new();
+        self.label_sets.begin();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(LabelSet::from_wire(labels));
+            return Ok(self.label_sets.finish());
         }
         loop {
             self.skip_ws();
@@ -465,13 +517,13 @@ impl<'de, 'a> Parser<'de, 'a> {
                 let s = resolve_str!(self, part);
                 self.interner.intern(s)
             };
-            labels.push(symbol);
+            self.label_sets.push(symbol);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(LabelSet::from_wire(labels));
+                    return Ok(self.label_sets.finish());
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
@@ -481,18 +533,19 @@ impl<'de, 'a> Parser<'de, 'a> {
     /// A property map, in either of the two wire forms the reference
     /// `deserialize_map_entries` accepts: a JSON object, or an array of
     /// `[key, value]` pairs (each exactly two items, key a string).
-    /// Duplicate keys are last-wins, exactly as collecting pairs into a
-    /// `BTreeMap` makes them.
-    fn parse_props(&mut self) -> Result<BTreeMap<Symbol, PropertyValue>, DecodeError> {
+    /// Entries collect in the reused scratch and leave it as one
+    /// exact-size [`PropMap`]; duplicate keys are last-wins, as
+    /// collecting a `PropMap` makes them.
+    fn parse_props(&mut self) -> Result<PropMap, DecodeError> {
         self.skip_ws();
-        let mut map = BTreeMap::new();
+        self.props.clear();
         match self.peek() {
             Some(b'{') => {
                 self.pos += 1;
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
-                    return Ok(map);
+                    return Ok(PropMap::new());
                 }
                 loop {
                     self.skip_ws();
@@ -507,13 +560,13 @@ impl<'de, 'a> Parser<'de, 'a> {
                     self.skip_ws();
                     self.expect(b':')?;
                     let value = self.parse_property_value()?;
-                    map.insert(key, value);
+                    self.props.push((key, value));
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
-                            return Ok(map);
+                            return Ok(self.props.drain(..).collect());
                         }
                         _ => return Err(self.err("expected ',' or '}'")),
                     }
@@ -524,7 +577,7 @@ impl<'de, 'a> Parser<'de, 'a> {
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
-                    return Ok(map);
+                    return Ok(PropMap::new());
                 }
                 loop {
                     self.skip_ws();
@@ -549,13 +602,13 @@ impl<'de, 'a> Parser<'de, 'a> {
                         return Err(self.err("expected [key, value] pair"));
                     }
                     self.pos += 1;
-                    map.insert(key, value);
+                    self.props.push((key, value));
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
-                            return Ok(map);
+                            return Ok(self.props.drain(..).collect());
                         }
                         _ => return Err(self.err("expected ',' or ']'")),
                     }
@@ -837,12 +890,12 @@ impl<'de, 'a> Parser<'de, 'a> {
         }
         let mut id: Option<NodeId> = None;
         let mut labels: Option<LabelSet> = None;
-        let mut props: Option<BTreeMap<Symbol, PropertyValue>> = None;
+        let mut props: Option<PropMap> = None;
         let apply = |p: &mut Self,
                      f: F,
                      id: &mut Option<NodeId>,
                      labels: &mut Option<LabelSet>,
-                     props: &mut Option<BTreeMap<Symbol, PropertyValue>>|
+                     props: &mut Option<PropMap>|
          -> Result<(), DecodeError> {
             match f {
                 F::Id if id.is_none() => *id = Some(NodeId(p.parse_u64_typed()?)),
@@ -919,7 +972,7 @@ impl<'de, 'a> Parser<'de, 'a> {
             src: Option<NodeId>,
             tgt: Option<NodeId>,
             labels: Option<LabelSet>,
-            props: Option<BTreeMap<Symbol, PropertyValue>>,
+            props: Option<PropMap>,
         }
         let mut s = Slots {
             id: None,
@@ -1400,5 +1453,115 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(ka, kb), "keys must share one Arc");
         assert_eq!(d.interned_symbols(), 2);
         assert_eq!(*ka, sym("age"));
+    }
+
+    fn labels_of(d: &mut JsonlDecoder, line: &str) -> LabelSet {
+        match d.decode_element(line).unwrap() {
+            Element::Node(n) => n.labels,
+            Element::Edge(e) => e.labels,
+            Element::ResolvedEdge(r) => r.edge.labels,
+        }
+    }
+
+    #[test]
+    fn equal_label_arrays_share_one_allocation_across_lines() {
+        let mut d = JsonlDecoder::new();
+        let a = labels_of(
+            &mut d,
+            r#"{"kind":"node","id":1,"labels":["Person","Student"],"props":{}}"#,
+        );
+        let b = labels_of(
+            &mut d,
+            r#"{"kind":"node","id":2,"labels":["Person","Student"],"props":{"k":{"Int":1}}}"#,
+        );
+        assert!(a.ptr_eq(&b), "the second array is a refcount bump");
+        assert_eq!(d.pooled_label_sets(), 1);
+        // Across element kinds and fields too: the pool is the decoder's.
+        let rec = r#"{"kind":"resolved_edge","edge":{"id":9,"src":1,"tgt":2,"labels":["KNOWS"],"props":{}},"src_labels":["Person","Student"],"tgt_labels":["Person","Student"]}"#;
+        match d.decode_element(rec).unwrap() {
+            Element::ResolvedEdge(r) => {
+                assert!(r.src_labels.ptr_eq(&a) && r.tgt_labels.ptr_eq(&a));
+                assert!(!r.edge.labels.ptr_eq(&a));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(d.pooled_label_sets(), 2);
+        // An escaped spelling of the same labels is the same array.
+        let escaped = labels_of(
+            &mut d,
+            "{\"kind\":\"node\",\"id\":3,\"labels\":[\"P\\u0065rson\",\"Student\"],\"props\":{}}",
+        );
+        assert!(escaped.ptr_eq(&a));
+        // Unlabeled elements pool as well.
+        let none = r#"{"kind":"node","id":4,"labels":[],"props":{}}"#;
+        let (e1, e2) = (labels_of(&mut d, none), labels_of(&mut d, none));
+        assert!(e1.ptr_eq(&e2) && e1.is_empty());
+    }
+
+    #[test]
+    fn label_pool_keeps_wire_order_apart() {
+        // `from_wire` is order-preserving, so the two orders are two
+        // different label sets and must stay two pool entries.
+        let mut d = JsonlDecoder::new();
+        let ba = labels_of(
+            &mut d,
+            r#"{"kind":"node","id":1,"labels":["B","A"],"props":{}}"#,
+        );
+        let ab = labels_of(
+            &mut d,
+            r#"{"kind":"node","id":2,"labels":["A","B"],"props":{}}"#,
+        );
+        assert_ne!(ba, ab);
+        let order = |s: &LabelSet| s.iter().map(|l| l.to_string()).collect::<Vec<_>>();
+        assert_eq!(order(&ba), ["B", "A"]);
+        assert_eq!(order(&ab), ["A", "B"]);
+        assert_eq!(d.pooled_label_sets(), 2);
+        // A prefix, a repeat and a superset are their own arrays.
+        for (line, want) in [
+            (r#"{"kind":"node","id":3,"labels":["A"],"props":{}}"#, 1),
+            (r#"{"kind":"node","id":4,"labels":["A","A"],"props":{}}"#, 2),
+            (
+                r#"{"kind":"node","id":5,"labels":["A","B","C"],"props":{}}"#,
+                3,
+            ),
+        ] {
+            assert_eq!(labels_of(&mut d, line).len(), want);
+        }
+        assert_eq!(d.pooled_label_sets(), 5);
+        // A line that fails after its labels parsed leaves the pool usable.
+        assert!(d
+            .decode_element(r#"{"kind":"node","id":6,"labels":["B","A"],"props":5}"#)
+            .is_err());
+        assert!(labels_of(
+            &mut d,
+            r#"{"kind":"node","id":7,"labels":["B","A"],"props":{}}"#
+        )
+        .ptr_eq(&ba));
+    }
+
+    #[test]
+    fn props_scratch_does_not_leak_between_lines() {
+        let mut d = JsonlDecoder::new();
+        // Fails inside the second value: "a" is already in the scratch.
+        assert!(d
+            .decode_element(
+                r#"{"kind":"node","id":1,"labels":[],"props":{"a":{"Int":1},"b":{"Int":x}}}"#
+            )
+            .is_err());
+        match d
+            .decode_element(r#"{"kind":"node","id":2,"labels":[],"props":{"z":{"Int":2},"c":{"Int":3},"z":{"Int":4}}}"#)
+            .unwrap()
+        {
+            Element::Node(n) => {
+                let got: Vec<(&str, &PropertyValue)> =
+                    n.props.iter().map(|(k, v)| (k.as_ref(), v)).collect();
+                assert_eq!(
+                    got,
+                    [("c", &PropertyValue::Int(3)), ("z", &PropertyValue::Int(4))],
+                    "unsorted arrival, last wins, nothing from the failed line"
+                );
+            }
+            other => panic!("{other:?}"),
+        }
     }
 }

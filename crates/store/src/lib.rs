@@ -31,7 +31,7 @@ pub mod load;
 pub mod memstore;
 pub mod query;
 
-pub use batch::{split_batches, GraphBatch};
+pub use batch::{split_batches, split_batches_owned, GraphBatch};
 pub use decode::{DecodeError, JsonlDecoder};
 pub use faults::{FaultKind, FaultyReader, FaultyWriter};
 pub use ingest::{ErrorPolicy, Quarantine, QuarantineEntry};
@@ -39,5 +39,5 @@ pub use jsonl::{
     from_jsonl_reader_with_policy, read_jsonl_elements, read_jsonl_elements_with, Element,
     LoadError,
 };
-pub use load::{load, EdgeRecord, NodeRecord};
+pub use load::{load, load_owned, EdgeRecord, NodeRecord};
 pub use memstore::GraphStore;

@@ -32,27 +32,48 @@ pub struct EdgeRecord {
     pub tgt_labels: LabelSet,
 }
 
-impl EdgeRecord {
-    /// Build a record by resolving the endpoints against `graph`.
-    pub fn resolve(edge: Edge, graph: &PropertyGraph) -> EdgeRecord {
-        let (src_labels, tgt_labels) = graph.endpoint_labels(&edge);
-        EdgeRecord {
+/// Load a full graph into flat records — the substitute for the paper's
+/// Neo4j extraction query. The graph stays usable and every record is a
+/// clone; a caller that is done with the graph uses [`load_owned`].
+pub fn load(graph: &PropertyGraph) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
+    records(
+        graph.nodes().cloned(),
+        graph.edges().cloned(),
+        endpoint_labels(graph),
+    )
+}
+
+/// [`load`] for a graph nobody reads again: nodes and edges *move* into
+/// their records, so a decoded element exists once (DESIGN.md §3m).
+/// Record for record the result of `load(&graph)`.
+pub fn load_owned(graph: PropertyGraph) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
+    // Endpoints resolve against the intact graph, before the move.
+    let ends: Vec<_> = endpoint_labels(&graph).collect();
+    let (nodes, edges) = graph.into_parts();
+    records(nodes.into_iter(), edges.into_iter(), ends.into_iter())
+}
+
+/// The `(source, target)` label sets of every edge, in edge order.
+fn endpoint_labels(graph: &PropertyGraph) -> impl Iterator<Item = (LabelSet, LabelSet)> + '_ {
+    graph.edges().map(|e| graph.endpoint_labels(e))
+}
+
+/// The one body of both loading forms: pair each edge with its resolved
+/// endpoint labels.
+fn records(
+    nodes: impl Iterator<Item = Node>,
+    edges: impl Iterator<Item = Edge>,
+    ends: impl Iterator<Item = (LabelSet, LabelSet)>,
+) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
+    let edges = edges
+        .zip(ends)
+        .map(|(edge, (src_labels, tgt_labels))| EdgeRecord {
             edge,
             src_labels,
             tgt_labels,
-        }
-    }
-}
-
-/// Load a full graph into flat records — the substitute for the paper's
-/// Neo4j extraction query.
-pub fn load(graph: &PropertyGraph) -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
-    let nodes: Vec<NodeRecord> = graph.nodes().cloned().collect();
-    let edges: Vec<EdgeRecord> = graph
-        .edges()
-        .map(|e| EdgeRecord::resolve(e.clone(), graph))
+        })
         .collect();
-    (nodes, edges)
+    (nodes.collect(), edges)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use pg_model::{Edge, LabelSet, Node, NodeId, PropertyGraph, PropertyValue};
 use pg_store::csv::{edges_to_csv, graph_from_csv, nodes_to_csv};
 use pg_store::jsonl::{from_jsonl, to_jsonl};
-use pg_store::split_batches;
+use pg_store::{load, load_owned, split_batches, split_batches_owned};
 use proptest::prelude::*;
 
 /// Arbitrary property values whose rendering round-trips (strings are
@@ -111,6 +111,27 @@ proptest! {
             for rec in &b.edges {
                 let expected_src = g.node(rec.edge.src).unwrap().labels.clone();
                 prop_assert_eq!(&rec.src_labels, &expected_src);
+            }
+        }
+    }
+
+    // The consuming forms move the records the borrowed forms clone:
+    // same records, same order, same batches — endpoints resolved
+    // before the move, including those that land in another batch.
+    #[test]
+    fn consuming_load_and_split_equal_the_borrowed_forms(g in arb_graph(), seed in 0u64..100) {
+        prop_assert_eq!(load_owned(g.clone()), load(&g));
+        for k in [1usize, 3, 16] {
+            let lent = split_batches(&g, k, seed);
+            let given = split_batches_owned(g.clone(), k, seed);
+            prop_assert_eq!(lent.len(), given.len());
+            for (l, o) in lent.iter().zip(&given) {
+                prop_assert_eq!(&l.nodes, &o.nodes);
+                prop_assert_eq!(&l.edges, &o.edges);
+            }
+            for rec in given.iter().flat_map(|b| &b.edges) {
+                prop_assert_eq!(&rec.src_labels, &g.node(rec.edge.src).unwrap().labels);
+                prop_assert_eq!(&rec.tgt_labels, &g.node(rec.edge.tgt).unwrap().labels);
             }
         }
     }

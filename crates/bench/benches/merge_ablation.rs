@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use pg_bench::{bench_graph, bench_hive_config, BENCH_DATASETS};
-use pg_hive::cluster::{assemble_node_clusters, NodeCluster};
+use pg_hive::cluster::{assemble, NodeCluster};
 use pg_hive::extract::{integrate, MergeOptions};
 use pg_hive::features::FeatureSpace;
 use pg_hive::{DiscoveryState, LshMethod, PgHive};
@@ -39,8 +39,8 @@ fn merge_ablation(c: &mut Criterion) {
         let (nodes, edges) = load(&graph);
         let cfg = bench_hive_config(LshMethod::Elsh);
         let fs = FeatureSpace::build(&nodes, &edges, &cfg.embedding, 42);
-        let vectors: Vec<_> = nodes.iter().map(|n| fs.node_vector(n)).collect();
-        let lsh = EuclideanLsh::new(fs.node_dim().max(1), 25, 2.0, 42);
+        let vectors: Vec<_> = nodes.iter().map(|n| fs.vector(n)).collect();
+        let lsh = EuclideanLsh::new(fs.dim_of::<NodeRecord>().max(1), 25, 2.0, 42);
 
         group.bench_with_input(
             BenchmarkId::new("cluster_signature_and", ds),
@@ -121,7 +121,7 @@ fn assemble_sparse(c: &mut Criterion) {
         };
         let shape = format!("{records}_records_{num_clusters}_clusters");
         group.bench_function(BenchmarkId::new("nodes", shape), |b| {
-            b.iter(|| black_box(assemble_node_clusters(&nodes, &clustering)))
+            b.iter(|| black_box(assemble::<NodeCluster>(&nodes, &clustering)))
         });
     }
     group.finish();

@@ -4,9 +4,8 @@
 use crate::opts::{CliError, Command, GraphInput, OutputFormat};
 use pg_datasets::{generate, inject_noise, spec_by_name, NoiseConfig};
 use pg_hive::{
-    diff, merge_states, schema_to_state, serialize, validate, CheckpointStore, DatatypeSampling,
-    DiscoveryResult, HiveConfig, HiveSession, PgHive, SchemaMode, SessionCheckpoint, ShardState,
-    SHARD_SPLIT_SALT,
+    diff, merge_states, serialize, validate, CheckpointStore, DatatypeSampling, DiscoveryResult,
+    HiveConfig, HiveSession, PgHive, SchemaMode, SessionCheckpoint, ShardState, SHARD_SPLIT_SALT,
 };
 use pg_model::{GraphStats, PropertyGraph, SchemaGraph};
 use pg_store::{
@@ -472,40 +471,20 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         }
 
         Command::Merge { inputs, out } => {
-            #[derive(Clone, Copy, PartialEq, Debug)]
-            enum Kind {
-                State,
-                Schema,
-            }
             let mut states = Vec::with_capacity(inputs.len());
-            let mut kind: Option<Kind> = None;
+            let mut kind = None;
             for path in inputs {
                 let text = fs::read_to_string(path)
                     .map_err(|e| CliError::Input(format!("reading {path:?}: {e}")))?;
-                // Shard-state JSON (schema + accumulators) merges
-                // exactly; bare schema JSON merges pessimistically.
-                let (state, this) = match serde_json::from_str::<ShardState>(&text) {
-                    Ok(ss) => (ss.into_state(), Kind::State),
-                    Err(_) => match serde_json::from_str::<SchemaGraph>(&text) {
-                        Ok(schema) => (schema_to_state(&schema), Kind::Schema),
-                        Err(e) => {
-                            return Err(CliError::Input(format!(
-                                "{path:?} is neither shard-state nor schema JSON: {e}"
-                            )))
-                        }
-                    },
-                };
-                match kind {
-                    None => kind = Some(this),
-                    Some(k) if k != this => {
-                        return Err(CliError::Usage(
-                            "cannot mix shard-state and bare-schema inputs in one merge \
-                             (their statistics are not comparable); re-run discover with \
-                             --state-out to export shard states"
-                                .into(),
-                        ))
-                    }
-                    Some(_) => {}
+                let (state, this) = pg_hive::merge::parse(&text)
+                    .map_err(|e| CliError::Input(format!("{path:?} is {e}")))?;
+                if *kind.get_or_insert(this) != this {
+                    return Err(CliError::Usage(
+                        "cannot mix shard-state and bare-schema inputs in one merge \
+                         (their statistics are not comparable); re-run discover with \
+                         --state-out to export shard states"
+                            .into(),
+                    ));
                 }
                 states.push(state);
             }

@@ -335,134 +335,135 @@ pub enum Command {
     },
 }
 
-/// Every flag and switch a command accepts (including the hidden
-/// `--kill-after-batch`); `None` for an unknown command.
-fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
+/// Every flag a command accepts (including the hidden
+/// `--kill-after-batch`), each with whether it takes a value (`false`:
+/// a bare switch); `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
     Some(match cmd {
         "discover" => &[
-            "--nodes",
-            "--edges",
-            "--jsonl",
-            "--format",
-            "--method",
-            "--theta",
-            "--seed",
-            "--merge-similarity",
-            "--refine",
-            "--threads",
-            "--no-post",
-            "--sample-datatypes",
-            "--out",
-            "--batches",
-            "--on-error",
-            "--checkpoint-dir",
-            "--checkpoint-every",
-            "--checkpoint-keep",
-            "--resume",
-            "--kill-after-batch",
-            "--shard",
-            "--state-out",
-            "--stream",
+            ("--nodes", true),
+            ("--edges", true),
+            ("--jsonl", true),
+            ("--format", true),
+            ("--method", true),
+            ("--theta", true),
+            ("--seed", true),
+            ("--merge-similarity", true),
+            ("--refine", false),
+            ("--threads", true),
+            ("--no-post", false),
+            ("--sample-datatypes", false),
+            ("--out", true),
+            ("--batches", true),
+            ("--on-error", true),
+            ("--checkpoint-dir", true),
+            ("--checkpoint-every", true),
+            ("--checkpoint-keep", true),
+            ("--resume", false),
+            ("--kill-after-batch", true),
+            ("--shard", true),
+            ("--state-out", true),
+            ("--stream", false),
         ],
-        "validate" => &["--schema", "--nodes", "--edges", "--jsonl", "--mode"],
-        "diff" => &["--old", "--new"],
-        "stats" => &["--nodes", "--edges", "--jsonl"],
+        "validate" => &[
+            ("--schema", true),
+            ("--nodes", true),
+            ("--edges", true),
+            ("--jsonl", true),
+            ("--mode", true),
+        ],
+        "diff" => &[("--old", true), ("--new", true)],
+        "stats" => &[("--nodes", true), ("--edges", true), ("--jsonl", true)],
         "generate" => &[
-            "--dataset",
-            "--out-dir",
-            "--scale",
-            "--seed",
-            "--noise",
-            "--label-availability",
-            "--jsonl",
+            ("--dataset", true),
+            ("--out-dir", true),
+            ("--scale", true),
+            ("--seed", true),
+            ("--noise", true),
+            ("--label-availability", true),
+            ("--jsonl", false),
         ],
         "synth" => &[
-            "--out-dir",
-            "--schema",
-            "--types",
-            "--size",
-            "--seed",
-            "--unlabeled",
-            "--missing-optional",
-            "--label-noise",
-            "--missing-mandatory",
-            "--jsonl",
-            "--stream-chunks",
+            ("--out-dir", true),
+            ("--schema", true),
+            ("--types", true),
+            ("--size", true),
+            ("--seed", true),
+            ("--unlabeled", true),
+            ("--missing-optional", true),
+            ("--label-noise", true),
+            ("--missing-mandatory", true),
+            ("--jsonl", false),
+            ("--stream-chunks", true),
         ],
         "serve" => &[
-            "--addr",
-            "--state-dir",
-            "--workers",
-            "--queue",
-            "--max-body-mb",
-            "--checkpoint-every",
-            "--checkpoint-keep",
-            "--max-connections",
-            "--idle-timeout-ms",
-            "--session-queue",
-            "--cluster",
-            "--cluster-wal-dir",
-            "--cluster-session",
-            "--heartbeat-ms",
+            ("--addr", true),
+            ("--state-dir", true),
+            ("--workers", true),
+            ("--queue", true),
+            ("--max-body-mb", true),
+            ("--checkpoint-every", true),
+            ("--checkpoint-keep", true),
+            ("--max-connections", true),
+            ("--idle-timeout-ms", true),
+            ("--session-queue", true),
+            ("--cluster", true),
+            ("--cluster-wal-dir", true),
+            ("--cluster-session", true),
+            ("--heartbeat-ms", true),
         ],
-        "hash" => &["--schema"],
-        "merge" => &["--out"],
+        "hash" => &[("--schema", true)],
+        "merge" => &[("--out", true)],
         _ => return None,
     })
 }
 
 /// Parse argv (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let cmd = it
-        .next()
+    let (cmd, rest) = args
+        .split_first()
         .ok_or_else(|| CliError::Usage("missing command".into()))?;
-    let allowed =
-        allowed_flags(cmd).ok_or_else(|| CliError::Usage(format!("unknown command {cmd:?}")))?;
-    let rest: Vec<&String> = it.collect();
+    let declared =
+        command_flags(cmd).ok_or_else(|| CliError::Usage(format!("unknown command {cmd:?}")))?;
+    let takes_value = |flag: &str| declared.iter().find(|d| d.0 == flag).map(|d| d.1);
 
-    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut switches: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut i = 0;
-    let boolean_flags = [
-        "--no-post",
-        "--sample-datatypes",
-        "--refine",
-        "--resume",
-        "--stream",
-    ];
-    let mut positionals: Vec<String> = Vec::new();
-    while i < rest.len() {
-        let flag = rest[i].as_str();
+    // Flag → value; a switch that was given maps to "".
+    let mut flags: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
+    let mut positionals: Vec<&str> = Vec::new();
+    let mut rest = rest.iter().map(String::as_str);
+    while let Some(flag) = rest.next() {
         if !flag.starts_with("--") {
             // Only `merge` takes positional operands (its input files).
             if cmd == "merge" {
-                positionals.push(flag.to_owned());
-                i += 1;
+                positionals.push(flag);
                 continue;
             }
             return Err(CliError::Usage(format!("unexpected argument {flag:?}")));
         }
-        if !allowed.contains(&flag) {
-            return Err(CliError::Usage(format!(
-                "unknown option {flag} for `{cmd}`"
-            )));
-        }
-        if boolean_flags.contains(&flag)
-            || (flag == "--jsonl" && (cmd == "generate" || cmd == "synth"))
-        {
-            switches.insert(flag.to_owned());
-            i += 1;
-        } else {
-            let value = rest
-                .get(i + 1)
-                .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))?;
-            flags.insert(flag.to_owned(), (*value).clone());
-            i += 2;
+        let value = match takes_value(flag) {
+            None => {
+                return Err(CliError::Usage(format!(
+                    "unknown option {flag} for `{cmd}`"
+                )))
+            }
+            Some(false) => "",
+            // One of the command's own flags where the value belongs
+            // means the value was left out, not that it is the value.
+            Some(true) => match rest.next() {
+                Some(value) if takes_value(value).is_none() => value,
+                _ => return Err(CliError::Usage(format!("{flag} requires a value"))),
+            },
+        };
+        if flags.insert(flag, value).is_some() {
+            return Err(CliError::Usage(format!("{flag} given more than once")));
         }
     }
 
-    let path = |name: &str| -> Option<PathBuf> { flags.get(name).map(PathBuf::from) };
+    let given = |name: &str| flags.contains_key(name);
+    let text = |name: &str| flags.get(name).map(|v| (*v).to_owned());
+    let path = |name: &str| flags.get(name).map(PathBuf::from);
+    let required =
+        |name: &str| path(name).ok_or_else(|| CliError::Usage(format!("{name} is required")));
     let input = || -> Result<GraphInput, CliError> {
         let g = GraphInput {
             nodes: path("--nodes"),
@@ -472,40 +473,28 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         g.validate()?;
         Ok(g)
     };
-    let f64_flag = |name: &str, default: f64| -> Result<f64, CliError> {
-        flags
-            .get(name)
-            .map(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| CliError::Usage(format!("{name} must be a number")))
-            })
-            .unwrap_or(Ok(default))
+    let u64_flag = |name: &str, default: u64| parsed(&flags, name, default);
+    let rate_flag = |name: &str, default: f64| match parsed(&flags, name, default)? {
+        v if (0.0..=1.0).contains(&v) => Ok(v),
+        v => Err(CliError::Usage(format!(
+            "{name} must be in [0, 1], got {v}"
+        ))),
     };
-    let u64_flag = |name: &str, default: u64| -> Result<u64, CliError> {
-        flags
-            .get(name)
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| CliError::Usage(format!("{name} must be an integer")))
-            })
-            .unwrap_or(Ok(default))
+    let positive_flag = |name: &str, default: u64| match u64_flag(name, default)? {
+        0 => Err(CliError::Usage(format!("{name} must be at least 1"))),
+        n => Ok(n),
     };
 
     match cmd.as_str() {
         "discover" => {
-            let format = match flags.get("--format").map(String::as_str) {
+            let format = match flags.get("--format").copied() {
                 None | Some("pg-schema-strict") => OutputFormat::PgSchemaStrict,
                 Some("pg-schema-loose") => OutputFormat::PgSchemaLoose,
                 Some("xsd") => OutputFormat::Xsd,
                 Some("json") => OutputFormat::Json,
                 Some(other) => return Err(CliError::Usage(format!("unknown format {other:?}"))),
             };
-            let method = match flags.get("--method").map(String::as_str) {
-                None | Some("elsh") => LshMethod::Elsh,
-                Some("minhash") => LshMethod::MinHash,
-                Some(other) => return Err(CliError::Usage(format!("unknown method {other:?}"))),
-            };
-            let merge_similarity = match flags.get("--merge-similarity").map(String::as_str) {
+            let merge_similarity = match flags.get("--merge-similarity").copied() {
                 None | Some("binary") => MergeSimilarity::BinaryJaccard,
                 Some("weighted") => MergeSimilarity::WeightedJaccard,
                 Some(other) => {
@@ -514,38 +503,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     )))
                 }
             };
-            let theta = f64_flag("--theta", 0.9)?;
-            if !(0.0..=1.0).contains(&theta) {
-                return Err(CliError::Usage(format!(
-                    "--theta must be in [0, 1], got {theta}"
-                )));
-            }
-            let on_error = match flags.get("--on-error").map(String::as_str) {
-                None | Some("strict") => pg_store::ErrorPolicy::Strict,
-                Some("skip") => pg_store::ErrorPolicy::Skip,
-                Some(other) => match other.strip_prefix("cap:").and_then(|n| n.parse().ok()) {
-                    Some(n) => pg_store::ErrorPolicy::Cap(n),
-                    None => {
-                        return Err(CliError::Usage(format!(
-                            "unknown error policy {other:?} (strict, skip, or cap:<n>)"
-                        )))
-                    }
-                },
-            };
-            let batches = u64_flag("--batches", 1)? as usize;
-            if batches == 0 {
-                return Err(CliError::Usage("--batches must be at least 1".into()));
-            }
-            let checkpoint_every = u64_flag("--checkpoint-every", 1)? as usize;
-            if checkpoint_every == 0 {
-                return Err(CliError::Usage(
-                    "--checkpoint-every must be at least 1".into(),
-                ));
-            }
+            let batches = positive_flag("--batches", 1)? as usize;
             let checkpoint_dir = path("--checkpoint-dir");
-            let resume = switches.contains("--resume");
-            if resume && checkpoint_dir.is_none() {
-                return Err(CliError::Usage("--resume requires --checkpoint-dir".into()));
+            for needs_dir in ["--checkpoint-every", "--checkpoint-keep", "--resume"] {
+                if given(needs_dir) && checkpoint_dir.is_none() {
+                    return Err(CliError::Usage(format!(
+                        "{needs_dir} requires --checkpoint-dir"
+                    )));
+                }
             }
             let shard = flags
                 .get("--shard")
@@ -572,89 +537,70 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Discover {
                 input: input()?,
                 format,
-                method,
-                theta,
+                method: parsed(&flags, "--method", LshMethod::Elsh)?,
+                theta: rate_flag("--theta", 0.9)?,
                 seed: u64_flag("--seed", 42)?,
                 threads: u64_flag("--threads", 0)? as usize,
-                no_post: switches.contains("--no-post"),
+                no_post: given("--no-post"),
                 merge_similarity,
-                refine: switches.contains("--refine"),
-                sample_datatypes: switches.contains("--sample-datatypes"),
+                refine: given("--refine"),
+                sample_datatypes: given("--sample-datatypes"),
                 out: path("--out"),
                 batches,
-                on_error,
+                on_error: parsed(&flags, "--on-error", pg_store::ErrorPolicy::Strict)?,
                 checkpoint_dir,
-                checkpoint_every,
+                checkpoint_every: positive_flag("--checkpoint-every", 1)? as usize,
                 checkpoint_keep: u64_flag("--checkpoint-keep", 3)?.max(1) as usize,
-                resume,
-                kill_after_batch: flags
-                    .get("--kill-after-batch")
-                    .map(|v| {
-                        v.parse::<usize>().map_err(|_| {
-                            CliError::Usage("--kill-after-batch must be an integer".into())
-                        })
-                    })
+                resume: given("--resume"),
+                kill_after_batch: given("--kill-after-batch")
+                    .then(|| parsed(&flags, "--kill-after-batch", 0))
                     .transpose()?,
                 shard,
                 state_out: path("--state-out"),
-                stream: switches.contains("--stream"),
+                stream: given("--stream"),
             })
         }
         "validate" => Ok(Command::Validate {
-            schema: path("--schema")
-                .ok_or_else(|| CliError::Usage("--schema is required".into()))?,
+            schema: required("--schema")?,
             input: input()?,
-            mode: match flags.get("--mode").map(String::as_str) {
+            mode: match flags.get("--mode").copied() {
                 None | Some("strict") => SchemaMode::Strict,
                 Some("loose") => SchemaMode::Loose,
                 Some(other) => return Err(CliError::Usage(format!("unknown mode {other:?}"))),
             },
         }),
         "diff" => Ok(Command::Diff {
-            old: path("--old").ok_or_else(|| CliError::Usage("--old is required".into()))?,
-            new: path("--new").ok_or_else(|| CliError::Usage("--new is required".into()))?,
+            old: required("--old")?,
+            new: required("--new")?,
         }),
         "stats" => Ok(Command::Stats { input: input()? }),
-        "generate" => Ok(Command::Generate {
-            dataset: flags
-                .get("--dataset")
-                .cloned()
-                .ok_or_else(|| CliError::Usage("--dataset is required".into()))?,
-            out_dir: path("--out-dir")
-                .ok_or_else(|| CliError::Usage("--out-dir is required".into()))?,
-            scale: f64_flag("--scale", 1.0)?,
-            seed: u64_flag("--seed", 42)?,
-            noise: f64_flag("--noise", 0.0)?,
-            label_availability: f64_flag("--label-availability", 1.0)?,
-            jsonl: switches.contains("--jsonl"),
-        }),
+        "generate" => {
+            // Checked here so no value reaches a `pg-datasets` assertion.
+            let scale: f64 = parsed(&flags, "--scale", 1.0)?;
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(CliError::Usage(format!(
+                    "--scale must be a positive number, got {scale}"
+                )));
+            }
+            Ok(Command::Generate {
+                dataset: text("--dataset")
+                    .ok_or_else(|| CliError::Usage("--dataset is required".into()))?,
+                out_dir: required("--out-dir")?,
+                scale,
+                seed: u64_flag("--seed", 42)?,
+                noise: rate_flag("--noise", 0.0)?,
+                label_availability: rate_flag("--label-availability", 1.0)?,
+                jsonl: given("--jsonl"),
+            })
+        }
         "synth" => {
             let schema = path("--schema");
-            if schema.is_some() && flags.contains_key("--types") {
+            if schema.is_some() && given("--types") {
                 return Err(CliError::Usage(
                     "--schema and --types are mutually exclusive".into(),
                 ));
             }
-            let types = u64_flag("--types", 4)? as usize;
-            if types == 0 {
-                return Err(CliError::Usage("--types must be at least 1".into()));
-            }
-            let size = u64_flag("--size", 1_000)? as usize;
-            if size == 0 {
-                return Err(CliError::Usage("--size must be at least 1".into()));
-            }
-            for rate in [
-                "--unlabeled",
-                "--missing-optional",
-                "--label-noise",
-                "--missing-mandatory",
-            ] {
-                let v = f64_flag(rate, 0.0)?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(CliError::Usage(format!("{rate} must be in [0, 1]")));
-                }
-            }
-            if flags.contains_key("--stream-chunks") && !switches.contains("--jsonl") {
+            if given("--stream-chunks") && !given("--jsonl") {
                 return Err(CliError::Usage(
                     "--stream-chunks requires --jsonl (CSV headers depend on the \
                      whole corpus; JSONL chunks concatenate bit-identically)"
@@ -663,38 +609,21 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Synth {
                 schema,
-                types,
-                out_dir: path("--out-dir")
-                    .ok_or_else(|| CliError::Usage("--out-dir is required".into()))?,
-                size,
+                types: positive_flag("--types", 4)? as usize,
+                out_dir: required("--out-dir")?,
+                size: positive_flag("--size", 1_000)? as usize,
                 seed: u64_flag("--seed", 42)?,
-                unlabeled: f64_flag("--unlabeled", 0.0)?,
-                missing_optional: f64_flag("--missing-optional", 0.0)?,
-                label_noise: f64_flag("--label-noise", 0.0)?,
-                missing_mandatory: f64_flag("--missing-mandatory", 0.0)?,
-                jsonl: switches.contains("--jsonl"),
-                stream_chunks: flags
-                    .get("--stream-chunks")
-                    .map(|v| match v.parse::<usize>() {
-                        Ok(n) if n > 0 => Ok(n),
-                        _ => Err(CliError::Usage(
-                            "--stream-chunks must be a positive integer".into(),
-                        )),
-                    })
+                unlabeled: rate_flag("--unlabeled", 0.0)?,
+                missing_optional: rate_flag("--missing-optional", 0.0)?,
+                label_noise: rate_flag("--label-noise", 0.0)?,
+                missing_mandatory: rate_flag("--missing-mandatory", 0.0)?,
+                jsonl: given("--jsonl"),
+                stream_chunks: given("--stream-chunks")
+                    .then(|| positive_flag("--stream-chunks", 1).map(|n| n as usize))
                     .transpose()?,
             })
         }
         "serve" => {
-            let checkpoint_every = u64_flag("--checkpoint-every", 8)?;
-            if checkpoint_every == 0 {
-                return Err(CliError::Usage(
-                    "--checkpoint-every must be at least 1".into(),
-                ));
-            }
-            let max_body_mb = u64_flag("--max-body-mb", 64)? as usize;
-            if max_body_mb == 0 {
-                return Err(CliError::Usage("--max-body-mb must be at least 1".into()));
-            }
             let cluster: Vec<String> = flags
                 .get("--cluster")
                 .map(|v| {
@@ -705,56 +634,36 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         .collect()
                 })
                 .unwrap_or_default();
-            if flags.contains_key("--cluster") && cluster.is_empty() {
+            if given("--cluster") && cluster.is_empty() {
                 return Err(CliError::Usage(
                     "--cluster needs at least one shard URL".into(),
                 ));
             }
             let cluster_wal_dir = path("--cluster-wal-dir");
-            let cluster_session = flags
-                .get("--cluster-session")
-                .cloned()
-                .unwrap_or_else(|| "cluster".into());
-            let heartbeat_ms = u64_flag("--heartbeat-ms", 500)?;
-            if heartbeat_ms == 0 {
-                return Err(CliError::Usage("--heartbeat-ms must be at least 1".into()));
-            }
-            let idle_timeout_ms = u64_flag("--idle-timeout-ms", 60_000)?;
-            if idle_timeout_ms == 0 {
-                return Err(CliError::Usage(
-                    "--idle-timeout-ms must be at least 1".into(),
-                ));
-            }
-            if cluster.is_empty()
-                && (cluster_wal_dir.is_some() || flags.contains_key("--cluster-session"))
-            {
+            if cluster.is_empty() && (cluster_wal_dir.is_some() || given("--cluster-session")) {
                 return Err(CliError::Usage(
                     "--cluster-wal-dir/--cluster-session only apply with --cluster".into(),
                 ));
             }
             Ok(Command::Serve {
-                addr: flags
-                    .get("--addr")
-                    .cloned()
-                    .unwrap_or_else(|| "127.0.0.1:8686".into()),
+                addr: text("--addr").unwrap_or_else(|| "127.0.0.1:8686".into()),
                 state_dir: path("--state-dir"),
                 workers: u64_flag("--workers", 4)?.max(1) as usize,
                 queue: u64_flag("--queue", 64)?.max(1) as usize,
-                max_body_mb,
-                checkpoint_every,
+                max_body_mb: positive_flag("--max-body-mb", 64)? as usize,
+                checkpoint_every: positive_flag("--checkpoint-every", 8)?,
                 checkpoint_keep: u64_flag("--checkpoint-keep", 4)?.max(1) as usize,
                 max_connections: u64_flag("--max-connections", 10_240)?.max(1) as usize,
-                idle_timeout_ms,
+                idle_timeout_ms: positive_flag("--idle-timeout-ms", 60_000)?,
                 session_queue: u64_flag("--session-queue", 64)?.max(1) as usize,
                 cluster,
                 cluster_wal_dir,
-                cluster_session,
-                heartbeat_ms,
+                cluster_session: text("--cluster-session").unwrap_or_else(|| "cluster".into()),
+                heartbeat_ms: positive_flag("--heartbeat-ms", 500)?,
             })
         }
         "hash" => Ok(Command::Hash {
-            schema: path("--schema")
-                .ok_or_else(|| CliError::Usage("--schema is required".into()))?,
+            schema: required("--schema")?,
         }),
         "merge" => {
             if positionals.is_empty() {
@@ -767,8 +676,24 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 out: path("--out"),
             })
         }
-        other => unreachable!("allowed_flags admitted unknown command {other:?}"),
+        other => unreachable!("command_flags admitted unknown command {other:?}"),
     }
+}
+
+/// The value of flag `name` as a `T` — in `T`'s one spelling, its
+/// `FromStr` — or `default` when the flag was not given.
+fn parsed<T: std::str::FromStr>(
+    flags: &std::collections::HashMap<&str, &str>,
+    name: &str,
+    default: T,
+) -> Result<T, CliError>
+where
+    T::Err: fmt::Display,
+{
+    flags.get(name).map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|e| CliError::Usage(format!("{name} {v:?}: {e}")))
+    })
 }
 
 #[cfg(test)]
@@ -1148,12 +1073,43 @@ mod tests {
             vec!["discover", "--jsonl", "g", "--checkpoint-every", "0"],
             vec!["discover", "--jsonl", "g", "--resume"],
             vec!["discover", "--jsonl", "g", "--kill-after-batch", "soon"],
+            // A declared flag is never another flag's value; none twice.
+            vec!["discover", "--jsonl", "g", "--out", "--stream"],
+            vec!["discover", "--format", "--jsonl", "g"],
+            vec!["discover", "--jsonl", "g", "--seed", "1", "--seed", "2"],
+            vec!["discover", "--jsonl", "g", "--stream", "--stream"],
+            // A checkpoint cadence with nowhere to checkpoint to.
+            vec!["discover", "--jsonl", "g", "--checkpoint-every", "3"],
+            vec!["discover", "--jsonl", "g", "--checkpoint-keep", "3"],
         ] {
             assert!(
                 matches!(parse(&args(&bad)), Err(CliError::Usage(_))),
                 "{bad:?} should be a usage error"
             );
         }
+        // What used to reach a `pg-datasets` assertion, or run.
+        for bad in [
+            ["--noise", "1.5"],
+            ["--noise", "nan"],
+            ["--label-availability", "7"],
+            ["--scale", "0"],
+            ["--scale", "inf"],
+            ["--scale", "-1"],
+            ["--seed", "--jsonl"],
+        ] {
+            let argv = [&["generate", "--dataset", "P", "--out-dir", "d"], &bad[..]].concat();
+            let parsed = parse(&args(&argv));
+            assert!(matches!(parsed, Err(CliError::Usage(_))), "{bad:?}");
+        }
+        // A value that only looks like a flag — not one of `discover`'s —
+        // is still a value; `serve`'s cadence flags are session defaults.
+        for out in ["-", "-weird.json", "--dataset", "--not-a-flag"] {
+            match parse(&args(&["discover", "--jsonl", "g", "--out", out])).unwrap() {
+                Command::Discover { out: got, .. } => assert_eq!(got, Some(PathBuf::from(out))),
+                other => panic!("wrong command {other:?}"),
+            }
+        }
+        assert!(parse(&args(&["serve", "--checkpoint-every", "3"])).is_ok());
     }
 
     #[test]

@@ -46,15 +46,39 @@ fn unknown_flag_is_a_usage_error_with_exit_code_2() {
     assert!(err.to_string().contains("--thraeds"), "{err}");
 }
 
-/// An out-of-range θ is refused at parse time; it used to reach the
-/// library's `assert!` and die with a panic (exit 101).
+/// A bad value is refused at parse time, by the flag's name. An
+/// out-of-range θ, `generate` rate or scale used to reach a library
+/// `assert!` and die with a panic (exit 101) — or run, as
+/// `--label-availability 7` did; `--out --stream` wrote the schema to a
+/// file named `--stream`; a repeated flag was silently last-wins; a
+/// checkpoint cadence without a directory was silently ignored.
 #[test]
-fn out_of_range_theta_is_a_usage_error() {
-    for theta in ["1.5", "-1", "nan"] {
-        let err = parse(&argv(&["discover", "--jsonl", "g.jsonl", "--theta", theta])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{theta}: {err:?}");
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("--theta"), "{err}");
+fn bad_values_are_usage_errors_that_name_the_flag() {
+    let discover = ["discover", "--jsonl", "g.jsonl"];
+    let generate = ["generate", "--dataset", "POLE", "--out-dir", "/nonexistent"];
+    for (command, bad) in [
+        (&discover[..], &["--theta", "1.5"][..]),
+        (&discover, &["--theta", "-1"]),
+        (&discover, &["--theta", "nan"]),
+        (&generate, &["--noise", "1.5"]),
+        (&generate, &["--scale", "-1"]),
+        (&generate, &["--scale", "nan"]),
+        (&generate, &["--label-availability", "7"]),
+        (&discover, &["--out", "--stream"]),
+        (&discover, &["--seed", "1", "--seed", "2"]),
+        (&discover, &["--checkpoint-every", "3"]),
+        (&discover, &["--checkpoint-keep", "2"]),
+    ] {
+        let err = parse(&argv(&[command, bad].concat())).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{bad:?}: {err:?}");
+        let message = err.to_string();
+        let message = message.lines().next().unwrap();
+        assert!(message.contains(bad[0]), "{bad:?}: {message}");
+    }
+    // Not caught: a value that merely starts with a dash, or spells a
+    // flag of some *other* command, is still a value.
+    for out in ["-schema.json", "--dataset"] {
+        assert!(parse(&argv(&[&discover[..], &["--out", out]].concat())).is_ok());
     }
 }
 

@@ -13,6 +13,28 @@ pub enum LshMethod {
     MinHash,
 }
 
+/// `elsh` or `minhash` — the one spelling the CLI's `--method` and a
+/// served session's `method` share.
+impl std::str::FromStr for LshMethod {
+    type Err = String;
+    fn from_str(s: &str) -> Result<LshMethod, String> {
+        match s {
+            "elsh" => Ok(LshMethod::Elsh),
+            "minhash" => Ok(LshMethod::MinHash),
+            other => Err(format!("unknown method {other:?} (elsh or minhash)")),
+        }
+    }
+}
+
+impl std::fmt::Display for LshMethod {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            LshMethod::Elsh => "elsh",
+            LshMethod::MinHash => "minhash",
+        })
+    }
+}
+
 /// LSH parameter selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LshParams {
@@ -248,6 +270,14 @@ impl HiveConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn method_spelling_round_trips() {
+        for method in [LshMethod::Elsh, LshMethod::MinHash] {
+            assert_eq!(method.to_string().parse(), Ok(method));
+        }
+        assert!("ELSH".parse::<LshMethod>().is_err());
+    }
 
     #[test]
     fn defaults_match_paper() {

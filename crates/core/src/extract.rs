@@ -21,8 +21,9 @@
 
 use crate::cluster::{EdgeCluster, NodeCluster};
 use crate::config::MergeSimilarity;
-use crate::state::{Accums, DiscoveryState, Kind, SketchParams, TypeAccum};
+use crate::state::{Accums, DiscoveryState, Kind, Record, SketchParams, TypeAccum};
 use pg_model::{Edge, EdgeType, LabelSet, Node, NodeType, SchemaType, Symbol, TypeId};
+use pg_store::{EdgeRecord, NodeRecord};
 use std::collections::{BTreeSet, HashMap};
 
 /// Options for the merge step (Algorithm 2).
@@ -102,14 +103,23 @@ pub fn weighted_jaccard(
     }
 }
 
-/// A batch's candidate type of either kind, as Algorithm 2 sees it.
-/// [`NodeCluster`] and [`EdgeCluster`] implement it; beyond plain field
-/// access they differ in exactly two things, the last two methods.
-pub trait Cluster {
+/// A batch's candidate type of either kind, as cluster assembly builds
+/// it and Algorithm 2 reads it. [`NodeCluster`] and [`EdgeCluster`]
+/// implement it; beyond plain field access they differ in exactly two
+/// things, the last two methods.
+pub trait Cluster: Default + Send {
     /// Nodes or edges.
     type Kind: Kind;
+    /// The loaded records the cluster is assembled from.
+    type Record: Record<Kind = Self::Kind>;
     /// Label union, property-key union, and folded statistics.
     fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Self::Kind>);
+    /// The label union of role `r` of [`Record::role`].
+    fn role(&self, r: usize) -> &LabelSet;
+    /// Mutable [`Cluster::role`].
+    fn role_mut(&mut self, r: usize) -> &mut LabelSet;
+    /// The property-key union and the statistics, to fold members into.
+    fn stats_mut(&mut self) -> (&mut BTreeSet<Symbol>, &mut TypeAccum<Self::Kind>);
     /// Whether `t` carries this *labeled* cluster's merge key: the label
     /// set for nodes; for edges, with `endpoint_aware` (the default), the
     /// full `(L, R)` of Definition 3.6 — two same-label clusters merge
@@ -127,8 +137,18 @@ pub trait Cluster {
 
 impl Cluster for NodeCluster {
     type Kind = Node;
+    type Record = NodeRecord;
     fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Node>) {
         (&self.labels, &self.keys, &self.accum)
+    }
+    fn role(&self, _: usize) -> &LabelSet {
+        &self.labels
+    }
+    fn role_mut(&mut self, _: usize) -> &mut LabelSet {
+        &mut self.labels
+    }
+    fn stats_mut(&mut self) -> (&mut BTreeSet<Symbol>, &mut TypeAccum<Node>) {
+        (&mut self.keys, &mut self.accum)
     }
     fn same_key(&self, t: &NodeType, _endpoint_aware: bool) -> bool {
         t.labels == self.labels
@@ -143,8 +163,23 @@ impl Cluster for NodeCluster {
 
 impl Cluster for EdgeCluster {
     type Kind = Edge;
+    type Record = EdgeRecord;
     fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Edge>) {
         (&self.labels, &self.keys, &self.accum)
+    }
+    fn role(&self, r: usize) -> &LabelSet {
+        [&self.labels, &self.src_labels, &self.tgt_labels][r]
+    }
+    fn role_mut(&mut self, r: usize) -> &mut LabelSet {
+        match r {
+            0 => &mut self.labels,
+            1 => &mut self.src_labels,
+            2 => &mut self.tgt_labels,
+            _ => panic!("an edge has three roles, asked for role {r}"),
+        }
+    }
+    fn stats_mut(&mut self) -> (&mut BTreeSet<Symbol>, &mut TypeAccum<Edge>) {
+        (&mut self.keys, &mut self.accum)
     }
     fn same_key(&self, t: &EdgeType, endpoint_aware: bool) -> bool {
         t.labels == self.labels

@@ -9,54 +9,35 @@
 //!
 //! For MinHash, elements are instead modeled as *sets*: property-key ids
 //! plus (namespaced) label-token ids.
+//!
+//! Both are written once over [`Record`]: a record has `ROLES` label
+//! sets (1 or 3) and reads one key universe, so `f` has a label block at
+//! `r·d` for each role `r` and the key bits at `ROLES·d`.
 
 use crate::config::EmbeddingKind;
+use crate::state::{Kind, Record};
 use pg_embed::{build_sentences, HashedEmbedder, LabelEmbedder, Word2Vec};
+use pg_lsh::adaptive::ElementKind;
 use pg_lsh::{FnvHashMap, SparseVec};
-use pg_model::{LabelSet, Symbol};
+use pg_model::{LabelSet, PropMap, Symbol};
 use pg_store::{EdgeRecord, NodeRecord};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::ops::Deref;
 
 /// Chunks the key-universe scan splits into; boundaries depend only on
-/// the record count, and the per-chunk key lists are sorted + deduped
+/// the record count, and the per-chunk key lists are sorted + deduplicated
 /// afterwards, so the universe is identical for any thread count.
 const KEY_SCAN_SHARDS: usize = 64;
 
-/// Collect the sorted, deduplicated universe of property keys over
-/// `records`, scanning chunks in parallel.
-fn key_universe<R: Sync>(records: &[R], keys_of: impl Fn(&R) -> Vec<Symbol> + Sync) -> Vec<Symbol> {
-    let shard = records.len().div_ceil(KEY_SCAN_SHARDS).max(1);
-    // Dedup inside each shard first: the distinct-key set is tiny
-    // compared to the occurrence count, so this avoids materializing
-    // (and sorting) one Symbol clone per occurrence. The union of
-    // per-shard sets is order-independent, so the final sort still
-    // yields a thread-count-invariant universe.
-    let chunks: Vec<HashSet<Symbol>> = records
-        .par_chunks(shard)
-        .map(|chunk| chunk.iter().flat_map(&keys_of).collect())
-        .collect();
-    let mut keys: Vec<Symbol> = chunks
-        .into_iter()
-        .reduce(|mut a, b| {
-            a.extend(b);
-            a
-        })
-        .unwrap_or_default()
-        .into_iter()
-        .collect();
-    keys.sort();
-    keys
-}
-
-/// Namespace tags that keep MinHash set elements of different roles
-/// disjoint (a property key can never collide with a label token).
+/// Namespace tags that keep MinHash set elements of different universes
+/// and roles disjoint (a property key can never collide with a label
+/// token, nor an edge's own label with its source's).
 const NS_NODE_KEY: u64 = 1 << 56;
 const NS_EDGE_KEY: u64 = 2 << 56;
-const NS_LABEL: u64 = 3 << 56;
-const NS_SRC_LABEL: u64 = 4 << 56;
-const NS_TGT_LABEL: u64 = 5 << 56;
+/// By role: own, source, target label token.
+const NS_LABEL: [u64; 3] = [3 << 56, 4 << 56, 5 << 56];
 
 /// Weight of the label-embedding blocks relative to the binary property
 /// bits. A weight > 1 widens the gap between structurally identical
@@ -110,28 +91,6 @@ enum KeyBits {
 }
 
 impl KeyBits {
-    fn collect<'a>(
-        idx: &FnvHashMap<Symbol, u32>,
-        universe_len: usize,
-        keys: impl Iterator<Item = &'a Symbol>,
-    ) -> KeyBits {
-        if universe_len <= 128 {
-            let mut mask = 0u128;
-            for k in keys {
-                if let Some(&i) = idx.get(k) {
-                    mask |= 1u128 << i;
-                }
-            }
-            KeyBits::Mask(mask)
-        } else {
-            let mut list = Vec::new();
-            // `props` is a BTreeMap and the key universe is sorted, so
-            // ids come out ascending without an explicit sort.
-            list.extend(keys.filter_map(|k| idx.get(k).copied()));
-            KeyBits::List(list)
-        }
-    }
-
     fn count(&self) -> usize {
         match self {
             KeyBits::Mask(m) => m.count_ones() as usize,
@@ -139,26 +98,72 @@ impl KeyBits {
         }
     }
 
-    /// Visit the key ids in ascending order (bit order == id order).
-    fn for_each(&self, mut f: impl FnMut(u32)) {
-        match self {
-            KeyBits::Mask(m) => {
-                let mut m = *m;
-                while m != 0 {
-                    f(m.trailing_zeros());
-                    m &= m - 1;
-                }
-            }
-            KeyBits::List(v) => {
-                for &i in v {
-                    f(i);
-                }
-            }
+    /// The key ids in ascending order (bit order == id order).
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let (mut mask, list) = match self {
+            KeyBits::Mask(m) => (*m, &[][..]),
+            KeyBits::List(v) => (0, v.as_slice()),
+        };
+        let bits = std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let i = mask.trailing_zeros();
+                mask &= mask - 1;
+                i
+            })
+        });
+        bits.chain(list.iter().copied())
+    }
+}
+
+/// One kind's property-key universe for the batch: every distinct key's
+/// dense id, in sorted key order, and the MinHash namespace its ids live
+/// in.
+struct KeySpace {
+    ids: FnvHashMap<Symbol, u32>,
+    ns: u64,
+}
+
+impl KeySpace {
+    /// Collect the sorted, deduplicated universe of property keys over
+    /// `records`, scanning chunks in parallel.
+    fn scan<R: Record>(records: &[R], ns: u64) -> KeySpace {
+        let shard = records.len().div_ceil(KEY_SCAN_SHARDS).max(1);
+        // Dedup inside each shard first: the distinct-key set is tiny
+        // compared to the occurrence count, so this avoids materializing
+        // (and sorting) one Symbol clone per occurrence. The union of
+        // per-shard sets is order-independent, so the final sort still
+        // yields a thread-count-invariant universe.
+        let chunks: Vec<HashSet<Symbol>> = records
+            .par_chunks(shard)
+            .map(|chunk| {
+                let keys = chunk.iter().flat_map(|r| r.instance().props().keys());
+                keys.cloned().collect()
+            })
+            .collect();
+        let mut keys: Vec<Symbol> = chunks.into_iter().flatten().collect();
+        keys.sort();
+        keys.dedup();
+        let ids = keys.into_iter().zip(0..).collect();
+        KeySpace { ids, ns }
+    }
+
+    /// The ids of a record's keys, ascending: `props` is key-sorted and
+    /// so is the universe. Keys outside it (a record from outside the
+    /// batch) have no id and are skipped.
+    fn ids_of<'a>(&'a self, props: &'a PropMap) -> impl Iterator<Item = u32> + 'a {
+        props.keys().filter_map(|k| self.ids.get(k).copied())
+    }
+
+    fn bits(&self, props: &PropMap) -> KeyBits {
+        if self.ids.len() <= 128 {
+            KeyBits::Mask(self.ids_of(props).fold(0, |mask, i| mask | 1u128 << i))
+        } else {
+            KeyBits::List(self.ids_of(props).collect())
         }
     }
 }
 
-/// A node's structural fingerprint: everything its feature vector (and
+/// A record's structural fingerprint: everything its feature vector (and
 /// MinHash set) depends on. Records with equal fingerprints get
 /// bit-identical representations, which is what makes the dedup fast
 /// path lossless. Label sets are interned to dense per-batch ids and
@@ -166,18 +171,10 @@ impl KeyBits {
 /// fingerprints touches only integers — this is what keeps the grouping
 /// pass cheap at millions of records.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct NodeFingerprint {
-    labels: u32,
-    keys: KeyBits,
-}
-
-/// An edge's structural fingerprint: interned edge + endpoint label set
-/// ids and the present property-key set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct EdgeFingerprint {
-    labels: u32,
-    src_labels: u32,
-    tgt_labels: u32,
+pub struct Fingerprint {
+    /// Interned label-set id per role (own, source, target); roles the
+    /// kind lacks stay 0.
+    labels: [u32; 3],
     keys: KeyBits,
 }
 
@@ -186,10 +183,8 @@ pub struct EdgeFingerprint {
 /// label sets to a dense id; `label_infos[id]` holds its embedding
 /// entries and canonical-token hash).
 pub struct FeatureSpace {
-    node_keys: Vec<Symbol>,
-    node_key_idx: FnvHashMap<Symbol, u32>,
-    edge_keys: Vec<Symbol>,
-    edge_key_idx: FnvHashMap<Symbol, u32>,
+    node_keys: KeySpace,
+    edge_keys: KeySpace,
     embedder: Box<dyn LabelEmbedder>,
     label_idx: FnvHashMap<LabelSet, u32>,
     label_infos: Vec<LabelInfo>,
@@ -205,8 +200,8 @@ impl FeatureSpace {
         embedding: &EmbeddingKind,
         seed: u64,
     ) -> FeatureSpace {
-        let node_keys = key_universe(nodes, |n| n.props.keys().cloned().collect());
-        let edge_keys = key_universe(edges, |e| e.edge.props.keys().cloned().collect());
+        let node_keys = KeySpace::scan(nodes, NS_NODE_KEY);
+        let edge_keys = KeySpace::scan(edges, NS_EDGE_KEY);
 
         // One scan of the records interns every label set — node labels
         // plus all three edge roles — and yields both the embedder's
@@ -221,17 +216,6 @@ impl FeatureSpace {
             EmbeddingKind::Hashed { dim } => Box::new(HashedEmbedder::new(*dim, seed)),
         };
 
-        let node_key_idx = node_keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.clone(), i as u32))
-            .collect();
-        let edge_key_idx = edge_keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.clone(), i as u32))
-            .collect();
-
         // Each distinct label set is embedded once. Ids follow sorted
         // order, not the corpus's first-occurrence order, so they do not
         // depend on record order.
@@ -241,26 +225,26 @@ impl FeatureSpace {
             .iter()
             .map(|ls| label_info_for(embedder.as_ref(), ls))
             .collect();
-        let label_idx = sets
-            .into_iter()
-            .enumerate()
-            .map(|(i, ls)| (ls, i as u32))
-            .collect();
+        let label_idx = sets.into_iter().zip(0..).collect();
 
         FeatureSpace {
             node_keys,
-            node_key_idx,
             edge_keys,
-            edge_key_idx,
             embedder,
             label_idx,
             label_infos,
         }
     }
 
+    fn key_space<R: Record>(&self) -> &KeySpace {
+        match R::ELEMENT {
+            ElementKind::Node => &self.node_keys,
+            ElementKind::Edge => &self.edge_keys,
+        }
+    }
+
     /// Cached info for a label set; falls back to computing it on the
-    /// fly for sets outside the batch (e.g. memoization probes against a
-    /// space built from an earlier batch).
+    /// fly for a set outside the batch.
     fn label_info(&self, labels: &LabelSet) -> Cow<'_, LabelInfo> {
         match self.label_idx.get(labels) {
             Some(&i) => Cow::Borrowed(&self.label_infos[i as usize]),
@@ -268,190 +252,102 @@ impl FeatureSpace {
         }
     }
 
-    /// The interned id of a batch label set. Fingerprints are only taken
-    /// of the records the space was built from, so the lookup is total.
-    fn label_id(&self, labels: &LabelSet) -> u32 {
-        *self
-            .label_idx
-            .get(labels)
-            .expect("fingerprinted label set was registered at build time")
-    }
-
     /// Embedding dimensionality `d`.
     pub fn dim(&self) -> usize {
         self.embedder.dim()
     }
 
-    /// Node vector dimensionality `d + K`.
-    pub fn node_dim(&self) -> usize {
-        self.dim() + self.node_keys.len()
+    /// Vector dimensionality of `R`: `d + K` for nodes, `3d + Q` for
+    /// edges.
+    pub fn dim_of<R: Record>(&self) -> usize {
+        R::ROLES * self.dim() + self.key_space::<R>().ids.len()
     }
 
-    /// Edge vector dimensionality `3d + Q`.
-    pub fn edge_dim(&self) -> usize {
-        3 * self.dim() + self.edge_keys.len()
-    }
-
-    /// The structural fingerprint of a node. Two nodes with equal
-    /// fingerprints produce bit-identical [`Self::node_vector`] /
-    /// [`Self::node_set`] outputs (values never enter either).
-    pub fn node_fingerprint(&self, node: &NodeRecord) -> NodeFingerprint {
-        NodeFingerprint {
-            labels: self.label_id(&node.labels),
-            keys: KeyBits::collect(&self.node_key_idx, self.node_keys.len(), node.props.keys()),
+    /// The structural fingerprint of a record. Two records with equal
+    /// fingerprints produce bit-identical [`Self::vector`] /
+    /// [`Self::set`] outputs (values never enter either). Fingerprints
+    /// are only taken of the records the space was built from, so the
+    /// label-set lookup is total.
+    pub fn fingerprint<R: Record>(&self, rec: &R) -> Fingerprint {
+        let mut labels = [0; 3];
+        for (r, id) in labels.iter_mut().enumerate().take(R::ROLES) {
+            *id = *self
+                .label_idx
+                .get(rec.role(r))
+                .expect("fingerprinted label set was registered at build time");
         }
-    }
-
-    /// The structural fingerprint of an edge record.
-    pub fn edge_fingerprint(&self, rec: &EdgeRecord) -> EdgeFingerprint {
-        EdgeFingerprint {
-            labels: self.label_id(&rec.edge.labels),
-            src_labels: self.label_id(&rec.src_labels),
-            tgt_labels: self.label_id(&rec.tgt_labels),
-            keys: KeyBits::collect(
-                &self.edge_key_idx,
-                self.edge_keys.len(),
-                rec.edge.props.keys(),
-            ),
+        Fingerprint {
+            labels,
+            keys: self.key_space::<R>().bits(rec.instance().props()),
         }
     }
 
-    /// `f_v ∈ R^{d+K}` for one node.
-    pub fn node_vector(&self, node: &NodeRecord) -> SparseVec {
-        let d = self.dim();
-        let info = self.label_info(&node.labels);
-        // Exact: every cached entry is nonzero and every present key in
-        // the universe adds one bit (label block and key block are
-        // disjoint index ranges). Unknown keys over-reserve by one slot
-        // each — they only occur for records outside the batch.
-        let mut entries: Vec<(u32, f64)> =
-            Vec::with_capacity(info.entries.len() + node.props.len());
-        entries.extend_from_slice(&info.entries);
-        for k in node.props.keys() {
-            if let Some(&idx) = self.node_key_idx.get(k) {
-                entries.push((d as u32 + idx, 1.0));
-            }
-        }
-        SparseVec::new(self.node_dim(), entries)
+    /// `f_v ∈ R^{d+K}` / `f_e ∈ R^{3d+Q}` for one record.
+    pub fn vector<R: Record>(&self, rec: &R) -> SparseVec {
+        let props = rec.instance().props();
+        let keys = self.key_space::<R>().ids_of(props);
+        // Keys outside the universe over-reserve by one slot each — they
+        // only occur for records outside the batch.
+        self.hybrid_vector::<R, _>(|r| self.label_info(rec.role(r)), keys, props.len())
     }
 
-    /// [`Self::node_vector`] from a fingerprint — the dedup path
-    /// featurizes each distinct fingerprint exactly once. Sized exactly:
-    /// fingerprint keys are already resolved against the universe.
-    pub fn node_fingerprint_vector(&self, fp: &NodeFingerprint) -> SparseVec {
-        let d = self.dim();
-        let info = &self.label_infos[fp.labels as usize];
-        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(info.entries.len() + fp.keys.count());
-        entries.extend_from_slice(&info.entries);
-        fp.keys.for_each(|idx| entries.push((d as u32 + idx, 1.0)));
-        SparseVec::new(self.node_dim(), entries)
+    /// [`Self::vector`] from a fingerprint — the dedup path featurizes
+    /// each distinct fingerprint exactly once.
+    pub fn fingerprint_vector<R: Record>(&self, fp: &Fingerprint) -> SparseVec {
+        self.hybrid_vector::<R, _>(|r| self.fp_info(fp, r), fp.keys.iter(), fp.keys.count())
     }
 
-    /// `f_e ∈ R^{3d+Q}` for one edge record.
-    pub fn edge_vector(&self, rec: &EdgeRecord) -> SparseVec {
-        let d = self.dim();
-        let infos = [
-            self.label_info(&rec.edge.labels),
-            self.label_info(&rec.src_labels),
-            self.label_info(&rec.tgt_labels),
-        ];
-        let emb_nnz: usize = infos.iter().map(|i| i.entries.len()).sum();
-        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(emb_nnz + rec.edge.props.len());
-        for (b, info) in infos.iter().enumerate() {
-            let base = (b * d) as u32;
-            for &(i, x) in &info.entries {
-                entries.push((base + i, x));
-            }
-        }
-        for k in rec.edge.props.keys() {
-            if let Some(&idx) = self.edge_key_idx.get(k) {
-                entries.push((3 * d as u32 + idx, 1.0));
-            }
-        }
-        SparseVec::new(self.edge_dim(), entries)
+    /// MinHash set representation of a record: property-key ids plus
+    /// the label token of each role, each in its own namespace.
+    pub fn set<R: Record>(&self, rec: &R) -> Vec<u64> {
+        let props = rec.instance().props();
+        let keys = self.key_space::<R>().ids_of(props);
+        self.token_set::<R, _>(|r| self.label_info(rec.role(r)), keys, props.len())
     }
 
-    /// [`Self::edge_vector`] from a fingerprint, sized exactly.
-    pub fn edge_fingerprint_vector(&self, fp: &EdgeFingerprint) -> SparseVec {
-        let d = self.dim();
-        let infos = [
-            &self.label_infos[fp.labels as usize],
-            &self.label_infos[fp.src_labels as usize],
-            &self.label_infos[fp.tgt_labels as usize],
-        ];
-        let emb_nnz: usize = infos.iter().map(|i| i.entries.len()).sum();
-        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(emb_nnz + fp.keys.count());
-        for (b, info) in infos.iter().enumerate() {
-            let base = (b * d) as u32;
-            for &(i, x) in &info.entries {
-                entries.push((base + i, x));
-            }
-        }
-        fp.keys
-            .for_each(|idx| entries.push((3 * d as u32 + idx, 1.0)));
-        SparseVec::new(self.edge_dim(), entries)
+    /// [`Self::set`] from a fingerprint.
+    pub fn fingerprint_set<R: Record>(&self, fp: &Fingerprint) -> Vec<u64> {
+        self.token_set::<R, _>(|r| self.fp_info(fp, r), fp.keys.iter(), fp.keys.count())
     }
 
-    /// MinHash set representation of a node: property-key ids plus the
-    /// label token (namespaced).
-    pub fn node_set(&self, node: &NodeRecord) -> Vec<u64> {
-        let mut set: Vec<u64> = node
-            .props
-            .keys()
-            .filter_map(|k| self.node_key_idx.get(k))
-            .map(|&i| NS_NODE_KEY | i as u64)
-            .collect();
-        if let Some(h) = self.label_info(&node.labels).token_hash {
-            set.push(NS_LABEL | h);
-        }
-        set
+    fn fp_info(&self, fp: &Fingerprint, role: usize) -> &LabelInfo {
+        &self.label_infos[fp.labels[role] as usize]
     }
 
-    /// [`Self::node_set`] from a fingerprint.
-    pub fn node_fingerprint_set(&self, fp: &NodeFingerprint) -> Vec<u64> {
-        let mut set: Vec<u64> = Vec::with_capacity(fp.keys.count() + 1);
-        fp.keys.for_each(|i| set.push(NS_NODE_KEY | i as u64));
-        if let Some(h) = self.label_infos[fp.labels as usize].token_hash {
-            set.push(NS_LABEL | h);
+    /// Role `r`'s weighted embedding entries at `r·d`, then one bit per
+    /// present key id at `ROLES·d`. Sized exactly when every one of the
+    /// `n_keys` keys has an id: every cached entry is nonzero, and the
+    /// label blocks and the key block are disjoint index ranges.
+    fn hybrid_vector<R: Record, I: Deref<Target = LabelInfo>>(
+        &self,
+        info: impl Fn(usize) -> I,
+        key_ids: impl Iterator<Item = u32>,
+        n_keys: usize,
+    ) -> SparseVec {
+        let d = self.dim() as u32;
+        let emb_nnz: usize = (0..R::ROLES).map(|r| info(r).entries.len()).sum();
+        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(emb_nnz + n_keys);
+        for r in 0..R::ROLES {
+            let base = r as u32 * d;
+            entries.extend(info(r).entries.iter().map(|&(i, x)| (base + i, x)));
         }
-        set
+        let base = R::ROLES as u32 * d;
+        entries.extend(key_ids.map(|i| (base + i, 1.0)));
+        SparseVec::new(self.dim_of::<R>(), entries)
     }
 
-    /// MinHash set representation of an edge: property-key ids plus the
-    /// edge/source/target label tokens (each in its own namespace).
-    pub fn edge_set(&self, rec: &EdgeRecord) -> Vec<u64> {
-        let mut set: Vec<u64> = rec
-            .edge
-            .props
-            .keys()
-            .filter_map(|k| self.edge_key_idx.get(k))
-            .map(|&i| NS_EDGE_KEY | i as u64)
-            .collect();
-        if let Some(h) = self.label_info(&rec.edge.labels).token_hash {
-            set.push(NS_LABEL | h);
-        }
-        if let Some(h) = self.label_info(&rec.src_labels).token_hash {
-            set.push(NS_SRC_LABEL | h);
-        }
-        if let Some(h) = self.label_info(&rec.tgt_labels).token_hash {
-            set.push(NS_TGT_LABEL | h);
-        }
-        set
-    }
-
-    /// [`Self::edge_set`] from a fingerprint.
-    pub fn edge_fingerprint_set(&self, fp: &EdgeFingerprint) -> Vec<u64> {
-        let mut set: Vec<u64> = Vec::with_capacity(fp.keys.count() + 3);
-        fp.keys.for_each(|i| set.push(NS_EDGE_KEY | i as u64));
-        if let Some(h) = self.label_infos[fp.labels as usize].token_hash {
-            set.push(NS_LABEL | h);
-        }
-        if let Some(h) = self.label_infos[fp.src_labels as usize].token_hash {
-            set.push(NS_SRC_LABEL | h);
-        }
-        if let Some(h) = self.label_infos[fp.tgt_labels as usize].token_hash {
-            set.push(NS_TGT_LABEL | h);
-        }
+    /// The key ids in the kind's namespace, then each labeled role's
+    /// token hash in the role's.
+    fn token_set<R: Record, I: Deref<Target = LabelInfo>>(
+        &self,
+        info: impl Fn(usize) -> I,
+        key_ids: impl Iterator<Item = u32>,
+        n_keys: usize,
+    ) -> Vec<u64> {
+        let ns = self.key_space::<R>().ns;
+        let mut set: Vec<u64> = Vec::with_capacity(n_keys + R::ROLES);
+        set.extend(key_ids.map(|i| ns | i as u64));
+        set.extend((0..R::ROLES).filter_map(|r| Some(NS_LABEL[r] | info(r).token_hash?)));
         set
     }
 }
@@ -472,6 +368,16 @@ mod tests {
     use pg_embed::Word2VecConfig;
     use pg_model::{Edge, LabelSet, Node, NodeId};
 
+    /// An edge record with `Int` properties.
+    fn edge(label: &str, src: &str, tgt: &str, props: &[(&str, i64)]) -> EdgeRecord {
+        let edge = Edge::new(9, NodeId(1), NodeId(3), LabelSet::single(label));
+        EdgeRecord {
+            edge: props.iter().fold(edge, |e, &(k, v)| e.with_prop(k, v)),
+            src_labels: LabelSet::single(src),
+            tgt_labels: LabelSet::single(tgt),
+        }
+    }
+
     fn records() -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
         let nodes = vec![
             Node::new(1, LabelSet::single("Person"))
@@ -480,42 +386,45 @@ mod tests {
             Node::new(2, LabelSet::empty()).with_prop("name", "b"),
             Node::new(3, LabelSet::single("Org")).with_prop("url", "u"),
         ];
-        let edges = vec![EdgeRecord {
-            edge: Edge::new(9, NodeId(1), NodeId(3), LabelSet::single("WORKS_AT"))
-                .with_prop("from", 2020i64),
-            src_labels: LabelSet::single("Person"),
-            tgt_labels: LabelSet::single("Org"),
-        }];
+        let edges = vec![edge("WORKS_AT", "Person", "Org", &[("from", 2020)])];
         (nodes, edges)
+    }
+
+    fn build(nodes: &[NodeRecord], edges: &[EdgeRecord]) -> FeatureSpace {
+        let embedding = EmbeddingKind::Word2Vec(Word2VecConfig {
+            dim: 5,
+            epochs: 2,
+            ..Default::default()
+        });
+        FeatureSpace::build(nodes, edges, &embedding, 1)
     }
 
     fn space() -> (FeatureSpace, Vec<NodeRecord>, Vec<EdgeRecord>) {
         let (nodes, edges) = records();
-        let fs = FeatureSpace::build(
-            &nodes,
-            &edges,
-            &EmbeddingKind::Word2Vec(Word2VecConfig {
-                dim: 5,
-                epochs: 2,
-                ..Default::default()
-            }),
-            1,
-        );
-        (fs, nodes, edges)
+        (build(&nodes, &edges), nodes, edges)
+    }
+
+    /// A batch whose node and edge key universes both exceed 128 keys,
+    /// so fingerprints hold their keys as [`KeyBits::List`].
+    fn wide_records() -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
+        let key = |i: u64| format!("k{:03}", i % 140);
+        let node = |i| Node::new(i, LabelSet::single("Wide")).with_prop(&key(i), 1i64);
+        let link = |i| edge("LINK", "Wide", "Wide", &[(&key(i), 1), (&key(7 * i), 2)]);
+        ((0..140).map(node).collect(), (0..140).map(link).collect())
     }
 
     #[test]
     fn dimensions_match_paper_formulas() {
         let (fs, _, _) = space();
         // K = {age, name, url} → 3; Q = {from} → 1; d = 5.
-        assert_eq!(fs.node_dim(), 5 + 3);
-        assert_eq!(fs.edge_dim(), 15 + 1);
+        assert_eq!(fs.dim_of::<NodeRecord>(), 5 + 3);
+        assert_eq!(fs.dim_of::<EdgeRecord>(), 15 + 1);
     }
 
     #[test]
     fn unlabeled_nodes_have_zero_embedding_block() {
         let (fs, nodes, _) = space();
-        let v = fs.node_vector(&nodes[1]); // unlabeled
+        let v = fs.vector(&nodes[1]); // unlabeled
         for (i, x) in v.iter() {
             assert!(
                 (i as usize) >= fs.dim(),
@@ -536,24 +445,24 @@ mod tests {
             .with_prop("name", "yyy")
             .with_prop("age", 999i64);
         // Property *values* don't matter, only presence.
-        assert_eq!(fs.node_vector(&a), fs.node_vector(&b));
+        assert_eq!(fs.vector(&a), fs.vector(&b));
     }
 
     #[test]
     fn different_labels_differ_in_embedding_block() {
         let (fs, nodes, _) = space();
-        let person = fs.node_vector(&nodes[0]);
+        let person = fs.vector(&nodes[0]);
         let mut org = nodes[2].clone();
         // Give Org the same property structure as Person.
         org.props = nodes[0].props.clone();
-        let org_v = fs.node_vector(&org);
+        let org_v = fs.vector(&org);
         assert!(person.distance(&org_v) > 0.1);
     }
 
     #[test]
     fn edge_vectors_use_three_blocks() {
         let (fs, _, edges) = space();
-        let v = fs.edge_vector(&edges[0]);
+        let v = fs.vector(&edges[0]);
         let d = fs.dim();
         let blocks: Vec<usize> = v
             .iter()
@@ -569,11 +478,12 @@ mod tests {
     #[test]
     fn minhash_sets_are_namespaced() {
         let (fs, nodes, edges) = space();
-        let ns: Vec<u64> = fs.node_set(&nodes[0]);
+        let ns: Vec<u64> = fs.set(&nodes[0]);
         assert_eq!(ns.len(), 3); // 2 keys + 1 label token
-        let es = fs.edge_set(&edges[0]);
+        let es = fs.set(&edges[0]);
         assert_eq!(es.len(), 4); // 1 key + 3 label tokens
-                                 // Node key ids and edge key ids never collide.
+
+        // Node key ids and edge key ids never collide.
         for a in &ns {
             for b in &es {
                 assert_ne!(a, b);
@@ -586,54 +496,99 @@ mod tests {
         let (fs, _, _) = space();
         let alien = Node::new(99, LabelSet::empty()).with_prop("never_seen", 1i64);
         // Key not in the batch universe: vector just has no bit for it.
-        let v = fs.node_vector(&alien);
+        let v = fs.vector(&alien);
         assert_eq!(v.nnz(), 0);
-        assert!(fs.node_set(&alien).is_empty());
+        assert!(fs.set(&alien).is_empty());
+    }
+
+    /// The dedup fast path builds vectors/sets from fingerprints; they
+    /// must be bit-identical to the per-record builders.
+    fn assert_fingerprints_represent<R: Record>(fs: &FeatureSpace, records: &[R]) {
+        for rec in records {
+            let fp = fs.fingerprint(rec);
+            assert_eq!(fs.fingerprint_vector::<R>(&fp), fs.vector(rec));
+            assert_eq!(fs.fingerprint_set::<R>(&fp), fs.set(rec));
+        }
     }
 
     #[test]
     fn fingerprint_representations_match_record_representations() {
-        // The dedup fast path builds vectors/sets from fingerprints; they
-        // must be bit-identical to the per-record builders.
         let (fs, nodes, edges) = space();
-        for n in &nodes {
-            let fp = fs.node_fingerprint(n);
-            assert_eq!(fs.node_fingerprint_vector(&fp), fs.node_vector(n));
-            assert_eq!(fs.node_fingerprint_set(&fp), fs.node_set(n));
-        }
-        for e in &edges {
-            let fp = fs.edge_fingerprint(e);
-            assert_eq!(fs.edge_fingerprint_vector(&fp), fs.edge_vector(e));
-            assert_eq!(fs.edge_fingerprint_set(&fp), fs.edge_set(e));
-        }
+        assert_fingerprints_represent(&fs, &nodes);
+        assert_fingerprints_represent(&fs, &edges);
+
+        // One label set in all three roles: one interned id, one
+        // embedding — only block offsets and namespaces tell them apart.
+        let same = [edge("X", "X", "X", &[])];
+        let fs = build(&[], &same);
+        assert_fingerprints_represent(&fs, &same);
+        let x = hash48("X");
+        let tokens = vec![NS_LABEL[0] | x, NS_LABEL[1] | x, NS_LABEL[2] | x];
+        assert_eq!(fs.set(&same[0]), tokens);
+        let d = fs.dim() as u32;
+        let entries: Vec<(u32, f64)> = fs.vector(&same[0]).iter().collect();
+        let (own, ends) = entries.split_at(entries.len() / 3);
+        let shifted = |by: u32| own.iter().map(move |&(i, x)| (i + by, x));
+        assert!(!own.is_empty() && own.iter().all(|e| e.0 < d));
+        assert_eq!(ends, shifted(d).chain(shifted(2 * d)).collect::<Vec<_>>());
+
+        // Past 128 keys a fingerprint lists its key ids.
+        let (nodes, edges) = wide_records();
+        let fs = build(&nodes, &edges);
+        assert!(matches!(fs.fingerprint(&nodes[0]).keys, KeyBits::List(_)));
+        assert!(matches!(fs.fingerprint(&edges[0]).keys, KeyBits::List(_)));
+        assert_fingerprints_represent(&fs, &nodes);
+        assert_fingerprints_represent(&fs, &edges);
+        // The last key's bit is the last index of either vector.
+        let last = |v: SparseVec| v.iter().last().map(|e| e.0 as usize + 1);
+        assert_eq!(last(fs.vector(&nodes[139])), Some(5 + 140));
+        assert_eq!(last(fs.vector(&edges[139])), Some(15 + 140));
     }
 
     #[test]
     fn fingerprints_ignore_values_but_not_structure() {
-        let (fs, _, _) = space();
-        let a = Node::new(1, LabelSet::single("Person"))
-            .with_prop("name", "x")
-            .with_prop("age", 1i64);
-        let b = Node::new(2, LabelSet::single("Person"))
-            .with_prop("name", "completely different")
-            .with_prop("age", 999i64);
-        assert_eq!(fs.node_fingerprint(&a), fs.node_fingerprint(&b));
-        // Dropping a property or changing the label breaks equality.
-        let fewer = Node::new(3, LabelSet::single("Person")).with_prop("name", "x");
-        assert_ne!(fs.node_fingerprint(&a), fs.node_fingerprint(&fewer));
-        let other = Node::new(4, LabelSet::single("Org"))
-            .with_prop("name", "x")
-            .with_prop("age", 1i64);
-        assert_ne!(fs.node_fingerprint(&a), fs.node_fingerprint(&other));
+        let person = |id: u64, name: &str, age: i64| {
+            Node::new(id, LabelSet::single("Person"))
+                .with_prop("name", name)
+                .with_prop("age", age)
+        };
+        // Per kind: two records apart in values only, then records one
+        // piece of structure away from them — a dropped property, the
+        // label set of each role in turn.
+        let nodes = [
+            person(1, "x", 1),
+            person(2, "completely different", 999),
+            Node::new(3, LabelSet::single("Person")).with_prop("name", "x"),
+            Node::new(4, LabelSet::single("Org"))
+                .with_prop("name", "x")
+                .with_prop("age", 1i64),
+        ];
+        let edges = [
+            edge("WORKS_AT", "Person", "Org", &[("from", 2020)]),
+            edge("WORKS_AT", "Person", "Org", &[("from", 1999)]),
+            edge("WORKS_AT", "Person", "Org", &[]),
+            edge("Org", "Person", "Org", &[("from", 2020)]),
+            edge("WORKS_AT", "Org", "Org", &[("from", 2020)]),
+            edge("WORKS_AT", "Person", "Person", &[("from", 2020)]),
+        ];
+        let fs = build(&nodes, &edges);
+        fn check<R: Record>(fs: &FeatureSpace, records: &[R]) {
+            assert_eq!(fs.fingerprint(&records[0]), fs.fingerprint(&records[1]));
+            for (i, other) in records.iter().enumerate().skip(2) {
+                assert_ne!(fs.fingerprint(&records[0]), fs.fingerprint(other), "{i}");
+            }
+        }
+        check(&fs, &nodes);
+        check(&fs, &edges);
     }
 
     #[test]
     fn foreign_label_sets_fall_back_to_uncached_info() {
-        // A label set the space never saw (memoization probes do this)
-        // still featurizes through the uncached fallback.
+        // A label set the space never saw still featurizes through the
+        // uncached fallback.
         let (fs, _, _) = space();
         let foreign = Node::new(7, LabelSet::single("NeverSeen")).with_prop("name", "n");
-        let v = fs.node_vector(&foreign);
+        let v = fs.vector(&foreign);
         assert!(v.nnz() >= 1, "name bit survives; embedding may add more");
     }
 
@@ -645,6 +600,6 @@ mod tests {
         // dedup path never fingerprints anything else.
         let (fs, _, _) = space();
         let foreign = Node::new(7, LabelSet::single("NeverSeen")).with_prop("name", "n");
-        let _ = fs.node_fingerprint(&foreign);
+        let _ = fs.fingerprint(&foreign);
     }
 }

@@ -6,7 +6,7 @@
 //! end. Because every merge is monotone, the schema after batch `i+1`
 //! generalizes the schema after batch `i`.
 
-use crate::cluster::{cluster_edges, cluster_nodes, DedupStats};
+use crate::cluster::{cluster_records, DedupStats, EdgeCluster, NodeCluster};
 use crate::config::{HiveConfig, StreamConfig};
 use crate::constraints::infer_property_constraints;
 use crate::datatypes::infer_datatypes;
@@ -15,9 +15,9 @@ use crate::features::FeatureSpace;
 use crate::merge::sorted_accums;
 use crate::pipeline::DiscoveryResult;
 use crate::sketch::FingerprintStore;
-use crate::state::{DiscoveryState, Kind, Membership, TypeAccum};
+use crate::state::{DiscoveryState, Kind, Membership, Record, TypeAccum};
 use pg_lsh::AdaptiveParams;
-use pg_model::{Edge, Node, SchemaGraph, SchemaType, TypeId};
+use pg_model::{SchemaGraph, SchemaType, TypeId};
 use pg_store::{EdgeRecord, GraphBatch, NodeRecord};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -166,35 +166,24 @@ type EdgePatternKey = (
     pg_model::LabelSet,
 );
 
-/// What the session needs from a loaded record of either kind.
-trait Record: Clone {
-    /// Nodes or edges.
-    type Kind: Kind;
+/// What memoization needs of a [`Record`] beyond the trait: its exact
+/// pattern, the memo's key.
+trait Memoized: Record {
     /// The memoization key.
     type Pattern: Ord + Clone + Hash;
-    /// The graph element inside the record.
-    fn instance(&self) -> &Self::Kind;
     /// The record's exact pattern.
     fn pattern(&self) -> Self::Pattern;
 }
 
-impl Record for NodeRecord {
-    type Kind = Node;
+impl Memoized for NodeRecord {
     type Pattern = NodePatternKey;
-    fn instance(&self) -> &Node {
-        self
-    }
     fn pattern(&self) -> NodePatternKey {
         (self.labels.clone(), self.key_set())
     }
 }
 
-impl Record for EdgeRecord {
-    type Kind = Edge;
+impl Memoized for EdgeRecord {
     type Pattern = EdgePatternKey;
-    fn instance(&self) -> &Edge {
-        &self.edge
-    }
     fn pattern(&self) -> EdgePatternKey {
         (
             self.edge.labels.clone(),
@@ -289,7 +278,7 @@ impl<P: Ord + Clone + Hash> Memo<P> {
 /// Serve every record whose exact pattern has already been typed
 /// straight from the memo — fold it into that type's accumulator and
 /// bump the instance count — and return the rest.
-fn serve_memoized<R: Record>(
+fn serve_memoized<R: Memoized>(
     memo: &mut Memo<R::Pattern>,
     state: &mut DiscoveryState,
     records: &[R],
@@ -323,7 +312,7 @@ fn serve_memoized<R: Record>(
 /// Algorithm 2 for one kind's clusters, then the per-record follow-up
 /// that needs the assignment: memo entries, and in stream mode the
 /// value samples.
-fn extract_kind<R: Record, C: Cluster<Kind = R::Kind>>(
+fn extract_kind<R: Memoized, C: Cluster<Record = R, Kind = R::Kind>>(
     state: &mut DiscoveryState,
     mut memo: Option<&mut Memo<R::Pattern>>,
     records: &[R],
@@ -554,8 +543,10 @@ impl HiveSession {
         let t1 = Instant::now();
         let mut cfg = self.config.clone();
         cfg.seed = batch_seed;
-        let (node_clusters, np, node_dedup, node_assemble) = cluster_nodes(nodes, &fs, &cfg);
-        let (edge_clusters, ep, edge_dedup, edge_assemble) = cluster_edges(edges, &fs, &cfg);
+        let (node_clusters, np, node_dedup, node_assemble) =
+            cluster_records::<NodeCluster>(nodes, &fs, &cfg);
+        let (edge_clusters, ep, edge_dedup, edge_assemble) =
+            cluster_records::<EdgeCluster>(edges, &fs, &cfg);
         if np.is_some() {
             self.node_params = np;
         }

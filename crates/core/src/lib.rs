@@ -81,7 +81,7 @@ pub use incremental::{
 };
 pub use merge::{
     discover_sharded, merge_schemas, merge_schemas_with, merge_states, schema_to_state, MergeError,
-    ShardState, SHARD_SPLIT_SALT,
+    MergeInput, ShardState, SHARD_SPLIT_SALT,
 };
 pub use pipeline::{DiscoveryResult, PgHive};
 pub use serialize::{
@@ -90,6 +90,6 @@ pub use serialize::{
 pub use sketch::{DistinctSketch, FingerprintStore, FpEntry, ValueSample, SKETCH_SALT};
 pub use state::{
     DiscoveryState, DtypeHist, EdgeTypeAccum, EndpointSketch, Kind, Membership, NodeTypeAccum,
-    Sketch, SketchParams, TypeAccum,
+    Record, Sketch, SketchParams, TypeAccum,
 };
 pub use validate::{validate, ValidationReport, Violation};

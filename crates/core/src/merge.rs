@@ -116,6 +116,40 @@ impl ShardState {
     }
 }
 
+/// Which of its two input forms a merge input arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeInput {
+    /// A [`ShardState`], as `pg-hive discover --state-out` writes it.
+    ShardState,
+    /// A bare [`SchemaGraph`].
+    Schema,
+}
+
+impl fmt::Display for MergeInput {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            MergeInput::ShardState => "shard_state",
+            MergeInput::Schema => "schema",
+        })
+    }
+}
+
+/// Read one merge input — the CLI's `merge` operands and the body of
+/// `POST /sessions/{id}/merge` alike. A shard state (schema +
+/// accumulators) merges exactly; a bare schema is lifted by
+/// [`schema_to_state`] and merges under the pessimistic reconstruction
+/// algebra. The two formats have disjoint required fields, so trying
+/// both is unambiguous.
+pub fn parse(json: &str) -> Result<(DiscoveryState, MergeInput), String> {
+    if let Ok(shard) = serde_json::from_str::<ShardState>(json) {
+        return Ok((shard.into_state(), MergeInput::ShardState));
+    }
+    match serde_json::from_str::<SchemaGraph>(json) {
+        Ok(schema) => Ok((schema_to_state(&schema), MergeInput::Schema)),
+        Err(e) => Err(format!("neither shard-state nor schema JSON: {e}")),
+    }
+}
+
 /// Merge per-shard discovery states into one canonical state.
 ///
 /// Uses `config` for the Algorithm 2 alignment knobs (θ, similarity,

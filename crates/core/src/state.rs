@@ -10,14 +10,18 @@
 //! bottom-k sketches of the same (bounded-memory streaming). What an
 //! edge accumulator has beyond a node one — endpoint pairs, their
 //! sketches, a cardinality floor — enters through the [`Kind`] trait,
-//! which [`pg_model::Node`] and [`pg_model::Edge`] implement.
+//! which [`pg_model::Node`] and [`pg_model::Edge`] implement. [`Record`]
+//! is its counterpart for the loaded input: what a node record and an
+//! edge record give the front half of the pipeline.
 
 use crate::config::StreamConfig;
 use crate::sketch::{hash_pair, DistinctSketch, ValueSample, SKETCH_SALT};
+use pg_lsh::adaptive::ElementKind;
 use pg_model::{
-    Cardinality, DataType, Edge, EdgeId, EdgeType, Node, NodeId, NodeType, PropMap, SchemaGraph,
-    SchemaType, Symbol, TypeId,
+    Cardinality, DataType, Edge, EdgeId, EdgeType, LabelSet, Node, NodeId, NodeType, PropMap,
+    SchemaGraph, SchemaType, Symbol, TypeId,
 };
+use pg_store::{EdgeRecord, NodeRecord};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -314,6 +318,49 @@ impl Kind for Edge {
         obj: &[(String, Value)],
     ) -> Result<(Vec<(NodeId, NodeId)>, Option<Cardinality>), Error> {
         Ok((unwire(obj, "endpoints")?, unwire(obj, "card_floor")?))
+    }
+}
+
+/// A loaded record of either kind, as featurization, clustering and the
+/// session read it: the graph element plus one label set per *role* —
+/// its own, and for an edge its source's and target's (§4.1: `f_v` has
+/// one label block, `f_e` three). Implemented by [`NodeRecord`] and
+/// [`EdgeRecord`].
+pub trait Record: Clone + Sync {
+    /// Nodes or edges.
+    type Kind: Kind;
+    /// Which property-key universe and LSH parameter family the record
+    /// reads.
+    const ELEMENT: ElementKind;
+    /// Label sets a record carries: 1 for a node, 3 for an edge.
+    const ROLES: usize;
+    /// The graph element inside the record.
+    fn instance(&self) -> &Self::Kind;
+    /// The label set of role `r < ROLES`: own, source, target.
+    fn role(&self, r: usize) -> &LabelSet;
+}
+
+impl Record for NodeRecord {
+    type Kind = Node;
+    const ELEMENT: ElementKind = ElementKind::Node;
+    const ROLES: usize = 1;
+    fn instance(&self) -> &Node {
+        self
+    }
+    fn role(&self, _: usize) -> &LabelSet {
+        &self.labels
+    }
+}
+
+impl Record for EdgeRecord {
+    type Kind = Edge;
+    const ELEMENT: ElementKind = ElementKind::Edge;
+    const ROLES: usize = 3;
+    fn instance(&self) -> &Edge {
+        &self.edge
+    }
+    fn role(&self, r: usize) -> &LabelSet {
+        [&self.edge.labels, &self.src_labels, &self.tgt_labels][r]
     }
 }
 

@@ -31,7 +31,6 @@ pub mod error;
 pub mod graph;
 pub mod intern;
 pub mod label;
-pub mod merge;
 pub mod pattern;
 pub mod props;
 pub mod schema;
@@ -43,7 +42,6 @@ pub use error::ModelError;
 pub use graph::{Edge, EdgeId, Node, NodeId, PropertyGraph};
 pub use intern::{FnvBuildHasher, FnvHasher, SymbolInterner};
 pub use label::{sym, LabelSet, Symbol};
-pub use merge::{merge_schemas, DEFAULT_MERGE_THETA};
 pub use pattern::{EdgePattern, NodePattern};
 pub use props::PropMap;
 pub use schema::{

@@ -505,7 +505,7 @@ impl Coordinator {
         // coordinator already enforced it, and re-delivered batches must
         // quarantine their duplicates, not abort.
         let mut spec = self.config.spec.clone();
-        spec.on_error = "skip".to_owned();
+        spec.on_error = ErrorPolicy::Skip.to_string();
         let json = serde_json::to_string(&spec).map_err(|e| e.to_string())?;
         let mut value: serde::Value = serde_json::from_str(&json).map_err(|e| e.to_string())?;
         if let serde::Value::Object(fields) = &mut value {

@@ -21,9 +21,7 @@ use pg_hive::{
     MergeOutcome, SessionAux, SharedSession,
 };
 use pg_store::jsonl::Element;
-use pg_store::{
-    read_jsonl_elements, read_jsonl_elements_with, ErrorPolicy, JsonlDecoder, LoadError, Quarantine,
-};
+use pg_store::{read_jsonl_elements_with, ErrorPolicy, JsonlDecoder, LoadError, Quarantine};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -62,10 +60,10 @@ impl Default for SessionSpec {
         SessionSpec {
             seed: 42,
             theta: 0.9,
-            method: "elsh".to_owned(),
+            method: LshMethod::Elsh.to_string(),
             threads: 0,
             memoize: false,
-            on_error: "skip".to_owned(),
+            on_error: ErrorPolicy::Skip.to_string(),
             checkpoint_every: 8,
             history_retain: 64,
             mode: None,
@@ -136,12 +134,7 @@ impl SessionSpec {
         if !(0.0..=1.0).contains(&self.theta) {
             return Err(format!("theta must be in [0, 1], got {}", self.theta));
         }
-        if !matches!(self.method.as_str(), "elsh" | "minhash") {
-            return Err(format!(
-                "method must be \"elsh\" or \"minhash\", got {:?}",
-                self.method
-            ));
-        }
+        self.method.parse::<LshMethod>()?;
         if self.history_retain == 0 {
             return Err("history_retain must be at least 1".to_owned());
         }
@@ -165,11 +158,8 @@ impl SessionSpec {
     /// default spec discovers bit-identically to the offline CLI.
     pub fn hive_config(&self) -> HiveConfig {
         HiveConfig {
-            method: if self.method == "minhash" {
-                LshMethod::MinHash
-            } else {
-                LshMethod::Elsh
-            },
+            // `validate` has refused every other spelling.
+            method: self.method.parse().unwrap_or(LshMethod::Elsh),
             theta: self.theta,
             memoize: self.memoize,
             threads: self.threads as usize,
@@ -181,16 +171,7 @@ impl SessionSpec {
 
     /// The ingest error policy this spec describes.
     pub fn policy(&self) -> Result<ErrorPolicy, String> {
-        match self.on_error.as_str() {
-            "strict" => Ok(ErrorPolicy::Strict),
-            "skip" => Ok(ErrorPolicy::Skip),
-            other => match other.strip_prefix("cap:").map(str::parse::<usize>) {
-                Some(Ok(n)) => Ok(ErrorPolicy::Cap(n)),
-                _ => Err(format!(
-                    "on_error must be \"strict\", \"skip\", or \"cap:N\", got {other:?}"
-                )),
-            },
-        }
+        self.on_error.parse()
     }
 }
 
@@ -424,14 +405,6 @@ impl LiveSession {
             counters.batches_since_checkpoint = 0;
         }
         (checkpointed, checkpoint_error)
-    }
-
-    /// Parse `body` as JSONL into one batch of elements without
-    /// touching the session (used by `validate`). Always lenient: a
-    /// posted subgraph is checked, not ingested, so dirt is reported
-    /// rather than fatal.
-    pub fn parse_subgraph(body: &[u8]) -> Result<(Vec<(usize, Element)>, Quarantine), LoadError> {
-        read_jsonl_elements(&mut &body[..], ErrorPolicy::Skip)
     }
 
     /// Write the engine checkpoint and sidecar, if this session is

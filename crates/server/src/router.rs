@@ -548,23 +548,9 @@ fn merge_shard(req: &Request, live: &Arc<LiveSession>) -> Response {
         Ok(s) => s,
         Err(_) => return Response::error(400, "bad_request", "body is not UTF-8"),
     };
-    // A shard state (schema + accumulators, as `pg-hive discover
-    // --state-out` writes) merges exactly; a bare schema merges under
-    // the pessimistic reconstruction algebra. The two formats have
-    // disjoint required fields, so trying both is unambiguous.
-    let (foreign, kind) = if let Ok(shard) = serde_json::from_str::<pg_hive::ShardState>(body) {
-        (shard.into_state(), "shard_state")
-    } else {
-        match serde_json::from_str::<pg_model::SchemaGraph>(body) {
-            Ok(schema) => (pg_hive::schema_to_state(&schema), "schema"),
-            Err(e) => {
-                return Response::error(
-                    400,
-                    "bad_merge_input",
-                    &format!("body is neither shard-state nor schema JSON: {e}"),
-                )
-            }
-        }
+    let (foreign, kind) = match pg_hive::merge::parse(body) {
+        Ok(parsed) => parsed,
+        Err(e) => return Response::error(400, "bad_merge_input", &format!("body is {e}")),
     };
     match live.merge_state(&foreign) {
         Ok(report) => {
@@ -574,7 +560,7 @@ fn merge_shard(req: &Request, live: &Arc<LiveSession>) -> Response {
                     "session".to_owned(),
                     serde::Value::Str(live.name().to_owned()),
                 ),
-                ("input".to_owned(), serde::Value::Str(kind.to_owned())),
+                ("input".to_owned(), serde::Value::Str(kind.to_string())),
                 ("version".to_owned(), serde::Value::U64(o.version)),
                 ("hash".to_owned(), serde::Value::Str(o.hash.clone())),
                 ("changed".to_owned(), serde::Value::Bool(o.changed)),

@@ -31,6 +31,35 @@ pub enum ErrorPolicy {
     Cap(usize),
 }
 
+/// `strict`, `skip`, or `cap:<n>` — the one spelling the CLI's
+/// `--on-error` and a served session's `on_error` share.
+impl std::str::FromStr for ErrorPolicy {
+    type Err = String;
+    fn from_str(s: &str) -> Result<ErrorPolicy, String> {
+        match s {
+            "strict" => Ok(ErrorPolicy::Strict),
+            "skip" => Ok(ErrorPolicy::Skip),
+            other => other
+                .strip_prefix("cap:")
+                .and_then(|n| n.parse().ok())
+                .map(ErrorPolicy::Cap)
+                .ok_or_else(|| {
+                    format!("unknown error policy {other:?} (strict, skip, or cap:<n>)")
+                }),
+        }
+    }
+}
+
+impl fmt::Display for ErrorPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ErrorPolicy::Strict => f.write_str("strict"),
+            ErrorPolicy::Skip => f.write_str("skip"),
+            ErrorPolicy::Cap(n) => write!(f, "cap:{n}"),
+        }
+    }
+}
+
 /// One diverted input line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineEntry {
@@ -148,6 +177,16 @@ impl Quarantine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn policy_spelling_round_trips() {
+        for policy in [ErrorPolicy::Strict, ErrorPolicy::Skip, ErrorPolicy::Cap(0)] {
+            assert_eq!(policy.to_string().parse(), Ok(policy));
+        }
+        for bad in ["", "Strict", "cap", "cap:", "cap:x", "cap:-1", "cap: 3"] {
+            assert!(bad.parse::<ErrorPolicy>().is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn strict_policy_aborts_immediately() {

@@ -2,9 +2,8 @@
 //!
 //! The storage substrate PG-HIVE reads from. The paper loads nodes and
 //! edges from Neo4j with a single query into a Spark DataFrame; this crate
-//! plays both roles:
+//! stands in for both:
 //!
-//! * [`GraphStore`] — a thread-safe in-memory property-graph store.
 //! * [`load()`] — the "single query" loading step: it materializes
 //!   [`NodeRecord`]s and [`EdgeRecord`]s, where each edge record already
 //!   carries its endpoint labels (the paper queries edges together with
@@ -14,7 +13,8 @@
 //!   CSV dumps the paper's datasets ship as.
 //! * [`batch`] — the random batch splitter used by the incremental
 //!   experiments (§5, Figure 7).
-//! * [`query`] — degree aggregations used for cardinality inference.
+//! * [`query`] — degree aggregations straight off the graph: the oracle
+//!   the cardinality-inference tests compare against.
 //! * [`ingest`] — lenient-loading error policies and the quarantine
 //!   report for malformed input lines.
 //! * [`faults`] — injectable-failure `Read`/`Write` wrappers for
@@ -28,7 +28,6 @@ pub mod index;
 pub mod ingest;
 pub mod jsonl;
 pub mod load;
-pub mod memstore;
 pub mod query;
 
 pub use batch::{split_batches, split_batches_owned, GraphBatch};
@@ -40,4 +39,3 @@ pub use jsonl::{
     LoadError,
 };
 pub use load::{load, load_owned, EdgeRecord, NodeRecord};
-pub use memstore::GraphStore;

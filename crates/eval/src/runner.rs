@@ -4,7 +4,7 @@ use crate::f1::{majority_f1, F1Score};
 use pg_baselines::{GmmSchema, SchemI};
 use pg_datasets::{generate, inject_noise, spec_by_name, NoiseConfig};
 use pg_embed::Word2VecConfig;
-use pg_hive::{EmbeddingKind, HiveConfig, LshMethod, PgHive};
+use pg_hive::{EmbeddingKind, HiveConfig, HiveSession, LshMethod, PgHive};
 use pg_model::{EdgeId, NodeId, PropertyGraph};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -131,8 +131,15 @@ pub fn prepare_graph(spec: &CellSpec) -> (PropertyGraph, pg_datasets::GroundTrut
 
 /// Run one cell end to end.
 pub fn run_cell(spec: &CellSpec) -> CellResult {
+    run_cell_batched(spec, 1)
+}
+
+/// [`run_cell`] with PG-HIVE reading the graph as `batches` random
+/// batches through one incremental session (1 = the whole graph in one
+/// pass). The baselines have no incremental mode and see the graph whole.
+pub fn run_cell_batched(spec: &CellSpec, batches: usize) -> CellResult {
     let (graph, gt) = prepare_graph(spec);
-    run_method_on(spec.method, &graph, &gt, spec.seed)
+    run_method(spec.method, &graph, &gt, spec.seed, batches)
 }
 
 /// Run a method on an already-prepared graph (used by Figure 6's sweep
@@ -143,6 +150,16 @@ pub fn run_method_on(
     gt: &pg_datasets::GroundTruth,
     seed: u64,
 ) -> CellResult {
+    run_method(method, graph, gt, seed, 1)
+}
+
+fn run_method(
+    method: Method,
+    graph: &PropertyGraph,
+    gt: &pg_datasets::GroundTruth,
+    seed: u64,
+    batches: usize,
+) -> CellResult {
     let start = Instant::now();
     let (node_clusters, edge_clusters): (Vec<Vec<NodeId>>, Option<Vec<Vec<EdgeId>>>) = match method
     {
@@ -152,7 +169,16 @@ pub fn run_method_on(
             } else {
                 LshMethod::MinHash
             };
-            let result = PgHive::new(eval_hive_config(lsh, seed)).discover_graph(graph);
+            let config = eval_hive_config(lsh, seed);
+            let result = if batches > 1 {
+                let mut session = HiveSession::new(config);
+                for batch in pg_store::split_batches(graph, batches, seed) {
+                    session.process_graph_batch(&batch);
+                }
+                session.finish()
+            } else {
+                PgHive::new(config).discover_graph(graph)
+            };
             let nodes: Vec<Vec<NodeId>> = result.node_members().into_values().collect();
             let edges: Vec<Vec<EdgeId>> = result.edge_members().into_values().collect();
             (nodes, Some(edges))

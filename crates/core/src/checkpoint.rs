@@ -29,6 +29,7 @@
 //! without going through the filesystem.
 
 use crate::incremental::SessionCheckpoint;
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -157,6 +158,53 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// The rows of a session's trained label embedder, as a checkpoint
+/// carries them ([`SessionCheckpoint::embedder`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct EmbedderRows {
+    /// Each trained token, in row order.
+    pub tokens: Vec<String>,
+    /// The tokens' embeddings, row-major `tokens × dim`.
+    pub vectors: F64Bits,
+}
+
+/// `f64`s on the wire as their IEEE-754 bit patterns, sixteen hex digits
+/// each, back to back in one string: what is read is what was written
+/// bit for bit, with no decimal rendering in between to trust, in four
+/// fifths of the bytes shortest-round-trip decimals take.
+#[derive(Debug, Clone, PartialEq)]
+pub struct F64Bits(pub Vec<f64>);
+
+impl Serialize for F64Bits {
+    fn to_value(&self) -> Value {
+        use fmt::Write as _;
+        let mut hex = String::with_capacity(self.0.len() * 16);
+        for x in &self.0 {
+            write!(hex, "{:016x}", x.to_bits()).expect("writing to a String");
+        }
+        Value::Str(hex)
+    }
+}
+
+impl Deserialize for F64Bits {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let hex = value
+            .as_str()
+            .ok_or_else(|| serde::Error::custom("expected a string of f64 bit patterns"))?;
+        (hex.as_bytes().chunks(16))
+            .map(|digits| {
+                // `from_str_radix` alone would take a sign or a short tail.
+                let digits = std::str::from_utf8(digits)
+                    .ok()
+                    .filter(|d| d.len() == 16 && d.bytes().all(|b| b.is_ascii_hexdigit()))?;
+                u64::from_str_radix(digits, 16).ok().map(f64::from_bits)
+            })
+            .collect::<Option<_>>()
+            .map(F64Bits)
+            .ok_or_else(|| serde::Error::custom("malformed f64 bit patterns"))
+    }
 }
 
 /// Serialize a checkpoint into its envelope bytes.

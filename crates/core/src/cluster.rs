@@ -170,12 +170,13 @@ fn clustering<R: Record>(
         ElementKind::Node => (&cfg.node_params, cfg.seed),
         ElementKind::Edge => (&cfg.edge_params, cfg.seed.wrapping_add(1)),
     };
-    let distinct_labels: BTreeSet<&str> = records
-        .iter()
-        .flat_map(|r| r.role(0).iter().map(|l| l.as_ref()))
-        .collect();
     let fps: Vec<Fingerprint> = records.par_iter().map(|r| fs.fingerprint(r)).collect();
     let grouping = group_by_key(&fps);
+    // Equal fingerprints have equal label sets: one record of each group
+    // names every label the batch carries.
+    let distinct_labels: BTreeSet<&str> = (grouping.reps.iter())
+        .flat_map(|&i| records[i].role(0).iter().map(|l| l.as_ref()))
+        .collect();
     let stats = DedupStats {
         records: fps.len(),
         distinct: grouping.num_groups,

@@ -55,8 +55,8 @@ pub enum LshParams {
 /// Which label embedder backs the feature vectors (§4.1).
 #[derive(Debug, Clone)]
 pub enum EmbeddingKind {
-    /// Word2Vec skip-gram trained on the batch's label corpus — the
-    /// paper's choice.
+    /// Word2Vec skip-gram trained on the label corpus of the session's
+    /// first labelled batch — the paper's choice.
     Word2Vec(Word2VecConfig),
     /// Deterministic hashed unit vectors (training-free ablation).
     Hashed {

@@ -14,9 +14,12 @@
 //! sets (1 or 3) and reads one key universe, so `f` has a label block at
 //! `r·d` for each role `r` and the key bits at `ROLES·d`.
 
-use crate::config::EmbeddingKind;
+use crate::checkpoint::{EmbedderRows, F64Bits};
+use crate::config::{EmbeddingKind, HiveConfig, LshMethod};
 use crate::state::{Kind, Record};
-use pg_embed::{build_sentences, HashedEmbedder, LabelEmbedder, Word2Vec};
+use pg_embed::{
+    build_sentences, HashedEmbedder, LabelCorpus, LabelEmbedder, Word2Vec, Word2VecConfig,
+};
 use pg_lsh::adaptive::ElementKind;
 use pg_lsh::{FnvHashMap, SparseVec};
 use pg_model::{LabelSet, PropMap, Symbol};
@@ -178,44 +181,148 @@ pub struct Fingerprint {
     keys: KeyBits,
 }
 
-/// The per-batch feature space: key universes, trained embedder, and the
-/// per-distinct-label-set cache (`label_idx` interns each of the batch's
-/// label sets to a dense id; `label_infos[id]` holds its embedding
-/// entries and canonical-token hash).
-pub struct FeatureSpace {
+/// A session's label embedder: made once, lent to the feature space of
+/// every batch, and carried by the session's checkpoints, so one token
+/// has one vector for as long as the session lives (§4.1 trains on *the
+/// graph's* label corpus; a session sees that corpus a batch at a time).
+#[derive(Debug, Clone)]
+pub enum Embedder {
+    /// Word2Vec, trained once, by the first batch that carries a label —
+    /// a single-batch run trains as ever — and frozen from then on. A
+    /// token that arrives later embeds to the model's deterministic
+    /// out-of-vocabulary vector, the identity direction every trained
+    /// row is blended with: as far from every other token as a trained
+    /// one, and nothing left to train (DESIGN.md §3k has the measurements
+    /// that chose this over training late tokens against the frozen rows).
+    Word2Vec {
+        /// What the model trains under, the session's seed folded in.
+        cfg: Word2VecConfig,
+        /// Empty until trained: every token is out of vocabulary.
+        model: Word2Vec,
+    },
+    /// Training-free hashed unit vectors.
+    Hashed(HashedEmbedder),
+}
+
+impl Embedder {
+    /// The embedder `embedding` asks for, untrained, drawing from `seed`.
+    pub fn new(embedding: &EmbeddingKind, seed: u64) -> Embedder {
+        match embedding {
+            EmbeddingKind::Word2Vec(cfg) => {
+                let mut cfg = cfg.clone();
+                cfg.seed ^= seed;
+                let model = Word2Vec::train(&LabelCorpus::default(), &cfg);
+                Embedder::Word2Vec { cfg, model }
+            }
+            EmbeddingKind::Hashed { dim } => Embedder::Hashed(HashedEmbedder::new(*dim, seed)),
+        }
+    }
+
+    /// The embedder of a session under `config`. MinHash hashes label
+    /// tokens and reads no vector ([`FeatureSpace::fingerprint_set`]), so
+    /// there nothing is trained whatever the embedding.
+    pub fn for_session(config: &HiveConfig) -> Embedder {
+        match (&config.embedding, config.method) {
+            (EmbeddingKind::Word2Vec(cfg), LshMethod::MinHash) => {
+                Embedder::Hashed(HashedEmbedder::new(cfg.dim, config.seed))
+            }
+            (embedding, _) => Embedder::new(embedding, config.seed),
+        }
+    }
+
+    /// Scan one batch's records once, interning every label set — node
+    /// labels plus all three edge roles — into the batch's label corpus,
+    /// and train on it if nothing has trained the model yet.
+    fn learn(&mut self, nodes: &[NodeRecord], edges: &[EdgeRecord]) -> LabelCorpus {
+        let corpus = build_sentences(nodes, edges);
+        if let Embedder::Word2Vec { cfg, model } = self {
+            if model.vocab_size() == 0 {
+                *model = Word2Vec::train(&corpus, cfg);
+            }
+        }
+        corpus
+    }
+
+    fn get(&self) -> &dyn LabelEmbedder {
+        match self {
+            Embedder::Word2Vec { model, .. } => model,
+            Embedder::Hashed(hashed) => hashed,
+        }
+    }
+
+    /// What a checkpoint must carry for [`Embedder::restore`] to rebuild
+    /// this embedder bit for bit: the rows of a trained model. `None`
+    /// while there is none — an untrained model and the hashed vectors
+    /// are functions of the configuration alone.
+    pub fn rows(&self) -> Option<EmbedderRows> {
+        let Embedder::Word2Vec { model, .. } = self else {
+            return None;
+        };
+        let (tokens, vectors) = model.rows();
+        (!tokens.is_empty()).then(|| EmbedderRows {
+            tokens: tokens.into_iter().map(str::to_owned).collect(),
+            vectors: F64Bits(vectors.to_vec()),
+        })
+    }
+
+    /// Take up the rows an embedder of this configuration wrote. Rows of
+    /// another shape — a checkpoint written under another embedding —
+    /// are left aside: the embedder stays untrained and trains at its
+    /// next batch, as it does after a checkpoint that carries none.
+    pub fn restore(&mut self, rows: EmbedderRows) {
+        if let Embedder::Word2Vec { cfg, model } = self {
+            if let Some(restored) = Word2Vec::from_rows(cfg, rows.tokens, rows.vectors.0) {
+                *model = restored;
+            }
+        }
+    }
+}
+
+/// The per-batch feature space: key universes, the embedder lent to it,
+/// and the per-distinct-label-set cache (`label_idx` interns each of the
+/// batch's label sets to a dense id; `label_infos[id]` holds its
+/// embedding entries and canonical-token hash).
+pub struct FeatureSpace<'e> {
     node_keys: KeySpace,
     edge_keys: KeySpace,
-    embedder: Box<dyn LabelEmbedder>,
+    embedder: Cow<'e, Embedder>,
     label_idx: FnvHashMap<LabelSet, u32>,
     label_infos: Vec<LabelInfo>,
 }
 
-impl FeatureSpace {
-    /// Build the feature space for one batch: collect the distinct node
-    /// and edge property keys, then train (or instantiate) the label
-    /// embedder on the batch's label corpus.
+impl<'e> FeatureSpace<'e> {
+    /// The feature space of a batch that is all there is: as
+    /// [`FeatureSpace::with_embedder`], over a fresh embedder of its own.
     pub fn build(
         nodes: &[NodeRecord],
         edges: &[EdgeRecord],
         embedding: &EmbeddingKind,
         seed: u64,
-    ) -> FeatureSpace {
-        let node_keys = KeySpace::scan(nodes, NS_NODE_KEY);
-        let edge_keys = KeySpace::scan(edges, NS_EDGE_KEY);
+    ) -> FeatureSpace<'static> {
+        let mut embedder = Embedder::new(embedding, seed);
+        let corpus = embedder.learn(nodes, edges);
+        FeatureSpace::over(nodes, edges, &corpus, Cow::Owned(embedder))
+    }
 
-        // One scan of the records interns every label set — node labels
-        // plus all three edge roles — and yields both the embedder's
-        // training corpus and the batch's distinct-set table.
-        let corpus = build_sentences(nodes, edges);
-        let embedder: Box<dyn LabelEmbedder> = match embedding {
-            EmbeddingKind::Word2Vec(cfg) => {
-                let mut cfg = cfg.clone();
-                cfg.seed ^= seed;
-                Box::new(Word2Vec::train(&corpus, &cfg))
-            }
-            EmbeddingKind::Hashed { dim } => Box::new(HashedEmbedder::new(*dim, seed)),
-        };
+    /// Build the feature space for one batch of a session: lend it the
+    /// session's embedder — which this batch trains, if it is the first
+    /// to carry a label — and collect the distinct node and edge
+    /// property keys.
+    pub fn with_embedder(
+        nodes: &[NodeRecord],
+        edges: &[EdgeRecord],
+        embedder: &'e mut Embedder,
+    ) -> FeatureSpace<'e> {
+        let corpus = embedder.learn(nodes, edges);
+        FeatureSpace::over(nodes, edges, &corpus, Cow::Borrowed(embedder))
+    }
 
+    fn over(
+        nodes: &[NodeRecord],
+        edges: &[EdgeRecord],
+        corpus: &LabelCorpus,
+        embedder: Cow<'e, Embedder>,
+    ) -> FeatureSpace<'e> {
         // Each distinct label set is embedded once. Ids follow sorted
         // order, not the corpus's first-occurrence order, so they do not
         // depend on record order.
@@ -223,15 +330,13 @@ impl FeatureSpace {
         sets.sort();
         let label_infos: Vec<LabelInfo> = sets
             .iter()
-            .map(|ls| label_info_for(embedder.as_ref(), ls))
+            .map(|ls| label_info_for(embedder.get(), ls))
             .collect();
-        let label_idx = sets.into_iter().zip(0..).collect();
-
         FeatureSpace {
-            node_keys,
-            edge_keys,
+            node_keys: KeySpace::scan(nodes, NS_NODE_KEY),
+            edge_keys: KeySpace::scan(edges, NS_EDGE_KEY),
             embedder,
-            label_idx,
+            label_idx: sets.into_iter().zip(0..).collect(),
             label_infos,
         }
     }
@@ -248,13 +353,13 @@ impl FeatureSpace {
     fn label_info(&self, labels: &LabelSet) -> Cow<'_, LabelInfo> {
         match self.label_idx.get(labels) {
             Some(&i) => Cow::Borrowed(&self.label_infos[i as usize]),
-            None => Cow::Owned(label_info_for(self.embedder.as_ref(), labels)),
+            None => Cow::Owned(label_info_for(self.embedder.get(), labels)),
         }
     }
 
     /// Embedding dimensionality `d`.
     pub fn dim(&self) -> usize {
-        self.embedder.dim()
+        self.embedder.get().dim()
     }
 
     /// Vector dimensionality of `R`: `d + K` for nodes, `3d + Q` for
@@ -365,7 +470,6 @@ fn hash48(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_embed::Word2VecConfig;
     use pg_model::{Edge, LabelSet, Node, NodeId};
 
     /// An edge record with `Int` properties.
@@ -390,7 +494,7 @@ mod tests {
         (nodes, edges)
     }
 
-    fn build(nodes: &[NodeRecord], edges: &[EdgeRecord]) -> FeatureSpace {
+    fn build(nodes: &[NodeRecord], edges: &[EdgeRecord]) -> FeatureSpace<'static> {
         let embedding = EmbeddingKind::Word2Vec(Word2VecConfig {
             dim: 5,
             epochs: 2,
@@ -399,7 +503,7 @@ mod tests {
         FeatureSpace::build(nodes, edges, &embedding, 1)
     }
 
-    fn space() -> (FeatureSpace, Vec<NodeRecord>, Vec<EdgeRecord>) {
+    fn space() -> (FeatureSpace<'static>, Vec<NodeRecord>, Vec<EdgeRecord>) {
         let (nodes, edges) = records();
         (build(&nodes, &edges), nodes, edges)
     }

@@ -6,12 +6,13 @@
 //! end. Because every merge is monotone, the schema after batch `i+1`
 //! generalizes the schema after batch `i`.
 
+use crate::checkpoint::EmbedderRows;
 use crate::cluster::{cluster_records, DedupStats, EdgeCluster, NodeCluster};
 use crate::config::{HiveConfig, StreamConfig};
 use crate::constraints::infer_property_constraints;
 use crate::datatypes::infer_datatypes;
 use crate::extract::{integrate, Cluster, MergeOptions};
-use crate::features::FeatureSpace;
+use crate::features::{Embedder, FeatureSpace};
 use crate::merge::sorted_accums;
 use crate::pipeline::DiscoveryResult;
 use crate::sketch::FingerprintStore;
@@ -143,6 +144,14 @@ pub struct SessionCheckpoint {
     pub node_fps: Option<crate::sketch::FingerprintStore<NodePatternKey, pg_model::TypeId>>,
     /// Bounded edge-pattern memoization store (stream mode only).
     pub edge_fps: Option<crate::sketch::FingerprintStore<EdgePatternKey, pg_model::TypeId>>,
+    /// The rows of the session's trained label embedder, so that a
+    /// resumed session embeds every token seen so far to the bits the
+    /// interrupted one did. Absent — not `null` — where there is none:
+    /// before the first labelled batch, under an embedder that trains
+    /// nothing, and in checkpoints from before the embedder outlived a
+    /// batch, which resume untrained and train at their next batch.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub embedder: Option<EmbedderRows>,
 }
 
 impl SessionCheckpoint {
@@ -375,6 +384,9 @@ pub struct SessionMemoryStats {
 pub struct HiveSession {
     config: HiveConfig,
     state: DiscoveryState,
+    /// The label embedder, lent to each batch's feature space: the first
+    /// batch that carries a label trains it, and no later one does.
+    embedder: Embedder,
     /// Batches applied before this process (restored from a
     /// checkpoint). Batch indices — and therefore per-batch seeds —
     /// continue from here, so a resumed session is bit-identical to an
@@ -404,6 +416,7 @@ impl HiveSession {
         HiveSession {
             node_memo: Memo::new(config.stream.as_ref()),
             edge_memo: Memo::new(config.stream.as_ref()),
+            embedder: Embedder::for_session(&config),
             config,
             state: DiscoveryState::new(),
             batch_offset: 0,
@@ -449,6 +462,11 @@ impl HiveSession {
     /// The full running state (schema + accumulators).
     pub fn state(&self) -> &DiscoveryState {
         &self.state
+    }
+
+    /// The session's label embedder, as the batches so far have left it.
+    pub fn embedder(&self) -> &Embedder {
+        &self.embedder
     }
 
     /// Per-batch timings recorded so far.
@@ -533,10 +551,10 @@ impl HiveSession {
         edges: &[EdgeRecord],
         batch_seed: u64,
     ) -> HotPathOutcome {
-        // Preprocess: train the embedder on the batch labels and build
-        // the per-batch feature space.
+        // Preprocess: train the embedder if this is the first batch to
+        // carry a label, and build the per-batch feature space.
         let t0 = Instant::now();
-        let fs = FeatureSpace::build(nodes, edges, &self.config.embedding, batch_seed);
+        let fs = FeatureSpace::with_embedder(nodes, edges, &mut self.embedder);
         let preprocess = t0.elapsed();
 
         // Cluster nodes and edges with LSH.
@@ -627,6 +645,7 @@ impl HiveSession {
             mode: Some(self.accum_mode()),
             node_fps,
             edge_fps,
+            embedder: self.embedder.rows(),
         }
     }
 
@@ -662,6 +681,9 @@ impl HiveSession {
             .edge_memo
             .restore(checkpoint.edge_cache, checkpoint.edge_fps);
         session.cache_hits = checkpoint.cache_hits;
+        if let Some(rows) = checkpoint.embedder {
+            session.embedder.restore(rows);
+        }
         Ok(session)
     }
 

@@ -73,6 +73,7 @@ pub use config::{
     StreamConfig,
 };
 pub use diff::{apply, diff, EdgeTypeDiff, NodeTypeDiff, PropertyChange, SchemaDiff};
+pub use features::Embedder;
 pub use handle::{
     IngestError, IngestOutcome, MergeOutcome, SessionAux, SharedSession, VersionLookup,
 };

@@ -38,6 +38,38 @@ pub fn case_graph(dataset: &str, seed: u64, noise: f64, label_availability: f64)
     graph
 }
 
+/// A small synthetic graph whose labels drift: a fifth of the labelled
+/// elements carry a noisy label set, so a session reading it in batches
+/// keeps meeting label tokens it has not seen — what a dataset twin,
+/// whose every batch holds every label, never shows.
+pub fn drifting_graph(seed: u64) -> PropertyGraph {
+    use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
+    let schema = SchemaParams {
+        node_types: 16,
+        edge_types: 12,
+        max_extra_props: 4,
+        multi_label_overlap: 0.3,
+        optional_rate: 0.5,
+    };
+    let noise = NoiseProfile {
+        unlabeled_fraction: 0.1,
+        missing_optional_rate: 0.3,
+        label_noise_rate: 0.2,
+        missing_mandatory_rate: 0.0,
+    };
+    let spec = SynthSpec::new(random_schema(&schema, 42))
+        .sized_for(1500)
+        .with_noise(noise);
+    synthesize(&spec, seed).graph
+}
+
+/// Every label token `batch` carries, in any role, in the order the
+/// embedder's vocabulary lists them.
+pub fn label_tokens(batch: &pg_store::GraphBatch) -> Vec<String> {
+    let corpus = pg_embed::build_sentences(&batch.nodes, &batch.edges);
+    corpus.vocab().to_vec()
+}
+
 /// Sorted (element id, type id) pairs — a canonical, order-insensitive
 /// view of an assignment map.
 pub fn sorted_node_assignment(r: &pg_hive::DiscoveryResult) -> Vec<(u64, u32)> {

@@ -5,10 +5,12 @@
 //! 1. **Kill-and-resume bit-identity** — checkpoint after every batch,
 //!    drop the session after batch `i` (the "kill"), `resume()` from
 //!    disk, process the remaining batches, and the final schema — and
-//!    every instance assignment — is bit-identical to the uninterrupted
-//!    run. Holds at `threads = 1` and `threads = N`, with and without
-//!    memoization, because batch numbering (and therefore per-batch
-//!    seeds) continues across the restore.
+//!    every instance assignment, and every row of the label embedder —
+//!    is bit-identical to the uninterrupted run. Holds at `threads = 1`
+//!    and `threads = N`, with and without memoization, with exact and
+//!    with sketched accumulators, because batch numbering (and therefore
+//!    per-batch seeds) continues across the restore and the checkpoint
+//!    carries the embedder's rows bit for bit.
 //!
 //! 2. **Corruption is always detected** — an envelope truncated at any
 //!    byte offset, or with any single bit flipped anywhere, never
@@ -22,12 +24,17 @@
 //!    still converges to the uninterrupted schema.
 
 use pg_hive::checkpoint::{decode, encode};
-use pg_hive::{CheckpointStore, HiveSession, LshMethod, SessionCheckpoint};
+use pg_hive::{
+    CheckpointStore, HiveConfig, HiveSession, LshMethod, SessionCheckpoint, StreamConfig,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 mod common;
-use common::{case_graph, quick_config, sorted_edge_assignment, sorted_node_assignment};
+use common::{
+    case_graph, drifting_graph, label_tokens, quick_config, sorted_edge_assignment,
+    sorted_node_assignment,
+};
 
 /// Same salt the CLI uses: resume re-derives the identical batch split.
 const BATCH_SPLIT_SALT: u64 = 0xba7c4;
@@ -67,6 +74,59 @@ fn reference_envelope() -> &'static [u8] {
     })
 }
 
+/// Contract 1 for one batch sequence, configuration and kill point:
+/// kill after batch `kill_after`, resume from disk, finish — the result
+/// is `==` to never having crashed at all, embedder rows included.
+fn assert_kill_and_resume_is_bit_identical(
+    batches: &[pg_store::GraphBatch],
+    cfg: &HiveConfig,
+    kill_after: usize,
+) -> Result<(), TestCaseError> {
+    // The uninterrupted reference run.
+    let mut full = HiveSession::new(cfg.clone());
+    for b in batches {
+        full.process_graph_batch(b);
+    }
+    let full_embedder = full.checkpoint().embedder;
+    prop_assert!(full_embedder.is_some());
+    let full = full.finish();
+
+    // The crashing run: checkpoint each batch, then drop the
+    // session (simulated kill — memory state is gone, only the
+    // durable checkpoints survive).
+    let tmp = TempDir::new("resume");
+    let store = CheckpointStore::open(&tmp.0).unwrap();
+    {
+        let mut session = HiveSession::new(cfg.clone());
+        for b in &batches[..kill_after] {
+            session.process_graph_batch(b);
+            store.save(&session.checkpoint()).unwrap();
+        }
+    } // <- kill
+
+    let outcome = store.resume().unwrap();
+    prop_assert!(outcome.skipped.is_empty());
+    let ckpt = outcome.checkpoint.expect("a checkpoint was saved");
+    prop_assert_eq!(ckpt.batches_processed, kill_after);
+    let mut resumed = HiveSession::restore(cfg.clone(), ckpt).unwrap();
+    for b in &batches[kill_after..] {
+        resumed.process_graph_batch(b);
+    }
+    prop_assert_eq!(resumed.checkpoint().embedder, full_embedder);
+    let resumed = resumed.finish();
+
+    prop_assert_eq!(&resumed.schema, &full.schema);
+    prop_assert_eq!(
+        sorted_node_assignment(&resumed),
+        sorted_node_assignment(&full)
+    );
+    prop_assert_eq!(
+        sorted_edge_assignment(&resumed),
+        sorted_edge_assignment(&full)
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -86,40 +146,34 @@ proptest! {
         let batches = pg_store::split_batches(&graph, k, seed ^ BATCH_SPLIT_SALT);
         let mut cfg = quick_config(LshMethod::Elsh, seed, threads);
         cfg.memoize = memoize;
+        assert_kill_and_resume_is_bit_identical(&batches, &cfg, kill_after)?;
+    }
+}
 
-        // The uninterrupted reference run.
-        let mut full = HiveSession::new(cfg.clone());
-        for b in &batches {
-            full.process_graph_batch(b);
+/// Contract 1 where labels keep arriving after the embedder has trained:
+/// on a graph whose labels drift, the batches after every kill point
+/// carry tokens the first batch never showed, so the resumed session
+/// types them with the rows — and the out-of-vocabulary vectors — of the
+/// model the checkpoint carried, under exact and under sketched
+/// accumulators.
+#[test]
+fn kill_after_any_batch_resumes_the_embedder_in_both_accumulator_modes() {
+    let batches = pg_store::split_batches(&drifting_graph(21), 5, 21 ^ BATCH_SPLIT_SALT);
+    let trained = label_tokens(&batches[0]);
+    for (i, b) in batches.iter().enumerate().skip(1) {
+        let late = (label_tokens(b).iter())
+            .filter(|t| !trained.contains(t))
+            .count();
+        assert!(late > 0, "batch {i} brings no label the first lacked");
+    }
+
+    for stream in [false, true] {
+        let mut cfg = quick_config(LshMethod::Elsh, 21, 1);
+        cfg.stream = stream.then(StreamConfig::default);
+        for kill_after in 1..batches.len() {
+            assert_kill_and_resume_is_bit_identical(&batches, &cfg, kill_after)
+                .unwrap_or_else(|e| panic!("stream={stream}, kill after {kill_after}: {e:?}"));
         }
-        let full = full.finish();
-
-        // The crashing run: checkpoint each batch, then drop the
-        // session (simulated kill — memory state is gone, only the
-        // durable checkpoints survive).
-        let tmp = TempDir::new("resume");
-        let store = CheckpointStore::open(&tmp.0).unwrap();
-        {
-            let mut session = HiveSession::new(cfg.clone());
-            for b in &batches[..kill_after] {
-                session.process_graph_batch(b);
-                store.save(&session.checkpoint()).unwrap();
-            }
-        } // <- kill
-
-        let outcome = store.resume().unwrap();
-        prop_assert!(outcome.skipped.is_empty());
-        let ckpt = outcome.checkpoint.expect("a checkpoint was saved");
-        prop_assert_eq!(ckpt.batches_processed, kill_after);
-        let mut resumed = HiveSession::restore(cfg, ckpt).unwrap();
-        for b in &batches[kill_after..] {
-            resumed.process_graph_batch(b);
-        }
-        let resumed = resumed.finish();
-
-        prop_assert_eq!(&resumed.schema, &full.schema);
-        prop_assert_eq!(sorted_node_assignment(&resumed), sorted_node_assignment(&full));
-        prop_assert_eq!(sorted_edge_assignment(&resumed), sorted_edge_assignment(&full));
     }
 }
 

@@ -8,6 +8,9 @@
 //! merging from it must land on the schema hash recorded beside it in
 //! `hashes.txt` — durable state and the coordinator↔shard exchange are
 //! recovery data, so an in-memory redesign must not move a byte of them.
+//! A checkpoint written since carries one more field, the embedder's
+//! rows; the format stays v1 because a reader of either age reads a file
+//! of the other.
 
 use pg_hive::checkpoint::{decode, encode};
 use pg_hive::{
@@ -119,10 +122,15 @@ fn checkpoint_round_trips_and_resumes(name: &str, stream: bool) {
         "{name} re-encodes differently"
     );
     assert_eq!(ckpt.batches_processed, CHECKPOINT_AFTER);
+    // A v1 writer retrained its embedder every batch and kept none of it:
+    // the restored session trains at its next batch.
+    assert!(ckpt.embedder.is_none());
 
     let mut session = HiveSession::restore(config(stream), ckpt).unwrap();
+    assert!(session.checkpoint().embedder.is_none());
     for b in &batches()[CHECKPOINT_AFTER..] {
         session.process_graph_batch(b);
+        assert!(session.checkpoint().embedder.is_some());
     }
     assert_eq!(
         content_hash_hex(&session.finish().schema),

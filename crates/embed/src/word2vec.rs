@@ -171,6 +171,38 @@ impl Word2Vec {
         }
     }
 
+    /// What a checkpoint keeps of the model: its tokens in row order and
+    /// their embeddings, row-major `tokens × dim`.
+    pub fn rows(&self) -> (Vec<&str>, &[f64]) {
+        let mut tokens = vec![""; self.index.len()];
+        for (token, &row) in &self.index {
+            tokens[row] = token;
+        }
+        (tokens, &self.vectors)
+    }
+
+    /// The model whose [`Word2Vec::rows`] these are, trained under `cfg`
+    /// (the step counters restart at zero); `None` unless `vectors` is
+    /// `tokens × cfg.dim` and no token repeats.
+    pub fn from_rows(
+        cfg: &Word2VecConfig,
+        tokens: Vec<String>,
+        vectors: Vec<f64>,
+    ) -> Option<Word2Vec> {
+        let cells = tokens.len().checked_mul(cfg.dim)?;
+        let index: HashMap<String, usize> = tokens.into_iter().zip(0..).collect();
+        (cfg.dim > 0 && index.len() * cfg.dim == cells && vectors.len() == cells).then_some(
+            Word2Vec {
+                dim: cfg.dim,
+                steps: 0,
+                kinds: 0,
+                index,
+                vectors,
+                oov_seed: cfg.seed,
+            },
+        )
+    }
+
     /// SGNS steps training ran: `epochs × min(pairs, 64 × kinds)`, so a
     /// corpus that repeats few pair kinds many times trains no longer than
     /// one that holds each kind 64 times.

@@ -139,21 +139,12 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
 /// pass). The baselines have no incremental mode and see the graph whole.
 pub fn run_cell_batched(spec: &CellSpec, batches: usize) -> CellResult {
     let (graph, gt) = prepare_graph(spec);
-    run_method(spec.method, &graph, &gt, spec.seed, batches)
+    run_method_on(spec.method, &graph, &gt, spec.seed, batches)
 }
 
-/// Run a method on an already-prepared graph (used by Figure 6's sweep
-/// which reuses one graph across many parameter settings).
+/// Run a method on an already-prepared graph, PG-HIVE reading it as
+/// `batches` random batches (see [`run_cell_batched`]).
 pub fn run_method_on(
-    method: Method,
-    graph: &PropertyGraph,
-    gt: &pg_datasets::GroundTruth,
-    seed: u64,
-) -> CellResult {
-    run_method(method, graph, gt, seed, 1)
-}
-
-fn run_method(
     method: Method,
     graph: &PropertyGraph,
     gt: &pg_datasets::GroundTruth,

@@ -131,15 +131,12 @@ fn rss_mb() -> f64 {
 
 /// The sketched streaming configuration under test. Hashed embeddings
 /// keep featurization training-free; post-processing runs once at
-/// `finish()` (the streaming deployment shape); memoization and dedup
-/// are on — in stream mode both are backed by the bounded
-/// fingerprint store.
+/// `finish()` (the streaming deployment shape).
 fn stream_config(seed: u64) -> HiveConfig {
     HiveConfig {
         embedding: EmbeddingKind::Hashed { dim: 32 },
         post_processing: false,
         datatype_sampling: Some(Default::default()),
-        memoize: true,
         stream: Some(StreamConfig::default()),
         ..HiveConfig::default()
     }
@@ -231,10 +228,9 @@ fn main() {
             first_round = (rss, checkpoint_bytes);
         }
         eprintln!(
-            "   round {r:3}  {:>9} elements  rss {rss:7.1} MiB  accum {:>8} B  fp {:>5}  ckpt {:>8} B  {:.1}s",
+            "   round {r:3}  {:>9} elements  rss {rss:7.1} MiB  accum {:>8} B  ckpt {:>8} B  {:.1}s",
             elements_total,
             mem.accum_bytes,
-            mem.fingerprint_entries,
             checkpoint_bytes,
             t0.elapsed().as_secs_f64(),
         );
@@ -243,7 +239,6 @@ fn main() {
             ("elements_total", num(elements_total)),
             ("rss_mb", float(rss)),
             ("accum_bytes", num(mem.accum_bytes)),
-            ("fingerprint_entries", num(mem.fingerprint_entries)),
             ("checkpoint_bytes", num(checkpoint_bytes)),
             ("round_secs", float(t0.elapsed().as_secs_f64())),
         ]));

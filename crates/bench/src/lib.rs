@@ -5,8 +5,6 @@
 //!
 //! * `fig5_runtime` — execution time until type discovery per dataset ×
 //!   noise × method (Figure 5).
-//! * `fig7_incremental` — per-batch incremental processing time
-//!   (Figure 7).
 //! * `fig8_datatypes` — full-scan vs sampled data-type inference cost.
 //! * `lsh_micro` — ELSH/MinHash signature and clustering throughput.
 //! * `embed_ablation` — Word2Vec vs hashed label embeddings.

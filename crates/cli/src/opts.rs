@@ -81,9 +81,6 @@ Commands:
               session and checkpoint size are independent of stream
               length; cardinalities and sampled datatypes become
               estimates within documented error bounds)
-
-Exit codes: 0 ok, 1 failure, 2 usage, 3 bad input data, 4 bad session
-state (corrupt checkpoints, crash during batch processing).
   validate  --schema <json> (--nodes <csv> --edges <csv> | --jsonl <file>)
             [--mode strict|loose]
   diff      --old <schema.json> --new <schema.json>
@@ -130,6 +127,9 @@ state (corrupt checkpoints, crash during batch processing).
              merges pessimistically: one-sided keys demote to OPTIONAL
              and declared cardinalities fold as maxima. Inputs must be
              all one kind)
+
+Exit codes: 0 ok, 1 failure, 2 usage, 3 bad input data, 4 bad session
+state (corrupt checkpoints, crash during batch processing).
 ";
 
 /// Where to read a graph from.

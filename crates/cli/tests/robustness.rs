@@ -383,6 +383,74 @@ fn keep_one_survives_crash_and_corrupt_newest() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Format migration through the CLI: `tests/fixtures/ckpt_v1` is the
+/// emergency checkpoint a v1-writing build left after batch 2 of 4 over
+/// the graph beside it. `--resume` reads it, finishes on the
+/// uninterrupted run's bytes and saves v2 from then on; with both v2
+/// files torn, the next `--resume` falls back across the version
+/// boundary to the v1 file and still finishes on the same bytes.
+#[test]
+fn resume_from_a_v1_directory_saves_v2_and_falls_back_to_v1() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v1");
+    let jsonl = fixtures.join("graph.jsonl");
+    let dir = tmpdir("v1resume");
+    let ckpt_dir = dir.join("ckpt");
+    fs::create_dir_all(&ckpt_dir).unwrap();
+    let v1 = "ckpt-00000002.pghive";
+    fs::copy(fixtures.join(v1), ckpt_dir.join(v1)).unwrap();
+
+    let discover = |extra: &[&str], out: &str| {
+        let out = dir.join(out);
+        let mut args = vec![
+            "discover",
+            "--jsonl",
+            jsonl.to_str().unwrap(),
+            "--batches",
+            "4",
+        ];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(&["--format", "json", "--out", out.to_str().unwrap()]);
+        let text = run(&parse(&argv(&args)).unwrap()).unwrap();
+        (text, fs::read_to_string(out).unwrap())
+    };
+    let (_, full) = discover(&[], "full.json");
+    let resume = [
+        "--checkpoint-dir",
+        ckpt_dir.to_str().unwrap(),
+        "--checkpoint-every",
+        "1",
+        "--resume",
+    ];
+    let version_of = |name: &str| {
+        let bytes = fs::read(ckpt_dir.join(name)).unwrap();
+        String::from_utf8_lossy(&bytes[..14]).into_owned()
+    };
+
+    let (text, resumed) = discover(&resume, "resumed.json");
+    assert!(text.contains("at batch 2/4"), "{text}");
+    assert_eq!(full, resumed, "v1 resume differs from uninterrupted");
+    assert_eq!(version_of(v1), "PGHIVE-CKPT v1");
+    let written = ["ckpt-00000003.pghive", "ckpt-00000004.pghive"];
+    for name in written {
+        assert_eq!(version_of(name), "PGHIVE-CKPT v2", "{name}");
+        let bytes = fs::read(ckpt_dir.join(name)).unwrap();
+        fs::write(ckpt_dir.join(name), &bytes[..bytes.len() / 2]).unwrap();
+    }
+
+    let (text, resumed) = discover(&resume, "fallback.json");
+    assert_eq!(
+        text.matches("skipped corrupt checkpoint").count(),
+        2,
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!("resumed from {}", ckpt_dir.join(v1).display())),
+        "{text}"
+    );
+    assert_eq!(full, resumed, "fallback to v1 differs from uninterrupted");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// `--resume` from a directory holding only corrupt checkpoint files is
 /// a state error (exit code 4) naming every file it tried — NOT a
 /// silent fresh start, which would quietly recompute and mask the loss.

@@ -7,10 +7,10 @@
 //! stream consumer actually needs:
 //!
 //! * **Versioned envelope** — every file starts with a one-line ASCII
-//!   header `PGHIVE-CKPT v1 len=<n> crc32=<hex>` followed by the JSON
+//!   header `PGHIVE-CKPT v2 len=<n> crc32=<hex>` followed by the JSON
 //!   payload. The length catches truncation, the CRC-32 catches bit
 //!   rot (CRC-32 detects *all* single-bit errors), and the version
-//!   gates format evolution.
+//!   gates format evolution: this build writes v2 and reads v1 and v2.
 //! * **Atomic writes** — payloads are written to a temp file in the
 //!   same directory, fsynced, then renamed over the final name; the
 //!   directory is fsynced afterwards. A crash mid-write leaves at
@@ -35,8 +35,17 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Current envelope format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// The envelope format version this build writes.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// The oldest envelope version this build reads. A v1 payload is a v2
+/// payload plus the five fields of the pattern memo a session once
+/// carried (`node_cache`, `edge_cache`, `cache_hits`, `node_fps`,
+/// `edge_fps`); the decoder skips them like any field it does not know,
+/// so the session resumes from the schema, accumulators and embedder
+/// rows alone. A v1-only reader needs those fields, hence the bump: it
+/// refuses a v2 file by version instead of failing on a missing field.
+const OLDEST_READABLE_VERSION: u32 = 1;
 
 const MAGIC: &str = "PGHIVE-CKPT";
 const FILE_SUFFIX: &str = ".pghive";
@@ -263,9 +272,10 @@ pub fn decode(bytes: &[u8]) -> Result<SessionCheckpoint, CheckpointError> {
         .strip_prefix('v')
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| corrupt(format!("malformed version {version:?}")))?;
-    if version != FORMAT_VERSION {
+    if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(corrupt(format!(
-            "unsupported format version {version} (this build reads v{FORMAT_VERSION})"
+            "unsupported format version {version} (this build reads \
+             v{OLDEST_READABLE_VERSION}–v{FORMAT_VERSION})"
         )));
     }
     let expected_len: usize = len
@@ -531,7 +541,7 @@ mod tests {
         let bytes = encode(&small_checkpoint()).unwrap();
         let header: Vec<u8> = bytes.iter().copied().take_while(|&b| b != b'\n').collect();
         let header = String::from_utf8(header).unwrap();
-        assert!(header.starts_with("PGHIVE-CKPT v1 len="), "{header}");
+        assert!(header.starts_with("PGHIVE-CKPT v2 len="), "{header}");
         assert!(header.contains("crc32="), "{header}");
     }
 
@@ -574,12 +584,21 @@ mod tests {
     fn future_versions_are_refused_not_misread() {
         let bytes = encode(&small_checkpoint()).unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        let bumped = text.replacen("PGHIVE-CKPT v1 ", "PGHIVE-CKPT v2 ", 1);
-        let err = decode(bumped.as_bytes()).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported format version"),
-            "{err}"
-        );
+        // The same refusal a v1-only build gives a v2 file ("unsupported
+        // format version 2 (this build reads v1)"; `schema_identity.sh`
+        // drives that build).
+        for (other, refusal) in [
+            (
+                0u64,
+                "unsupported format version 0 (this build reads v1–v2)",
+            ),
+            (3, "unsupported format version 3 (this build reads v1–v2)"),
+            (1 << 32, "malformed version \"v4294967296\""),
+        ] {
+            let bumped = text.replacen("PGHIVE-CKPT v2 ", &format!("PGHIVE-CKPT v{other} "), 1);
+            let err = decode(bumped.as_bytes()).unwrap_err().to_string();
+            assert!(err.ends_with(refusal), "v{other}: {err}");
+        }
     }
 
     #[test]

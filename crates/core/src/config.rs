@@ -101,11 +101,10 @@ impl Default for DatatypeSampling {
     }
 }
 
-/// Streaming-mode knobs: sketch sizes and fingerprint-store bounds for
-/// the bounded-memory session (see [`crate::sketch`] and DESIGN.md
-/// §3i). All sketches are seeded from the pipeline seed, so two
-/// sessions with the same config and input produce bit-identical
-/// sketch state.
+/// Streaming-mode knobs: the sketch sizes of the bounded-memory
+/// session (see [`crate::sketch`] and DESIGN.md §3i). All sketches
+/// are seeded from the pipeline seed, so two sessions with the same
+/// config and input produce bit-identical sketch state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// KMV sketch size `k` for distinct counts (members, endpoint
@@ -115,13 +114,6 @@ pub struct StreamConfig {
     /// Bottom-`k` value-sample size per property for sampled data-type
     /// inference.
     pub sample_k: usize,
-    /// Fingerprint-store capacity bounding the memoization caches:
-    /// at most this many node patterns and this many edge patterns are
-    /// retained, with lowest-frequency eviction beyond it.
-    pub fingerprint_capacity: usize,
-    /// Pinned (type-defining) fingerprints seen at least this often are
-    /// never evicted.
-    pub frequency_floor: u64,
 }
 
 impl Default for StreamConfig {
@@ -129,8 +121,6 @@ impl Default for StreamConfig {
         StreamConfig {
             distinct_k: 1024,
             sample_k: 256,
-            fingerprint_capacity: 4096,
-            frequency_floor: 16,
         }
     }
 }
@@ -165,14 +155,6 @@ pub struct HiveConfig {
     /// distinct (e.g. the two `ConnectsTo` types of the connectome
     /// datasets). Disable for the label-only ablation.
     pub edge_endpoint_aware: bool,
-    /// DiscoPG-style pattern memoization for the incremental session:
-    /// elements whose exact pattern (labels + property keys, plus
-    /// endpoint labels for edges) was already assigned to a type in a
-    /// previous batch bypass featurization, LSH, and merging entirely —
-    /// "memorization to avoid unnecessary search for types that have
-    /// already been found" (§2). Off by default to match the paper's
-    /// PG-HIVE; the `fig7_incremental` bench measures the speedup.
-    pub memoize: bool,
     /// Worker threads for the parallel hot path (featurization, LSH
     /// signatures, cluster assembly). `0` means "use the available
     /// parallelism" (rayon's default, overridable via
@@ -185,10 +167,9 @@ pub struct HiveConfig {
     pub seed: u64,
     /// Bounded-memory streaming mode: `Some` swaps the per-type
     /// accumulators onto mergeable sketches (KMV distinct counts for
-    /// cardinalities, bottom-k value samples for data types) and bounds
-    /// the memoization caches with a frequency-aware fingerprint store,
-    /// making session memory and checkpoint size independent of stream
-    /// length. `None` (the default) keeps the exact accumulators.
+    /// cardinalities, bottom-k value samples for data types), making
+    /// session memory and checkpoint size independent of stream length.
+    /// `None` (the default) keeps the exact accumulators.
     pub stream: Option<StreamConfig>,
 }
 
@@ -204,7 +185,6 @@ impl Default for HiveConfig {
             post_processing: true,
             datatype_sampling: None,
             edge_endpoint_aware: true,
-            memoize: false,
             threads: 0,
             seed: 42,
             stream: None,
@@ -296,8 +276,6 @@ mod tests {
         let s = c.stream.expect("stream mode set");
         assert_eq!(s.distinct_k, 1024);
         assert_eq!(s.sample_k, 256);
-        assert_eq!(s.fingerprint_capacity, 4096);
-        assert_eq!(s.frequency_floor, 16);
     }
 
     #[test]

@@ -325,7 +325,7 @@ impl TypeIndex {
 /// Integrate one kind's clusters into the state (Algorithm 2).
 ///
 /// Returns, for each input cluster (same order), the id of the type it
-/// merged into or became — the hook the memoization cache uses.
+/// merged into or became — what stream mode's value sampling follows.
 pub fn integrate<C: Cluster>(
     state: &mut DiscoveryState,
     clusters: Vec<C>,

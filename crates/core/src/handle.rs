@@ -499,8 +499,8 @@ impl SharedSession {
         self.lock().broken.clone()
     }
 
-    /// Estimated engine-side memory (accumulators + memoization
-    /// stores), for the server's per-session `/metrics` gauges.
+    /// Estimated engine-side memory (the accumulators), for the
+    /// server's per-session `/metrics` gauge.
     pub fn memory_stats(&self) -> crate::incremental::SessionMemoryStats {
         self.lock().session.memory_stats()
     }

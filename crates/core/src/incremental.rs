@@ -8,20 +8,18 @@
 
 use crate::checkpoint::EmbedderRows;
 use crate::cluster::{cluster_records, DedupStats, EdgeCluster, NodeCluster};
-use crate::config::{HiveConfig, StreamConfig};
+use crate::config::HiveConfig;
 use crate::constraints::infer_property_constraints;
 use crate::datatypes::infer_datatypes;
 use crate::extract::{integrate, Cluster, MergeOptions};
 use crate::features::{Embedder, FeatureSpace};
 use crate::merge::sorted_accums;
 use crate::pipeline::DiscoveryResult;
-use crate::sketch::FingerprintStore;
 use crate::state::{DiscoveryState, Kind, Membership, Record, TypeAccum};
 use pg_lsh::AdaptiveParams;
-use pg_model::{SchemaGraph, SchemaType, TypeId};
+use pg_model::SchemaGraph;
 use pg_store::{EdgeRecord, GraphBatch, NodeRecord};
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Wall-clock breakdown of one processed batch (Figure 7's data points).
@@ -39,8 +37,8 @@ pub struct BatchTiming {
     /// Edges in the batch.
     pub edges: usize,
     /// Structural-fingerprint dedup of the node clustering pass
-    /// (`records` = nodes that reached the hot path after memoization,
-    /// `distinct` = fingerprints actually featurized/hashed).
+    /// (`records` = nodes in the batch, `distinct` = fingerprints
+    /// actually featurized/hashed).
     pub node_dedup: DedupStats,
     /// Dedup of the edge clustering pass.
     pub edge_dedup: DedupStats,
@@ -128,22 +126,12 @@ pub struct SessionCheckpoint {
     pub node_accums: Vec<(pg_model::TypeId, crate::state::NodeTypeAccum)>,
     /// Edge accumulators.
     pub edge_accums: Vec<(pg_model::TypeId, crate::state::EdgeTypeAccum)>,
-    /// Node memoization cache.
-    pub node_cache: Vec<(NodePatternKey, pg_model::TypeId)>,
-    /// Edge memoization cache.
-    pub edge_cache: Vec<(EdgePatternKey, pg_model::TypeId)>,
-    /// Cache hits so far.
-    pub cache_hits: u64,
     /// Batches processed before the checkpoint.
     pub batches_processed: usize,
     /// Accumulator mode the checkpoint was written under. `None` in
     /// checkpoints from before streaming mode existed — those were
     /// always exact.
     pub mode: Option<AccumMode>,
-    /// Bounded node-pattern memoization store (stream mode only).
-    pub node_fps: Option<crate::sketch::FingerprintStore<NodePatternKey, pg_model::TypeId>>,
-    /// Bounded edge-pattern memoization store (stream mode only).
-    pub edge_fps: Option<crate::sketch::FingerprintStore<EdgePatternKey, pg_model::TypeId>>,
     /// The rows of the session's trained label embedder, so that a
     /// resumed session embeds every token seen so far to the bits the
     /// interrupted one did. Absent — not `null` — where there is none:
@@ -162,173 +150,15 @@ impl SessionCheckpoint {
     }
 }
 
-/// Pattern key for node memoization: (labels, property keys).
-type NodePatternKey = (
-    pg_model::LabelSet,
-    std::collections::BTreeSet<pg_model::Symbol>,
-);
-/// Pattern key for edge memoization: (labels, keys, src labels, tgt labels).
-type EdgePatternKey = (
-    pg_model::LabelSet,
-    std::collections::BTreeSet<pg_model::Symbol>,
-    pg_model::LabelSet,
-    pg_model::LabelSet,
-);
-
-/// What memoization needs of a [`Record`] beyond the trait: its exact
-/// pattern, the memo's key.
-trait Memoized: Record {
-    /// The memoization key.
-    type Pattern: Ord + Clone + Hash;
-    /// The record's exact pattern.
-    fn pattern(&self) -> Self::Pattern;
-}
-
-impl Memoized for NodeRecord {
-    type Pattern = NodePatternKey;
-    fn pattern(&self) -> NodePatternKey {
-        (self.labels.clone(), self.key_set())
-    }
-}
-
-impl Memoized for EdgeRecord {
-    type Pattern = EdgePatternKey;
-    fn pattern(&self) -> EdgePatternKey {
-        (
-            self.edge.labels.clone(),
-            self.edge.key_set(),
-            self.src_labels.clone(),
-            self.tgt_labels.clone(),
-        )
-    }
-}
-
-/// The bounded pattern → type-id store of stream mode.
-type PatternStore<P> = FingerprintStore<P, TypeId>;
-
-/// One kind's memoization cache (DiscoPG-style): exact pattern → the
-/// type it was assigned.
-enum Memo<P: Ord> {
-    /// An unbounded map (batch and incremental default).
-    Exact(HashMap<P, TypeId>),
-    /// Stream mode: a bounded store with frequency-aware eviction, so a
-    /// drifting pattern universe cannot grow the cache without bound —
-    /// plus the types whose first (type-defining) pattern is pinned in
-    /// it, rebuilt from the store on restore.
-    Bounded(PatternStore<P>, HashSet<TypeId>),
-}
-
-impl<P: Ord + Clone + Hash> Memo<P> {
-    fn new(stream: Option<&StreamConfig>) -> Memo<P> {
-        match stream {
-            Some(s) => Memo::Bounded(
-                FingerprintStore::new(s.fingerprint_capacity, s.frequency_floor),
-                HashSet::new(),
-            ),
-            None => Memo::Exact(HashMap::new()),
-        }
-    }
-
-    /// The type recorded for `key`. A bounded lookup also bumps the
-    /// frequency that ranks eviction.
-    fn lookup(&mut self, key: &P) -> Option<TypeId> {
-        match self {
-            Memo::Exact(map) => map.get(key).copied(),
-            Memo::Bounded(store, _) => store.touch(key).copied(),
-        }
-    }
-
-    fn record(&mut self, key: P, tid: TypeId) {
-        match self {
-            Memo::Exact(map) => {
-                map.insert(key, tid);
-            }
-            // Pin the first pattern recorded for each type, so churn can
-            // never evict the pattern that anchors an established type.
-            Memo::Bounded(store, pinned) => {
-                let pin = pinned.insert(tid);
-                store.record(key, tid, pin);
-            }
-        }
-    }
-
-    /// `(entries, estimated bytes)`.
-    fn size(&self) -> (usize, usize) {
-        match self {
-            Memo::Exact(map) => (map.len(), map.len() * 128),
-            Memo::Bounded(store, _) => (store.len(), store.estimated_bytes()),
-        }
-    }
-
-    /// The two checkpoint fields a memo is stored as.
-    fn to_checkpoint(&self) -> (Vec<(P, TypeId)>, Option<PatternStore<P>>) {
-        match self {
-            Memo::Exact(map) => (map.iter().map(|(k, v)| (k.clone(), *v)).collect(), None),
-            Memo::Bounded(store, _) => (Vec::new(), Some(store.clone())),
-        }
-    }
-
-    fn restore(&mut self, cache: Vec<(P, TypeId)>, store: Option<PatternStore<P>>) {
-        match (self, store) {
-            (Memo::Exact(map), _) => map.extend(cache),
-            (Memo::Bounded(mine, pinned), Some(store)) => {
-                *pinned = store
-                    .iter()
-                    .filter(|(_, e)| e.pinned)
-                    .map(|(_, e)| e.value)
-                    .collect();
-                *mine = store;
-            }
-            (Memo::Bounded(..), None) => {}
-        }
-    }
-}
-
-/// Serve every record whose exact pattern has already been typed
-/// straight from the memo — fold it into that type's accumulator and
-/// bump the instance count — and return the rest.
-fn serve_memoized<R: Memoized>(
-    memo: &mut Memo<R::Pattern>,
+/// Algorithm 2 for one kind's clusters, then — in stream mode — the
+/// per-record follow-up that needs the assignment: the value samples.
+fn extract_kind<R: Record, C: Cluster<Record = R, Kind = R::Kind>>(
     state: &mut DiscoveryState,
-    records: &[R],
-    hits: &mut u64,
-) -> Vec<R> {
-    let (types, accums) = R::Kind::split(state);
-    // Type id → position (the first, should ids repeat), once per call:
-    // a hit must not cost a scan of every type.
-    let mut positions = HashMap::with_capacity(types.len());
-    for (pos, t) in types.iter().enumerate() {
-        positions.entry(t.id()).or_insert(pos);
-    }
-    let mut novel = Vec::new();
-    for rec in records {
-        let Some(tid) = memo.lookup(&rec.pattern()) else {
-            novel.push(rec.clone());
-            continue;
-        };
-        *hits += 1;
-        accums
-            .get_mut(&tid)
-            .expect("cached type exists")
-            .observe(rec.instance());
-        if let Some(&pos) = positions.get(&tid) {
-            *types[pos].instance_count_mut() += 1;
-        }
-    }
-    novel
-}
-
-/// Algorithm 2 for one kind's clusters, then the per-record follow-up
-/// that needs the assignment: memo entries, and in stream mode the
-/// value samples.
-fn extract_kind<R: Memoized, C: Cluster<Record = R, Kind = R::Kind>>(
-    state: &mut DiscoveryState,
-    mut memo: Option<&mut Memo<R::Pattern>>,
     records: &[R],
     clusters: Vec<C>,
     opts: MergeOptions,
 ) {
-    if opts.stream.is_none() && memo.is_none() {
+    if opts.stream.is_none() {
         integrate(state, clusters, opts);
         return;
     }
@@ -339,27 +169,21 @@ fn extract_kind<R: Memoized, C: Cluster<Record = R, Kind = R::Kind>>(
     let assignment = integrate(state, clusters, opts);
     let by_id: HashMap<_, &R> = records.iter().map(|r| (r.instance().id(), r)).collect();
     let accums = R::Kind::split(state).1;
-    for (members, &tid) in members.iter().zip(&assignment) {
+    for (members, tid) in members.iter().zip(&assignment) {
         // Sketched accumulators sample property *values* for data-type
         // inference, but cluster accumulators are exact and values are
         // gone by integration time — so feed each record's values into
         // its assigned type's sketch here. (Member ids were already
         // absorbed by the merge.)
-        let mut sketch = match accums.get_mut(&tid) {
-            Some(TypeAccum {
-                membership: Membership::Sketched(sk),
-                ..
-            }) if opts.stream.is_some() => Some(sk),
-            _ => None,
+        let Some(TypeAccum {
+            membership: Membership::Sketched(sk),
+            ..
+        }) = accums.get_mut(tid)
+        else {
+            continue;
         };
         for id in members {
-            let rec = by_id[id];
-            if let Some(sk) = &mut sketch {
-                sk.observe_values(rec.instance().props());
-            }
-            if let Some(memo) = &mut memo {
-                memo.record(rec.pattern(), tid);
-            }
+            sk.observe_values(by_id[id].instance().props());
         }
     }
 }
@@ -373,11 +197,6 @@ pub struct SessionMemoryStats {
     /// sketches). Grows O(records) in exact mode; bounded in stream
     /// mode.
     pub accum_bytes: usize,
-    /// Entries across the memoization stores: the bounded fingerprint
-    /// stores in stream mode, the exact pattern maps otherwise.
-    pub fingerprint_entries: usize,
-    /// Estimated bytes of those stores.
-    pub fingerprint_bytes: usize,
 }
 
 /// An incremental schema-discovery session.
@@ -395,9 +214,6 @@ pub struct HiveSession {
     timings: Vec<BatchTiming>,
     node_params: Option<AdaptiveParams>,
     edge_params: Option<AdaptiveParams>,
-    node_memo: Memo<NodePatternKey>,
-    edge_memo: Memo<EdgePatternKey>,
-    cache_hits: u64,
     /// Cross-batch incremental degree state for cardinality inference:
     /// per-batch post-processing folds in only the endpoint pairs
     /// appended since the last pass instead of rescanning every edge
@@ -414,8 +230,6 @@ impl HiveSession {
     /// Start a session with an empty schema (`S_G ← ∅`).
     pub fn new(config: HiveConfig) -> HiveSession {
         HiveSession {
-            node_memo: Memo::new(config.stream.as_ref()),
-            edge_memo: Memo::new(config.stream.as_ref()),
             embedder: Embedder::for_session(&config),
             config,
             state: DiscoveryState::new(),
@@ -423,7 +237,6 @@ impl HiveSession {
             timings: Vec::new(),
             node_params: None,
             edge_params: None,
-            cache_hits: 0,
             card_cache: crate::cardinality::CardCache::default(),
             pool: None,
         }
@@ -436,11 +249,6 @@ impl HiveSession {
         } else {
             AccumMode::Exact
         }
-    }
-
-    /// Number of elements served from the memoization cache so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
     }
 
     /// Total batches applied to this session's state, including batches
@@ -480,24 +288,6 @@ impl HiveSession {
         let start = Instant::now();
         let batch_index = self.batches_processed();
         let batch_seed = self.config.seed.wrapping_add(batch_index as u64 * 0x9e37);
-        let (batch_nodes, batch_edges) = (nodes.len(), edges.len());
-
-        // Memoization (DiscoPG-style): elements whose exact pattern has
-        // already been typed bypass the pipeline entirely. Only that
-        // filter needs owned records — with memoization off the batch
-        // slices are used as-is (cloning a million-record batch costs
-        // whole seconds of page faults).
-        let owned = self.config.memoize.then(|| {
-            let (state, hits) = (&mut self.state, &mut self.cache_hits);
-            (
-                serve_memoized(&mut self.node_memo, state, nodes, hits),
-                serve_memoized(&mut self.edge_memo, state, edges, hits),
-            )
-        });
-        let (nodes, edges) = match &owned {
-            Some((n, e)) => (n.as_slice(), e.as_slice()),
-            None => (nodes, edges),
-        };
 
         // The parallel hot path runs under a thread pool sized by the
         // `threads` knob (0 = available parallelism, 1 = the exact
@@ -527,8 +317,8 @@ impl HiveSession {
         let timing = BatchTiming {
             batch_index,
             threads,
-            nodes: batch_nodes,
-            edges: batch_edges,
+            nodes: nodes.len(),
+            edges: edges.len(),
             node_dedup: hot.node_dedup,
             edge_dedup: hot.edge_dedup,
             preprocess: hot.preprocess,
@@ -576,11 +366,8 @@ impl HiveSession {
         // Extract + merge into the running schema.
         let t2 = Instant::now();
         let opts = MergeOptions::from_config(&self.config);
-        let memoize = self.config.memoize;
-        let node_memo = memoize.then_some(&mut self.node_memo);
-        extract_kind(&mut self.state, node_memo, nodes, node_clusters, opts);
-        let edge_memo = memoize.then_some(&mut self.edge_memo);
-        extract_kind(&mut self.state, edge_memo, edges, edge_clusters, opts);
+        extract_kind(&mut self.state, nodes, node_clusters, opts);
+        extract_kind(&mut self.state, edges, edge_clusters, opts);
         let extract = t2.elapsed();
         HotPathOutcome {
             preprocess,
@@ -601,10 +388,9 @@ impl HiveSession {
     /// session-side half of distributed discovery (§4.6). The foreign
     /// types re-enter Algorithm 2 as clusters against the live state
     /// under this session's alignment knobs; existing type ids are never
-    /// renumbered, so the memoization caches stay valid. Post-processing
-    /// then re-derives constraints, data types, and cardinalities from
-    /// the merged accumulators (when the config enables it), exactly as
-    /// after an ingested batch.
+    /// renumbered. Post-processing then re-derives constraints, data
+    /// types, and cardinalities from the merged accumulators (when the
+    /// config enables it), exactly as after an ingested batch.
     pub fn merge_state(&mut self, foreign: &DiscoveryState) {
         crate::merge::fold_states(&mut self.state, std::slice::from_ref(foreign), &self.config);
         // A fold may rebuild or rekey edge accumulators, which breaks
@@ -628,23 +414,16 @@ impl HiveSession {
     }
 
     /// Serialize the entire session state (schema, accumulators,
-    /// memoization caches) into a checkpoint that can be persisted and
+    /// embedder rows) into a checkpoint that can be persisted and
     /// restored later — streaming deployments survive restarts without
     /// reprocessing history.
     pub fn checkpoint(&self) -> SessionCheckpoint {
-        let (node_cache, node_fps) = self.node_memo.to_checkpoint();
-        let (edge_cache, edge_fps) = self.edge_memo.to_checkpoint();
         SessionCheckpoint {
             schema: self.state.schema.clone(),
             node_accums: sorted_accums(&self.state.node_accums),
             edge_accums: sorted_accums(&self.state.edge_accums),
-            node_cache,
-            edge_cache,
-            cache_hits: self.cache_hits,
             batches_processed: self.batches_processed(),
             mode: Some(self.accum_mode()),
-            node_fps,
-            edge_fps,
             embedder: self.embedder.rows(),
         }
     }
@@ -674,13 +453,6 @@ impl HiveSession {
         session.state.schema = checkpoint.schema;
         session.state.node_accums = checkpoint.node_accums.into_iter().collect();
         session.state.edge_accums = checkpoint.edge_accums.into_iter().collect();
-        session
-            .node_memo
-            .restore(checkpoint.node_cache, checkpoint.node_fps);
-        session
-            .edge_memo
-            .restore(checkpoint.edge_cache, checkpoint.edge_fps);
-        session.cache_hits = checkpoint.cache_hits;
         if let Some(rows) = checkpoint.embedder {
             session.embedder.restore(rows);
         }
@@ -690,12 +462,8 @@ impl HiveSession {
     /// Estimated memory retained by the session's long-lived state —
     /// the numbers behind the server's per-session `/metrics` gauges.
     pub fn memory_stats(&self) -> SessionMemoryStats {
-        let ((node_entries, node_bytes), (edge_entries, edge_bytes)) =
-            (self.node_memo.size(), self.edge_memo.size());
         SessionMemoryStats {
             accum_bytes: self.state.estimated_accum_bytes(),
-            fingerprint_entries: node_entries + edge_entries,
-            fingerprint_bytes: node_bytes + edge_bytes,
         }
     }
 
@@ -810,7 +578,7 @@ mod tests {
             assert!(t.total >= t.extract);
             assert!(t.post.is_none(), "post_processing disabled");
             // The dataset has two node structures and one edge
-            // structure total; no memoization, so records = batch size.
+            // structure total, and every record reaches clustering.
             assert_eq!(t.node_dedup.records, t.nodes);
             assert_eq!(t.edge_dedup.records, t.edges);
             assert!((1..=2).contains(&t.node_dedup.distinct));
@@ -842,82 +610,10 @@ mod tests {
     }
 
     #[test]
-    fn memoized_session_matches_unmemoized_results() {
-        let g = dataset(50);
-        let batches = split_batches(&g, 5, 13);
-
-        let mut plain = HiveSession::new(quick_config());
-        let mut memo_cfg = quick_config();
-        memo_cfg.memoize = true;
-        let mut memoized = HiveSession::new(memo_cfg);
-        for b in &batches {
-            plain.process_graph_batch(b);
-            memoized.process_graph_batch(b);
-        }
-        assert!(memoized.cache_hits() > 0, "cache never hit");
-        let (a, b) = (plain.finish(), memoized.finish());
-
-        // Same types (by labels) and same instance counts per type.
-        let summary = |r: &crate::pipeline::DiscoveryResult| {
-            let mut v: Vec<(String, u64)> = r
-                .schema
-                .node_types
-                .iter()
-                .map(|t| (t.labels.to_string(), r.state.node_accums[&t.id].count))
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(summary(&a), summary(&b));
-        let edge_total = |r: &crate::pipeline::DiscoveryResult| -> u64 {
-            r.state.edge_accums.values().map(|acc| acc.count).sum()
-        };
-        assert_eq!(edge_total(&a), edge_total(&b));
-        // Every element is assigned exactly once in the memoized run.
-        assert_eq!(b.node_assignment().len(), g.node_count());
-        assert_eq!(b.edge_assignment().len(), g.edge_count());
-    }
-
-    #[test]
-    fn memoized_second_pass_is_all_hits() {
-        let g = dataset(30);
-        let (nodes, edges) = pg_store::load(&g);
-        let mut cfg = quick_config();
-        cfg.memoize = true;
-        let mut session = HiveSession::new(cfg);
-        session.process_batch(&nodes, &edges);
-        assert_eq!(session.cache_hits(), 0, "first pass sees only novelty");
-        let before_types = session.schema().type_count();
-        // Re-streaming identical structure: everything memoized. (Ids
-        // repeat, which is fine — accums simply accumulate.)
-        session.process_batch(&nodes, &edges);
-        assert_eq!(
-            session.cache_hits() as usize,
-            nodes.len() + edges.len(),
-            "second pass should be served entirely from the cache"
-        );
-        assert_eq!(session.schema().type_count(), before_types);
-        // A hit lands on its own type: instance counts follow the
-        // accumulators, and both doubled.
-        let state = session.state();
-        for t in &state.schema.node_types {
-            assert_eq!(t.instance_count, state.node_accums[&t.id].count);
-        }
-        for t in &state.schema.edge_types {
-            assert_eq!(t.instance_count, state.edge_accums[&t.id].count);
-        }
-        let counted: u64 = (state.schema.node_types.iter().map(|t| t.instance_count))
-            .chain(state.schema.edge_types.iter().map(|t| t.instance_count))
-            .sum();
-        assert_eq!(counted as usize, 2 * (nodes.len() + edges.len()));
-    }
-
-    #[test]
     fn checkpoint_restore_round_trips_through_json() {
         let g = dataset(40);
         let batches = split_batches(&g, 4, 2);
-        let mut cfg = quick_config();
-        cfg.memoize = true;
+        let cfg = quick_config();
 
         // Process half, checkpoint, serialize to JSON, restore, process
         // the rest — must equal an uninterrupted session.

@@ -88,7 +88,7 @@ pub use pipeline::{DiscoveryResult, PgHive};
 pub use serialize::{
     canonical_form, content_hash, content_hash_hex, SchemaHistory, SchemaMode, SchemaVersion,
 };
-pub use sketch::{DistinctSketch, FingerprintStore, FpEntry, ValueSample, SKETCH_SALT};
+pub use sketch::{DistinctSketch, ValueSample, SKETCH_SALT};
 pub use state::{
     DiscoveryState, DtypeHist, EdgeTypeAccum, EndpointSketch, Kind, Membership, NodeTypeAccum,
     Record, Sketch, SketchParams, TypeAccum,

@@ -269,11 +269,10 @@ pub fn discover_sharded(
 }
 
 /// Fold `foreign` states into a live `state` *without* renumbering:
-/// existing type ids survive (so a session's memoization caches stay
-/// valid) and every foreign type re-enters Algorithm 2 as a cluster, in
-/// a canonical input order — integration decisions depend only on the
-/// multiset of foreign types, never on the order or grouping of the
-/// list. Post-processing is the caller's job.
+/// existing type ids survive and every foreign type re-enters
+/// Algorithm 2 as a cluster, in a canonical input order — integration
+/// decisions depend only on the multiset of foreign types, never on the
+/// order or grouping of the list. Post-processing is the caller's job.
 pub(crate) fn fold_states(
     state: &mut DiscoveryState,
     foreign: &[DiscoveryState],

@@ -7,7 +7,7 @@
 //! [`crate::merge`] and arrive at the same bits regardless of batch
 //! arrival order, shard order, or reduction-tree shape.
 //!
-//! Three summaries, one shared primitive:
+//! Two summaries, one shared primitive:
 //!
 //! - [`DistinctSketch`] — a KMV (k-minimum-values) distinct counter.
 //!   Keeps the `k` smallest seeded hashes of the inserted items; below
@@ -17,11 +17,6 @@
 //!   values (stored as value-hash + observed [`DataType`]), used for
 //!   sampled data-type inference over a true value sample instead of
 //!   the full value universe.
-//! - [`FingerprintStore`] — a bounded frequency-aware map for pattern
-//!   fingerprints with deterministic lowest-frequency eviction, so a
-//!   drifting key universe cannot grow the memoization state without
-//!   bound. Pinned entries at or above the frequency floor are never
-//!   evicted.
 //!
 //! Bottom-`k` over a seeded hash is the load-bearing trick: the kept
 //! set is a deterministic function of the *set* of inserted items
@@ -31,8 +26,6 @@
 
 use pg_model::{DataType, PropertyValue, Symbol};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::hash::Hash;
 
 /// Salt mixed into the pipeline seed to derive sketch seeds, so sketch
 /// hashing never correlates with the LSH or batch-split streams.
@@ -337,242 +330,6 @@ impl ValueSample {
     }
 }
 
-/// One entry of a [`FingerprintStore`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FpEntry<V> {
-    /// The stored payload (e.g. the type id a pattern resolved to).
-    pub value: V,
-    /// Observation frequency. Merged by **max** (not sum) so merging a
-    /// store with itself is a no-op — idempotence over accuracy: the
-    /// frequency only ranks eviction candidates, it is never reported
-    /// as a count.
-    pub freq: u64,
-    /// Pinned entries at or above the frequency floor are exempt from
-    /// eviction (the type-defining fingerprints of the running schema).
-    pub pinned: bool,
-}
-
-/// A bounded, frequency-aware fingerprint map with deterministic
-/// eviction, for pattern universes that drift over an unbounded stream.
-///
-/// Inserting past `capacity` evicts the lowest-frequency entries
-/// (key-order tie-break, so eviction is a pure function of the entry
-/// set). Entries that are `pinned` **and** have `freq >=
-/// frequency_floor` are never evicted — a mandatory-key fingerprint
-/// seen above the floor survives any churn (pinned by proptest).
-///
-/// Merge is union with per-entry `max(freq)` / `or(pinned)`, followed
-/// by the same deterministic eviction: commutative and idempotent by
-/// construction, and associative whenever the union fits the capacity
-/// (the proptest regime); above capacity, eviction keeps the result a
-/// deterministic function of the operand union.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FingerprintStore<K: Ord, V> {
-    capacity: usize,
-    frequency_floor: u64,
-    entries: BTreeMap<K, FpEntry<V>>,
-}
-
-impl<K: Ord + Clone + Hash, V: Clone> FingerprintStore<K, V> {
-    /// Empty store. `capacity` is clamped to at least 1.
-    pub fn new(capacity: usize, frequency_floor: u64) -> FingerprintStore<K, V> {
-        FingerprintStore {
-            capacity: capacity.max(1),
-            frequency_floor,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// Number of stored fingerprints.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured frequency floor.
-    pub fn frequency_floor(&self) -> u64 {
-        self.frequency_floor
-    }
-
-    /// Look up a fingerprint and bump its frequency.
-    pub fn touch(&mut self, key: &K) -> Option<&V> {
-        self.entries.get_mut(key).map(|e| {
-            e.freq = e.freq.saturating_add(1);
-            &e.value
-        })
-    }
-
-    /// Look up without bumping.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.entries.get(key).map(|e| &e.value)
-    }
-
-    /// Frequency of a fingerprint (0 when absent).
-    pub fn freq(&self, key: &K) -> u64 {
-        self.entries.get(key).map(|e| e.freq).unwrap_or(0)
-    }
-
-    /// True when the entry exists and is pinned.
-    pub fn is_pinned(&self, key: &K) -> bool {
-        self.entries.get(key).map(|e| e.pinned).unwrap_or(false)
-    }
-
-    /// Record a fingerprint: insert with frequency 1 or bump the
-    /// existing frequency; `pinned` is sticky once set. Returns the
-    /// keys evicted to stay within capacity (never the recorded key's
-    /// own insert unless everything else is protected and it ranks
-    /// lowest).
-    pub fn record(&mut self, key: K, value: V, pinned: bool) -> Vec<K> {
-        let e = self.entries.entry(key).or_insert(FpEntry {
-            value,
-            freq: 0,
-            pinned: false,
-        });
-        e.freq = e.freq.saturating_add(1);
-        e.pinned |= pinned;
-        self.evict_to_capacity()
-    }
-
-    /// Merge another store: union, `max` frequencies, `or` pins, then
-    /// deterministic eviction. On a key collision the present value
-    /// wins (stores being merged must agree on payloads for the merge
-    /// laws to be meaningful).
-    pub fn merge(&mut self, other: &FingerprintStore<K, V>) -> Vec<K> {
-        debug_assert_eq!(self.capacity, other.capacity);
-        debug_assert_eq!(self.frequency_floor, other.frequency_floor);
-        for (k, oe) in &other.entries {
-            match self.entries.get_mut(k) {
-                Some(e) => {
-                    e.freq = e.freq.max(oe.freq);
-                    e.pinned |= oe.pinned;
-                }
-                None => {
-                    self.entries.insert(k.clone(), oe.clone());
-                }
-            }
-        }
-        self.evict_to_capacity()
-    }
-
-    /// Iterate entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &FpEntry<V>)> {
-        self.entries.iter()
-    }
-
-    /// Evict lowest-frequency unprotected entries until within
-    /// capacity. Ties break in key order (BTreeMap iteration order +
-    /// stable sort), so the survivor set is a deterministic function of
-    /// the entry set.
-    fn evict_to_capacity(&mut self) -> Vec<K> {
-        if self.entries.len() <= self.capacity {
-            return Vec::new();
-        }
-        let excess = self.entries.len() - self.capacity;
-        let mut candidates: Vec<(u64, K)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| !(e.pinned && e.freq >= self.frequency_floor))
-            .map(|(k, e)| (e.freq, k.clone()))
-            .collect();
-        candidates.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let victims: Vec<K> = candidates
-            .into_iter()
-            .take(excess)
-            .map(|(_, k)| k)
-            .collect();
-        for k in &victims {
-            self.entries.remove(k);
-        }
-        victims
-    }
-
-    /// Rough retained-bytes estimate for the memory gauges (keys are
-    /// charged a flat constant; exact key sizes are not recoverable
-    /// generically).
-    pub fn estimated_bytes(&self) -> usize {
-        self.entries.len() * (std::mem::size_of::<FpEntry<V>>() + 64) + std::mem::size_of::<Self>()
-    }
-}
-
-// The vendored serde derive does not expand on generic containers, so
-// the store's checkpoint encoding is written by hand: an object with
-// the two bounds and a key-ordered `[key, value, freq, pinned]` entry
-// list (deterministic because BTreeMap iterates in key order).
-impl<K: Ord + Serialize, V: Serialize> Serialize for FingerprintStore<K, V> {
-    fn to_value(&self) -> serde::Value {
-        let entries: Vec<serde::Value> = self
-            .entries
-            .iter()
-            .map(|(k, e)| {
-                serde::Value::Array(vec![
-                    k.to_value(),
-                    e.value.to_value(),
-                    serde::Value::U64(e.freq),
-                    serde::Value::Bool(e.pinned),
-                ])
-            })
-            .collect();
-        serde::Value::Object(vec![
-            (
-                "capacity".to_string(),
-                serde::Value::U64(self.capacity as u64),
-            ),
-            (
-                "frequency_floor".to_string(),
-                serde::Value::U64(self.frequency_floor),
-            ),
-            ("entries".to_string(), serde::Value::Array(entries)),
-        ])
-    }
-}
-
-impl<K: Ord + Deserialize, V: Deserialize> Deserialize for FingerprintStore<K, V> {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for FingerprintStore"))?;
-        let capacity = usize::from_value(serde::field(obj, "capacity"))
-            .map_err(|e| serde::Error::context("FingerprintStore.capacity", e))?;
-        let frequency_floor = u64::from_value(serde::field(obj, "frequency_floor"))
-            .map_err(|e| serde::Error::context("FingerprintStore.frequency_floor", e))?;
-        let raw = serde::field(obj, "entries")
-            .as_array()
-            .ok_or_else(|| serde::Error::custom("expected array for FingerprintStore.entries"))?;
-        let mut entries = BTreeMap::new();
-        for item in raw {
-            let parts = item
-                .as_array()
-                .filter(|p| p.len() == 4)
-                .ok_or_else(|| serde::Error::custom("malformed FingerprintStore entry"))?;
-            let key = K::from_value(&parts[0])
-                .map_err(|e| serde::Error::context("FingerprintStore entry key", e))?;
-            let entry = FpEntry {
-                value: V::from_value(&parts[1])
-                    .map_err(|e| serde::Error::context("FingerprintStore entry value", e))?,
-                freq: u64::from_value(&parts[2])
-                    .map_err(|e| serde::Error::context("FingerprintStore entry freq", e))?,
-                pinned: bool::from_value(&parts[3])
-                    .map_err(|e| serde::Error::context("FingerprintStore entry pinned", e))?,
-            };
-            entries.insert(key, entry);
-        }
-        Ok(FingerprintStore {
-            capacity: capacity.max(1),
-            frequency_floor,
-            entries,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,74 +428,5 @@ mod tests {
         );
         // Deterministic across calls.
         assert_eq!(value_fingerprint(5, &a, &v), value_fingerprint(5, &a, &v));
-    }
-
-    #[test]
-    fn fingerprint_store_bounds_and_evicts_lowest_freq() {
-        let mut fs: FingerprintStore<u64, u64> = FingerprintStore::new(4, 3);
-        for k in 0..4u64 {
-            // Frequencies 1, 2, 3, 4.
-            for _ in 0..=k {
-                fs.record(k, k * 10, false);
-            }
-        }
-        assert_eq!(fs.len(), 4);
-        let evicted = fs.record(99, 990, false);
-        assert_eq!(fs.len(), 4);
-        assert_eq!(evicted, vec![0], "lowest-frequency entry evicted");
-        assert!(fs.get(&0).is_none());
-        assert_eq!(fs.get(&99), Some(&990));
-    }
-
-    #[test]
-    fn pinned_above_floor_survives_churn() {
-        let mut fs: FingerprintStore<u64, u64> = FingerprintStore::new(8, 2);
-        // Pinned entry observed above the floor.
-        fs.record(7, 70, true);
-        fs.record(7, 70, true);
-        assert!(fs.freq(&7) >= fs.frequency_floor());
-        // Churn far past capacity with higher-frequency entries.
-        for k in 100..200u64 {
-            for _ in 0..5 {
-                fs.record(k, k, false);
-            }
-        }
-        assert_eq!(fs.len(), 8);
-        assert_eq!(fs.get(&7), Some(&70), "pinned entry survived");
-    }
-
-    #[test]
-    fn pinned_below_floor_is_still_evictable() {
-        let mut fs: FingerprintStore<u64, u64> = FingerprintStore::new(2, 10);
-        fs.record(1, 1, true); // pinned but freq 1 < floor 10
-        for k in 2..10u64 {
-            for _ in 0..5 {
-                fs.record(k, k, false);
-            }
-        }
-        assert!(fs.get(&1).is_none(), "below the floor the pin is advisory");
-    }
-
-    #[test]
-    fn store_merge_is_union_max() {
-        let mut a: FingerprintStore<u64, u64> = FingerprintStore::new(16, 2);
-        let mut b: FingerprintStore<u64, u64> = FingerprintStore::new(16, 2);
-        for _ in 0..3 {
-            a.record(1, 10, false);
-        }
-        for _ in 0..5 {
-            b.record(1, 10, true);
-        }
-        b.record(2, 20, false);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "commutative");
-        assert_eq!(ab.freq(&1), 5, "max, not sum");
-        assert!(ab.is_pinned(&1), "pin is sticky");
-        let mut aa = a.clone();
-        aa.merge(&a);
-        assert_eq!(aa, a, "idempotent");
     }
 }

@@ -1,0 +1,298 @@
+//! Hostile bytes for the checkpoint decoder: a structure-aware mutation
+//! battery over `checkpoint::decode`.
+//!
+//! The envelope tests (truncation, bit flips, trailing garbage, torn
+//! writes) stop at the checksum, which an attacker — or a bug in a
+//! writer — recomputes. Here every mutant carries a correct `len=` and
+//! `crc32=`, so it reaches the JSON layer and the typed decode behind it.
+//! Seeds are the tracked v1 and v2 fixtures plus a v1 payload as the last
+//! v1 writer produced it (embedder rows, empty memo); mutations drop,
+//! duplicate and retype fields anywhere in the tree, damage the embedder's
+//! hex string, swap the accumulator mode and restamp the version.
+//!
+//! Contract: never a panic; the outcome is `CheckpointError::Corrupt` or
+//! a checkpoint that re-encodes and decodes to itself; decoding allocates
+//! in proportion to the bytes it was handed and returns promptly.
+
+use pg_hive::checkpoint::{crc32, decode, encode, CheckpointError};
+use proptest::prelude::*;
+use serde::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
+
+thread_local! {
+    /// Bytes this thread has asked the allocator for.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread what is requested of it (the
+/// test harness runs tests on parallel threads).
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with
+// no destructor and allocates nothing itself.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = REQUESTED.try_with(|c| c.set(c.get() + layout.size()));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = REQUESTED.try_with(|c| c.set(c.get() + new_size));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn fixture(path: &str) -> Vec<u8> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(path);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `(version, payload)` of a valid envelope.
+fn open(envelope: &[u8]) -> (u64, Value) {
+    let newline = envelope.iter().position(|&b| b == b'\n').unwrap();
+    let header = std::str::from_utf8(&envelope[..newline]).unwrap();
+    let version = header.split_whitespace().nth(1).unwrap()[1..]
+        .parse()
+        .unwrap();
+    let payload = std::str::from_utf8(&envelope[newline + 1..]).unwrap();
+    (version, serde_json::from_str(payload).unwrap())
+}
+
+/// An envelope around `payload` with a true length and checksum.
+fn seal(version: u64, payload: &str) -> Vec<u8> {
+    let mut out = format!(
+        "PGHIVE-CKPT v{version} len={} crc32={:08x}\n",
+        payload.len(),
+        crc32(payload.as_bytes())
+    )
+    .into_bytes();
+    out.extend_from_slice(payload.as_bytes());
+    out
+}
+
+/// The seed payloads: v1 with memo content and no embedder (exact and
+/// stream), v1 with an embedder and an empty memo, v2 (exact and stream).
+fn seeds() -> Vec<(u64, Value)> {
+    let v2_exact = open(&fixture("wire_v2/exact.ckpt"));
+    let Value::Object(mut fields) = v2_exact.1.clone() else {
+        panic!("checkpoint payload is an object")
+    };
+    assert!(fields.iter().any(|(k, _)| k == "embedder"));
+    fields.extend([
+        ("node_cache".to_owned(), Value::Array(vec![])),
+        ("edge_cache".to_owned(), Value::Array(vec![])),
+        ("cache_hits".to_owned(), Value::U64(0)),
+        ("node_fps".to_owned(), Value::Null),
+        ("edge_fps".to_owned(), Value::Null),
+    ]);
+    vec![
+        open(&fixture("wire_v1/exact.ckpt")),
+        open(&fixture("wire_v1/stream.ckpt")),
+        (1, Value::Object(fields)),
+        v2_exact,
+        open(&fixture("wire_v2/stream.ckpt")),
+    ]
+}
+
+fn count_objects(v: &Value) -> usize {
+    match v {
+        Value::Object(fields) => 1 + fields.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
+        Value::Array(items) => items.iter().map(count_objects).sum(),
+        _ => 0,
+    }
+}
+
+/// The fields of the `n`-th object in depth-first order.
+fn nth_object<'a>(v: &'a mut Value, n: &mut usize) -> Option<&'a mut Vec<(String, Value)>> {
+    match v {
+        Value::Object(fields) => {
+            if *n == 0 {
+                return Some(fields);
+            }
+            *n -= 1;
+            fields.iter_mut().find_map(|(_, v)| nth_object(v, n))
+        }
+        Value::Array(items) => items.iter_mut().find_map(|v| nth_object(v, n)),
+        _ => None,
+    }
+}
+
+fn field_mut<'a>(v: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+    match v {
+        Value::Object(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// A value of some other type, or at an edge of its own.
+fn replacement(pick: u64) -> Value {
+    match pick % 12 {
+        0 => Value::Null,
+        1 => Value::Bool(true),
+        2 => Value::U64(0),
+        3 => Value::I64(-1),
+        4 => Value::U64(u64::MAX),
+        5 => Value::F64(1e308),
+        6 => Value::F64(-0.0),
+        7 => Value::Str(String::new()),
+        8 => Value::Str("Sketch".to_owned()),
+        9 => Value::Array(vec![]),
+        10 => Value::Array(vec![Value::Array(vec![Value::Null]), Value::U64(7)]),
+        _ => Value::Object(vec![("k".to_owned(), Value::U64(1))]),
+    }
+}
+
+/// Apply one mutation to `payload` (or to `version`). `a` and `b` choose
+/// where and what.
+fn mutate(version: &mut u64, payload: &mut Value, kind: u8, a: u64, b: u64) {
+    let objects = count_objects(payload);
+    let mut nth = (a % objects as u64) as usize;
+    match kind {
+        // Drop, duplicate or retype one field of one object.
+        0..=2 => {
+            let fields = nth_object(payload, &mut nth).expect("counted");
+            if fields.is_empty() {
+                return;
+            }
+            let at = (b % fields.len() as u64) as usize;
+            match kind {
+                0 => {
+                    fields.remove(at);
+                }
+                1 => {
+                    let mut copy = fields[at].clone();
+                    if b & (1 << 40) != 0 {
+                        copy.1 = replacement(b >> 41);
+                    }
+                    // Before or after the original: `serde::field` takes
+                    // the first match.
+                    let to = if b & (1 << 39) != 0 { 0 } else { fields.len() };
+                    fields.insert(to, copy);
+                }
+                _ => fields[at].1 = replacement(b >> 32),
+            }
+        }
+        // Damage the embedder's hex string.
+        3 => {
+            let Some(Value::Str(hex)) =
+                field_mut(payload, "embedder").and_then(|e| field_mut(e, "vectors"))
+            else {
+                return;
+            };
+            let cut = (b % (hex.len() as u64 + 1)) as usize;
+            match a % 5 {
+                0 => hex.truncate(cut),
+                1 => hex.truncate(cut | 1),
+                2 => hex.insert(cut, 'g'),
+                3 => hex.insert(cut / 16 * 16, '+'),
+                _ => hex.clear(),
+            }
+        }
+        // Swap the accumulator mode.
+        4 => {
+            if let Some(mode) = field_mut(payload, "mode") {
+                *mode = match (a % 3, &*mode) {
+                    (0, _) => Value::Str("Bogus".to_owned()),
+                    (_, Value::Str(m)) if m == "Exact" => Value::Str("Sketch".to_owned()),
+                    _ => Value::Str("Exact".to_owned()),
+                };
+            }
+        }
+        // Restamp the version.
+        _ => *version = [0, 1, 2, 3, 1 << 32][(a % 5) as usize],
+    }
+}
+
+/// Decode under the battery's contract; `Ok(true)` if the bytes were
+/// accepted.
+fn check(envelope: &[u8]) -> Result<bool, TestCaseError> {
+    let (before, started) = (REQUESTED.with(Cell::get), Instant::now());
+    let outcome = decode(envelope);
+    let (requested, elapsed) = (REQUESTED.with(Cell::get) - before, started.elapsed());
+    // A value tree costs tens of bytes per input byte at worst (`[0,0,…`);
+    // what must not happen is a size taken from the input on trust.
+    prop_assert!(
+        requested <= 256 * envelope.len() + (64 << 10),
+        "decode asked for {requested} bytes on {} bytes of input",
+        envelope.len()
+    );
+    prop_assert!(elapsed < Duration::from_secs(2), "decode took {elapsed:?}");
+    match outcome {
+        Err(CheckpointError::Corrupt { .. }) => Ok(false),
+        Err(other) => Err(TestCaseError::Fail(format!("untyped failure: {other}"))),
+        Ok(ckpt) => {
+            let again = encode(&ckpt).expect("an accepted checkpoint encodes");
+            let back = decode(&again)
+                .map_err(|e| TestCaseError::Fail(format!("re-encoded form refused: {e}")))?;
+            prop_assert_eq!(encode(&back).expect("encodes"), again);
+            Ok(true)
+        }
+    }
+}
+
+#[test]
+fn every_seed_is_accepted_unmutated() {
+    for (version, payload) in seeds() {
+        let text = serde_json::to_string(&payload).unwrap();
+        assert!(
+            check(&seal(version, &text)).unwrap(),
+            "v{version} seed refused"
+        );
+        // Either version's payload under the other's stamp is still a
+        // checkpoint: the five memo fields are skipped wherever they are.
+        assert!(check(&seal(3 - version, &text)).unwrap());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn mutants_are_refused_or_round_trip(
+        steps in prop::collection::vec((0u8..6, any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        thread_local! {
+            static SEEDS: Vec<(u64, Value)> = seeds();
+        }
+        for (mut version, mut payload) in SEEDS.with(Clone::clone) {
+            for &(kind, a, b) in &steps {
+                mutate(&mut version, &mut payload, kind, a, b);
+            }
+            let text = serde_json::to_string(&payload).unwrap();
+            let accepted = check(&seal(version, &text))?;
+            prop_assert!(
+                !accepted || (1..=2).contains(&version),
+                "accepted under version {version}"
+            );
+        }
+    }
+}
+
+/// A payload nested past any stack, under a true checksum: refused by
+/// the JSON layer's depth cap, not followed.
+#[test]
+fn nesting_bomb_is_refused() {
+    let bomb = format!("{{\"schema\":{}", "[".repeat(500_000));
+    assert!(!check(&seal(2, &bomb)).unwrap());
+}
+
+/// A length field far beyond the bytes present is a truncation report,
+/// not an allocation.
+#[test]
+fn declared_length_is_not_trusted() {
+    let lie = format!("PGHIVE-CKPT v2 len={} crc32=00000000\n{{}}", u64::MAX);
+    assert!(!check(lie.as_bytes()).unwrap());
+}

@@ -7,10 +7,10 @@
 //!    disk, process the remaining batches, and the final schema — and
 //!    every instance assignment, and every row of the label embedder —
 //!    is bit-identical to the uninterrupted run. Holds at `threads = 1`
-//!    and `threads = N`, with and without memoization, with exact and
-//!    with sketched accumulators, because batch numbering (and therefore
-//!    per-batch seeds) continues across the restore and the checkpoint
-//!    carries the embedder's rows bit for bit.
+//!    and `threads = N`, with exact and with sketched accumulators,
+//!    because batch numbering (and therefore per-batch seeds) continues
+//!    across the restore and the checkpoint carries the embedder's rows
+//!    bit for bit.
 //!
 //! 2. **Corruption is always detected** — an envelope truncated at any
 //!    byte offset, or with any single bit flipped anywhere, never
@@ -139,13 +139,11 @@ proptest! {
         k in 3usize..6,
         kill_after in 1usize..3,
         threads in prop::sample::select(vec![1usize, 4]),
-        memoize in prop::bool::ANY,
     ) {
         let kill_after = kill_after.min(k - 1); // always leave work to resume
         let graph = case_graph(dataset, seed, 0.0, 1.0);
         let batches = pg_store::split_batches(&graph, k, seed ^ BATCH_SPLIT_SALT);
-        let mut cfg = quick_config(LshMethod::Elsh, seed, threads);
-        cfg.memoize = memoize;
+        let cfg = quick_config(LshMethod::Elsh, seed, threads);
         assert_kill_and_resume_is_bit_identical(&batches, &cfg, kill_after)?;
     }
 }

@@ -11,9 +11,6 @@
 //!   change an estimate.
 //! * **Estimator contract** — exact below saturation; within the
 //!   documented `O(1/√k)` relative error above it.
-//! * **Eviction safety** — a [`FingerprintStore`] never evicts a pinned
-//!   entry at or above the frequency floor, no matter the churn, and
-//!   eviction is a deterministic function of the entry set.
 //! * **Accumulator merge law** — a [`TypeAccum`] (node or edge) merges
 //!   to the same value whatever the operand order, reduction-tree shape,
 //!   or mix of exact and sketched operands; any sketched operand makes
@@ -25,9 +22,8 @@
 //!   never be resumed across accumulator modes.
 
 use pg_hive::{
-    content_hash_hex, merge_states, AccumMode, DistinctSketch, FingerprintStore, HiveConfig,
-    HiveSession, Kind, ModeMismatch, SessionCheckpoint, SketchParams, StreamConfig, TypeAccum,
-    ValueSample,
+    content_hash_hex, merge_states, AccumMode, DistinctSketch, HiveConfig, HiveSession, Kind,
+    ModeMismatch, SessionCheckpoint, SketchParams, StreamConfig, TypeAccum, ValueSample,
 };
 use pg_model::{DataType, Edge, LabelSet, Node, NodeId, PropertyValue};
 use pg_store::split_batches;
@@ -288,62 +284,6 @@ proptest! {
         let all: Vec<(u64, bool)> = a.iter().chain(&b).copied().collect();
         prop_assert_eq!(&ab, &sample_from(16, seed, &all));
         prop_assert_eq!(ab.join(), sample_from(16, seed, &all).join());
-    }
-
-    /// A pinned fingerprint at or above the frequency floor survives
-    /// arbitrary churn past capacity.
-    #[test]
-    fn eviction_never_drops_pinned_above_floor(
-        churn in prop::collection::vec(any::<u32>(), 1..400),
-        floor in 1u64..8,
-    ) {
-        let capacity = 32;
-        let mut store: FingerprintStore<u64, u32> = FingerprintStore::new(capacity, floor);
-        // The protected entry: pinned, observed `floor` times.
-        let protected = u64::MAX; // worst key-order tie-break position
-        for _ in 0..floor {
-            store.record(protected, 7, true);
-        }
-        for (i, v) in churn.iter().enumerate() {
-            store.record(i as u64, *v, false);
-            prop_assert!(
-                store.get(&protected).is_some(),
-                "pinned-above-floor entry evicted after {} inserts",
-                i + 1
-            );
-        }
-        prop_assert!(store.len() <= capacity, "capacity bound violated");
-        prop_assert!(store.is_pinned(&protected));
-        prop_assert!(store.freq(&protected) >= floor);
-    }
-
-    /// Store merge: commutative and idempotent (max-freq / or-pinned),
-    /// with deterministic eviction.
-    #[test]
-    fn fingerprint_store_merge_laws(
-        a in prop::collection::vec((0u64..64, any::<bool>()), 0..60),
-        b in prop::collection::vec((0u64..64, any::<bool>()), 0..60),
-    ) {
-        let build = |items: &[(u64, bool)]| {
-            let mut s: FingerprintStore<u64, u64> = FingerprintStore::new(48, 4);
-            for &(k, pinned) in items {
-                s.record(k, k, pinned);
-            }
-            s
-        };
-        let (sa, sb) = (build(&a), build(&b));
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb.clone();
-        ba.merge(&sa);
-        let snapshot = |s: &FingerprintStore<u64, u64>| -> Vec<(u64, u64, u64, bool)> {
-            s.iter().map(|(k, e)| (*k, e.value, e.freq, e.pinned)).collect()
-        };
-        prop_assert_eq!(snapshot(&ab), snapshot(&ba));
-
-        let mut doubled = ab.clone();
-        doubled.merge(&ab);
-        prop_assert_eq!(snapshot(&doubled), snapshot(&ab));
     }
 }
 

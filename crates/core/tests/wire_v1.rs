@@ -1,16 +1,17 @@
-//! Wire-compatibility fixtures for the durable formats: the v1
-//! checkpoint envelope (`PGHIVE-CKPT v1`) in exact and stream mode, and
-//! the `--state-out` [`ShardState`] JSON.
+//! Wire-compatibility fixtures for the durable formats: the checkpoint
+//! envelope in exact and stream mode — `PGHIVE-CKPT v1`, which this
+//! build only reads, and `v2`, which it writes — and the `--state-out`
+//! [`ShardState`] JSON.
 //!
 //! The files under `tests/fixtures/wire_v1/` were written by the build
-//! that preceded the single-accumulator refactor (see `regenerate`).
-//! Each must decode and re-encode to the same bytes, and resuming or
-//! merging from it must land on the schema hash recorded beside it in
-//! `hashes.txt` — durable state and the coordinator↔shard exchange are
-//! recovery data, so an in-memory redesign must not move a byte of them.
-//! A checkpoint written since carries one more field, the embedder's
-//! rows; the format stays v1 because a reader of either age reads a file
-//! of the other.
+//! that preceded the single-accumulator refactor, by a session that
+//! still kept a pattern memo: they carry its five fields, which the
+//! reader skips. Each must still decode, resume and finish on the
+//! schema hash recorded beside it in `hashes.txt`. The files under
+//! `tests/fixtures/wire_v2/` (see `regenerate`) hold the byte-identity
+//! pin: decode → encode is the identity on them — durable state and the
+//! coordinator↔shard exchange are recovery data, so an in-memory
+//! redesign must not move a byte of them.
 
 use pg_hive::checkpoint::{decode, encode};
 use pg_hive::{
@@ -84,7 +85,6 @@ fn graph() -> PropertyGraph {
 
 fn config(stream: bool) -> HiveConfig {
     HiveConfig {
-        memoize: true,
         stream: stream.then(StreamConfig::default),
         ..HiveConfig::default()
     }
@@ -99,42 +99,65 @@ fn shards() -> Vec<GraphBatch> {
     split_batches(&graph(), 2, SEED ^ SHARD_SPLIT_SALT)
 }
 
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire_v1")
+fn fixture_dir(version: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(version)
 }
 
-fn recorded_hash(name: &str) -> String {
-    let text = std::fs::read_to_string(fixture_dir().join("hashes.txt")).unwrap();
+fn recorded_hash(version: &str, name: &str) -> String {
+    let text = std::fs::read_to_string(fixture_dir(version).join("hashes.txt")).unwrap();
     text.lines()
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ').map(str::to_owned))
         .unwrap_or_else(|| panic!("no recorded hash for {name}"))
 }
 
-/// Decode → encode is the identity on the file's bytes, and a session
-/// restored from the file finishes the remaining batches on the
-/// recorded hash.
+/// A session restored from the v1 file — its memo fields skipped —
+/// finishes the remaining batches on the recorded hash, and what it
+/// saves next is v2. The v2 file beside it decodes and re-encodes to
+/// the same bytes and resumes to the hash of the uninterrupted run.
 fn checkpoint_round_trips_and_resumes(name: &str, stream: bool) {
-    let bytes = std::fs::read(fixture_dir().join(name)).unwrap();
-    let ckpt = decode(&bytes).unwrap();
-    assert_eq!(
-        encode(&ckpt).unwrap(),
-        bytes,
-        "{name} re-encodes differently"
-    );
+    let v1 = std::fs::read(fixture_dir("wire_v1").join(name)).unwrap();
+    assert!(v1.starts_with(b"PGHIVE-CKPT v1 "));
+    let text = String::from_utf8(v1.clone()).unwrap();
+    let memo_field = if stream {
+        "\"node_fps\":{"
+    } else {
+        "\"node_cache\":[["
+    };
+    assert!(text.contains(memo_field), "{name} carries no memo content");
+    let ckpt = decode(&v1).unwrap();
     assert_eq!(ckpt.batches_processed, CHECKPOINT_AFTER);
     // A v1 writer retrained its embedder every batch and kept none of it:
     // the restored session trains at its next batch.
     assert!(ckpt.embedder.is_none());
-
     let mut session = HiveSession::restore(config(stream), ckpt).unwrap();
     assert!(session.checkpoint().embedder.is_none());
     for b in &batches()[CHECKPOINT_AFTER..] {
         session.process_graph_batch(b);
         assert!(session.checkpoint().embedder.is_some());
     }
+    assert!(encode(&session.checkpoint())
+        .unwrap()
+        .starts_with(b"PGHIVE-CKPT v2 "));
     assert_eq!(
         content_hash_hex(&session.finish().schema),
-        recorded_hash(name)
+        recorded_hash("wire_v1", name)
+    );
+
+    let v2 = std::fs::read(fixture_dir("wire_v2").join(name)).unwrap();
+    assert!(v2.starts_with(b"PGHIVE-CKPT v2 "));
+    let ckpt = decode(&v2).unwrap();
+    assert_eq!(encode(&ckpt).unwrap(), v2, "{name} re-encodes differently");
+    assert_eq!(ckpt.batches_processed, CHECKPOINT_AFTER);
+    assert!(ckpt.embedder.is_some());
+    let mut session = HiveSession::restore(config(stream), ckpt).unwrap();
+    for b in &batches()[CHECKPOINT_AFTER..] {
+        session.process_graph_batch(b);
+    }
+    assert_eq!(
+        content_hash_hex(&session.finish().schema),
+        recorded_hash("wire_v2", name)
     );
 }
 
@@ -151,7 +174,7 @@ fn stream_checkpoint_is_wire_stable() {
 #[test]
 fn shard_state_is_wire_stable() {
     let name = "shard_state.json";
-    let text = std::fs::read_to_string(fixture_dir().join(name)).unwrap();
+    let text = std::fs::read_to_string(fixture_dir("wire_v1").join(name)).unwrap();
     let shard0: ShardState = serde_json::from_str(&text).unwrap();
     assert!(!shard0.edge_accums.is_empty(), "fixture carries edges");
     assert_eq!(serde_json::to_string(&shard0).unwrap(), text);
@@ -160,17 +183,22 @@ fn shard_state_is_wire_stable() {
         .discover(&shards()[1].nodes, &shards()[1].edges)
         .state;
     let merged = merge_states(&[shard0.into_state(), shard1], &config(false)).unwrap();
-    assert_eq!(content_hash_hex(&merged.schema), recorded_hash(name));
+    assert_eq!(
+        content_hash_hex(&merged.schema),
+        recorded_hash("wire_v1", name)
+    );
 }
 
-/// How the fixtures were produced. Checkpoint pair lists are written in
-/// hash-map iteration order, so a rerun yields equivalent but not
-/// byte-equal files: regenerate only to add a fixture for a new format
-/// version, from the last build that wrote the old one.
+/// How the v2 fixtures were produced: the checkpoint of an
+/// uninterrupted session after `CHECKPOINT_AFTER` batches, and the hash
+/// it finishes on. Deterministic — a rerun writes the same bytes — so
+/// regenerate only to add a fixture for a new format version, from the
+/// last build that wrote the old one. (The v1 files cannot be rewritten:
+/// no build since writes v1. Their shard-state fixture is current.)
 #[test]
-#[ignore = "writes tests/fixtures/wire_v1; run by hand from the build whose wire format is being pinned"]
+#[ignore = "writes tests/fixtures/wire_v2; run by hand from the build whose wire format is being pinned"]
 fn regenerate() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("wire_v2");
     std::fs::create_dir_all(&dir).unwrap();
     let mut hashes = String::new();
     for (name, stream) in [("exact.ckpt", false), ("stream.ckpt", true)] {
@@ -184,24 +212,5 @@ fn regenerate() {
         let hash = content_hash_hex(&session.finish().schema);
         hashes.push_str(&format!("{name} {hash}\n"));
     }
-    let states: Vec<_> = shards()
-        .iter()
-        .map(|s| {
-            PgHive::new(config(false))
-                .discover(&s.nodes, &s.edges)
-                .state
-        })
-        .collect();
-    let shard0 = ShardState::from_state(&states[0]);
-    std::fs::write(
-        dir.join("shard_state.json"),
-        serde_json::to_string(&shard0).unwrap(),
-    )
-    .unwrap();
-    let merged = merge_states(&states, &config(false)).unwrap();
-    hashes.push_str(&format!(
-        "shard_state.json {}\n",
-        content_hash_hex(&merged.schema)
-    ));
     std::fs::write(dir.join("hashes.txt"), hashes).unwrap();
 }

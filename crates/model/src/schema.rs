@@ -268,8 +268,6 @@ pub trait SchemaType {
     fn properties(&self) -> &BTreeMap<Symbol, PropertySpec>;
     /// Mutable [`SchemaType::properties`].
     fn properties_mut(&mut self) -> &mut BTreeMap<Symbol, PropertySpec>;
-    /// Instances assigned during discovery.
-    fn instance_count_mut(&mut self) -> &mut u64;
     /// Union-merge `other` into `self` (Lemmas 1/2).
     fn absorb(&mut self, other: &Self);
     /// The cardinality constraint, for kinds that have one.
@@ -293,9 +291,6 @@ macro_rules! impl_schema_type {
             }
             fn properties_mut(&mut self) -> &mut BTreeMap<Symbol, PropertySpec> {
                 &mut self.properties
-            }
-            fn instance_count_mut(&mut self) -> &mut u64 {
-                &mut self.instance_count
             }
             fn absorb(&mut self, other: &Self) {
                 self.merge_from(other)

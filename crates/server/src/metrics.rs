@@ -50,10 +50,6 @@ pub struct SessionStats {
     /// statistics (bounded in stream mode; grows with distinct
     /// members/endpoints in exact mode).
     pub accum_bytes: u64,
-    /// Entries across the session's pattern-memoization stores (the
-    /// bounded fingerprint stores in stream mode, the exact caches
-    /// otherwise).
-    pub fingerprint_entries: u64,
 }
 
 /// The server-wide metrics sink.
@@ -393,20 +389,6 @@ impl Metrics {
                 ),
             );
         }
-        push(
-            &mut out,
-            "# HELP pg_serve_session_fingerprint_entries Entries in the session's pattern-memoization stores.\n\
-             # TYPE pg_serve_session_fingerprint_entries gauge\n",
-        );
-        for s in sessions {
-            push(
-                &mut out,
-                &format!(
-                    "pg_serve_session_fingerprint_entries{{session=\"{}\"}} {}\n",
-                    s.name, s.fingerprint_entries
-                ),
-            );
-        }
         out
     }
 }
@@ -432,7 +414,6 @@ mod tests {
             version: 4,
             broken: false,
             accum_bytes: 12_345,
-            fingerprint_entries: 17,
         }]);
         assert!(text.contains("pg_serve_connections_total 1"));
         assert!(text.contains("pg_serve_busy_rejections_total 1"));
@@ -450,7 +431,6 @@ mod tests {
         assert!(text.contains("pg_serve_session_batches_total{session=\"s1\"} 3"));
         assert!(text.contains("pg_serve_session_broken{session=\"s1\"} 0"));
         assert!(text.contains("pg_serve_session_accum_bytes{session=\"s1\"} 12345"));
-        assert!(text.contains("pg_serve_session_fingerprint_entries{session=\"s1\"} 17"));
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub struct SessionSpec {
     pub method: String,
     /// Worker threads for the engine (0 = available parallelism).
     pub threads: u64,
-    /// DiscoPG-style pattern memoization.
-    pub memoize: bool,
     /// Ingest error policy: `"strict"`, `"skip"`, or `"cap:N"`.
     pub on_error: String,
     /// Checkpoint every N applied batches (0 = only at shutdown).
@@ -62,7 +60,6 @@ impl Default for SessionSpec {
             theta: 0.9,
             method: LshMethod::Elsh.to_string(),
             threads: 0,
-            memoize: false,
             on_error: ErrorPolicy::Skip.to_string(),
             checkpoint_every: 8,
             history_retain: 64,
@@ -106,12 +103,6 @@ impl SessionSpec {
                 "theta" => spec.theta = as_f64(value).ok_or_else(fail)?,
                 "method" => spec.method = value.as_str().ok_or_else(fail)?.to_owned(),
                 "threads" => spec.threads = as_u64(value).ok_or_else(fail)?,
-                "memoize" => {
-                    spec.memoize = match value {
-                        serde::Value::Bool(b) => *b,
-                        _ => return Err(fail()),
-                    }
-                }
                 "on_error" => spec.on_error = value.as_str().ok_or_else(fail)?.to_owned(),
                 "checkpoint_every" => spec.checkpoint_every = as_u64(value).ok_or_else(fail)?,
                 "history_retain" => spec.history_retain = as_u64(value).ok_or_else(fail)?,
@@ -161,7 +152,6 @@ impl SessionSpec {
             // `validate` has refused every other spelling.
             method: self.method.parse().unwrap_or(LshMethod::Elsh),
             theta: self.theta,
-            memoize: self.memoize,
             threads: self.threads as usize,
             seed: self.seed,
             stream: self.is_stream().then(pg_hive::StreamConfig::default),
@@ -472,7 +462,6 @@ impl LiveSession {
             version,
             broken: self.handle.broken().is_some(),
             accum_bytes: mem.accum_bytes as u64,
-            fingerprint_entries: mem.fingerprint_entries as u64,
         }
     }
 
@@ -834,6 +823,13 @@ mod tests {
         assert!(SessionSpec::from_value(&bad, &spec())
             .unwrap_err()
             .contains("unknown field"));
+        // A field clients of older servers may still send is refused by
+        // name like any typo, not accepted and ignored.
+        let bad: serde::Value = serde_json::from_str(r#"{"memoize":true}"#).unwrap();
+        assert_eq!(
+            SessionSpec::from_value(&bad, &spec()).unwrap_err(),
+            r#"unknown field "memoize""#
+        );
         let bad: serde::Value = serde_json::from_str(r#"{"theta":3.0}"#).unwrap();
         assert!(SessionSpec::from_value(&bad, &spec())
             .unwrap_err()

@@ -291,6 +291,54 @@ fn graceful_stop_persists_and_restart_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `tests/fixtures/state_v1` is the state dir of a build that still had
+/// the pattern memo, stopped after three ingests into a session created
+/// with `{"name":"legacy","memoize":true}`: the sidecar's spec carries
+/// the key and the v1 checkpoint carries the memo's content. Neither
+/// stops the restart, which serves the ETag that build last served;
+/// what the session persists next is a v2 checkpoint and a spec without
+/// the key.
+#[test]
+fn state_dir_of_a_memoizing_v1_build_resumes_with_the_same_etag() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/state_v1");
+    let dir = scratch_dir("state-v1");
+    let session = dir.join("legacy");
+    std::fs::create_dir_all(session.join("ckpt")).unwrap();
+    for file in ["session.json", "ckpt/ckpt-00000004.pghive"] {
+        std::fs::copy(fixture.join("legacy").join(file), session.join(file)).unwrap();
+    }
+    let sidecar = std::fs::read_to_string(session.join("session.json")).unwrap();
+    assert!(sidecar.contains(r#""memoize":true"#));
+
+    let config = ServerConfig {
+        state_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start(config);
+    let mut client = server.client();
+    let resp = client.get("/sessions/legacy/schema").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.header("etag"), Some("\"json-v4-bd9b40284fc18f8b\""));
+    let summary = client.get("/sessions/legacy").unwrap().json().unwrap();
+    assert_eq!(summary.get("batches"), Some(&serde::Value::U64(3)));
+    assert!(summary.get("spec").unwrap().get("memoize").is_none());
+
+    let resp = client
+        .post(
+            "/sessions/legacy/ingest",
+            node_line(500, "Person0", r#""rank":{"Int":1}"#).as_bytes(),
+        )
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    drop(client);
+    assert!(server.stop().persist_failures.is_empty());
+    let newest = std::fs::read(session.join("ckpt/ckpt-00000005.pghive")).unwrap();
+    assert!(newest.starts_with(b"PGHIVE-CKPT v2 "));
+    let sidecar = std::fs::read_to_string(session.join("session.json")).unwrap();
+    assert!(!sidecar.contains("memoize"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn raw_post(path: &str, body: &str) -> Vec<u8> {
     format!(
         "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
@@ -378,7 +426,7 @@ fn stream_mode_session_is_bounded_and_observable() {
         .map(str::to_owned);
     assert_eq!(mode.as_deref(), Some("stream"));
 
-    // The memory gauges are present and live.
+    // The memory gauge is present and live.
     let metrics = client.get("/metrics").unwrap().text();
     let gauge = |name: &str| -> u64 {
         metrics
@@ -389,5 +437,4 @@ fn stream_mode_session_is_bounded_and_observable() {
             .unwrap_or_else(|| panic!("{name} gauge missing for session sk:\n{metrics}"))
     };
     assert!(gauge("pg_serve_session_accum_bytes") > 0);
-    let _ = gauge("pg_serve_session_fingerprint_entries");
 }

@@ -21,10 +21,7 @@ fn main() {
     // 1. Trusted snapshot → schema v1.
     let spec = spec_by_name("POLE").expect("catalog dataset").scaled(0.2);
     let (snapshot, _) = generate(&spec, 21);
-    let config = HiveConfig {
-        memoize: true,
-        ..HiveConfig::default()
-    };
+    let config = HiveConfig::default();
     let mut session = HiveSession::new(config.clone());
     let (nodes, edges) = load(&snapshot);
     session.process_batch(&nodes, &edges);
@@ -87,8 +84,8 @@ fn main() {
     let restored: SessionCheckpoint = serde_json::from_str(&json).unwrap();
     let resumed = HiveSession::restore(config, restored).expect("same accumulator mode");
     println!(
-        "restored session: {} types, {} cache hits so far",
+        "restored session: {} types after {} batches",
         resumed.schema().type_count(),
-        resumed.cache_hits()
+        resumed.batches_processed()
     );
 }

@@ -9,6 +9,7 @@
 # binaries; the `--format json` outputs are `cmp`ed. The two modes with
 # durable state run a second time crossed: the change binary resumes the
 # parent's checkpoint directory and merges the parent's shard states.
+# One more run goes the other way (see "Downgrade" below).
 # Prints one line per differing combination, then `N/N identical`; exits
 # 1 unless every combination matched.
 #
@@ -110,6 +111,29 @@ for corpus in uniform diverse; do
         done
     done
 done
+# Downgrade: the parent resumes a checkpoint directory the change wrote.
+# It either finishes on the same bytes or refuses the files by format
+# version — never a decode failure of some other kind, never other bytes.
+# (Not one of the N combinations: it holds the change to a promise about
+# readers that already shipped.)
+downgrade_ok=1
+tag=uniform-42-elsh-downgrade
+flags=(--jsonl "$work/uniform-42/graph.jsonl" --seed 42 --method elsh)
+mkdir -p "$work/$tag"
+discover "$change" "$work/$tag/schema.json" --batches 16 \
+    --checkpoint-dir "$work/$tag/ckpt" --kill-after-batch 7 "${flags[@]}" || true
+if "$parent" discover --format json --out "$work/$tag/schema.json" --batches 16 \
+    --checkpoint-dir "$work/$tag/ckpt" --resume "${flags[@]}" >/dev/null 2>"$work/$tag/err"; then
+    cmp -s "$work/uniform-42-elsh-crash-resume/parent/schema.json" "$work/$tag/schema.json" ||
+        { echo "DOWNGRADE DIFFERS: parent resumed the change's checkpoints to other bytes"; downgrade_ok=0; }
+elif grep -q "unsupported format version" "$work/$tag/err"; then
+    echo "downgrade: parent refuses the change's checkpoints by version"
+else
+    echo "DOWNGRADE FAILS untyped:"
+    tail -n 3 "$work/$tag/err"
+    downgrade_ok=0
+fi
+
 for tag in ${unmoved[@]+"${unmoved[@]}"}; do
     echo "allowed, but identical: $tag"
 done
@@ -118,4 +142,4 @@ if [ -n "$allowed" ]; then
 else
     echo "$same/$total identical"
 fi
-[ $((same + moved)) -eq "$total" ]
+[ $((same + moved)) -eq "$total" ] && [ "$downgrade_ok" -eq 1 ]

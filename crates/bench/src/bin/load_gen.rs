@@ -11,10 +11,7 @@
 //! Without `--addr` an in-process server is started on an ephemeral
 //! port, loaded, and shut down — a self-contained benchmark run.
 //!
-//! With `--coordinator` the target is a cluster coordinator: batches go
-//! through `POST /ingest` (WAL-backed shard routing) and the final hash
-//! is read from the merged `GET /schema`. 503 responses are retried
-//! honoring the server's `Retry-After` header in both modes.
+//! 503 responses are retried honoring the server's `Retry-After` header.
 //!
 //! With `--connections N` the generator switches to *swarm* mode: one
 //! shared session, N keep-alive connections held open simultaneously
@@ -28,7 +25,7 @@
 
 use pg_hive::serialize::content_hash_hex;
 use pg_hive::{HiveConfig, PgHive};
-use pg_serve::{Client, ClientResponse, Server, ServerConfig};
+use pg_serve::{Client, Server, ServerConfig};
 use pg_store::jsonl::Element;
 use pg_synth::{random_schema, synthesize, SchemaParams, SynthSpec};
 use serde_json::JsonValue;
@@ -43,7 +40,6 @@ struct Opts {
     batches: usize,
     rows: usize,
     seed: u64,
-    coordinator: bool,
     /// Swarm mode: number of simultaneous keep-alive connections
     /// (0 = classic per-client-session mode).
     connections: usize,
@@ -58,7 +54,6 @@ fn parse_opts() -> Result<Opts, String> {
         batches: 20,
         rows: 200,
         seed: 42,
-        coordinator: false,
         connections: 0,
         verify_hash: false,
         out: None,
@@ -66,11 +61,6 @@ fn parse_opts() -> Result<Opts, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--coordinator" {
-            opts.coordinator = true;
-            i += 1;
-            continue;
-        }
         if args[i] == "--verify-hash" {
             opts.verify_hash = true;
             i += 1;
@@ -92,12 +82,6 @@ fn parse_opts() -> Result<Opts, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
         i += 2;
-    }
-    if opts.coordinator && opts.addr.is_none() {
-        return Err("--coordinator requires --addr (an external coordinator)".into());
-    }
-    if opts.coordinator && opts.connections > 0 {
-        return Err("--connections (swarm mode) does not combine with --coordinator".into());
     }
     if opts.verify_hash && opts.connections == 0 {
         return Err("--verify-hash requires --connections (swarm mode)".into());
@@ -136,6 +120,10 @@ fn client_bodies(client_id: usize, opts: &Opts) -> Vec<String> {
         .collect()
 }
 
+/// 503 retries per request in classic mode (`Client::post_with_retry`
+/// sleeps the server's `Retry-After` between them).
+const RETRIES: u32 = 4;
+
 struct ClientReport {
     latencies: Vec<Duration>,
     rows: usize,
@@ -143,55 +131,23 @@ struct ClientReport {
     final_hash: String,
 }
 
-/// POST `body`, retrying 503 busy responses. The sleep is the server's
-/// own `Retry-After` (delta-seconds) when it sends one, a short default
-/// otherwise, so a saturated server is backed off of, not hammered.
-fn post_with_retry(
-    client: &mut Client,
-    path: &str,
-    body: &[u8],
-) -> std::io::Result<ClientResponse> {
-    const ATTEMPTS: usize = 5;
-    let mut resp = client.post(path, body)?;
-    for _ in 1..ATTEMPTS {
-        if resp.status != 503 {
-            break;
-        }
-        let wait = resp
-            .header("retry-after")
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(Duration::from_secs)
-            .unwrap_or(Duration::from_millis(250))
-            .min(Duration::from_secs(2));
-        std::thread::sleep(wait);
-        resp = client.post(path, body)?;
-    }
-    Ok(resp)
-}
-
 fn run_client(addr: SocketAddr, client_id: usize, opts: &Opts, go: &Barrier) -> ClientReport {
     let bodies = client_bodies(client_id, opts);
     let session = format!("load-{client_id}");
     let mut client = Client::new(addr);
-    // Coordinator mode: batches go through the cluster-wide ingest
-    // route — no per-client session exists, and the hash comes from the
-    // merged schema afterwards.
-    let path = if opts.coordinator {
-        "/ingest".to_owned()
-    } else {
-        let resp = post_with_retry(
-            &mut client,
+    let resp = client
+        .post_with_retry(
             "/sessions",
             format!("{{\"name\":\"{session}\"}}").as_bytes(),
+            RETRIES,
         )
         .expect("create session");
-        assert!(
-            resp.status == 201 || resp.status == 409,
-            "creating {session}: {}",
-            resp.text()
-        );
-        format!("/sessions/{session}/ingest")
-    };
+    assert!(
+        resp.status == 201 || resp.status == 409,
+        "creating {session}: {}",
+        resp.text()
+    );
+    let path = format!("/sessions/{session}/ingest");
     let mut report = ClientReport {
         latencies: Vec::with_capacity(bodies.len()),
         rows: 0,
@@ -202,7 +158,7 @@ fn run_client(addr: SocketAddr, client_id: usize, opts: &Opts, go: &Barrier) -> 
     for body in &bodies {
         let rows = body.lines().count();
         let started = Instant::now();
-        match post_with_retry(&mut client, &path, body.as_bytes()) {
+        match client.post_with_retry(&path, body.as_bytes(), RETRIES) {
             Ok(resp) if resp.status == 200 => {
                 report.latencies.push(started.elapsed());
                 report.rows += rows;
@@ -219,17 +175,6 @@ fn run_client(addr: SocketAddr, client_id: usize, opts: &Opts, go: &Barrier) -> 
             Err(e) => {
                 report.errors += 1;
                 eprintln!("{session}: {e}");
-            }
-        }
-    }
-    if opts.coordinator {
-        if let Ok(resp) = client.get("/schema") {
-            if resp.status == 200 {
-                if let Ok(v) = resp.json() {
-                    if let Some(h) = v.get("hash").and_then(|h| h.as_str()) {
-                        report.final_hash = h.to_owned();
-                    }
-                }
             }
         }
     }
@@ -489,7 +434,7 @@ fn main() {
         Err(e) => {
             eprintln!(
                 "load_gen: {e}\nusage: load_gen [--addr ip:port] [--clients N] \
-                 [--batches N] [--batch-rows N] [--seed N] [--coordinator] \
+                 [--batches N] [--batch-rows N] [--seed N] \
                  [--connections N] [--verify-hash] [--out FILE]"
             );
             std::process::exit(2);
@@ -541,11 +486,7 @@ fn main() {
             reports.iter().flat_map(|r| r.latencies.clone()).collect();
         latencies.sort();
         let outcome = RunOutcome {
-            mode: if shared.coordinator {
-                "coordinator"
-            } else {
-                "sessions"
-            },
+            mode: "sessions",
             rows: reports.iter().map(|r| r.rows).sum(),
             errors: reports.iter().map(|r| r.errors).sum(),
             latencies,
@@ -553,14 +494,7 @@ fn main() {
             hashes: reports
                 .iter()
                 .enumerate()
-                .map(|(id, r)| {
-                    let label = if shared.coordinator {
-                        format!("client {id} (merged)")
-                    } else {
-                        format!("load-{id}")
-                    };
-                    (label, r.final_hash.clone())
-                })
+                .map(|(id, r)| (format!("load-{id}"), r.final_hash.clone()))
                 .collect(),
             offline_hash: None,
         };
@@ -596,11 +530,7 @@ fn main() {
     );
     println!("  http errors     {}", outcome.errors);
     for (label, hash) in &outcome.hashes {
-        if opts.coordinator {
-            println!("  {label}: merged schema hash {hash}");
-        } else {
-            println!("  session {label}: final hash {hash}");
-        }
+        println!("  session {label}: final hash {hash}");
     }
     if let Some(offline) = &outcome.offline_hash {
         if outcome.hash_ok() {

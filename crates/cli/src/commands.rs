@@ -393,34 +393,12 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             max_connections,
             idle_timeout_ms,
             session_queue,
-            cluster,
-            cluster_wal_dir,
-            cluster_session,
-            heartbeat_ms,
             checkpoint_every,
             checkpoint_keep,
         } => {
             let addr: std::net::SocketAddr = addr
                 .parse()
                 .map_err(|_| CliError::Usage(format!("--addr {addr:?} is not ip:port")))?;
-            let cluster = if cluster.is_empty() {
-                None
-            } else {
-                let mut cc = pg_serve::ClusterConfig {
-                    shards: cluster.clone(),
-                    session: cluster_session.clone(),
-                    heartbeat: std::time::Duration::from_millis(*heartbeat_ms),
-                    ..pg_serve::ClusterConfig::default()
-                };
-                // The coordinator's checkpoint cadence governs the shard
-                // sessions it creates, and through them how aggressively
-                // the per-shard WALs are trimmed.
-                cc.spec.checkpoint_every = *checkpoint_every;
-                if let Some(dir) = cluster_wal_dir {
-                    cc.wal_dir = dir.clone();
-                }
-                Some(cc)
-            };
             let config = pg_serve::ServerConfig {
                 addr,
                 workers: *workers,
@@ -432,7 +410,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 max_connections: *max_connections,
                 idle_timeout: std::time::Duration::from_millis(*idle_timeout_ms),
                 session_queue: *session_queue,
-                cluster,
                 ..pg_serve::ServerConfig::default()
             };
             let flag = pg_serve::shutdown_flag();

@@ -108,13 +108,6 @@ Commands:
              shutdown (SIGINT/SIGTERM) and a restart resumes them
              bit-identically; --addr with port 0 picks a free port,
              printed as \"listening on <ip:port>\" at startup)
-            [--cluster <url,url,...>] (run as a cluster coordinator:
-              route POST /ingest across these pg-serve shard instances
-              behind a per-shard write-ahead log and answer GET /schema
-              by merging live shard states — degraded but available
-              while shards are down)
-            [--cluster-wal-dir <dir>] [--cluster-session <name>]
-            [--heartbeat-ms <n>] (coordinator shard-health probe cadence)
   hash      --schema <json>
             (print the canonical schema content hash — the same value
              the server reports and embeds in ETags)
@@ -311,15 +304,6 @@ pub enum Command {
         idle_timeout_ms: u64,
         /// Per-session pending-ingest depth before 503 backpressure.
         session_queue: usize,
-        /// Shard URLs to coordinate (empty = ordinary single node).
-        cluster: Vec<String>,
-        /// Coordinator WAL directory (None = the default
-        /// `pg-cluster-wal`).
-        cluster_wal_dir: Option<PathBuf>,
-        /// Name of the cluster session on every shard.
-        cluster_session: String,
-        /// Shard health-probe cadence in milliseconds.
-        heartbeat_ms: u64,
     },
     /// Print the canonical content hash of a schema JSON file.
     Hash {
@@ -407,10 +391,6 @@ fn command_flags(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--max-connections", true),
             ("--idle-timeout-ms", true),
             ("--session-queue", true),
-            ("--cluster", true),
-            ("--cluster-wal-dir", true),
-            ("--cluster-session", true),
-            ("--heartbeat-ms", true),
         ],
         "hash" => &[("--schema", true)],
         "merge" => &[("--out", true)],
@@ -623,45 +603,18 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     .transpose()?,
             })
         }
-        "serve" => {
-            let cluster: Vec<String> = flags
-                .get("--cluster")
-                .map(|v| {
-                    v.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_owned)
-                        .collect()
-                })
-                .unwrap_or_default();
-            if given("--cluster") && cluster.is_empty() {
-                return Err(CliError::Usage(
-                    "--cluster needs at least one shard URL".into(),
-                ));
-            }
-            let cluster_wal_dir = path("--cluster-wal-dir");
-            if cluster.is_empty() && (cluster_wal_dir.is_some() || given("--cluster-session")) {
-                return Err(CliError::Usage(
-                    "--cluster-wal-dir/--cluster-session only apply with --cluster".into(),
-                ));
-            }
-            Ok(Command::Serve {
-                addr: text("--addr").unwrap_or_else(|| "127.0.0.1:8686".into()),
-                state_dir: path("--state-dir"),
-                workers: u64_flag("--workers", 4)?.max(1) as usize,
-                queue: u64_flag("--queue", 64)?.max(1) as usize,
-                max_body_mb: positive_flag("--max-body-mb", 64)? as usize,
-                checkpoint_every: positive_flag("--checkpoint-every", 8)?,
-                checkpoint_keep: u64_flag("--checkpoint-keep", 4)?.max(1) as usize,
-                max_connections: u64_flag("--max-connections", 10_240)?.max(1) as usize,
-                idle_timeout_ms: positive_flag("--idle-timeout-ms", 60_000)?,
-                session_queue: u64_flag("--session-queue", 64)?.max(1) as usize,
-                cluster,
-                cluster_wal_dir,
-                cluster_session: text("--cluster-session").unwrap_or_else(|| "cluster".into()),
-                heartbeat_ms: positive_flag("--heartbeat-ms", 500)?,
-            })
-        }
+        "serve" => Ok(Command::Serve {
+            addr: text("--addr").unwrap_or_else(|| "127.0.0.1:8686".into()),
+            state_dir: path("--state-dir"),
+            workers: u64_flag("--workers", 4)?.max(1) as usize,
+            queue: u64_flag("--queue", 64)?.max(1) as usize,
+            max_body_mb: positive_flag("--max-body-mb", 64)? as usize,
+            checkpoint_every: positive_flag("--checkpoint-every", 8)?,
+            checkpoint_keep: u64_flag("--checkpoint-keep", 4)?.max(1) as usize,
+            max_connections: u64_flag("--max-connections", 10_240)?.max(1) as usize,
+            idle_timeout_ms: positive_flag("--idle-timeout-ms", 60_000)?,
+            session_queue: u64_flag("--session-queue", 64)?.max(1) as usize,
+        }),
         "hash" => Ok(Command::Hash {
             schema: required("--schema")?,
         }),
@@ -1126,10 +1079,6 @@ mod tests {
                 max_connections,
                 idle_timeout_ms,
                 session_queue,
-                cluster,
-                cluster_wal_dir,
-                cluster_session,
-                heartbeat_ms,
             } => {
                 assert_eq!(addr, "127.0.0.1:8686");
                 assert_eq!(state_dir, None);
@@ -1141,10 +1090,6 @@ mod tests {
                 assert_eq!(max_connections, 10_240);
                 assert_eq!(idle_timeout_ms, 60_000);
                 assert_eq!(session_queue, 64);
-                assert!(cluster.is_empty(), "single-node by default");
-                assert_eq!(cluster_wal_dir, None);
-                assert_eq!(cluster_session, "cluster");
-                assert_eq!(heartbeat_ms, 500);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1217,48 +1162,6 @@ mod tests {
                 assert_eq!(session_queue, 8);
             }
             other => panic!("wrong command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parse_serve_cluster_flags() {
-        match parse(&args(&[
-            "serve",
-            "--cluster",
-            "127.0.0.1:7001, http://127.0.0.1:7002/",
-            "--cluster-wal-dir",
-            "/tmp/wal",
-            "--cluster-session",
-            "ring",
-            "--heartbeat-ms",
-            "250",
-        ]))
-        .unwrap()
-        {
-            Command::Serve {
-                cluster,
-                cluster_wal_dir,
-                cluster_session,
-                heartbeat_ms,
-                ..
-            } => {
-                assert_eq!(cluster, vec!["127.0.0.1:7001", "http://127.0.0.1:7002/"]);
-                assert_eq!(cluster_wal_dir, Some(PathBuf::from("/tmp/wal")));
-                assert_eq!(cluster_session, "ring");
-                assert_eq!(heartbeat_ms, 250);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        for bad in [
-            vec!["serve", "--cluster", " , "],
-            vec!["serve", "--heartbeat-ms", "0"],
-            vec!["serve", "--cluster-wal-dir", "/tmp/wal"],
-            vec!["serve", "--cluster-session", "ring"],
-        ] {
-            assert!(
-                matches!(parse(&args(&bad)), Err(CliError::Usage(_))),
-                "{bad:?} should be a usage error"
-            );
         }
     }
 

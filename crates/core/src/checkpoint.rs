@@ -145,8 +145,8 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the payload
-/// checksum of the checkpoint envelope and of every WAL frame. Table
-/// driven, eight bytes per step; the tests hold it to the bitwise form.
+/// checksum of the checkpoint envelope. Table driven, eight bytes per
+/// step; the tests hold it to the bitwise form.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;

@@ -124,7 +124,8 @@ pub struct SessionAux {
 /// against and, once it commits, grows: the cumulative
 /// `NodeId → LabelSet` index edge endpoints resolve against, and the
 /// edge ids already applied. A [`SharedSession`] keeps one per session;
-/// a cluster coordinator keeps one for the whole cluster.
+/// a caller routing one stream across plain shards keeps one for the
+/// whole stream.
 #[derive(Debug, Default)]
 pub struct StreamIndex {
     /// Labels of every node applied so far.
@@ -155,8 +156,8 @@ impl StreamIndex {
     /// lenient loaders produce. Edges may precede their endpoints
     /// *within* a batch (they are buffered, like the offline JSONL
     /// loader), but not across batches: a stream cannot wait forever.
-    /// A pre-resolved edge carries its endpoint labels (resolved by a
-    /// cluster coordinator against the *global* node index), so it
+    /// A pre-resolved edge carries its endpoint labels (resolved by the
+    /// router against the *global* node index), so it
     /// skips the endpoint lookup entirely.
     ///
     /// The index is untouched: if the policy aborts (`Err`), nothing
@@ -644,7 +645,7 @@ mod tests {
         let s = SharedSession::new(quick_config(), 8);
         let mut q = Quarantine::new();
         // Neither endpoint was ever ingested here — the labels ride on
-        // the record, as a cluster coordinator would ship them.
+        // the record, as a stream router would ship them.
         let rec = EdgeRecord {
             edge: Edge::new(5, NodeId(100), NodeId(200), LabelSet::single("R")),
             src_labels: LabelSet::single("A"),

@@ -17,41 +17,11 @@
 use pg_hive::checkpoint::{crc32, decode, encode, CheckpointError};
 use proptest::prelude::*;
 use serde::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-thread_local! {
-    /// Bytes this thread has asked the allocator for.
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting per thread what is requested of it (the
-/// test harness runs tests on parallel threads).
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with
-// no destructor and allocates nothing itself.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = REQUESTED.try_with(|c| c.set(c.get() + layout.size()));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = REQUESTED.try_with(|c| c.set(c.get() + new_size));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+mod mutation;
+use mutation::{allocation_bound, field_mut, metered, mutate_field};
 
 fn fixture(path: &str) -> Vec<u8> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -107,84 +77,12 @@ fn seeds() -> Vec<(u64, Value)> {
     ]
 }
 
-fn count_objects(v: &Value) -> usize {
-    match v {
-        Value::Object(fields) => 1 + fields.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
-        Value::Array(items) => items.iter().map(count_objects).sum(),
-        _ => 0,
-    }
-}
-
-/// The fields of the `n`-th object in depth-first order.
-fn nth_object<'a>(v: &'a mut Value, n: &mut usize) -> Option<&'a mut Vec<(String, Value)>> {
-    match v {
-        Value::Object(fields) => {
-            if *n == 0 {
-                return Some(fields);
-            }
-            *n -= 1;
-            fields.iter_mut().find_map(|(_, v)| nth_object(v, n))
-        }
-        Value::Array(items) => items.iter_mut().find_map(|v| nth_object(v, n)),
-        _ => None,
-    }
-}
-
-fn field_mut<'a>(v: &'a mut Value, key: &str) -> Option<&'a mut Value> {
-    match v {
-        Value::Object(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// A value of some other type, or at an edge of its own.
-fn replacement(pick: u64) -> Value {
-    match pick % 12 {
-        0 => Value::Null,
-        1 => Value::Bool(true),
-        2 => Value::U64(0),
-        3 => Value::I64(-1),
-        4 => Value::U64(u64::MAX),
-        5 => Value::F64(1e308),
-        6 => Value::F64(-0.0),
-        7 => Value::Str(String::new()),
-        8 => Value::Str("Sketch".to_owned()),
-        9 => Value::Array(vec![]),
-        10 => Value::Array(vec![Value::Array(vec![Value::Null]), Value::U64(7)]),
-        _ => Value::Object(vec![("k".to_owned(), Value::U64(1))]),
-    }
-}
-
 /// Apply one mutation to `payload` (or to `version`). `a` and `b` choose
 /// where and what.
 fn mutate(version: &mut u64, payload: &mut Value, kind: u8, a: u64, b: u64) {
-    let objects = count_objects(payload);
-    let mut nth = (a % objects as u64) as usize;
     match kind {
         // Drop, duplicate or retype one field of one object.
-        0..=2 => {
-            let fields = nth_object(payload, &mut nth).expect("counted");
-            if fields.is_empty() {
-                return;
-            }
-            let at = (b % fields.len() as u64) as usize;
-            match kind {
-                0 => {
-                    fields.remove(at);
-                }
-                1 => {
-                    let mut copy = fields[at].clone();
-                    if b & (1 << 40) != 0 {
-                        copy.1 = replacement(b >> 41);
-                    }
-                    // Before or after the original: `serde::field` takes
-                    // the first match.
-                    let to = if b & (1 << 39) != 0 { 0 } else { fields.len() };
-                    fields.insert(to, copy);
-                }
-                _ => fields[at].1 = replacement(b >> 32),
-            }
-        }
+        0..=2 => mutate_field(payload, kind, a, b),
         // Damage the embedder's hex string.
         3 => {
             let Some(Value::Str(hex)) =
@@ -219,13 +117,9 @@ fn mutate(version: &mut u64, payload: &mut Value, kind: u8, a: u64, b: u64) {
 /// Decode under the battery's contract; `Ok(true)` if the bytes were
 /// accepted.
 fn check(envelope: &[u8]) -> Result<bool, TestCaseError> {
-    let (before, started) = (REQUESTED.with(Cell::get), Instant::now());
-    let outcome = decode(envelope);
-    let (requested, elapsed) = (REQUESTED.with(Cell::get) - before, started.elapsed());
-    // A value tree costs tens of bytes per input byte at worst (`[0,0,…`);
-    // what must not happen is a size taken from the input on trust.
+    let (outcome, requested, elapsed) = metered(|| decode(envelope));
     prop_assert!(
-        requested <= 256 * envelope.len() + (64 << 10),
+        requested <= allocation_bound(envelope.len()),
         "decode asked for {requested} bytes on {} bytes of input",
         envelope.len()
     );

@@ -10,7 +10,7 @@
 //! schema hash recorded beside it in `hashes.txt`. The files under
 //! `tests/fixtures/wire_v2/` (see `regenerate`) hold the byte-identity
 //! pin: decode → encode is the identity on them — durable state and the
-//! coordinator↔shard exchange are recovery data, so an in-memory
+//! shard-state exchange are recovery data, so an in-memory
 //! redesign must not move a byte of them.
 
 use pg_hive::checkpoint::{decode, encode};

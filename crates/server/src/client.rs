@@ -48,8 +48,6 @@ impl ClientResponse {
 pub struct Client {
     addr: SocketAddr,
     timeout: Duration,
-    connect_timeout: Option<Duration>,
-    abortive_close: bool,
     conn: Option<BufReader<TcpStream>>,
 }
 
@@ -59,8 +57,6 @@ impl Client {
         Client {
             addr,
             timeout: Duration::from_secs(30),
-            connect_timeout: None,
-            abortive_close: false,
             conn: None,
         }
     }
@@ -68,24 +64,6 @@ impl Client {
     /// Override the per-operation read/write timeout.
     pub fn with_timeout(mut self, timeout: Duration) -> Client {
         self.timeout = timeout;
-        self
-    }
-
-    /// Bound the TCP connect itself (default: the OS connect timeout,
-    /// which can be minutes — far too long for a shard health probe).
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Client {
-        self.connect_timeout = Some(timeout);
-        self
-    }
-
-    /// Close connections abortively (`SO_LINGER` 0 → RST) instead of
-    /// with an orderly FIN. The cluster coordinator needs this: after a
-    /// shard is killed, an orderly close from our side would park the
-    /// dead shard's half-open socket in TIME_WAIT and block the
-    /// restarted shard from rebinding its port for minutes. An RST
-    /// destroys the remote socket immediately.
-    pub fn with_abortive_close(mut self) -> Client {
-        self.abortive_close = true;
         self
     }
 
@@ -131,7 +109,7 @@ impl Client {
             if resp.status != 503 || attempt >= max_retries {
                 return Ok(resp);
             }
-            let delay = crate::shard_client::retry_after(&resp)
+            let delay = retry_after(&resp)
                 .unwrap_or(Duration::from_millis(100))
                 .min(Duration::from_secs(2));
             std::thread::sleep(delay);
@@ -144,7 +122,7 @@ impl Client {
     /// exchange) is re-dialed and the request retried once — safe here
     /// because the retry only happens when not a single response byte
     /// arrived.
-    pub fn request(
+    fn request(
         &mut self,
         method: &str,
         path: &str,
@@ -169,16 +147,10 @@ impl Client {
 
     fn ensure_connected(&mut self) -> io::Result<()> {
         if self.conn.is_none() {
-            let stream = match self.connect_timeout {
-                Some(t) => TcpStream::connect_timeout(&self.addr, t)?,
-                None => TcpStream::connect(self.addr)?,
-            };
+            let stream = TcpStream::connect(self.addr)?;
             stream.set_read_timeout(Some(self.timeout))?;
             stream.set_write_timeout(Some(self.timeout))?;
             stream.set_nodelay(true)?;
-            if self.abortive_close {
-                set_linger_zero(&stream);
-            }
             self.conn = Some(BufReader::new(stream));
         }
         Ok(())
@@ -216,86 +188,14 @@ impl Client {
     }
 }
 
-/// Set `SO_LINGER {on, 0s}` so dropping the stream sends RST instead of
-/// FIN. `std` has no stable API for this (`tcp_linger` is unstable), so
-/// we call `setsockopt` directly — the symbol is always present in the
-/// already-linked libc. Gated to Linux targets that use the generic
-/// asm-generic socket constants (`SOL_SOCKET == 1`, `SO_LINGER == 13`);
-/// mips and sparc use different values (`SOL_SOCKET == 0xffff`), so
-/// there — and off Linux — this is a no-op: the coordinator still
-/// works, restarted shards just may wait out TIME_WAIT.
-#[cfg(all(
-    target_os = "linux",
-    any(
-        target_arch = "x86",
-        target_arch = "x86_64",
-        target_arch = "arm",
-        target_arch = "aarch64",
-        target_arch = "riscv32",
-        target_arch = "riscv64",
-        target_arch = "loongarch64",
-        target_arch = "powerpc",
-        target_arch = "powerpc64",
-        target_arch = "s390x",
-    )
-))]
-fn set_linger_zero(stream: &TcpStream) {
-    use std::os::unix::io::AsRawFd;
-    const SOL_SOCKET: i32 = 1;
-    const SO_LINGER: i32 = 13;
-    #[repr(C)]
-    struct Linger {
-        l_onoff: i32,
-        l_linger: i32,
-    }
-    extern "C" {
-        fn setsockopt(
-            fd: i32,
-            level: i32,
-            name: i32,
-            value: *const std::ffi::c_void,
-            len: u32,
-        ) -> i32;
-    }
-    let linger = Linger {
-        l_onoff: 1,
-        l_linger: 0,
-    };
-    let rc = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            SO_LINGER,
-            (&linger as *const Linger).cast(),
-            std::mem::size_of::<Linger>() as u32,
-        )
-    };
-    if rc != 0 {
-        // Losing the RST close is survivable (slower port rebinds), but
-        // it should not fail silently — and never only in debug builds.
-        eprintln!(
-            "pg-serve: SO_LINGER setsockopt failed: {}",
-            io::Error::last_os_error()
-        );
-    }
+/// The `Retry-After` delay of a response, if present and parseable
+/// (delta-seconds form only — the HTTP-date form is not worth speaking
+/// between our own binaries).
+fn retry_after(resp: &ClientResponse) -> Option<Duration> {
+    resp.header("retry-after")
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .map(Duration::from_secs)
 }
-
-#[cfg(not(all(
-    target_os = "linux",
-    any(
-        target_arch = "x86",
-        target_arch = "x86_64",
-        target_arch = "arm",
-        target_arch = "aarch64",
-        target_arch = "riscv32",
-        target_arch = "riscv64",
-        target_arch = "loongarch64",
-        target_arch = "powerpc",
-        target_arch = "powerpc64",
-        target_arch = "s390x",
-    )
-)))]
-fn set_linger_zero(_stream: &TcpStream) {}
 
 fn retryable(e: &io::Error) -> bool {
     matches!(
@@ -385,5 +285,20 @@ mod tests {
         assert!(read_response(&mut &raw[..]).is_err());
         let raw = b"HTTP/1.1 200";
         assert!(read_response(&mut &raw[..]).is_err());
+    }
+
+    #[test]
+    fn retry_after_parses_delta_seconds_only() {
+        let resp = |headers: Vec<(String, String)>| ClientResponse {
+            status: 503,
+            headers,
+            body: Vec::new(),
+        };
+        let r = resp(vec![("retry-after".into(), "2".into())]);
+        assert_eq!(retry_after(&r), Some(Duration::from_secs(2)));
+        let r = resp(vec![("retry-after".into(), "soon".into())]);
+        assert_eq!(retry_after(&r), None);
+        let r = resp(vec![]);
+        assert_eq!(retry_after(&r), None);
     }
 }

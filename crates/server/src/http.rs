@@ -81,15 +81,6 @@ pub struct RequestHead {
 }
 
 impl RequestHead {
-    /// First header with this (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == lower)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Attach the body and produce the full [`Request`].
     pub fn into_request(self, body: Vec<u8>) -> Request {
         Request {

@@ -21,17 +21,12 @@
 //! | `/sessions/{id}/schema`          | GET    | current schema (ETag = content hash) |
 //! | `/sessions/{id}/state`           | GET    | full shard state (schema + accumulators) |
 //! | `/sessions/{id}/diff?from=v`     | GET    | schema delta since version `v`       |
+//! | `/sessions/{id}/merge`           | POST   | fold a shard state or schema into the session |
 //! | `/sessions/{id}/validate`        | POST   | LOOSE/STRICT conformance of a subgraph |
 //!
-//! Coordinator-mode instances (`serve --cluster`) add:
-//!
-//! | route                            | verb   | purpose                              |
-//! |----------------------------------|--------|--------------------------------------|
-//! | `/ingest`                        | POST   | WAL-backed routed ingest across shards |
-//! | `/schema`                        | GET    | exact merge-on-read of live shard states |
-//! | `/cluster/health`                | GET    | per-shard membership, breakers, WAL backlog |
-//!
-//! See [`cluster`] for the failure model.
+//! Distributed discovery needs no coordinator: run N plain servers, pull
+//! each one's `GET …/state`, and fold them with `pg-hive merge` or
+//! `POST …/merge` (the monotone merge of [`pg_hive::merge_states`]).
 //!
 //! ## Durability
 //!
@@ -42,9 +37,7 @@
 //! every session bit-identically — same schema content hash, same batch
 //! numbering.
 
-pub mod backoff;
 pub mod client;
-pub mod cluster;
 #[cfg(target_os = "linux")]
 pub(crate) mod conn;
 pub mod http;
@@ -54,25 +47,19 @@ pub mod pool;
 pub(crate) mod reactor;
 pub mod registry;
 pub mod router;
-pub mod shard_client;
 pub mod shutdown;
-pub mod wal;
 
-pub use backoff::{Backoff, BreakerState, CircuitBreaker};
 pub use client::{Client, ClientResponse};
-pub use cluster::{ClusterConfig, Coordinator};
 pub use http::{HeadParser, Request, RequestHead, Response};
 pub use metrics::{Metrics, SessionStats};
 pub use registry::{LiveSession, Registry, RegistryConfig, SessionSpec};
 pub use router::Ctx;
-pub use shard_client::{ShardClient, ShardClientConfig};
 pub use shutdown::{install_signal_handlers, shutdown_flag};
-pub use wal::Wal;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -112,9 +99,6 @@ pub struct ServerConfig {
     pub checkpoint_keep: usize,
     /// Default schema versions retained per session.
     pub history_retain: u64,
-    /// Cluster coordinator configuration (`None` = single-node /
-    /// shard mode).
-    pub cluster: Option<cluster::ClusterConfig>,
 }
 
 impl Default for ServerConfig {
@@ -134,7 +118,6 @@ impl Default for ServerConfig {
             checkpoint_every: 8,
             checkpoint_keep: 4,
             history_retain: 64,
-            cluster: None,
         }
     }
 }
@@ -222,20 +205,9 @@ impl Server {
         for w in warnings {
             eprintln!("warning: {w}");
         }
-        let coordinator = match &config.cluster {
-            Some(cluster_config) => {
-                let (coordinator, wal_warnings) = Coordinator::new(cluster_config.clone())?;
-                for w in wal_warnings {
-                    eprintln!("warning: {w}");
-                }
-                Some(Arc::new(coordinator))
-            }
-            None => None,
-        };
         let ctx = Arc::new(Ctx {
             registry: Arc::new(registry),
             metrics: Arc::new(Metrics::new()),
-            cluster: coordinator,
             shutdown: Arc::clone(&shutdown),
         });
         Ok(Server {
@@ -276,24 +248,7 @@ impl Server {
         }
         #[cfg(target_os = "linux")]
         {
-            // In coordinator mode, the health monitor heartbeats every
-            // shard, reopens circuit breakers, and replays pending WAL
-            // records to recovered shards.
-            let monitor = self.ctx.cluster.as_ref().map(|coordinator| {
-                let coordinator = Arc::clone(coordinator);
-                let stop = Arc::clone(&self.shutdown);
-                let interval = coordinator.config().heartbeat;
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        coordinator.heartbeat_tick();
-                        std::thread::sleep(interval);
-                    }
-                })
-            });
             let connections = reactor::serve(&self)?;
-            if let Some(handle) = monitor {
-                let _ = handle.join();
-            }
             let persist_failures = self.ctx.registry.persist_all();
             let sessions_persisted = self.ctx.registry.list().len() - persist_failures.len();
             for (name, err) in &persist_failures {

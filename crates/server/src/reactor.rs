@@ -916,20 +916,14 @@ fn admit(conn: &mut Conn, svc: &Services, head: RequestHead, now: Instant) -> Fl
     }
 }
 
-/// Streaming eligibility: a large session ingest under the Skip policy
-/// with no atomicity demand. Strict/Cap bodies stay buffered because
-/// their "nothing was applied" abort semantics need the whole batch;
-/// `X-Atomic-Batch` lets callers (the cluster shard client, whose WAL
-/// sequence numbers must match shard batch indexes 1:1) force a single
-/// batch regardless of size.
+/// Streaming eligibility: a large session ingest under the Skip policy.
+/// Strict/Cap bodies stay buffered because their "nothing was applied"
+/// abort semantics need the whole batch.
 fn stream_admission(
     head: &RequestHead,
     svc: &Services,
 ) -> Option<Result<(Arc<LiveSession>, IngestPermit), Response>> {
     if head.method != "POST" || head.content_length < svc.cfg.stream_threshold {
-        return None;
-    }
-    if head.header("x-atomic-batch").is_some() {
         return None;
     }
     let mut segments = head.path.split('/').filter(|s| !s.is_empty());

@@ -107,8 +107,8 @@ impl SessionSpec {
                 "checkpoint_every" => spec.checkpoint_every = as_u64(value).ok_or_else(fail)?,
                 "history_retain" => spec.history_retain = as_u64(value).ok_or_else(fail)?,
                 // Accept an explicit null (the derive serializer emits
-                // one for an unset mode when the coordinator forwards
-                // its spec to shards) as "leave the default".
+                // one for an unset mode, so a serialized spec posts back
+                // as itself) as "leave the default".
                 "mode" => match value {
                     serde::Value::Null => {}
                     _ => spec.mode = Some(value.as_str().ok_or_else(fail)?.to_owned()),
@@ -431,9 +431,8 @@ impl LiveSession {
     }
 
     /// Batches applied since the last completed checkpoint (the
-    /// session's checkpoint lag). A cluster coordinator uses this to
-    /// decide how far a shard's write-ahead log can be trimmed: only
-    /// batches the shard has durably checkpointed are safe to drop.
+    /// session's checkpoint lag): what a crash right now would make the
+    /// session replay. Reported in the summary and summed in `/healthz`.
     pub fn checkpoint_lag(&self) -> u64 {
         self.counters
             .lock()

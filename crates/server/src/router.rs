@@ -10,7 +10,6 @@
 //! `/sessions/{id}/ingest`) for metrics, keeping label cardinality
 //! independent of the number of live sessions.
 
-use crate::cluster::{ClusterError, Coordinator};
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::registry::{CreateError, IngestFailure, LiveSession, Registry, SessionSpec};
@@ -26,9 +25,6 @@ pub struct Ctx {
     pub registry: Arc<Registry>,
     /// The metrics sink.
     pub metrics: Arc<Metrics>,
-    /// The cluster coordinator, when this instance runs in coordinator
-    /// mode (`serve --cluster`). `None` on single nodes and shards.
-    pub cluster: Option<Arc<Coordinator>>,
     /// The server's shutdown flag. Connection loops consult it so a
     /// draining server closes keep-alive connections after the in-flight
     /// response instead of serving an eager client forever.
@@ -77,18 +73,6 @@ fn route_of<'a>(req: &'a Request, ctx: &'a Ctx) -> Result<(&'static str, Handler
         },
         ["metrics"] => match method {
             "GET" => route!("/metrics", || metrics(ctx)),
-            _ => Err(method_not_allowed("GET")),
-        },
-        ["ingest"] => match method {
-            "POST" => route!("/ingest", || cluster_ingest(req, ctx)),
-            _ => Err(method_not_allowed("POST")),
-        },
-        ["schema"] => match method {
-            "GET" => route!("/schema", || cluster_schema(ctx)),
-            _ => Err(method_not_allowed("GET")),
-        },
-        ["cluster", "health"] => match method {
-            "GET" => route!("/cluster/health", || cluster_health(ctx)),
             _ => Err(method_not_allowed("GET")),
         },
         ["sessions"] => match method {
@@ -197,26 +181,15 @@ fn with_session(ctx: &Ctx, name: &str, f: impl FnOnce(&Arc<LiveSession>) -> Resp
 }
 
 fn healthz(ctx: &Ctx) -> Response {
-    // Session count and total checkpoint lag ride along so a cluster
-    // coordinator (or an operator's probe) learns how far this
-    // instance's in-memory state runs ahead of its durable checkpoints.
+    // Session count and total checkpoint lag ride along so an
+    // operator's probe learns how far this instance's in-memory state
+    // runs ahead of its durable checkpoints.
     let sessions = ctx.registry.list();
     let lag: u64 = sessions.iter().map(|l| l.checkpoint_lag()).sum();
     Response::json(
         200,
         &serde::Value::Object(vec![
             ("status".to_owned(), serde::Value::Str("ok".to_owned())),
-            (
-                "role".to_owned(),
-                serde::Value::Str(
-                    if ctx.cluster.is_some() {
-                        "coordinator"
-                    } else {
-                        "node"
-                    }
-                    .to_owned(),
-                ),
-            ),
             (
                 "sessions".to_owned(),
                 serde::Value::U64(sessions.len() as u64),
@@ -227,11 +200,7 @@ fn healthz(ctx: &Ctx) -> Response {
 }
 
 fn metrics(ctx: &Ctx) -> Response {
-    let stats = ctx.registry.stats();
-    let mut text = ctx.metrics.render(&stats);
-    if let Some(cluster) = &ctx.cluster {
-        text.push_str(&cluster.render_metrics());
-    }
+    let text = ctx.metrics.render(&ctx.registry.stats());
     Response {
         status: 200,
         headers: vec![(
@@ -239,126 +208,6 @@ fn metrics(ctx: &Ctx) -> Response {
             "text/plain; version=0.0.4".to_owned(),
         )],
         body: text.into_bytes(),
-    }
-}
-
-fn coordinator_of(ctx: &Ctx) -> Result<&Arc<Coordinator>, Response> {
-    ctx.cluster.as_ref().ok_or_else(|| {
-        Response::error(
-            404,
-            "not_a_coordinator",
-            "this instance does not run in cluster mode; start it with --cluster",
-        )
-    })
-}
-
-fn cluster_ingest(req: &Request, ctx: &Ctx) -> Response {
-    let cluster = match coordinator_of(ctx) {
-        Ok(c) => c,
-        Err(resp) => return resp,
-    };
-    match cluster.ingest(&req.body) {
-        Ok(out) => {
-            let routed: Vec<serde::Value> = out
-                .routed
-                .iter()
-                .map(|(url, lines)| {
-                    serde::Value::Object(vec![
-                        ("shard".to_owned(), serde::Value::Str(url.clone())),
-                        ("lines".to_owned(), serde::Value::U64(*lines as u64)),
-                    ])
-                })
-                .collect();
-            let pending: Vec<serde::Value> = out
-                .pending
-                .iter()
-                .map(|url| serde::Value::Str(url.clone()))
-                .collect();
-            Response::json(
-                200,
-                &serde::Value::Object(vec![
-                    ("batch".to_owned(), serde::Value::U64(out.batch)),
-                    ("nodes".to_owned(), serde::Value::U64(out.nodes as u64)),
-                    ("edges".to_owned(), serde::Value::U64(out.edges as u64)),
-                    (
-                        "quarantined".to_owned(),
-                        serde::Value::U64(out.quarantine.len() as u64),
-                    ),
-                    ("quarantine".to_owned(), quarantine_json(&out.quarantine)),
-                    ("routed".to_owned(), serde::Value::Array(routed)),
-                    ("durable".to_owned(), serde::Value::Bool(true)),
-                    ("pending".to_owned(), serde::Value::Array(pending)),
-                ]),
-            )
-        }
-        Err(ClusterError::Rejected(e)) => {
-            Response::error(422, "batch_rejected", &format!("nothing was applied: {e}"))
-        }
-        Err(ClusterError::BadBody(e)) => Response::error(400, "bad_request", &e),
-        Err(ClusterError::Wal(e)) => Response::error(
-            500,
-            "wal_append_failed",
-            &format!("batch not acked (not durable): {e}"),
-        ),
-        Err(ClusterError::Merge(e)) => Response::error(500, "merge_failed", &e),
-    }
-}
-
-/// Re-parse a serialized schema into a JSON value. A schema that fails
-/// to re-parse is a server-side invariant break; the handler must
-/// answer the structured 500 returned here rather than a 200 carrying
-/// `"schema": null` that looks like an empty-but-healthy cluster.
-fn parse_schema_value(schema_json: &str) -> Result<serde::Value, Response> {
-    serde_json::from_str(schema_json).map_err(|e| {
-        Response::error(
-            500,
-            "schema_serialize_failed",
-            &format!("re-parsing serialized schema: {e}"),
-        )
-    })
-}
-
-fn cluster_schema(ctx: &Ctx) -> Response {
-    let cluster = match coordinator_of(ctx) {
-        Ok(c) => c,
-        Err(resp) => return resp,
-    };
-    match cluster.schema() {
-        Ok(view) => {
-            let schema_json = pg_hive::serialize::to_json(&view.schema);
-            let schema = match parse_schema_value(&schema_json) {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
-            let rows: Vec<serde::Value> = view.shards.iter().map(|r| r.to_value()).collect();
-            Response::json(
-                200,
-                &serde::Value::Object(vec![
-                    ("degraded".to_owned(), serde::Value::Bool(view.degraded)),
-                    ("hash".to_owned(), serde::Value::Str(view.hash.clone())),
-                    (
-                        "node_types".to_owned(),
-                        serde::Value::U64(view.schema.node_types.len() as u64),
-                    ),
-                    (
-                        "edge_types".to_owned(),
-                        serde::Value::U64(view.schema.edge_types.len() as u64),
-                    ),
-                    ("shards".to_owned(), serde::Value::Array(rows)),
-                    ("schema".to_owned(), schema),
-                ]),
-            )
-            .with_header("ETag", &format!("\"cluster-{}\"", view.hash))
-        }
-        Err(ClusterError::Merge(e)) => Response::error(500, "merge_failed", &e),
-        Err(e) => Response::error(500, "cluster_error", &format!("{e:?}")),
-    }
-}
-
-fn cluster_health(ctx: &Ctx) -> Response {
-    match coordinator_of(ctx) {
-        Ok(cluster) => Response::json(200, &cluster.health()),
-        Err(resp) => resp,
     }
 }
 
@@ -438,7 +287,7 @@ fn delete_session(ctx: &Ctx, name: &str) -> Response {
 }
 
 /// The 503 an over-admitted session answers. `Retry-After` is what
-/// `Client::post_with_retry` and `ShardClient` key their backoff on.
+/// `Client::post_with_retry` keys its wait on.
 pub(crate) fn session_busy_response() -> Response {
     Response::error(
         503,
@@ -749,23 +598,4 @@ fn validate_subgraph(req: &Request, live: &Arc<LiveSession>) -> Response {
             ("quarantine".to_owned(), quarantine_json(&quarantine)),
         ]),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression: a schema that fails to re-parse must surface as a
-    /// structured 500, never as `"schema": null` inside a 200.
-    #[test]
-    fn unparsable_schema_is_a_structured_500() {
-        let ok = parse_schema_value(r#"{"node_types":[]}"#).unwrap();
-        assert!(matches!(ok, serde::Value::Object(_)));
-
-        let resp = parse_schema_value("{broken").unwrap_err();
-        assert_eq!(resp.status, 500);
-        let body = String::from_utf8(resp.body.clone()).unwrap();
-        assert!(body.contains("schema_serialize_failed"), "{body}");
-        assert!(!body.contains("\"schema\":null"), "{body}");
-    }
 }

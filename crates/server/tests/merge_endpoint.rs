@@ -1,13 +1,17 @@
 //! `POST /sessions/{id}/merge`: folding per-shard discovery states into
-//! a live session — happy path, input validation, ETag movement, and
-//! durable restart of merged state.
+//! a live session — happy path, input validation, ETag movement, durable
+//! restart of merged state, and plain served shards converging to the
+//! single-node hash.
 
-use pg_hive::{HiveConfig, PgHive, ShardState};
+use pg_hive::handle::StreamIndex;
+use pg_hive::{content_hash_hex, merge_states, HiveConfig, PgHive, ShardState};
 use pg_model::{LabelSet, Node, PropertyGraph, SchemaGraph};
-use pg_serve::ServerConfig;
+use pg_serve::{ServerConfig, SessionSpec};
+use pg_store::jsonl::Element;
+use pg_store::{read_jsonl_elements, ErrorPolicy};
 
 mod util;
-use util::{node_line, scratch_dir, TestServer};
+use util::{edge_line, node_line, scratch_dir, TestServer};
 
 fn err_code(resp: &pg_serve::ClientResponse) -> String {
     resp.json()
@@ -229,4 +233,149 @@ fn merged_state_survives_checkpoint_and_restart_bit_identically() {
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One deterministic JSONL batch: a mix of three node types and two
+/// edge types, plus (in batch 2) a duplicate node and a dangling edge
+/// that must be policed exactly as a single node would.
+fn batch(b: u64) -> String {
+    let mut lines = Vec::new();
+    for i in 0..24u64 {
+        let id = 100 * b + i;
+        let (label, props) = match i % 3 {
+            0 => ("Person", format!(r#""age":{{"Int":{}}}"#, 20 + i)),
+            1 => ("Org", format!(r#""url":{{"Int":{id}}}"#)),
+            _ => ("Place", format!(r#""lat":{{"Int":{i}}}"#)),
+        };
+        let props = if i % 6 == 0 {
+            format!(r#"{props},"email":{{"Int":{id}}}"#)
+        } else {
+            props
+        };
+        lines.push(node_line(id, label, &props));
+    }
+    for i in 0..12u64 {
+        let id = 50_000 + 100 * b + i;
+        let src = 100 * b + (i % 24);
+        let tgt = 100 * b + ((i * 7 + 3) % 24);
+        let label = if i % 2 == 0 { "KNOWS" } else { "WORKS_AT" };
+        lines.push(edge_line(id, src, tgt, label));
+    }
+    if b == 2 {
+        lines.push(node_line(200, "Person", r#""age":{"Int":1}"#));
+        lines.push(edge_line(99_999, 0, 999_999, "KNOWS"));
+    }
+    lines.join("\n")
+}
+
+/// The content hash a single pg-serve session reports after ingesting
+/// batches `0..n` of the stream.
+fn single_node_hash(n: u64) -> String {
+    let solo = TestServer::start(ServerConfig::default());
+    let mut client = solo.client();
+    let resp = client.post("/sessions", br#"{"name":"solo"}"#).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    for b in 0..n {
+        let resp = client
+            .post("/sessions/solo/ingest", batch(b).as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, 200, "batch {b}: {}", resp.text());
+    }
+    session_hash(&mut client, "solo")
+}
+
+fn session_hash(client: &mut pg_serve::Client, name: &str) -> String {
+    let summary = client.get(&format!("/sessions/{name}")).unwrap();
+    assert_eq!(summary.status, 200, "{}", summary.text());
+    summary
+        .json()
+        .unwrap()
+        .get("hash")
+        .and_then(|h| h.as_str())
+        .expect("session summary carries a hash")
+        .to_owned()
+}
+
+/// Distributed discovery over plain servers: a router that sees the
+/// whole stream stages each batch once against one `StreamIndex` (so
+/// duplicates and dangling edges are policed as on a single node), then
+/// sends nodes and endpoint-resolved edges to shards by the Fibonacci
+/// hash of their id. Each shard's `GET …/state` folds — through
+/// `merge_states` in either order, and through `POST …/merge` into a
+/// fresh session — to the hash one session reports for the same stream.
+#[test]
+fn served_shards_merge_to_the_single_node_hash() {
+    const BATCHES: u64 = 6;
+    const SHARDS: usize = 3;
+    let expected = single_node_hash(BATCHES);
+    let shard_of = |id: u64| (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % SHARDS;
+
+    let shards: Vec<TestServer> = (0..SHARDS)
+        .map(|_| TestServer::start(ServerConfig::default()))
+        .collect();
+    let mut clients: Vec<_> = shards.iter().map(TestServer::client).collect();
+    for c in &mut clients {
+        let resp = c.post("/sessions", br#"{"name":"s"}"#).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.text());
+    }
+    let mut index = StreamIndex::default();
+    for b in 0..BATCHES {
+        let (elements, mut quarantine) =
+            read_jsonl_elements(batch(b).as_bytes(), ErrorPolicy::Skip).unwrap();
+        let staged = index
+            .stage(elements, ErrorPolicy::Skip, &mut quarantine, "router")
+            .unwrap();
+        let expected_quarantine = if b == 2 { 2 } else { 0 };
+        assert_eq!(quarantine.len(), expected_quarantine, "batch {b}");
+        let mut bodies = vec![String::new(); SHARDS];
+        let mut route = |id: u64, el: Element| {
+            let body = &mut bodies[shard_of(id)];
+            body.push_str(&serde_json::to_string(&el).unwrap());
+            body.push('\n');
+        };
+        for n in &staged.nodes {
+            route(n.id.0, Element::Node(n.clone()));
+        }
+        for e in &staged.edges {
+            route(e.edge.id.0, Element::ResolvedEdge(e.clone()));
+        }
+        index.commit(staged);
+        for (i, (c, body)) in clients.iter_mut().zip(&bodies).enumerate() {
+            assert!(!body.is_empty(), "batch {b} left shard {i} idle");
+            let resp = c.post("/sessions/s/ingest", body.as_bytes()).unwrap();
+            assert_eq!(resp.status, 200, "batch {b}, shard {i}: {}", resp.text());
+            let v = resp.json().unwrap();
+            assert_eq!(v.get("quarantined"), Some(&serde::Value::U64(0)), "{v:?}");
+        }
+    }
+    let states: Vec<String> = clients
+        .iter_mut()
+        .map(|c| {
+            let resp = c.get("/sessions/s/state").unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.text());
+            resp.text()
+        })
+        .collect();
+
+    let config = SessionSpec::default().hive_config();
+    let fold = |order: &mut dyn Iterator<Item = &String>| {
+        let parsed: Vec<_> = order
+            .map(|text| pg_hive::merge::parse(text).unwrap().0)
+            .collect();
+        content_hash_hex(&merge_states(&parsed, &config).unwrap().schema)
+    };
+    assert_eq!(fold(&mut states.iter()), expected, "forward fold");
+    assert_eq!(fold(&mut states.iter().rev()), expected, "reverse fold");
+
+    let agg = TestServer::start(ServerConfig::default());
+    let mut client = agg.client();
+    let resp = client.post("/sessions", br#"{"name":"agg"}"#).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    for state in &states {
+        let resp = client
+            .post("/sessions/agg/merge", state.as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+    }
+    assert_eq!(session_hash(&mut client, "agg"), expected, "served fold");
 }

@@ -429,22 +429,19 @@ fn streamed_ingest_is_bit_identical_to_offline_discovery() {
     let hash = summary.get("hash").and_then(|h| h.as_str()).unwrap();
     assert_eq!(hash, expected, "streamed schema diverged from offline");
 
-    // The same body buffered whole (threshold above the body size, on
-    // the same server it would stream — so use an atomic-batch marker)
-    // agrees too: slicing is invisible in the result.
-    let resp = client.post("/sessions", br#"{"name":"whole"}"#).unwrap();
+    // The same body buffered whole agrees too: slicing is invisible in
+    // the result. A strict session is never sliced (its abort-the-batch
+    // semantics need the whole body), so on this server it buffers.
+    let resp = client
+        .post("/sessions", br#"{"name":"whole","on_error":"strict"}"#)
+        .unwrap();
     assert_eq!(resp.status, 201);
     let resp = client
-        .request(
-            "POST",
-            "/sessions/whole/ingest",
-            &[("X-Atomic-Batch", "1")],
-            body.as_bytes(),
-        )
+        .post("/sessions/whole/ingest", body.as_bytes())
         .expect("buffered ingest");
     assert_eq!(resp.status, 200, "{}", resp.text());
     let v = resp.json().expect("ingest JSON");
-    assert!(v.get("slices").is_none(), "atomic batch must not slice");
+    assert!(v.get("slices").is_none(), "a strict session must not slice");
     let summary = client.get("/sessions/whole").unwrap().json().unwrap();
     let hash = summary.get("hash").and_then(|h| h.as_str()).unwrap();
     assert_eq!(hash, expected, "buffered schema diverged from offline");

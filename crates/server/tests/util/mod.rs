@@ -25,38 +25,18 @@ pub struct TestServer {
 
 impl TestServer {
     pub fn start(config: ServerConfig) -> TestServer {
-        TestServer::try_start(config).expect("bind test server")
-    }
-
-    pub fn try_start(config: ServerConfig) -> std::io::Result<TestServer> {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let server = Server::bind(config, Arc::clone(&shutdown))?;
+        let server = Server::bind(config, Arc::clone(&shutdown)).expect("bind test server");
         let addr = server.local_addr();
         let registry = server.registry();
         let metrics = server.metrics();
         let thread = std::thread::spawn(move || server.run());
-        Ok(TestServer {
+        TestServer {
             addr,
             registry,
             metrics,
             shutdown,
             thread: Some(thread),
-        })
-    }
-
-    /// Start on a fixed address, retrying while the port shakes off the
-    /// previous occupant (restart-on-same-port scenarios).
-    pub fn start_rebinding(config: ServerConfig, deadline: std::time::Duration) -> TestServer {
-        let started = std::time::Instant::now();
-        loop {
-            match TestServer::try_start(config.clone()) {
-                Ok(s) => return s,
-                Err(e) if started.elapsed() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                }
-                Err(e) => panic!("rebinding {}: {e}", config.addr),
-            }
         }
     }
 

@@ -23,7 +23,7 @@ pub enum FaultKind {
     SilentTruncate,
     /// Keep writing/reading but flip the top bit of every byte past the
     /// budget — models silent media corruption that only a checksum
-    /// (e.g. the WAL/checkpoint CRC envelope) can catch.
+    /// (e.g. the checkpoint CRC envelope) can catch.
     Corrupt,
 }
 

@@ -40,7 +40,7 @@ pub enum Element {
     /// An edge line.
     Edge(Edge),
     /// An edge whose endpoint labels were resolved upstream (by a
-    /// cluster coordinator holding the global node index). Offline
+    /// router holding the global node index). Offline
     /// loaders treat it as a plain edge — the graph resolves endpoints
     /// itself; a live session applies the carried labels verbatim.
     ResolvedEdge(EdgeRecord),

@@ -19,9 +19,9 @@ pub type NodeRecord = Node;
 ///
 /// Serializable because it is also the wire form of a pre-resolved edge
 /// (`kind: "resolved_edge"` JSONL lines, see [`crate::jsonl::Element`]):
-/// a cluster coordinator that has seen every node can resolve endpoints
-/// centrally and ship records a shard can apply without holding the
-/// global node-label index.
+/// a router that has seen every node can resolve endpoints centrally
+/// and ship records a plain shard can apply without holding the global
+/// node-label index.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EdgeRecord {
     /// The edge itself (labels + properties + endpoint ids).

@@ -8,6 +8,12 @@
 #     allow) names a tracked file — by its path from the repository root or
 #     from `crates/`, or, without a directory, by its base name anywhere;
 #   * `file.rs:N` (also `file.rs:N–M`) names a file with at least that many lines;
+#   * a backticked CamelCase name (`HiveSession`, `Registry`) is declared
+#     (struct, enum, trait, fn, type, const, static) in a tracked .rs file
+#     or is an enum variant there, and so is the type of a `Type::item`
+#     (also `path::Type::item`, `Type::item()`, `Type::{a, b}`), whose
+#     items are declared as a fn or const, or appear as a field or an enum
+#     variant — except the standard-library names in `std_names`;
 #   * a CI job cited as "CI `name`", "`name` job" or "CI job `name`" is a
 #     job of .github/workflows/ci.yml.
 # Over README.md only: a `--flag` on a (continuation-joined) line that runs
@@ -56,6 +62,34 @@ while IFS=$'\t' read -r at tok; do
             longest=$(xargs wc -l <<<"$found" | awk '$2 != "total" && $1 > m { m = $1 } END { print m + 0 }')
             [ "$longest" -ge "$line" ] || complain "$at: \`$tok\`: file has $longest lines"
         fi
+    fi
+done < <(spans "${docs[@]}")
+
+# Type and function names against what the Rust sources declare.
+mapfile -t rs < <(grep -E '\.rs$' <<<"$files")
+declared_names=$(grep -hoE '^\s*(pub(\([a-z]+\))? )?((unsafe|const|async|extern "C") )*(struct|enum|trait|fn|type|const|static|union) [A-Za-z_][A-Za-z0-9_]*' "${rs[@]}" |
+    awk '{ print $NF }' | sort -u)
+members=$(grep -hoE '^\s*((pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*:|[A-Z][A-Za-z0-9]*(\(| \{|,|$))' "${rs[@]}" |
+    sed -E 's/^\s*(pub(\([a-z]+\))? )?//; s/[:({, ]+$//' | sort -u)
+std_names=" Arc AtomicBool BTreeMap Box Cow Debug Eq ErrorKind FromIterator Hash HashMap HashSet
+    IntoIterator None Ok Option Ord Result Some String Sum Vec "
+is_declared() { [[ $std_names == *" $1 "* ]] || grep -qx -- "$1" <<<"$declared_names"; }
+while IFS=$'\t' read -r at tok; do
+    tok=${tok%()}
+    if [[ $tok =~ ^[A-Z][a-z0-9]+([A-Z][a-z0-9]*)*$ ]]; then
+        is_declared "$tok" || grep -qx -- "$tok" <<<"$members" ||
+            complain "$at: \`$tok\`: no type, function or variant of that name"
+    elif [[ $tok =~ ^([a-z_][a-z0-9_]*::)*([A-Z][A-Za-z0-9]*)::(\{([a-z_A-Z0-9, ]+)\}|[A-Za-z_][A-Za-z0-9_]*)$ ]]; then
+        ty=${BASH_REMATCH[2]} items=${BASH_REMATCH[4]:-${BASH_REMATCH[3]}}
+        [[ $std_names != *" $ty "* ]] || continue
+        if ! is_declared "$ty"; then
+            complain "$at: \`$tok\`: no type named $ty"
+            continue
+        fi
+        for item in ${items//,/ }; do
+            is_declared "$item" || grep -qx -- "$item" <<<"$members" ||
+                complain "$at: \`$tok\`: $ty has no item $item"
+        done
     fi
 done < <(spans "${docs[@]}")
 

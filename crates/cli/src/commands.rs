@@ -5,7 +5,8 @@ use crate::opts::{CliError, Command, GraphInput, OutputFormat};
 use pg_datasets::{generate, inject_noise, spec_by_name, NoiseConfig};
 use pg_hive::{
     diff, merge_states, serialize, validate, CheckpointStore, DatatypeSampling, DiscoveryResult,
-    HiveConfig, HiveSession, PgHive, SchemaMode, SessionCheckpoint, ShardState, SHARD_SPLIT_SALT,
+    HiveConfig, HiveSession, MergeError, PgHive, SchemaMode, SessionCheckpoint, ShardState,
+    SHARD_SPLIT_SALT,
 };
 use pg_model::{GraphStats, PropertyGraph, SchemaGraph};
 use pg_store::{
@@ -465,8 +466,10 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 }
                 states.push(state);
             }
-            let merged = merge_states(&states, &HiveConfig::default())
-                .map_err(|e| CliError::Usage(e.to_string()))?;
+            let merged = merge_states(&states, &HiveConfig::default()).map_err(|e| match e {
+                MergeError::SketchMismatch => CliError::Input(e.to_string()),
+                _ => CliError::Usage(e.to_string()),
+            })?;
             let text = serialize::to_json(&merged.schema);
             if let Some(path) = out {
                 fs::write(path, &text)
@@ -1227,6 +1230,45 @@ mod tests {
         let err = run(&parse(&argv(&["merge", "/nonexistent/state.json"])).unwrap()).unwrap_err();
         assert!(matches!(err, CliError::Input(_)));
 
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_refuses_states_sketched_with_another_seed() {
+        let dir = tmpdir("mergeseed");
+        let dir_s = dir.to_str().unwrap();
+        let synth = [
+            "synth",
+            "--out-dir",
+            dir_s,
+            "--types",
+            "3",
+            "--size",
+            "300",
+            "--jsonl",
+        ];
+        run(&parse(&argv(&synth)).unwrap()).unwrap();
+        let state = |seed: &str| {
+            let file = dir.join(format!("state-{seed}.json"));
+            run(&parse(&argv(&[
+                "discover",
+                "--jsonl",
+                dir.join("graph.jsonl").to_str().unwrap(),
+                "--stream",
+                "--seed",
+                seed,
+                "--state-out",
+                file.to_str().unwrap(),
+            ]))
+            .unwrap())
+            .unwrap();
+            file.to_str().unwrap().to_owned()
+        };
+        let (a, b) = (state("1"), state("2"));
+        run(&parse(&argv(&["merge", &a, &a])).unwrap()).expect("one seed merges");
+        let err = run(&parse(&argv(&["merge", &a, &b])).unwrap()).unwrap_err();
+        assert!(matches!(err, CliError::Input(_)), "{err}");
+        assert_eq!(err.exit_code(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

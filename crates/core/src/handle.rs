@@ -22,6 +22,7 @@
 
 use crate::config::HiveConfig;
 use crate::incremental::{BatchTiming, HiveSession, SessionCheckpoint};
+use crate::merge::MergeError;
 use crate::serialize::{SchemaHistory, SchemaVersion};
 use pg_model::{LabelSet, ModelError, SchemaGraph};
 use pg_store::jsonl::Element;
@@ -43,6 +44,9 @@ pub enum IngestError {
     /// The session was already marked broken by an earlier engine
     /// failure.
     Broken(String),
+    /// A merge operand cannot fold into this session (see
+    /// [`MergeError`]). Nothing was applied.
+    Incompatible(MergeError),
 }
 
 impl std::fmt::Display for IngestError {
@@ -53,6 +57,7 @@ impl std::fmt::Display for IngestError {
             IngestError::Broken(m) => {
                 write!(f, "session is broken (earlier engine failure: {m})")
             }
+            IngestError::Incompatible(e) => write!(f, "merge refused: {e}"),
         }
     }
 }
@@ -420,10 +425,14 @@ impl SharedSession {
             return Err(IngestError::Broken(m.clone()));
         }
         let inner = &mut *inner;
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| inner.session.merge_state(foreign))) {
-            let msg = panic_message(panic);
-            inner.broken = Some(msg.clone());
-            return Err(IngestError::Engine(msg));
+        match catch_unwind(AssertUnwindSafe(|| inner.session.merge_state(foreign))) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => return Err(IngestError::Incompatible(e)),
+            Err(panic) => {
+                let msg = panic_message(panic);
+                inner.broken = Some(msg.clone());
+                return Err(IngestError::Engine(msg));
+            }
         }
         let (version, changed) = inner.history.observe(inner.session.schema());
         let hash = inner

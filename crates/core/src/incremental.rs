@@ -13,7 +13,7 @@ use crate::constraints::infer_property_constraints;
 use crate::datatypes::infer_datatypes;
 use crate::extract::{integrate, Cluster, MergeOptions};
 use crate::features::{Embedder, FeatureSpace};
-use crate::merge::sorted_accums;
+use crate::merge::{sorted_accums, MergeError};
 use crate::pipeline::DiscoveryResult;
 use crate::state::{DiscoveryState, Kind, Membership, Record, TypeAccum};
 use pg_lsh::AdaptiveParams;
@@ -390,9 +390,11 @@ impl HiveSession {
     /// under this session's alignment knobs; existing type ids are never
     /// renumbered. Post-processing then re-derives constraints, data
     /// types, and cardinalities from the merged accumulators (when the
-    /// config enables it), exactly as after an ingested batch.
-    pub fn merge_state(&mut self, foreign: &DiscoveryState) {
-        crate::merge::fold_states(&mut self.state, std::slice::from_ref(foreign), &self.config);
+    /// config enables it), exactly as after an ingested batch. A foreign
+    /// state whose sketches cannot merge with this session's is refused
+    /// with nothing applied.
+    pub fn merge_state(&mut self, foreign: &DiscoveryState) -> Result<(), MergeError> {
+        crate::merge::fold_states(&mut self.state, std::slice::from_ref(foreign), &self.config)?;
         // A fold may rebuild or rekey edge accumulators, which breaks
         // the append-only premise of the incremental degree cache; the
         // next post-processing pass rescans from scratch.
@@ -400,6 +402,7 @@ impl HiveSession {
         if self.config.post_processing {
             self.post_process();
         }
+        Ok(())
     }
 
     /// Run post-processing now (constraints, data types, cardinalities).

@@ -41,7 +41,7 @@ use crate::extract::{integrate, Cluster, MergeOptions};
 use crate::pipeline::{DiscoveryResult, PgHive};
 use crate::serialize::{edge_line, node_line};
 use crate::state::{
-    Accums, DiscoveryState, DtypeHist, EdgeTypeAccum, Kind, NodeTypeAccum, TypeAccum,
+    Accums, DiscoveryState, DtypeHist, EdgeTypeAccum, Kind, NodeTypeAccum, Sketch, TypeAccum,
 };
 use pg_model::{
     Cardinality, DataType, Edge, EdgeType, Node, NodeType, Presence, PropertyGraph, PropertySpec,
@@ -57,8 +57,9 @@ use std::fmt::Write as _;
 /// seed stay decorrelated.
 pub const SHARD_SPLIT_SALT: u64 = 0xd15c0;
 
-/// Why a merge could not run. Merging is total on non-empty input — the
-/// only failures are structural misuse, never data content.
+/// Why a merge could not run. Merging is total on non-empty input of one
+/// sketch shape — the only failures are structural misuse, never data
+/// content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeError {
     /// An empty list of schemas/states has no well-defined merge (the
@@ -67,6 +68,11 @@ pub enum MergeError {
     EmptyInput,
     /// `discover_sharded` was asked for zero shards.
     ZeroShards,
+    /// Sketched accumulators disagree on sketch size or seed (with each
+    /// other, with the merging session's stream configuration, or with
+    /// their own declared parameters). A union of such sketches means
+    /// nothing, so nothing was merged.
+    SketchMismatch,
 }
 
 impl fmt::Display for MergeError {
@@ -74,6 +80,11 @@ impl fmt::Display for MergeError {
         match self {
             MergeError::EmptyInput => write!(f, "cannot merge an empty list of schemas"),
             MergeError::ZeroShards => write!(f, "shard count must be positive"),
+            MergeError::SketchMismatch => write!(
+                f,
+                "sketched states differ in sketch size or seed; \
+                 merge only states discovered with the same --seed"
+            ),
         }
     }
 }
@@ -164,7 +175,7 @@ pub fn merge_states(
         return Err(MergeError::EmptyInput);
     }
     let mut state = DiscoveryState::new();
-    fold_states(&mut state, states, config);
+    fold_states(&mut state, states, config)?;
     let mut state = canonicalize(state);
     if config.post_processing {
         infer_property_constraints(&mut state);
@@ -273,16 +284,34 @@ pub fn discover_sharded(
 /// Algorithm 2 as a cluster, in a canonical input order — integration
 /// decisions depend only on the multiset of foreign types, never on the
 /// order or grouping of the list. Post-processing is the caller's job.
+/// Refuses, before touching `state`, sketches that could not merge.
 pub(crate) fn fold_states(
     state: &mut DiscoveryState,
     foreign: &[DiscoveryState],
     config: &HiveConfig,
-) {
+) -> Result<(), MergeError> {
     let opts = MergeOptions::from_config(config);
+    // Every sketch must be well formed and share one parameter set: the
+    // config's in stream mode, else the first one met.
+    let mut expected = opts.stream;
+    for s in std::iter::once(&*state).chain(foreign) {
+        let nodes = sketches::<Node>(s).map(|sk| (sk.params, sk.well_formed()));
+        let edges = sketches::<Edge>(s).map(|sk| (sk.params, sk.well_formed()));
+        for (params, well_formed) in nodes.chain(edges) {
+            if !well_formed || *expected.get_or_insert(params) != params {
+                return Err(MergeError::SketchMismatch);
+            }
+        }
+    }
     let nodes = sorted_clusters::<Node, _>(foreign, node_cluster, node_cluster_key);
     integrate(state, nodes, opts);
     let edges = sorted_clusters::<Edge, _>(foreign, edge_cluster, edge_cluster_key);
     integrate(state, edges, opts);
+    Ok(())
+}
+
+fn sketches<K: Kind>(state: &DiscoveryState) -> impl Iterator<Item = &Sketch<K>> {
+    K::view(state).1.values().filter_map(TypeAccum::sketch)
 }
 
 /// Re-express every type of one kind as an Algorithm 2 input cluster
@@ -477,6 +506,53 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err, MergeError::ZeroShards);
+    }
+
+    #[test]
+    fn sketches_of_another_size_or_seed_are_refused() {
+        let mut g = PropertyGraph::new();
+        for i in 0..40u64 {
+            g.add_node(pg_model::Node::new(i, LabelSet::single("Org")).with_prop("url", i as i64))
+                .unwrap();
+        }
+        let sketched = |seed| {
+            let config = HiveConfig {
+                seed,
+                ..sketched_config()
+            };
+            PgHive::new(config).discover_graph(&g).state
+        };
+        let (a, b) = (sketched(1), sketched(2));
+        let exact = HiveConfig::default();
+        assert!(merge_states(&[a.clone(), a.clone()], &exact).is_ok());
+        let refused = Err(MergeError::SketchMismatch);
+        assert_eq!(merge_states(&[a.clone(), b], &exact).map(|_| ()), refused);
+
+        // A stream-mode merge builds sketches of its own seed, so those
+        // decide.
+        let stream7 = HiveConfig {
+            seed: 7,
+            ..sketched_config()
+        };
+        assert_eq!(
+            merge_states(std::slice::from_ref(&a), &stream7).map(|_| ()),
+            refused
+        );
+
+        // A sketch whose size disagrees with its own declared params.
+        let mut bad = a.clone();
+        let accum = bad.node_accums.values_mut().next().expect("one type");
+        let params = accum.sketch().expect("stream mode sketches").params;
+        accum.ensure_sketched(params).members =
+            crate::sketch::DistinctSketch::new(params.distinct_k * 2, params.seed);
+        assert_eq!(merge_states(&[a, bad], &exact).map(|_| ()), refused);
+    }
+
+    fn sketched_config() -> HiveConfig {
+        HiveConfig {
+            stream: Some(crate::config::StreamConfig::default()),
+            ..HiveConfig::default()
+        }
     }
 
     #[test]

@@ -140,6 +140,11 @@ impl DistinctSketch {
         self.seed
     }
 
+    /// `(k, seed)`: merge partners must agree on both.
+    pub(crate) fn shape(&self) -> (usize, u64) {
+        (self.k, self.seed)
+    }
+
     /// True when nothing was ever inserted.
     pub fn is_empty(&self) -> bool {
         self.hashes.is_empty()
@@ -273,6 +278,11 @@ impl ValueSample {
     /// Number of sampled distinct values.
     pub fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// `(k, seed)`: merge partners must agree on both.
+    pub(crate) fn shape(&self) -> (usize, u64) {
+        (self.k, self.seed)
     }
 
     /// True when the sample is empty.

@@ -197,6 +197,10 @@ pub trait Kind: Sized + Clone + Debug + 'static {
     fn observe_ends(_sketch: &mut Self::EndSketch, _pair: Self::Pair) {}
     /// Merge endpoint sketches (order-insensitive).
     fn merge_ends(_sketch: &mut Self::EndSketch, _other: &Self::EndSketch) {}
+    /// The `(k, seed)` of every sketch inside the endpoint sketch.
+    fn end_shapes(_sketch: &Self::EndSketch) -> Vec<(usize, u64)> {
+        Vec::new()
+    }
     /// Bytes the endpoint sketch retains.
     fn end_sketch_bytes(_sketch: &Self::EndSketch) -> usize {
         0
@@ -302,6 +306,13 @@ impl Kind for Edge {
         sketch.pairs.merge(&other.pairs);
         sketch.srcs.merge(&other.srcs);
         sketch.tgts.merge(&other.tgts);
+    }
+    fn end_shapes(sketch: &EndpointSketch) -> Vec<(usize, u64)> {
+        vec![
+            sketch.pairs.shape(),
+            sketch.srcs.shape(),
+            sketch.tgts.shape(),
+        ]
     }
     fn end_sketch_bytes(sketch: &EndpointSketch) -> usize {
         sketch.pairs.retained_bytes() + sketch.srcs.retained_bytes() + sketch.tgts.retained_bytes()
@@ -415,6 +426,10 @@ fn ratio_bound(pairs: u64, ends: u64, slack: f64) -> u64 {
     }
 }
 
+fn new_sample<K: Kind>(params: SketchParams) -> ValueSample {
+    ValueSample::new(params.sample_k, params.seed ^ K::SAMPLE_SALT)
+}
+
 /// Sketched membership of one type: member ids collapse into a KMV
 /// distinct counter, endpoints into the kind's endpoint sketch, and
 /// property values into bottom-k samples, so the size is independent of
@@ -447,11 +462,20 @@ impl<K: Kind> Sketch<K> {
         for (k, v) in props {
             self.samples
                 .entry(k.clone())
-                .or_insert_with(|| {
-                    ValueSample::new(self.params.sample_k, self.params.seed ^ K::SAMPLE_SALT)
-                })
+                .or_insert_with(|| new_sample::<K>(self.params))
                 .observe(k, v);
         }
+    }
+
+    /// Whether every sketch inside has the size and seed [`Sketch::new`]
+    /// gives `params` — only then can it merge with a partner of equal
+    /// params. A decoded sketch can claim one set and hold another.
+    pub(crate) fn well_formed(&self) -> bool {
+        let fresh = Sketch::<K>::new(self.params);
+        let sample = new_sample::<K>(self.params).shape();
+        self.members.shape() == fresh.members.shape()
+            && K::end_shapes(&self.ends) == K::end_shapes(&fresh.ends)
+            && self.samples.values().all(|s| s.shape() == sample)
     }
 
     /// Absorb exact member-id and endpoint lists.

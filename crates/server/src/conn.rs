@@ -4,17 +4,13 @@
 //! write buffer, and a [`ConnState`] that resumes exactly where the
 //! last readable event left off. Nothing here blocks — the reactor
 //! feeds bytes in, the state machine emits queued response bytes and
-//! CPU-pool jobs out. Large JSONL ingest bodies never materialize in
-//! memory: [`IngestStream`] slices them at line boundaries and
-//! aggregates the per-slice [`IngestReport`]s into the same response a
-//! buffered one-shot ingest would have produced.
+//! CPU-pool jobs out. Every request body, ingest included, is buffered
+//! whole (up to the server's body limit) and dispatched once, so one
+//! `POST /sessions/{id}/ingest` is one batch under every error policy.
 
 use crate::http::{HeadParser, RequestHead, Response};
-use crate::registry::{IngestPermit, IngestReport, LiveSession};
-use crate::router;
 use std::collections::VecDeque;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Where a connection is in its request/response lifecycle.
@@ -26,8 +22,6 @@ pub(crate) enum ConnState {
         head: Box<RequestHead>,
         body: Vec<u8>,
     },
-    /// Streaming a large ingest body to the session in bounded slices.
-    Streaming(Box<IngestStream>),
     /// Discarding `remaining` declared body bytes after an early
     /// response (413 with a drainable body) so keep-alive can resume at
     /// a clean request boundary.
@@ -86,21 +80,9 @@ impl Conn {
     /// now. `InFlight`/`Closing` pause reads, which (with
     /// level-triggered epoll) bounds per-connection buffering and gives
     /// pipelining for free: pipelined bytes sit in the kernel buffer
-    /// until the response is queued. A streaming ingest stops reading
-    /// once enough undispatched lines are buffered (backpressure).
-    pub fn wants_read(&self, slice_bytes: usize) -> bool {
-        if self.read_closed {
-            return false;
-        }
-        match &self.state {
-            ConnState::Head(_) | ConnState::BufferedBody { .. } | ConnState::Draining { .. } => {
-                true
-            }
-            ConnState::Streaming(s) => {
-                s.failed.is_none() && s.pending.len() < slice_bytes.saturating_mul(2).max(1)
-            }
-            ConnState::InFlight | ConnState::Closing => false,
-        }
+    /// until the response is queued.
+    pub fn wants_read(&self) -> bool {
+        !self.read_closed && !matches!(self.state, ConnState::InFlight | ConnState::Closing)
     }
 
     /// Whether all queued response bytes have been written out.
@@ -132,346 +114,19 @@ impl Conn {
     }
 }
 
-/// Streaming ingest in progress: splits the body into complete-line
-/// slices, keeps at most one slice on the CPU pool (slices of one
-/// request must apply in order), and folds the per-slice reports into
-/// one aggregate that mirrors a single buffered batch.
-pub(crate) struct IngestStream {
-    /// The target session (cloned `Arc` rides into each slice job).
-    pub session: Arc<LiveSession>,
-    /// Ingest-queue slot held for the whole body; never read, only
-    /// dropped — releasing it when the stream finishes or the
-    /// connection dies is the entire point.
-    #[allow(dead_code)]
-    pub permit: Option<IngestPermit>,
-    /// Declared body bytes not yet received.
-    pub remaining: usize,
-    /// Complete lines awaiting dispatch.
-    pub pending: Vec<u8>,
-    /// Newline count inside `pending`.
-    pub pending_lines: usize,
-    /// Trailing bytes of an incomplete line (prefix of the next slice).
-    pub partial: Vec<u8>,
-    /// Complete lines already handed to slice jobs (line offset of the
-    /// next slice, so quarantine line numbers stay stream-global).
-    pub lines_sent: usize,
-    /// A slice job is on the pool; no new slice may dispatch.
-    pub inflight: bool,
-    /// Slices dispatched so far (reported in the response).
-    pub slices: u64,
-    /// Folded outcome of completed slices.
-    pub agg: Option<IngestReport>,
-    /// First slice failure; ends the request with this response.
-    pub failed: Option<Response>,
-    /// Whether the request asked to keep the connection alive.
-    pub keep_alive: bool,
-    /// Request start, for the route-latency metric.
-    pub started: Instant,
-}
-
-impl IngestStream {
-    pub fn new(
-        session: Arc<LiveSession>,
-        permit: IngestPermit,
-        head: &RequestHead,
-        now: Instant,
-    ) -> IngestStream {
-        IngestStream {
-            session,
-            permit: Some(permit),
-            remaining: head.content_length,
-            pending: Vec::new(),
-            pending_lines: 0,
-            partial: Vec::new(),
-            lines_sent: 0,
-            inflight: false,
-            slices: 0,
-            agg: None,
-            failed: None,
-            keep_alive: head.keep_alive,
-            started: now,
-        }
-    }
-
-    /// Consume body bytes from `input`; returns how many were taken
-    /// (never more than `remaining`, so pipelined follow-up requests
-    /// stay in the connection buffer).
-    pub fn consume(&mut self, input: &[u8]) -> usize {
-        let take = input.len().min(self.remaining);
-        let bytes = &input[..take];
-        self.remaining -= take;
-        if let Some(last) = bytes.iter().rposition(|b| *b == b'\n') {
-            // `partial` + everything through the last newline is a run
-            // of complete lines; the tail starts the next partial.
-            self.pending.append(&mut self.partial);
-            self.pending.extend_from_slice(&bytes[..=last]);
-            self.pending_lines += bytes[..=last].iter().filter(|b| **b == b'\n').count();
-            self.partial.extend_from_slice(&bytes[last + 1..]);
-        } else {
-            self.partial.extend_from_slice(bytes);
-        }
-        take
-    }
-
-    /// Cut the next slice if one is due: either `pending` reached the
-    /// slice size, or the body is complete (which also promotes the
-    /// unterminated trailing line). At most one slice is in flight at a
-    /// time. An empty body still yields one empty slice so the response
-    /// matches a buffered empty batch.
-    ///
-    /// Slices stay *bounded*: when `pending` has outrun the target
-    /// (bytes arriving faster than slices dispatch), the cut lands on
-    /// the last line boundary inside the target window rather than
-    /// shipping the whole backlog — a single line longer than the
-    /// window ships whole, since slices never split a line.
-    pub fn take_slice(&mut self, slice_bytes: usize) -> Option<(Vec<u8>, usize)> {
-        if self.inflight || self.failed.is_some() {
-            return None;
-        }
-        let body_done = self.remaining == 0;
-        if body_done && !self.partial.is_empty() {
-            self.pending.append(&mut self.partial);
-            self.pending_lines += 1;
-        }
-        let target = slice_bytes.max(1);
-        let due = self.pending.len() >= target
-            || (body_done
-                && (!self.pending.is_empty() || (self.slices == 0 && self.agg.is_none())));
-        if !due {
-            return None;
-        }
-        let cut = if self.pending.len() <= target {
-            self.pending.len()
-        } else {
-            match self.pending[..target].iter().rposition(|b| *b == b'\n') {
-                Some(i) => i + 1,
-                None => self.pending[target..]
-                    .iter()
-                    .position(|b| *b == b'\n')
-                    .map(|i| target + i + 1)
-                    .unwrap_or(self.pending.len()),
-            }
-        };
-        let rest = self.pending.split_off(cut);
-        let chunk = std::mem::replace(&mut self.pending, rest);
-        let newlines = chunk.iter().filter(|b| **b == b'\n').count();
-        let trailing = usize::from(chunk.last().is_some_and(|b| *b != b'\n'));
-        let lines = newlines + trailing;
-        let offset = self.lines_sent;
-        self.lines_sent += lines;
-        self.pending_lines -= lines;
-        self.inflight = true;
-        self.slices += 1;
-        Some((chunk, offset))
-    }
-
-    /// Undo a [`take_slice`](IngestStream::take_slice) whose dispatch
-    /// found the pool saturated: the lines go back to the front of
-    /// `pending` and the counters rewind, so a later retry cuts the
-    /// identical slice. Sound because only one slice is ever taken at a
-    /// time.
-    pub fn unslice(&mut self, chunk: Vec<u8>, offset: usize) {
-        let newlines = chunk.iter().filter(|b| **b == b'\n').count();
-        let trailing = usize::from(chunk.last().is_some_and(|b| *b != b'\n'));
-        self.lines_sent = offset;
-        self.pending_lines += newlines + trailing;
-        self.inflight = false;
-        self.slices -= 1;
-        let mut restored = chunk;
-        restored.append(&mut self.pending);
-        self.pending = restored;
-    }
-
-    /// Fold a completed slice's report into the aggregate. Counts sum;
-    /// version/hash/batch_index track the latest slice (the session's
-    /// state after the whole body), `changed` ORs.
-    pub fn absorb(&mut self, report: IngestReport) {
-        self.inflight = false;
-        match &mut self.agg {
-            None => self.agg = Some(report),
-            Some(agg) => {
-                agg.outcome.nodes += report.outcome.nodes;
-                agg.outcome.edges += report.outcome.edges;
-                agg.outcome.quarantined += report.outcome.quarantined;
-                agg.outcome.changed |= report.outcome.changed;
-                agg.outcome.batch_index = report.outcome.batch_index;
-                agg.outcome.version = report.outcome.version;
-                agg.outcome.hash = report.outcome.hash;
-                agg.outcome.timing.batch_index = report.outcome.timing.batch_index;
-                agg.outcome.timing.nodes += report.outcome.timing.nodes;
-                agg.outcome.timing.edges += report.outcome.timing.edges;
-                agg.outcome.timing.total += report.outcome.timing.total;
-                agg.quarantine.absorb(report.quarantine);
-                agg.checkpointed |= report.checkpointed;
-                if report.checkpoint_error.is_some() {
-                    agg.checkpoint_error = report.checkpoint_error;
-                }
-            }
-        }
-    }
-
-    /// Record a slice failure; the connection answers with this and
-    /// closes (mid-body there is no clean request boundary to resume
-    /// keep-alive from).
-    pub fn fail(&mut self, resp: Response) {
-        self.inflight = false;
-        if self.failed.is_none() {
-            self.failed = Some(resp);
-        }
-        self.pending.clear();
-        self.pending_lines = 0;
-        self.partial.clear();
-    }
-
-    /// All body bytes received, sliced, and applied.
-    pub fn is_complete(&self) -> bool {
-        self.remaining == 0
-            && !self.inflight
-            && self.pending.is_empty()
-            && self.partial.is_empty()
-            && self.failed.is_none()
-            && self.agg.is_some()
-    }
-
-    /// The success response for the finished stream.
-    pub fn success_response(&self) -> Response {
-        let report = self.agg.as_ref().expect("is_complete checked by caller");
-        router::ingest_success_response(self.session.name(), report, Some(self.slices))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stream_for_test(remaining: usize) -> IngestStream {
-        IngestStream {
-            session: test_session(),
-            permit: None,
-            remaining,
-            pending: Vec::new(),
-            pending_lines: 0,
-            partial: Vec::new(),
-            lines_sent: 0,
-            inflight: false,
-            slices: 0,
-            agg: None,
-            failed: None,
-            keep_alive: true,
-            started: Instant::now(),
-        }
-    }
-
-    fn test_session() -> Arc<LiveSession> {
-        use crate::registry::{Registry, RegistryConfig};
-        let (registry, _) = Registry::open(RegistryConfig::default());
-        registry
-            .create("conn-test", registry.spec_defaults().clone())
-            .expect("session")
-    }
-
     #[test]
-    fn consume_splits_at_line_boundaries_across_chunks() {
-        let mut s = stream_for_test(22);
-        assert_eq!(s.consume(b"alpha\nbr"), 8);
-        assert_eq!(s.pending, b"alpha\n");
-        assert_eq!(s.pending_lines, 1);
-        assert_eq!(s.partial, b"br");
-        assert_eq!(s.consume(b"avo\ncharlie003"), 14);
-        assert_eq!(s.pending, b"alpha\nbravo\n");
-        assert_eq!(s.pending_lines, 2);
-        assert_eq!(s.partial, b"charlie003");
-        assert_eq!(s.remaining, 0);
-    }
-
-    #[test]
-    fn consume_never_takes_past_the_declared_body() {
-        let mut s = stream_for_test(4);
-        // 4 body bytes then the start of a pipelined request.
-        assert_eq!(s.consume(b"ab\ncGET /"), 4);
-        assert_eq!(s.remaining, 0);
-        assert_eq!(s.pending, b"ab\n");
-        assert_eq!(s.partial, b"c");
-    }
-
-    #[test]
-    fn final_slice_promotes_the_unterminated_trailing_line() {
-        let mut s = stream_for_test(7);
-        s.consume(b"a\nb\nend");
-        let (chunk, offset) = s.take_slice(1024 * 1024).expect("body done => slice due");
-        assert_eq!(chunk, b"a\nb\nend");
-        assert_eq!(offset, 0);
-        assert_eq!(s.lines_sent, 3, "the unterminated line counts");
-        assert!(s.inflight);
-        assert!(
-            s.take_slice(1).is_none(),
-            "one slice in flight at a time keeps batches ordered"
-        );
-    }
-
-    #[test]
-    fn slice_offsets_advance_in_stream_coordinates() {
-        let mut s = stream_for_test(12);
-        s.consume(b"a\nb\n");
-        let (chunk, offset) = s.take_slice(1).expect("over threshold");
-        assert_eq!(
-            chunk, b"a\n",
-            "cut lands on the first line boundary past the target"
-        );
-        assert_eq!(offset, 0);
-        // Mimic the completion then feed the rest.
-        s.inflight = false;
-        s.consume(b"c\nd\ne\nf\n");
-        let (chunk, offset) = s.take_slice(4).expect("due");
-        assert_eq!(offset, 1, "one line already sent");
-        assert_eq!(chunk, b"b\nc\n", "bounded cut, backlog stays pending");
-        s.inflight = false;
-        let (chunk, offset) = s.take_slice(1024).expect("body done drains the rest");
-        assert_eq!(offset, 3);
-        assert_eq!(chunk, b"d\ne\nf\n");
-    }
-
-    #[test]
-    fn slices_stay_bounded_and_never_split_a_line() {
-        let mut s = stream_for_test(1 << 20);
-        s.consume(b"aaaaaaaaaa\nbb\n");
-        let (chunk, offset) = s.take_slice(4).expect("backlog over target");
-        assert_eq!(chunk, b"aaaaaaaaaa\n", "an over-long line ships whole");
-        assert_eq!(offset, 0);
-        s.inflight = false;
-        assert!(
-            s.take_slice(4).is_none(),
-            "below target with body bytes still coming: not due"
-        );
-    }
-
-    #[test]
-    fn empty_body_yields_exactly_one_empty_slice() {
-        let mut s = stream_for_test(0);
-        let (chunk, offset) = s
-            .take_slice(1024)
-            .expect("empty body still applies a batch");
-        assert_eq!(chunk, b"");
-        assert_eq!(offset, 0);
-        s.inflight = false;
-        assert!(s.take_slice(1024).is_none(), "only one");
-    }
-
-    #[test]
-    fn conn_pauses_reads_while_dispatched_and_when_stream_backlogged() {
+    fn conn_pauses_reads_while_dispatched() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let mut conn = Conn::new(stream, Instant::now());
-        assert!(conn.wants_read(1024), "fresh connection reads");
+        assert!(conn.wants_read(), "fresh connection reads");
         conn.state = ConnState::InFlight;
-        assert!(!conn.wants_read(1024), "dispatched request pauses reads");
-        let mut s = stream_for_test(1 << 20);
-        s.pending = vec![b'x'; 4096];
-        conn.state = ConnState::Streaming(Box::new(s));
-        assert!(
-            !conn.wants_read(1024),
-            "backlogged stream applies backpressure"
-        );
-        assert!(conn.wants_read(8192), "room left => keep reading");
+        assert!(!conn.wants_read(), "dispatched request pauses reads");
+        conn.state = ConnState::Closing;
+        assert!(!conn.wants_read(), "closing connection reads nothing more");
     }
 }

@@ -24,6 +24,11 @@
 //! | `/sessions/{id}/merge`           | POST   | fold a shard state or schema into the session |
 //! | `/sessions/{id}/validate`        | POST   | LOOSE/STRICT conformance of a subgraph |
 //!
+//! One ingest request is one batch: the reactor buffers every body whole
+//! (up to [`ServerConfig::max_body`]) before a worker decodes and applies
+//! it, under every error policy, so a body torn by a disconnect applies
+//! nothing.
+//!
 //! Distributed discovery needs no coordinator: run N plain servers, pull
 //! each one's `GET …/state`, and fold them with `pg-hive merge` or
 //! `POST …/merge` (the monotone merge of [`pg_hive::merge_states`]).
@@ -85,20 +90,12 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// In-flight ingests admitted per session before 503s start.
     pub session_queue: usize,
-    /// Ingest bodies at least this large stream to the session in
-    /// slices instead of buffering whole (Skip-policy sessions only).
-    pub stream_threshold: usize,
-    /// Target size of one streamed ingest slice (cut at line
-    /// boundaries).
-    pub slice_bytes: usize,
     /// Durable session state directory (`None` = in-memory only).
     pub state_dir: Option<PathBuf>,
     /// Default batches between cadence checkpoints for new sessions.
     pub checkpoint_every: u64,
     /// Checkpoints retained per session.
     pub checkpoint_keep: usize,
-    /// Default schema versions retained per session.
-    pub history_retain: u64,
 }
 
 impl Default for ServerConfig {
@@ -112,12 +109,9 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(60),
             session_queue: 64,
-            stream_threshold: 1024 * 1024,
-            slice_bytes: 1024 * 1024,
             state_dir: None,
             checkpoint_every: 8,
             checkpoint_keep: 4,
-            history_retain: 64,
         }
     }
 }
@@ -197,7 +191,6 @@ impl Server {
             checkpoint_keep: config.checkpoint_keep,
             spec_defaults: SessionSpec {
                 checkpoint_every: config.checkpoint_every,
-                history_retain: config.history_retain,
                 ..SessionSpec::default()
             },
             session_queue: config.session_queue,

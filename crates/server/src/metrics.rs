@@ -61,7 +61,6 @@ pub struct Metrics {
     session_busy_rejections: AtomicU64,
     idle_timeouts: AtomicU64,
     connection_limit_rejections: AtomicU64,
-    ingest_slices: AtomicU64,
     routes: Mutex<BTreeMap<&'static str, RouteStat>>,
 }
 
@@ -82,7 +81,6 @@ impl Metrics {
             session_busy_rejections: AtomicU64::new(0),
             idle_timeouts: AtomicU64::new(0),
             connection_limit_rejections: AtomicU64::new(0),
-            ingest_slices: AtomicU64::new(0),
             routes: Mutex::new(BTreeMap::new()),
         }
     }
@@ -126,11 +124,6 @@ impl Metrics {
     pub fn connection_limit_rejection(&self) {
         self.connection_limit_rejections
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one streamed ingest slice applied to a session.
-    pub fn ingest_slice(&self) {
-        self.ingest_slices.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one handled request under its route pattern.
@@ -232,18 +225,6 @@ impl Metrics {
             &format!(
                 "pg_serve_connection_limit_rejections_total {}\n",
                 self.connection_limit_rejections.load(Ordering::Relaxed)
-            ),
-        );
-        push(
-            &mut out,
-            "# HELP pg_serve_ingest_slices_total Streamed ingest slices applied.\n\
-             # TYPE pg_serve_ingest_slices_total counter\n",
-        );
-        push(
-            &mut out,
-            &format!(
-                "pg_serve_ingest_slices_total {}\n",
-                self.ingest_slices.load(Ordering::Relaxed)
             ),
         );
 
@@ -421,7 +402,6 @@ mod tests {
         assert!(text.contains("pg_serve_session_busy_rejections_total 0"));
         assert!(text.contains("pg_serve_idle_timeouts_total 0"));
         assert!(text.contains("pg_serve_connection_limit_rejections_total 0"));
-        assert!(text.contains("pg_serve_ingest_slices_total 0"));
         assert!(text
             .contains("pg_serve_requests_total{route=\"/sessions/{id}/ingest\",status=\"422\"} 1"));
         assert!(text.contains("pg_serve_requests_total{route=\"/healthz\",status=\"200\"} 1"));

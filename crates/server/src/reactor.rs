@@ -13,13 +13,12 @@
 //! memory per connection) and `EPOLLOUT` is armed only while response
 //! bytes are queued.
 //!
-//! Workers never touch sockets. They run the routed handler (or one
-//! ingest slice), then push a [`Completion`] down an mpsc channel and
-//! poke the wake pipe — a nonblocking `UnixStream` pair the reactor
-//! polls like any other fd. The same pipe is registered with the signal
-//! handler so SIGINT interrupts `epoll_wait` immediately (glibc's
-//! `signal()` means SA_RESTART, so without it shutdown would wait for
-//! the next tick).
+//! Workers never touch sockets. They run the routed handler, then push
+//! a [`Completion`] down an mpsc channel and poke the wake pipe — a
+//! nonblocking `UnixStream` pair the reactor polls like any other fd.
+//! The same pipe is registered with the signal handler so SIGINT
+//! interrupts `epoll_wait` immediately (glibc's `signal()` means
+//! SA_RESTART, so without it shutdown would wait for the next tick).
 //!
 //! Timeouts ride a coarse timer wheel (lazy deletion: entries are
 //! re-validated against the connection's *actual* deadline when their
@@ -31,14 +30,12 @@
 //! [`ServerConfig::read_timeout`]: crate::ServerConfig::read_timeout
 //! [`ServerConfig::idle_timeout`]: crate::ServerConfig::idle_timeout
 
-use crate::conn::{Conn, ConnState, IngestStream};
+use crate::conn::{Conn, ConnState};
 use crate::http::{self, HeadParser, HttpError, RequestHead, Response};
 use crate::pool::Pool;
-use crate::registry::{IngestFailure, IngestPermit, IngestReport, LiveSession};
 use crate::router::{self, Ctx};
 use crate::shutdown;
 use crate::{Server, ServerConfig};
-use pg_store::ErrorPolicy;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -175,22 +172,13 @@ impl Waker {
     }
 }
 
-/// What a worker hands back to the reactor.
-pub(crate) enum Completion {
-    /// A fully-buffered request was routed; here is the serialized
-    /// response (metrics were recorded on the worker).
-    Response {
-        token: u64,
-        bytes: Vec<u8>,
-        keep_alive: bool,
-    },
-    /// One streaming-ingest slice was applied (or refused). Boxed: the
-    /// report dwarfs the `Response` variant and completions sit in a
-    /// channel.
-    Slice {
-        token: u64,
-        result: Box<Result<IngestReport, IngestFailure>>,
-    },
+/// What a worker hands back to the reactor: a fully-buffered request
+/// was routed, and here is its serialized response (metrics were
+/// recorded on the worker).
+pub(crate) struct Completion {
+    token: u64,
+    bytes: Vec<u8>,
+    keep_alive: bool,
 }
 
 /// Generation-tagged connection slab. Slot reuse bumps the generation,
@@ -327,7 +315,6 @@ pub(crate) fn serve(server: &Server) -> io::Result<u64> {
     let mut cfg = server.config.clone();
     cfg.max_connections = cfg.max_connections.max(1);
     cfg.queue = cfg.queue.max(1);
-    cfg.slice_bytes = cfg.slice_bytes.max(1);
     let mut reactor = Reactor {
         svc: Services {
             epoll,
@@ -342,7 +329,6 @@ pub(crate) fn serve(server: &Server) -> io::Result<u64> {
         wheel: TimerWheel::new(Instant::now()),
         rx,
         wake_rx,
-        starved: Vec::new(),
         connections: 0,
         draining: false,
     };
@@ -365,9 +351,6 @@ struct Reactor {
     wheel: TimerWheel,
     rx: Receiver<Completion>,
     wake_rx: UnixStream,
-    /// Streaming connections with a slice due while the pool was full;
-    /// re-driven each loop iteration until the pool has room.
-    starved: Vec<u64>,
     connections: u64,
     draining: bool,
 }
@@ -406,13 +389,6 @@ impl Reactor {
             }
             while let Ok(completion) = self.rx.try_recv() {
                 self.handle_completion(completion);
-            }
-            if !self.starved.is_empty() {
-                let starved = std::mem::take(&mut self.starved);
-                for t in starved {
-                    let (idx, gen) = untoken(t);
-                    self.drive(idx, gen, false, false);
-                }
             }
             if accept_ready && !self.draining {
                 self.accept_loop(listener);
@@ -507,61 +483,34 @@ impl Reactor {
             Verdict::Close => self.close(idx, gen),
             Verdict::Keep => {
                 conn.compact();
-                let interest = desired_interest(conn, svc.cfg.slice_bytes);
+                let interest = desired_interest(conn);
                 if interest != conn.interest {
                     conn.interest = interest;
                     let fd = conn.stream.as_raw_fd();
                     let _ = svc.epoll.modify(fd, interest, token(idx, gen));
                 }
-                let hungry = stream_hungry(conn, svc.cfg.slice_bytes);
                 if !conn.timer_queued {
                     conn.timer_queued = true;
                     let deadline = deadline_of(conn, &svc.cfg);
                     self.wheel.schedule(token(idx, gen), deadline, now);
-                }
-                if hungry {
-                    self.starved.push(token(idx, gen));
                 }
             }
         }
     }
 
     fn handle_completion(&mut self, completion: Completion) {
-        let now = Instant::now();
-        match completion {
-            Completion::Response {
-                token: t,
-                bytes,
-                keep_alive,
-            } => {
-                let (idx, gen) = untoken(t);
-                let Some(conn) = self.slab.get_mut(idx, gen) else {
-                    return;
-                };
-                conn.out.extend(bytes);
-                conn.state = if keep_alive {
-                    ConnState::Head(HeadParser::new())
-                } else {
-                    ConnState::Closing
-                };
-                conn.last_progress = now;
-                self.drive(idx, gen, false, false);
-            }
-            Completion::Slice { token: t, result } => {
-                let (idx, gen) = untoken(t);
-                let Some(conn) = self.slab.get_mut(idx, gen) else {
-                    return;
-                };
-                conn.last_progress = now;
-                if let ConnState::Streaming(stream) = &mut conn.state {
-                    match *result {
-                        Ok(report) => stream.absorb(report),
-                        Err(failure) => stream.fail(router::ingest_failure_response(&failure)),
-                    }
-                }
-                self.drive(idx, gen, false, false);
-            }
-        }
+        let (idx, gen) = untoken(completion.token);
+        let Some(conn) = self.slab.get_mut(idx, gen) else {
+            return;
+        };
+        conn.out.extend(completion.bytes);
+        conn.state = if completion.keep_alive {
+            ConnState::Head(HeadParser::new())
+        } else {
+            ConnState::Closing
+        };
+        conn.last_progress = Instant::now();
+        self.drive(idx, gen, false, false);
     }
 
     fn expire_timers(&mut self) {
@@ -644,11 +593,11 @@ fn step(
     if fatal {
         return Verdict::Close;
     }
-    if readable && read_into(conn, now, svc.cfg.slice_bytes).is_err() {
+    if readable && read_into(conn, now).is_err() {
         return Verdict::Close;
     }
     loop {
-        match process_once(conn, svc, t, now) {
+        match process_once(conn, svc, t) {
             Flow::Continue => {}
             Flow::Blocked => break,
             Flow::Close => return Verdict::Close,
@@ -677,10 +626,10 @@ fn step(
 
 /// Pull whatever the socket has (bounded by [`READ_BUDGET`]) into the
 /// connection buffer.
-fn read_into(conn: &mut Conn, now: Instant, slice_bytes: usize) -> io::Result<()> {
+fn read_into(conn: &mut Conn, now: Instant) -> io::Result<()> {
     let mut scratch = [0u8; 16 * 1024];
     let mut total = 0usize;
-    while conn.wants_read(slice_bytes) && total < READ_BUDGET {
+    while conn.wants_read() && total < READ_BUDGET {
         match conn.stream.read(&mut scratch) {
             Ok(0) => {
                 conn.read_closed = true;
@@ -701,8 +650,9 @@ fn read_into(conn: &mut Conn, now: Instant, slice_bytes: usize) -> io::Result<()
         }
     }
     // Even with reads paused we must notice EOF/RST promptly, or a
-    // disconnected streaming client would linger to its timeout.
-    if total == 0 && !conn.wants_read(slice_bytes) && !conn.read_closed {
+    // client that hung up on a dispatched request would linger to its
+    // timeout.
+    if total == 0 && !conn.wants_read() && !conn.read_closed {
         match conn.stream.read(&mut scratch[..1]) {
             Ok(0) => {
                 conn.read_closed = true;
@@ -738,7 +688,7 @@ fn flush(conn: &mut Conn, now: Instant) -> io::Result<()> {
 /// One state transition. Returns `Continue` when it advanced (call
 /// again: there may be pipelined input behind it), `Blocked` when it
 /// needs more input or an outstanding completion.
-fn process_once(conn: &mut Conn, svc: &Services, t: u64, now: Instant) -> Flow {
+fn process_once(conn: &mut Conn, svc: &Services, t: u64) -> Flow {
     // Take the state out so transitions can consume it; every arm
     // reassigns before returning (InFlight is the placeholder).
     let state = std::mem::replace(&mut conn.state, ConnState::InFlight);
@@ -767,7 +717,7 @@ fn process_once(conn: &mut Conn, svc: &Services, t: u64, now: Instant) -> Flow {
                 match feed {
                     Ok((used, Some(head))) => {
                         conn.pos += used;
-                        admit(conn, svc, head, now)
+                        admit(conn, svc, head)
                     }
                     Ok((used, None)) => {
                         conn.pos += used;
@@ -802,42 +752,6 @@ fn process_once(conn: &mut Conn, svc: &Services, t: u64, now: Instant) -> Flow {
                 Flow::Blocked
             }
         }
-        ConnState::Streaming(mut stream) => {
-            let taken = stream.consume(&conn.buf[conn.pos..]);
-            conn.pos += taken;
-            if let Some(resp) = stream.failed.take() {
-                // A slice failed; there is no clean boundary mid-body,
-                // so answer and close. The permit drops with `stream`.
-                svc.ctx
-                    .metrics
-                    .record(INGEST_ROUTE, resp.status, stream.started.elapsed());
-                conn.queue_response(&resp, false);
-                return Flow::Continue;
-            }
-            if conn.read_closed && stream.remaining > 0 {
-                // Mid-body disconnect: already-applied slices stand;
-                // the session stays healthy and the permit is released
-                // on drop.
-                return Flow::Close;
-            }
-            if !stream.inflight {
-                if let Some((chunk, offset)) = stream.take_slice(svc.cfg.slice_bytes) {
-                    dispatch_slice(&mut stream, svc, chunk, offset, t);
-                }
-            }
-            if stream.is_complete() {
-                let resp = stream.success_response();
-                let keep = stream.keep_alive && !svc.shutdown.load(Ordering::SeqCst);
-                svc.ctx
-                    .metrics
-                    .record(INGEST_ROUTE, resp.status, stream.started.elapsed());
-                conn.queue_response(&resp, keep);
-                Flow::Continue
-            } else {
-                conn.state = ConnState::Streaming(stream);
-                Flow::Blocked
-            }
-        }
         ConnState::Draining { mut remaining } => {
             let take = remaining.min(conn.pending_input());
             conn.pos += take;
@@ -863,12 +777,8 @@ fn process_once(conn: &mut Conn, svc: &Services, t: u64, now: Instant) -> Flow {
     }
 }
 
-/// Route label shared with `router::dispatch` for the streaming path.
-const INGEST_ROUTE: &str = "/sessions/{id}/ingest";
-
-/// A head is parsed: enforce the body limit, then choose buffered
-/// dispatch or streaming ingest.
-fn admit(conn: &mut Conn, svc: &Services, head: RequestHead, now: Instant) -> Flow {
+/// A head is parsed: enforce the body limit, then buffer the body.
+fn admit(conn: &mut Conn, svc: &Services, head: RequestHead) -> Flow {
     if head.content_length > svc.cfg.max_body {
         let e = HttpError::PayloadTooLarge {
             limit: svc.cfg.max_body,
@@ -891,67 +801,16 @@ fn admit(conn: &mut Conn, svc: &Services, head: RequestHead, now: Instant) -> Fl
         }
         return Flow::Continue;
     }
-    match stream_admission(&head, svc) {
-        Some(Ok((session, permit))) => {
-            conn.state =
-                ConnState::Streaming(Box::new(IngestStream::new(session, permit, &head, now)));
-            Flow::Continue
-        }
-        Some(Err(resp)) => {
-            // Session queue full and the body is too big to buffer or
-            // drain: answer and close.
-            svc.ctx
-                .metrics
-                .record(INGEST_ROUTE, resp.status, Duration::ZERO);
-            conn.queue_response(&resp, false);
-            Flow::Continue
-        }
-        None => {
-            conn.state = ConnState::BufferedBody {
-                head: Box::new(head),
-                body: Vec::new(),
-            };
-            Flow::Continue
-        }
-    }
-}
-
-/// Streaming eligibility: a large session ingest under the Skip policy.
-/// Strict/Cap bodies stay buffered because their "nothing was applied"
-/// abort semantics need the whole batch.
-fn stream_admission(
-    head: &RequestHead,
-    svc: &Services,
-) -> Option<Result<(Arc<LiveSession>, IngestPermit), Response>> {
-    if head.method != "POST" || head.content_length < svc.cfg.stream_threshold {
-        return None;
-    }
-    let mut segments = head.path.split('/').filter(|s| !s.is_empty());
-    let name = match (
-        segments.next(),
-        segments.next(),
-        segments.next(),
-        segments.next(),
-    ) {
-        (Some("sessions"), Some(name), Some("ingest"), None) => name,
-        _ => return None,
+    conn.state = ConnState::BufferedBody {
+        head: Box::new(head),
+        body: Vec::new(),
     };
-    let session = svc.ctx.registry.get(name)?;
-    if !matches!(session.spec().policy(), Ok(ErrorPolicy::Skip)) {
-        return None;
-    }
-    match session.try_ingest_permit() {
-        Some(permit) => Some(Ok((session, permit))),
-        None => {
-            svc.ctx.metrics.session_busy_rejection();
-            Some(Err(router::session_busy_response()))
-        }
-    }
+    Flow::Continue
 }
 
 /// Ship a fully-buffered request to the worker pool. The worker routes
 /// it, records metrics, serializes the response, and wakes the reactor
-/// with a [`Completion::Response`].
+/// with a [`Completion`].
 fn dispatch_buffered(
     conn: &mut Conn,
     svc: &Services,
@@ -977,7 +836,7 @@ fn dispatch_buffered(
         let (route, resp) = router::dispatch(&req, &ctx);
         ctx.metrics.record(route, resp.status, started.elapsed());
         let keep = req.keep_alive && !ctx.shutdown.load(Ordering::SeqCst);
-        let _ = tx.send(Completion::Response {
+        let _ = tx.send(Completion {
             token: t,
             bytes: resp.to_bytes(keep),
             keep_alive: keep,
@@ -997,36 +856,6 @@ fn dispatch_buffered(
             conn.queue_response(&resp, false);
             Flow::Continue
         }
-    }
-}
-
-/// Ship one ingest slice to the pool; if it is full, put the lines back
-/// and let the starved-retry loop try again (order is preserved — only
-/// one slice per connection is ever in flight).
-fn dispatch_slice(
-    stream: &mut IngestStream,
-    svc: &Services,
-    chunk: Vec<u8>,
-    offset: usize,
-    t: u64,
-) {
-    if svc.pool.queued() >= svc.cfg.queue {
-        stream.unslice(chunk, offset);
-        return;
-    }
-    svc.ctx.metrics.ingest_slice();
-    let session = Arc::clone(&stream.session);
-    let tx = svc.tx.clone();
-    let waker = Arc::clone(&svc.waker);
-    let submitted = svc.pool.try_execute(Box::new(move || {
-        let result = Box::new(session.ingest_slice(&chunk, offset));
-        let _ = tx.send(Completion::Slice { token: t, result });
-        waker.wake();
-    }));
-    if submitted.is_err() {
-        // Unreachable (single enqueuer): the slice is lost, so the
-        // stream cannot be completed truthfully — fail it.
-        stream.fail(server_busy_response());
     }
 }
 
@@ -1052,28 +881,15 @@ fn error_response(conn: &mut Conn, svc: &Services, e: &HttpError) -> Flow {
     }
 }
 
-fn desired_interest(conn: &Conn, slice_bytes: usize) -> u32 {
+fn desired_interest(conn: &Conn) -> u32 {
     let mut bits = sys::EPOLLRDHUP;
-    if conn.wants_read(slice_bytes) {
+    if conn.wants_read() {
         bits |= sys::EPOLLIN;
     }
     if !conn.out_done() {
         bits |= sys::EPOLLOUT;
     }
     bits
-}
-
-/// A streaming connection with dispatchable lines and no slice in
-/// flight — the pool was full when it last tried.
-fn stream_hungry(conn: &Conn, slice_bytes: usize) -> bool {
-    match &conn.state {
-        ConnState::Streaming(s) => {
-            !s.inflight
-                && s.failed.is_none()
-                && (s.pending.len() >= slice_bytes.max(1) || s.remaining == 0)
-        }
-        _ => false,
-    }
 }
 
 /// Mid-request stalls answer to the short read timeout (slowloris
@@ -1083,9 +899,6 @@ fn deadline_of(conn: &Conn, cfg: &ServerConfig) -> Instant {
     let mid_request = match &conn.state {
         ConnState::Head(p) => p.started(),
         ConnState::BufferedBody { .. } | ConnState::Draining { .. } | ConnState::Closing => true,
-        // Waiting on client body bytes is a client stall; waiting on a
-        // slice completion (or working through the tail) is ours.
-        ConnState::Streaming(s) => !s.inflight && s.remaining > 0,
         ConnState::InFlight => false,
     };
     conn.last_progress

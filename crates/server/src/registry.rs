@@ -20,7 +20,6 @@ use pg_hive::{
     CheckpointStore, DiscoveryState, HiveConfig, IngestError, IngestOutcome, LshMethod,
     MergeOutcome, SessionAux, SharedSession,
 };
-use pg_store::jsonl::Element;
 use pg_store::{read_jsonl_elements_with, ErrorPolicy, JsonlDecoder, LoadError, Quarantine};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -217,9 +216,9 @@ pub enum IngestFailure {
 
 /// An RAII slot in a session's bounded ingest queue. Holding one means
 /// the session admitted this ingest; dropping it (success or failure)
-/// releases the slot. The reactor acquires a permit *before* doing any
-/// expensive work on a request so an overloaded session can shed load
-/// with 503 + `Retry-After` instead of queueing unboundedly.
+/// releases the slot. The ingest route acquires a permit *before* it
+/// decodes the body so an overloaded session can shed load with 503 +
+/// `Retry-After` instead of queueing unboundedly.
 pub struct IngestPermit {
     inflight: Arc<AtomicUsize>,
 }
@@ -241,8 +240,8 @@ pub struct LiveSession {
     inflight: Arc<AtomicUsize>,
     queue_limit: usize,
     /// Session-lifetime JSONL decoder: its symbol pool survives across
-    /// batches (and across a streamed ingest's slices), so a label
-    /// or property key allocates once per session, not once per line.
+    /// batches, so a label or property key allocates once per session,
+    /// not once per line.
     decoder: Mutex<JsonlDecoder>,
 }
 
@@ -301,24 +300,10 @@ impl LiveSession {
             .policy()
             .expect("spec was validated at session creation");
         let mut decoder = self.decoder.lock().unwrap_or_else(|p| p.into_inner());
-        let (elements, quarantine) = read_jsonl_elements_with(&mut decoder, &mut &body[..], policy)
-            .map_err(IngestFailure::Parse)?;
+        let (elements, mut quarantine) =
+            read_jsonl_elements_with(&mut decoder, &mut &body[..], policy)
+                .map_err(IngestFailure::Parse)?;
         drop(decoder);
-        self.ingest_parsed(elements, quarantine)
-    }
-
-    /// Apply already-parsed elements as one batch under the session's
-    /// error policy — the shared tail of the buffered and streaming
-    /// ingest paths.
-    pub fn ingest_parsed(
-        &self,
-        elements: Vec<(usize, Element)>,
-        mut quarantine: Quarantine,
-    ) -> Result<IngestReport, IngestFailure> {
-        let policy = self
-            .spec
-            .policy()
-            .expect("spec was validated at session creation");
         let outcome = self
             .handle
             .ingest(elements, policy, &mut quarantine, "http")
@@ -330,36 +315,6 @@ impl LiveSession {
             checkpointed,
             checkpoint_error,
         })
-    }
-
-    /// Parse one slice of a larger JSONL stream and apply it as one
-    /// batch. `line_offset` is how many lines earlier slices already
-    /// consumed, so quarantine reports carry stream-global line
-    /// numbers. Only meaningful under the `skip` policy — the reactor's
-    /// stream admission check enforces that, because strict/cap
-    /// abort semantics promise "nothing was applied", which a
-    /// partially-applied slice sequence cannot honor.
-    pub fn ingest_slice(
-        &self,
-        chunk: &[u8],
-        line_offset: usize,
-    ) -> Result<IngestReport, IngestFailure> {
-        let policy = self
-            .spec
-            .policy()
-            .expect("spec was validated at session creation");
-        let mut decoder = self.decoder.lock().unwrap_or_else(|p| p.into_inner());
-        let (mut elements, mut quarantine) =
-            read_jsonl_elements_with(&mut decoder, &mut &chunk[..], policy)
-                .map_err(IngestFailure::Parse)?;
-        drop(decoder);
-        if line_offset > 0 {
-            for (line, _) in &mut elements {
-                *line += line_offset;
-            }
-            quarantine.offset_lines(line_offset);
-        }
-        self.ingest_parsed(elements, quarantine)
     }
 
     /// Fold a foreign shard's discovery state into the live session
@@ -906,29 +861,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_ingest_offsets_line_numbers_into_stream_coordinates() {
-        let (reg, _) = Registry::open(RegistryConfig::default());
-        let live = reg.create("s1", spec()).unwrap();
-        let slice1 = b"{\"kind\":\"node\",\"id\":1,\"labels\":[\"A\"],\"props\":{}}\n";
-        let slice2 = b"not json at all\n\
-              {\"kind\":\"node\",\"id\":2,\"labels\":[\"B\"],\"props\":{}}\n";
-        let r1 = live
-            .ingest_slice(slice1, 0)
-            .unwrap_or_else(|_| panic!("slice 1"));
-        assert_eq!(r1.outcome.nodes, 1);
-        let r2 = live
-            .ingest_slice(slice2, 1)
-            .unwrap_or_else(|_| panic!("slice 2"));
-        assert_eq!(r2.outcome.nodes, 1);
-        assert_eq!(r2.quarantine.len(), 1);
-        assert_eq!(
-            r2.quarantine.entries()[0].line,
-            2,
-            "quarantine line is stream-global, not slice-local"
-        );
-    }
-
-    #[test]
     fn session_decoder_pools_symbols_across_ingest_calls() {
         let (reg, _) = Registry::open(RegistryConfig::default());
         let live = reg.create("s1", spec()).unwrap();
@@ -943,7 +875,7 @@ mod tests {
             .interned_symbols();
         let body2 =
             b"{\"kind\":\"node\",\"id\":2,\"labels\":[\"A\"],\"props\":{\"k\":{\"Int\":2}}}\n";
-        live.ingest_slice(body2, 1)
+        live.ingest_jsonl(body2)
             .unwrap_or_else(|_| panic!("ingest 2"));
         let after_second = live
             .decoder
@@ -976,7 +908,7 @@ mod tests {
         // session's node index grows by refcount bumps, not allocations.
         let more = b"{\"kind\":\"node\",\"id\":3,\"labels\":[\"A\"],\"props\":{}}\n\
                      {\"kind\":\"edge\",\"id\":9,\"src\":1,\"tgt\":3,\"labels\":[\"R\"],\"props\":{}}\n";
-        live.ingest_slice(more, 2)
+        live.ingest_jsonl(more)
             .unwrap_or_else(|_| panic!("ingest 2"));
         assert_eq!(pooled(), 2, "[A] reused, [R] new");
         assert_eq!(live.handle.nodes_seen(), 3);

@@ -288,7 +288,7 @@ fn delete_session(ctx: &Ctx, name: &str) -> Response {
 
 /// The 503 an over-admitted session answers. `Retry-After` is what
 /// `Client::post_with_retry` keys its wait on.
-pub(crate) fn session_busy_response() -> Response {
+fn session_busy_response() -> Response {
     Response::error(
         503,
         "session_busy",
@@ -297,7 +297,7 @@ pub(crate) fn session_busy_response() -> Response {
     .with_header("Retry-After", "1")
 }
 
-pub(crate) fn quarantine_json(q: &Quarantine) -> serde::Value {
+fn quarantine_json(q: &Quarantine) -> serde::Value {
     let listed: Vec<serde::Value> = q
         .entries()
         .iter()
@@ -323,19 +323,13 @@ fn ingest(req: &Request, ctx: &Ctx, live: &Arc<LiveSession>) -> Response {
         }
     };
     match live.ingest_jsonl(&req.body) {
-        Ok(report) => ingest_success_response(live.name(), &report, None),
+        Ok(report) => ingest_success_response(live.name(), &report),
         Err(failure) => ingest_failure_response(&failure),
     }
 }
 
-/// The 200 body of an applied ingest. `slices` rides along when the
-/// reactor streamed the body in more than one bounded slice
-/// (the other fields then aggregate over all of them).
-pub(crate) fn ingest_success_response(
-    session: &str,
-    report: &crate::registry::IngestReport,
-    slices: Option<u64>,
-) -> Response {
+/// The 200 body of an applied ingest.
+fn ingest_success_response(session: &str, report: &crate::registry::IngestReport) -> Response {
     let o = &report.outcome;
     let elapsed_us = u64::try_from(o.timing.total.as_micros()).unwrap_or(u64::MAX);
     let mut fields = vec![
@@ -360,9 +354,6 @@ pub(crate) fn ingest_success_response(
             serde::Value::Bool(report.checkpointed),
         ),
     ];
-    if let Some(n) = slices {
-        fields.push(("slices".to_owned(), serde::Value::U64(n)));
-    }
     if let Some(e) = &report.checkpoint_error {
         eprintln!("warning: cadence checkpoint of session {session:?} failed: {e}");
         fields.push(("checkpoint_error".to_owned(), serde::Value::Str(e.clone())));
@@ -370,9 +361,8 @@ pub(crate) fn ingest_success_response(
     Response::json(200, &serde::Value::Object(fields))
 }
 
-/// The error response of a refused ingest — shared by the buffered and
-/// streaming paths so both surface identical failures.
-pub(crate) fn ingest_failure_response(failure: &IngestFailure) -> Response {
+/// The error response of a refused ingest.
+fn ingest_failure_response(failure: &IngestFailure) -> Response {
     match failure {
         IngestFailure::Parse(LoadError::Policy(e)) => {
             Response::error(422, "batch_rejected", &format!("nothing was applied: {e}"))
@@ -381,6 +371,9 @@ pub(crate) fn ingest_failure_response(failure: &IngestFailure) -> Response {
             Response::error(500, "body_read_failed", &e.to_string())
         }
         IngestFailure::Session(IngestError::Rejected(e)) => {
+            Response::error(422, "batch_rejected", &format!("nothing was applied: {e}"))
+        }
+        IngestFailure::Session(IngestError::Incompatible(e)) => {
             Response::error(422, "batch_rejected", &format!("nothing was applied: {e}"))
         }
         IngestFailure::Session(IngestError::Engine(m)) => Response::error(500, "engine_failure", m),
@@ -436,6 +429,9 @@ fn merge_shard(req: &Request, live: &Arc<LiveSession>) -> Response {
             Response::json(200, &serde::Value::Object(fields))
         }
         Err(IngestError::Rejected(e)) => {
+            Response::error(422, "merge_rejected", &format!("nothing was applied: {e}"))
+        }
+        Err(IngestError::Incompatible(e)) => {
             Response::error(422, "merge_rejected", &format!("nothing was applied: {e}"))
         }
         Err(IngestError::Engine(m)) => Response::error(500, "engine_failure", &m),

@@ -4,7 +4,7 @@
 //! single-node hash.
 
 use pg_hive::handle::StreamIndex;
-use pg_hive::{content_hash_hex, merge_states, HiveConfig, PgHive, ShardState};
+use pg_hive::{content_hash_hex, merge_states, HiveConfig, PgHive, ShardState, StreamConfig};
 use pg_model::{LabelSet, Node, PropertyGraph, SchemaGraph};
 use pg_serve::{ServerConfig, SessionSpec};
 use pg_store::jsonl::Element;
@@ -118,6 +118,76 @@ fn merge_rejects_malformed_bodies_and_unknown_sessions() {
     let resp = client.get("/sessions/m").unwrap();
     let v = resp.json().unwrap();
     assert_eq!(v.get("version"), Some(&serde::Value::U64(1)));
+}
+
+/// A stream-mode shard state of 40 Org nodes, sketched under `seed`.
+fn sketched_org_state(seed: u64) -> String {
+    let mut g = PropertyGraph::new();
+    for i in 0..40u64 {
+        g.add_node(Node::new(i, LabelSet::single("Org")).with_prop("url", i as i64))
+            .unwrap();
+    }
+    let config = HiveConfig {
+        seed,
+        stream: Some(StreamConfig::default()),
+        ..HiveConfig::default()
+    };
+    let state = PgHive::new(config).discover_graph(&g).state;
+    serde_json::to_string(&ShardState::from_state(&state)).unwrap()
+}
+
+/// Sketches built with another seed than the session's (or than a state
+/// merged before them) cannot merge: 422, nothing applied, and the
+/// session stays healthy.
+#[test]
+fn merge_refuses_sketches_of_another_seed() {
+    let server = TestServer::start(ServerConfig::default());
+    let mut client = server.client();
+    let resp = client
+        .post("/sessions", br#"{"name":"s","seed":42,"mode":"stream"}"#)
+        .unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    // The session already holds the Org type, so a foreign Org type
+    // folds into its sketches rather than landing beside them.
+    let orgs: Vec<String> = (100..120)
+        .map(|i| node_line(i, "Org", r#""url":{"Int":1}"#))
+        .collect();
+    let resp = client
+        .post("/sessions/s/ingest", orgs.join("\n").as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let before = client.get("/sessions/s").unwrap().json().unwrap();
+
+    let resp = client
+        .post("/sessions/s/merge", sketched_org_state(7).as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 422, "{}", resp.text());
+    assert_eq!(err_code(&resp), "merge_rejected");
+    let after = client.get("/sessions/s").unwrap().json().unwrap();
+    assert_eq!(after.get("broken"), Some(&serde::Value::Null), "{after:?}");
+    for field in ["version", "hash", "nodes"] {
+        assert_eq!(after.get(field), before.get(field), "{field}");
+    }
+    let resp = client
+        .post("/sessions/s/merge", sketched_org_state(42).as_bytes())
+        .unwrap();
+    assert_eq!(
+        resp.status,
+        200,
+        "the session's own seed merges: {}",
+        resp.text()
+    );
+
+    // An exact session takes the first sketched state's parameters.
+    client.post("/sessions", br#"{"name":"e"}"#).unwrap();
+    let resp = client
+        .post("/sessions/e/merge", sketched_org_state(7).as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let resp = client
+        .post("/sessions/e/merge", sketched_org_state(8).as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 422, "{}", resp.text());
 }
 
 #[test]

@@ -14,10 +14,11 @@
 //!    requests answered in order, slowloris connections killed by the
 //!    timeout wheel, mid-body disconnects that must not poison the
 //!    session.
-//! 3. **Streaming-ingest semantics**: a body large enough to stream in
-//!    bounded slices yields the same canonical schema hash as offline
-//!    one-shot discovery, and per-session backpressure surfaces as
-//!    503 + `Retry-After` without ever dropping an acknowledged batch.
+//! 3. **One request, one batch**: an ingest body of any size, under any
+//!    error policy, applies as exactly one batch with the canonical
+//!    schema hash of offline one-shot discovery; a torn body applies
+//!    nothing; and per-session backpressure surfaces as 503 +
+//!    `Retry-After` without ever dropping an acknowledged batch.
 
 use pg_hive::serialize::content_hash_hex;
 use pg_hive::{HiveConfig, PgHive};
@@ -325,22 +326,22 @@ fn idle_keepalive_connections_are_reaped() {
     assert_eq!(n, 0, "expected EOF after idling");
 }
 
-/// Dropping a connection mid-body — including mid-*streaming*-body —
-/// must leave the session usable: the next client ingests normally and
-/// the discovery state answers queries.
+/// Dropping a connection mid-body applies nothing — not even the
+/// complete lines of a multi-megabyte body that arrived before the tear
+/// — and leaves the session usable: the next client ingests normally
+/// and the discovery state answers queries.
 #[test]
 fn mid_body_disconnect_leaves_the_session_unpoisoned() {
     let server = TestServer::start(ServerConfig {
-        stream_threshold: 1024,
-        slice_bytes: 1024,
         read_timeout: Duration::from_millis(300),
         ..ServerConfig::default()
     });
     let mut admin = server.client();
     let resp = admin.post("/sessions", br#"{"name":"cut"}"#).unwrap();
     assert_eq!(resp.status, 201);
+    let before = admin.get("/sessions/cut").unwrap().json().unwrap();
 
-    // Buffered-path abort: small declared body, half sent, then drop.
+    // Small declared body, half sent, then drop.
     {
         let stream = TcpStream::connect(server.addr).expect("connect");
         (&stream)
@@ -350,21 +351,34 @@ fn mid_body_disconnect_leaves_the_session_unpoisoned() {
             .unwrap();
         drop(stream);
     }
-    // Streaming-path abort: large declared body, a few complete lines
-    // plus a torn line, then drop. Whatever full slices landed are
-    // applied; the tear itself must not wedge the session.
+    // Large declared body: over 2 MiB of complete lines plus a torn
+    // line, then drop.
     {
         let stream = TcpStream::connect(server.addr).expect("connect");
-        let lines: String = (0..40)
-            .map(|i| util::node_line(i, "A", r#""x":{"Int":1}"#) + "\n")
-            .collect();
+        let mut lines = String::new();
+        for i in 0.. {
+            if lines.len() > 2 << 20 {
+                break;
+            }
+            lines += &(util::node_line(i, "A", r#""x":{"Int":1}"#) + "\n");
+        }
         let head = format!(
-            "POST /sessions/cut/ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000\r\n\r\n{lines}{{\"kind\":\"nod"
+            "POST /sessions/cut/ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            4 << 20
         );
         (&stream).write_all(head.as_bytes()).unwrap();
-        std::thread::sleep(Duration::from_millis(150));
+        (&stream).write_all(lines.as_bytes()).unwrap();
+        (&stream).write_all(b"{\"kind\":\"nod").unwrap();
+        std::thread::sleep(Duration::from_millis(300));
         drop(stream);
     }
+    std::thread::sleep(Duration::from_millis(200));
+
+    let after = admin.get("/sessions/cut").unwrap().json().unwrap();
+    for field in ["batches", "nodes", "version", "hash"] {
+        assert_eq!(after.get(field), before.get(field), "{field}: {after:?}");
+    }
+    assert_eq!(after.get("batches"), Some(&serde::Value::U64(0)));
 
     // The session still ingests and answers.
     let line = util::node_line(999, "B", r#""y":{"Int":2}"#);
@@ -396,55 +410,48 @@ fn graph_body_and_offline_hash(seed: u64, size: usize) -> (String, String) {
     (lines.join("\n"), expected)
 }
 
-/// One large body streamed to the session in bounded slices must
-/// produce exactly the schema hash of offline one-shot discovery.
+/// Synthetic elements whose JSONL serialization exceeds 1 MiB.
+const BIG_BODY_ELEMENTS: usize = 9000;
+
+/// A body over 1 MiB is one batch under every error policy: the
+/// response carries no `slices` field, `batch_index` and the session's
+/// `batches` advance by exactly one, and the schema hash is that of
+/// offline one-shot discovery.
 #[test]
-fn streamed_ingest_is_bit_identical_to_offline_discovery() {
-    let (body, expected) = graph_body_and_offline_hash(7, 600);
-    let server = TestServer::start(ServerConfig {
-        stream_threshold: 4096,
-        slice_bytes: 4096,
-        ..ServerConfig::default()
-    });
-    assert!(
-        body.len() > 4 * 4096,
-        "body too small to exercise multiple slices"
-    );
+fn large_body_is_one_batch_identical_to_offline_discovery() {
+    let (body, expected) = graph_body_and_offline_hash(7, BIG_BODY_ELEMENTS);
+    assert!(body.len() > 1 << 20, "body of {} bytes", body.len());
+    let server = TestServer::start(ServerConfig::default());
     let mut client = server.client();
-    let resp = client.post("/sessions", br#"{"name":"stream"}"#).unwrap();
-    assert_eq!(resp.status, 201);
-    let resp = client
-        .post("/sessions/stream/ingest", body.as_bytes())
-        .expect("streamed ingest");
-    assert_eq!(resp.status, 200, "{}", resp.text());
-    let v = resp.json().expect("ingest JSON");
-    let slices = match v.get("slices") {
-        Some(serde::Value::U64(n)) => *n,
-        other => panic!("streamed response missing slices: {other:?}"),
-    };
-    assert!(slices >= 2, "body should have been cut, got {slices} slice");
-    assert_eq!(v.get("quarantined"), Some(&serde::Value::U64(0)), "{v:?}");
+    for (name, policy) in [("skip", "skip"), ("strict", "strict"), ("cap", "cap:0")] {
+        let create = format!(r#"{{"name":"{name}","on_error":"{policy}"}}"#);
+        let resp = client.post("/sessions", create.as_bytes()).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.text());
+        let resp = client
+            .post(&format!("/sessions/{name}/ingest"), body.as_bytes())
+            .expect("large ingest");
+        assert_eq!(resp.status, 200, "{name}: {}", resp.text());
+        let v = resp.json().expect("ingest JSON");
+        assert!(v.get("slices").is_none(), "{name}: {v:?}");
+        assert_eq!(v.get("batch_index"), Some(&serde::Value::U64(0)), "{name}");
+        assert_eq!(v.get("quarantined"), Some(&serde::Value::U64(0)), "{name}");
 
-    let summary = client.get("/sessions/stream").unwrap().json().unwrap();
-    let hash = summary.get("hash").and_then(|h| h.as_str()).unwrap();
-    assert_eq!(hash, expected, "streamed schema diverged from offline");
-
-    // The same body buffered whole agrees too: slicing is invisible in
-    // the result. A strict session is never sliced (its abort-the-batch
-    // semantics need the whole body), so on this server it buffers.
-    let resp = client
-        .post("/sessions", br#"{"name":"whole","on_error":"strict"}"#)
-        .unwrap();
-    assert_eq!(resp.status, 201);
-    let resp = client
-        .post("/sessions/whole/ingest", body.as_bytes())
-        .expect("buffered ingest");
-    assert_eq!(resp.status, 200, "{}", resp.text());
-    let v = resp.json().expect("ingest JSON");
-    assert!(v.get("slices").is_none(), "a strict session must not slice");
-    let summary = client.get("/sessions/whole").unwrap().json().unwrap();
-    let hash = summary.get("hash").and_then(|h| h.as_str()).unwrap();
-    assert_eq!(hash, expected, "buffered schema diverged from offline");
+        let summary = client
+            .get(&format!("/sessions/{name}"))
+            .unwrap()
+            .json()
+            .unwrap();
+        assert_eq!(
+            summary.get("batches"),
+            Some(&serde::Value::U64(1)),
+            "{name}"
+        );
+        let hash = summary.get("hash").and_then(|h| h.as_str()).unwrap();
+        assert_eq!(
+            hash, expected,
+            "{name}: served schema diverged from offline"
+        );
+    }
 }
 
 /// A full per-session ingest queue answers 503 with a parseable
@@ -516,39 +523,6 @@ fn backpressure_503_recovers_without_losing_batches() {
         .parse()
         .unwrap();
     assert!(rejections >= 1, "backpressure not counted:\n{rendered}");
-}
-
-/// Streaming admission takes a permit too: with the queue held, a
-/// would-stream body is refused up front with 503 and the connection
-/// closed (nothing was consumed, so the client can simply re-dial).
-#[test]
-fn streaming_admission_respects_backpressure() {
-    let server = TestServer::start(ServerConfig {
-        session_queue: 1,
-        stream_threshold: 1024,
-        slice_bytes: 1024,
-        ..ServerConfig::default()
-    });
-    let mut client = server.client();
-    let resp = client.post("/sessions", br#"{"name":"sbp"}"#).unwrap();
-    assert_eq!(resp.status, 201);
-    let live = server.registry.get("sbp").expect("session registered");
-    let permit = live.try_ingest_permit().expect("only permit");
-
-    let big: String = (0..200)
-        .map(|i| util::node_line(i, "A", r#""x":{"Int":1}"#) + "\n")
-        .collect();
-    let resp = client
-        .post("/sessions/sbp/ingest", big.as_bytes())
-        .expect("rejected stream");
-    assert_eq!(resp.status, 503, "{}", resp.text());
-    assert!(resp.header("retry-after").is_some());
-
-    drop(permit);
-    let resp = client
-        .post_with_retry("/sessions/sbp/ingest", big.as_bytes(), 5)
-        .expect("retried stream");
-    assert_eq!(resp.status, 200, "{}", resp.text());
 }
 
 /// Connections over the admission cap are refused with 503 and a

@@ -143,22 +143,6 @@ impl Quarantine {
         }
     }
 
-    /// Merge another quarantine's entries into this one (used to combine
-    /// the node-file and edge-file reports of a CSV pair).
-    pub fn absorb(&mut self, other: Quarantine) {
-        self.entries.extend(other.entries);
-    }
-
-    /// Shift every entry's line number by `offset`. Slice-wise parsers
-    /// (the server's streaming ingest path) restart line numbering at 1
-    /// per slice; this restores stream-global numbers so quarantine
-    /// reports stay identical to a whole-body parse.
-    pub fn offset_lines(&mut self, offset: usize) {
-        for e in &mut self.entries {
-            e.line += offset;
-        }
-    }
-
     /// A human-readable multi-line summary, one line per entry.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;

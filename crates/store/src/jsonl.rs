@@ -174,9 +174,9 @@ pub fn read_jsonl_elements<R: BufRead>(
 }
 
 /// Like [`read_jsonl_elements`], but decoding through a caller-owned
-/// [`JsonlDecoder`]. The server's streaming ingest keeps one decoder
-/// per session so the symbol pool survives across request slices and
-/// steady-state ingest allocates only values.
+/// [`JsonlDecoder`]. The server keeps one decoder per session so the
+/// symbol pool survives across ingest requests and steady-state ingest
+/// allocates only values.
 pub fn read_jsonl_elements_with<R: BufRead>(
     decoder: &mut JsonlDecoder,
     mut reader: R,

@@ -17,8 +17,9 @@
 # every command that takes a flag of that name; the harness's own parser
 # arms are skipped). An option nobody sets is an orphan: delete it, or list
 # it in scripts/option_census.allow as `<row name><TAB or spaces><reason>`.
-# An allow line whose option is set after all is an error too, so the list
-# stays as short as what is true. grep and awk only.
+# An allow line whose option is set after all is an error too, and so is one
+# that names no row (its option is gone), so the list stays as short as
+# what is true. grep and awk only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 allow=scripts/option_census.allow
@@ -122,4 +123,17 @@ while IFS=$'\t' read -r name sites; do
         status=1
     fi
 done <<<"$rows"
+stale=$(cut -f1 <<<"$rows" | awk '
+    NR == FNR { names[++n] = $0; next }
+    /^#/ || NF == 0 { next }
+    {
+        for (i = 1; i <= n; i++)
+            if (index($0, names[i]) == 1 && substr($0, length(names[i]) + 1, 1) ~ /[ \t]/) next
+        printf "%-44s STALE ALLOW ENTRY, names no row\n", $1
+    }
+' - "$allow")
+if [ -n "$stale" ]; then
+    echo "$stale"
+    status=1
+fi
 exit $status

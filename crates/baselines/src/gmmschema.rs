@@ -60,11 +60,6 @@ impl GmmSchema {
         }
     }
 
-    /// Create with explicit configuration.
-    pub fn with_config(config: GmmSchemaConfig) -> GmmSchema {
-        GmmSchema { config }
-    }
-
     /// Discover node clusters. Fails on any unlabeled node (Table 1:
     /// GMMSchema is not label-independent). Edge clusters are `None` —
     /// the method does not infer edge types.
@@ -207,7 +202,7 @@ mod tests {
             sample_cap: 20, // force the sampling path
             ..Default::default()
         };
-        let out = GmmSchema::with_config(cfg).discover(&g).unwrap();
+        let out = GmmSchema { config: cfg }.discover(&g).unwrap();
         let total: usize = out.node_clusters.iter().map(Vec::len).sum();
         assert_eq!(total, 120);
     }

@@ -1,8 +1,6 @@
 //! Ablations around the clustering/merging design:
 //!
-//! * signature (AND) clustering vs OR-rule union-find clustering on the
-//!   same LSH family — the design DESIGN.md settles in favour of
-//!   signature grouping;
+//! * signature (AND) clustering throughput on each bench dataset;
 //! * endpoint-aware vs label-only edge merging;
 //! * `integrate_scaling`: Algorithm 2 answering its lookups from the
 //!   per-call type index vs the linear scan it replaced (the test
@@ -46,11 +44,6 @@ fn merge_ablation(c: &mut Criterion) {
             BenchmarkId::new("cluster_signature_and", ds),
             &vectors,
             |b, v| b.iter(|| black_box(lsh.cluster_signature(v))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("cluster_unionfind_or", ds),
-            &vectors,
-            |b, v| b.iter(|| black_box(lsh.cluster(v))),
         );
 
         // Endpoint-aware vs label-only edge merging (full pipeline).

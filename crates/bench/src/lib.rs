@@ -1,16 +1,15 @@
 //! # pg-bench
 //!
-//! Criterion benchmarks regenerating the paper's timing results and the
-//! design-choice ablations DESIGN.md calls out:
+//! The three Criterion benches whose numbers tracked results files cite
+//! (Figures 5 and 8 are reproduced by `pg-eval`'s `fig5` and `fig8`):
 //!
-//! * `fig5_runtime` — execution time until type discovery per dataset ×
-//!   noise × method (Figure 5).
-//! * `fig8_datatypes` — full-scan vs sampled data-type inference cost.
-//! * `lsh_micro` — ELSH/MinHash signature and clustering throughput.
-//! * `embed_ablation` — Word2Vec vs hashed label embeddings.
-//! * `adaptive_ablation` — adaptive vs fixed LSH parameters.
-//! * `merge_ablation` — signature (AND) vs OR-rule clustering, and
-//!   endpoint-aware vs label-only edge merging.
+//! * `merge_ablation` — signature clustering, endpoint-aware vs
+//!   label-only edge merging, and Algorithm 2's `integrate_scaling`
+//!   (`results/integrate_scaling.txt`).
+//! * `embed_ablation` — Word2Vec vs hashed label embeddings
+//!   (`results/embed_kernel_review.txt`).
+//! * `jsonl_decode` — the JSONL decoder's throughput
+//!   (`results/jsonl_decode.txt`).
 //!
 //! Shared helpers live here so every bench prepares data identically.
 

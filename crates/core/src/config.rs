@@ -225,13 +225,6 @@ impl HiveConfig {
         self
     }
 
-    /// Builder-style streaming-mode override (sketch-based bounded
-    /// memory; see [`StreamConfig`]).
-    pub fn with_stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = Some(stream);
-        self
-    }
-
     /// Builder-style manual node/edge LSH parameters (used by the
     /// Figure 6 sweep).
     pub fn with_manual_params(mut self, bucket_length: f64, tables: usize) -> Self {
@@ -271,9 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_builder() {
-        let c = HiveConfig::default().with_stream(StreamConfig::default());
-        let s = c.stream.expect("stream mode set");
+    fn stream_defaults() {
+        let s = StreamConfig::default();
         assert_eq!(s.distinct_k, 1024);
         assert_eq!(s.sample_k, 256);
     }

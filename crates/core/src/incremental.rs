@@ -649,7 +649,7 @@ mod tests {
         let mut session = HiveSession::new(quick_config());
         session.process_batch(&[], &[]);
         let r = session.finish();
-        assert_eq!(r.schema.type_count(), 0);
+        assert!(r.schema.node_types.is_empty() && r.schema.edge_types.is_empty());
     }
 
     #[test]

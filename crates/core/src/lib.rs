@@ -60,7 +60,6 @@ pub mod incremental;
 pub mod merge;
 pub mod pipeline;
 pub mod refine;
-pub mod selectivity;
 pub mod serialize;
 pub mod sketch;
 pub mod state;

@@ -67,11 +67,6 @@ impl DiscoveryResult {
             .map(|(t, a)| (*t, a.members().to_vec()))
             .collect()
     }
-
-    /// Total wall-clock time across batches.
-    pub fn total_time(&self) -> std::time::Duration {
-        self.timings.iter().map(|t| t.total).sum()
-    }
 }
 
 /// The PG-HIVE schema-discovery engine.
@@ -104,18 +99,6 @@ impl PgHive {
         let mut session = HiveSession::new(self.config.clone());
         session.process_batch(nodes, edges);
         session.finish()
-    }
-
-    /// Shard-parallel discovery: partition the graph, discover each
-    /// shard on its own worker thread, and merge the results via the
-    /// monotone schema merge (see [`crate::merge::discover_sharded`]).
-    /// Errors only on `n_shards == 0`.
-    pub fn discover_graph_sharded(
-        &self,
-        graph: &PropertyGraph,
-        n_shards: usize,
-    ) -> Result<DiscoveryResult, crate::merge::MergeError> {
-        crate::merge::discover_sharded(graph, n_shards, &self.config)
     }
 }
 
@@ -229,7 +212,7 @@ mod tests {
     #[test]
     fn empty_graph_discovers_empty_schema() {
         let r = PgHive::new(quick_config()).discover_graph(&PropertyGraph::new());
-        assert_eq!(r.schema.type_count(), 0);
+        assert!(r.schema.node_types.is_empty() && r.schema.edge_types.is_empty());
         assert!(r.node_assignment().is_empty());
     }
 

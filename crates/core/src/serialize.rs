@@ -446,6 +446,29 @@ impl SchemaHistory {
     pub fn is_empty(&self) -> bool {
         self.versions.is_empty()
     }
+
+    /// Check a history read back from disk: version numbers start at 1,
+    /// strictly increase and stay below `next_version`, which still has
+    /// room to count, and at least one version is retained.
+    pub fn validate(&self) -> Result<(), String> {
+        let mut floor = 0;
+        for v in &self.versions {
+            if v.version <= floor {
+                return Err(format!("version {} does not follow {floor}", v.version));
+            }
+            floor = v.version;
+        }
+        if floor >= self.next_version || self.next_version == u64::MAX {
+            return Err(format!(
+                "next version {} is out of range",
+                self.next_version
+            ));
+        }
+        if self.retain == 0 {
+            return Err("history retains no version".to_owned());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -71,8 +71,11 @@ fn graph() -> PropertyGraph {
 fn seeds() -> Vec<Value> {
     let g = graph();
     let exact = PgHive::new(HiveConfig::default()).discover_graph(&g);
-    let sketched =
-        PgHive::new(HiveConfig::default().with_stream(StreamConfig::default())).discover_graph(&g);
+    let sketched = PgHive::new(HiveConfig {
+        stream: Some(StreamConfig::default()),
+        ..HiveConfig::default()
+    })
+    .discover_graph(&g);
     [
         serde_json::to_string(&ShardState::from_state(&exact.state)).unwrap(),
         serde_json::to_string(&ShardState::from_state(&sketched.state)).unwrap(),

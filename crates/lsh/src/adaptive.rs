@@ -200,11 +200,22 @@ fn sampled_scale(n: usize, seed: u64, dist: impl Fn(usize, usize) -> f64) -> f64
 mod tests {
     use super::*;
 
+    fn dense(coords: &[f64]) -> SparseVec {
+        SparseVec::new(
+            coords.len(),
+            coords
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| (i as u32, x))
+                .collect(),
+        )
+    }
+
     fn blob(n: usize, center: f64, spread: f64, seed: u64) -> Vec<SparseVec> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                SparseVec::from_dense(&[
+                dense(&[
                     center + rng.gen::<f64>() * spread,
                     center - rng.gen::<f64>() * spread,
                 ])
@@ -228,7 +239,7 @@ mod tests {
     fn bucket_scales_with_distance_scale() {
         let tight = blob(200, 0.0, 0.01, 1);
         let wide: Vec<SparseVec> = (0..200)
-            .map(|i| SparseVec::from_dense(&[(i % 7) as f64 * 10.0, (i % 3) as f64 * 10.0]))
+            .map(|i| dense(&[(i % 7) as f64 * 10.0, (i % 3) as f64 * 10.0]))
             .collect();
         let pt = adapt(&tight, 5, ElementKind::Node, 0);
         let pw = adapt(&wide, 5, ElementKind::Node, 0);
@@ -238,9 +249,7 @@ mod tests {
 
     #[test]
     fn degenerate_sample_falls_back_to_unit_scale() {
-        let same: Vec<SparseVec> = (0..50)
-            .map(|_| SparseVec::from_dense(&[1.0, 2.0]))
-            .collect();
+        let same: Vec<SparseVec> = (0..50).map(|_| dense(&[1.0, 2.0])).collect();
         let p = adapt(&same, 3, ElementKind::Node, 0);
         assert!(p.bucket_length > 0.0);
         assert_eq!(p.mu, 1.0);
@@ -264,7 +273,7 @@ mod tests {
     #[test]
     fn tiny_inputs_do_not_panic() {
         assert_eq!(sample_distance_scale(&[], 0), 0.0);
-        let one = vec![SparseVec::from_dense(&[1.0])];
+        let one = vec![dense(&[1.0])];
         assert_eq!(sample_distance_scale(&one, 0), 0.0);
         let p = adapt(&one, 1, ElementKind::Node, 0);
         assert!(p.tables >= MIN_TABLES);
@@ -284,9 +293,9 @@ mod tests {
         // dedup view of it: distinct reps + assignment. The grouped
         // estimator must reproduce the direct one exactly.
         let reps = vec![
-            SparseVec::from_dense(&[0.0, 1.0, 0.0]),
-            SparseVec::from_dense(&[5.0, 0.0, 2.0]),
-            SparseVec::from_dense(&[-3.0, 4.0, 1.0]),
+            dense(&[0.0, 1.0, 0.0]),
+            dense(&[5.0, 0.0, 2.0]),
+            dense(&[-3.0, 4.0, 1.0]),
         ];
         let assignment: Vec<usize> = (0..700).map(|i| (i * 7) % 3).collect();
         let full: Vec<SparseVec> = assignment.iter().map(|&g| reps[g].clone()).collect();

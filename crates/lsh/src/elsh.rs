@@ -4,9 +4,8 @@
 //! and an offset `u ~ U[0, b)`; the hash of `v` in that table is
 //! `⌊(a·v + u) / b⌋` (Datar et al., the scheme Spark MLlib's
 //! `BucketedRandomProjectionLSH` implements — the reference the paper
-//! cites). Tables are combined under the OR rule: two vectors are
-//! *colliding* if they share a bucket in at least one table. Clusters are
-//! the transitive closure of collisions.
+//! cites). A cluster is the set of vectors whose bucket ids agree in every
+//! table (the artifact's `groupBy(hashes)`).
 //!
 //! The projection matrix is stored flat in dimension-major ("transposed")
 //! layout — entry `(t, i)` lives at `proj[i * T + t]` — so hashing a
@@ -15,9 +14,8 @@
 //! the vector `T` times through `T` separate projection `Vec`s.
 
 use crate::sparse::SparseVec;
-use crate::unionfind::UnionFind;
+use crate::FnvHashMap;
 use crate::{Clustering, GROUP_SHARDS};
-use crate::{FnvBuild, FnvHashMap};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -134,7 +132,7 @@ impl EuclideanLsh {
     /// whose bucket ids agree in **every** table. It deliberately
     /// over-fragments — PG-HIVE "prefers more separate types" because the
     /// type-extraction step merges afterwards (§4.2/§4.3). Increasing `T`
-    /// or shrinking `b` increases selectivity, matching the paper's
+    /// or shrinking `b` makes the clusters finer, matching the paper's
     /// parameter-effect discussion.
     ///
     /// The grouping path never materializes per-item signature `Vec`s:
@@ -233,52 +231,6 @@ impl EuclideanLsh {
             assignment,
         }
     }
-
-    /// Cluster under the OR rule: items sharing a bucket in *any* table
-    /// are merged transitively (union-find over collisions). This is the
-    /// search-style amplification `P_{b,T}(d) = 1-(1-p_b(d))^T`; it has
-    /// high recall but chains aggressively on dense datasets, which is
-    /// why the pipeline uses [`Self::cluster_signature`] by default. The
-    /// `merge_ablation` benchmark contrasts the two; `lsh_micro` tracks
-    /// this path's throughput.
-    pub fn cluster(&self, items: &[SparseVec]) -> Clustering {
-        let n = items.len();
-        if n == 0 {
-            return Clustering::from_assignment(vec![]);
-        }
-        let t = self.tables;
-        // One flat item-major signature matrix (`sigs[i * T + tb]`), filled
-        // shard-parallel with reused scratch — no per-item Vec allocation.
-        let mut sigs = vec![0i64; n * t];
-        let shard = n.div_ceil(GROUP_SHARDS).max(1);
-        sigs.par_chunks_mut(shard * t)
-            .zip(items.par_chunks(shard))
-            .for_each(|(rows, chunk)| {
-                let mut acc = vec![0.0; t];
-                for (v, row) in chunk.iter().zip(rows.chunks_mut(t)) {
-                    self.signature_into(v, &mut acc, row);
-                }
-            });
-
-        let mut uf = UnionFind::new(n);
-        // One bucket map, preallocated for the worst case (all singleton
-        // buckets) and reused across tables: `clear()` keeps the capacity.
-        let mut buckets: FnvHashMap<i64, usize> = FnvHashMap::with_capacity_and_hasher(n, FnvBuild);
-        for tb in 0..t {
-            buckets.clear();
-            for i in 0..n {
-                match buckets.entry(sigs[i * t + tb]) {
-                    std::collections::hash_map::Entry::Occupied(first) => {
-                        uf.union(*first.get(), i);
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(i);
-                    }
-                }
-            }
-        }
-        Clustering::from_assignment(uf.labels())
-    }
 }
 
 /// FNV-1a over a signature's bucket ids (little-endian bytes). Only a
@@ -311,7 +263,14 @@ mod tests {
     use super::*;
 
     fn point(coords: &[f64]) -> SparseVec {
-        SparseVec::from_dense(coords)
+        SparseVec::new(
+            coords.len(),
+            coords
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| (i as u32, x))
+                .collect(),
+        )
     }
 
     #[test]
@@ -383,7 +342,7 @@ mod tests {
             items.push(point(&[100.0 + eps, 100.0, 100.0]));
         }
         let lsh = EuclideanLsh::new(3, 8, 1.0, 7);
-        let c = lsh.cluster(&items);
+        let c = lsh.cluster_signature(&items);
         assert_eq!(c.num_clusters, 2);
         // Even items (blob A) share a cluster; odd items (blob B) share
         // the other.
@@ -398,8 +357,8 @@ mod tests {
     #[test]
     fn larger_buckets_merge_more() {
         let items: Vec<SparseVec> = (0..40).map(|i| point(&[i as f64 * 0.5, 0.0])).collect();
-        let fine = EuclideanLsh::new(2, 6, 0.25, 3).cluster(&items);
-        let coarse = EuclideanLsh::new(2, 6, 50.0, 3).cluster(&items);
+        let fine = EuclideanLsh::new(2, 6, 0.25, 3).cluster_signature(&items);
+        let coarse = EuclideanLsh::new(2, 6, 50.0, 3).cluster_signature(&items);
         assert!(
             coarse.num_clusters <= fine.num_clusters,
             "coarse {} vs fine {}",
@@ -414,16 +373,14 @@ mod tests {
         let items: Vec<SparseVec> = (0..30)
             .map(|i| point(&[(i % 3) as f64 * 10.0, (i % 5) as f64]))
             .collect();
-        let a = EuclideanLsh::new(2, 5, 1.0, 11).cluster(&items);
-        let b = EuclideanLsh::new(2, 5, 1.0, 11).cluster(&items);
+        let a = EuclideanLsh::new(2, 5, 1.0, 11).cluster_signature(&items);
+        let b = EuclideanLsh::new(2, 5, 1.0, 11).cluster_signature(&items);
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_input() {
         let lsh = EuclideanLsh::new(2, 3, 1.0, 0);
-        let c = lsh.cluster(&[]);
-        assert!(c.is_empty());
         assert!(lsh.cluster_signature(&[]).is_empty());
     }
 
@@ -451,52 +408,6 @@ mod tests {
         assert_eq!(c.assignment[0], c.assignment[2]);
         assert_eq!(c.assignment[1], c.assignment[3]);
         assert_ne!(c.assignment[0], c.assignment[1]);
-    }
-
-    #[test]
-    fn signature_clustering_is_at_least_as_fine_as_or_rule() {
-        let items: Vec<SparseVec> = (0..60)
-            .map(|i| point(&[(i % 4) as f64 * 3.0, (i % 2) as f64]))
-            .collect();
-        let lsh = EuclideanLsh::new(2, 6, 1.0, 9);
-        let and = lsh.cluster_signature(&items);
-        let or = lsh.cluster(&items);
-        assert!(
-            and.num_clusters >= or.num_clusters,
-            "AND {} should fragment at least as much as OR {}",
-            and.num_clusters,
-            or.num_clusters
-        );
-        // AND never separates items the OR rule puts in different
-        // clusters... the converse: OR merges everything AND merges.
-        for i in 0..items.len() {
-            for j in 0..items.len() {
-                if and.assignment[i] == and.assignment[j] {
-                    assert_eq!(or.assignment[i], or.assignment[j]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn or_rule_is_thread_count_invariant() {
-        let items: Vec<SparseVec> = (0..300)
-            .map(|i| point(&[(i % 7) as f64 * 2.0, (i % 3) as f64, (i % 11) as f64]))
-            .collect();
-        let lsh = EuclideanLsh::new(3, 8, 1.0, 13);
-        let expected = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| lsh.cluster(&items));
-        for threads in [2, 4, 8] {
-            let got = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| lsh.cluster(&items));
-            assert_eq!(got, expected, "threads = {threads}");
-        }
     }
 
     #[test]

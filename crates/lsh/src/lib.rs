@@ -3,17 +3,16 @@
 //! Locality-Sensitive Hashing for PG-HIVE's clustering step (§4.2):
 //!
 //! * [`elsh::EuclideanLsh`] — bucketed random projections (p-stable LSH
-//!   for ℓ₂ distance) with bucket length `b` and `T` hash tables combined
-//!   under the OR rule; collisions are closed transitively with a
-//!   union-find, so a *cluster* is a connected component of the collision
-//!   graph.
+//!   for ℓ₂ distance) with bucket length `b` and `T` hash tables; a
+//!   *cluster* is the set of items whose bucket ids agree in every table
+//!   (the artifact's `groupBy(hashes)`).
 //! * [`minhash::MinHashLsh`] — MinHash over element sets, `T` hash
-//!   functions, OR rule.
+//!   functions, clustered the same way.
 //! * [`adaptive`] — the paper's adaptive parameterization: sample the
 //!   graph, estimate the distance scale μ, set `b = 1.2·μ·α` with α tiered
 //!   by label count, and scale `T` with dataset size.
 //! * [`prob`] — collision-probability math: `p_b(d)` for one table
-//!   (Datar et al.) and the OR-amplified `P_{b,T}(d) = 1-(1-p_b(d))^T`.
+//!   (Datar et al.).
 //! * [`sparse::SparseVec`] — the sparse feature vectors produced by
 //!   PG-HIVE's featurization (dense label embedding ‖ sparse binary
 //!   property indicators).
@@ -23,13 +22,11 @@ pub mod elsh;
 pub mod minhash;
 pub mod prob;
 pub mod sparse;
-pub mod unionfind;
 
 pub use adaptive::{AdaptiveParams, ElementKind};
 pub use elsh::EuclideanLsh;
 pub use minhash::MinHashLsh;
 pub use sparse::SparseVec;
-pub use unionfind::UnionFind;
 
 /// Streaming FNV-1a, exposed as a [`std::hash::Hasher`] so the crate's
 /// hot hash maps (signature buckets, fingerprint grouping) skip SipHash.

@@ -1,18 +1,16 @@
 //! MinHash LSH over element sets.
 //!
 //! `Pr[h(A) = h(B)] = J(A, B)` for a min-wise independent hash family;
-//! with `T` hash functions under the OR rule, similar sets collide in at
-//! least one function with probability `1 - (1 - J)^T`. This mirrors
-//! Spark MLlib's `MinHashLSH` (the reference the paper cites), where each
-//! "table" is a single min-hash value.
+//! two sets share a cluster when all `T` hash functions agree, which
+//! near-duplicates do with probability `J^T`. This mirrors Spark MLlib's
+//! `MinHashLSH` (the reference the paper cites), where each "table" is a
+//! single min-hash value.
 
-use crate::unionfind::UnionFind;
 use crate::Clustering;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// A large Mersenne prime used for the universal hash family
 /// `h(x) = (a·x + b) mod p`.
@@ -63,16 +61,6 @@ impl MinHashLsh {
             .collect()
     }
 
-    /// Estimate Jaccard similarity from two signatures.
-    pub fn estimate_jaccard(sig_a: &[u64], sig_b: &[u64]) -> f64 {
-        assert_eq!(sig_a.len(), sig_b.len());
-        if sig_a.is_empty() {
-            return 0.0;
-        }
-        let agree = sig_a.iter().zip(sig_b).filter(|(a, b)| a == b).count();
-        agree as f64 / sig_a.len() as f64
-    }
-
     /// Cluster by *full signature* equality (AND over all `T` functions),
     /// the Spark `groupBy(hashes)` analog used by the pipeline. Sets with
     /// identical membership always share a cluster; near-duplicates
@@ -85,37 +73,18 @@ impl MinHashLsh {
         let signatures: Vec<Vec<u64>> = items.par_iter().map(|s| self.signature(s)).collect();
         crate::cluster_by_signature(&signatures)
     }
-
-    /// Cluster sets under the OR rule: items whose signatures agree in at
-    /// least one hash function are merged transitively.
-    pub fn cluster(&self, items: &[Vec<u64>]) -> Clustering {
-        let n = items.len();
-        if n == 0 {
-            return Clustering::from_assignment(vec![]);
-        }
-        let signatures: Vec<Vec<u64>> = items.par_iter().map(|s| self.signature(s)).collect();
-        let mut uf = UnionFind::new(n);
-        let mut buckets: HashMap<u64, usize> = HashMap::new();
-        for t in 0..self.tables() {
-            buckets.clear();
-            for (i, sig) in signatures.iter().enumerate() {
-                match buckets.entry(sig[t]) {
-                    std::collections::hash_map::Entry::Occupied(first) => {
-                        uf.union(*first.get(), i);
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(i);
-                    }
-                }
-            }
-        }
-        Clustering::from_assignment(uf.labels())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fraction of hash functions on which two signatures agree: an
+    /// unbiased estimate of the sets' Jaccard similarity.
+    fn estimate_jaccard(sig_a: &[u64], sig_b: &[u64]) -> f64 {
+        let agree = sig_a.iter().zip(sig_b).filter(|(a, b)| a == b).count();
+        agree as f64 / sig_a.len() as f64
+    }
 
     #[test]
     fn identical_sets_have_identical_signatures() {
@@ -130,7 +99,7 @@ mod tests {
         // |A ∩ B| = 50, |A ∪ B| = 150 → J = 1/3.
         let a: Vec<u64> = (0..100).collect();
         let b: Vec<u64> = (50..150).collect();
-        let est = MinHashLsh::estimate_jaccard(&mh.signature(&a), &mh.signature(&b));
+        let est = estimate_jaccard(&mh.signature(&a), &mh.signature(&b));
         assert!(
             (est - 1.0 / 3.0).abs() < 0.08,
             "estimate {est} too far from 1/3"
@@ -142,7 +111,7 @@ mod tests {
         let mh = MinHashLsh::new(16, 2);
         let a: Vec<u64> = (0..50).collect();
         let b: Vec<u64> = (1000..1050).collect();
-        let est = MinHashLsh::estimate_jaccard(&mh.signature(&a), &mh.signature(&b));
+        let est = estimate_jaccard(&mh.signature(&a), &mh.signature(&b));
         assert!(est < 0.2, "disjoint sets estimated {est}");
     }
 
@@ -150,16 +119,13 @@ mod tests {
     fn clustering_groups_similar_sets() {
         let mh = MinHashLsh::new(24, 3);
         let mut items = Vec::new();
-        // Group A: sets around {0..20}; group B: sets around {100..120}.
+        // Group A: {0..20} listed from a different start each time;
+        // group B likewise {100..120}. Equal sets agree in every function.
         for i in 0..10u64 {
-            let mut s: Vec<u64> = (0..20).collect();
-            s.push(20 + i); // tiny perturbation, J ≈ 20/22
-            items.push(s);
-            let mut s: Vec<u64> = (100..120).collect();
-            s.push(200 + i);
-            items.push(s);
+            items.push((0..20).map(|x| (x + i) % 20).collect::<Vec<u64>>());
+            items.push((0..20).map(|x| 100 + (x + i) % 20).collect::<Vec<u64>>());
         }
-        let c = mh.cluster(&items);
+        let c = mh.cluster_signature(&items);
         assert_eq!(c.num_clusters, 2, "got {} clusters", c.num_clusters);
         let a = c.assignment[0];
         for i in (0..items.len()).step_by(2) {
@@ -171,7 +137,7 @@ mod tests {
     fn empty_sets_cluster_together() {
         let mh = MinHashLsh::new(8, 1);
         let items = vec![vec![], vec![], vec![1, 2, 3]];
-        let c = mh.cluster(&items);
+        let c = mh.cluster_signature(&items);
         assert_eq!(c.assignment[0], c.assignment[1]);
         assert_ne!(c.assignment[0], c.assignment[2]);
     }
@@ -209,14 +175,13 @@ mod tests {
         let items: Vec<Vec<u64>> = vec![vec![]; 10];
         let c = mh.cluster_signature(&items);
         assert_eq!(c.num_clusters, 1, "all empty sets share one bucket");
-        assert!(mh.cluster(&items).num_clusters == 1);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let items: Vec<Vec<u64>> = (0..20).map(|i| vec![i, i + 1, i % 5]).collect();
-        let a = MinHashLsh::new(8, 42).cluster(&items);
-        let b = MinHashLsh::new(8, 42).cluster(&items);
+        let a = MinHashLsh::new(8, 42).cluster_signature(&items);
+        let b = MinHashLsh::new(8, 42).cluster_signature(&items);
         assert_eq!(a, b);
     }
 }

@@ -9,8 +9,8 @@
 //! p_b(d) = 1 − 2Φ(−t) − (2 / (√(2π)·t)) · (1 − e^(−t²/2))
 //! ```
 //!
-//! which decreases in `d` and increases in `b`. Under the OR rule with
-//! `T` independent tables, `P_{b,T}(d) = 1 − (1 − p_b(d))^T`.
+//! which decreases in `d` and increases in `b`. Two points share a cluster
+//! when all `T` independent tables agree: `p_b(d)^T`.
 
 /// Error function via the Abramowitz–Stegun 7.1.26 approximation
 /// (|ε| ≤ 1.5e-7), adequate for parameter reasoning.
@@ -45,25 +45,6 @@ pub fn elsh_collision_prob(bucket_length: f64, distance: f64) -> f64 {
         - 2.0 * normal_cdf(-t)
         - (2.0 / ((2.0 * std::f64::consts::PI).sqrt() * t)) * (1.0 - (-t * t / 2.0).exp());
     p.clamp(0.0, 1.0)
-}
-
-/// OR-amplified collision probability over `T` tables:
-/// `P_{b,T}(d) = 1 − (1 − p_b(d))^T`.
-pub fn elsh_or_amplified(bucket_length: f64, tables: usize, distance: f64) -> f64 {
-    let p = elsh_collision_prob(bucket_length, distance);
-    1.0 - (1.0 - p).powi(tables as i32)
-}
-
-/// MinHash single-function collision probability — exactly the Jaccard
-/// similarity.
-pub fn minhash_collision_prob(jaccard: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&jaccard), "jaccard out of range");
-    jaccard
-}
-
-/// OR-amplified MinHash collision probability over `T` functions.
-pub fn minhash_or_amplified(jaccard: f64, tables: usize) -> f64 {
-    1.0 - (1.0 - minhash_collision_prob(jaccard)).powi(tables as i32)
 }
 
 #[cfg(test)]
@@ -105,28 +86,5 @@ mod tests {
             assert!(p >= prev - 1e-12);
             prev = p;
         }
-    }
-
-    #[test]
-    fn or_amplification_increases_recall() {
-        let single = elsh_collision_prob(1.0, 2.0);
-        let amplified = elsh_or_amplified(1.0, 10, 2.0);
-        assert!(amplified > single);
-        assert!(amplified <= 1.0);
-        // T = 1 is the identity.
-        assert!((elsh_or_amplified(1.0, 1, 2.0) - single).abs() < 1e-12);
-    }
-
-    #[test]
-    fn minhash_probability_is_jaccard() {
-        assert_eq!(minhash_collision_prob(0.25), 0.25);
-        let amp = minhash_or_amplified(0.25, 8);
-        assert!((amp - (1.0 - 0.75f64.powi(8))).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "jaccard")]
-    fn minhash_rejects_out_of_range() {
-        let _ = minhash_collision_prob(1.5);
     }
 }

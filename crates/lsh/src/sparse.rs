@@ -40,41 +40,14 @@ impl SparseVec {
         SparseVec { dim, entries }
     }
 
-    /// Build from a dense slice.
-    pub fn from_dense(v: &[f64]) -> SparseVec {
-        SparseVec {
-            dim: v.len(),
-            entries: v
-                .iter()
-                .enumerate()
-                .filter(|(_, &x)| x != 0.0)
-                .map(|(i, &x)| (i as u32, x))
-                .collect(),
-        }
-    }
-
     /// Dimensionality of the ambient space.
     pub fn dim(&self) -> usize {
         self.dim
     }
 
-    /// Number of non-zero entries.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Iterate `(index, value)` pairs in increasing index order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
         self.entries.iter().copied()
-    }
-
-    /// Dot product with a dense vector of the same dimensionality.
-    pub fn dot_dense(&self, dense: &[f64]) -> f64 {
-        debug_assert_eq!(dense.len(), self.dim);
-        self.entries
-            .iter()
-            .map(|&(i, v)| v * dense[i as usize])
-            .sum()
     }
 
     /// Squared Euclidean distance to another sparse vector.
@@ -114,15 +87,6 @@ impl SparseVec {
     pub fn distance(&self, other: &SparseVec) -> f64 {
         self.distance_sq(other).sqrt()
     }
-
-    /// Materialize as a dense vector.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut v = vec![0.0; self.dim];
-        for &(i, x) in &self.entries {
-            v[i as usize] = x;
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +96,6 @@ mod tests {
     #[test]
     fn construction_sorts_and_prunes() {
         let v = SparseVec::new(10, vec![(5, 1.0), (2, 0.0), (1, 3.0), (5, 2.0)]);
-        assert_eq!(v.nnz(), 2);
         let entries: Vec<_> = v.iter().collect();
         assert_eq!(entries, vec![(1, 3.0), (5, 2.0)]); // last write wins on idx 5
     }
@@ -144,18 +107,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_round_trip() {
-        let d = vec![0.0, 1.5, 0.0, -2.0];
-        let s = SparseVec::from_dense(&d);
-        assert_eq!(s.nnz(), 2);
-        assert_eq!(s.to_dense(), d);
-    }
-
-    #[test]
-    fn dot_and_distance() {
-        let a = SparseVec::from_dense(&[1.0, 0.0, 2.0]);
-        let b = SparseVec::from_dense(&[0.0, 3.0, 2.0]);
-        assert_eq!(a.dot_dense(&[1.0, 1.0, 1.0]), 3.0);
+    fn distance() {
+        let a = SparseVec::new(3, vec![(0, 1.0), (2, 2.0)]);
+        let b = SparseVec::new(3, vec![(1, 3.0), (2, 2.0)]);
         assert_eq!(a.distance_sq(&b), 1.0 + 9.0);
         assert!((a.distance(&a)).abs() < 1e-12);
         // Symmetry.

@@ -52,12 +52,6 @@ impl DataType {
         }
     }
 
-    /// Infer a type directly from a raw textual value, following the same
-    /// priority order as [`PropertyValue::infer`].
-    pub fn infer_raw(raw: &str) -> DataType {
-        DataType::of(&PropertyValue::infer(raw))
-    }
-
     /// The least general type compatible with both operands.
     ///
     /// The lattice is shallow by design (the paper defers enumerations and

@@ -125,15 +125,6 @@ impl Adjacency {
         self.out.entry(edge.src.0).or_default().push(pos);
         self.inc.entry(edge.tgt.0).or_default().push(pos);
     }
-
-    /// Apply `f` to the two lists `edge` appears in.
-    fn lists_of(&mut self, edge: &Edge, mut f: impl FnMut(&mut Vec<u32>)) {
-        for (map, node) in [(&mut self.out, edge.src.0), (&mut self.inc, edge.tgt.0)] {
-            if let Some(list) = map.get_mut(&node) {
-                f(list);
-            }
-        }
-    }
 }
 
 /// An in-memory directed property multigraph.
@@ -245,18 +236,6 @@ impl PropertyGraph {
         self.edge_pos.get(&id.0).map(|&p| &self.edges[p as usize])
     }
 
-    /// Mutable node lookup (used by noise injection).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
-        let p = *self.node_pos.get(&id.0)?;
-        self.nodes.get_mut(p as usize)
-    }
-
-    /// Mutable edge lookup (used by noise injection).
-    pub fn edge_mut(&mut self, id: EdgeId) -> Option<&mut Edge> {
-        let p = *self.edge_pos.get(&id.0)?;
-        self.edges.get_mut(p as usize)
-    }
-
     /// Iterate all nodes in insertion order.
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
         self.nodes.iter()
@@ -297,16 +276,6 @@ impl PropertyGraph {
             .map(move |&p| &self.edges[p as usize])
     }
 
-    /// Out-degree of a node.
-    pub fn out_degree(&self, id: NodeId) -> usize {
-        self.adjacency().out.get(&id.0).map_or(0, Vec::len)
-    }
-
-    /// In-degree of a node.
-    pub fn in_degree(&self, id: NodeId) -> usize {
-        self.adjacency().inc.get(&id.0).map_or(0, Vec::len)
-    }
-
     /// All distinct property keys appearing on nodes, in sorted order.
     /// This is the global key set `K` that fixes the width of the binary
     /// property vector (§4.1).
@@ -343,56 +312,6 @@ impl PropertyGraph {
             .iter()
             .flat_map(|e| e.labels.iter().cloned())
             .collect()
-    }
-
-    /// Remove an edge. Returns the removed edge, or `None` if absent.
-    pub fn remove_edge(&mut self, id: EdgeId) -> Option<Edge> {
-        let pos = self.edge_pos.remove(&id.0)?;
-        let last = (self.edges.len() - 1) as u32;
-        // Swap-remove, then repair the position map and (if built) the
-        // adjacency lists for the edge that moved into `pos`.
-        let removed = self.edges.swap_remove(pos as usize);
-        let moved = self.edges.get(pos as usize);
-        if let Some(moved) = moved {
-            self.edge_pos.insert(moved.id.0, pos);
-        }
-        if let Some(adj) = self.adjacency.get_mut() {
-            adj.lists_of(&removed, |list| list.retain(|&p| p != pos));
-            if let Some(moved) = moved {
-                adj.lists_of(moved, |list| {
-                    list.iter_mut()
-                        .filter(|p| **p == last)
-                        .for_each(|p| *p = pos)
-                });
-            }
-        }
-        Some(removed)
-    }
-
-    /// Remove a node **and all its incident edges**. Returns the removed
-    /// node, or `None` if absent.
-    pub fn remove_node(&mut self, id: NodeId) -> Option<Node> {
-        self.node_pos.get(&id.0)?;
-        // Collect incident edge ids first (both directions).
-        let incident: Vec<EdgeId> = self
-            .out_edges(id)
-            .map(|e| e.id)
-            .chain(self.in_edges(id).map(|e| e.id))
-            .collect();
-        for eid in incident {
-            self.remove_edge(eid);
-        }
-        let pos = self.node_pos.remove(&id.0)? as usize;
-        let removed = self.nodes.swap_remove(pos);
-        if pos < self.nodes.len() {
-            let moved_id = self.nodes[pos].id.0;
-            self.node_pos.insert(moved_id, pos as u32);
-        }
-        if let Some(adj) = self.adjacency.get_mut() {
-            adj.out.remove(&id.0);
-            adj.inc.remove(&id.0);
-        }
-        Some(removed)
     }
 
     /// Absorb another graph (disjoint ids assumed; duplicates error).
@@ -476,7 +395,7 @@ mod tests {
         assert_eq!(err, ModelError::DanglingEndpoint { node: 99 });
         // Failed insert must not corrupt state.
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.out_degree(NodeId(1)), 0);
+        assert_eq!(g.out_edges(NodeId(1)).count(), 0);
     }
 
     #[test]
@@ -506,11 +425,11 @@ mod tests {
             LabelSet::single("KNOWS"),
         ))
         .unwrap();
-        assert_eq!(g.out_degree(NodeId(1)), 2);
-        assert_eq!(g.in_degree(NodeId(1)), 1);
+        assert_eq!(g.out_edges(NodeId(1)).count(), 2);
+        assert_eq!(g.in_edges(NodeId(1)).count(), 1);
         assert_eq!(g.out_edges(NodeId(1)).count(), 2);
         assert_eq!(g.in_edges(NodeId(3)).count(), 1);
-        assert_eq!(g.out_degree(NodeId(3)), 0);
+        assert_eq!(g.out_edges(NodeId(3)).count(), 0);
     }
 
     #[test]
@@ -531,69 +450,6 @@ mod tests {
         let keys = g.node_property_keys();
         let names: Vec<&str> = keys.iter().map(|s| s.as_ref()).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn remove_edge_repairs_indexes() {
-        let mut g = PropertyGraph::new();
-        for i in 1..=3 {
-            g.add_node(person(i)).unwrap();
-        }
-        g.add_edge(Edge::new(10, NodeId(1), NodeId(2), LabelSet::single("E")))
-            .unwrap();
-        g.add_edge(Edge::new(11, NodeId(2), NodeId(3), LabelSet::single("E")))
-            .unwrap();
-        g.add_edge(Edge::new(12, NodeId(1), NodeId(3), LabelSet::single("E")))
-            .unwrap();
-        // Remove the first edge: edge 12 is swap-moved into its slot.
-        let removed = g.remove_edge(EdgeId(10)).unwrap();
-        assert_eq!(removed.id, EdgeId(10));
-        assert_eq!(g.edge_count(), 2);
-        assert!(g.edge(EdgeId(10)).is_none());
-        assert_eq!(g.edge(EdgeId(12)).unwrap().tgt, NodeId(3));
-        // Adjacency is consistent after the swap.
-        assert_eq!(g.out_degree(NodeId(1)), 1);
-        assert_eq!(g.in_degree(NodeId(2)), 0);
-        assert_eq!(g.out_edges(NodeId(1)).next().unwrap().id, EdgeId(12));
-        // Removing again is a no-op.
-        assert!(g.remove_edge(EdgeId(10)).is_none());
-    }
-
-    #[test]
-    fn remove_node_cascades_to_incident_edges() {
-        let mut g = PropertyGraph::new();
-        for i in 1..=3 {
-            g.add_node(person(i)).unwrap();
-        }
-        g.add_edge(Edge::new(10, NodeId(1), NodeId(2), LabelSet::single("E")))
-            .unwrap();
-        g.add_edge(Edge::new(11, NodeId(3), NodeId(1), LabelSet::single("E")))
-            .unwrap();
-        g.add_edge(Edge::new(12, NodeId(2), NodeId(3), LabelSet::single("E")))
-            .unwrap();
-        let removed = g.remove_node(NodeId(1)).unwrap();
-        assert_eq!(removed.id, NodeId(1));
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1, "both incident edges removed");
-        assert!(g.edge(EdgeId(12)).is_some());
-        assert_eq!(g.out_degree(NodeId(3)), 0);
-        assert!(g.remove_node(NodeId(1)).is_none());
-        // The graph still accepts new edges between survivors.
-        g.add_edge(Edge::new(13, NodeId(3), NodeId(2), LabelSet::single("E")))
-            .unwrap();
-        assert_eq!(g.edge_count(), 2);
-    }
-
-    #[test]
-    fn remove_last_edge_and_node() {
-        let mut g = PropertyGraph::new();
-        g.add_node(person(1)).unwrap();
-        g.add_edge(Edge::new(5, NodeId(1), NodeId(1), LabelSet::empty()))
-            .unwrap();
-        assert!(g.remove_edge(EdgeId(5)).is_some());
-        assert_eq!(g.edge_count(), 0);
-        assert!(g.remove_node(NodeId(1)).is_some());
-        assert!(g.is_empty());
     }
 
     #[test]

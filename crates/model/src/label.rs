@@ -149,19 +149,6 @@ impl LabelSet {
         true
     }
 
-    /// Whether the two sets share at least one label.
-    pub fn intersects(&self, other: &LabelSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].cmp(&other.0[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
     /// The canonical token for embedding: the sorted labels joined with
     /// `"|"`. Returns `None` for the empty set — the paper maps unlabeled
     /// elements to the zero vector instead of a token.
@@ -249,15 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_intersection() {
+    fn subset() {
         let a = LabelSet::from_iter(["A", "C"]);
         let b = LabelSet::from_iter(["A", "B", "C"]);
         assert!(a.is_subset_of(&b));
         assert!(!b.is_subset_of(&a));
         assert!(LabelSet::empty().is_subset_of(&a));
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&LabelSet::single("Z")));
-        assert!(!a.intersects(&LabelSet::empty()));
     }
 
     #[test]

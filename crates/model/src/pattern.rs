@@ -27,20 +27,6 @@ impl NodePattern {
     pub fn new(labels: LabelSet, keys: BTreeSet<Symbol>) -> Self {
         NodePattern { labels, keys }
     }
-
-    /// Jaccard similarity of the two patterns' property-key sets — the
-    /// similarity the type-merging step (Algorithm 2) uses.
-    pub fn key_jaccard(&self, other: &NodePattern) -> f64 {
-        jaccard(&self.keys, &other.keys)
-    }
-
-    /// Merge (union) two patterns — Lemma 1: nothing is lost.
-    pub fn merge(&self, other: &NodePattern) -> NodePattern {
-        NodePattern {
-            labels: self.labels.union(&other.labels),
-            keys: self.keys.union(&other.keys).cloned().collect(),
-        }
-    }
 }
 
 impl fmt::Display for NodePattern {
@@ -84,22 +70,6 @@ impl EdgePattern {
             tgt_labels,
         }
     }
-
-    /// Jaccard similarity over property keys.
-    pub fn key_jaccard(&self, other: &EdgePattern) -> f64 {
-        jaccard(&self.keys, &other.keys)
-    }
-
-    /// Merge (union component-wise) — Lemma 2: no label, property, or
-    /// endpoint is lost.
-    pub fn merge(&self, other: &EdgePattern) -> EdgePattern {
-        EdgePattern {
-            labels: self.labels.union(&other.labels),
-            keys: self.keys.union(&other.keys).cloned().collect(),
-            src_labels: self.src_labels.union(&other.src_labels),
-            tgt_labels: self.tgt_labels.union(&other.tgt_labels),
-        }
-    }
 }
 
 impl fmt::Display for EdgePattern {
@@ -115,8 +85,9 @@ impl fmt::Display for EdgePattern {
     }
 }
 
-/// Jaccard similarity of two key sets. Two empty sets are defined to be
-/// identical (similarity 1) — two property-less clusters are structurally
+/// Jaccard similarity of two key sets — the similarity Algorithm 2's
+/// test oracle merges by. Two empty sets are defined to be identical
+/// (similarity 1) — two property-less clusters are structurally
 /// indistinguishable.
 pub fn jaccard(a: &BTreeSet<Symbol>, b: &BTreeSet<Symbol>) -> f64 {
     if a.is_empty() && b.is_empty() {
@@ -168,37 +139,6 @@ mod tests {
         assert_eq!(jaccard(&a, &d), 0.0);
         assert_eq!(jaccard(&keys(&[]), &keys(&[])), 1.0);
         assert_eq!(jaccard(&a, &keys(&[])), 0.0);
-    }
-
-    #[test]
-    fn node_pattern_merge_is_union() {
-        let p1 = NodePattern::new(LabelSet::single("Person"), keys(&["name"]));
-        let p2 = NodePattern::new(LabelSet::empty(), keys(&["age"]));
-        let m = p1.merge(&p2);
-        assert_eq!(m.labels, LabelSet::single("Person"));
-        assert_eq!(m.keys, keys(&["age", "name"]));
-        // Monotone: inputs are subsets of the merge.
-        assert!(p1.keys.is_subset(&m.keys));
-        assert!(p2.keys.is_subset(&m.keys));
-    }
-
-    #[test]
-    fn edge_pattern_merge_unions_endpoints() {
-        let p1 = EdgePattern::new(
-            LabelSet::single("KNOWS"),
-            keys(&["since"]),
-            LabelSet::single("Person"),
-            LabelSet::single("Person"),
-        );
-        let p2 = EdgePattern::new(
-            LabelSet::single("KNOWS"),
-            keys(&[]),
-            LabelSet::single("Student"),
-            LabelSet::single("Person"),
-        );
-        let m = p1.merge(&p2);
-        assert_eq!(m.src_labels, LabelSet::from_iter(["Person", "Student"]));
-        assert_eq!(m.keys, keys(&["since"]));
     }
 
     #[test]

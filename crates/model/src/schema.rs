@@ -343,25 +343,6 @@ impl SchemaGraph {
         id
     }
 
-    /// Find the (first) labeled node type with exactly these labels.
-    pub fn node_type_by_labels(&mut self, labels: &LabelSet) -> Option<&mut NodeType> {
-        self.node_types
-            .iter_mut()
-            .find(|t| !t.labels.is_empty() && &t.labels == labels)
-    }
-
-    /// Find the (first) labeled edge type with exactly these labels.
-    pub fn edge_type_by_labels(&mut self, labels: &LabelSet) -> Option<&mut EdgeType> {
-        self.edge_types
-            .iter_mut()
-            .find(|t| !t.labels.is_empty() && &t.labels == labels)
-    }
-
-    /// Total number of types.
-    pub fn type_count(&self) -> usize {
-        self.node_types.len() + self.edge_types.len()
-    }
-
     /// Whether every label and property key of `self` also appears in
     /// `other` — the `⊑` generalization pre-order of §4.6/§4.7: `other`
     /// extends `self` without removing anything.

@@ -69,8 +69,6 @@ fn assert_adjacency_matches_scan(g: &PropertyGraph, nodes: u64) -> Result<(), Te
         };
         prop_assert_eq!(sorted(&mut g.out_edges(n)), out.clone(), "out of {}", n.0);
         prop_assert_eq!(sorted(&mut g.in_edges(n)), inc.clone(), "in of {}", n.0);
-        prop_assert_eq!(g.out_degree(n), out.len());
-        prop_assert_eq!(g.in_degree(n), inc.len());
     }
     Ok(())
 }
@@ -151,14 +149,14 @@ proptest! {
     }
 
     // --- Adjacency on demand: whenever it is first asked for, and
-    //     whatever mutated the graph before or after, it agrees with a
+    //     whatever edges were added before or after, it agrees with a
     //     scan of the edge list.
     #[test]
     fn lazy_adjacency_matches_an_edge_scan(
-        ops in prop::collection::vec((0u8..6, 0u64..6, 0u64..6), 0..40)
+        ops in prop::collection::vec((0u64..6, 0u64..6), 0..40)
     ) {
         const NODES: u64 = 6;
-        // `warm` is queried after every step (built, then mutated);
+        // `warm` is queried after every step (built, then extended);
         // `cold` is never queried, only a throw-away clone of it is.
         let mut warm = PropertyGraph::new();
         for n in 0..NODES {
@@ -167,20 +165,10 @@ proptest! {
         let mut cold = warm.clone();
         assert_adjacency_matches_scan(&warm, NODES)?;
         let mut next_edge = 0u64;
-        for (op, a, b) in ops {
-            match op {
-                0..=2 => {
-                    let edge = Edge::new(next_edge, NodeId(a), NodeId(b), LabelSet::empty());
-                    next_edge += 1;
-                    prop_assert_eq!(warm.add_edge(edge.clone()), cold.add_edge(edge));
-                }
-                3 | 4 => {
-                    // Some live edge, if any: `a` picks among them.
-                    let Some(id) = warm.edges().map(|e| e.id).nth(a as usize) else { continue };
-                    prop_assert_eq!(warm.remove_edge(id), cold.remove_edge(id));
-                }
-                _ => prop_assert_eq!(warm.remove_node(NodeId(a)), cold.remove_node(NodeId(a))),
-            }
+        for (a, b) in ops {
+            let edge = Edge::new(next_edge, NodeId(a), NodeId(b), LabelSet::empty());
+            next_edge += 1;
+            prop_assert_eq!(warm.add_edge(edge.clone()), cold.add_edge(edge));
             prop_assert_eq!(warm.edge_count(), cold.edge_count());
             for e in warm.edges() {
                 prop_assert_eq!(warm.edge(e.id), Some(e), "position map of warm");
@@ -257,8 +245,8 @@ proptest! {
     // --- Data-type lattice.
     #[test]
     fn datatype_join_is_an_upper_bound(raw_a in ".*", raw_b in ".*") {
-        let ta = DataType::infer_raw(&raw_a);
-        let tb = DataType::infer_raw(&raw_b);
+        let ta = DataType::of(&PropertyValue::infer(&raw_a));
+        let tb = DataType::of(&PropertyValue::infer(&raw_b));
         let j = ta.join(tb);
         prop_assert_eq!(j.join(ta), j);
         prop_assert_eq!(j.join(tb), j);
@@ -295,7 +283,6 @@ proptest! {
     #[test]
     fn inference_is_total(raw in ".*") {
         let _ = PropertyValue::infer(&raw);
-        let _ = DataType::infer_raw(&raw);
     }
 
     // --- total_cmp is a total order (antisymmetric + transitive on a

@@ -6,8 +6,9 @@
 //! state machines, resumable head parser, keep-alive, hard size limits,
 //! structured JSON errors); CPU-bound request work runs on a bounded
 //! worker pool that answers 503 + `Retry-After` when full. Serving is
-//! Linux-only: the crate compiles elsewhere, but [`Server::run`]
-//! returns [`std::io::ErrorKind::Unsupported`].
+//! Linux-only: [`Server`] and [`raise_nofile_limit`] exist only when
+//! `target_os = "linux"`, so no build ships a serving path no build has
+//! compiled. The client, registry and HTTP parser are portable.
 //!
 //! ## API
 //!
@@ -121,43 +122,38 @@ impl Default for ServerConfig {
 /// connections overruns the common 1024-descriptor soft default;
 /// raising it needs no privilege. Returns the soft limit afterwards
 /// when known.
+#[cfg(target_os = "linux")]
 pub fn raise_nofile_limit() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        #[repr(C)]
-        struct Rlimit {
-            cur: u64,
-            max: u64,
-        }
-        const RLIMIT_NOFILE: i32 = 7;
-        extern "C" {
-            fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-            fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-        }
-        unsafe {
-            let mut lim = Rlimit { cur: 0, max: 0 };
-            if getrlimit(RLIMIT_NOFILE, &mut lim) != 0 {
-                return None;
-            }
-            if lim.cur < lim.max {
-                let want = Rlimit {
-                    cur: lim.max,
-                    max: lim.max,
-                };
-                if setrlimit(RLIMIT_NOFILE, &want) == 0 {
-                    return Some(lim.max);
-                }
-            }
-            Some(lim.cur)
-        }
+    #[repr(C)]
+    struct Rlimit {
+        cur: u64,
+        max: u64,
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
+    const RLIMIT_NOFILE: i32 = 7;
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+    }
+    unsafe {
+        let mut lim = Rlimit { cur: 0, max: 0 };
+        if getrlimit(RLIMIT_NOFILE, &mut lim) != 0 {
+            return None;
+        }
+        if lim.cur < lim.max {
+            let want = Rlimit {
+                cur: lim.max,
+                max: lim.max,
+            };
+            if setrlimit(RLIMIT_NOFILE, &want) == 0 {
+                return Some(lim.max);
+            }
+        }
+        Some(lim.cur)
     }
 }
 
 /// What a completed [`Server::run`] did.
+#[cfg(target_os = "linux")]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSummary {
     /// Connections accepted over the server's lifetime.
@@ -169,6 +165,7 @@ pub struct RunSummary {
 }
 
 /// A bound, not-yet-running server.
+#[cfg(target_os = "linux")]
 pub struct Server {
     pub(crate) listener: TcpListener,
     local_addr: SocketAddr,
@@ -177,6 +174,7 @@ pub struct Server {
     pub(crate) shutdown: Arc<AtomicBool>,
 }
 
+#[cfg(target_os = "linux")]
 impl Server {
     /// Bind the listener and open (or resume) the session registry.
     /// Resume warnings for corrupt sessions go to stderr — one bad
@@ -229,29 +227,17 @@ impl Server {
 
     /// Accept and serve until the shutdown flag is set, then drain
     /// in-flight work, persist every durable session, and return.
-    /// The connection loop is the epoll reactor, so serving is
-    /// Linux-only: elsewhere this returns [`io::ErrorKind::Unsupported`].
     pub fn run(self) -> io::Result<RunSummary> {
-        #[cfg(not(target_os = "linux"))]
-        {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "pg-serve's connection loop is an epoll reactor; serving requires Linux",
-            ))
+        let connections = reactor::serve(&self)?;
+        let persist_failures = self.ctx.registry.persist_all();
+        let sessions_persisted = self.ctx.registry.list().len() - persist_failures.len();
+        for (name, err) in &persist_failures {
+            eprintln!("warning: final checkpoint of session {name:?} failed: {err}");
         }
-        #[cfg(target_os = "linux")]
-        {
-            let connections = reactor::serve(&self)?;
-            let persist_failures = self.ctx.registry.persist_all();
-            let sessions_persisted = self.ctx.registry.list().len() - persist_failures.len();
-            for (name, err) in &persist_failures {
-                eprintln!("warning: final checkpoint of session {name:?} failed: {err}");
-            }
-            Ok(RunSummary {
-                connections,
-                sessions_persisted,
-                persist_failures,
-            })
-        }
+        Ok(RunSummary {
+            connections,
+            sessions_persisted,
+            persist_failures,
+        })
     }
 }

@@ -286,12 +286,6 @@ impl LiveSession {
         }
     }
 
-    /// Ingests currently holding a permit (exposed for `/metrics` and
-    /// tests).
-    pub fn inflight_ingests(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
     /// Parse `body` as JSONL and ingest it as one batch under the
     /// session's error policy. See [`IngestReport`].
     pub fn ingest_jsonl(&self, body: &[u8]) -> Result<IngestReport, IngestFailure> {
@@ -718,10 +712,24 @@ fn resume_session(
     let sidecar: Sidecar =
         serde_json::from_str(&raw).map_err(|e| skip("parsing sidecar", e.to_string()))?;
     validate_name(&sidecar.name).map_err(|e| skip("validating name", e))?;
+    // The directory is the session's identity on disk: a sidecar naming
+    // another session would resume it where `create` of the directory's
+    // own name writes too.
+    if dir.file_name() != Some(std::ffi::OsStr::new(&sidecar.name)) {
+        return Err(skip(
+            "validating name",
+            format!("the sidecar names session {:?}", sidecar.name),
+        ));
+    }
     sidecar
         .spec
         .validate()
         .map_err(|e| skip("validating spec", e))?;
+    sidecar
+        .aux
+        .history
+        .validate()
+        .map_err(|e| skip("validating history", e))?;
     let store = CheckpointStore::open(dir.join("ckpt"))
         .map_err(|e| skip("opening checkpoint store", e.to_string()))?
         .with_retention(checkpoint_keep);
@@ -855,7 +863,7 @@ mod tests {
         let a = live.try_ingest_permit().expect("first slot");
         let _b = live.try_ingest_permit().expect("second slot");
         assert!(live.try_ingest_permit().is_none(), "queue full");
-        assert_eq!(live.inflight_ingests(), 2);
+        assert_eq!(live.inflight.load(Ordering::SeqCst), 2);
         drop(a);
         assert!(live.try_ingest_permit().is_some(), "slot released");
     }

@@ -24,7 +24,6 @@ pub mod batch;
 pub mod csv;
 pub mod decode;
 pub mod faults;
-pub mod index;
 pub mod ingest;
 pub mod jsonl;
 pub mod load;

@@ -97,7 +97,7 @@ pub fn edge_instance(
 /// `ChaCha8Rng` stream, so the output is bit-identical regardless of
 /// `RAYON_NUM_THREADS` or machine.
 ///
-/// Guarantees for a clean ([`crate::NoiseProfile::is_clean`]) spec:
+/// Guarantees for a clean (every knob zero, as in [`crate::NoiseProfile::clean`]) spec:
 ///
 /// * every node/edge STRICT-validates against `spec.schema` — mandatory
 ///   properties are always present, values match declared data types,

@@ -39,14 +39,6 @@ impl NoiseProfile {
         NoiseProfile::default()
     }
 
-    /// Whether every knob is zero (the graph is exactly the clean one).
-    pub fn is_clean(&self) -> bool {
-        self.unlabeled_fraction <= 0.0
-            && self.missing_optional_rate <= 0.0
-            && self.label_noise_rate <= 0.0
-            && self.missing_mandatory_rate <= 0.0
-    }
-
     pub(crate) fn clamped(&self) -> NoiseProfile {
         NoiseProfile {
             unlabeled_fraction: self.unlabeled_fraction.clamp(0.0, 1.0),
@@ -167,15 +159,5 @@ mod tests {
                 assert_eq!(DataType::of(&back), dt, "{v:?} -> {back:?}");
             }
         }
-    }
-
-    #[test]
-    fn clean_profile_is_clean() {
-        assert!(NoiseProfile::clean().is_clean());
-        assert!(!NoiseProfile {
-            unlabeled_fraction: 0.1,
-            ..NoiseProfile::clean()
-        }
-        .is_clean());
     }
 }

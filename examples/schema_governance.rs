@@ -85,7 +85,7 @@ fn main() {
     let resumed = HiveSession::restore(config, restored).expect("same accumulator mode");
     println!(
         "restored session: {} types after {} batches",
-        resumed.schema().type_count(),
+        resumed.schema().node_types.len() + resumed.schema().edge_types.len(),
         resumed.batches_processed()
     );
 }

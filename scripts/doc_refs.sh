@@ -16,7 +16,12 @@
 #     variant — except the standard-library names in `std_names`;
 #   * a CI job cited as "CI `name`", "`name` job" or "CI job `name`" is a
 #     job of .github/workflows/ci.yml.
-# Over README.md only: a `--flag` on a (continuation-joined) line that runs
+#   * a backticked `pg_<crate>::<name>` path (also `…::<name>::<item>`) names a
+#     `pub mod`, a `pub` item or a `pub use` re-export of that crate's lib.rs,
+#     the crate found by its Cargo.toml `name` (`-` as `_`), and an `<item>`
+#     of such a module is one in that module's file.
+# Over README.md only: every row of the example table (`| Example |`) names
+# an examples/*.rs file, and every such file has a row; and a `--flag` on a (continuation-joined) line that runs
 # `pg-hive` is a flag some command declares in crates/cli/src/opts.rs, and
 # one in a backticked span that starts with it is that or a flag of another
 # of the repository's binaries (pg-bench, pg-eval, the harness).
@@ -92,6 +97,52 @@ while IFS=$'\t' read -r at tok; do
         done
     fi
 done < <(spans "${docs[@]}")
+
+# Crate paths against what each crate's lib.rs (and a module's file) exports.
+exports() { # <file>: names declared pub there or re-exported by a `pub use`
+    awk '
+        /^pub use / { on = 1 }
+        on {
+            line = $0; sub(/^pub use /, "", line); gsub(/[{};]/, " ", line); gsub(/ as /, " ", line)
+            n = split(line, parts, /[ ,]+/)
+            for (i = 1; i <= n; i++) { w = parts[i]; sub(/^.*::/, "", w); if (w != "") print w }
+            if ($0 ~ /;/) on = 0
+            next
+        }
+        match($0, /^pub ((unsafe|const|async) )*(mod|fn|struct|enum|trait|type|const|static|union) [A-Za-z_][A-Za-z0-9_]*/) {
+            d = substr($0, RSTART, RLENGTH); sub(/^.* /, "", d); print d
+        }
+    ' "$1"
+}
+declare -A crate_dir
+for toml in crates/*/Cargo.toml; do
+    name=$(awk -F'"' '/^name = / { gsub(/-/, "_", $2); print $2; exit }' "$toml")
+    crate_dir[$name]=$(dirname "$toml")/src
+done
+while IFS=$'\t' read -r at tok; do
+    [[ $tok =~ ^(pg_[a-z_]+)::([a-z_A-Z][A-Za-z0-9_]*)(::([A-Za-z_][A-Za-z0-9_]*))?(::.*)?(\(\))?$ ]] || continue
+    krate=${BASH_REMATCH[1]} first=${BASH_REMATCH[2]} second=${BASH_REMATCH[4]}
+    src=${crate_dir[$krate]:-}
+    if [ -z "$src" ]; then
+        complain "$at: \`$tok\`: no crate named $krate"
+        continue
+    fi
+    if ! exports "$src/lib.rs" | grep -qx -- "$first"; then
+        complain "$at: \`$tok\`: $krate exports no $first"
+    elif [ -n "$second" ] && [ -f "$src/$first.rs" ] && ! exports "$src/$first.rs" | grep -qx -- "$second"; then
+        complain "$at: \`$tok\`: $krate::$first has no pub $second"
+    fi
+done < <(spans "${docs[@]}")
+
+# README's example table against examples/.
+table=$(awk '/^\| Example \|/ { on = 1; next } on && !/^\|/ { exit } on && match($0, /^\| `[a-z_0-9]+`/) { print substr($0, RSTART + 3, RLENGTH - 4) }' README.md)
+for ex in $table; do
+    [ -f "examples/$ex.rs" ] || complain "README.md: example \`$ex\`: no examples/$ex.rs"
+done
+for f in examples/*.rs; do
+    ex=$(basename "$f" .rs)
+    grep -qx -- "$ex" <<<"$table" || complain "README.md: $f has no row in the example table"
+done
 
 # CI job names.
 jobs=$(awk '/^jobs:/ { on = 1; next } on && /^  [a-z-]+:$/ { sub(/:/, ""); print $1 }' .github/workflows/ci.yml)

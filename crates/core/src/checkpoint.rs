@@ -187,13 +187,13 @@ pub struct EmbedderRows {
 pub struct F64Bits(pub Vec<f64>);
 
 impl Serialize for F64Bits {
-    fn to_value(&self) -> Value {
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
         use fmt::Write as _;
         let mut hex = String::with_capacity(self.0.len() * 16);
         for x in &self.0 {
             write!(hex, "{:016x}", x.to_bits()).expect("writing to a String");
         }
-        Value::Str(hex)
+        sink.str(&hex)
     }
 }
 
@@ -218,19 +218,21 @@ impl Deserialize for F64Bits {
 
 /// Serialize a checkpoint into its envelope bytes.
 pub fn encode(ckpt: &SessionCheckpoint) -> Result<Vec<u8>, CheckpointError> {
-    let payload = serde_json::to_string(ckpt).map_err(|e| CheckpointError::Corrupt {
+    // The header states the payload's length and checksum, so the payload
+    // is written first, behind room for the widest header, and the header
+    // then takes that room's place: the envelope is one buffer, written
+    // once.
+    let header =
+        |len: usize, crc: u32| format!("{MAGIC} v{FORMAT_VERSION} len={len} crc32={crc:08x}\n");
+    let room = header(usize::MAX, 0).len();
+    let mut out = " ".repeat(room);
+    serde_json::to_string_into(&mut out, ckpt).map_err(|e| CheckpointError::Corrupt {
         path: None,
         reason: format!("serializing checkpoint: {e}"),
     })?;
-    let payload = payload.into_bytes();
-    let mut out = format!(
-        "{MAGIC} v{FORMAT_VERSION} len={} crc32={:08x}\n",
-        payload.len(),
-        crc32(&payload)
-    )
-    .into_bytes();
-    out.extend_from_slice(&payload);
-    Ok(out)
+    let payload = &out.as_bytes()[room..];
+    out.replace_range(..room, &header(payload.len(), crc32(payload)));
+    Ok(out.into_bytes())
 }
 
 /// Validate an envelope and deserialize the checkpoint inside. Any

@@ -24,7 +24,7 @@ use pg_model::{
 use pg_store::{EdgeRecord, NodeRecord};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, MapFields, Serialize, Sink, Value};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -205,9 +205,9 @@ pub trait Kind: Sized + Clone + Debug + 'static {
     fn end_sketch_bytes(_sketch: &Self::EndSketch) -> usize {
         0
     }
-    /// Append the wire fields that sit between an accumulator's
+    /// Write the wire fields that sit between an accumulator's
     /// `members` and `sketch`.
-    fn ends_to_wire(_: &[Self::Pair], _: Option<Cardinality>, _obj: &mut Vec<(String, Value)>) {}
+    fn ends_to_wire<S: Sink + ?Sized>(_: &[Self::Pair], _: Option<Cardinality>, _sink: &mut S) {}
     /// Read those fields back.
     fn ends_from_wire(
         _obj: &[(String, Value)],
@@ -221,9 +221,10 @@ pub trait Kind: Sized + Clone + Debug + 'static {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NoEndpoint {}
 
-/// The endpoint sketch of a kind without endpoints (no wire fields).
+/// The endpoint sketch of a kind without endpoints: a map with no
+/// fields, so a node sketch inlines nothing of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NoEndpoints;
+pub struct NoEndpoints {}
 
 impl Kind for Node {
     type Id = NodeId;
@@ -255,7 +256,7 @@ impl Kind for Node {
         schema.push_node_type(t)
     }
     fn end_sketch(_: SketchParams) -> NoEndpoints {
-        NoEndpoints
+        NoEndpoints {}
     }
 }
 
@@ -317,13 +318,13 @@ impl Kind for Edge {
     fn end_sketch_bytes(sketch: &EndpointSketch) -> usize {
         sketch.pairs.retained_bytes() + sketch.srcs.retained_bytes() + sketch.tgts.retained_bytes()
     }
-    fn ends_to_wire(
+    fn ends_to_wire<S: Sink + ?Sized>(
         endpoints: &[(NodeId, NodeId)],
         card_floor: Option<Cardinality>,
-        obj: &mut Vec<(String, Value)>,
+        sink: &mut S,
     ) {
-        obj.push(wire("endpoints", endpoints));
-        obj.push(wire("card_floor", &card_floor));
+        wire(sink, "endpoints", endpoints);
+        wire(sink, "card_floor", &card_floor);
     }
     fn ends_from_wire(
         obj: &[(String, Value)],
@@ -683,8 +684,9 @@ impl<K: Kind> TypeAccum<K> {
     }
 }
 
-fn wire(name: &str, value: &(impl Serialize + ?Sized)) -> (String, Value) {
-    (name.to_owned(), value.to_value())
+fn wire<S: Sink + ?Sized>(sink: &mut S, name: &str, value: &(impl Serialize + ?Sized)) {
+    sink.key(name);
+    value.serialize(sink);
 }
 
 fn unwire<T: Deserialize>(obj: &[(String, Value)], name: &str) -> Result<T, Error> {
@@ -704,13 +706,14 @@ fn wire_object(value: &Value) -> Result<&[(String, Value)], Error> {
 // recovery data, so both directions keep that shape field for field.
 
 impl<K: Kind> Serialize for Sketch<K> {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![wire("params", &self.params), wire("members", &self.members)];
-        if let Value::Object(ends) = self.ends.to_value() {
-            obj.extend(ends);
-        }
-        obj.push(wire("samples", &self.samples));
-        Value::Object(obj)
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_map();
+        wire(sink, "params", &self.params);
+        wire(sink, "members", &self.members);
+        self.ends
+            .serialize(&mut MapFields::new(sink, "an endpoint sketch"));
+        wire(sink, "samples", &self.samples);
+        sink.end_map();
     }
 }
 
@@ -727,16 +730,15 @@ impl<K: Kind> Deserialize for Sketch<K> {
 }
 
 impl<K: Kind> Serialize for TypeAccum<K> {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            wire("count", &self.count),
-            wire("key_present", &self.key_present),
-            wire("dtype_hist", &self.dtype_hist),
-            wire("members", self.members()),
-        ];
-        K::ends_to_wire(self.endpoints(), self.card_floor, &mut obj);
-        obj.push(wire("sketch", &self.sketch()));
-        Value::Object(obj)
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_map();
+        wire(sink, "count", &self.count);
+        wire(sink, "key_present", &self.key_present);
+        wire(sink, "dtype_hist", &self.dtype_hist);
+        wire(sink, "members", self.members());
+        K::ends_to_wire(self.endpoints(), self.card_floor, sink);
+        wire(sink, "sketch", &self.sketch());
+        sink.end_map();
     }
 }
 

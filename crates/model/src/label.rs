@@ -174,8 +174,8 @@ impl Default for LabelSet {
 }
 
 impl Serialize for LabelSet {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        self.0.serialize(sink)
     }
 }
 

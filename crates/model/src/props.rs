@@ -16,7 +16,7 @@
 
 use crate::label::Symbol;
 use crate::value::PropertyValue;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Sink, Value};
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -171,12 +171,13 @@ impl fmt::Debug for PropMap {
 }
 
 impl Serialize for PropMap {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_map();
+        for (k, v) in self.iter() {
+            sink.key(k);
+            v.serialize(sink);
+        }
+        sink.end_map();
     }
 }
 

@@ -305,7 +305,7 @@ impl HeadParser {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| HttpError::BadRequest(format!("malformed header line {line:?}")))?;
-        if name.is_empty() || name.contains(' ') {
+        if !is_token(name) {
             return Err(HttpError::BadRequest(format!(
                 "malformed header name {name:?}"
             )));
@@ -315,34 +315,51 @@ impl HeadParser {
     }
 }
 
+/// An RFC 9110 token: what a header name must be. Whitespace or a
+/// control byte in a name would let another parser on the path read the
+/// header under a different name.
+fn is_token(s: &str) -> bool {
+    !s.is_empty()
+        && s.bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
+}
+
 /// Validate the collected head lines and assemble the [`RequestHead`].
+/// The body's framing is read from every framing header, not the first:
+/// a `Transfer-Encoding` or a differing `Content-Length` behind an
+/// accepted one is refused, since a proxy that reads the other one would
+/// cut the stream at another request boundary.
 fn finish_head(
     method: String,
     target: String,
     http11: bool,
     headers: Vec<(String, String)>,
 ) -> Result<RequestHead, HttpError> {
-    let find = |n: &str| {
-        headers
-            .iter()
-            .find(|(name, _)| name == n)
+    let all = |n: &'static str| {
+        (headers.iter())
+            .filter(move |(name, _)| name == n)
             .map(|(_, v)| v.as_str())
     };
-    if let Some(te) = find("transfer-encoding") {
-        if !te.eq_ignore_ascii_case("identity") {
-            return Err(HttpError::NotImplemented(format!(
-                "transfer-encoding {te:?} is not supported; send a Content-Length body"
-            )));
-        }
+    if let Some(te) = all("transfer-encoding").find(|te| !te.eq_ignore_ascii_case("identity")) {
+        return Err(HttpError::NotImplemented(format!(
+            "transfer-encoding {te:?} is not supported; send a Content-Length body"
+        )));
     }
-    let content_length = match find("content-length") {
-        Some(v) => v
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("invalid Content-Length {v:?}")))?,
-        None => 0,
-    };
-    let keep_alive = match find("connection").map(str::to_ascii_lowercase) {
+    let mut content_length = None;
+    for v in all("content-length") {
+        let n = Some(v)
+            .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| HttpError::BadRequest(format!("invalid Content-Length {v:?}")))?;
+        if content_length.is_some_and(|first| first != n) {
+            return Err(HttpError::BadRequest(
+                "conflicting Content-Length headers".into(),
+            ));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
+    let keep_alive = match all("connection").next().map(str::to_ascii_lowercase) {
         Some(c) if c.contains("close") => false,
         Some(c) if c.contains("keep-alive") => true,
         _ => http11,
@@ -383,10 +400,11 @@ fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
+                // Two hex digits: `from_str_radix` alone would take `+1`.
+                let hex = |b: u8| (b as char).to_digit(16);
+                match hex(bytes[i + 1]).zip(hex(bytes[i + 2])) {
+                    Some((hi, lo)) => {
+                        out.push((hi * 16 + lo) as u8);
                         i += 3;
                     }
                     None => {
@@ -680,6 +698,41 @@ mod tests {
         let (used2, head2) = second.feed(&raw[used..]).unwrap();
         assert_eq!(head2.expect("second head complete").path, "/b");
         assert_eq!(used + used2, raw.len());
+    }
+
+    /// Each of these framings is read one way here and may be read
+    /// another way by a proxy in front: a second `Content-Length` that
+    /// differs, a signed one, a `Transfer-Encoding` behind an `identity`
+    /// one, a header name with whitespace or a control byte in it. All
+    /// are refused, whole and byte at a time.
+    #[test]
+    fn ambiguous_framing_is_refused() {
+        for (raw, status) in [
+            ("POST / HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 12\r\n\r\n", 400),
+            ("POST / HTTP/1.1\r\nContent-Length: +7\r\n\r\n", 400),
+            ("POST / HTTP/1.1\r\nContent-Length: 7, 7\r\n\r\n", 400),
+            (
+                "POST / HTTP/1.1\r\nTransfer-Encoding: identity\r\nTransfer-Encoding: chunked\r\n\r\n",
+                501,
+            ),
+            ("POST / HTTP/1.1\r\nContent-Length\t: 9\r\n\r\n", 400),
+            ("POST / HTTP/1.1\r\n\rContent-Length: 9\r\n\r\n", 400),
+            ("POST / HTTP/1.1\r\nX\u{0}: 1\r\n\r\n", 400),
+        ] {
+            for parsed in [parse(raw), parse_byte_at_a_time(raw)] {
+                let response = parsed.err().and_then(|e| e.to_response());
+                assert_eq!(response.map(|r| r.status), Some(status), "{raw:?}");
+            }
+        }
+        let same = "POST / HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 003\r\n\r\nabc";
+        assert_eq!(parse(same).unwrap().body, b"abc");
+    }
+
+    #[test]
+    fn percent_escapes_take_two_hex_digits() {
+        let req = parse("GET /a%+1b%2Fc%4?k%-1=%41%zz HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(req.path, "/a% 1b/c%4");
+        assert_eq!(req.query, [("k%-1".to_owned(), "A%zz".to_owned())]);
     }
 
     #[test]

@@ -762,12 +762,35 @@ fn resume_session(
     })
 }
 
+/// The tree writer the JSON text is checked against.
+#[cfg(test)]
+#[path = "../../../vendor/serde_json/tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize as _;
 
     fn spec() -> SessionSpec {
         SessionSpec::default()
+    }
+
+    /// The sidecar a served session wrote before the sink-driven writer
+    /// (the `state_v2` fixture) re-serializes to its own bytes, and to
+    /// what the tree writer makes of its value tree.
+    #[test]
+    fn sidecar_writes_as_the_tree_writer_wrote_it() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/state_v2/current/session.json");
+        let text = fs::read_to_string(path).unwrap();
+        let sidecar: Sidecar = serde_json::from_str(&text).unwrap();
+        let written = serde_json::to_string(&sidecar).unwrap();
+        assert_eq!(written, text);
+        let tree = sidecar.to_value();
+        assert_eq!(Some(written), oracle::compact(&tree));
+        let pretty = serde_json::to_string_pretty(&sidecar).ok();
+        assert_eq!(pretty, oracle::pretty(&tree));
     }
 
     #[test]

@@ -339,6 +339,86 @@ fn state_dir_of_a_memoizing_v1_build_resumes_with_the_same_etag() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The three fixed ingests behind `tests/fixtures/state_v2`: typed and
+/// escaped property values, multi-label, unlabeled and escaped-label
+/// nodes, edges, and a quarantined line.
+fn state_v2_bodies() -> [String; 3] {
+    [
+        format!(
+            "{}\n{}\n{}\nnot json",
+            node_line(
+                1,
+                "Person",
+                r#""age":{"Int":-7},"name":{"Str":"Ann \"A\" é\n"}"#
+            ),
+            node_line(2, "Person", r#""age":{"Int":41},"score":{"Float":0.5}"#),
+            r#"{"kind":"node","id":3,"labels":[],"props":{"flag":{"Bool":true}}}"#,
+        ),
+        format!(
+            "{}\n{}\n{}",
+            r#"{"kind":"node","id":4,"labels":["Org","Place"],"props":{"since":{"Float":2.0}}}"#,
+            edge_line(10, 1, 2, "KNOWS"),
+            edge_line(11, 2, 4, "WORKS_AT"),
+        ),
+        format!(
+            "{}\n{}\n{}",
+            node_line(5, "Person", r#""age":{"Int":9007199254740993}"#),
+            r#"{"kind":"node","id":6,"labels":["Émigré\t\"Q\"\u0001"],"props":{}}"#,
+            edge_line(12, 5, 6, "KNOWS"),
+        ),
+    ]
+}
+
+/// `tests/fixtures/state_v2/current` is what a build before the
+/// sink-driven JSON writer left in the state dir of a session created as
+/// `{"name":"current"}` under `checkpoint_every: 2`, after the three
+/// [`state_v2_bodies`] ingests and a graceful stop: its `session.json`
+/// and newest checkpoint. A fresh run must write both byte for byte.
+#[test]
+fn durable_session_writes_the_state_v2_fixture_bytes() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/state_v2/current");
+    let dir = scratch_dir("state-v2");
+    let server = TestServer::start(ServerConfig {
+        state_dir: Some(dir.clone()),
+        checkpoint_every: 2,
+        ..ServerConfig::default()
+    });
+    let mut client = server.client();
+    let resp = client.post("/sessions", br#"{"name":"current"}"#).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    for body in state_v2_bodies() {
+        let resp = client
+            .post("/sessions/current/ingest", body.as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+    }
+    drop(client);
+    assert!(server.stop().persist_failures.is_empty());
+
+    let session = dir.join("current");
+    let newest = |ckpt: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(ckpt)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().starts_with("ckpt-"))
+            .collect();
+        names.sort();
+        names.pop().expect("a checkpoint")
+    };
+    let name = newest(&session.join("ckpt"));
+    assert_eq!(name, newest(&fixture.join("ckpt")));
+    for file in [
+        std::path::PathBuf::from("session.json"),
+        std::path::Path::new("ckpt").join(&name),
+    ] {
+        let wrote = std::fs::read(session.join(&file)).unwrap();
+        let want = std::fs::read(fixture.join(&file)).unwrap();
+        assert!(wrote == want, "{} differs from the fixture", file.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn raw_post(path: &str, body: &str) -> Vec<u8> {
     format!(
         "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",

@@ -9,17 +9,20 @@
 # binaries; the `--format json` outputs are `cmp`ed. The two modes with
 # durable state run a second time crossed: the change binary resumes the
 # parent's checkpoint directory and merges the parent's shard states.
+# Durable bytes are combinations too: the newest checkpoint each
+# crash-resume leaves (tag suffix `-checkpoint`) and, where the change
+# wrote them, the three shard states (`-states`).
 # One more run goes the other way (see "Downgrade" below).
 # Prints one line per differing combination, then `N/N identical`; exits
 # 1 unless every combination matched.
 #
 # A change that means to move schemas names the combinations that may: the
 # third argument is an extended regular expression over the whole tag
-# (`<corpus>-<seed>-<method>-<mode>[-crossed]`, as the DIFFERS lines print
-# it). A difference under a matching tag is reported as `differs
-# (allowed)` and does not fail the run; one anywhere else still does. The
-# allowed tags that came out identical after all are listed too, so the
-# pattern can be kept as narrow as what is true.
+# (`<corpus>-<seed>-<method>-<mode>[-crossed][-checkpoint|-states]`, as
+# the DIFFERS lines print it). A difference under a matching tag is
+# reported as `differs (allowed)` and does not fail the run; one anywhere
+# else still does. The allowed tags that came out identical after all are
+# listed too, so the pattern can be kept as narrow as what is true.
 set -euo pipefail
 [ $# -eq 2 ] || [ $# -eq 3 ] || {
     echo "usage: $0 <parent-pg-hive> <change-pg-hive> [<allowed-to-differ regex>]" >&2
@@ -73,15 +76,12 @@ total=0
 same=0
 moved=0
 unmoved=()
-# compare <tag> <change-side writer> <mode> <flags...>
-compare() {
-    local tag=$1 writer=$2 mode=$3 may_differ=0
-    shift 3
+# tally <tag> <1 if identical, else 0>
+tally() {
+    local tag=$1 may_differ=0
     [ -n "$allowed" ] && [[ $tag =~ ^($allowed)$ ]] && may_differ=1
-    run "$parent" "$parent" "$mode" "$work/$tag/parent" "$@"
-    run "$writer" "$change" "$mode" "$work/$tag/change" "$@"
     total=$((total + 1))
-    if cmp -s "$work/$tag/parent/schema.json" "$work/$tag/change/schema.json"; then
+    if [ "$2" -eq 1 ]; then
         same=$((same + 1))
         [ "$may_differ" -eq 0 ] || unmoved+=("$tag")
     elif [ "$may_differ" -eq 1 ]; then
@@ -90,6 +90,43 @@ compare() {
     else
         echo "DIFFERS: $tag"
     fi
+}
+
+# identical <dir> <file>...: prints 1 if each file is byte-equal under
+# <dir>/parent and <dir>/change, else 0.
+identical() {
+    local dir=$1 f
+    shift
+    for f in "$@"; do
+        cmp -s "$dir/parent/$f" "$dir/change/$f" || {
+            echo 0
+            return
+        }
+    done
+    echo 1
+}
+
+# compare <tag> <change-side writer> <mode> <flags...>
+compare() {
+    local tag=$1 writer=$2 mode=$3 dir=$work/$1 newest
+    shift 3
+    run "$parent" "$parent" "$mode" "$dir/parent" "$@"
+    run "$writer" "$change" "$mode" "$dir/change" "$@"
+    tally "$tag" "$(identical "$dir" schema.json)"
+    # Durable bytes: the newest checkpoint a crash-resume leaves (written
+    # by the resuming binary), and the shard states when the change side
+    # wrote them.
+    case $mode in
+    crash-resume)
+        newest=$(find "$dir/parent/ckpt" -name 'ckpt-*' -printf '%f\n' | sort | tail -n 1)
+        tally "$tag-checkpoint" "$(identical "$dir" "ckpt/$newest")"
+        ;;
+    shards)
+        if [ "$writer" = "$change" ]; then
+            tally "$tag-states" "$(identical "$dir" state0.json state1.json state2.json)"
+        fi
+        ;;
+    esac
 }
 
 for corpus in uniform diverse; do

@@ -241,3 +241,40 @@ fn metrics_report_requests_by_route_pattern() {
     );
     assert!(text.contains("pg_serve_session_batches_total{session=\"m1\"} 0"));
 }
+
+/// A line nested 300 000 deep once overflowed the decoding worker's
+/// stack and took the whole server down. It is now refused at the depth
+/// cap like any other malformed line: quarantined under `skip`, the
+/// batch rejected (422) under `strict`, and the server keeps serving
+/// either way.
+#[test]
+fn a_deeply_nested_line_is_refused_and_the_server_keeps_serving() {
+    let server = TestServer::start(ServerConfig::default());
+    let levels = 300_000;
+    let line = format!(
+        "{{\"kind\":\"node\",\"id\":1,\"labels\":[],\"props\":{{}},\"x\":{}{}}}\n",
+        "[".repeat(levels),
+        "]".repeat(levels)
+    );
+    for (name, on_error, status) in [("deep", "skip", 200), ("deep_strict", "strict", 422)] {
+        let spec = format!(r#"{{"name":"{name}","on_error":"{on_error}"}}"#);
+        let resp = server.client().post("/sessions", spec.as_bytes()).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.text());
+        let resp = server
+            .client()
+            .post(&format!("/sessions/{name}/ingest"), line.as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, status, "{on_error}: {}", resp.text());
+        if on_error == "skip" {
+            let v = resp.json().unwrap();
+            assert_eq!(v.get("quarantined"), Some(&serde::Value::U64(1)), "{v:?}");
+        }
+        let health = server.client().get("/healthz").unwrap();
+        assert_eq!(health.status, 200, "{}", health.text());
+    }
+    let metrics = server.client().get("/metrics").unwrap().text();
+    assert!(
+        metrics.contains("pg_serve_session_quarantined_total{session=\"deep\"} 1\n"),
+        "{metrics}"
+    );
+}

@@ -14,25 +14,29 @@
 //! allocation), unescaped strings borrowed straight from the input
 //! slice on the fast path and unescaped into one reusable scratch
 //! buffer on the slow path. Steady-state, a decoded record allocates
-//! only its own containers and owned string *values*.
+//! only its own containers and owned string *values* (and a buffer per
+//! object with an escaped key).
 //!
-//! ## Grammar fidelity
+//! ## One lexer
 //!
 //! The decoder must accept **exactly** the set of lines the vendored
 //! `serde_json` + `serde::Deserialize` pipeline accepts — the lenient
 //! loaders quarantine rejected lines, so any acceptance drift would
 //! change quarantine contents and break bit-identity with the reference
-//! path. The number and string routines below are copied from the
-//! vendored parser verbatim (including its quirks: leading zeros are
-//! accepted, `"1."` parses as a float, non-negative integers always
-//! classify as `U64`, and `\u` escapes go through `u32::from_str_radix`
-//! which tolerates a leading `+`). Typed field handling mirrors the
-//! derived `from_value` impls: struct fields are first-occurrence-wins
-//! with later duplicates and unknown fields syntax-validated but
-//! ignored, all fields are required, property maps accept both the
-//! object form and the `[key, value]` pair-array form with last-wins
-//! duplicate keys, `PropertyValue` objects must carry exactly one raw
-//! pair, and label sets preserve wire order (the tuple struct is
+//! path. It reads through the same lexer as that pipeline,
+//! [`serde_json::lex`]: the same whitespace, keyword, number and string
+//! grammar (quirks included: leading zeros are accepted, `"1."` parses as
+//! a float, non-negative integers classify as `U64`, and a `\u` escape
+//! takes a leading `+`), and
+//! every object and array through the lexer's two walkers, which hold the
+//! one depth counter capped at `MAX_DEPTH`. Scalar acceptance and depth
+//! parity hold by construction. What is written here is the typed field
+//! handling, which mirrors the derived `from_value` impls: struct fields
+//! are first-occurrence-wins with later duplicates and unknown fields
+//! syntax-validated but ignored, all fields are required, property maps
+//! accept both the object form and the `[key, value]` pair-array form with
+//! last-wins duplicate keys, `PropertyValue` objects must carry exactly
+//! one raw pair, and label sets preserve wire order (the tuple struct is
 //! transparent). Error *messages* may differ from the reference — the
 //! loaders only surface them as quarantine reasons — but accept/reject
 //! decisions may not.
@@ -43,26 +47,14 @@ use pg_model::{
     Date, DateTime, Edge, EdgeId, FnvBuildHasher, LabelSet, Node, NodeId, PropMap, PropertyValue,
     Symbol, SymbolInterner,
 };
+use serde_json::lex::{Lexer, Num};
 use std::collections::HashMap;
-use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// Why a line failed to decode. Carries the byte offset of the failure
-/// like the reference parser's errors; the text is surfaced as a
-/// quarantine reason.
-#[derive(Debug)]
-pub struct DecodeError {
-    message: String,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for DecodeError {}
+/// Why a line failed to decode: the lexer's error, which carries the byte
+/// offset of the failure like the reference parser's errors; the text is
+/// surfaced as a quarantine reason.
+pub type DecodeError = serde_json::Error;
 
 /// A reusable JSONL → [`Element`] decoder with a persistent symbol
 /// pool. Reuse one decoder across lines (and across batches: the
@@ -114,6 +106,67 @@ impl LabelSetPool {
     }
 }
 
+/// The element a `kind` tag names.
+#[derive(Clone, Copy)]
+enum Kind {
+    Node,
+    Edge,
+    ResolvedEdge,
+}
+
+/// The fields read so far of one element, or of a resolved edge's nested
+/// edge.
+#[derive(Default)]
+struct Fields {
+    id: Option<u64>,
+    src: Option<u64>,
+    tgt: Option<u64>,
+    labels: Option<LabelSet>,
+    props: Option<PropMap>,
+    edge: Option<Edge>,
+    src_labels: Option<LabelSet>,
+    tgt_labels: Option<LabelSet>,
+}
+
+impl Fields {
+    fn edge(self, lex: &Lexer<'_>) -> Result<Edge, DecodeError> {
+        match (self.id, self.src, self.tgt, self.labels, self.props) {
+            (Some(id), Some(src), Some(tgt), Some(labels), Some(props)) => Ok(Edge {
+                id: EdgeId(id),
+                src: NodeId(src),
+                tgt: NodeId(tgt),
+                labels,
+                props,
+            }),
+            _ => Err(lex.error("missing Edge field")),
+        }
+    }
+
+    fn element(self, kind: Kind, lex: &Lexer<'_>) -> Result<Element, DecodeError> {
+        match kind {
+            Kind::Node => match (self.id, self.labels, self.props) {
+                (Some(id), Some(labels), Some(props)) => Ok(Element::Node(Node {
+                    id: NodeId(id),
+                    labels,
+                    props,
+                })),
+                _ => Err(lex.error("missing Node field")),
+            },
+            Kind::Edge => self.edge(lex).map(Element::Edge),
+            Kind::ResolvedEdge => match (self.edge, self.src_labels, self.tgt_labels) {
+                (Some(edge), Some(src_labels), Some(tgt_labels)) => {
+                    Ok(Element::ResolvedEdge(EdgeRecord {
+                        edge,
+                        src_labels,
+                        tgt_labels,
+                    }))
+                }
+                _ => Err(lex.error("missing EdgeRecord field")),
+            },
+        }
+    }
+}
+
 impl JsonlDecoder {
     /// A fresh decoder with an empty symbol pool.
     pub fn new() -> JsonlDecoder {
@@ -134,400 +187,94 @@ impl JsonlDecoder {
     /// exactly one JSON object (leading/trailing whitespace tolerated),
     /// as the reference `serde_json::from_str::<Element>` requires.
     pub fn decode_element(&mut self, line: &str) -> Result<Element, DecodeError> {
-        let mut p = Parser {
-            text: line,
-            bytes: line.as_bytes(),
-            pos: 0,
-            interner: &mut self.interner,
-            scratch: &mut self.scratch,
-            label_sets: &mut self.label_sets,
-            props: &mut self.props,
-        };
-        let element = p.parse_element()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters"));
-        }
+        let mut lex = Lexer::new(line);
+        let element = self.element(&mut lex)?;
+        lex.end()?;
         Ok(element)
     }
-}
 
-/// A parsed JSON number, classified exactly as the vendored parser
-/// classifies `Value` numbers: non-negative integers are `U`, negative
-/// integers that fit `i64` are `I`, everything else falls back to `F`.
-enum Num {
-    I(i64),
-    U(u64),
-    F(f64),
-}
-
-/// Result of a string parse: either a borrowed slice of the input
-/// (fast path, no escapes) or "the caller's scratch buffer holds it"
-/// (slow path). Kept as a range so the borrow of the parser drops
-/// before the caller resolves it against disjoint fields.
-enum Str {
-    Borrowed(Range<usize>),
-    Scratch,
-}
-
-/// Resolve a [`Str`] against the input text and scratch buffer. A
-/// macro rather than a method so the borrows stay field-disjoint from
-/// `self.interner`.
-macro_rules! resolve_str {
-    ($p:expr, $part:expr) => {
-        match $part {
-            Str::Borrowed(ref r) => &$p.text[r.clone()],
-            Str::Scratch => $p.scratch.as_str(),
-        }
-    };
-}
-
-struct Parser<'de, 'a> {
-    text: &'de str,
-    bytes: &'de [u8],
-    pos: usize,
-    interner: &'a mut SymbolInterner,
-    scratch: &'a mut String,
-    label_sets: &'a mut LabelSetPool,
-    props: &'a mut Vec<(Symbol, PropertyValue)>,
-}
-
-impl<'de, 'a> Parser<'de, 'a> {
-    fn err(&self, message: &str) -> DecodeError {
-        DecodeError {
-            message: format!("{message} at byte {}", self.pos),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
+    /// The internally tagged `Element` envelope: fields before the first
+    /// `"kind"` pair are checked and remembered (writers emit `kind`
+    /// first, so that list is almost always empty), then read as the
+    /// tagged variant's once the tag is known, before the fields after it.
+    fn element(&mut self, lex: &mut Lexer<'_>) -> Result<Element, DecodeError> {
+        // Fields preceding "kind": (unescaped key, value start offset).
+        let mut deferred: Vec<(String, usize)> = Vec::new();
+        let mut kind = None;
+        let mut fields = Fields::default();
+        lex.map(|lex, key| {
+            if let Some(kind) = kind {
+                return self.field(lex, kind, key, &mut fields);
             }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), DecodeError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
+            if key != "kind" {
+                deferred.push((key.to_owned(), lex.pos()));
+                return lex.skip_value();
+            }
+            let tag = match lex.str(&mut self.scratch)? {
+                "node" => Kind::Node,
+                "edge" => Kind::Edge,
+                "resolved_edge" => Kind::ResolvedEdge,
+                _ => return Err(lex.error("unknown Element variant")),
+            };
+            kind = Some(tag);
+            let resume = lex.pos();
+            for (key, at) in &deferred {
+                lex.seek(*at);
+                self.field(lex, tag, key, &mut fields)?;
+            }
+            lex.seek(resume);
             Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", byte as char)))
+        })?;
+        match kind {
+            Some(kind) => fields.element(kind, lex),
+            None => Err(lex.error("missing Element tag")),
         }
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), DecodeError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{kw}'")))
-        }
-    }
-
-    // -- Scalar grammar, copied from the vendored parser. ---------------
-
-    /// Parse a number with the reference grammar and classification.
-    fn parse_number(&mut self) -> Result<Num, DecodeError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
+    /// The value of field `key` of a `kind` element: the first occurrence
+    /// of a known field is read into `f`; a later duplicate or an unknown
+    /// field (a second `"kind"` too) is syntax-checked and ignored.
+    fn field(
+        &mut self,
+        lex: &mut Lexer<'_>,
+        kind: Kind,
+        key: &str,
+        f: &mut Fields,
+    ) -> Result<(), DecodeError> {
+        use Kind::{Edge, Node, ResolvedEdge};
+        match (kind, key) {
+            (Node | Edge, "id") if f.id.is_none() => f.id = Some(u64_value(lex)?),
+            (Edge, "src") if f.src.is_none() => f.src = Some(u64_value(lex)?),
+            (Edge, "tgt") if f.tgt.is_none() => f.tgt = Some(u64_value(lex)?),
+            (Node | Edge, "labels") if f.labels.is_none() => f.labels = Some(self.labels(lex)?),
+            (Node | Edge, "props") if f.props.is_none() => f.props = Some(self.props(lex)?),
+            (ResolvedEdge, "edge") if f.edge.is_none() => {
+                let mut edge = Fields::default();
+                lex.map(|lex, key| self.field(lex, Edge, key, &mut edge))?;
+                f.edge = Some(edge.edge(lex)?);
             }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
+            (ResolvedEdge, "src_labels") if f.src_labels.is_none() => {
+                f.src_labels = Some(self.labels(lex)?)
             }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
+            (ResolvedEdge, "tgt_labels") if f.tgt_labels.is_none() => {
+                f.tgt_labels = Some(self.labels(lex)?)
             }
+            _ => lex.skip_value()?,
         }
-        let text = &self.text[start..self.pos];
-        if !is_float {
-            if let Ok(n) = text.parse::<i64>() {
-                if n >= 0 {
-                    return Ok(Num::U(n as u64));
-                }
-                return Ok(Num::I(n));
-            }
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Num::U(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Num::F)
-            .map_err(|_| self.err("invalid number"))
+        Ok(())
     }
-
-    /// Parse a string. Fast path: no escapes → borrow the input slice.
-    /// Slow path: unescape into the scratch buffer with the reference
-    /// escape/surrogate machinery.
-    fn parse_string_raw(&mut self) -> Result<Str, DecodeError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    let r = start..self.pos;
-                    self.pos += 1;
-                    return Ok(Str::Borrowed(r));
-                }
-                Some(b'\\') => break,
-                // Scanning byte-wise is safe: `"` and `\` are ASCII and
-                // cannot occur inside a UTF-8 continuation sequence.
-                Some(_) => self.pos += 1,
-            }
-        }
-        self.scratch.clear();
-        self.scratch.push_str(&self.text[start..self.pos]);
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(Str::Scratch);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => self.scratch.push('"'),
-                        Some(b'\\') => self.scratch.push('\\'),
-                        Some(b'/') => self.scratch.push('/'),
-                        Some(b'n') => self.scratch.push('\n'),
-                        Some(b'r') => self.scratch.push('\r'),
-                        Some(b't') => self.scratch.push('\t'),
-                        Some(b'b') => self.scratch.push('\u{08}'),
-                        Some(b'f') => self.scratch.push('\u{0c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex_str = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let mut code = u32::from_str_radix(hex_str, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pair handling, verbatim.
-                            if (0xD800..0xDC00).contains(&code)
-                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
-                            {
-                                let lo_hex = self
-                                    .bytes
-                                    .get(self.pos + 3..self.pos + 7)
-                                    .ok_or_else(|| self.err("truncated surrogate pair"))?;
-                                let lo_str = std::str::from_utf8(lo_hex)
-                                    .map_err(|_| self.err("invalid surrogate pair"))?;
-                                let lo = u32::from_str_radix(lo_str, 16)
-                                    .map_err(|_| self.err("invalid surrogate pair"))?;
-                                if (0xDC00..0xE000).contains(&lo) {
-                                    code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
-                                    self.pos += 6;
-                                }
-                            }
-                            self.scratch.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let ch = self.text[self.pos..].chars().next().expect("non-empty");
-                    self.scratch.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Syntactically validate and discard one JSON value — the exact
-    /// acceptance set of the reference `parse_value`, including number
-    /// and escape validation. Used for unknown and duplicate fields.
-    fn skip_value(&mut self) -> Result<(), DecodeError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.expect_keyword("null"),
-            Some(b't') => self.expect_keyword("true"),
-            Some(b'f') => self.expect_keyword("false"),
-            Some(b'"') => self.parse_string_raw().map(|_| ()),
-            Some(b'[') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value()?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    self.parse_string_raw()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_value()?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number().map(|_| ()),
-            Some(b) => Err(self.err(&format!("unexpected character '{}'", b as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    // -- Typed scalar fields. -------------------------------------------
-
-    fn parse_u64_typed(&mut self) -> Result<u64, DecodeError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b) if b == b'-' || b.is_ascii_digit() => match self.parse_number()? {
-                Num::U(n) => Ok(n),
-                Num::I(_) => Err(self.err("negative integer for unsigned field")),
-                Num::F(_) => Err(self.err("expected integer")),
-            },
-            _ => Err(self.err("expected integer")),
-        }
-    }
-
-    fn parse_i64_typed(&mut self) -> Result<i64, DecodeError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b) if b == b'-' || b.is_ascii_digit() => match self.parse_number()? {
-                Num::I(n) => Ok(n),
-                Num::U(n) => i64::try_from(n).map_err(|_| self.err("integer out of range")),
-                Num::F(_) => Err(self.err("expected integer")),
-            },
-            _ => Err(self.err("expected integer")),
-        }
-    }
-
-    fn parse_i32_typed(&mut self) -> Result<i32, DecodeError> {
-        let wide = self.parse_i64_typed()?;
-        i32::try_from(wide).map_err(|_| self.err("integer out of range"))
-    }
-
-    fn parse_u8_typed(&mut self) -> Result<u8, DecodeError> {
-        let wide = self.parse_u64_typed()?;
-        u8::try_from(wide).map_err(|_| self.err("integer out of range"))
-    }
-
-    fn parse_f64_typed(&mut self) -> Result<f64, DecodeError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b) if b == b'-' || b.is_ascii_digit() => match self.parse_number()? {
-                Num::F(x) => Ok(x),
-                Num::I(n) => Ok(n as f64),
-                Num::U(n) => Ok(n as f64),
-            },
-            _ => Err(self.err("expected number")),
-        }
-    }
-
-    fn parse_bool_typed(&mut self) -> Result<bool, DecodeError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b't') => self.expect_keyword("true").map(|_| true),
-            Some(b'f') => self.expect_keyword("false").map(|_| false),
-            _ => Err(self.err("expected boolean")),
-        }
-    }
-
-    /// An owned string value (`PropertyValue::Str` content). The owned
-    /// allocation is the value itself — expected and unavoidable.
-    fn parse_string_owned(&mut self) -> Result<String, DecodeError> {
-        self.skip_ws();
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected string"));
-        }
-        let part = self.parse_string_raw()?;
-        Ok(resolve_str!(self, part).to_owned())
-    }
-
-    // -- Typed composite fields. ----------------------------------------
 
     /// `LabelSet` mirrors the transparent deserialize: the raw label
     /// array in wire order, no sort, no dedup — through the pool, so
     /// only the first occurrence of an array allocates.
-    fn parse_labels(&mut self) -> Result<LabelSet, DecodeError> {
-        self.skip_ws();
-        if self.peek() != Some(b'[') {
-            return Err(self.err("expected array"));
-        }
-        self.pos += 1;
+    fn labels(&mut self, lex: &mut Lexer<'_>) -> Result<LabelSet, DecodeError> {
         self.label_sets.begin();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(self.label_sets.finish());
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string"));
-            }
-            let part = self.parse_string_raw()?;
-            let symbol = {
-                let s = resolve_str!(self, part);
-                self.interner.intern(s)
-            };
-            self.label_sets.push(symbol);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(self.label_sets.finish());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
+        lex.seq(|lex| {
+            let label = self.interner.intern(lex.str(&mut self.scratch)?);
+            self.label_sets.push(label);
+            Ok(())
+        })?;
+        Ok(self.label_sets.finish())
     }
 
     /// A property map, in either of the two wire forms the reference
@@ -536,599 +283,133 @@ impl<'de, 'a> Parser<'de, 'a> {
     /// Entries collect in the reused scratch and leave it as one
     /// exact-size [`PropMap`]; duplicate keys are last-wins, as
     /// collecting a `PropMap` makes them.
-    fn parse_props(&mut self) -> Result<PropMap, DecodeError> {
-        self.skip_ws();
+    fn props(&mut self, lex: &mut Lexer<'_>) -> Result<PropMap, DecodeError> {
         self.props.clear();
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(PropMap::new());
-                }
-                loop {
-                    self.skip_ws();
-                    if self.peek() != Some(b'"') {
-                        return Err(self.err("expected string key"));
+        if lex.peek() == Some(b'[') {
+            lex.seq(|lex| {
+                let (mut key, mut value, mut items) = (None, None, 0);
+                lex.seq(|lex| {
+                    items += 1;
+                    match items {
+                        1 => key = Some(self.interner.intern(lex.str(&mut self.scratch)?)),
+                        2 => value = Some(self.property_value(lex)?),
+                        _ => return Err(lex.error("expected [key, value] pair")),
                     }
-                    let part = self.parse_string_raw()?;
-                    let key = {
-                        let s = resolve_str!(self, part);
-                        self.interner.intern(s)
-                    };
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_property_value()?;
-                    self.props.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(self.props.drain(..).collect());
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(PropMap::new());
-                }
-                loop {
-                    self.skip_ws();
-                    if self.peek() != Some(b'[') {
-                        return Err(self.err("expected [key, value] pair"));
-                    }
-                    self.pos += 1;
-                    self.skip_ws();
-                    if self.peek() != Some(b'"') {
-                        return Err(self.err("expected string key"));
-                    }
-                    let part = self.parse_string_raw()?;
-                    let key = {
-                        let s = resolve_str!(self, part);
-                        self.interner.intern(s)
-                    };
-                    self.skip_ws();
-                    self.expect(b',')?;
-                    let value = self.parse_property_value()?;
-                    self.skip_ws();
-                    if self.peek() != Some(b']') {
-                        return Err(self.err("expected [key, value] pair"));
-                    }
-                    self.pos += 1;
-                    self.props.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(self.props.drain(..).collect());
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            _ => Err(self.err("expected map")),
+                    Ok(())
+                })?;
+                let pair = key
+                    .zip(value)
+                    .ok_or_else(|| lex.error("expected [key, value] pair"))?;
+                self.props.push(pair);
+                Ok(())
+            })?;
+        } else {
+            lex.map(|lex, key| {
+                let key = self.interner.intern(key);
+                let value = self.property_value(lex)?;
+                self.props.push((key, value));
+                Ok(())
+            })?;
         }
+        Ok(self.props.drain(..).collect())
     }
 
     /// An externally tagged `PropertyValue`: an object with **exactly
     /// one** raw pair whose key names the variant.
-    fn parse_property_value(&mut self) -> Result<PropertyValue, DecodeError> {
-        self.skip_ws();
-        if self.peek() != Some(b'{') {
-            return Err(self.err("expected PropertyValue object"));
-        }
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            return Err(self.err("unrecognized PropertyValue variant"));
-        }
-        self.skip_ws();
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected string key"));
-        }
-        let part = self.parse_string_raw()?;
-        #[derive(Clone, Copy)]
-        enum Tag {
-            Int,
-            Float,
-            Bool,
-            Date,
-            DateTime,
-            Str,
-        }
-        let tag = match resolve_str!(self, part) {
-            "Int" => Tag::Int,
-            "Float" => Tag::Float,
-            "Bool" => Tag::Bool,
-            "Date" => Tag::Date,
-            "DateTime" => Tag::DateTime,
-            "Str" => Tag::Str,
-            _ => return Err(self.err("unrecognized PropertyValue variant")),
-        };
-        self.skip_ws();
-        self.expect(b':')?;
-        let value = match tag {
-            Tag::Int => PropertyValue::Int(self.parse_i64_typed()?),
-            Tag::Float => PropertyValue::Float(self.parse_f64_typed()?),
-            Tag::Bool => PropertyValue::Bool(self.parse_bool_typed()?),
-            Tag::Date => PropertyValue::Date(self.parse_date_struct()?),
-            Tag::DateTime => PropertyValue::DateTime(self.parse_datetime_struct()?),
-            Tag::Str => PropertyValue::Str(self.parse_string_owned()?),
-        };
-        self.skip_ws();
-        if self.peek() != Some(b'}') {
-            // A second pair (or junk): the reference rejects any
-            // PropertyValue object whose raw pair count is not 1.
-            return Err(self.err("unrecognized PropertyValue variant"));
-        }
-        self.pos += 1;
-        Ok(value)
-    }
-
-    /// Derived-struct `Date`: integer range checks only, no calendar
-    /// validation (matching `from_value`, which fills fields directly).
-    fn parse_date_struct(&mut self) -> Result<Date, DecodeError> {
-        self.skip_ws();
-        if self.peek() != Some(b'{') {
-            return Err(self.err("expected object"));
-        }
-        self.pos += 1;
-        let mut year: Option<i32> = None;
-        let mut month: Option<u8> = None;
-        let mut day: Option<u8> = None;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                if self.peek() != Some(b'"') {
-                    return Err(self.err("expected string key"));
-                }
-                let part = self.parse_string_raw()?;
-                #[derive(Clone, Copy)]
-                enum F {
-                    Year,
-                    Month,
-                    Day,
-                    Other,
-                }
-                let field = match resolve_str!(self, part) {
-                    "year" => F::Year,
-                    "month" => F::Month,
-                    "day" => F::Day,
-                    _ => F::Other,
-                };
-                self.skip_ws();
-                self.expect(b':')?;
-                match field {
-                    F::Year if year.is_none() => year = Some(self.parse_i32_typed()?),
-                    F::Month if month.is_none() => month = Some(self.parse_u8_typed()?),
-                    F::Day if day.is_none() => day = Some(self.parse_u8_typed()?),
-                    _ => self.skip_value()?,
-                }
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
+    fn property_value(&mut self, lex: &mut Lexer<'_>) -> Result<PropertyValue, DecodeError> {
+        let mut value = None;
+        lex.map(|lex, tag| {
+            if value.is_some() {
+                return Err(lex.error("unrecognized PropertyValue variant"));
             }
-        }
-        match (year, month, day) {
-            (Some(year), Some(month), Some(day)) => Ok(Date { year, month, day }),
-            _ => Err(self.err("missing Date field")),
-        }
-    }
-
-    /// Derived-struct `DateTime`: a nested `Date` plus clock fields,
-    /// again with no semantic validation.
-    fn parse_datetime_struct(&mut self) -> Result<DateTime, DecodeError> {
-        self.skip_ws();
-        if self.peek() != Some(b'{') {
-            return Err(self.err("expected object"));
-        }
-        self.pos += 1;
-        let mut date: Option<Date> = None;
-        let mut hour: Option<u8> = None;
-        let mut minute: Option<u8> = None;
-        let mut second: Option<u8> = None;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                if self.peek() != Some(b'"') {
-                    return Err(self.err("expected string key"));
-                }
-                let part = self.parse_string_raw()?;
-                #[derive(Clone, Copy)]
-                enum F {
-                    Date,
-                    Hour,
-                    Minute,
-                    Second,
-                    Other,
-                }
-                let field = match resolve_str!(self, part) {
-                    "date" => F::Date,
-                    "hour" => F::Hour,
-                    "minute" => F::Minute,
-                    "second" => F::Second,
-                    _ => F::Other,
-                };
-                self.skip_ws();
-                self.expect(b':')?;
-                match field {
-                    F::Date if date.is_none() => date = Some(self.parse_date_struct()?),
-                    F::Hour if hour.is_none() => hour = Some(self.parse_u8_typed()?),
-                    F::Minute if minute.is_none() => minute = Some(self.parse_u8_typed()?),
-                    F::Second if second.is_none() => second = Some(self.parse_u8_typed()?),
-                    _ => self.skip_value()?,
-                }
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        match (date, hour, minute, second) {
-            (Some(date), Some(hour), Some(minute), Some(second)) => Ok(DateTime {
-                date,
-                hour,
-                minute,
-                second,
-            }),
-            _ => Err(self.err("missing DateTime field")),
-        }
-    }
-
-    // -- Element structs. -----------------------------------------------
-
-    /// The internally tagged `Element` envelope: walk the top-level
-    /// object until the first `"kind"` pair, deferring any fields seen
-    /// before it (writers emit `kind` first, so that list is almost
-    /// always empty), then hand off to the variant body parser.
-    fn parse_element(&mut self) -> Result<Element, DecodeError> {
-        self.skip_ws();
-        if self.peek() != Some(b'{') {
-            return Err(self.err("expected object for Element"));
-        }
-        self.pos += 1;
-        // Fields preceding "kind": (unescaped key, value start offset).
-        let mut deferred: Vec<(String, usize)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            return Err(self.err("missing Element tag"));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string key"));
-            }
-            let part = self.parse_string_raw()?;
-            let is_kind = resolve_str!(self, part) == "kind";
-            if !is_kind {
-                let key = resolve_str!(self, part).to_owned();
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let start = self.pos;
-                self.skip_value()?;
-                deferred.push((key, start));
-            } else {
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                if self.peek() != Some(b'"') {
-                    return Err(self.err("missing Element tag"));
-                }
-                let part = self.parse_string_raw()?;
-                #[derive(Clone, Copy)]
-                enum Kind {
-                    Node,
-                    Edge,
-                    ResolvedEdge,
-                }
-                let kind = match resolve_str!(self, part) {
-                    "node" => Kind::Node,
-                    "edge" => Kind::Edge,
-                    "resolved_edge" => Kind::ResolvedEdge,
-                    _ => return Err(self.err("unknown Element variant")),
-                };
-                return match kind {
-                    Kind::Node => self.parse_node_body(&deferred).map(Element::Node),
-                    Kind::Edge => self.parse_edge_body(&deferred).map(Element::Edge),
-                    Kind::ResolvedEdge => {
-                        self.parse_record_body(&deferred).map(Element::ResolvedEdge)
-                    }
-                };
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => return Err(self.err("missing Element tag")),
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    /// Node body: replay deferred pre-kind fields (first-wins), then
-    /// stream the remaining pairs from the cursor.
-    fn parse_node_body(&mut self, deferred: &[(String, usize)]) -> Result<Node, DecodeError> {
-        #[derive(Clone, Copy)]
-        enum F {
-            Id,
-            Labels,
-            Props,
-            Other,
-        }
-        fn classify(key: &str) -> F {
-            match key {
-                "id" => F::Id,
-                "labels" => F::Labels,
-                "props" => F::Props,
-                _ => F::Other,
-            }
-        }
-        let mut id: Option<NodeId> = None;
-        let mut labels: Option<LabelSet> = None;
-        let mut props: Option<PropMap> = None;
-        let apply = |p: &mut Self,
-                     f: F,
-                     id: &mut Option<NodeId>,
-                     labels: &mut Option<LabelSet>,
-                     props: &mut Option<PropMap>|
-         -> Result<(), DecodeError> {
-            match f {
-                F::Id if id.is_none() => *id = Some(NodeId(p.parse_u64_typed()?)),
-                F::Labels if labels.is_none() => *labels = Some(p.parse_labels()?),
-                F::Props if props.is_none() => *props = Some(p.parse_props()?),
-                // Duplicate known field or unknown field (including a
-                // second "kind"): syntax-validate and ignore.
-                _ => p.skip_value()?,
-            }
+            value = Some(match tag {
+                "Int" => PropertyValue::Int(i64_value(lex)?),
+                "Float" => PropertyValue::Float(match lex.num()? {
+                    Num::F(x) => x,
+                    Num::I(n) => n as f64,
+                    Num::U(n) => n as f64,
+                }),
+                "Bool" => PropertyValue::Bool(match lex.peek() {
+                    Some(b't') => lex.keyword("true").map(|()| true)?,
+                    Some(b'f') => lex.keyword("false").map(|()| false)?,
+                    _ => return Err(lex.error("expected boolean")),
+                }),
+                "Date" => PropertyValue::Date(date(lex)?),
+                "DateTime" => PropertyValue::DateTime(datetime(lex)?),
+                "Str" => PropertyValue::Str(lex.str(&mut self.scratch)?.to_owned()),
+                _ => return Err(lex.error("unrecognized PropertyValue variant")),
+            });
             Ok(())
-        };
-        for (key, start) in deferred {
-            let save = self.pos;
-            self.pos = *start;
-            apply(self, classify(key), &mut id, &mut labels, &mut props)?;
-            self.pos = save;
-        }
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string key"));
-            }
-            let part = self.parse_string_raw()?;
-            let f = classify(resolve_str!(self, part));
-            self.skip_ws();
-            self.expect(b':')?;
-            apply(self, f, &mut id, &mut labels, &mut props)?;
-        }
-        match (id, labels, props) {
-            (Some(id), Some(labels), Some(props)) => Ok(Node { id, labels, props }),
-            _ => Err(self.err("missing Node field")),
-        }
+        })?;
+        value.ok_or_else(|| lex.error("unrecognized PropertyValue variant"))
     }
+}
 
-    /// Edge body, for both the top-level `edge` variant and the nested
-    /// `edge` field of a resolved-edge record. `streaming` controls
-    /// whether the cursor continues after a `kind` handoff (separator
-    /// first) or parses a complete nested object (opening brace first).
-    fn parse_edge_fields(
-        &mut self,
-        deferred: &[(String, usize)],
-        nested: bool,
-    ) -> Result<Edge, DecodeError> {
-        #[derive(Clone, Copy)]
-        enum F {
-            Id,
-            Src,
-            Tgt,
-            Labels,
-            Props,
-            Other,
-        }
-        fn classify(key: &str) -> F {
-            match key {
-                "id" => F::Id,
-                "src" => F::Src,
-                "tgt" => F::Tgt,
-                "labels" => F::Labels,
-                "props" => F::Props,
-                _ => F::Other,
-            }
-        }
-        struct Slots {
-            id: Option<EdgeId>,
-            src: Option<NodeId>,
-            tgt: Option<NodeId>,
-            labels: Option<LabelSet>,
-            props: Option<PropMap>,
-        }
-        let mut s = Slots {
-            id: None,
-            src: None,
-            tgt: None,
-            labels: None,
-            props: None,
-        };
-        let apply = |p: &mut Self, f: F, s: &mut Slots| -> Result<(), DecodeError> {
-            match f {
-                F::Id if s.id.is_none() => s.id = Some(EdgeId(p.parse_u64_typed()?)),
-                F::Src if s.src.is_none() => s.src = Some(NodeId(p.parse_u64_typed()?)),
-                F::Tgt if s.tgt.is_none() => s.tgt = Some(NodeId(p.parse_u64_typed()?)),
-                F::Labels if s.labels.is_none() => s.labels = Some(p.parse_labels()?),
-                F::Props if s.props.is_none() => s.props = Some(p.parse_props()?),
-                _ => p.skip_value()?,
-            }
-            Ok(())
-        };
-        for (key, start) in deferred {
-            let save = self.pos;
-            self.pos = *start;
-            apply(self, classify(key), &mut s)?;
-            self.pos = save;
-        }
-        let mut first = false;
-        if nested {
-            self.skip_ws();
-            if self.peek() != Some(b'{') {
-                return Err(self.err("expected object"));
-            }
-            self.pos += 1;
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Err(self.err("missing Edge field"));
-            }
-            first = true;
-        }
-        loop {
-            if !first {
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-            first = false;
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string key"));
-            }
-            let part = self.parse_string_raw()?;
-            let f = classify(resolve_str!(self, part));
-            self.skip_ws();
-            self.expect(b':')?;
-            apply(self, f, &mut s)?;
-        }
-        match (s.id, s.src, s.tgt, s.labels, s.props) {
-            (Some(id), Some(src), Some(tgt), Some(labels), Some(props)) => Ok(Edge {
-                id,
-                src,
-                tgt,
-                labels,
-                props,
-            }),
-            _ => Err(self.err("missing Edge field")),
-        }
+fn u64_value(lex: &mut Lexer<'_>) -> Result<u64, DecodeError> {
+    match lex.num()? {
+        Num::U(n) => Ok(n),
+        Num::I(_) => Err(lex.error("negative integer for unsigned field")),
+        Num::F(_) => Err(lex.error("expected integer")),
     }
+}
 
-    fn parse_edge_body(&mut self, deferred: &[(String, usize)]) -> Result<Edge, DecodeError> {
-        self.parse_edge_fields(deferred, false)
+fn i64_value(lex: &mut Lexer<'_>) -> Result<i64, DecodeError> {
+    match lex.num()? {
+        Num::I(n) => Ok(n),
+        Num::U(n) => i64::try_from(n).map_err(|_| lex.error("integer out of range")),
+        Num::F(_) => Err(lex.error("expected integer")),
     }
+}
 
-    /// Resolved-edge record body: a nested `edge` object plus endpoint
-    /// label sets.
-    fn parse_record_body(
-        &mut self,
-        deferred: &[(String, usize)],
-    ) -> Result<EdgeRecord, DecodeError> {
-        #[derive(Clone, Copy)]
-        enum F {
-            Edge,
-            SrcLabels,
-            TgtLabels,
-            Other,
-        }
-        fn classify(key: &str) -> F {
-            match key {
-                "edge" => F::Edge,
-                "src_labels" => F::SrcLabels,
-                "tgt_labels" => F::TgtLabels,
-                _ => F::Other,
+fn u8_value(lex: &mut Lexer<'_>) -> Result<u8, DecodeError> {
+    let wide = u64_value(lex)?;
+    u8::try_from(wide).map_err(|_| lex.error("integer out of range"))
+}
+
+/// Derived-struct `Date`: integer range checks only, no calendar
+/// validation (matching `from_value`, which fills fields directly).
+fn date(lex: &mut Lexer<'_>) -> Result<Date, DecodeError> {
+    let (mut year, mut month, mut day) = (None, None, None);
+    lex.map(|lex, key| {
+        match key {
+            "year" if year.is_none() => {
+                let wide = i64_value(lex)?;
+                year = Some(i32::try_from(wide).map_err(|_| lex.error("integer out of range"))?);
             }
+            "month" if month.is_none() => month = Some(u8_value(lex)?),
+            "day" if day.is_none() => day = Some(u8_value(lex)?),
+            _ => lex.skip_value()?,
         }
-        let mut edge: Option<Edge> = None;
-        let mut src_labels: Option<LabelSet> = None;
-        let mut tgt_labels: Option<LabelSet> = None;
-        let apply = |p: &mut Self,
-                     f: F,
-                     edge: &mut Option<Edge>,
-                     src_labels: &mut Option<LabelSet>,
-                     tgt_labels: &mut Option<LabelSet>|
-         -> Result<(), DecodeError> {
-            match f {
-                F::Edge if edge.is_none() => *edge = Some(p.parse_edge_fields(&[], true)?),
-                F::SrcLabels if src_labels.is_none() => *src_labels = Some(p.parse_labels()?),
-                F::TgtLabels if tgt_labels.is_none() => *tgt_labels = Some(p.parse_labels()?),
-                _ => p.skip_value()?,
-            }
-            Ok(())
-        };
-        for (key, start) in deferred {
-            let save = self.pos;
-            self.pos = *start;
-            apply(
-                self,
-                classify(key),
-                &mut edge,
-                &mut src_labels,
-                &mut tgt_labels,
-            )?;
-            self.pos = save;
+        Ok(())
+    })?;
+    match (year, month, day) {
+        (Some(year), Some(month), Some(day)) => Ok(Date { year, month, day }),
+        _ => Err(lex.error("missing Date field")),
+    }
+}
+
+/// Derived-struct `DateTime`: a nested `Date` plus clock fields, again
+/// with no semantic validation.
+fn datetime(lex: &mut Lexer<'_>) -> Result<DateTime, DecodeError> {
+    let (mut date_, mut hour, mut minute, mut second) = (None, None, None, None);
+    lex.map(|lex, key| {
+        match key {
+            "date" if date_.is_none() => date_ = Some(date(lex)?),
+            "hour" if hour.is_none() => hour = Some(u8_value(lex)?),
+            "minute" if minute.is_none() => minute = Some(u8_value(lex)?),
+            "second" if second.is_none() => second = Some(u8_value(lex)?),
+            _ => lex.skip_value()?,
         }
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string key"));
-            }
-            let part = self.parse_string_raw()?;
-            let f = classify(resolve_str!(self, part));
-            self.skip_ws();
-            self.expect(b':')?;
-            apply(self, f, &mut edge, &mut src_labels, &mut tgt_labels)?;
-        }
-        match (edge, src_labels, tgt_labels) {
-            (Some(edge), Some(src_labels), Some(tgt_labels)) => Ok(EdgeRecord {
-                edge,
-                src_labels,
-                tgt_labels,
-            }),
-            _ => Err(self.err("missing EdgeRecord field")),
-        }
+        Ok(())
+    })?;
+    match (date_, hour, minute, second) {
+        (Some(date), Some(hour), Some(minute), Some(second)) => Ok(DateTime {
+            date,
+            hour,
+            minute,
+            second,
+        }),
+        _ => Err(lex.error("missing DateTime field")),
     }
 }
 

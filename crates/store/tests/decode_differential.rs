@@ -353,3 +353,76 @@ fn crlf_lines_split_like_the_reference() {
     assert_eq!(g.node_count(), 3);
     assert_eq!(to_jsonl(&g), to_jsonl(&gr));
 }
+
+/// `levels` nested containers, arrays and objects alternating, around a
+/// `0`.
+fn nested(levels: usize) -> String {
+    let mut out = String::new();
+    for i in 0..levels {
+        out.push_str(if i % 2 == 0 { "[" } else { "{\"a\":" });
+    }
+    out.push('0');
+    for i in (0..levels).rev() {
+        out.push(if i % 2 == 0 { ']' } else { '}' });
+    }
+    out
+}
+
+/// Every place the decoder checks a value it does not keep, with how many
+/// containers are open around that value: a top-level unknown field, a
+/// field before `kind` (checked, then read again once the tag is known),
+/// an unknown field inside a `Date` and inside a `DateTime`, and an
+/// unknown field of a resolved edge's nested edge object.
+const SKIP_POSITIONS: [(&str, usize); 5] = [
+    (r#"{"kind":"node","id":1,"labels":[],"props":{},"x":@}"#, 1),
+    (r#"{"x":@,"kind":"node","id":1,"labels":[],"props":{}}"#, 1),
+    (
+        r#"{"kind":"node","id":1,"labels":[],"props":{"d":{"Date":{"year":1,"month":2,"day":3,"x":@}}}}"#,
+        4,
+    ),
+    (
+        r#"{"kind":"node","id":1,"labels":[],"props":{"t":{"DateTime":{"date":{"year":1,"month":2,"day":3},"hour":1,"minute":2,"second":3,"x":@}}}}"#,
+        4,
+    ),
+    (
+        r#"{"kind":"resolved_edge","edge":{"id":9,"src":1,"tgt":2,"labels":[],"props":{},"x":@},"src_labels":[],"tgt_labels":[]}"#,
+        2,
+    ),
+];
+
+/// The reference refuses text nested deeper than `MAX_DEPTH`; the
+/// decoder must draw the line at the same level in every position where
+/// it checks a value without keeping it.
+#[test]
+fn nesting_depth_matches_reference_at_the_cap() {
+    let cap = serde_json::lex::MAX_DEPTH;
+    for (template, open) in SKIP_POSITIONS {
+        for depth in [cap - 1, cap, cap + 1] {
+            let line = template.replace('@', &nested(depth - open));
+            assert_eq!(
+                serde_json::from_str::<Element>(&line).is_ok(),
+                depth <= cap,
+                "reference at depth {depth}: {template}"
+            );
+            assert_parity(&line).unwrap();
+        }
+    }
+}
+
+/// A line nested a million deep is refused with a typed error, on a
+/// stack far too small to recurse that deep.
+#[test]
+fn a_million_levels_are_refused_on_a_small_stack() {
+    let line = format!(
+        r#"{{"kind":"node","id":1,"labels":[],"props":{{}},"x":{}}}"#,
+        nested(1_000_000)
+    );
+    let refused = std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn(move || JsonlDecoder::new().decode_element(&line).map(drop))
+        .unwrap()
+        .join()
+        .expect("the decoder returns instead of overflowing the stack");
+    let err = refused.unwrap_err();
+    assert!(err.to_string().contains("nesting too deep"), "{err}");
+}

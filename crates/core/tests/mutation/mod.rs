@@ -57,7 +57,7 @@ pub fn allocation_bound(input_len: usize) -> usize {
     256 * input_len + (64 << 10)
 }
 
-fn count_objects(v: &Value) -> usize {
+pub fn count_objects(v: &Value) -> usize {
     match v {
         Value::Object(fields) => 1 + fields.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
         Value::Array(items) => items.iter().map(count_objects).sum(),

@@ -29,7 +29,9 @@ use std::time::Duration;
 
 #[path = "../../core/tests/mutation/mod.rs"]
 mod mutation;
-use mutation::{allocation_bound, metered, mutate_field, mutate_item, mutate_number};
+use mutation::{
+    allocation_bound, count_objects, metered, mutate_field, mutate_item, mutate_number,
+};
 
 /// The three seed elements as value trees.
 fn seeds() -> Vec<Value> {
@@ -131,14 +133,6 @@ fn mutate_bytes(line: &mut String, kind: u8, a: u64, b: u64) {
             };
             line.insert_str(at, ESCAPES[(b % ESCAPES.len() as u64) as usize]);
         }
-    }
-}
-
-fn count_objects(v: &Value) -> usize {
-    match v {
-        Value::Object(fields) => 1 + fields.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
-        Value::Array(items) => items.iter().map(count_objects).sum(),
-        _ => 0,
     }
 }
 

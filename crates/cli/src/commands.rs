@@ -4,9 +4,9 @@
 use crate::opts::{CliError, Command, GraphInput, OutputFormat};
 use pg_datasets::{generate, inject_noise, spec_by_name, NoiseConfig};
 use pg_hive::{
-    diff, merge_states, serialize, validate, CheckpointStore, DatatypeSampling, DiscoveryResult,
-    HiveConfig, HiveSession, MergeError, PgHive, SchemaMode, SessionCheckpoint, ShardState,
-    SHARD_SPLIT_SALT,
+    diff, merge_states, serialize, validate, CheckpointError, CheckpointStore, DatatypeSampling,
+    DiscoveryResult, DurableSession, HiveConfig, HiveSession, MergeError, PgHive, SchemaMode,
+    SessionCheckpoint, ShardState, SHARD_SPLIT_SALT,
 };
 use pg_model::{GraphStats, PropertyGraph, SchemaGraph};
 use pg_store::{
@@ -508,18 +508,20 @@ fn discover_incremental(
     config: HiveConfig,
     opts: &IncrementalOpts<'_>,
 ) -> Result<(DiscoveryResult, String), CliError> {
-    let store = opts
+    let state_err = |e: CheckpointError| CliError::State(e.to_string());
+    let mut durable = opts
         .checkpoint_dir
         .map(|d| CheckpointStore::open(d).map(|s| s.with_retention(opts.checkpoint_keep)))
         .transpose()
-        .map_err(|e| CliError::State(e.to_string()))?;
+        .map_err(state_err)?
+        .map(|store| DurableSession::new(store, opts.checkpoint_every as u64));
     let batch_list = split(graph, opts.batches, config.seed ^ BATCH_SPLIT_SALT);
     let n_batches = batch_list.len();
     let mut notes = String::new();
 
-    let (mut session, start_batch) = match (&store, opts.resume) {
-        (Some(store), true) => {
-            let outcome = store.resume().map_err(|e| CliError::State(e.to_string()))?;
+    let (mut session, start_batch) = match (&mut durable, opts.resume) {
+        (Some(durable), true) => {
+            let outcome = durable.resume().map_err(state_err)?;
             for (path, why) in &outcome.skipped {
                 let _ = writeln!(
                     notes,
@@ -544,6 +546,11 @@ fn discover_incremental(
                     );
                     let session = HiveSession::restore(config, ckpt)
                         .map_err(|e| CliError::State(e.to_string()))?;
+                    // An emergency checkpoint sits between two cadence
+                    // points: count the batches it holds past the last
+                    // one, so the resumed run saves after the same
+                    // batches an uninterrupted one does.
+                    durable.tick((start % opts.checkpoint_every) as u64);
                     (session, start)
                 }
                 _ => {
@@ -566,12 +573,10 @@ fn discover_incremental(
             for (i, batch) in batch_list.into_iter().enumerate().skip(start_batch) {
                 session.process_graph_batch(&batch);
                 completed = i + 1;
-                if let Some(store) = &store {
+                if let Some(durable) = &mut durable {
                     let ckpt = session.checkpoint();
-                    if (i + 1) % opts.checkpoint_every == 0 || i + 1 == n_batches {
-                        store
-                            .save(&ckpt)
-                            .map_err(|e| CliError::State(e.to_string()))?;
+                    if durable.tick(1) || i + 1 == n_batches {
+                        durable.persist(&ckpt).map_err(state_err)?;
                     }
                     last_checkpoint = Some(ckpt);
                 }
@@ -588,8 +593,8 @@ fn discover_incremental(
             let mut msg = format!(
                 "panic during batch processing ({completed} of {n_batches} batches completed)"
             );
-            if let (Some(store), Some(ckpt)) = (&store, &last_checkpoint) {
-                match store.save(ckpt) {
+            if let (Some(durable), Some(ckpt)) = (&mut durable, &last_checkpoint) {
+                match durable.persist(ckpt) {
                     Ok(path) => {
                         let _ = write!(msg, "; emergency checkpoint -> {}", path.display());
                     }

@@ -386,11 +386,11 @@ fn keep_one_survives_crash_and_corrupt_newest() {
 /// Format migration through the CLI: `tests/fixtures/ckpt_v1` is the
 /// emergency checkpoint a v1-writing build left after batch 2 of 4 over
 /// the graph beside it. `--resume` reads it, finishes on the
-/// uninterrupted run's bytes and saves v2 from then on; with both v2
+/// uninterrupted run's bytes and saves v3 from then on; with both v3
 /// files torn, the next `--resume` falls back across the version
 /// boundary to the v1 file and still finishes on the same bytes.
 #[test]
-fn resume_from_a_v1_directory_saves_v2_and_falls_back_to_v1() {
+fn resume_from_a_v1_directory_saves_v3_and_falls_back_to_v1() {
     let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v1");
     let jsonl = fixtures.join("graph.jsonl");
     let dir = tmpdir("v1resume");
@@ -432,7 +432,7 @@ fn resume_from_a_v1_directory_saves_v2_and_falls_back_to_v1() {
     assert_eq!(version_of(v1), "PGHIVE-CKPT v1");
     let written = ["ckpt-00000003.pghive", "ckpt-00000004.pghive"];
     for name in written {
-        assert_eq!(version_of(name), "PGHIVE-CKPT v2", "{name}");
+        assert_eq!(version_of(name), "PGHIVE-CKPT v3", "{name}");
         let bytes = fs::read(ckpt_dir.join(name)).unwrap();
         fs::write(ckpt_dir.join(name), &bytes[..bytes.len() / 2]).unwrap();
     }

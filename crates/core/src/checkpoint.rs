@@ -1,5 +1,6 @@
 //! Durable session checkpoints: versioned envelope, atomic writes,
-//! retention, and corruption-tolerant resume.
+//! retention, corruption-tolerant resume, and the batch cadence that
+//! drives them.
 //!
 //! A long-running incremental session (§4.6) is only useful if hours of
 //! accumulated schema state survive a crash. [`CheckpointStore`]
@@ -7,10 +8,15 @@
 //! stream consumer actually needs:
 //!
 //! * **Versioned envelope** — every file starts with a one-line ASCII
-//!   header `PGHIVE-CKPT v2 len=<n> crc32=<hex>` followed by the JSON
+//!   header `PGHIVE-CKPT v3 len=<n> crc32=<hex>` followed by the JSON
 //!   payload. The length catches truncation, the CRC-32 catches bit
 //!   rot (CRC-32 detects *all* single-bit errors), and the version
-//!   gates format evolution: this build writes v2 and reads v1 and v2.
+//!   gates format evolution: this build writes v3 and reads v1–v3.
+//! * **One frame per session** — v3 adds two optional fields to v2, a
+//!   live session's stream-side state (`aux`) and its host's own fields
+//!   (`host`), so one checksummed file made durable by one rename holds
+//!   all a restart needs. A bare engine checkpoint (the CLI's) has
+//!   neither: its payload is the v2 payload byte for byte.
 //! * **Atomic writes** — payloads are written to a temp file in the
 //!   same directory, fsynced, then renamed over the final name; the
 //!   directory is fsynced afterwards. A crash mid-write leaves at
@@ -33,10 +39,13 @@ use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// The envelope format version this build writes.
-pub const FORMAT_VERSION: u32 = 2;
+/// The envelope format version this build writes. A v3 payload is a v2
+/// payload plus the optional `aux` and `host` fields; the bump makes a
+/// v2-only reader refuse a v3 file by version rather than resume a live
+/// session's engine state without the stream-side state beside it.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The oldest envelope version this build reads. A v1 payload is a v2
 /// payload plus the five fields of the pattern memo a session once
@@ -148,8 +157,13 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 /// checksum of the checkpoint envelope. Table driven, eight bytes per
 /// step; the tests hold it to the bitwise form.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(0xFFFF_FFFF, bytes)
+}
+
+/// Fold `bytes` into a running (uninverted) CRC-32 register, so a payload
+/// held in pieces is checksummed piece by piece.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc: u32 = 0xFFFF_FFFF;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -166,7 +180,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 /// The rows of a session's trained label embedder, as a checkpoint
@@ -216,23 +230,29 @@ impl Deserialize for F64Bits {
     }
 }
 
-/// Serialize a checkpoint into its envelope bytes.
-pub fn encode(ckpt: &SessionCheckpoint) -> Result<Vec<u8>, CheckpointError> {
-    // The header states the payload's length and checksum, so the payload
-    // is written first, behind room for the widest header, and the header
-    // then takes that room's place: the envelope is one buffer, written
-    // once.
-    let header =
-        |len: usize, crc: u32| format!("{MAGIC} v{FORMAT_VERSION} len={len} crc32={crc:08x}\n");
-    let room = header(usize::MAX, 0).len();
-    let mut out = " ".repeat(room);
-    serde_json::to_string_into(&mut out, ckpt).map_err(|e| CheckpointError::Corrupt {
+/// A checkpoint's envelope header and its payload, the payload in the
+/// buffers the serializer filled: written out piece by piece, a frame is
+/// never held twice.
+fn frame(ckpt: &SessionCheckpoint) -> Result<(String, Vec<String>), CheckpointError> {
+    let parts = serde_json::to_string_parts(ckpt).map_err(|e| CheckpointError::Corrupt {
         path: None,
         reason: format!("serializing checkpoint: {e}"),
     })?;
-    let payload = &out.as_bytes()[room..];
-    out.replace_range(..room, &header(payload.len(), crc32(payload)));
-    Ok(out.into_bytes())
+    let len: usize = parts.iter().map(String::len).sum();
+    let crc = !(parts.iter()).fold(0xFFFF_FFFF, |crc, p| crc32_update(crc, p.as_bytes()));
+    let header = format!("{MAGIC} v{FORMAT_VERSION} len={len} crc32={crc:08x}\n");
+    Ok((header, parts))
+}
+
+/// Serialize a checkpoint into its envelope bytes.
+pub fn encode(ckpt: &SessionCheckpoint) -> Result<Vec<u8>, CheckpointError> {
+    let (header, parts) = frame(ckpt)?;
+    let mut out = header.into_bytes();
+    out.reserve_exact(parts.iter().map(String::len).sum());
+    for part in &parts {
+        out.extend_from_slice(part.as_bytes());
+    }
+    Ok(out)
 }
 
 /// Validate an envelope and deserialize the checkpoint inside. Any
@@ -342,11 +362,6 @@ impl CheckpointStore {
         self
     }
 
-    /// The directory checkpoints live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Sequence-numbered checkpoint files, sorted oldest → newest.
     /// Files whose names don't match `ckpt-<seq>.pghive` are ignored.
     pub fn list(&self) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
@@ -378,10 +393,11 @@ impl CheckpointStore {
         let final_path = self.dir.join(format!("ckpt-{seq:08}{FILE_SUFFIX}"));
         let tmp_path = self.dir.join(format!(".tmp-ckpt-{seq:08}"));
 
-        let bytes = encode(ckpt)?;
+        let (header, parts) = frame(ckpt)?;
         let mut f =
             File::create(&tmp_path).map_err(io_err(format!("creating {}", tmp_path.display())))?;
-        f.write_all(&bytes)
+        (std::iter::once(&header).chain(&parts))
+            .try_for_each(|part| f.write_all(part.as_bytes()))
             .map_err(io_err(format!("writing {}", tmp_path.display())))?;
         f.sync_all()
             .map_err(io_err(format!("fsyncing {}", tmp_path.display())))?;
@@ -417,6 +433,16 @@ impl CheckpointStore {
     /// start (`checkpoint: None`); a directory with only corrupt files
     /// is [`CheckpointError::NoValidCheckpoint`].
     pub fn resume(&self) -> Result<ResumeOutcome, CheckpointError> {
+        self.resume_where(|_| Ok(()))
+    }
+
+    /// [`resume`](CheckpointStore::resume) from the newest valid
+    /// checkpoint that `accept` also takes; each one it refuses is
+    /// skipped with the reason it gives, like a corrupt file.
+    pub fn resume_where(
+        &self,
+        mut accept: impl FnMut(&SessionCheckpoint) -> Result<(), String>,
+    ) -> Result<ResumeOutcome, CheckpointError> {
         let mut files = self.list()?;
         files.reverse(); // newest first
         if files.is_empty() {
@@ -435,7 +461,10 @@ impl CheckpointStore {
                     continue;
                 }
             };
-            match decode(&bytes) {
+            match decode(&bytes).map_err(|e| e.to_string()).and_then(|ckpt| {
+                accept(&ckpt)?;
+                Ok(ckpt)
+            }) {
                 Ok(ckpt) => {
                     return Ok(ResumeOutcome {
                         checkpoint: Some(ckpt),
@@ -443,10 +472,61 @@ impl CheckpointStore {
                         skipped,
                     });
                 }
-                Err(e) => skipped.push((path, e.to_string())),
+                Err(why) => skipped.push((path, why)),
             }
         }
         Err(CheckpointError::NoValidCheckpoint { skipped })
+    }
+}
+
+/// The durability of one session: its [`CheckpointStore`] and the batch
+/// cadence that decides when the next frame is written. The CLI's
+/// checkpointed `discover` and the server's live sessions both persist
+/// through it, and it is the only caller of [`CheckpointStore::save`].
+#[derive(Debug)]
+pub struct DurableSession {
+    store: CheckpointStore,
+    every: u64,
+    lag: u64,
+}
+
+impl DurableSession {
+    /// Persist through `store`, a frame every `every` applied batches
+    /// (0: only when [`persist`](DurableSession::persist) is called).
+    pub fn new(store: CheckpointStore, every: u64) -> DurableSession {
+        DurableSession {
+            store,
+            every,
+            lag: 0,
+        }
+    }
+
+    /// Load the newest valid frame (see [`CheckpointStore::resume`]).
+    pub fn resume(&self) -> Result<ResumeOutcome, CheckpointError> {
+        self.store.resume()
+    }
+
+    /// Count `batches` more applied batches that no frame on disk holds
+    /// yet; returns whether the cadence now asks for a save. After a
+    /// failed save the count keeps growing, so every later tick retries.
+    pub fn tick(&mut self, batches: u64) -> bool {
+        self.lag += batches;
+        self.every > 0 && self.lag >= self.every
+    }
+
+    /// Batches applied since the last frame was written: what a crash
+    /// right now would lose.
+    pub fn lag(&self) -> u64 {
+        self.lag
+    }
+
+    /// Write `frame` as the session's newest checkpoint. Only a save that
+    /// completed resets the lag; on failure the previous frame stays the
+    /// resume point.
+    pub fn persist(&mut self, frame: &SessionCheckpoint) -> Result<PathBuf, CheckpointError> {
+        let path = self.store.save(frame)?;
+        self.lag = 0;
+        Ok(path)
     }
 }
 
@@ -533,7 +613,7 @@ mod tests {
         let bytes = encode(&small_checkpoint()).unwrap();
         let header: Vec<u8> = bytes.iter().copied().take_while(|&b| b != b'\n').collect();
         let header = String::from_utf8(header).unwrap();
-        assert!(header.starts_with("PGHIVE-CKPT v2 len="), "{header}");
+        assert!(header.starts_with("PGHIVE-CKPT v3 len="), "{header}");
         assert!(header.contains("crc32="), "{header}");
     }
 
@@ -576,18 +656,18 @@ mod tests {
     fn future_versions_are_refused_not_misread() {
         let bytes = encode(&small_checkpoint()).unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        // The same refusal a v1-only build gives a v2 file ("unsupported
-        // format version 2 (this build reads v1)"; `schema_identity.sh`
+        // The same refusal a v1–v2 build gives a v3 file ("unsupported
+        // format version 3 (this build reads v1–v2)"; `schema_identity.sh`
         // drives that build).
         for (other, refusal) in [
             (
                 0u64,
-                "unsupported format version 0 (this build reads v1–v2)",
+                "unsupported format version 0 (this build reads v1–v3)",
             ),
-            (3, "unsupported format version 3 (this build reads v1–v2)"),
+            (4, "unsupported format version 4 (this build reads v1–v3)"),
             (1 << 32, "malformed version \"v4294967296\""),
         ] {
-            let bumped = text.replacen("PGHIVE-CKPT v2 ", &format!("PGHIVE-CKPT v{other} "), 1);
+            let bumped = text.replacen("PGHIVE-CKPT v3 ", &format!("PGHIVE-CKPT v{other} "), 1);
             let err = decode(bumped.as_bytes()).unwrap_err().to_string();
             assert!(err.ends_with(refusal), "v{other}: {err}");
         }
@@ -721,16 +801,57 @@ mod tests {
     }
 
     #[test]
-    fn torn_write_via_faulty_writer_is_detected() {
-        use pg_store::faults::{FaultKind, FaultyWriter};
-        let full = encode(&small_checkpoint()).unwrap();
+    fn a_bare_checkpoint_frame_has_no_aux_or_host_field() {
+        let bytes = encode(&small_checkpoint()).unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(!text.contains("\"aux\":") && !text.contains("\"host\":"));
+        assert!(decode(text.as_bytes()).unwrap().host.is_none());
+    }
 
-        // A writer that silently drops everything past half the
-        // envelope models a crash between write() and fsync().
-        let mut w = FaultyWriter::new(Vec::new(), full.len() / 2, FaultKind::SilentTruncate);
-        std::io::Write::write_all(&mut w, &full).unwrap();
-        let torn = w.into_inner();
-        assert!(torn.len() < full.len());
-        assert!(decode(&torn).is_err(), "torn write must not decode");
+    #[test]
+    fn durable_session_saves_on_its_cadence_and_retries_a_failed_save() {
+        let dir = tmpdir("durable");
+        let mut durable = DurableSession::new(CheckpointStore::open(&dir).unwrap(), 2);
+        let ckpt = small_checkpoint();
+        assert!(!durable.tick(1));
+        assert!(durable.tick(1), "the second batch is due");
+        durable.persist(&ckpt).unwrap();
+        assert_eq!(durable.lag(), 0);
+
+        // A directory where the next temp frame goes fails the save.
+        let obstacle = dir.join(".tmp-ckpt-00000001");
+        fs::create_dir(&obstacle).unwrap();
+        assert!(!durable.tick(1));
+        assert!(durable.tick(1));
+        assert!(durable.persist(&ckpt).is_err());
+        assert_eq!(durable.lag(), 2, "a failed save leaves the lag counting");
+        assert!(durable.tick(1), "and the next batch retries");
+        fs::remove_dir(&obstacle).unwrap();
+        let path = durable.persist(&ckpt).unwrap();
+        assert!(path.ends_with("ckpt-00000001.pghive"));
+        assert_eq!(durable.lag(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_where_skips_what_the_caller_refuses() {
+        let dir = tmpdir("resume-where");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let ckpt = small_checkpoint();
+        let older = store.save(&ckpt).unwrap();
+        let newer = store.save(&ckpt).unwrap();
+        let mut seen = 0;
+        let outcome = store
+            .resume_where(|_| {
+                seen += 1;
+                match seen {
+                    1 => Err("not this one".to_owned()),
+                    _ => Ok(()),
+                }
+            })
+            .unwrap();
+        assert_eq!(outcome.path.as_deref(), Some(older.as_path()));
+        assert_eq!(outcome.skipped, vec![(newer, "not this one".to_owned())]);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -16,9 +16,10 @@
 //!   trusted) instead of poisoning the lock — callers get a structured
 //!   error and the last durable checkpoint stays authoritative.
 //!
-//! All of the stream-side state ([`SessionAux`]) is serializable so a
-//! serving process can persist it next to the engine's
-//! [`SessionCheckpoint`] and restore the whole handle bit-identically.
+//! All of the stream-side state ([`SessionAux`]) is serializable, and
+//! [`SharedSession::export`] puts it in the same frame as the engine's
+//! [`SessionCheckpoint`], so a serving process persists the whole handle
+//! as one file and restores it bit-identically.
 
 use crate::config::HiveConfig;
 use crate::incremental::{BatchTiming, HiveSession, SessionCheckpoint};
@@ -316,7 +317,7 @@ impl SharedSession {
         checkpoint: SessionCheckpoint,
         aux: SessionAux,
     ) -> Result<Self, crate::incremental::ModeMismatch> {
-        // The sidecar spells every node's labels out; pool them on the
+        // The frame spells every node's labels out; pool them on the
         // way in so equal sets share one allocation again, as they did
         // in the session that wrote it (there via the decoder's pool).
         let mut pool: HashSet<LabelSet> = HashSet::new();
@@ -515,10 +516,11 @@ impl SharedSession {
         self.lock().session.memory_stats()
     }
 
-    /// Export the engine checkpoint plus stream-side state for durable
-    /// persistence. Refused for broken sessions: their in-memory state
-    /// must not overwrite the last good checkpoint.
-    pub fn export(&self) -> Result<(SessionCheckpoint, SessionAux), IngestError> {
+    /// Export the engine checkpoint with the stream-side state in its
+    /// `aux` field: one frame for durable persistence. Refused for broken
+    /// sessions: their in-memory state must not overwrite the last good
+    /// checkpoint.
+    pub fn export(&self) -> Result<SessionCheckpoint, IngestError> {
         let inner = self.lock();
         if let Some(m) = &inner.broken {
             return Err(IngestError::Broken(m.clone()));
@@ -532,14 +534,14 @@ impl SharedSession {
         node_labels.sort_by_key(|(k, _)| *k);
         let mut seen_edges: Vec<u64> = inner.index.seen_edges.iter().copied().collect();
         seen_edges.sort_unstable();
-        Ok((
-            inner.session.checkpoint(),
-            SessionAux {
+        Ok(SessionCheckpoint {
+            aux: Some(SessionAux {
                 history: inner.history.clone(),
                 node_labels,
                 seen_edges,
-            },
-        ))
+            }),
+            ..inner.session.checkpoint()
+        })
     }
 }
 
@@ -763,9 +765,9 @@ mod tests {
             "t",
         )
         .unwrap();
-        let (ckpt, aux) = a.export().unwrap();
-        let json = serde_json::to_string(&aux).unwrap();
-        let aux: SessionAux = serde_json::from_str(&json).unwrap();
+        let frame = crate::checkpoint::encode(&a.export().unwrap()).unwrap();
+        let mut ckpt = crate::checkpoint::decode(&frame).unwrap();
+        let aux = ckpt.aux.take().expect("the frame carries the aux state");
         let b = SharedSession::restore(cfg, ckpt, aux).unwrap();
 
         let batch = vec![edge(10, 1, 2), node(3, "A")];
@@ -787,8 +789,9 @@ mod tests {
         let nodes = (1..=40).map(|id| node(id, if id % 2 == 0 { "A" } else { "B" }));
         a.ingest(nodes.collect(), ErrorPolicy::Skip, &mut q, "t")
             .unwrap();
-        let (ckpt, aux) = a.export().unwrap();
-        let aux: SessionAux = serde_json::from_str(&serde_json::to_string(&aux).unwrap()).unwrap();
+        let frame = crate::checkpoint::encode(&a.export().unwrap()).unwrap();
+        let mut ckpt = crate::checkpoint::decode(&frame).unwrap();
+        let aux = ckpt.aux.take().expect("the frame carries the aux state");
         let b = SharedSession::restore(cfg, ckpt, aux).unwrap();
 
         let inner = b.lock();

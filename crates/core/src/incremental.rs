@@ -13,6 +13,7 @@ use crate::constraints::infer_property_constraints;
 use crate::datatypes::infer_datatypes;
 use crate::extract::{integrate, Cluster, MergeOptions};
 use crate::features::{Embedder, FeatureSpace};
+use crate::handle::SessionAux;
 use crate::merge::{sorted_accums, MergeError};
 use crate::pipeline::DiscoveryResult;
 use crate::state::{DiscoveryState, Kind, Membership, Record, TypeAccum};
@@ -140,6 +141,14 @@ pub struct SessionCheckpoint {
     /// batch, which resume untrained and train at their next batch.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub embedder: Option<EmbedderRows>,
+    /// A live session's stream-side state, in the same frame as the
+    /// engine state. Absent from a bare engine checkpoint (the CLI's).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub aux: Option<SessionAux>,
+    /// What the session's host needs back on restart, opaque to the
+    /// engine (the server's session name, spec and quarantine total).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub host: Option<serde::Value>,
 }
 
 impl SessionCheckpoint {
@@ -428,6 +437,8 @@ impl HiveSession {
             batches_processed: self.batches_processed(),
             mode: Some(self.accum_mode()),
             embedder: self.embedder.rows(),
+            aux: None,
+            host: None,
         }
     }
 

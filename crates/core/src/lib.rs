@@ -65,7 +65,7 @@ pub mod sketch;
 pub mod state;
 pub mod validate;
 
-pub use checkpoint::{CheckpointError, CheckpointStore, ResumeOutcome};
+pub use checkpoint::{CheckpointError, CheckpointStore, DurableSession, ResumeOutcome};
 pub use cluster::DedupStats;
 pub use config::{
     DatatypeSampling, EmbeddingKind, HiveConfig, LshMethod, LshParams, MergeSimilarity,

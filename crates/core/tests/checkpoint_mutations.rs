@@ -5,16 +5,21 @@
 //! writes) stop at the checksum, which an attacker — or a bug in a
 //! writer — recomputes. Here every mutant carries a correct `len=` and
 //! `crc32=`, so it reaches the JSON layer and the typed decode behind it.
-//! Seeds are the tracked v1 and v2 fixtures plus a v1 payload as the last
-//! v1 writer produced it (embedder rows, empty memo); mutations drop,
-//! duplicate and retype fields anywhere in the tree, damage the embedder's
-//! hex string, swap the accumulator mode and restamp the version.
+//! Seeds are the tracked v1 and v2 fixtures, a v1 payload as the last v1
+//! writer produced it (embedder rows, empty memo), and two v3 frames of a
+//! live session (exact and stream) that carry its `aux` state and `host`
+//! fields; mutations drop, duplicate and retype fields anywhere in the
+//! tree, damage the embedder's hex string, swap the accumulator mode and
+//! restamp the version.
 //!
 //! Contract: never a panic; the outcome is `CheckpointError::Corrupt` or
 //! a checkpoint that re-encodes and decodes to itself; decoding allocates
 //! in proportion to the bytes it was handed and returns promptly.
 
 use pg_hive::checkpoint::{crc32, decode, encode, CheckpointError};
+use pg_hive::{HiveConfig, SharedSession, StreamConfig};
+use pg_model::{Edge, LabelSet, Node, NodeId};
+use pg_store::{jsonl::Element, ErrorPolicy, Quarantine};
 use proptest::prelude::*;
 use serde::Value;
 use std::path::PathBuf;
@@ -53,8 +58,47 @@ fn seal(version: u64, payload: &str) -> Vec<u8> {
     out
 }
 
+/// A v3 frame as a server writes it: a live session's checkpoint with its
+/// aux state, and host fields of the server's shape.
+fn served_frame(stream: bool) -> (u64, Value) {
+    let config = HiveConfig {
+        stream: stream.then(StreamConfig::default),
+        ..HiveConfig::default()
+    };
+    let session = SharedSession::new(config, 8);
+    let mut elements: Vec<(usize, Element)> = (0..6u64)
+        .map(|id| {
+            let labels = match id % 3 {
+                0 => LabelSet::empty(),
+                _ => LabelSet::single("Person"),
+            };
+            let node = Node::new(id, labels).with_prop("age", id as i64);
+            (id as usize + 1, Element::Node(node))
+        })
+        .collect();
+    elements.extend((0..4u64).map(|id| {
+        let edge = Edge::new(10 + id, NodeId(id), NodeId(id + 1), LabelSet::single("R"));
+        (id as usize + 7, Element::Edge(edge))
+    }));
+    let mut quarantine = Quarantine::new();
+    session
+        .ingest(elements, ErrorPolicy::Skip, &mut quarantine, "t")
+        .unwrap();
+    let mut frame = session.export().unwrap();
+    frame.host = Some(
+        serde_json::from_str(
+            r#"{"name":"s","spec":{"seed":42,"mode":null},"quarantined_total":1}"#,
+        )
+        .unwrap(),
+    );
+    let bytes = encode(&frame).unwrap();
+    assert!(bytes.starts_with(b"PGHIVE-CKPT v3 "));
+    open(&bytes)
+}
+
 /// The seed payloads: v1 with memo content and no embedder (exact and
-/// stream), v1 with an embedder and an empty memo, v2 (exact and stream).
+/// stream), v1 with an embedder and an empty memo, v2 (exact and stream),
+/// v3 with aux state and host fields (exact and stream).
 fn seeds() -> Vec<(u64, Value)> {
     let v2_exact = open(&fixture("wire_v2/exact.ckpt"));
     let Value::Object(mut fields) = v2_exact.1.clone() else {
@@ -74,6 +118,8 @@ fn seeds() -> Vec<(u64, Value)> {
         (1, Value::Object(fields)),
         v2_exact,
         open(&fixture("wire_v2/stream.ckpt")),
+        served_frame(false),
+        served_frame(true),
     ]
 }
 
@@ -110,7 +156,7 @@ fn mutate(version: &mut u64, payload: &mut Value, kind: u8, a: u64, b: u64) {
             }
         }
         // Restamp the version.
-        _ => *version = [0, 1, 2, 3, 1 << 32][(a % 5) as usize],
+        _ => *version = [0, 1, 2, 3, 4, 1 << 32][(a % 6) as usize],
     }
 }
 
@@ -145,9 +191,15 @@ fn every_seed_is_accepted_unmutated() {
             check(&seal(version, &text)).unwrap(),
             "v{version} seed refused"
         );
-        // Either version's payload under the other's stamp is still a
-        // checkpoint: the five memo fields are skipped wherever they are.
-        assert!(check(&seal(3 - version, &text)).unwrap());
+        // Any version's payload under another readable stamp is still a
+        // checkpoint: the five memo fields are skipped wherever they are,
+        // and the v3 fields are optional.
+        for other in 1..=3 {
+            assert!(
+                check(&seal(other, &text)).unwrap(),
+                "v{version} as v{other}"
+            );
+        }
     }
 }
 
@@ -168,7 +220,7 @@ proptest! {
             let text = serde_json::to_string(&payload).unwrap();
             let accepted = check(&seal(version, &text))?;
             prop_assert!(
-                !accepted || (1..=2).contains(&version),
+                !accepted || (1..=3).contains(&version),
                 "accepted under version {version}"
             );
         }

@@ -242,9 +242,13 @@ impl fmt::Display for PropertyValue {
         match self {
             PropertyValue::Int(i) => write!(f, "{i}"),
             PropertyValue::Float(x) => {
-                // Keep a decimal point so re-inference stays Float.
+                // Keep a decimal point (or an exponent) so re-inference
+                // stays Float: `Debug` writes one for every integral
+                // value, which `{x}` would write as digits alone.
                 if x.fract() == 0.0 && x.abs() < 1e15 {
                     write!(f, "{x:.1}")
+                } else if x.fract() == 0.0 {
+                    write!(f, "{x:?}")
                 } else {
                     write!(f, "{x}")
                 }
@@ -370,6 +374,11 @@ mod tests {
             PropertyValue::Int(5),
             PropertyValue::Float(2.0),
             PropertyValue::Float(-0.25),
+            // Integral from 1e15 up: found by the CSV mutation battery,
+            // these rendered as bare digits and came back as `Int`.
+            PropertyValue::Float(1e15),
+            PropertyValue::Float(-4.5e18),
+            PropertyValue::Float(1e300),
             PropertyValue::Bool(true),
             PropertyValue::Date(Date::new(2021, 6, 30).unwrap()),
             PropertyValue::DateTime(

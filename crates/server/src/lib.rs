@@ -36,12 +36,13 @@
 //!
 //! ## Durability
 //!
-//! With a state directory configured, sessions checkpoint through the
-//! core [`pg_hive::CheckpointStore`] on a per-session batch cadence and
-//! once more at graceful shutdown (SIGINT/SIGTERM → stop accepting →
-//! drain workers → persist all → exit), so a restarted server resumes
-//! every session bit-identically — same schema content hash, same batch
-//! numbering.
+//! With a state directory configured, each session persists as one
+//! checksummed frame through a core [`pg_hive::DurableSession`] on a
+//! per-session batch cadence and once more at graceful shutdown
+//! (SIGINT/SIGTERM → stop accepting → drain workers → persist all →
+//! exit), so a restarted server resumes every session bit-identically —
+//! same schema content hash, same batch numbering. See the `registry`
+//! module for the layout on disk.
 
 pub mod client;
 #[cfg(target_os = "linux")]

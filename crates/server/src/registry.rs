@@ -6,30 +6,39 @@
 //! server runs with a state directory) a per-session on-disk layout
 //!
 //! ```text
-//! state_dir/<name>/ckpt/…          engine checkpoints (CheckpointStore)
-//! state_dir/<name>/session.json    sidecar: spec + stream-side state
+//! state_dir/<name>/ckpt/ckpt-<seq>.pghive    one frame per persist
 //! ```
 //!
-//! The sidecar is written atomically (temp file → fsync → rename →
-//! directory fsync, same discipline as the checkpoint store) at session
-//! creation, on the configured batch cadence, and at graceful shutdown,
-//! so a restarted server resumes every session bit-identically.
+//! Each frame is a `PGHIVE-CKPT v3` checkpoint that holds the whole
+//! session: the engine state, the stream-side state (`aux`), and the
+//! session's name, spec and quarantine total (`host`). A
+//! [`DurableSession`] writes it atomically at session creation, on the
+//! configured batch cadence, and at graceful shutdown, so a restarted
+//! server resumes every session bit-identically from its newest valid
+//! frame, and no crash can leave two files that disagree.
+//!
+//! Builds before v3 kept the host fields and the aux state in a
+//! `state_dir/<name>/session.json` beside v1 / v2 checkpoints. Such a
+//! directory still resumes: a frame without host fields is paired with
+//! that file, and only if the file's current schema version hashes like
+//! the frame's schema, so a `session.json` one save behind its newest
+//! checkpoint resumes from the checkpoint it was written with.
 
 use crate::metrics::SessionStats;
 use pg_hive::{
-    CheckpointStore, DiscoveryState, HiveConfig, IngestError, IngestOutcome, LshMethod,
-    MergeOutcome, SessionAux, SharedSession,
+    content_hash_hex, CheckpointStore, DiscoveryState, DurableSession, HiveConfig, IngestError,
+    IngestOutcome, LshMethod, MergeOutcome, SessionAux, SessionCheckpoint, SharedSession,
 };
 use pg_store::{read_jsonl_elements_with, ErrorPolicy, JsonlDecoder, LoadError, Quarantine};
+use serde::{Deserialize as _, Serialize as _};
 use std::collections::BTreeMap;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// User-settable knobs of a session, fixed at creation and persisted in
-/// the sidecar so a restart rebuilds the identical engine configuration.
+/// every frame so a restart rebuilds the identical engine configuration.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SessionSpec {
     /// Master seed for the deterministic pipeline.
@@ -47,8 +56,8 @@ pub struct SessionSpec {
     /// Schema versions retained for `diff?from=`.
     pub history_retain: u64,
     /// Accumulator mode: `"exact"` (default) or `"stream"` (bounded-
-    /// memory sketches). `None` in sidecars written before the field
-    /// existed, meaning exact.
+    /// memory sketches). `None` in a `session.json` written before the
+    /// field existed, meaning exact.
     pub mode: Option<String>,
 }
 
@@ -164,19 +173,20 @@ impl SessionSpec {
     }
 }
 
-/// The durable sidecar next to a session's checkpoints.
+/// What a frame's `host` field holds for a served session. A legacy
+/// `session.json` holds the same fields plus the aux state.
 #[derive(serde::Serialize, serde::Deserialize)]
-struct Sidecar {
+struct Host {
     name: String,
     spec: SessionSpec,
-    aux: SessionAux,
     quarantined_total: u64,
 }
 
-#[derive(Default)]
-struct Counters {
+/// The session's quarantine total and, when it is durable, its frame
+/// store and cadence. One lock over both serializes its persists.
+struct Ledger {
     quarantined_total: u64,
-    batches_since_checkpoint: u64,
+    durable: Option<DurableSession>,
 }
 
 /// Everything one applied (or refused) ingest call produced.
@@ -234,8 +244,7 @@ pub struct LiveSession {
     name: String,
     spec: SessionSpec,
     handle: SharedSession,
-    counters: Mutex<Counters>,
-    store: Option<CheckpointStore>,
+    ledger: Mutex<Ledger>,
     dir: Option<PathBuf>,
     inflight: Arc<AtomicUsize>,
     queue_limit: usize,
@@ -325,76 +334,68 @@ impl LiveSession {
         })
     }
 
+    fn ledger(&self) -> std::sync::MutexGuard<'_, Ledger> {
+        self.ledger.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Count one applied batch (plus any quarantined lines) toward the
     /// checkpoint cadence, persisting when the cadence fires.
     fn cadence_tick(&self, quarantined: u64) -> (bool, Option<String>) {
-        let mut checkpointed = false;
-        let mut checkpoint_error = None;
-        let mut counters = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        counters.quarantined_total += quarantined;
-        counters.batches_since_checkpoint += 1;
-        if self.store.is_some()
-            && self.spec.checkpoint_every > 0
-            && counters.batches_since_checkpoint >= self.spec.checkpoint_every
-        {
-            match self.persist_locked(&counters) {
-                Ok(()) => checkpointed = true,
-                Err(e) => checkpoint_error = Some(e),
-            }
-            counters.batches_since_checkpoint = 0;
+        let mut ledger = self.ledger();
+        ledger.quarantined_total += quarantined;
+        if !ledger.durable.as_mut().is_some_and(|d| d.tick(1)) {
+            return (false, None);
         }
-        (checkpointed, checkpoint_error)
+        match self.persist_locked(&mut ledger) {
+            Ok(()) => (true, None),
+            Err(e) => (false, Some(e)),
+        }
     }
 
-    /// Write the engine checkpoint and sidecar, if this session is
-    /// durable. No-op without a state directory.
+    /// Write the session's frame, if it is durable. No-op without a
+    /// state directory.
     pub fn persist(&self) -> Result<(), String> {
-        if self.store.is_none() {
-            return Ok(());
-        }
-        let counters = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        self.persist_locked(&counters)
+        self.persist_locked(&mut self.ledger())
     }
 
-    /// Persist under an already-held counters lock, which serializes
-    /// concurrent persists of the same session.
-    fn persist_locked(&self, counters: &Counters) -> Result<(), String> {
-        let (store, dir) = match (&self.store, &self.dir) {
-            (Some(s), Some(d)) => (s, d),
-            _ => return Ok(()),
+    /// Persist under an already-held ledger lock: one frame holding the
+    /// engine state, the aux state and the host fields.
+    fn persist_locked(&self, ledger: &mut Ledger) -> Result<(), String> {
+        let Some(durable) = &mut ledger.durable else {
+            return Ok(());
         };
-        let (checkpoint, aux) = self
-            .handle
-            .export()
-            .map_err(|e| format!("exporting session state: {e}"))?;
-        store
-            .save(&checkpoint)
-            .map_err(|e| format!("saving checkpoint: {e}"))?;
-        let sidecar = Sidecar {
+        let host = Host {
             name: self.name.clone(),
             spec: self.spec.clone(),
-            aux,
-            quarantined_total: counters.quarantined_total,
+            quarantined_total: ledger.quarantined_total,
         };
-        write_sidecar(dir, &sidecar)
+        let frame = SessionCheckpoint {
+            host: Some(host.to_value()),
+            ..self
+                .handle
+                .export()
+                .map_err(|e| format!("exporting session state: {e}"))?
+        };
+        durable
+            .persist(&frame)
+            .map(drop)
+            .map_err(|e| format!("saving checkpoint: {e}"))
     }
 
     /// Batches applied since the last completed checkpoint (the
-    /// session's checkpoint lag): what a crash right now would make the
-    /// session replay. Reported in the summary and summed in `/healthz`.
+    /// session's checkpoint lag): what a crash right now would lose —
+    /// every batch, for an in-memory session. Reported in the summary and
+    /// summed in `/healthz`.
     pub fn checkpoint_lag(&self) -> u64 {
-        self.counters
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .batches_since_checkpoint
+        match &self.ledger().durable {
+            Some(durable) => durable.lag(),
+            None => self.handle.batches_processed() as u64,
+        }
     }
 
     /// Lifetime quarantine total.
     pub fn quarantined_total(&self) -> u64 {
-        self.counters
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .quarantined_total
+        self.ledger().quarantined_total
     }
 
     /// The numbers `/metrics` exposes for this session.
@@ -445,10 +446,7 @@ impl LiveSession {
                 "checkpoint_lag".to_owned(),
                 serde::Value::U64(self.checkpoint_lag()),
             ),
-            (
-                "durable".to_owned(),
-                serde::Value::Bool(self.store.is_some()),
-            ),
+            ("durable".to_owned(), serde::Value::Bool(self.dir.is_some())),
             (
                 "broken".to_owned(),
                 match self.handle.broken() {
@@ -549,13 +547,14 @@ impl Registry {
             return Err(CreateError::Conflict);
         }
         let handle = SharedSession::new(spec.hive_config(), spec.history_retain as usize);
-        let (store, dir) = match &self.config.state_dir {
+        let (durable, dir) = match &self.config.state_dir {
             Some(state_dir) => {
                 let dir = state_dir.join(name);
                 let store = CheckpointStore::open(dir.join("ckpt"))
                     .map_err(|e| CreateError::Persist(e.to_string()))?
                     .with_retention(self.config.checkpoint_keep);
-                (Some(store), Some(dir))
+                let durable = DurableSession::new(store, spec.checkpoint_every);
+                (Some(durable), Some(dir))
             }
             None => (None, None),
         };
@@ -563,8 +562,10 @@ impl Registry {
             name: name.to_owned(),
             spec,
             handle,
-            counters: Mutex::new(Counters::default()),
-            store,
+            ledger: Mutex::new(Ledger {
+                quarantined_total: 0,
+                durable,
+            }),
             dir,
             inflight: Arc::new(AtomicUsize::new(0)),
             queue_limit: self.config.session_queue.max(1),
@@ -656,22 +657,6 @@ pub fn validate_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn write_sidecar(dir: &Path, sidecar: &Sidecar) -> Result<(), String> {
-    let json = serde_json::to_string(sidecar).map_err(|e| format!("serializing sidecar: {e}"))?;
-    let tmp = dir.join(".tmp-session.json");
-    let final_path = dir.join("session.json");
-    let write = || -> std::io::Result<()> {
-        let mut f = File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-        fs::rename(&tmp, &final_path)?;
-        // Make the rename itself durable.
-        File::open(dir)?.sync_all()?;
-        Ok(())
-    };
-    write().map_err(|e| format!("writing sidecar {}: {e}", final_path.display()))
-}
-
 fn scan_state_dir(
     state_dir: &Path,
     checkpoint_keep: usize,
@@ -691,75 +676,114 @@ fn scan_state_dir(
             }
         };
         let dir = entry.path();
-        if !dir.is_dir() || !dir.join("session.json").exists() {
-            continue;
+        if dir.join("ckpt").is_dir() || dir.join(SIDECAR).exists() {
+            out.extend(resume_session(&dir, checkpoint_keep, session_queue).transpose());
         }
-        out.push(resume_session(&dir, checkpoint_keep, session_queue));
     }
     Ok(out)
 }
 
+/// The legacy file beside v1 / v2 checkpoints.
+const SIDECAR: &str = "session.json";
+
+/// Read a legacy `session.json`: the host fields plus the aux state.
+fn read_sidecar(path: &Path) -> Result<(Host, SessionAux), String> {
+    let raw = fs::read_to_string(path).map_err(|e| format!("reading {SIDECAR}: {e}"))?;
+    let parse = |e: &dyn std::fmt::Display| format!("parsing {SIDECAR}: {e}");
+    let value: serde::Value = serde_json::from_str(&raw).map_err(|e| parse(&e))?;
+    let aux = value.get("aux").unwrap_or(&serde::Value::Null);
+    Ok((
+        Host::from_value(&value).map_err(|e| parse(&e))?,
+        SessionAux::from_value(aux).map_err(|e| parse(&e))?,
+    ))
+}
+
+/// Resume the session stored under `dir` from its newest valid frame.
+/// `Ok(None)` for a directory that holds no frame and no `session.json`:
+/// a create that crashed before its first frame, never acknowledged.
 fn resume_session(
     dir: &Path,
     checkpoint_keep: usize,
     session_queue: usize,
-) -> Result<LiveSession, String> {
+) -> Result<Option<LiveSession>, String> {
     let skip = |stage: &str, detail: String| {
         format!("skipping session at {}: {stage}: {detail}", dir.display())
     };
-    let raw = fs::read_to_string(dir.join("session.json"))
-        .map_err(|e| skip("reading sidecar", e.to_string()))?;
-    let sidecar: Sidecar =
-        serde_json::from_str(&raw).map_err(|e| skip("parsing sidecar", e.to_string()))?;
-    validate_name(&sidecar.name).map_err(|e| skip("validating name", e))?;
-    // The directory is the session's identity on disk: a sidecar naming
-    // another session would resume it where `create` of the directory's
-    // own name writes too.
-    if dir.file_name() != Some(std::ffi::OsStr::new(&sidecar.name)) {
-        return Err(skip(
-            "validating name",
-            format!("the sidecar names session {:?}", sidecar.name),
-        ));
-    }
-    sidecar
-        .spec
-        .validate()
-        .map_err(|e| skip("validating spec", e))?;
-    sidecar
-        .aux
-        .history
-        .validate()
-        .map_err(|e| skip("validating history", e))?;
     let store = CheckpointStore::open(dir.join("ckpt"))
         .map_err(|e| skip("opening checkpoint store", e.to_string()))?
         .with_retention(checkpoint_keep);
+    let sidecar = dir.join(SIDECAR);
+    let legacy = sidecar.exists().then(|| read_sidecar(&sidecar));
     let outcome = store
-        .resume()
+        .resume_where(|frame| match (&frame.host, &legacy) {
+            (Some(_), _) => Ok(()),
+            // A session.json is written after the checkpoint it belongs
+            // with, so a crash between the two leaves it one save behind
+            // the newest one: pair it with the frame it describes.
+            (None, Some(Ok((_, aux))))
+                if aux.history.current().map(|v| &v.hash)
+                    == Some(&content_hash_hex(&frame.schema)) =>
+            {
+                Ok(())
+            }
+            (None, Some(Err(e))) => Err(e.clone()),
+            (None, _) => Err(format!("no host fields, and no {SIDECAR} of this version")),
+        })
         .map_err(|e| skip("resuming checkpoints", e.to_string()))?;
-    let handle = match outcome.checkpoint {
-        Some(ckpt) => SharedSession::restore(sidecar.spec.hive_config(), ckpt, sidecar.aux)
-            .map_err(|e| skip("restoring checkpoint", e.to_string()))?,
-        // A sidecar without any valid checkpoint (crash before the first
-        // save completed) restarts the session empty.
-        None => SharedSession::new(
-            sidecar.spec.hive_config(),
-            sidecar.spec.history_retain as usize,
-        ),
+    let (host, restore) = match (outcome.checkpoint, legacy) {
+        (Some(mut frame), legacy) => {
+            let (host, aux) = match (frame.host.take(), frame.aux.take(), legacy) {
+                (Some(host), Some(aux), _) => (
+                    Host::from_value(&host).map_err(|e| skip("reading host", e.to_string()))?,
+                    aux,
+                ),
+                (None, _, Some(Ok(pair))) => pair,
+                _ => return Err(skip("reading host", "the frame has no aux state".into())),
+            };
+            (host, Some((frame, aux)))
+        }
+        // No checkpoint file at all beside a session.json (a crash before
+        // the first save completed): the session restarts empty.
+        (None, Some(read)) => (read.map_err(|e| skip("reading", e))?.0, None),
+        (None, None) => return Ok(None),
     };
-    Ok(LiveSession {
-        name: sidecar.name,
-        spec: sidecar.spec,
+    validate_name(&host.name).map_err(|e| skip("validating name", e))?;
+    // The directory is the session's identity on disk: a frame naming
+    // another session would resume it where `create` of the directory's
+    // own name writes too.
+    if dir.file_name() != Some(std::ffi::OsStr::new(&host.name)) {
+        return Err(skip(
+            "validating name",
+            format!("the session's state names session {:?}", host.name),
+        ));
+    }
+    host.spec
+        .validate()
+        .map_err(|e| skip("validating spec", e))?;
+    let config = host.spec.hive_config();
+    let handle = match restore {
+        Some((frame, aux)) => {
+            aux.history
+                .validate()
+                .map_err(|e| skip("validating history", e))?;
+            SharedSession::restore(config, frame, aux)
+                .map_err(|e| skip("restoring checkpoint", e.to_string()))?
+        }
+        None => SharedSession::new(config, host.spec.history_retain as usize),
+    };
+    Ok(Some(LiveSession {
         handle,
-        counters: Mutex::new(Counters {
-            quarantined_total: sidecar.quarantined_total,
-            batches_since_checkpoint: 0,
+        ledger: Mutex::new(Ledger {
+            quarantined_total: host.quarantined_total,
+            durable: Some(DurableSession::new(store, host.spec.checkpoint_every)),
         }),
-        store: Some(store),
         dir: Some(dir.to_path_buf()),
+        name: host.name,
+        spec: host.spec,
         inflight: Arc::new(AtomicUsize::new(0)),
         queue_limit: session_queue.max(1),
         decoder: Mutex::new(JsonlDecoder::new()),
-    })
+    }))
 }
 
 /// The tree writer the JSON text is checked against.
@@ -770,26 +794,24 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize as _;
 
     fn spec() -> SessionSpec {
         SessionSpec::default()
     }
 
-    /// The sidecar a served session wrote before the sink-driven writer
-    /// (the `state_v2` fixture) re-serializes to its own bytes, and to
-    /// what the tree writer makes of its value tree.
+    /// The host fields of the `session.json` a served session wrote
+    /// before v3 (the `state_v2` fixture) re-serialize as the tree writer
+    /// writes their value tree.
     #[test]
-    fn sidecar_writes_as_the_tree_writer_wrote_it() {
+    fn host_fields_write_as_the_tree_writer_writes_them() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/fixtures/state_v2/current/session.json");
-        let text = fs::read_to_string(path).unwrap();
-        let sidecar: Sidecar = serde_json::from_str(&text).unwrap();
-        let written = serde_json::to_string(&sidecar).unwrap();
-        assert_eq!(written, text);
-        let tree = sidecar.to_value();
+        let (host, _) = read_sidecar(&path).unwrap();
+        let written = serde_json::to_string(&host).unwrap();
+        assert!(written.starts_with(r#"{"name":"current","spec":{"seed":42,"#));
+        let tree = host.to_value();
         assert_eq!(Some(written), oracle::compact(&tree));
-        let pretty = serde_json::to_string_pretty(&sidecar).ok();
+        let pretty = serde_json::to_string_pretty(&host).ok();
         assert_eq!(pretty, oracle::pretty(&tree));
     }
 
@@ -840,7 +862,7 @@ mod tests {
             .unwrap_err()
             .contains("mode"));
 
-        // The sidecar round-trip preserves the mode, so a restart
+        // The spec's round-trip preserves the mode, so a restart
         // rebuilds the same accumulator kind (and a checkpoint written
         // in the other mode is rejected at restore).
         let json = serde_json::to_string(&SessionSpec {

@@ -293,11 +293,11 @@ fn graceful_stop_persists_and_restart_resumes_bit_identically() {
 
 /// `tests/fixtures/state_v1` is the state dir of a build that still had
 /// the pattern memo, stopped after three ingests into a session created
-/// with `{"name":"legacy","memoize":true}`: the sidecar's spec carries
-/// the key and the v1 checkpoint carries the memo's content. Neither
-/// stops the restart, which serves the ETag that build last served;
-/// what the session persists next is a v2 checkpoint and a spec without
-/// the key.
+/// with `{"name":"legacy","memoize":true}`: the `session.json`'s spec
+/// carries the key and the v1 checkpoint carries the memo's content.
+/// Neither stops the restart, which serves the ETag that build last
+/// served; what the session persists next is one v3 frame whose spec
+/// lacks the key, and the legacy file is read, never rewritten.
 #[test]
 fn state_dir_of_a_memoizing_v1_build_resumes_with_the_same_etag() {
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/state_v1");
@@ -333,9 +333,14 @@ fn state_dir_of_a_memoizing_v1_build_resumes_with_the_same_etag() {
     drop(client);
     assert!(server.stop().persist_failures.is_empty());
     let newest = std::fs::read(session.join("ckpt/ckpt-00000005.pghive")).unwrap();
-    assert!(newest.starts_with(b"PGHIVE-CKPT v2 "));
-    let sidecar = std::fs::read_to_string(session.join("session.json")).unwrap();
-    assert!(!sidecar.contains("memoize"));
+    assert!(newest.starts_with(b"PGHIVE-CKPT v3 "));
+    let frame = pg_hive::checkpoint::decode(&newest).unwrap();
+    let spec = frame.host.as_ref().and_then(|h| h.get("spec")).unwrap();
+    assert!(spec.get("seed").is_some() && spec.get("memoize").is_none());
+    assert_eq!(
+        std::fs::read_to_string(session.join("session.json")).unwrap(),
+        sidecar
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -369,16 +374,65 @@ fn state_v2_bodies() -> [String; 3] {
     ]
 }
 
+/// The name of the newest checkpoint file in `ckpt`.
+fn newest_checkpoint(ckpt: &std::path::Path) -> std::ffi::OsString {
+    let mut names: Vec<_> = std::fs::read_dir(ckpt)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|n| n.to_string_lossy().starts_with("ckpt-"))
+        .collect();
+    names.sort();
+    names.pop().expect("a checkpoint")
+}
+
 /// `tests/fixtures/state_v2/current` is what a build before the
 /// sink-driven JSON writer left in the state dir of a session created as
 /// `{"name":"current"}` under `checkpoint_every: 2`, after the three
 /// [`state_v2_bodies`] ingests and a graceful stop: its `session.json`
-/// and newest checkpoint. A fresh run must write both byte for byte.
+/// and newest (v2) checkpoint. A restart serves the ETag that build
+/// served, over a body that hashes like it.
 #[test]
-fn durable_session_writes_the_state_v2_fixture_bytes() {
+fn state_dir_of_a_v2_build_resumes_with_the_same_etag() {
     let fixture =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/state_v2/current");
     let dir = scratch_dir("state-v2");
+    let session = dir.join("current");
+    std::fs::create_dir_all(session.join("ckpt")).unwrap();
+    for file in ["session.json", "ckpt/ckpt-00000002.pghive"] {
+        std::fs::copy(fixture.join(file), session.join(file)).unwrap();
+    }
+    let server = TestServer::start(ServerConfig {
+        state_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = server.client();
+    let resp = client.get("/sessions/current/schema").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.header("etag"), Some(STATE_V2_ETAG));
+    let schema: pg_model::SchemaGraph = serde_json::from_str(&resp.text()).unwrap();
+    assert!(STATE_V2_ETAG.ends_with(&format!("{}\"", pg_hive::content_hash_hex(&schema))));
+    let summary = client.get("/sessions/current").unwrap().json().unwrap();
+    assert_eq!(summary.get("batches"), Some(&serde::Value::U64(3)));
+    assert_eq!(
+        summary.get("quarantined_total"),
+        Some(&serde::Value::U64(1))
+    );
+    drop(client);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The ETag the build that wrote `state_v2` served for its session.
+const STATE_V2_ETAG: &str = "\"json-v4-d630686575326632\"";
+
+/// `tests/fixtures/state_v3/current` is the newest frame the same
+/// session — the one `state_v2` holds — leaves under this build, and a
+/// fresh run must write it byte for byte. No `session.json` is written:
+/// the frame is the v2 checkpoint's payload with the `session.json`'s aux
+/// state and host fields appended to it.
+#[test]
+fn durable_session_writes_the_state_v3_fixture_bytes() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dir = scratch_dir("state-v3");
     let server = TestServer::start(ServerConfig {
         state_dir: Some(dir.clone()),
         checkpoint_every: 2,
@@ -397,25 +451,41 @@ fn durable_session_writes_the_state_v2_fixture_bytes() {
     assert!(server.stop().persist_failures.is_empty());
 
     let session = dir.join("current");
-    let newest = |ckpt: &std::path::Path| {
-        let mut names: Vec<_> = std::fs::read_dir(ckpt)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .filter(|n| n.to_string_lossy().starts_with("ckpt-"))
-            .collect();
-        names.sort();
-        names.pop().expect("a checkpoint")
+    assert!(!session.join("session.json").exists());
+    let name = newest_checkpoint(&session.join("ckpt"));
+    let v3 = fixtures.join("state_v3/current/ckpt");
+    assert_eq!(name, newest_checkpoint(&v3));
+    let wrote = std::fs::read(session.join("ckpt").join(&name)).unwrap();
+    assert!(
+        wrote == std::fs::read(v3.join(&name)).unwrap(),
+        "the frame differs from the fixture"
+    );
+
+    // Beside the header, the frame is the v2 checkpoint and the
+    // session.json that state_v2 holds for the same session.
+    let v2 = fixtures.join("state_v2/current");
+    let payload = |bytes: &[u8]| {
+        let text = String::from_utf8(bytes.to_vec()).unwrap();
+        text.split_once('\n').unwrap().1.to_owned()
     };
-    let name = newest(&session.join("ckpt"));
-    assert_eq!(name, newest(&fixture.join("ckpt")));
-    for file in [
-        std::path::PathBuf::from("session.json"),
-        std::path::Path::new("ckpt").join(&name),
-    ] {
-        let wrote = std::fs::read(session.join(&file)).unwrap();
-        let want = std::fs::read(fixture.join(&file)).unwrap();
-        assert!(wrote == want, "{} differs from the fixture", file.display());
-    }
+    let old = payload(&std::fs::read(v2.join("ckpt").join(&name)).unwrap());
+    let new = payload(&wrote);
+    let tail = new
+        .strip_prefix(old.strip_suffix('}').unwrap())
+        .expect("the v3 payload extends the v2 payload");
+    let tail: serde::Value = serde_json::from_str(&format!("{{{}", &tail[1..])).unwrap();
+    let serde::Value::Object(mut sidecar) =
+        serde_json::from_str(&std::fs::read_to_string(v2.join("session.json")).unwrap()).unwrap()
+    else {
+        panic!("session.json holds an object")
+    };
+    let at = sidecar.iter().position(|(k, _)| k == "aux").unwrap();
+    let aux = sidecar.remove(at).1;
+    let want = serde::Value::Object(vec![
+        ("aux".to_owned(), aux),
+        ("host".to_owned(), serde::Value::Object(sidecar)),
+    ]);
+    assert_eq!(tail, want);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

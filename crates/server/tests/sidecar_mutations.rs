@@ -1,10 +1,13 @@
-//! Hostile bytes for the session sidecar: a structure-aware mutation
-//! battery over `session.json`, which `Registry::open` reads for every
-//! durable session when a server starts.
+//! Hostile bytes for the legacy session sidecar: a structure-aware
+//! mutation battery over `session.json`, which builds before checkpoint
+//! envelope v3 wrote beside their v1 / v2 checkpoints and which
+//! `Registry::open` still reads for such a directory when a server
+//! starts.
 //!
-//! Seeds are three durable sessions a server legitimately writes: the
+//! Seeds are three durable sessions a server legitimately writes — the
 //! default spec, a MinHash spec with a capped error policy, and a
-//! stream-mode spec, each with a few batches applied. Mutations drop,
+//! stream-mode spec, each with a few batches applied — rewritten into
+//! that older layout (`util::downgrade_to_v2`). Mutations drop,
 //! duplicate and retype fields and array items anywhere in the sidecar
 //! — its name, its spec, and the aux state (schema history, node-label
 //! index, seen edges) — and push numbers to the edges of their range.
@@ -24,6 +27,7 @@ use std::time::Duration;
 
 #[path = "../../core/tests/mutation/mod.rs"]
 mod mutation;
+mod util;
 use mutation::{allocation_bound, metered, mutate_field, mutate_item, mutate_number};
 
 /// The session every seed directory holds.
@@ -98,6 +102,7 @@ fn write_seeds() -> Vec<PathBuf> {
                 assert!(live.ingest_jsonl(batch(b).as_bytes()).is_ok(), "ingest");
             }
             live.persist().expect("persist");
+            util::downgrade_to_v2(&dir.join(NAME), None);
             dir
         })
         .collect()

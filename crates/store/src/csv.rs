@@ -67,6 +67,9 @@ fn split_records(text: &str) -> Vec<RawRecord> {
     let mut raw = String::new();
     let mut fields: Vec<String> = Vec::new();
     let mut cur = String::new();
+    // How much of `cur` a closed quote holds: a carriage return in there
+    // is data, not half of a CRLF.
+    let mut quoted_len = 0;
     let mut in_quotes = false;
     let mut chars = text.chars().peekable();
 
@@ -102,6 +105,7 @@ fn split_records(text: &str) -> Vec<RawRecord> {
                         chars.next();
                     } else {
                         in_quotes = false;
+                        quoted_len = cur.len();
                     }
                 }
                 _ => cur.push(c),
@@ -111,13 +115,14 @@ fn split_records(text: &str) -> Vec<RawRecord> {
                 '\n' => {
                     // Strip a CRLF's carriage return from both the field
                     // and the raw excerpt.
-                    if cur.ends_with('\r') {
+                    if cur.len() > quoted_len && cur.ends_with('\r') {
                         cur.pop();
                     }
                     if raw.ends_with('\r') {
                         raw.pop();
                     }
                     finish_record!();
+                    quoted_len = 0;
                     start_line = line;
                 }
                 '"' if cur.is_empty() => {
@@ -127,6 +132,7 @@ fn split_records(text: &str) -> Vec<RawRecord> {
                 ',' => {
                     raw.push(c);
                     fields.push(std::mem::take(&mut cur));
+                    quoted_len = 0;
                 }
                 _ => {
                     raw.push(c);
@@ -211,12 +217,17 @@ pub fn edges_to_csv(graph: &PropertyGraph) -> String {
 }
 
 /// Parse a `;`-separated label cell through the per-load interner so
-/// repeated labels share one allocation across the whole file.
+/// repeated labels share one allocation across the whole file. Empty
+/// segments (`;`, `A;;B`) name no label: the writer could not tell an
+/// empty label from none.
 fn parse_labels(interner: &mut SymbolInterner, cell: &str) -> LabelSet {
-    if cell.is_empty() {
+    let labels: Vec<Symbol> = (cell.split(';').filter(|l| !l.is_empty()))
+        .map(|l| interner.intern(l))
+        .collect();
+    if labels.is_empty() {
         LabelSet::empty()
     } else {
-        LabelSet::from_symbols(cell.split(';').map(|l| interner.intern(l)).collect())
+        LabelSet::from_symbols(labels)
     }
 }
 
@@ -565,6 +576,32 @@ mod tests {
             g.node(NodeId(2)).unwrap().props.get("age"),
             Some(&PropertyValue::Int(41))
         );
+    }
+
+    /// Found by `tests/csv_mutations.rs`: a label cell of empty segments
+    /// loaded as the label `""`, which writes back as no label at all.
+    #[test]
+    fn empty_label_segments_name_no_label() {
+        let nodes = "id,labels\n1,;\n2,A;;B\n";
+        let g = graph_from_csv(nodes, "id,src,tgt,labels\n").unwrap();
+        assert_eq!(g.node(NodeId(1)).unwrap().labels, LabelSet::empty());
+        assert_eq!(
+            g.node(NodeId(2)).unwrap().labels,
+            LabelSet::from_iter(["A", "B"])
+        );
+    }
+
+    /// Found by `tests/csv_mutations.rs`: the CRLF rule took the carriage
+    /// return a quoted last field ends with.
+    #[test]
+    fn a_quoted_carriage_return_ending_a_record_is_data() {
+        let g = graph_from_csv("id,labels,x\n1,A,\"a\r\"\n", "id,src,tgt,labels\n").unwrap();
+        assert_eq!(
+            g.node(NodeId(1)).unwrap().props.get("x"),
+            Some(&PropertyValue::Str("a\r".into()))
+        );
+        let again = graph_from_csv(&nodes_to_csv(&g), "id,src,tgt,labels\n").unwrap();
+        assert_eq!(again.node(NodeId(1)), g.node(NodeId(1)));
     }
 
     #[test]

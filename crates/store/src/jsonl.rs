@@ -275,8 +275,38 @@ pub fn from_jsonl_reader_with_policy<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultKind, FaultyReader, FaultyWriter};
     use pg_model::{Date, LabelSet, NodeId, PropertyValue};
+
+    /// I/O that fails once `room` bytes have passed.
+    struct Failing(usize);
+
+    impl Failing {
+        fn pass(&mut self, want: usize) -> std::io::Result<usize> {
+            match want.min(self.0) {
+                0 if want > 0 => Err(std::io::Error::other("injected fault")),
+                n => {
+                    self.0 -= n;
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.pass(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl std::io::Read for Failing {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.pass(buf.len())
+        }
+    }
 
     #[test]
     fn round_trip_is_lossless() {
@@ -323,8 +353,7 @@ mod tests {
             g.add_node(Node::new(i, LabelSet::single("N")).with_prop("k", i as i64))
                 .unwrap();
         }
-        let mut w = FaultyWriter::new(Vec::new(), 64, FaultKind::Error);
-        let err = write_jsonl(&g, &mut w).unwrap_err();
+        let err = write_jsonl(&g, &mut Failing(64)).unwrap_err();
         assert_eq!(err.to_string(), "injected fault");
     }
 
@@ -423,7 +452,7 @@ mod tests {
     #[test]
     fn reader_path_propagates_io_errors() {
         let text = "{\"kind\":\"node\",\"id\":1,\"labels\":[],\"props\":{}}\n".repeat(50);
-        let r = FaultyReader::new(text.as_bytes(), 100, FaultKind::Error);
+        let r = std::io::Read::chain(&text.as_bytes()[..100], Failing(0));
         let err = read_jsonl_elements(std::io::BufReader::new(r), ErrorPolicy::Skip).unwrap_err();
         assert!(matches!(err, LoadError::Io(_)), "{err}");
     }

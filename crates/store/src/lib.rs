@@ -17,13 +17,10 @@
 //!   the cardinality-inference tests compare against.
 //! * [`ingest`] — lenient-loading error policies and the quarantine
 //!   report for malformed input lines.
-//! * [`faults`] — injectable-failure `Read`/`Write` wrappers for
-//!   fault-tolerance tests.
 
 pub mod batch;
 pub mod csv;
 pub mod decode;
-pub mod faults;
 pub mod ingest;
 pub mod jsonl;
 pub mod load;
@@ -31,7 +28,6 @@ pub mod query;
 
 pub use batch::{split_batches, split_batches_owned, GraphBatch};
 pub use decode::{DecodeError, JsonlDecoder};
-pub use faults::{FaultKind, FaultyReader, FaultyWriter};
 pub use ingest::{ErrorPolicy, Quarantine, QuarantineEntry};
 pub use jsonl::{
     from_jsonl_reader_with_policy, read_jsonl_elements, read_jsonl_elements_with, Element,

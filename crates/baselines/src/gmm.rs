@@ -8,7 +8,6 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// EM hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -101,10 +100,10 @@ impl Gmm {
         let mut resp = vec![0.0f64; n * k];
 
         for _iter in 0..cfg.max_iters {
-            // E step (parallel over rows).
+            // E step.
             let lls: Vec<f64> = resp
-                .par_chunks_mut(k)
-                .zip(data.par_iter())
+                .chunks_mut(k)
+                .zip(data)
                 .map(|(row_resp, x)| {
                     let logp: Vec<f64> = (0..k)
                         .map(|c| {
@@ -162,7 +161,8 @@ impl Gmm {
 
     /// Log-likelihood of the whole dataset under the mixture.
     pub fn log_likelihood(&self, data: &[Vec<f64>]) -> f64 {
-        data.par_iter()
+        let rows: Vec<f64> = data
+            .iter()
             .map(|x| {
                 let logs: Vec<f64> = (0..self.k())
                     .map(|c| {
@@ -173,7 +173,8 @@ impl Gmm {
                 let mx = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 mx + logs.iter().map(|l| (l - mx).exp()).sum::<f64>().ln()
             })
-            .sum()
+            .collect();
+        run_sum(&rows)
     }
 
     /// Bayesian Information Criterion (lower is better): `-2·LL + p·ln N`
@@ -224,6 +225,15 @@ impl Gmm {
         }
         best.expect("at least one k fitted").1
     }
+}
+
+/// Sum `terms` in 64 left-to-right runs of `len.div_ceil(64)` terms, then
+/// the run totals left to right: the order every recorded GMM result was
+/// computed in. A single run re-associates the floats and moves the last
+/// bits of the log-likelihood, which the restart choice and the BIC read.
+fn run_sum(terms: &[f64]) -> f64 {
+    let run = terms.len().div_ceil(64).max(1);
+    terms.chunks(run).map(|c| c.iter().sum::<f64>()).sum()
 }
 
 fn log_gaussian_diag(x: &[f64], mean: &[f64], var: &[f64]) -> f64 {
@@ -365,5 +375,35 @@ mod tests {
         let a = Gmm::fit(&data, 2, &GmmConfig::default());
         let b = Gmm::fit(&data, 2, &GmmConfig::default());
         assert_eq!(a.means, b.means);
+    }
+
+    /// FNV-1a over the bits of every fitted parameter.
+    fn model_bits(m: &Gmm) -> u64 {
+        let params = m
+            .weights
+            .iter()
+            .chain(m.means.iter().flatten())
+            .chain(m.vars.iter().flatten());
+        params.fold(0xcbf29ce484222325, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x100000001b3)
+        })
+    }
+
+    /// The fitted model and its log-likelihood keep their recorded bits.
+    /// The log-likelihood sums per-row terms in 64 runs; summing them in
+    /// one run instead moves its last bits, and through the
+    /// best-of-restarts choice and the BIC it can move the model.
+    #[test]
+    fn fitted_bits_are_pinned() {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let data: Vec<Vec<f64>> = (0..500)
+            .map(|i| {
+                let c = (i % 3) as f64 * 4.0;
+                (0..3).map(|_| c + rng.gen::<f64>() * 3.0).collect()
+            })
+            .collect();
+        let m = Gmm::fit(&data, 3, &GmmConfig::default());
+        assert_eq!(model_bits(&m), 0x402a71c241cd3776);
+        assert_eq!(m.log_likelihood(&data).to_bits(), 0xc0a3117845d31e1c);
     }
 }

@@ -2,7 +2,7 @@
 //! baseline.
 //!
 //! Runs the full PG-HIVE pipeline over seeded `pg-synth` graphs at the
-//! configured sizes, for threads {1, all}, and writes
+//! configured sizes, and writes
 //! `BENCH_discovery.json` at the repo root (or `--out`). Reported per
 //! run: the per-stage `BatchTiming` breakdown, the post-processing
 //! (`finish`) time, the structural-fingerprint dedup ratio, and the
@@ -11,8 +11,8 @@
 //! Two invariants are *asserted*, not just reported (CI's `perf-smoke`
 //! job relies on this):
 //!
-//! * every thread count and repeat produces the **same schema content
-//!   hash** at every size;
+//! * every repeat produces the **same schema content hash** at every
+//!   size;
 //! * the dedup ratio is ≥ 1;
 //! * the zero-copy JSONL decoder and the `serde_json` reference decoder
 //!   (`crates/store/tests/reference`) load the same graph.
@@ -116,42 +116,32 @@ fn parse_opts() -> Result<Opts, String> {
 /// featurize stage training-free (Word2Vec training time would swamp
 /// the hot path this benchmark tracks); post-processing is deferred to
 /// `finish()` and timed separately, with sampled datatype inference.
-fn config(seed: u64, threads: usize) -> HiveConfig {
+fn config(seed: u64) -> HiveConfig {
     HiveConfig {
         embedding: EmbeddingKind::Hashed { dim: 32 },
         post_processing: false,
         datatype_sampling: Some(Default::default()),
-        threads,
         ..HiveConfig::default()
     }
     .with_seed(seed)
 }
 
 struct Run {
-    threads_requested: usize,
-    threads_resolved: usize,
     timing: pg_hive::BatchTiming,
     finish_ms: f64,
     total_ms: f64,
     hash: String,
 }
 
-fn run_once(
-    nodes: &[pg_store::NodeRecord],
-    edges: &[pg_store::EdgeRecord],
-    seed: u64,
-    threads: usize,
-) -> Run {
+fn run_once(nodes: &[pg_store::NodeRecord], edges: &[pg_store::EdgeRecord], seed: u64) -> Run {
     let start = Instant::now();
-    let mut session = HiveSession::new(config(seed, threads));
+    let mut session = HiveSession::new(config(seed));
     let timing = session.process_batch(nodes, edges);
     let t_finish = Instant::now();
     let result = session.finish();
     let finish_ms = ms(t_finish.elapsed());
     let total_ms = ms(start.elapsed());
     Run {
-        threads_requested: threads,
-        threads_resolved: timing.threads,
         timing,
         finish_ms,
         total_ms,
@@ -174,8 +164,6 @@ fn dedup_json(d: &pg_hive::DedupStats) -> JsonValue {
 fn run_json(r: &Run) -> JsonValue {
     let t = &r.timing;
     obj(vec![
-        ("threads_requested", num(r.threads_requested)),
-        ("threads_resolved", num(r.threads_resolved)),
         ("nodes", num(t.nodes)),
         ("edges", num(t.edges)),
         ("node_dedup", dedup_json(&t.node_dedup)),
@@ -268,51 +256,37 @@ fn main() {
             parse_reference_ms / parse_ms,
         );
 
-        // Best-of-`repeat` per configuration: the first pass over a
-        // freshly synthesized graph pays page-fault warmup that can
-        // exceed the work itself on small machines, so the minimum is
-        // the stable statistic. Hashes are asserted across *all* runs.
-        let mut runs = Vec::new();
-        for threads in [1usize, 0] {
-            let mut best: Option<Run> = None;
-            for _ in 0..opts.repeat {
-                let r = run_once(&nodes, &edges, opts.seed, threads);
-                eprintln!(
-                    "   threads={}  batch {:8.1} ms  (pre {:.1} / cluster {:.1}, of it assemble {:.1} / extract {:.1})  finish {:.1} ms  node-ratio {:.0}  hash {}",
-                    r.threads_resolved,
-                    ms(r.timing.total),
-                    ms(r.timing.preprocess),
-                    ms(r.timing.cluster),
-                    ms(r.timing.assemble),
-                    ms(r.timing.extract),
-                    r.finish_ms,
-                    r.timing.node_dedup.ratio(),
-                    &r.hash,
-                );
-                if let Some(b) = &best {
-                    assert_eq!(r.hash, b.hash, "schema hash diverged across repeats");
-                }
-                if best.as_ref().is_none_or(|b| r.total_ms < b.total_ms) {
-                    best = Some(r);
-                }
-            }
-            runs.push(best.expect("repeat >= 1"));
-        }
-
-        // Invariant 1: every thread count agrees on the schema.
-        let hash = runs[0].hash.clone();
-        for r in &runs {
-            assert_eq!(
-                r.hash, hash,
-                "schema hash diverged (threads={})",
-                r.threads_requested
+        // Best-of-`repeat`: the first pass over a freshly synthesized
+        // graph pays page-fault warmup that can exceed the work itself on
+        // small machines, so the minimum is the stable statistic. Hashes
+        // are asserted across *all* runs.
+        let mut best: Option<Run> = None;
+        for _ in 0..opts.repeat {
+            let r = run_once(&nodes, &edges, opts.seed);
+            eprintln!(
+                "   batch {:8.1} ms  (pre {:.1} / cluster {:.1}, of it assemble {:.1} / extract {:.1})  finish {:.1} ms  node-ratio {:.0}  hash {}",
+                ms(r.timing.total),
+                ms(r.timing.preprocess),
+                ms(r.timing.cluster),
+                ms(r.timing.assemble),
+                ms(r.timing.extract),
+                r.finish_ms,
+                r.timing.node_dedup.ratio(),
+                &r.hash,
             );
-        }
-        // Invariant 2: dedup never inflates the input.
-        for r in &runs {
+            // Invariant 1: every repeat agrees on the schema.
+            if let Some(b) = &best {
+                assert_eq!(r.hash, b.hash, "schema hash diverged across repeats");
+            }
+            // Invariant 2: dedup never inflates the input.
             assert!(r.timing.node_dedup.ratio() >= 1.0);
             assert!(r.timing.edge_dedup.ratio() >= 1.0);
+            if best.as_ref().is_none_or(|b| r.total_ms < b.total_ms) {
+                best = Some(r);
+            }
         }
+        let best = best.expect("repeat >= 1");
+        let hash = best.hash.clone();
 
         size_reports.push(obj(vec![
             ("size", num(size)),
@@ -329,10 +303,7 @@ fn main() {
                     ("records", num(records)),
                 ]),
             ),
-            (
-                "runs",
-                JsonValue::Array(runs.iter().map(run_json).collect()),
-            ),
+            ("runs", JsonValue::Array(vec![run_json(&best)])),
         ]));
     }
 

@@ -33,7 +33,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             method,
             theta,
             seed,
-            threads,
             no_post,
             merge_similarity,
             refine,
@@ -53,7 +52,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             let (graph, quarantine) = read_graph_with_policy(input, *on_error)?;
             let config = HiveConfig {
                 stream: stream.then(pg_hive::StreamConfig::default),
-                threads: *threads,
                 method: *method,
                 post_processing: !no_post,
                 datatype_sampling: sample_datatypes.then(DatatypeSampling::default),

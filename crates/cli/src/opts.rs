@@ -60,7 +60,6 @@ Commands:
             [--format pg-schema-strict|pg-schema-loose|xsd|json]
             [--method elsh|minhash] [--theta <f>] [--seed <n>]
             [--merge-similarity binary|weighted] [--refine]
-            [--threads <n>] (0 = all cores, 1 = sequential; same schema)
             [--no-post] [--sample-datatypes] [--out <file>]
             [--batches <k>] (split input into k incremental batches)
             [--on-error strict|skip|cap:<n>] (malformed input lines:
@@ -176,9 +175,6 @@ pub enum Command {
         theta: f64,
         /// Seed.
         seed: u64,
-        /// Worker threads (0 = available parallelism, 1 = sequential;
-        /// the discovered schema is identical either way).
-        threads: usize,
         /// Skip post-processing.
         no_post: bool,
         /// Binary or frequency-weighted unlabeled-cluster merging.
@@ -334,7 +330,6 @@ fn command_flags(cmd: &str) -> Option<&'static [(&'static str, bool)]> {
             ("--seed", true),
             ("--merge-similarity", true),
             ("--refine", false),
-            ("--threads", true),
             ("--no-post", false),
             ("--sample-datatypes", false),
             ("--out", true),
@@ -520,7 +515,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 method: parsed(&flags, "--method", LshMethod::Elsh)?,
                 theta: rate_flag("--theta", 0.9)?,
                 seed: u64_flag("--seed", 42)?,
-                threads: u64_flag("--threads", 0)? as usize,
                 no_post: given("--no-post"),
                 merge_similarity,
                 refine: given("--refine"),
@@ -686,6 +680,7 @@ mod tests {
         for bad in [
             vec!["discover", "--jsonl", "g.jsonl", "--thraeds", "4"],
             vec!["discover", "--jsonl", "g.jsonl", "--no-dedup"],
+            vec!["discover", "--jsonl", "g.jsonl", "--threads", "2"],
             vec!["serve", "--transport", "epoll"],
             vec!["discover", "--jsonl", "g.jsonl", "--workers", "2"],
             vec!["stats", "--jsonl", "g.jsonl", "--stream"],
@@ -730,8 +725,6 @@ mod tests {
             "0.8",
             "--seed",
             "7",
-            "--threads",
-            "4",
             "--no-post",
             "--sample-datatypes",
             "--out",
@@ -745,7 +738,6 @@ mod tests {
                 method,
                 theta,
                 seed,
-                threads,
                 no_post,
                 sample_datatypes,
                 out,
@@ -756,25 +748,11 @@ mod tests {
                 assert_eq!(method, LshMethod::MinHash);
                 assert_eq!(theta, 0.8);
                 assert_eq!(seed, 7);
-                assert_eq!(threads, 4);
                 assert!(no_post && sample_datatypes);
                 assert_eq!(out, Some(PathBuf::from("schema.xsd")));
             }
             other => panic!("wrong command {other:?}"),
         }
-    }
-
-    #[test]
-    fn threads_defaults_to_all_cores() {
-        let c = parse(&args(&["discover", "--jsonl", "g.jsonl"])).unwrap();
-        match c {
-            Command::Discover { threads, .. } => assert_eq!(threads, 0),
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(matches!(
-            parse(&args(&["discover", "--jsonl", "g", "--threads", "x"])),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::state::{DtypeHist, EdgeTypeAccum, Kind, Membership, NodeTypeAccum, Re
 use pg_lsh::adaptive::{self, AdaptiveParams, ElementKind};
 use pg_lsh::{group_by_key, Clustering, EuclideanLsh, Grouping, MinHashLsh, SparseVec};
 use pg_model::{DataType, FnvBuildHasher, LabelSet, Symbol};
-use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
@@ -50,9 +49,7 @@ impl DedupStats {
 /// record individually would produce (equal fingerprints ⇒
 /// bit-identical vectors ⇒ equal signatures).
 fn broadcast(rep_clustering: &Clustering, grouping: &Grouping) -> Clustering {
-    let assignment: Vec<usize> = grouping
-        .assignment
-        .par_iter()
+    let assignment: Vec<usize> = (grouping.assignment.iter())
         .map(|&g| rep_clustering.assignment[g])
         .collect();
     Clustering {
@@ -170,7 +167,7 @@ fn clustering<R: Record>(
         ElementKind::Node => (&cfg.node_params, cfg.seed),
         ElementKind::Edge => (&cfg.edge_params, cfg.seed.wrapping_add(1)),
     };
-    let fps: Vec<Fingerprint> = records.par_iter().map(|r| fs.fingerprint(r)).collect();
+    let fps: Vec<Fingerprint> = records.iter().map(|r| fs.fingerprint(r)).collect();
     let grouping = group_by_key(&fps);
     // Equal fingerprints have equal label sets: one record of each group
     // names every label the batch carries.
@@ -181,7 +178,7 @@ fn clustering<R: Record>(
         records: fps.len(),
         distinct: grouping.num_groups,
     };
-    let reps = grouping.reps.par_iter().map(|&i| &fps[i]);
+    let reps = grouping.reps.iter().map(|&i| &fps[i]);
     let (rep_clustering, params) = match cfg.method {
         LshMethod::Elsh => {
             let vectors: Vec<SparseVec> = reps.map(|fp| fs.fingerprint_vector::<R>(fp)).collect();
@@ -208,38 +205,11 @@ fn clustering<R: Record>(
     (broadcast(&rep_clustering, &grouping), params, stats)
 }
 
-/// Most chunks cluster assembly folds in parallel. Chunk boundaries
-/// depend only on the record count, never the thread count, so the
-/// chunk-ordered merge below is deterministic.
-const ASSEMBLE_SHARDS: usize = 64;
-
-/// Fewest records worth a chunk of their own. A cluster costs one merge
-/// of maps per further chunk that touched it, so on pattern-rich input
-/// short chunks merge more than they fold: 20 000 records in 300
-/// clusters assemble in 22 ms at 128 records a chunk, 8.5 ms at 1 024
-/// and 2 ms at 8 192, about a millisecond of folding each
-/// (`results/integrate_scaling.txt`).
-const ASSEMBLE_MIN_CHUNK: usize = 8192;
-
-/// Fold another partial cluster in. Label/key unions are
-/// order-insensitive (sorted sets) and the accumulator's counters are
-/// additive, while `members` concatenate — so merging per-chunk partials
-/// in chunk order reproduces the sequential fold exactly.
-fn merge<C: Cluster>(cluster: &mut C, other: &C) {
-    for r in 0..C::Record::ROLES {
-        union_into(cluster.role_mut(r), other.role(r));
-    }
-    let (_, other_keys, other_accum) = other.parts();
-    let (keys, accum) = cluster.stats_mut();
-    keys.extend(other_keys.iter().cloned());
-    accum.merge(other_accum);
-}
-
-/// Stable counting-sort of chunk-local record indices by cluster id:
-/// records of cluster `c` end up at `order[starts[c]..starts[c]+counts[c]]`,
-/// in chunk order. The flat kernels below therefore visit each cluster's
-/// members in exactly the order the old per-record fold did, which is
-/// what keeps the accumulators' member and endpoint lists bit-identical.
+/// Stable counting-sort of record indices by cluster id: records of
+/// cluster `c` end up at `order[starts[c]..starts[c]+counts[c]]`, in
+/// record order. [`assemble`] therefore visits each cluster's members in
+/// exactly the order a per-record fold does, which is what keeps the
+/// accumulators' member and endpoint lists bit-identical.
 fn group_by_cluster(
     assignment: &[usize],
     num_clusters: usize,
@@ -264,7 +234,7 @@ fn group_by_cluster(
 }
 
 /// Per-property flat accumulation state, reused across the clusters of
-/// one chunk: property keys resolve to dense slots through an FNV map of
+/// one batch: property keys resolve to dense slots through an FNV map of
 /// borrowed `&str` (no hashing of `Arc` pointers, no per-record clone),
 /// and presence counts / dtype histograms live in slot-indexed arrays.
 /// Exactly one `Symbol` clone happens per distinct key per cluster — the
@@ -328,51 +298,19 @@ fn union_into(acc: &mut LabelSet, other: &LabelSet) {
 }
 
 /// Summarise `clustering`'s clusters of `records` (one assignment per
-/// record) by their representatives and statistics. The chunk kernel
-/// summarises each chunk's records into the clusters that chunk touched,
-/// and the partials of one cluster meet in chunk order — the first is
-/// moved into place, later ones are merged in — so the result is that of
-/// folding the records one by one, for any chunking.
+/// record) by their representatives and statistics: group the records by
+/// cluster id once, then run a tight per-cluster loop over slot-indexed
+/// arrays. Bit-identical to folding the records one by one — member
+/// order is record order and every map ends up with the same (key,
+/// count) content — but without per-record `Arc` churn or redundant
+/// label-union allocation. An id no record has stays `C::default()`.
 pub fn assemble<C: Cluster>(records: &[C::Record], clustering: &Clustering) -> Vec<C> {
-    let chunk_len = records
-        .len()
-        .div_ceil(ASSEMBLE_SHARDS)
-        .max(ASSEMBLE_MIN_CHUNK);
-    let partials: Vec<Vec<(usize, C)>> = records
-        .par_chunks(chunk_len)
-        .zip(clustering.assignment.par_chunks(chunk_len))
-        .map(|(chunk, assignment)| chunk_kernel(chunk, assignment, clustering.num_clusters))
-        .collect();
-    let mut clusters: Vec<Option<C>> = (0..clustering.num_clusters).map(|_| None).collect();
-    for (cid, partial) in partials.into_iter().flatten() {
-        match &mut clusters[cid] {
-            Some(cluster) => merge(cluster, &partial),
-            empty => *empty = Some(partial),
-        }
-    }
-    clusters
-        .into_iter()
-        .map(Option::unwrap_or_default)
-        .collect()
-}
-
-/// Flat accumulation kernel for one chunk: group records by cluster id
-/// once, then run a tight per-cluster loop over slot-indexed arrays.
-/// Bit-identical to the old per-record fold — member order is chunk
-/// order and every map ends up with the same (key, count) content — but
-/// without per-record `Arc` churn or redundant label-union allocation.
-/// Returns the clusters the chunk has records of, by ascending id, and
-/// builds nothing for the others.
-fn chunk_kernel<C: Cluster>(
-    chunk: &[C::Record],
-    assignment: &[usize],
-    num_clusters: usize,
-) -> Vec<(usize, C)> {
-    let (order, starts, counts) = group_by_cluster(assignment, num_clusters);
-    let mut clusters = Vec::new();
+    let (order, starts, counts) = group_by_cluster(&clustering.assignment, clustering.num_clusters);
+    let mut clusters = Vec::with_capacity(counts.len());
     let mut ks = KeySlots::default();
     for (cid, &n) in counts.iter().enumerate() {
         if n == 0 {
+            clusters.push(C::default());
             continue;
         }
         let mut c = C::default();
@@ -382,7 +320,7 @@ fn chunk_kernel<C: Cluster>(
         // pair uninhabited), so its list reserves and holds nothing.
         let mut endpoints = Vec::with_capacity(n);
         for &i in &order[starts[cid]..starts[cid] + n] {
-            let rec = &chunk[i];
+            let rec = &records[i];
             for r in 0..C::Record::ROLES {
                 union_into(c.role_mut(r), rec.role(r));
             }
@@ -397,7 +335,7 @@ fn chunk_kernel<C: Cluster>(
         accum.count = n as u64;
         accum.membership = Membership::Exact { members, endpoints };
         ks.drain_into(keys, &mut accum.key_present, &mut accum.dtype_hist);
-        clusters.push((cid, c));
+        clusters.push(c);
     }
     clusters
 }
@@ -592,41 +530,7 @@ mod tests {
         assert_eq!(works.accum.endpoints().len(), 19);
     }
 
-    #[test]
-    fn assembly_is_thread_count_invariant() {
-        // Enough records for assembly to fold several chunks.
-        let nodes: Vec<NodeRecord> = (0..3 * ASSEMBLE_MIN_CHUNK as u64)
-            .zip(two_type_nodes().iter().cycle())
-            .map(|(id, node)| NodeRecord {
-                id: NodeId(id),
-                ..node.clone()
-            })
-            .collect();
-        let cfg = quick_cfg(LshMethod::Elsh);
-        let fs = FeatureSpace::build(&nodes, &[], &cfg.embedding, cfg.seed);
-        let run = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| cluster_records::<NodeCluster>(&nodes, &fs, &cfg).0)
-        };
-        let seq = run(1);
-        for t in [2, 4, 8] {
-            let par = run(t);
-            assert_eq!(seq.len(), par.len(), "threads = {t}");
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.labels, b.labels, "threads = {t}");
-                assert_eq!(a.keys, b.keys, "threads = {t}");
-                assert_eq!(a.accum.count, b.accum.count, "threads = {t}");
-                // Member order is part of the contract: chunk-ordered
-                // merge must reproduce the sequential visit order.
-                assert_eq!(a.accum.members(), b.accum.members(), "threads = {t}");
-            }
-        }
-    }
-
-    /// Sparse chunked assembly against a literal per-record fold.
+    /// Sparse assembly against a literal per-record fold.
     fn assert_nodes_match_naive_fold(nodes: &[NodeRecord], clustering: &Clustering) {
         let flat: Vec<NodeCluster> = assemble(nodes, clustering);
         let mut naive: Vec<NodeCluster> = (0..clustering.num_clusters)
@@ -649,7 +553,7 @@ mod tests {
         }
     }
 
-    /// The flat chunk kernels are an optimization of the old per-record
+    /// The flat assembly kernel is an optimization of the old per-record
     /// fold; this pins them against a literal reimplementation of that
     /// fold — same labels, same key sets, same presence counts and
     /// histograms, same member/endpoint order.
@@ -673,11 +577,8 @@ mod tests {
                 num_clusters: 5, // one cluster deliberately empty
             },
         );
-        // Three chunks, and more clusters than a chunk has records:
-        // each chunk reports only the clusters it touched, most
-        // clusters meet partials from two chunks (one moved into place,
-        // one merged in), and the unused ids stay empty.
-        let nodes: Vec<NodeRecord> = (0..2 * ASSEMBLE_MIN_CHUNK as u64 + 100)
+        // More clusters than records: the unused ids stay empty.
+        let nodes: Vec<NodeRecord> = (0..2_000u64)
             .zip(nodes.iter().cycle())
             .map(|(id, node)| NodeRecord {
                 id: NodeId(id),
@@ -687,8 +588,8 @@ mod tests {
         assert_nodes_match_naive_fold(
             &nodes,
             &Clustering {
-                assignment: (0..nodes.len()).map(|i| (i * 7) % 9000).collect(),
-                num_clusters: 4 * ASSEMBLE_MIN_CHUNK,
+                assignment: (0..nodes.len()).map(|i| (i * 7) % 3000).collect(),
+                num_clusters: 4000,
             },
         );
 
@@ -866,15 +767,13 @@ mod tests {
         /// The shipped fingerprint-dedup clustering is bit-identical to
         /// the naive per-record oracle — same cluster id for every
         /// record, same adaptive parameters — for {ELSH, MinHash} ×
-        /// {nodes, edges}, across datasets, seeds, noise, and thread
-        /// counts. Everything downstream (assembly, Algorithm 2, the
+        /// {nodes, edges}, across datasets, seeds and noise. Everything downstream (assembly, Algorithm 2, the
         /// schema hash) is a deterministic function of these two
         /// outputs.
         #[test]
         fn dedup_clustering_is_bit_identical_to_naive(
             dataset in prop::sample::select(vec!["POLE", "MB6", "ICIJ"]),
             seed in 0u64..1000,
-            threads in prop::sample::select(vec![1usize, 4]),
             minhash in prop::bool::ANY,
             noisy in prop::bool::ANY,
         ) {
@@ -882,11 +781,8 @@ mod tests {
             let method = if minhash { LshMethod::MinHash } else { LshMethod::Elsh };
             let cfg = HiveConfig { seed, ..quick_cfg(method) };
             let fs = FeatureSpace::build(&nodes, &edges, &cfg.embedding, cfg.seed);
-            let (shipped_nodes, shipped_edges) = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| (clustering(&nodes, &fs, &cfg), clustering(&edges, &fs, &cfg)));
+            let (shipped_nodes, shipped_edges) =
+                (clustering(&nodes, &fs, &cfg), clustering(&edges, &fs, &cfg));
 
             let (clustering, params, stats) = shipped_nodes;
             let (naive, naive_params) = naive_clustering(&nodes, &fs, &cfg);

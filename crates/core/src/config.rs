@@ -155,13 +155,8 @@ pub struct HiveConfig {
     /// distinct (e.g. the two `ConnectsTo` types of the connectome
     /// datasets). Disable for the label-only ablation.
     pub edge_endpoint_aware: bool,
-    /// Worker threads for the parallel hot path (featurization, LSH
-    /// signatures, cluster assembly). `0` means "use the available
-    /// parallelism" (rayon's default, overridable via
-    /// `RAYON_NUM_THREADS`); `1` runs the exact sequential path. The
-    /// schema output is bit-for-bit identical for every value — see
-    /// DESIGN.md's "Parallel execution" section and the
-    /// `equivalence` test suite.
+    /// Inert: discovery runs on the calling thread (DESIGN.md §3a). Kept
+    /// because the benchmark harness and `POST /sessions` still set it.
     pub threads: usize,
     /// Master seed: the pipeline is deterministic given config + input.
     pub seed: u64,
@@ -204,14 +199,6 @@ impl HiveConfig {
     /// Builder-style seed override.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style worker-thread override: `0` = available
-    /// parallelism, `1` = sequential. Any value yields the same schema;
-    /// only wall-clock time changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -272,15 +259,10 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = HiveConfig::minhash()
-            .with_seed(7)
-            .with_theta(0.8)
-            .with_threads(4);
+        let c = HiveConfig::minhash().with_seed(7).with_theta(0.8);
         assert_eq!(c.method, LshMethod::MinHash);
         assert_eq!(c.seed, 7);
         assert_eq!(c.theta, 0.8);
-        assert_eq!(c.threads, 4);
-        assert_eq!(HiveConfig::default().threads, 0, "default = all cores");
         let m = HiveConfig::default().with_manual_params(2.0, 20);
         assert_eq!(
             m.node_params,

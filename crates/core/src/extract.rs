@@ -107,16 +107,15 @@ pub fn weighted_jaccard(
 /// it and Algorithm 2 reads it. [`NodeCluster`] and [`EdgeCluster`]
 /// implement it; beyond plain field access they differ in exactly two
 /// things, the last two methods.
-pub trait Cluster: Default + Send {
+pub trait Cluster: Default {
     /// Nodes or edges.
     type Kind: Kind;
     /// The loaded records the cluster is assembled from.
     type Record: Record<Kind = Self::Kind>;
     /// Label union, property-key union, and folded statistics.
     fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Self::Kind>);
-    /// The label union of role `r` of [`Record::role`].
-    fn role(&self, r: usize) -> &LabelSet;
-    /// Mutable [`Cluster::role`].
+    /// The label union of role `r` of [`Record::role`], to fold members
+    /// into.
     fn role_mut(&mut self, r: usize) -> &mut LabelSet;
     /// The property-key union and the statistics, to fold members into.
     fn stats_mut(&mut self) -> (&mut BTreeSet<Symbol>, &mut TypeAccum<Self::Kind>);
@@ -141,9 +140,6 @@ impl Cluster for NodeCluster {
     fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Node>) {
         (&self.labels, &self.keys, &self.accum)
     }
-    fn role(&self, _: usize) -> &LabelSet {
-        &self.labels
-    }
     fn role_mut(&mut self, _: usize) -> &mut LabelSet {
         &mut self.labels
     }
@@ -166,9 +162,6 @@ impl Cluster for EdgeCluster {
     type Record = EdgeRecord;
     fn parts(&self) -> (&LabelSet, &BTreeSet<Symbol>, &TypeAccum<Edge>) {
         (&self.labels, &self.keys, &self.accum)
-    }
-    fn role(&self, r: usize) -> &LabelSet {
-        [&self.labels, &self.src_labels, &self.tgt_labels][r]
     }
     fn role_mut(&mut self, r: usize) -> &mut LabelSet {
         match r {

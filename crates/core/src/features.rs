@@ -24,15 +24,9 @@ use pg_lsh::adaptive::ElementKind;
 use pg_lsh::{FnvHashMap, SparseVec};
 use pg_model::{LabelSet, PropMap, Symbol};
 use pg_store::{EdgeRecord, NodeRecord};
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::ops::Deref;
-
-/// Chunks the key-universe scan splits into; boundaries depend only on
-/// the record count, and the per-chunk key lists are sorted + deduplicated
-/// afterwards, so the universe is identical for any thread count.
-const KEY_SCAN_SHARDS: usize = 64;
 
 /// Namespace tags that keep MinHash set elements of different universes
 /// and roles disjoint (a property key can never collide with a label
@@ -128,24 +122,16 @@ struct KeySpace {
 
 impl KeySpace {
     /// Collect the sorted, deduplicated universe of property keys over
-    /// `records`, scanning chunks in parallel.
+    /// `records`.
     fn scan<R: Record>(records: &[R], ns: u64) -> KeySpace {
-        let shard = records.len().div_ceil(KEY_SCAN_SHARDS).max(1);
-        // Dedup inside each shard first: the distinct-key set is tiny
-        // compared to the occurrence count, so this avoids materializing
-        // (and sorting) one Symbol clone per occurrence. The union of
-        // per-shard sets is order-independent, so the final sort still
-        // yields a thread-count-invariant universe.
-        let chunks: Vec<HashSet<Symbol>> = records
-            .par_chunks(shard)
-            .map(|chunk| {
-                let keys = chunk.iter().flat_map(|r| r.instance().props().keys());
-                keys.cloned().collect()
-            })
+        // Dedup while scanning: the distinct-key set is tiny compared to
+        // the occurrence count, so no Symbol is cloned per occurrence.
+        let distinct: HashSet<&Symbol> = records
+            .iter()
+            .flat_map(|r| r.instance().props().keys())
             .collect();
-        let mut keys: Vec<Symbol> = chunks.into_iter().flatten().collect();
+        let mut keys: Vec<Symbol> = distinct.into_iter().cloned().collect();
         keys.sort();
-        keys.dedup();
         let ids = keys.into_iter().zip(0..).collect();
         KeySpace { ids, ns }
     }

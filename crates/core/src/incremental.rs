@@ -28,10 +28,8 @@ use std::time::{Duration, Instant};
 pub struct BatchTiming {
     /// 0-based batch index within the session.
     pub batch_index: usize,
-    /// Worker threads the batch ran with (resolved: the config's `0`
-    /// becomes the actual default parallelism). Lets the bench harness
-    /// report sequential-vs-parallel speedups next to the raw stage
-    /// timings.
+    /// Inert: always 1, since a batch runs on the calling thread. Kept
+    /// because the benchmark harness still reads it.
     pub threads: usize,
     /// Nodes in the batch.
     pub nodes: usize,
@@ -230,9 +228,6 @@ pub struct HiveSession {
     /// with one full scan on its first post-processing pass, which is
     /// bit-identical.
     card_cache: crate::cardinality::CardCache,
-    /// The batch worker pool, built on first use and reused for every
-    /// subsequent batch (see `process_batch`).
-    pool: Option<rayon::ThreadPool>,
 }
 
 impl HiveSession {
@@ -247,7 +242,6 @@ impl HiveSession {
             node_params: None,
             edge_params: None,
             card_cache: crate::cardinality::CardCache::default(),
-            pool: None,
         }
     }
 
@@ -298,34 +292,16 @@ impl HiveSession {
         let batch_index = self.batches_processed();
         let batch_seed = self.config.seed.wrapping_add(batch_index as u64 * 0x9e37);
 
-        // The parallel hot path runs under a thread pool sized by the
-        // `threads` knob (0 = available parallelism, 1 = the exact
-        // sequential path). Every parallel reduction inside is
-        // deterministic, so the schema is bit-identical for any count.
-        // The pool is built once and kept for the session's lifetime:
-        // spawning worker threads per batch is milliseconds of fixed
-        // cost that dominates small streamed batches.
-        let pool = self.pool.take().unwrap_or_else(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.config.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-        });
-        let threads = pool.current_num_threads();
-        let hot = pool.install(|| self.batch_hot_path(nodes, edges, batch_seed));
-
-        let post = if self.config.post_processing {
+        let hot = self.batch_hot_path(nodes, edges, batch_seed);
+        let post = self.config.post_processing.then(|| {
             let t3 = Instant::now();
-            pool.install(|| self.post_process());
-            Some(t3.elapsed())
-        } else {
-            None
-        };
-        self.pool = Some(pool);
+            self.post_process();
+            t3.elapsed()
+        });
 
         let timing = BatchTiming {
             batch_index,
-            threads,
+            threads: 1,
             nodes: nodes.len(),
             edges: edges.len(),
             node_dedup: hot.node_dedup,
@@ -342,8 +318,8 @@ impl HiveSession {
     }
 
     /// Featurize → cluster → extract/merge for one batch (Algorithm 1,
-    /// lines 3–6). Runs inside the session's thread pool; returns the
-    /// per-stage wall-clock durations plus the dedup statistics.
+    /// lines 3–6). Returns the per-stage wall-clock durations plus the
+    /// dedup statistics.
     fn batch_hot_path(
         &mut self,
         nodes: &[NodeRecord],
@@ -588,7 +564,7 @@ mod tests {
         assert_eq!(session.timings().len(), 3);
         for (i, t) in session.timings().iter().enumerate() {
             assert_eq!(t.batch_index, i);
-            assert!(t.threads >= 1, "resolved thread count is concrete");
+            assert_eq!(t.threads, 1, "a batch runs on the calling thread");
             assert!(t.total >= t.extract);
             assert!(t.post.is_none(), "post_processing disabled");
             // The dataset has two node structures and one edge

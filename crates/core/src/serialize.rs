@@ -605,21 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_equal_across_thread_counts() {
-        // Discover the same graph with 1 and 4 worker threads: the
-        // schemas are semantically equal, so the content hashes agree.
-        let g = crate::fixtures::figure1();
-        let discover = |threads: usize| {
-            crate::pipeline::PgHive::new(crate::config::HiveConfig::default().with_threads(threads))
-                .discover_graph(&g)
-                .schema
-        };
-        let h1 = content_hash(&discover(1));
-        let h4 = content_hash(&discover(4));
-        assert_eq!(h1, h4);
-    }
-
-    #[test]
     fn history_counter_is_monotone_and_content_addressed() {
         let mut hist = SchemaHistory::new(8);
         assert_eq!(hist.version(), 0);

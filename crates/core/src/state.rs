@@ -338,7 +338,7 @@ impl Kind for Edge {
 /// its own, and for an edge its source's and target's (§4.1: `f_v` has
 /// one label block, `f_e` three). Implemented by [`NodeRecord`] and
 /// [`EdgeRecord`].
-pub trait Record: Clone + Sync {
+pub trait Record: Clone {
     /// Nodes or edges.
     type Kind: Kind;
     /// Which property-key universe and LSH parameter family the record

@@ -11,8 +11,8 @@ use pg_model::{PropertyGraph, SchemaGraph};
 /// A quick configuration (small embedding, few epochs) so each proptest
 /// case stays cheap; post-processing stays on so constraints, data
 /// types, and cardinalities are part of the bit-identity check.
-pub fn quick_config(method: LshMethod, seed: u64, threads: usize) -> HiveConfig {
-    let mut c = HiveConfig::default().with_seed(seed).with_threads(threads);
+pub fn quick_config(method: LshMethod, seed: u64) -> HiveConfig {
+    let mut c = HiveConfig::default().with_seed(seed);
     c.method = method;
     if let EmbeddingKind::Word2Vec(ref mut w) = c.embedding {
         w.dim = 5;

@@ -6,9 +6,8 @@
 //!    drop the session after batch `i` (the "kill"), `resume()` from
 //!    disk, process the remaining batches, and the final schema — and
 //!    every instance assignment, and every row of the label embedder —
-//!    is bit-identical to the uninterrupted run. Holds at `threads = 1`
-//!    and `threads = N`, with exact and with sketched accumulators,
-//!    because batch numbering (and therefore per-batch seeds) continues
+//!    is bit-identical to the uninterrupted run. Holds with exact and
+//!    with sketched accumulators, because batch numbering (and therefore per-batch seeds) continues
 //!    across the restore and the checkpoint carries the embedder's rows
 //!    bit for bit.
 //!
@@ -68,7 +67,7 @@ fn reference_envelope() -> &'static [u8] {
     BYTES.get_or_init(|| {
         let graph = case_graph("POLE", 3, 0.0, 1.0);
         let batches = pg_store::split_batches(&graph, 2, 3 ^ BATCH_SPLIT_SALT);
-        let mut session = HiveSession::new(quick_config(LshMethod::Elsh, 3, 1));
+        let mut session = HiveSession::new(quick_config(LshMethod::Elsh, 3));
         session.process_graph_batch(&batches[0]);
         encode(&session.checkpoint()).expect("encode reference checkpoint")
     })
@@ -138,12 +137,11 @@ proptest! {
         seed in 0u64..1000,
         k in 3usize..6,
         kill_after in 1usize..3,
-        threads in prop::sample::select(vec![1usize, 4]),
     ) {
         let kill_after = kill_after.min(k - 1); // always leave work to resume
         let graph = case_graph(dataset, seed, 0.0, 1.0);
         let batches = pg_store::split_batches(&graph, k, seed ^ BATCH_SPLIT_SALT);
-        let cfg = quick_config(LshMethod::Elsh, seed, threads);
+        let cfg = quick_config(LshMethod::Elsh, seed);
         assert_kill_and_resume_is_bit_identical(&batches, &cfg, kill_after)?;
     }
 }
@@ -166,7 +164,7 @@ fn kill_after_any_batch_resumes_the_embedder_in_both_accumulator_modes() {
     }
 
     for stream in [false, true] {
-        let mut cfg = quick_config(LshMethod::Elsh, 21, 1);
+        let mut cfg = quick_config(LshMethod::Elsh, 21);
         cfg.stream = stream.then(StreamConfig::default);
         for kill_after in 1..batches.len() {
             assert_kill_and_resume_is_bit_identical(&batches, &cfg, kill_after)
@@ -219,7 +217,7 @@ fn reference_envelope_is_valid() {
 fn fallback_resume_converges_after_newest_checkpoint_is_damaged() {
     let graph = case_graph("POLE", 17, 0.0, 1.0);
     let batches = pg_store::split_batches(&graph, 4, 17 ^ BATCH_SPLIT_SALT);
-    let cfg = quick_config(LshMethod::Elsh, 17, 1);
+    let cfg = quick_config(LshMethod::Elsh, 17);
 
     let mut full = HiveSession::new(cfg.clone());
     for b in &batches {

@@ -39,19 +39,6 @@ use pg_store::split_batches;
 use pg_synth::{random_schema, synthesize, NoiseProfile, SchemaParams, SynthSpec};
 use proptest::prelude::*;
 
-/// The thread counts the suite exercises. Honors the CI matrix's
-/// RAYON_NUM_THREADS when set (so `threads ∈ {1, 4}` runs as two jobs);
-/// locally, both settings run in one pass.
-fn thread_settings() -> Vec<usize> {
-    match std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => vec![n],
-        _ => vec![1, 4],
-    }
-}
-
 /// Persist a failing case's seed + repro line for CI artifact upload.
 fn dump_failure(seed: u64, params: &SchemaParams, what: &str) {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
@@ -86,8 +73,8 @@ fn params_strategy() -> impl Strategy<Value = SchemaParams> {
 /// The oracle's evaluation config, with post-processing switched back on
 /// so the content hash covers constraints, data types (full scan — the
 /// mode that carries the bit-equality guarantee), and cardinalities.
-fn merge_config(seed: u64, threads: usize) -> HiveConfig {
-    let mut cfg = pg_eval::runner::eval_hive_config(LshMethod::Elsh, seed).with_threads(threads);
+fn merge_config(seed: u64) -> HiveConfig {
+    let mut cfg = pg_eval::runner::eval_hive_config(LshMethod::Elsh, seed);
     cfg.post_processing = true;
     cfg
 }
@@ -117,27 +104,24 @@ fn assert_sharded_matches_single(
     shard_counts: &[usize],
     what: &str,
 ) -> Result<(), TestCaseError> {
-    for threads in thread_settings() {
-        let cfg = merge_config(seed, threads);
-        let single = PgHive::new(cfg.clone()).discover_graph(graph);
-        let expect = content_hash_hex(&single.schema);
-        for &shards in shard_counts {
-            let sharded = discover_sharded(graph, shards, &cfg).unwrap();
-            let got = content_hash_hex(&sharded.schema);
-            if got != expect {
-                dump_failure(seed, params, what);
-            }
-            prop_assert_eq!(
-                got,
-                expect.clone(),
-                "{}: {} shards at {} threads\nsingle:\n{}\nsharded:\n{}",
-                what,
-                shards,
-                threads,
-                canonical_form(&single.schema),
-                canonical_form(&sharded.schema)
-            );
+    let cfg = merge_config(seed);
+    let single = PgHive::new(cfg.clone()).discover_graph(graph);
+    let expect = content_hash_hex(&single.schema);
+    for &shards in shard_counts {
+        let sharded = discover_sharded(graph, shards, &cfg).unwrap();
+        let got = content_hash_hex(&sharded.schema);
+        if got != expect {
+            dump_failure(seed, params, what);
         }
+        prop_assert_eq!(
+            got,
+            expect.clone(),
+            "{}: {} shards\nsingle:\n{}\nsharded:\n{}",
+            what,
+            shards,
+            canonical_form(&single.schema),
+            canonical_form(&sharded.schema)
+        );
     }
     Ok(())
 }
@@ -160,7 +144,7 @@ proptest! {
 
     /// Headline equivalence: on noise-free graphs, sharded discovery at
     /// 1, 2, 4, and 8 shards is content-hash-equal to single-node
-    /// discovery, at every thread setting.
+    /// discovery.
     #[test]
     fn sharded_equals_single_node_on_clean_graphs(
         params in params_strategy(),
@@ -231,7 +215,7 @@ proptest! {
         part_seed in 0u64..1_000_000,
     ) {
         let out = synthesize(&SynthSpec::new(random_schema(&params, seed)), seed);
-        let cfg = merge_config(seed, 1);
+        let cfg = merge_config(seed);
         let single = content_hash_hex(&PgHive::new(cfg.clone()).discover_graph(&out.graph).schema);
 
         let states = shard_states(&out.graph, 4, part_seed, &cfg);
@@ -252,7 +236,7 @@ proptest! {
 
     /// The merge algebra on discovered schemas: commutative and
     /// associative bit-identically, idempotent modulo instance counts,
-    /// with the empty schema as identity — at every thread setting.
+    /// with the empty schema as identity.
     #[test]
     fn merge_algebra_laws(
         params in params_strategy(),
@@ -260,56 +244,53 @@ proptest! {
         seed_b in 0u64..1_000_000,
         seed_c in 0u64..1_000_000,
     ) {
-        for threads in thread_settings() {
-            let cfg = merge_config(seed_a, threads);
-            let hive = PgHive::new(cfg.clone());
-            let discover = |seed: u64| {
-                let out = synthesize(&SynthSpec::new(random_schema(&params, seed)), seed);
-                hive.discover_graph(&out.graph).schema
-            };
-            let (a, b, c) = (discover(seed_a), discover(seed_b), discover(seed_c));
+        let cfg = merge_config(seed_a);
+        let hive = PgHive::new(cfg.clone());
+        let discover = |seed: u64| {
+            let out = synthesize(&SynthSpec::new(random_schema(&params, seed)), seed);
+            hive.discover_graph(&out.graph).schema
+        };
+        let (a, b, c) = (discover(seed_a), discover(seed_b), discover(seed_c));
 
-            // Commutativity, bit-identical (canonical renumbering included).
-            let ab = merge_schemas(&[a.clone(), b.clone()]).unwrap();
-            let ba = merge_schemas(&[b.clone(), a.clone()]).unwrap();
-            prop_assert_eq!(&ab, &ba, "merge not commutative at {} threads", threads);
+        // Commutativity, bit-identical (canonical renumbering included).
+        let ab = merge_schemas(&[a.clone(), b.clone()]).unwrap();
+        let ba = merge_schemas(&[b.clone(), a.clone()]).unwrap();
+        prop_assert_eq!(&ab, &ba, "merge not commutative");
 
-            // Associativity: both nestings agree bit-identically, and
-            // both hash-equal the flat three-way merge.
-            let bc = merge_schemas(&[b.clone(), c.clone()]).unwrap();
-            let left = merge_schemas(&[ab, c.clone()]).unwrap();
-            let right = merge_schemas(&[a.clone(), bc]).unwrap();
-            prop_assert_eq!(&left, &right, "merge not associative at {} threads", threads);
-            let flat = merge_schemas(&[a.clone(), b.clone(), c.clone()]).unwrap();
-            prop_assert_eq!(
-                content_hash(&left),
-                content_hash(&flat),
-                "nested merge hash != flat merge hash at {} threads",
-                threads
-            );
+        // Associativity: both nestings agree bit-identically, and
+        // both hash-equal the flat three-way merge.
+        let bc = merge_schemas(&[b.clone(), c.clone()]).unwrap();
+        let left = merge_schemas(&[ab, c.clone()]).unwrap();
+        let right = merge_schemas(&[a.clone(), bc]).unwrap();
+        prop_assert_eq!(&left, &right, "merge not associative");
+        let flat = merge_schemas(&[a.clone(), b.clone(), c.clone()]).unwrap();
+        prop_assert_eq!(
+            content_hash(&left),
+            content_hash(&flat),
+            "nested merge hash != flat merge hash"
+        );
 
-            // Idempotence modulo the counting monoid: merge(a, a)
-            // doubles every instance count and changes nothing else.
-            let once = merge_schemas(std::slice::from_ref(&a)).unwrap();
-            let twice = merge_schemas(&[a.clone(), a.clone()]).unwrap();
-            prop_assert_eq!(
-                canonical_form(&zeroed_counts(&twice)),
-                canonical_form(&zeroed_counts(&once)),
-                "merge(a, a) changed more than instance counts"
-            );
-            prop_assert_eq!(twice.node_types.len(), once.node_types.len());
-            prop_assert_eq!(twice.edge_types.len(), once.edge_types.len());
-            for (t2, t1) in twice.node_types.iter().zip(&once.node_types) {
-                prop_assert_eq!(t2.instance_count, 2 * t1.instance_count, "node counts double");
-            }
-            for (t2, t1) in twice.edge_types.iter().zip(&once.edge_types) {
-                prop_assert_eq!(t2.instance_count, 2 * t1.instance_count, "edge counts double");
-            }
-
-            // Identity: the empty schema is neutral, bit-identically.
-            let with_empty = merge_schemas(&[a.clone(), SchemaGraph::new()]).unwrap();
-            prop_assert_eq!(&with_empty, &once, "empty schema is not a merge identity");
+        // Idempotence modulo the counting monoid: merge(a, a)
+        // doubles every instance count and changes nothing else.
+        let once = merge_schemas(std::slice::from_ref(&a)).unwrap();
+        let twice = merge_schemas(&[a.clone(), a.clone()]).unwrap();
+        prop_assert_eq!(
+            canonical_form(&zeroed_counts(&twice)),
+            canonical_form(&zeroed_counts(&once)),
+            "merge(a, a) changed more than instance counts"
+        );
+        prop_assert_eq!(twice.node_types.len(), once.node_types.len());
+        prop_assert_eq!(twice.edge_types.len(), once.edge_types.len());
+        for (t2, t1) in twice.node_types.iter().zip(&once.node_types) {
+            prop_assert_eq!(t2.instance_count, 2 * t1.instance_count, "node counts double");
         }
+        for (t2, t1) in twice.edge_types.iter().zip(&once.edge_types) {
+            prop_assert_eq!(t2.instance_count, 2 * t1.instance_count, "edge counts double");
+        }
+
+        // Identity: the empty schema is neutral, bit-identically.
+        let with_empty = merge_schemas(&[a.clone(), SchemaGraph::new()]).unwrap();
+        prop_assert_eq!(&with_empty, &once, "empty schema is not a merge identity");
     }
 
     /// Harsh mixed noise (unlabeled nodes + label noise + property
@@ -333,7 +314,7 @@ proptest! {
             label_noise_rate: label_noise,
         });
         let out = synthesize(&spec, seed);
-        let cfg = merge_config(seed, 1);
+        let cfg = merge_config(seed);
         let states = shard_states(&out.graph, 4, cfg.seed ^ SHARD_SPLIT_SALT, &cfg);
         let merged = merge_states(&states, &cfg).unwrap();
 
@@ -493,7 +474,7 @@ fn overflow_key_universe_matches_single_node() {
         .unwrap();
     }
 
-    let cfg = merge_config(7, 1);
+    let cfg = merge_config(7);
     let single = PgHive::new(cfg.clone()).discover_graph(&g);
     let wide = single
         .schema

@@ -7,7 +7,7 @@
 //! * **Round trip** — a noise-free generated graph must score node and
 //!   edge F1\* = 1.0 (pg-eval's majority F1\* against the generating
 //!   assignment) and STRICT-validate against the declared schema with
-//!   zero violations, at every thread-count setting.
+//!   zero violations.
 //! * **Metamorphic invariance** — permuting element ids (and insertion
 //!   order) or injectively renaming labels must leave the discovered
 //!   schema unchanged (modulo the renaming).
@@ -20,25 +20,12 @@
 
 use pg_eval::oracle::{noise_curve, run_oracle};
 use pg_hive::diff;
-use pg_hive::{LshMethod, PgHive};
+use pg_hive::{HiveConfig, LshMethod, PgHive};
 use pg_synth::{
     permute_ids, random_schema, rename_graph_labels, rename_schema_labels, synthesize,
     NoiseProfile, SchemaParams, SynthSpec,
 };
 use proptest::prelude::*;
-
-/// The thread counts the oracle exercises. Honors the CI matrix's
-/// RAYON_NUM_THREADS when set (so `threads ∈ {1, 4}` runs as two jobs);
-/// locally, both settings run in one pass.
-fn thread_settings() -> Vec<usize> {
-    match std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => vec![n],
-        _ => vec![1, 4],
-    }
-}
 
 /// Persist a failing case's seed + repro line for CI artifact upload.
 fn dump_failure(seed: u64, params: &SchemaParams, what: &str) {
@@ -72,34 +59,33 @@ fn params_strategy() -> impl Strategy<Value = SchemaParams> {
 }
 
 /// The evaluation discovery configuration the oracle runs everywhere.
-fn discover(graph: &pg_model::PropertyGraph, seed: u64, threads: usize) -> pg_model::SchemaGraph {
-    let cfg = pg_eval::runner::eval_hive_config(LshMethod::Elsh, seed).with_threads(threads);
-    PgHive::new(cfg).discover_graph(graph).schema
+fn discover(graph: &pg_model::PropertyGraph, seed: u64) -> pg_model::SchemaGraph {
+    PgHive::new(pg_eval::runner::eval_hive_config(LshMethod::Elsh, seed))
+        .discover_graph(graph)
+        .schema
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Noise-free round trip: F1* = 1.0 and zero violations, for ≥ 20
-    /// generated schemas, at every thread setting.
+    /// generated schemas.
     #[test]
     fn clean_round_trip_is_perfect(params in params_strategy(), seed in 0u64..1_000_000) {
         let spec = SynthSpec::new(random_schema(&params, seed));
-        for threads in thread_settings() {
-            let r = run_oracle(&spec, seed, threads);
-            if r.node_f1.macro_f1 != 1.0
-                || r.edge_f1.is_some_and(|f| f.macro_f1 != 1.0)
-                || r.strict_violations != 0
-            {
-                dump_failure(seed, &params, "clean round trip not perfect");
-            }
-            prop_assert_eq!(r.node_f1.macro_f1, 1.0, "node F1 at {} threads", threads);
-            if let Some(ef1) = r.edge_f1 {
-                prop_assert_eq!(ef1.macro_f1, 1.0, "edge F1 at {} threads", threads);
-            }
-            prop_assert_eq!(r.strict_violations, 0, "STRICT violations at {} threads", threads);
-            prop_assert_eq!(r.loose_violations, 0, "LOOSE violations at {} threads", threads);
+        let r = run_oracle(&spec, seed);
+        if r.node_f1.macro_f1 != 1.0
+            || r.edge_f1.is_some_and(|f| f.macro_f1 != 1.0)
+            || r.strict_violations != 0
+        {
+            dump_failure(seed, &params, "clean round trip not perfect");
         }
+        prop_assert_eq!(r.node_f1.macro_f1, 1.0, "node F1");
+        if let Some(ef1) = r.edge_f1 {
+            prop_assert_eq!(ef1.macro_f1, 1.0, "edge F1");
+        }
+        prop_assert_eq!(r.strict_violations, 0, "STRICT violations");
+        prop_assert_eq!(r.loose_violations, 0, "LOOSE violations");
     }
 }
 
@@ -119,8 +105,8 @@ proptest! {
         let (permuted, node_map, edge_map) = permute_ids(&out.graph, perm_seed);
         let truth = out.truth.remapped(&node_map, &edge_map);
 
-        let original = discover(&out.graph, seed, 1);
-        let shuffled = discover(&permuted, seed, 1);
+        let original = discover(&out.graph, seed);
+        let shuffled = discover(&permuted, seed);
         let d = diff(&original, &shuffled);
         if !d.is_empty() {
             dump_failure(seed, &params, "id permutation changed the schema");
@@ -144,8 +130,8 @@ proptest! {
         let out = synthesize(&SynthSpec::new(random_schema(&params, seed)), seed);
         let rename = |l: &str| format!("NS_{l}");
 
-        let direct = discover(&rename_graph_labels(&out.graph, &rename), seed, 1);
-        let expected = rename_schema_labels(&discover(&out.graph, seed, 1), &rename);
+        let direct = discover(&rename_graph_labels(&out.graph, &rename), seed);
+        let expected = rename_schema_labels(&discover(&out.graph, seed), &rename);
         let d = diff(&expected, &direct);
         if !d.is_empty() {
             dump_failure(seed, &params, "label renaming did not commute");
@@ -162,7 +148,7 @@ proptest! {
 fn noise_degrades_f1_boundedly() {
     let levels = [0.0, 0.15, 0.3, 0.45];
     let schema = random_schema(&SchemaParams::default(), 42);
-    let curve = noise_curve(&schema, &levels, 42, 1);
+    let curve = noise_curve(&schema, &levels, 42);
 
     assert_eq!(curve[0].node_f1, 1.0, "clean baseline must be perfect");
     assert_eq!(curve[0].strict_violations, 0);
@@ -187,7 +173,7 @@ fn noise_degrades_f1_boundedly() {
 
 /// The generator is bit-deterministic: identical spec + seed produce an
 /// identical serialized graph, and discovery on that graph is identical
-/// at 1 and 4 threads (the schema can never depend on the thread count).
+/// whatever the inert `threads` field, which callers still set, says.
 #[test]
 fn generator_and_discovery_are_deterministic_across_threads() {
     let params = SchemaParams::default();
@@ -205,7 +191,11 @@ fn generator_and_discovery_are_deterministic_across_threads() {
         "two identical synthesize calls diverged"
     );
 
-    let seq = discover(&a.graph, 7, 1);
-    let par = discover(&a.graph, 7, 4);
+    let seq = discover(&a.graph, 7);
+    let cfg = HiveConfig {
+        threads: 4,
+        ..pg_eval::runner::eval_hive_config(LshMethod::Elsh, 7)
+    };
+    let par = PgHive::new(cfg).discover_graph(&a.graph).schema;
     assert_eq!(seq, par, "thread count leaked into the discovered schema");
 }

@@ -20,7 +20,7 @@
 
 use pg_embed::{LabelEmbedder, Word2Vec};
 use pg_hive::checkpoint::{decode, encode, EmbedderRows};
-use pg_hive::{Embedder, HiveSession, LshMethod};
+use pg_hive::{Embedder, HiveConfig, HiveSession, LshMethod};
 use pg_store::GraphBatch;
 
 mod common;
@@ -50,7 +50,7 @@ fn drifting_batches(k: usize) -> Vec<GraphBatch> {
 #[test]
 fn the_first_batch_trains_and_every_token_keeps_its_vector() {
     let batches = drifting_batches(6);
-    let mut session = HiveSession::new(quick_config(LshMethod::Elsh, 5, 1));
+    let mut session = HiveSession::new(quick_config(LshMethod::Elsh, 5));
     session.process_graph_batch(&batches[0]);
     let (trained, steps) = (rows(&session), model(&session).steps());
     assert!(steps > 0, "the first batch has label pairs to train on");
@@ -90,21 +90,25 @@ fn a_label_less_first_batch_leaves_the_training_to_the_next() {
         .cloned()
         .collect();
     assert!(!unlabeled.is_empty());
-    let mut late = HiveSession::new(quick_config(LshMethod::Elsh, 5, 1));
+    let mut late = HiveSession::new(quick_config(LshMethod::Elsh, 5));
     late.process_batch(&unlabeled, &[]);
     assert!(late.checkpoint().embedder.is_none());
     late.process_graph_batch(&batches[1]);
 
-    let mut fresh = HiveSession::new(quick_config(LshMethod::Elsh, 5, 1));
+    let mut fresh = HiveSession::new(quick_config(LshMethod::Elsh, 5));
     fresh.process_graph_batch(&batches[1]);
     assert_eq!(rows(&late), rows(&fresh));
 }
 
+/// The inert `threads` field, which callers still set, moves no row.
 #[test]
 fn rows_are_thread_count_invariant_batch_by_batch() {
     let batches = drifting_batches(4);
-    let mut seq = HiveSession::new(quick_config(LshMethod::Elsh, 5, 1));
-    let mut par = HiveSession::new(quick_config(LshMethod::Elsh, 5, 4));
+    let mut seq = HiveSession::new(quick_config(LshMethod::Elsh, 5));
+    let mut par = HiveSession::new(HiveConfig {
+        threads: 4,
+        ..quick_config(LshMethod::Elsh, 5)
+    });
     for (i, batch) in batches.iter().enumerate() {
         seq.process_graph_batch(batch);
         par.process_graph_batch(batch);
@@ -115,7 +119,7 @@ fn rows_are_thread_count_invariant_batch_by_batch() {
 
 #[test]
 fn minhash_sessions_train_and_checkpoint_no_embedder() {
-    let mut session = HiveSession::new(quick_config(LshMethod::MinHash, 5, 1));
+    let mut session = HiveSession::new(quick_config(LshMethod::MinHash, 5));
     session.process_graph_batch(&drifting_batches(2)[0]);
     assert!(matches!(session.embedder(), Embedder::Hashed(_)));
     let ckpt = session.checkpoint();
@@ -130,7 +134,7 @@ fn labels_that_arrive_after_a_node_only_batch_survive_a_restart() {
     let graph = case_graph("POLE", 9, 0.0, 1.0);
     let (nodes, edges) = pg_store::load(&graph);
     let edge_batches: Vec<_> = edges.chunks(edges.len().div_ceil(3)).collect();
-    let cfg = quick_config(LshMethod::Elsh, 9, 1);
+    let cfg = quick_config(LshMethod::Elsh, 9);
 
     let mut session = HiveSession::new(cfg.clone());
     session.process_batch(&nodes, &[]);
@@ -162,7 +166,7 @@ fn labels_that_arrive_after_a_node_only_batch_survive_a_restart() {
 
 #[test]
 fn malformed_or_misshapen_rows_never_panic() {
-    let mut session = HiveSession::new(quick_config(LshMethod::Elsh, 5, 1));
+    let mut session = HiveSession::new(quick_config(LshMethod::Elsh, 5));
     session.process_graph_batch(&drifting_batches(2)[0]);
     let ckpt = session.checkpoint();
     let json = serde_json::to_string(&ckpt).unwrap();
@@ -185,6 +189,6 @@ fn malformed_or_misshapen_rows_never_panic() {
     // them) are left aside: the session resumes untrained.
     let mut other = ckpt.clone();
     other.embedder.as_mut().unwrap().vectors.0.truncate(8);
-    let resumed = HiveSession::restore(quick_config(LshMethod::Elsh, 5, 1), other).unwrap();
+    let resumed = HiveSession::restore(quick_config(LshMethod::Elsh, 5), other).unwrap();
     assert!(resumed.checkpoint().embedder.is_none());
 }

@@ -311,8 +311,8 @@ fn stream_config(seed: u64, threads: usize) -> HiveConfig {
     .with_seed(seed)
 }
 
-/// Sketched discovery is deterministic across thread counts: the
-/// sketches only ever see hashes, never clustering order.
+/// Sketched discovery does not read the inert `threads` field, which
+/// callers still set.
 #[test]
 fn stream_discovery_is_thread_count_invariant() {
     for seed in [1u64, 8] {

@@ -30,7 +30,7 @@ fn main() {
     for s in 0..schemas {
         let seed = args.seed + s;
         let schema = random_schema(&SchemaParams::default(), seed);
-        let curve = noise_curve(&schema, &levels, seed, 0);
+        let curve = noise_curve(&schema, &levels, seed);
         let mut row = vec![format!("schema #{seed}")];
         for (i, p) in curve.iter().enumerate() {
             row.push(format!("{:.3}/{:.3}", p.node_f1, p.edge_f1));

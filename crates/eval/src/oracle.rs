@@ -32,13 +32,11 @@ pub struct OracleResult {
     pub discovered: SchemaGraph,
 }
 
-/// Generate a graph from `spec` with `seed`, run PG-HIVE (ELSH) on
-/// `threads` worker threads, and score the result against the ground
-/// truth plus the declared schema.
-pub fn run_oracle(spec: &SynthSpec, seed: u64, threads: usize) -> OracleResult {
+/// Generate a graph from `spec` with `seed`, run PG-HIVE (ELSH), and
+/// score the result against the ground truth plus the declared schema.
+pub fn run_oracle(spec: &SynthSpec, seed: u64) -> OracleResult {
     let out = synthesize(spec, seed);
-    let cfg = eval_hive_config(LshMethod::Elsh, seed).with_threads(threads);
-    let result = PgHive::new(cfg).discover_graph(&out.graph);
+    let result = PgHive::new(eval_hive_config(LshMethod::Elsh, seed)).discover_graph(&out.graph);
 
     let node_clusters: Vec<Vec<NodeId>> = result.node_members().into_values().collect();
     let node_f1 = majority_f1(&node_clusters, &out.truth.node_type);
@@ -77,12 +75,7 @@ pub struct CurvePoint {
 }
 
 /// Sweep a shared noise level over `levels` for one generating schema.
-pub fn noise_curve(
-    schema: &SchemaGraph,
-    levels: &[f64],
-    seed: u64,
-    threads: usize,
-) -> Vec<CurvePoint> {
+pub fn noise_curve(schema: &SchemaGraph, levels: &[f64], seed: u64) -> Vec<CurvePoint> {
     levels
         .iter()
         .map(|&x| {
@@ -96,7 +89,7 @@ pub fn noise_curve(
                 label_noise_rate: x / 2.0,
                 missing_mandatory_rate: x,
             });
-            let r = run_oracle(&spec, seed, threads);
+            let r = run_oracle(&spec, seed);
             CurvePoint {
                 noise: x,
                 node_f1: r.node_f1.macro_f1,
@@ -116,7 +109,7 @@ mod tests {
     fn clean_spec_scores_perfect_and_conformant() {
         let schema = random_schema(&SchemaParams::default(), 21);
         let spec = SynthSpec::new(schema);
-        let r = run_oracle(&spec, 21, 1);
+        let r = run_oracle(&spec, 21);
         assert_eq!(r.node_f1.macro_f1, 1.0, "node F1 {:?}", r.node_f1);
         if let Some(ef1) = r.edge_f1 {
             assert_eq!(ef1.macro_f1, 1.0, "edge F1 {ef1:?}");
@@ -134,7 +127,7 @@ mod tests {
             label_noise_rate: 0.1,
             missing_mandatory_rate: 0.2,
         });
-        let r = run_oracle(&spec, 5, 1);
+        let r = run_oracle(&spec, 5);
         assert!(r.loose_violations <= r.strict_violations);
     }
 }

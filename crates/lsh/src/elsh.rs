@@ -14,12 +14,11 @@
 //! the vector `T` times through `T` separate projection `Vec`s.
 
 use crate::sparse::SparseVec;
+use crate::Clustering;
 use crate::FnvHashMap;
-use crate::{Clustering, GROUP_SHARDS};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// A configured Euclidean LSH family.
 #[derive(Debug, Clone)]
@@ -135,99 +134,38 @@ impl EuclideanLsh {
     /// or shrinking `b` makes the clusters finer, matching the paper's
     /// parameter-effect discussion.
     ///
-    /// The grouping path never materializes per-item signature `Vec`s:
-    /// each shard hashes signatures incrementally into a `u64` key from a
-    /// reused scratch buffer, and keeps a full signature only per
-    /// *distinct* group (its first occupant) to verify candidates against,
-    /// so a `u64` collision can never merge two different signatures.
-    /// Shard tables merge strictly in shard order, making bucket ids
-    /// follow first-occurrence order regardless of thread count — the same
-    /// contract as [`crate::cluster_by_signature`].
+    /// The grouping never materializes per-item signature `Vec`s: it
+    /// hashes each signature into a `u64` key from a reused scratch
+    /// buffer, and keeps a full signature only per *distinct* group (its
+    /// first occupant) to verify candidates against, so a `u64` collision
+    /// can never merge two different signatures. Bucket ids follow
+    /// first-occurrence order, as in [`crate::cluster_by_signature`].
     pub fn cluster_signature(&self, items: &[SparseVec]) -> Clustering {
-        if items.is_empty() {
-            return Clustering::from_assignment(Vec::new());
-        }
         let t = self.tables;
-        let shard = items.len().div_ceil(GROUP_SHARDS).max(1);
-
-        /// Distinct signatures of one shard: local assignment, per-group
-        /// `u64` keys, and the flat group-major representative store.
-        struct ShardGroups {
-            raw: Vec<usize>,
-            hashes: Vec<u64>,
-            rep_sigs: Vec<i64>,
-        }
-
-        let shards: Vec<ShardGroups> = items
-            .par_chunks(shard)
-            .map(|chunk| {
-                let mut acc = vec![0.0; t];
-                let mut sig = vec![0i64; t];
-                let mut buckets: FnvHashMap<u64, Vec<usize>> = FnvHashMap::default();
-                let mut hashes: Vec<u64> = Vec::new();
-                let mut rep_sigs: Vec<i64> = Vec::new();
-                let mut raw = Vec::with_capacity(chunk.len());
-                for v in chunk {
-                    self.signature_into(v, &mut acc, &mut sig);
-                    let h = fnv1a_sig(&sig);
-                    let gids = buckets.entry(h).or_default();
-                    let mut found = None;
-                    for &g in gids.iter() {
-                        if rep_sigs[g * t..(g + 1) * t] == sig[..] {
-                            found = Some(g);
-                            break;
-                        }
-                    }
-                    let gid = match found {
-                        Some(g) => g,
-                        None => {
-                            let g = hashes.len();
-                            hashes.push(h);
-                            rep_sigs.extend_from_slice(&sig);
-                            gids.push(g);
-                            g
-                        }
-                    };
-                    raw.push(gid);
-                }
-                ShardGroups {
-                    raw,
-                    hashes,
-                    rep_sigs,
-                }
-            })
-            .collect();
-
-        let mut global: FnvHashMap<u64, Vec<usize>> = FnvHashMap::default();
-        let mut global_reps: Vec<i64> = Vec::new();
+        let mut acc = vec![0.0; t];
+        let mut sig = vec![0i64; t];
+        let mut buckets: FnvHashMap<u64, Vec<usize>> = FnvHashMap::default();
+        // Group-major representative signatures: group `g` is
+        // `rep_sigs[g * t..(g + 1) * t]`.
+        let mut rep_sigs: Vec<i64> = Vec::new();
         let mut assignment = Vec::with_capacity(items.len());
-        for s in &shards {
-            let mut mapping = Vec::with_capacity(s.hashes.len());
-            for (lg, &h) in s.hashes.iter().enumerate() {
-                let lsig = &s.rep_sigs[lg * t..(lg + 1) * t];
-                let gids = global.entry(h).or_default();
-                let mut found = None;
-                for &g in gids.iter() {
-                    if &global_reps[g * t..(g + 1) * t] == lsig {
-                        found = Some(g);
-                        break;
-                    }
-                }
-                let gid = match found {
-                    Some(g) => g,
-                    None => {
-                        let g = global_reps.len() / t;
-                        global_reps.extend_from_slice(lsig);
-                        gids.push(g);
-                        g
-                    }
-                };
-                mapping.push(gid);
-            }
-            assignment.extend(s.raw.iter().map(|&local_id| mapping[local_id]));
+        for v in items {
+            self.signature_into(v, &mut acc, &mut sig);
+            let gids = buckets.entry(fnv1a_sig(&sig)).or_default();
+            let found = gids
+                .iter()
+                .copied()
+                .find(|&g| rep_sigs[g * t..(g + 1) * t] == sig[..]);
+            let gid = found.unwrap_or_else(|| {
+                let g = rep_sigs.len() / t;
+                rep_sigs.extend_from_slice(&sig);
+                gids.push(g);
+                g
+            });
+            assignment.push(gid);
         }
         Clustering {
-            num_clusters: global_reps.len() / t,
+            num_clusters: rep_sigs.len() / t,
             assignment,
         }
     }
@@ -300,8 +238,8 @@ mod tests {
         }
     }
 
-    /// Reference grouping: materialize every signature, group with the
-    /// generic sharded reduction. The hashed fast path must match it.
+    /// Reference grouping: materialize every signature, group them with
+    /// the generic scan. The hashed fast path must match it.
     fn reference_cluster_signature(lsh: &EuclideanLsh, items: &[SparseVec]) -> Clustering {
         let signatures: Vec<Vec<i64>> = items.iter().map(|v| lsh.signature(v)).collect();
         crate::cluster_by_signature(&signatures)
@@ -310,7 +248,7 @@ mod tests {
     #[test]
     fn hashed_grouping_matches_materialized_signatures() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        // Heavy duplication plus unique stragglers, spanning many shards.
+        // Heavy duplication plus unique stragglers.
         let items: Vec<SparseVec> = (0..800)
             .map(|i| {
                 if i % 3 == 0 {
@@ -321,15 +259,10 @@ mod tests {
             })
             .collect();
         let lsh = EuclideanLsh::new(3, 12, 1.0, 5);
-        let expected = reference_cluster_signature(&lsh, &items);
-        for threads in [1, 2, 4, 8] {
-            let got = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| lsh.cluster_signature(&items));
-            assert_eq!(got, expected, "threads = {threads}");
-        }
+        assert_eq!(
+            lsh.cluster_signature(&items),
+            reference_cluster_signature(&lsh, &items)
+        );
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl std::hash::BuildHasher for FnvBuild {
 /// A `HashMap` using FNV-1a instead of SipHash.
 pub type FnvHashMap<K, V> = std::collections::HashMap<K, V, FnvBuild>;
 
-/// Number of shards signature grouping is split into. Shard boundaries
-/// are derived from the input length alone — never from the thread
-/// count — so the bucket numbering below is bit-identical no matter how
-/// many worker threads hash the shards.
-pub(crate) const GROUP_SHARDS: usize = 64;
-
 /// A deterministic grouping of items by key equality: `assignment[i]` is
 /// the group id of item `i`, ids are dense in `0..num_groups` in
 /// **first-occurrence order**, and `reps[g]` is the index of the first
@@ -99,60 +93,22 @@ pub struct Grouping {
     pub num_groups: usize,
 }
 
-/// Group items by key equality with the same sharded, thread-count
-/// invariant reduction as [`cluster_by_signature`]: each shard maps its
-/// keys to shard-local ids, then shard tables merge strictly in shard
-/// order, so group ids — and the choice of representative — match a
-/// sequential left-to-right scan exactly.
-pub fn group_by_key<K: Eq + std::hash::Hash + Sync>(keys: &[K]) -> Grouping {
-    use rayon::prelude::*;
-    if keys.is_empty() {
-        return Grouping {
-            assignment: Vec::new(),
-            reps: Vec::new(),
-            num_groups: 0,
-        };
-    }
-    let shard = keys.len().div_ceil(GROUP_SHARDS).max(1);
-    // Per shard: local assignment, plus the distinct keys in local
-    // first-occurrence order with their within-shard first positions.
-    #[allow(clippy::type_complexity)]
-    let shards: Vec<(Vec<usize>, Vec<(&K, usize)>)> = keys
-        .par_chunks(shard)
-        .map(|chunk| {
-            let mut local: FnvHashMap<&K, usize> = FnvHashMap::default();
-            let mut order: Vec<(&K, usize)> = Vec::new();
-            let mut raw = Vec::with_capacity(chunk.len());
-            for (pos, key) in chunk.iter().enumerate() {
-                let next = local.len();
-                let id = *local.entry(key).or_insert_with(|| {
-                    order.push((key, pos));
-                    next
-                });
-                raw.push(id);
-            }
-            (raw, order)
+/// Group items by key equality in one left-to-right scan: a key's group
+/// id is the number of distinct keys seen before its first occurrence,
+/// and that occurrence is the group's representative.
+pub fn group_by_key<K: Eq + std::hash::Hash>(keys: &[K]) -> Grouping {
+    let mut ids: FnvHashMap<&K, usize> = FnvHashMap::default();
+    let mut reps = Vec::new();
+    let assignment = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            *ids.entry(key).or_insert_with(|| {
+                reps.push(i);
+                reps.len() - 1
+            })
         })
         .collect();
-    let mut global: FnvHashMap<&K, usize> = FnvHashMap::default();
-    let mut assignment = Vec::with_capacity(keys.len());
-    let mut reps = Vec::new();
-    for (shard_index, (raw, order)) in shards.iter().enumerate() {
-        let offset = shard_index * shard;
-        let mapping: Vec<usize> = order
-            .iter()
-            .map(|&(key, pos)| {
-                let next = global.len();
-                *global.entry(key).or_insert_with(|| {
-                    // First shard containing the key: its local first
-                    // occurrence is the global first occurrence.
-                    reps.push(offset + pos);
-                    next
-                })
-            })
-            .collect();
-        assignment.extend(raw.iter().map(|&local_id| mapping[local_id]));
-    }
     Grouping {
         assignment,
         num_groups: reps.len(),
@@ -161,53 +117,13 @@ pub fn group_by_key<K: Eq + std::hash::Hash + Sync>(keys: &[K]) -> Grouping {
 }
 
 /// Group items by full-signature equality (the AND rule), assigning
-/// dense bucket ids in **first-occurrence order** — exactly what a
-/// sequential scan with a `HashMap<signature, next_id>` produces.
-///
-/// The parallel construction is a sharded accumulation with a stable
-/// merge: each shard maps its signatures to shard-local ids (recording
-/// the distinct signatures in local first-occurrence order), then the
-/// shard tables are merged strictly in shard order. The first shard
-/// containing a signature fixes its global id, which is the same shard
-/// and position a left-to-right scan would have hit first, so the
-/// output is independent of the thread count.
-pub fn cluster_by_signature<T: Eq + std::hash::Hash + Sync>(signatures: &[Vec<T>]) -> Clustering {
-    use rayon::prelude::*;
-    if signatures.is_empty() {
-        return Clustering::from_assignment(Vec::new());
+/// dense bucket ids in **first-occurrence order**.
+pub fn cluster_by_signature<T: Eq + std::hash::Hash>(signatures: &[Vec<T>]) -> Clustering {
+    let g = group_by_key(signatures);
+    Clustering {
+        assignment: g.assignment,
+        num_clusters: g.num_groups,
     }
-    let shard = signatures.len().div_ceil(GROUP_SHARDS).max(1);
-    #[allow(clippy::type_complexity)]
-    let shards: Vec<(Vec<usize>, Vec<&[T]>)> = signatures
-        .par_chunks(shard)
-        .map(|chunk| {
-            let mut local: FnvHashMap<&[T], usize> = FnvHashMap::default();
-            let mut order: Vec<&[T]> = Vec::new();
-            let mut raw = Vec::with_capacity(chunk.len());
-            for sig in chunk {
-                let next = local.len();
-                let id = *local.entry(sig.as_slice()).or_insert_with(|| {
-                    order.push(sig.as_slice());
-                    next
-                });
-                raw.push(id);
-            }
-            (raw, order)
-        })
-        .collect();
-    let mut global: FnvHashMap<&[T], usize> = FnvHashMap::default();
-    let mut assignment = Vec::with_capacity(signatures.len());
-    for (raw, order) in &shards {
-        let mapping: Vec<usize> = order
-            .iter()
-            .map(|sig| {
-                let next = global.len();
-                *global.entry(sig).or_insert(next)
-            })
-            .collect();
-        assignment.extend(raw.iter().map(|&local_id| mapping[local_id]));
-    }
-    Clustering::from_assignment(assignment)
 }
 
 /// A clustering of `n` items: `assignment[i]` is the cluster id of item
@@ -277,8 +193,8 @@ mod tests {
         assert!(c.groups().is_empty());
     }
 
-    /// Reference implementation: the sequential first-occurrence scan
-    /// the sharded grouping must reproduce exactly.
+    /// Reference implementation: a first-occurrence scan through
+    /// `Clustering::from_assignment`'s renumbering.
     fn sequential_group(signatures: &[Vec<u64>]) -> Clustering {
         let mut buckets: std::collections::HashMap<&[u64], usize> =
             std::collections::HashMap::new();
@@ -292,19 +208,14 @@ mod tests {
 
     #[test]
     fn sharded_grouping_matches_sequential_scan() {
-        // Enough items to span many shards, with heavy duplication so
-        // signatures recur across shard boundaries.
+        // Heavy duplication, so signatures recur far from their first
+        // occurrence.
         let signatures: Vec<Vec<u64>> =
             (0..1500).map(|i| vec![(i * 7) % 13, (i * 3) % 5]).collect();
-        let expected = sequential_group(&signatures);
-        for threads in [1, 2, 3, 4, 8] {
-            let got = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| cluster_by_signature(&signatures));
-            assert_eq!(got, expected, "threads = {threads}");
-        }
+        assert_eq!(
+            cluster_by_signature(&signatures),
+            sequential_group(&signatures)
+        );
     }
 
     #[test]
@@ -333,8 +244,6 @@ mod tests {
 
     #[test]
     fn group_by_key_matches_sequential_scan_at_any_thread_count() {
-        // Keys recur across shard boundaries so the in-order merge is
-        // actually exercised.
         let keys: Vec<u64> = (0..2000).map(|i| (i * 13) % 17).collect();
         let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         let mut expected_assignment = Vec::new();
@@ -347,15 +256,9 @@ mod tests {
             });
             expected_assignment.push(id);
         }
-        for threads in [1, 2, 4, 8] {
-            let g = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| group_by_key(&keys));
-            assert_eq!(g.assignment, expected_assignment, "threads = {threads}");
-            assert_eq!(g.reps, expected_reps, "threads = {threads}");
-        }
+        let g = group_by_key(&keys);
+        assert_eq!(g.assignment, expected_assignment);
+        assert_eq!(g.reps, expected_reps);
     }
 
     #[test]

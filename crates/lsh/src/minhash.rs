@@ -10,7 +10,6 @@ use crate::Clustering;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// A large Mersenne prime used for the universal hash family
 /// `h(x) = (a·x + b) mod p`.
@@ -66,11 +65,10 @@ impl MinHashLsh {
     /// identical membership always share a cluster; near-duplicates
     /// collide with probability `J^T`.
     ///
-    /// Signatures are hashed in parallel and grouped by
-    /// [`crate::cluster_by_signature`]'s sharded accumulation; bucket ids
-    /// follow first-occurrence order regardless of thread count.
+    /// Bucket ids follow first-occurrence order, as in
+    /// [`crate::cluster_by_signature`].
     pub fn cluster_signature(&self, items: &[Vec<u64>]) -> Clustering {
-        let signatures: Vec<Vec<u64>> = items.par_iter().map(|s| self.signature(s)).collect();
+        let signatures: Vec<Vec<u64>> = items.iter().map(|s| self.signature(s)).collect();
         crate::cluster_by_signature(&signatures)
     }
 }

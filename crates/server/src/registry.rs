@@ -47,7 +47,9 @@ pub struct SessionSpec {
     pub theta: f64,
     /// Clustering family: `"elsh"` or `"minhash"`.
     pub method: String,
-    /// Worker threads for the engine (0 = available parallelism).
+    /// Inert: discovery runs on the session's worker thread. Still
+    /// accepted by `POST /sessions` and written in persisted frames, so
+    /// old clients and state directories keep working.
     pub threads: u64,
     /// Ingest error policy: `"strict"`, `"skip"`, or `"cap:N"`.
     pub on_error: String,
@@ -510,15 +512,16 @@ impl Registry {
         let mut sessions = BTreeMap::new();
         let mut warnings = Vec::new();
         if let Some(state_dir) = &config.state_dir {
-            match scan_state_dir(state_dir, config.checkpoint_keep, config.session_queue) {
+            let scanned = scan_state_dir(
+                state_dir,
+                config.checkpoint_keep,
+                config.session_queue,
+                &mut warnings,
+            );
+            match scanned {
                 Ok(resumed) => {
-                    for entry in resumed {
-                        match entry {
-                            Ok(live) => {
-                                sessions.insert(live.name.clone(), Arc::new(live));
-                            }
-                            Err(w) => warnings.push(w),
-                        }
+                    for live in resumed {
+                        sessions.insert(live.name.clone(), Arc::new(live));
                     }
                 }
                 Err(w) => warnings.push(w),
@@ -657,11 +660,14 @@ pub fn validate_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Resume every session stored under `state_dir`. A session that cannot
+/// be resumed, and every frame a resumed one skipped, is a warning.
 fn scan_state_dir(
     state_dir: &Path,
     checkpoint_keep: usize,
     session_queue: usize,
-) -> Result<Vec<Result<LiveSession, String>>, String> {
+    warnings: &mut Vec<String>,
+) -> Result<Vec<LiveSession>, String> {
     fs::create_dir_all(state_dir)
         .map_err(|e| format!("creating state dir {}: {e}", state_dir.display()))?;
     let entries = fs::read_dir(state_dir)
@@ -671,13 +677,16 @@ fn scan_state_dir(
         let entry = match entry {
             Ok(e) => e,
             Err(e) => {
-                out.push(Err(format!("reading state dir entry: {e}")));
+                warnings.push(format!("reading state dir entry: {e}"));
                 continue;
             }
         };
         let dir = entry.path();
         if dir.join("ckpt").is_dir() || dir.join(SIDECAR).exists() {
-            out.extend(resume_session(&dir, checkpoint_keep, session_queue).transpose());
+            match resume_session(&dir, checkpoint_keep, session_queue, warnings) {
+                Ok(live) => out.extend(live),
+                Err(w) => warnings.push(w),
+            }
         }
     }
     Ok(out)
@@ -698,13 +707,16 @@ fn read_sidecar(path: &Path) -> Result<(Host, SessionAux), String> {
     ))
 }
 
-/// Resume the session stored under `dir` from its newest valid frame.
-/// `Ok(None)` for a directory that holds no frame and no `session.json`:
-/// a create that crashed before its first frame, never acknowledged.
+/// Resume the session stored under `dir` from its newest valid frame,
+/// with one warning per newer frame it skipped: the batches that frame
+/// held are lost. `Ok(None)` for a directory that holds no frame and no
+/// `session.json`: a create that crashed before its first frame, never
+/// acknowledged.
 fn resume_session(
     dir: &Path,
     checkpoint_keep: usize,
     session_queue: usize,
+    warnings: &mut Vec<String>,
 ) -> Result<Option<LiveSession>, String> {
     let skip = |stage: &str, detail: String| {
         format!("skipping session at {}: {stage}: {detail}", dir.display())
@@ -730,6 +742,13 @@ fn resume_session(
             (None, _) => Err(format!("no host fields, and no {SIDECAR} of this version")),
         })
         .map_err(|e| skip("resuming checkpoints", e.to_string()))?;
+    warnings.extend(outcome.skipped.iter().map(|(path, why)| {
+        format!(
+            "session at {}: skipped checkpoint {}: {why}",
+            dir.display(),
+            path.display()
+        )
+    }));
     let (host, restore) = match (outcome.checkpoint, legacy) {
         (Some(mut frame), legacy) => {
             let (host, aux) = match (frame.host.take(), frame.aux.take(), legacy) {

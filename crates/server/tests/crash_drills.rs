@@ -6,9 +6,11 @@
 //! partly written, written but not renamed, renamed — plus the layout of
 //! a build before envelope v3 whose `session.json` is one save behind its
 //! newest checkpoint (a crash between that writer's two renames). From
-//! each, `Registry::open` must resume a consistent session: the ETag's
-//! hash is the served body's, the quarantine total is the restored
-//! batches' total, and an edge to any node of a restored batch applies.
+//! each, and from a newest frame gone corrupt, `Registry::open` must
+//! resume a consistent session: the ETag's hash is the served body's, the
+//! quarantine total is the restored batches' total, and an edge to any
+//! node of a restored batch applies. A frame it had to skip, and with it
+//! the batches only that frame held, is named in a warning.
 //!
 //! *Failing save.* A cadence save that fails (here: a directory where the
 //! temp frame goes) fails no ingest. The response carries the error, the
@@ -93,10 +95,27 @@ fn newest_frame(ckpt: &Path) -> PathBuf {
 }
 
 /// Open `state_dir` and check the session it resumes against what the
-/// live session reported after `batches` node batches.
-fn assert_consistent(state_dir: &Path, batches: u64, recorded: &[(u64, String)], case: &str) {
+/// live session reported after `batches` node batches, and that the only
+/// warning names the frame file `skipped`, if one is given.
+fn assert_consistent(
+    state_dir: &Path,
+    batches: u64,
+    recorded: &[(u64, String)],
+    skipped: Option<&str>,
+    case: &str,
+) {
     let (registry, warnings) = open(state_dir);
-    assert!(warnings.is_empty(), "{case}: {warnings:?}");
+    match skipped {
+        None => assert!(warnings.is_empty(), "{case}: {warnings:?}"),
+        Some(file) => assert!(
+            warnings.len() == 1
+                && warnings[0].contains(&format!(
+                    "skipped checkpoint {}",
+                    state_dir.join(NAME).join("ckpt").join(file).display()
+                )),
+            "{case}: expected one warning naming {file}: {warnings:?}"
+        ),
+    }
     let live = registry
         .get(NAME)
         .unwrap_or_else(|| panic!("{case}: no session"));
@@ -177,14 +196,36 @@ fn every_crash_point_of_a_persist_resumes_a_consistent_session() {
         let state = work.join(case.replace([' ', ','], "-"));
         copy_dir(&before, &state);
         fs::write(state.join(NAME).join("ckpt").join(file), bytes).unwrap();
-        assert_consistent(&state, batches, &recorded, case);
+        assert_consistent(&state, batches, &recorded, None, case);
     }
 
-    // A pre-v3 directory whose session.json is one save behind.
+    // A pre-v3 directory whose session.json is one save behind: the
+    // newest checkpoint has no session.json of its version.
     let state = work.join("legacy");
     copy_dir(&live_dir, &state);
     downgrade_to_v2(&state.join(NAME), Some(seq.parse::<u64>().unwrap() - 1));
-    assert_consistent(&state, 1, &recorded, "v2 checkpoint, stale session.json");
+    assert_consistent(
+        &state,
+        1,
+        &recorded,
+        Some(file_name),
+        "v2 checkpoint, stale session.json",
+    );
+
+    // The newest frame damaged on disk after its persist completed.
+    let state = work.join("corrupt");
+    copy_dir(&live_dir, &state);
+    let mut damaged = frame.clone();
+    let last = damaged.len() - 2;
+    damaged[last] ^= 0x01;
+    fs::write(state.join(NAME).join("ckpt").join(file_name), damaged).unwrap();
+    assert_consistent(
+        &state,
+        1,
+        &recorded,
+        Some(file_name),
+        "corrupt newest frame",
+    );
     let _ = fs::remove_dir_all(&work);
 }
 

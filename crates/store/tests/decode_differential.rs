@@ -4,9 +4,7 @@
 //! The decoder's contract is *acceptance-set equality*: for every input
 //! line, both paths accept or both reject, and on acceptance they
 //! produce the same `Element`. Error wording may differ; line numbers
-//! and quarantine contents may not. The suite runs under
-//! `RAYON_NUM_THREADS` 1 and 4 in CI, so everything here is exercised at
-//! both thread counts.
+//! and quarantine contents may not.
 
 use pg_model::{Date, DateTime, Edge, LabelSet, Node, NodeId, PropertyGraph, PropertyValue};
 use pg_store::jsonl::{from_jsonl_with_policy, to_jsonl, Element};

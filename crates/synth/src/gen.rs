@@ -94,8 +94,7 @@ pub fn edge_instance(
 
 /// Generate a property graph from the spec. Deterministic in
 /// `(spec, seed)`: the generator runs single-threaded on one
-/// `ChaCha8Rng` stream, so the output is bit-identical regardless of
-/// `RAYON_NUM_THREADS` or machine.
+/// `ChaCha8Rng` stream, so the output is bit-identical on any machine.
 ///
 /// Guarantees for a clean (every knob zero, as in [`crate::NoiseProfile::clean`]) spec:
 ///
